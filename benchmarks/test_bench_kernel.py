@@ -1,8 +1,10 @@
 """Simulation-kernel benchmarks (ISSUE 2).
 
 Event throughput of the kernel under a realistic schedule/cancel/run
-mix — the regime the tombstone compaction and event free list target
-(deadline timers that are nearly always cancelled before firing).
+mix — the regime tombstone compaction targets (deadline timers that are
+nearly always cancelled before firing) — and under a pure schedule+fire
+mix, where the C-compared ``(time, priority, seq, event)`` heap entries
+carry the run.
 
 The runner-speedup measurement (quick Figure 4 sweep at several
 ``--jobs`` levels) lives in ``test_bench_figure4.py``.
@@ -58,7 +60,7 @@ def _noop() -> None:
 
 
 def _fire_all(events: int) -> Simulator:
-    """Pure schedule+fire mix (no cancels): free-list reuse dominates."""
+    """Pure schedule+fire mix (no cancels): heap push/pop dominates."""
     sim = Simulator()
     for i in range(events):
         sim.schedule(1.0 + (i % 1000) * 1e-4, _noop)

@@ -68,3 +68,13 @@ class CounterObject(ReplicatedObject):
 
     def version_count(self) -> int:
         return len(self.history)
+
+    def snapshot(self) -> dict:
+        # The history holds ints, so a new list is a full copy; the
+        # inherited deepcopy would walk every element on each lazy publish
+        # and state transfer.
+        return {"value": self.value, "history": list(self.history)}
+
+    def restore(self, snapshot: dict) -> None:
+        self.value = snapshot["value"]
+        self.history = list(snapshot["history"])

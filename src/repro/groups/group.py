@@ -177,15 +177,16 @@ class GroupEndpoint(Endpoint):
     # Inbound dispatch
     # ------------------------------------------------------------------
     def deliver(self, message: Message) -> None:
+        # Tested in traffic order: data and acks are most of what arrives.
         payload = message.payload
-        if isinstance(payload, ViewChangeMsg):
-            self.adopt_view(payload.view)
-        elif isinstance(payload, GroupDataMsg):
+        if isinstance(payload, GroupDataMsg):
             assert self._receiver is not None
             self._receiver.on_data(payload)
         elif isinstance(payload, GroupAckMsg):
             assert self._sender is not None
             self._sender.on_ack(payload, message.sender)
+        elif isinstance(payload, ViewChangeMsg):
+            self.adopt_view(payload.view)
         else:
             self.on_message(message)
 

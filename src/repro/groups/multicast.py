@@ -17,13 +17,18 @@ predate it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+import itertools
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.sim.kernel import Event, Simulator
 
 
-@dataclass(frozen=True)
+# Neither wire record is frozen: one is built per channel message, and a
+# frozen dataclass pays ``object.__setattr__`` per field.  Treat instances
+# as immutable.
+@dataclass(slots=True, unsafe_hash=True)
 class GroupDataMsg:
     """Application payload carried over a group FIFO channel.
 
@@ -40,7 +45,7 @@ class GroupDataMsg:
     epoch: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GroupAckMsg:
     """Acknowledgement for one :class:`GroupDataMsg`."""
 
@@ -49,17 +54,26 @@ class GroupAckMsg:
     seq: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _Outstanding:
     recipient: str
     message: GroupDataMsg
     size_bytes: int
     retries: int = 0
-    timer: Optional[Event] = None
+    settled: bool = False  # acked, forgotten or abandoned
 
 
 class FifoSender:
-    """Sender half: per-recipient sequencing, acks, retransmission."""
+    """Sender half: per-recipient sequencing, acks, retransmission.
+
+    Retransmit deadlines wait in ``_due``, a heap in ``(deadline, transmit
+    order)``, and one kernel timer is armed for its earliest entry.  A
+    multicast to n members arms one timer, and n acks cancel it once —
+    settled entries are dropped when they surface — where a timer per
+    message cost a ``schedule`` and a ``cancel`` each.  Retransmissions
+    happen at the instants, and in the order, per-message timers would
+    give.
+    """
 
     def __init__(
         self,
@@ -83,6 +97,11 @@ class FifoSender:
         self._next_seq: dict[tuple[str, str], int] = {}
         self._epochs: dict[tuple[str, str], int] = {}
         self._outstanding: dict[tuple[str, str, int], _Outstanding] = {}
+        # Invariant between calls: the head of _due is unsettled, and
+        # _timer is armed for its deadline (None when _due is empty).
+        self._due: list[tuple[float, int, _Outstanding]] = []
+        self._transmits = itertools.count()
+        self._timer: Optional[Event] = None
         self.retransmissions = 0
         self.abandoned = 0
 
@@ -117,8 +136,8 @@ class FifoSender:
 
     def on_ack(self, ack: GroupAckMsg, from_member: str) -> None:
         entry = self._outstanding.pop((ack.group, from_member, ack.seq), None)
-        if entry is not None and entry.timer is not None:
-            entry.timer.cancel()
+        if entry is not None:
+            self._settle(entry)
 
     def reset_channel(self, group: str, recipient: str) -> None:
         """Open a fresh channel epoch to a (re)joined member.
@@ -139,9 +158,7 @@ class FifoSender:
             if key[0] == group and key[1] == recipient
         ]
         for key in stale:
-            entry = self._outstanding.pop(key)
-            if entry.timer is not None:
-                entry.timer.cancel()
+            self._settle(self._outstanding.pop(key))
 
     @property
     def unacked(self) -> int:
@@ -149,20 +166,46 @@ class FifoSender:
 
     def _transmit(self, entry: _Outstanding) -> None:
         self._send_raw(entry.recipient, entry.message, entry.size_bytes)
-        delay = self.rto * (self.backoff**entry.retries)
-        entry.timer = self.sim.schedule(delay, self._retransmit, entry)
+        deadline = self.sim.now + self.rto * (self.backoff**entry.retries)
+        heapq.heappush(self._due, (deadline, next(self._transmits), entry))
+        if self._due[0][2] is entry:
+            self._arm()
+
+    def _settle(self, entry: _Outstanding) -> None:
+        entry.settled = True
+        if self._due[0][2] is entry:
+            self._arm()
+
+    def _arm(self) -> None:
+        """Restore the invariant after the head of ``_due`` changed."""
+        due = self._due
+        while due and due[0][2].settled:
+            heapq.heappop(due)
+        timer = self._timer
+        if timer is not None:
+            if due and due[0][0] == timer.time:
+                return
+            timer.cancel()
+        self._timer = (
+            self.sim.schedule_at(due[0][0], self._on_timer) if due else None
+        )
+
+    def _on_timer(self) -> None:
+        # One entry per firing, as with a timer each: entries due at the
+        # same instant re-arm for "now" and fire as consecutive events.
+        self._timer = None
+        self._retransmit(heapq.heappop(self._due)[2])
+        self._arm()
 
     def _retransmit(self, entry: _Outstanding) -> None:
-        key = (entry.message.group, entry.recipient, entry.message.seq)
-        if key not in self._outstanding:
-            return
         if entry.retries >= self.max_retries:
-            del self._outstanding[key]
+            message = entry.message
+            del self._outstanding[(message.group, entry.recipient, message.seq)]
             self.abandoned += 1
             # Giving up leaves a hole in the pair's sequence space that
             # would stall the receiver's FIFO forever; open a fresh epoch
             # so traffic resumes cleanly once the recipient is reachable.
-            self.reset_channel(entry.message.group, entry.recipient)
+            self.reset_channel(message.group, entry.recipient)
             return
         entry.retries += 1
         self.retransmissions += 1

@@ -20,7 +20,9 @@ def next_message_id() -> int:
     return next(_MESSAGE_IDS)
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: the fabric builds one per send, and a frozen dataclass pays
+# ``object.__setattr__`` per field.  Treat instances as immutable.
+@dataclass(slots=True, unsafe_hash=True)
 class Message:
     """One message in flight between two endpoints."""
 

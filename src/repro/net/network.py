@@ -20,11 +20,18 @@ layers need:
 
 Per-pair latency overrides allow heterogeneous topologies (slow hosts/links,
 as the paper's 300 MHz–1 GHz testbed had).
+
+The per-message path is kept short: a directed link is resolved once into
+its ``(rng stream, latency model)`` *route* and reused until the topology or
+a degradation changes, and the crash, cut, loss and churn checks are skipped
+while the fabric's own state says none is configured.  None of this may
+change which RNG stream is drawn from, or in which order.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
 from typing import Any, Iterable, Optional
@@ -167,6 +174,8 @@ class Network:
         self._degraded_nodes: dict[str, tuple[float, float]] = {}
         self._degraded_links: dict[tuple[str, str], tuple[float, float]] = {}
         self._churn: dict[tuple[str, str], LinkChurn] = {}
+        # Resolved directed links; see _route for what invalidates them.
+        self._routes: dict[tuple[str, str], tuple[random.Random, LatencyModel]] = {}
         self._m_sent = self.metrics.counter("net_messages_sent")
         self._m_delivered = self.metrics.counter("net_messages_delivered")
         self._m_dropped = self.metrics.counter("net_messages_dropped")
@@ -206,6 +215,7 @@ class Network:
         self._endpoints.pop(name, None)
         self._hosts.pop(name, None)
         self._crashed.discard(name)
+        self._routes.clear()
 
     def endpoint(self, name: str) -> Endpoint:
         try:
@@ -222,6 +232,7 @@ class Network:
     def set_link(self, sender: str, recipient: str, latency: LatencyModel) -> None:
         """Override latency for the directed pair ``sender -> recipient``."""
         self._links[(sender, recipient)] = latency
+        self._routes.clear()
 
     def set_symmetric_link(self, a: str, b: str, latency: LatencyModel) -> None:
         self.set_link(a, b, latency)
@@ -244,6 +255,22 @@ class Network:
             return base
         return DegradedLatency(base, factor, jitter)
 
+    def _route(
+        self, sender: str, recipient: str
+    ) -> tuple[random.Random, LatencyModel]:
+        """Resolve ``sender -> recipient`` once: its RNG stream and latency.
+
+        A cached route also vouches that both ends are attached.  Whatever
+        changes an input — ``set_link``, ``degrade_*``/``restore_*`` (and
+        so ``clear_degradations``), ``detach`` — clears the table.
+        """
+        route = (
+            self.rng.stream(f"net.link.{sender}->{recipient}"),
+            self.latency_for(sender, recipient),
+        )
+        self._routes[(sender, recipient)] = route
+        return route
+
     # ------------------------------------------------------------------
     # Gray degradation: alive but slow (timing failures, not crashes)
     # ------------------------------------------------------------------
@@ -263,6 +290,7 @@ class Network:
                 f"invalid degradation factor={factor!r} jitter={jitter_s!r}"
             )
         self._degraded_nodes[name] = (factor, jitter_s)
+        self._routes.clear()
         self.trace.emit(
             self.sim.now, "net.degrade", name,
             factor=round(factor, 3), jitter=round(jitter_s, 5),
@@ -272,6 +300,7 @@ class Network:
         """Undo :meth:`degrade_node`; returns False if it was not degraded."""
         if self._degraded_nodes.pop(name, None) is None:
             return False
+        self._routes.clear()
         self.trace.emit(self.sim.now, "net.restore", name)
         return True
 
@@ -285,6 +314,7 @@ class Network:
                 f"invalid degradation factor={factor!r} jitter={jitter_s!r}"
             )
         self._degraded_links[(sender, recipient)] = (factor, jitter_s)
+        self._routes.clear()
         self.trace.emit(
             self.sim.now, "net.degrade-link", f"{sender}->{recipient}",
             factor=round(factor, 3), jitter=round(jitter_s, 5),
@@ -293,6 +323,7 @@ class Network:
     def restore_link(self, sender: str, recipient: str) -> bool:
         if self._degraded_links.pop((sender, recipient), None) is None:
             return False
+        self._routes.clear()
         self.trace.emit(
             self.sim.now, "net.restore-link", f"{sender}->{recipient}"
         )
@@ -436,25 +467,30 @@ class Network:
     def send(
         self, sender: str, recipient: str, payload: Any, size_bytes: int = 256
     ) -> Message:
-        if sender not in self._endpoints:
+        route = self._routes.get((sender, recipient))
+        if route is None and sender not in self._endpoints:
             raise NetworkError(f"unknown sender {sender!r}")
-        message = Message(sender, recipient, payload, self.sim.now, size_bytes)
+        sim = self.sim
+        now = sim.now
+        message = Message(sender, recipient, payload, now, size_bytes)
         self._m_sent.inc()
-        if sender in self._crashed:
+        if self._crashed and sender in self._crashed:
             self._drop(message, "sender-crashed")
             return message
-        if recipient not in self._endpoints:
-            self._drop(message, "unknown-recipient")
-            return message
-        if self._cut(sender, recipient):
+        if route is None:
+            if recipient not in self._endpoints:
+                self._drop(message, "unknown-recipient")
+                return message
+            route = self._route(sender, recipient)
+        if self._partitions and self._cut(sender, recipient):
             self._drop(message, "partitioned")
             return message
         if self.drop_probability > 0.0:
             if self.rng.stream("net.loss").random() < self.drop_probability:
                 self._drop(message, "random-loss")
                 return message
-        link_rng = self.rng.stream(f"net.link.{sender}->{recipient}")
-        delay = self.latency_for(sender, recipient).delay(message, link_rng)
+        link_rng, latency = route
+        delay = latency.delay(message, link_rng)
         if self._churn:
             churn = self._churn_for(sender, recipient)
             if churn is not None:
@@ -470,12 +506,12 @@ class Network:
                     and crng.random() < churn.duplicate_probability
                 ):
                     self._m_duplicated.inc()
-                    self.sim.schedule(
+                    sim.schedule(
                         delay + crng.uniform(*churn.extra_delay),
                         self._arrive,
                         message,
                     )
-        self.sim.schedule(delay, self._arrive, message)
+        sim.schedule_at(now + delay, self._arrive, message)
         return message
 
     def multicast(
@@ -493,34 +529,38 @@ class Network:
         ]
 
     def _arrive(self, message: Message) -> None:
-        recipient = self._endpoints.get(message.recipient)
-        if recipient is None or message.recipient in self._crashed:
+        name = message.recipient
+        recipient = self._endpoints.get(name)
+        if recipient is None or (self._crashed and name in self._crashed):
             self._drop(message, "recipient-down")
             return
-        if self._cut(message.sender, message.recipient):
+        if self._partitions and self._cut(message.sender, name):
             self._drop(message, "partitioned-in-flight")
             return
+        now = self.sim.now
         self._m_delivered.inc()
-        self._h_delivery_delay.observe(self.sim.now - message.sent_at)
-        self.trace.emit(
-            self.sim.now,
-            "net.deliver",
-            message.recipient,
-            sender=message.sender,
-            kind=message.kind,
-            msg_id=message.msg_id,
-        )
+        self._h_delivery_delay.observe(now - message.sent_at)
+        if self.trace.enabled:
+            self.trace.emit(
+                now,
+                "net.deliver",
+                name,
+                sender=message.sender,
+                kind=message.kind,
+                msg_id=message.msg_id,
+            )
         recipient.deliver(message)
 
     def _drop(self, message: Message, reason: str) -> None:
         self._m_dropped.inc()
         self.metrics.counter("net_drops", reason=reason).inc()
-        self.trace.emit(
-            self.sim.now,
-            "net.drop",
-            message.recipient,
-            sender=message.sender,
-            kind=message.kind,
-            reason=reason,
-            msg_id=message.msg_id,
-        )
+        if self.trace.enabled:
+            self.trace.emit(
+                self.sim.now,
+                "net.drop",
+                message.recipient,
+                sender=message.sender,
+                kind=message.kind,
+                reason=reason,
+                msg_id=message.msg_id,
+            )

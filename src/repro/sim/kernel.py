@@ -11,18 +11,17 @@ callbacks.  Richer abstractions (generator processes, signals) live in
 :mod:`repro.sim.process` and are built on top of this scheduler.
 
 Because every simulated experiment funnels through :meth:`Simulator.run`,
-the kernel carries three throughput optimisations that are invisible to
-callers:
+the kernel keeps the per-event path short:
 
+* the heap holds ``(time, priority, seq, event)`` tuples, so ``heapq``
+  orders entries with C tuple comparison and never calls back into Python
+  (``seq`` is unique, so the comparison never reaches the event);
 * cancelled events are counted as *tombstones* and the heap is compacted
   once they dominate, so timer-heavy protocols (deadline timers that are
   almost always cancelled) never pay heap-log cost for dead entries and
   the heap cannot grow without bound between pops;
 * the pop loop binds its hot attributes to locals and skips tombstones
-  without re-entering the heap API;
-* fired events whose objects are no longer referenced anywhere else are
-  recycled through a small free list, cutting per-event allocation in
-  event-dense runs.
+  without re-entering the heap API.
 """
 
 from __future__ import annotations
@@ -30,16 +29,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import sys
 from typing import Any, Callable, Optional
 
 # Compaction triggers when tombstones exceed this count AND this fraction
 # of the heap; the count floor keeps tiny heaps from compacting constantly.
 _COMPACT_MIN_TOMBSTONES = 64
 _COMPACT_RATIO = 0.5
-
-# Upper bound on recycled Event objects kept per simulator.
-_FREE_LIST_MAX = 1024
 
 
 class SimulationError(RuntimeError):
@@ -53,42 +48,36 @@ class Event:
     :meth:`Simulator.schedule_at` and may be cancelled before they fire.
     Ordering is by ``(time, priority, seq)``: ties in time are broken first
     by an explicit priority (lower fires earlier) and then by scheduling
-    order, which keeps runs reproducible.
+    order, which keeps runs reproducible.  The ordering key lives in the
+    simulator's heap entry, not on the event.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled", "_sim")
+    __slots__ = ("time", "callback", "args", "cancelled", "_sim")
 
     def __init__(
         self,
         time: float,
-        priority: int,
-        seq: int,
         callback: Callable[..., Any],
         args: tuple,
         sim: "Optional[Simulator]" = None,
     ) -> None:
         self.time = time
-        self.priority = priority
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self._sim = sim
+        self._sim = sim  # None once the event has left the heap by firing
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Safe to call more than once."""
+        """Prevent the event from firing.
+
+        Safe to call more than once, and after the event has fired: only
+        an event still waiting in the heap becomes a tombstone.
+        """
         if not self.cancelled:
             self.cancelled = True
             sim = self._sim
             if sim is not None:
                 sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -112,14 +101,13 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
         self._processed = 0
         self._tombstones = 0
         self._compactions = 0
-        self._free: list[Event] = []
 
     # ------------------------------------------------------------------
     # Clock
@@ -175,24 +163,10 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` at an absolute virtual time."""
-        if math.isnan(time):
-            raise SimulationError("cannot schedule at NaN time")
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule in the past (now={self._now}, requested={time})"
-            )
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.priority = priority
-            event.seq = next(self._seq)
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, priority, next(self._seq), callback, args, self)
-        heapq.heappush(self._heap, event)
+        if not time >= self._now:
+            raise self._bad_time(time)
+        event = Event(time, callback, args, self)
+        heapq.heappush(self._heap, (time, priority, next(self._seq), event))
         return event
 
     def schedule_batch(
@@ -208,51 +182,44 @@ class Simulator:
         produce whole arrival vectors at once (the aggregated client
         tier).  Semantics match ``[schedule_at(t, callback, *args) for t
         in times]`` exactly — same validation, same ``(time, priority,
-        seq)`` ordering with seq assigned in input order, same free-list
-        reuse — but the heap is grown with one ``extend`` + ``heapify``
-        (O(n + m)) instead of m pushes (O(m log n)) once the batch is
-        large relative to the heap.
+        seq)`` ordering with seq assigned in input order — but the heap is
+        grown with one ``extend`` + ``heapify`` (O(n + m)) instead of m
+        pushes (O(m log n)) once the batch is large relative to the heap.
 
         ``args_list``, when given, supplies one args tuple per time;
         otherwise every event fires ``callback()``.
         """
         times = [float(t) for t in times]
-        if args_list is not None and len(args_list) != len(times):
+        if args_list is None:
+            args_list = [()] * len(times)
+        elif len(args_list) != len(times):
             raise SimulationError(
                 f"args_list length {len(args_list)} != times length {len(times)}"
             )
         now = self._now
         for t in times:
-            if math.isnan(t):
-                raise SimulationError("cannot schedule at NaN time")
-            if t < now:
-                raise SimulationError(
-                    f"cannot schedule in the past (now={now}, requested={t})"
-                )
-        free = self._free
+            if not t >= now:
+                raise self._bad_time(t)
         seq = self._seq
-        events: list[Event] = []
-        for i, t in enumerate(times):
-            args = args_list[i] if args_list is not None else ()
-            if free:
-                event = free.pop()
-                event.time = t
-                event.priority = priority
-                event.seq = next(seq)
-                event.callback = callback
-                event.args = args
-                event.cancelled = False
-            else:
-                event = Event(t, priority, next(seq), callback, args, self)
-            events.append(event)
+        entries = [
+            (t, priority, next(seq), Event(t, callback, args, self))
+            for t, args in zip(times, args_list)
+        ]
         heap = self._heap
-        if len(events) * 8 >= len(heap):
-            heap.extend(events)
+        if len(entries) * 8 >= len(heap):
+            heap.extend(entries)
             heapq.heapify(heap)
         else:
-            for event in events:
-                heapq.heappush(heap, event)
-        return events
+            for entry in entries:
+                heapq.heappush(heap, entry)
+        return [entry[3] for entry in entries]
+
+    def _bad_time(self, time: float) -> SimulationError:
+        if math.isnan(time):
+            return SimulationError("cannot schedule at NaN time")
+        return SimulationError(
+            f"cannot schedule in the past (now={self._now}, requested={time})"
+        )
 
     # ------------------------------------------------------------------
     # Tombstone accounting
@@ -267,38 +234,15 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled events from the heap and re-heapify (O(n))."""
-        live = [event for event in self._heap if not event.cancelled]
-        free = self._free
-        for event in self._heap:
-            # Same aliasing guard as _recycle: 3 = loop local + list slot +
-            # getrefcount argument; more means a client still holds it.
-            if (
-                event.cancelled
-                and len(free) < _FREE_LIST_MAX
-                and sys.getrefcount(event) <= 3
-            ):
-                event.callback = None  # type: ignore[assignment]
-                event.args = ()
-                free.append(event)
-        self._heap = live
-        heapq.heapify(live)
+        """Drop cancelled events from the heap and re-heapify (O(n)).
+
+        In place, so the list :meth:`run` iterates over stays the heap.
+        """
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heapq.heapify(heap)
         self._tombstones = 0
         self._compactions += 1
-
-    def _recycle(self, event: Event) -> None:
-        """Return a fired/cancelled event to the free list if nothing else
-        can reach it.
-
-        ``sys.getrefcount`` sees the caller's local, our argument binding,
-        and the getrefcount argument itself; anything above that means a
-        client kept a handle (e.g. to ``cancel()`` later) and the object
-        must not be reused.
-        """
-        if len(self._free) < _FREE_LIST_MAX and sys.getrefcount(event) <= 3:
-            event.callback = None  # type: ignore[assignment]
-            event.args = ()
-            self._free.append(event)
 
     # ------------------------------------------------------------------
     # Execution
@@ -316,21 +260,19 @@ class Simulator:
         self._stopped = False
         heap = self._heap
         heappop = heapq.heappop
+        horizon = math.inf if until is None else until
         try:
             while heap and not self._stopped:
-                event = heap[0]
-                if until is not None and event.time > until:
+                if heap[0][0] > horizon:
                     break
-                heappop(heap)
+                time, _, _, event = heappop(heap)
                 if event.cancelled:
                     self._tombstones -= 1
-                    self._recycle(event)
                     continue
-                self._now = event.time
+                event._sim = None
+                self._now = time
                 self._processed += 1
                 event.callback(*event.args)
-                self._recycle(event)
-                heap = self._heap  # _compact may have swapped the list
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
         finally:
@@ -339,16 +281,16 @@ class Simulator:
 
     def step(self) -> bool:
         """Process a single event.  Returns False when the heap is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, _, event = heapq.heappop(heap)
             if event.cancelled:
                 self._tombstones -= 1
-                self._recycle(event)
                 continue
-            self._now = event.time
+            event._sim = None
+            self._now = time
             self._processed += 1
             event.callback(*event.args)
-            self._recycle(event)
             return True
         return False
 

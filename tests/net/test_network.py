@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.net.latency import FixedLatency
+from repro.net.latency import FixedLatency, LanLatency
 from repro.net.message import Message, next_message_id
-from repro.net.network import Endpoint, Network, NetworkError
+from repro.net.network import Endpoint, LinkChurn, Network, NetworkError
+from repro.sim.kernel import Simulator
+from repro.sim.rng import RngRegistry
 
 
 class Sink(Endpoint):
@@ -428,3 +430,114 @@ def test_churn_off_leaves_rng_schedule_untouched(trace):
         return [(t, m.payload) for t, m in b.received]
 
     assert run(False) == run(True)
+
+
+# ---------------------------------------------------------------------------
+# Route cache: every fault bites the very next message, and undoing it
+# hands the link back its original delay stream
+# ---------------------------------------------------------------------------
+def _jittery_pair():
+    sim = Simulator()
+    net = Network(sim, RngRegistry(99), LanLatency(0.002, 0.001))
+    a, b = Sink("a"), Sink("b")
+    net.attach(a)
+    net.attach(b)
+    return sim, net, a, b
+
+
+def _delays_of_next_send(sim, a, b):
+    """Send one message a -> b, drain, return the delay of each copy."""
+    seen = len(b.received)
+    a.send("b", "probe")
+    sim.run()
+    return [t - m.sent_at for t, m in b.received[seen:]]
+
+
+# name -> (inject, undo, copies delivered, link-stream draws used, delay
+# of the faulted message as a function of the undisturbed draw)
+_ROUTE_FAULTS = {
+    "crash-sender": (
+        lambda net, b: net.crash("a"), lambda net, b: net.recover("a"),
+        0, 0, None,
+    ),
+    "crash-recipient": (  # lost at arrival: the latency was already drawn
+        lambda net, b: net.crash("b"), lambda net, b: net.recover("b"),
+        0, 1, None,
+    ),
+    "partition": (
+        lambda net, b: net.partition({"a"}, {"b"}, name="cut"),
+        lambda net, b: net.heal_partition("cut"),
+        0, 0, None,
+    ),
+    "partition-one-way": (
+        lambda net, b: net.partition({"a"}, {"b"}, name="cut", symmetric=False),
+        lambda net, b: net.heal_partition("cut"),
+        0, 0, None,
+    ),
+    "drop-probability": (
+        lambda net, b: setattr(net, "drop_probability", 1.0),
+        lambda net, b: setattr(net, "drop_probability", 0.0),
+        0, 0, None,
+    ),
+    "churn": (
+        lambda net, b: net.set_churn("a", "b", LinkChurn(duplicate_probability=1.0)),
+        lambda net, b: net.clear_churn("a", "b"),
+        2, 1, lambda drawn: drawn,
+    ),
+    "degrade-node": (
+        lambda net, b: net.degrade_node("a", factor=3.0),
+        lambda net, b: net.restore_node("a"),
+        1, 1, lambda drawn: 3.0 * drawn,
+    ),
+    "degrade-link": (
+        lambda net, b: net.degrade_link("a", "b", factor=3.0),
+        lambda net, b: net.clear_degradations(),
+        1, 1, lambda drawn: 3.0 * drawn,
+    ),
+    "set-link": (  # a constant model draws nothing
+        lambda net, b: net.set_link("a", "b", FixedLatency(0.5)),
+        lambda net, b: net.set_link("a", "b", net.default_latency),
+        1, 0, lambda drawn: 0.5,
+    ),
+    "detach": (
+        lambda net, b: net.detach("b"), lambda net, b: net.attach(b),
+        0, 0, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_ROUTE_FAULTS))
+def test_fault_after_traffic_bites_next_message_and_undo_restores_stream(fault):
+    inject, undo, copies, draws, faulted_delay = _ROUTE_FAULTS[fault]
+    warm = 5  # traffic has flowed: the a -> b route is resolved and cached
+
+    sim, _, a, b = _jittery_pair()
+    undisturbed = [_delays_of_next_send(sim, a, b)[0] for _ in range(warm + 3)]
+    assert len(set(undisturbed)) == len(undisturbed)  # the link does jitter
+
+    sim, net, a, b = _jittery_pair()
+    for i in range(warm):
+        assert _delays_of_next_send(sim, a, b) == [pytest.approx(undisturbed[i], abs=1e-12)]
+
+    inject(net, b)
+    got = _delays_of_next_send(sim, a, b)
+    assert len(got) == copies
+    if copies:
+        assert got[0] == pytest.approx(faulted_delay(undisturbed[warm]), abs=1e-12)
+
+    undo(net, b)
+    for i in (warm + draws, warm + draws + 1):
+        assert _delays_of_next_send(sim, a, b) == [pytest.approx(undisturbed[i], abs=1e-12)]
+
+
+def test_one_way_cut_leaves_the_reverse_route_flowing(sim, network, pair):
+    a, b = pair
+    a.send("b", "warm")
+    b.send("a", "warm")
+    sim.run()
+    network.partition({"a"}, {"b"}, symmetric=False)
+    a.send("b", "blocked")
+    b.send("a", "flows")
+    sim.run()
+    assert [m.payload for _, m in b.received] == ["warm"]
+    assert [m.payload for _, m in a.received] == ["warm", "flows"]

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.kernel import SimulationError, Simulator
 
@@ -180,7 +182,7 @@ def test_zero_delay_event_fires_at_current_time(sim, recorder):
 
 
 # ---------------------------------------------------------------------------
-# Tombstone compaction and event recycling
+# Tombstone compaction
 # ---------------------------------------------------------------------------
 def test_mass_cancel_does_not_grow_heap_unboundedly(sim):
     """Timer-heavy regression: cancelled events must not linger in the heap
@@ -241,28 +243,26 @@ def test_compaction_preserves_ordering_and_determinism():
     assert trace(mass_cancel=True) == trace(mass_cancel=False)
 
 
-def test_recycled_event_not_cancellable_through_stale_reference(sim, recorder):
-    """A handle kept by a client must never alias a recycled event: firing
-    the original and cancelling it afterwards is a safe no-op."""
+def test_cancel_after_fire_is_a_noop_for_the_accounting(sim, recorder):
+    """A handle kept past its firing (a timeout that won its race, the
+    timer whose callback is running) can be cancelled at no cost: no
+    phantom tombstone, ``pending()`` stays the number of waiting events."""
     held = sim.schedule(1.0, recorder, "held")
-    sim.schedule(2.0, recorder, "later")
-    sim.run(until=1.5)
-    held.cancel()  # fired already; must not kill any newly scheduled event
-    follow = sim.schedule(1.0, recorder, "follow")
-    assert follow is not held or follow.cancelled is False
     sim.run()
-    assert recorder.calls == ["held", "later", "follow"]
+    held.cancel()
+    assert (sim.tombstones, sim.pending()) == (0, 0)
+    sim.schedule(1.0, recorder, "follow")
+    assert sim.pending() == 1
+    sim.run()
+    assert recorder.calls == ["held", "follow"]
 
 
-def test_free_list_reuses_unreferenced_events(sim):
-    """Events nobody holds are recycled instead of reallocated."""
-    for i in range(100):
-        sim.schedule(float(i + 1), lambda: None)
-    sim.run()
-    first = sim.schedule(1000.0, lambda: None)
-    assert isinstance(first.seq, int)  # reinitialized, valid event
-    sim.run()
-    assert sim.events_processed == 101
+def test_cancel_from_inside_own_callback_counts_nothing(sim):
+    timers = []
+    timers.append(sim.schedule(1.0, lambda: timers[0].cancel()))
+    sim.schedule(2.0, lambda: None)
+    sim.step()
+    assert (sim.tombstones, sim.pending()) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +350,113 @@ def test_schedule_batch_events_cancellable(sim, recorder):
     assert recorder.calls == ["a", "c"]
 
 
-def test_schedule_batch_reuses_free_list(sim):
-    for i in range(50):
-        sim.schedule(float(i + 1), lambda: None)
+# ---------------------------------------------------------------------------
+# Property: any interleaving fires in reference (time, priority, seq) order
+# ---------------------------------------------------------------------------
+class _ReferenceKernel:
+    """The kernel's contract, executed naively: a flat list, ``min`` by
+    ``(time, priority, seq)`` per firing, cancellation by flag."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.waiting = {}  # ident -> (time, priority, seq)
+        self.fired = []
+
+    def schedule_at(self, ident, time, priority):
+        self.waiting[ident] = (time, priority, self.seq)
+        self.seq += 1
+
+    def cancel(self, ident):
+        self.waiting.pop(ident, None)  # fired or cancelled already: no-op
+
+    def step(self, until=math.inf):
+        if not self.waiting:
+            return False
+        ident = min(self.waiting, key=self.waiting.get)
+        time = self.waiting[ident][0]
+        if time > until:
+            return False
+        del self.waiting[ident]
+        self.now = time
+        self.fired.append((ident, time))
+        return True
+
+    def run(self, until):
+        while self.step(until):
+            pass
+        self.now = max(self.now, until)
+
+
+# Few distinct offsets and priorities, so ties in time and in (time,
+# priority) are the common case and seq has to break them.
+_OFFSETS = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 3.0])
+_PRIORITIES = st.sampled_from([0, 0, 0, 1, -1])
+_KERNEL_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _OFFSETS, _PRIORITIES),
+        st.tuples(st.just("schedule_at"), _OFFSETS, _PRIORITIES),
+        st.tuples(st.just("batch"), st.lists(_OFFSETS, max_size=12), _PRIORITIES),
+        st.tuples(st.just("cancel"), st.integers(min_value=0)),
+        # Enough doomed timers to cross the compaction threshold.
+        st.tuples(st.just("cancel_burst"), st.integers(70, 200), _OFFSETS),
+        st.tuples(st.just("step")),
+        st.tuples(st.just("run"), _OFFSETS),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_KERNEL_OPS)
+def test_any_interleaving_fires_in_reference_order(ops):
+    sim, model = Simulator(), _ReferenceKernel()
+    fired, handles = [], []
+
+    def add(times, priority, batch=False):
+        idents = list(range(len(handles), len(handles) + len(times)))
+        args_list = [(ident,) for ident in idents]
+        callback = lambda ident: fired.append((ident, sim.now))  # noqa: E731
+        if batch:
+            handles.extend(sim.schedule_batch(times, callback, args_list, priority))
+        else:
+            for time, args in zip(times, args_list):
+                handles.append(sim.schedule_at(time, callback, *args, priority=priority))
+        for ident, time in zip(idents, times):
+            model.schedule_at(ident, time, priority)
+        return idents
+
+    for op in ops:
+        if op[0] == "schedule":
+            ident = len(handles)
+            handles.append(
+                sim.schedule(op[1], lambda i=ident: fired.append((i, sim.now)), priority=op[2])
+            )
+            model.schedule_at(ident, model.now + op[1], op[2])
+        elif op[0] == "schedule_at":
+            add([sim.now + op[1]], op[2])
+        elif op[0] == "batch":
+            add([sim.now + offset for offset in op[1]], op[2], batch=True)
+        elif op[0] == "cancel" and handles:
+            ident = op[1] % len(handles)
+            handles[ident].cancel()
+            model.cancel(ident)
+        elif op[0] == "cancel_burst":
+            for ident in add([sim.now + op[2]] * op[1], 0)[: op[1] - 3]:
+                handles[ident].cancel()
+                model.cancel(ident)
+        elif op[0] == "step":
+            assert sim.step() == model.step()
+        elif op[0] == "run":
+            until = sim.now + op[1]
+            sim.run(until=until)
+            model.run(until)
+        assert sim.now == model.now
+        assert sim.pending() == len(model.waiting)
+        assert sim.tombstones == sum(e[-1].cancelled for e in sim._heap)
     sim.run()
-    events = sim.schedule_batch([100.0 + i for i in range(50)], lambda: None)
-    assert len(events) == 50
-    sim.run()
-    assert sim.events_processed == 100
+    while model.step():
+        pass
+    assert fired == model.fired
+    assert sim.events_processed == len(fired)
+    assert (sim.pending(), sim.tombstones, sim.heap_size()) == (0, 0, 0)
