@@ -1,0 +1,50 @@
+"""Golden campaign cells: the ``tests/integration/test_golden_streams.py``
+scheme for the cells the campaign test modules already run."""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from repro.obs.slo import parse_series
+
+# The only registry series fed from the wall clock (Fig. 3's overhead).
+WALL_CLOCK_SERIES = "client_selection_overhead_seconds"
+
+
+def _sim_clock_only(series: dict) -> list[str]:
+    return [
+        f"{name}={entry!r}"
+        for name, entry in sorted(series.items())
+        if parse_series(name)[0] != WALL_CLOCK_SERIES
+    ]
+
+
+@pytest.fixture(scope="session")
+def cell_digest():
+    """sha256 of one campaign cell: every result field, the fault events,
+    and the registry snapshot and timeline minus the wall-clock series."""
+
+    def digest(result) -> str:
+        lines = [
+            f"{f.name}={getattr(result, f.name)!r}"
+            for f in dataclasses.fields(result)
+            if f.name not in ("events", "metrics", "timeline")
+        ]
+        lines.extend(result.events)
+        lines.extend(_sim_clock_only(result.metrics))
+        timeline = result.timeline
+        lines.append(
+            f"timeline {timeline['interval']!r} {timeline['start']!r} "
+            f"{timeline['length']!r}"
+        )
+        lines.extend(_sim_clock_only(timeline["series"]))
+        sha = hashlib.sha256()
+        for line in lines:
+            sha.update(line.encode())
+            sha.update(b"\n")
+        return sha.hexdigest()
+
+    return digest

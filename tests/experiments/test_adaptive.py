@@ -197,9 +197,28 @@ def test_cell_score_and_clean():
 # ---------------------------------------------------------------------------
 # One real cell end to end (small)
 # ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def controller_cell():
+    return run_adaptive_cell(31, "controller", duration=5.0)
+
+
+#: Recorded at the commit before the campaign skeleton moved into
+#: ``experiments/campaign.py``; see tests/integration/test_golden_streams.py
+#: for when (and how) to re-record.
+GOLDEN_CONTROLLER_CELL = (
+    "b833424fd834831392e4d893481075396e6799ad3050c9c9b23fd260cd8f301a"
+)
+
+
 @pytest.mark.slow
-def test_controller_cell_runs_and_audits_clean():
-    result = run_adaptive_cell(31, "controller", duration=5.0)
+def test_controller_cell_is_pinned(controller_cell, cell_digest):
+    got = cell_digest(controller_cell)
+    assert got == GOLDEN_CONTROLLER_CELL, f"the seeded cell moved (got {got})"
+
+
+@pytest.mark.slow
+def test_controller_cell_runs_and_audits_clean(controller_cell):
+    result = controller_cell
     assert result.violations == []
     assert result.reads_judged > 0
     assert result.cost_per_read > 0

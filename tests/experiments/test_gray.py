@@ -30,6 +30,22 @@ def short_pair():
     return detector, baseline
 
 
+#: Recorded at the commit before the campaign skeleton moved into
+#: ``experiments/campaign.py``; see tests/integration/test_golden_streams.py
+#: for when (and how) to re-record.
+GOLDEN = {
+    "detector": "a0e4e459acbffb09afb1d0ae07668b219c73a6011de7b9fd158b8156ab5a1981",
+    "baseline": "21dba22fe84b816a1bfd32fa2daa12f4d87799a07ce010655073e1d9030f1a32",
+}
+
+
+def test_short_pair_cells_are_pinned(short_pair, cell_digest):
+    for cell in short_pair:
+        assert cell_digest(cell) == GOLDEN[cell.mode], (
+            f"{cell.mode}: the seeded cell moved (got {cell_digest(cell)})"
+        )
+
+
 def test_detector_cell_is_clean_and_actually_stormed(short_pair):
     detector, _ = short_pair
     assert detector.clean, detector.violations

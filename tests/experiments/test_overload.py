@@ -26,6 +26,22 @@ def short_pair():
     return shed, unbounded
 
 
+#: Recorded at the commit before the campaign skeleton moved into
+#: ``experiments/campaign.py``; see tests/integration/test_golden_streams.py
+#: for when (and how) to re-record.
+GOLDEN = {
+    "shed": "7db4a66fe5e872d5ac5d6967d29441bd372d831e97544b1843955fe2b2bd06da",
+    "unbounded": "538a2240dea332dc57feea4eace962089bde7f6d914deeef85c8d64fd0322e45",
+}
+
+
+def test_short_pair_cells_are_pinned(short_pair, cell_digest):
+    for cell in short_pair:
+        assert cell_digest(cell) == GOLDEN[cell.mode], (
+            f"{cell.mode}: the seeded cell moved (got {cell_digest(cell)})"
+        )
+
+
 def test_shed_cell_is_clean_and_actually_stormed(short_pair):
     shed, _ = short_pair
     assert shed.clean, shed.violations
