@@ -26,7 +26,7 @@ from repro.core.client import RetryPolicy
 from repro.core.detector import DetectorConfig
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
-from repro.experiments.overload import percentile
+from repro.experiments.campaign import percentile
 from repro.sim.process import Process, Timeout
 from repro.sim.rng import Normal
 

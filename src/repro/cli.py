@@ -1,544 +1,92 @@
-"""Command-line interface: ``python -m repro <command>``.
+"""Command-line interface: ``python -m repro <command> [options]``.
 
-Commands:
-
-* ``figure3`` — selection-algorithm overhead (Figure 3);
-* ``figure4`` — adaptivity sweep, both panels (Figure 4);
-* ``ablations`` — the A1–A9 parameter/baseline/failure/extension studies;
-* ``validation`` — staleness-model calibration + hot-spot avoidance;
-* ``chaos`` — seeded fault campaigns audited by consistency invariants;
-* ``overload`` — load-storm campaigns: shedding vs. unbounded queues;
-* ``adaptive`` — closed-loop SLA guardian vs. a static consistency grid;
-* ``gray`` — gray-failure campaigns: φ-accrual detection vs. fixed timeouts;
-* ``metrics`` — one instrumented cell: telemetry + calibration report;
-* ``dash`` — sparkline/SLO dashboard over a timeline artifact (``--watch``
-  for a live view, ``--html`` for a self-contained report);
-* ``bench-diff`` — gate BENCH_*.json results against committed baselines;
-* ``speedup`` — warm-worker runner throughput at several ``--jobs`` levels;
-* ``scale`` — million-user cells via the aggregated (fluid) client tier,
-  with ``--validate`` checking it against the discrete simulator;
-* ``info`` — reproduction summary and module inventory.
-
-``--quick`` runs reduced sweeps everywhere it is meaningful.
+A dispatch table, not a second parser: every command is a module with a
+``main(argv, prog)`` that declares its own flags, and ``repro <command>``
+forwards the rest of the command line to it untouched
+(``repro <command> --help`` lists that command's options).  ``--quick``
+runs reduced sweeps everywhere it is meaningful.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import Optional
 
-
-def _cmd_figure3(args: argparse.Namespace) -> None:
-    from repro.experiments import figure3
-
-    argv = []
-    if args.save:
-        argv += ["--save", args.save]
-    if args.metrics_out:
-        argv += ["--metrics-out", args.metrics_out]
-    figure3.main(argv)
-
-
-def _jobs_argv(args: argparse.Namespace) -> list[str]:
-    return ["--jobs", str(args.jobs)] if args.jobs != 1 else []
-
-
-def _cmd_figure4(args: argparse.Namespace) -> None:
-    from repro.experiments import figure4
-
-    argv = ["--quick"] if args.quick else []
-    if args.save:
-        argv += ["--save", args.save]
-    if args.metrics_out:
-        argv += ["--metrics-out", args.metrics_out]
-    figure4.main(argv + _jobs_argv(args))
-
-
-def _cmd_ablations(args: argparse.Namespace) -> None:
-    from repro.experiments import ablations
-
-    argv = ["--quick"] if args.quick else []
-    ablations.main(argv + _jobs_argv(args))
-
-
-def _cmd_validation(args: argparse.Namespace) -> None:
-    from repro.experiments import validation
-
-    argv = ["--quick"] if args.quick else []
-    validation.main(argv + _jobs_argv(args))
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments import chaos
-
-    argv = ["--seeds", str(args.seeds), "--seed", str(args.seed)]
-    if args.quick:
-        argv.append("--quick")
-    if args.membership_outage:
-        argv.append("--membership-outage")
-    if args.no_retry:
-        argv.append("--no-retry")
-    if args.duration is not None:
-        argv += ["--duration", str(args.duration)]
-    if args.membership_outage_weight is not None:
-        argv += ["--membership-outage-weight", str(args.membership_outage_weight)]
-    if args.overload_window is not None:
-        argv += ["--overload-window"] + [str(v) for v in args.overload_window]
-    if args.load_storm_weight is not None:
-        argv += ["--load-storm-weight", str(args.load_storm_weight)]
-    if args.save:
-        argv += ["--save", args.save]
-    if args.metrics_out:
-        argv += ["--metrics-out", args.metrics_out]
-    if args.trace_dir:
-        argv += ["--trace-dir", args.trace_dir]
-    return chaos.main(argv)
-
-
-def _cmd_overload(args: argparse.Namespace) -> int:
-    from repro.experiments import overload
-
-    argv = ["--seeds", str(args.seeds), "--seed", str(args.seed)]
-    if args.quick:
-        argv.append("--quick")
-    if args.duration is not None:
-        argv += ["--duration", str(args.duration)]
-    if args.check:
-        argv.append("--check")
-    if args.save:
-        argv += ["--save", args.save]
-    if args.metrics_out:
-        argv += ["--metrics-out", args.metrics_out]
-    if args.trace_dir:
-        argv += ["--trace-dir", args.trace_dir]
-    return overload.main(argv + _jobs_argv(args))
-
-
-def _cmd_adaptive(args: argparse.Namespace) -> int:
-    from repro.experiments import adaptive
-
-    argv = ["--seeds", str(args.seeds), "--seed", str(args.seed)]
-    if args.quick:
-        argv.append("--quick")
-    if args.duration is not None:
-        argv += ["--duration", str(args.duration)]
-    if args.check:
-        argv.append("--check")
-    if args.save:
-        argv += ["--save", args.save]
-    if args.metrics_out:
-        argv += ["--metrics-out", args.metrics_out]
-    if args.trace_dir:
-        argv += ["--trace-dir", args.trace_dir]
-    return adaptive.main(argv + _jobs_argv(args))
-
-
-def _cmd_gray(args: argparse.Namespace) -> int:
-    from repro.experiments import gray
-
-    argv = ["--seeds", str(args.seeds), "--seed", str(args.seed)]
-    if args.quick:
-        argv.append("--quick")
-    if args.duration is not None:
-        argv += ["--duration", str(args.duration)]
-    if args.check:
-        argv.append("--check")
-    if args.save:
-        argv += ["--save", args.save]
-    if args.metrics_out:
-        argv += ["--metrics-out", args.metrics_out]
-    if args.trace_dir:
-        argv += ["--trace-dir", args.trace_dir]
-    return gray.main(argv + _jobs_argv(args))
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.experiments import telemetry
-
-    argv = []
-    if args.quick:
-        argv.append("--quick")
-    for flag, value in (
-        ("--deadline-ms", args.deadline_ms),
-        ("--pc", args.pc),
-        ("--lui", args.lui),
-        ("--requests", args.requests),
-        ("--seed", args.seed),
-        ("--watch", args.watch),
-        ("--metrics-out", args.metrics_out),
-        ("--timeline-out", args.timeline_out),
-        ("--prometheus", args.prometheus),
-    ):
-        if value is not None:
-            argv += [flag, str(value)]
-    if args.check:
-        argv.append("--check")
-    return telemetry.main(argv)
-
-
-def _cmd_dash(args: argparse.Namespace) -> int:
-    from repro.experiments import dashboard
-
-    argv = [args.input]
-    for item in args.select or []:
-        argv += ["--select", item]
-    for flag, value in (
-        ("--objective", args.objective),
-        ("--staleness-bound", args.staleness_bound),
-        ("--watch", args.watch),
-        ("--iterations", args.iterations),
-        ("--html", args.html),
-        ("--width", args.width),
-        ("--top", args.top),
-    ):
-        if value is not None:
-            argv += [flag, str(value)]
-    return dashboard.main(argv)
-
-
-def _cmd_bench_diff(args: argparse.Namespace) -> int:
-    from repro.experiments import benchdiff
-
-    argv = []
-    if args.current:
-        argv += ["--current", args.current]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.max_regression is not None:
-        argv += ["--max-regression", str(args.max_regression)]
-    if args.update:
-        argv.append("--update")
-    return benchdiff.main(argv)
-
-
-def _cmd_speedup(args: argparse.Namespace) -> int:
-    from repro.experiments import speedup
-
-    argv = []
-    if args.jobs_levels:
-        argv += ["--jobs-levels", args.jobs_levels]
-    if args.out:
-        argv += ["--out", args.out]
-    if args.check:
-        argv.append("--check")
-    if args.min_speedup is not None:
-        argv += ["--min-speedup", str(args.min_speedup)]
-    if args.check_jobs is not None:
-        argv += ["--check-jobs", str(args.check_jobs)]
-    return speedup.main(argv)
-
-
-def _cmd_scale(args: argparse.Namespace) -> int:
-    from repro.experiments import scale
-
-    argv = []
-    if args.validate:
-        argv.append("--validate")
-    if args.smoke:
-        argv.append("--smoke")
-    if args.quick:
-        argv.append("--quick")
-    if args.check:
-        argv.append("--check")
-    if args.users:
-        argv += ["--users", args.users]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    if args.save:
-        argv += ["--save", args.save]
-    if args.metrics_out:
-        argv += ["--metrics-out", args.metrics_out]
-    return scale.main(argv + _jobs_argv(args))
-
-
-def _cmd_info(args: argparse.Namespace) -> None:
-    import repro
-
-    print(f"repro {repro.__version__} — reproduction of:")
-    print("  Krishnamurthy, Sanders, Cukier: 'An Adaptive Framework for")
-    print("  Tunable Consistency and Timeliness Using Replication' (DSN 2002)")
-    print()
-    print("subsystems:")
-    for module, summary in [
-        ("repro.sim", "deterministic discrete-event simulation kernel"),
-        ("repro.net", "simulated LAN: latency models, crashes, partitions"),
-        ("repro.groups", "group communication (views, leader, reliable FIFO)"),
-        ("repro.stats", "pmfs/convolution, Poisson CDF, binomial CIs"),
-        ("repro.core", "the paper's middleware: QoS model, sequential/FIFO/"
-                       "causal handlers, probabilistic selection (Algorithm 1)"),
-        ("repro.baselines", "naive selection strategies for comparison"),
-        ("repro.apps", "KV store, shared document, stock ticker"),
-        ("repro.workloads", "closed-loop §6 clients, open-loop generators, "
-                            "aggregated fluid client tier"),
-        ("repro.obs", "telemetry: metrics registry, span trees, calibration"),
-        ("repro.experiments", "figure/ablation/validation harnesses"),
-    ]:
-        print(f"  {module:20s} {summary}")
-    print()
-    print("see DESIGN.md for the experiment index and EXPERIMENTS.md for")
-    print("paper-vs-measured results.")
+#: ``command -> (module with main(argv, prog), one-line help)``.
+COMMANDS: dict[str, tuple[str, str]] = {
+    "figure3": ("repro.experiments.figure3", "selection overhead (Figure 3)"),
+    "figure4": ("repro.experiments.figure4", "adaptivity sweep (Figure 4)"),
+    "ablations": ("repro.experiments.ablations", "A1-A9 parameter studies"),
+    "validation": (
+        "repro.experiments.validation", "model calibration + hot spots",
+    ),
+    "chaos": (
+        "repro.experiments.chaos",
+        "seeded fault campaigns + consistency invariants",
+    ),
+    "overload": (
+        "repro.experiments.overload",
+        "load storms: shedding ladder vs. unbounded queues",
+    ),
+    "adaptive": (
+        "repro.experiments.adaptive",
+        "closed-loop SLA guardian vs. static knob grid",
+    ),
+    "gray": (
+        "repro.experiments.gray",
+        "gray failures: φ-accrual detector vs. fixed timeouts",
+    ),
+    "metrics": (
+        "repro.experiments.telemetry",
+        "instrumented cell: telemetry + calibration report",
+    ),
+    "dash": (
+        "repro.experiments.dashboard",
+        "sparkline/SLO dashboard over a timeline artifact",
+    ),
+    "bench-diff": (
+        "repro.experiments.benchdiff",
+        "compare BENCH_*.json results against baselines",
+    ),
+    "speedup": (
+        "repro.experiments.speedup",
+        "warm-worker runner throughput per --jobs level",
+    ),
+    "scale": (
+        "repro.experiments.scale",
+        "million-user cells via the aggregated client tier",
+    ),
+    "info": ("repro.info", "reproduction summary"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser: it only picks the command."""
+    width = max(len(name) for name in COMMANDS)
     parser = argparse.ArgumentParser(
         prog="repro",
+        usage="repro <command> [options]",
         description="Regenerate the paper's figures and studies.",
+        epilog="commands:\n"
+        + "\n".join(
+            f"  {name:<{width}}  {summary}"
+            for name, (_, summary) in COMMANDS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p3 = sub.add_parser("figure3", help="selection overhead (Figure 3)")
-    p3.add_argument("--save", metavar="PATH", help="write results as JSON")
-    p3.add_argument(
-        "--metrics-out", metavar="PATH", help="write telemetry as JSONL"
+    parser.add_argument(
+        "command", choices=COMMANDS, metavar="command", help=argparse.SUPPRESS
     )
-    p3.set_defaults(func=_cmd_figure3)
-
-    jobs_help = "worker processes for independent cells (0 = all cores)"
-
-    p4 = sub.add_parser("figure4", help="adaptivity sweep (Figure 4)")
-    p4.add_argument("--quick", action="store_true")
-    p4.add_argument("--save", metavar="PATH", help="write results as JSON")
-    p4.add_argument(
-        "--metrics-out", metavar="PATH", help="write telemetry as JSONL"
-    )
-    p4.add_argument("--jobs", type=int, default=1, metavar="N", help=jobs_help)
-    p4.set_defaults(func=_cmd_figure4)
-
-    pa = sub.add_parser("ablations", help="A1-A9 parameter studies")
-    pa.add_argument("--quick", action="store_true")
-    pa.add_argument("--jobs", type=int, default=1, metavar="N", help=jobs_help)
-    pa.set_defaults(func=_cmd_ablations)
-
-    pv = sub.add_parser("validation", help="model calibration + hot spots")
-    pv.add_argument("--quick", action="store_true")
-    pv.add_argument("--jobs", type=int, default=1, metavar="N", help=jobs_help)
-    pv.set_defaults(func=_cmd_validation)
-
-    pc = sub.add_parser(
-        "chaos", help="seeded fault campaigns + consistency invariants"
-    )
-    pc.add_argument("--seeds", type=int, default=10, metavar="N")
-    pc.add_argument("--seed", type=int, default=0, help="base seed")
-    pc.add_argument("--duration", type=float, default=None, metavar="SECONDS")
-    pc.add_argument("--quick", action="store_true")
-    pc.add_argument("--membership-outage", action="store_true")
-    pc.add_argument("--no-retry", action="store_true")
-    pc.add_argument(
-        "--membership-outage-weight",
-        type=float,
-        default=None,
-        metavar="W",
-        help="membership-outage weight (implies --membership-outage when > 0)",
-    )
-    pc.add_argument(
-        "--overload-window",
-        type=float,
-        nargs=2,
-        default=None,
-        metavar=("LOW", "HIGH"),
-        help="host-overload window bounds in seconds",
-    )
-    pc.add_argument(
-        "--load-storm-weight",
-        type=float,
-        default=None,
-        metavar="W",
-        help="traffic-burst (load-storm) weight in the fault mix",
-    )
-    pc.add_argument("--save", metavar="PATH", help="write results as JSON")
-    pc.add_argument(
-        "--metrics-out", metavar="PATH", help="write telemetry as JSONL"
-    )
-    pc.add_argument(
-        "--trace-dir", metavar="DIR", help="dump traces of violating campaigns"
-    )
-    pc.set_defaults(func=_cmd_chaos)
-
-    po = sub.add_parser(
-        "overload", help="load storms: shedding ladder vs. unbounded queues"
-    )
-    po.add_argument("--seeds", type=int, default=5, metavar="N")
-    po.add_argument("--seed", type=int, default=0, help="base seed")
-    po.add_argument("--duration", type=float, default=None, metavar="SECONDS")
-    po.add_argument("--quick", action="store_true")
-    po.add_argument(
-        "--check", action="store_true", help="exit non-zero on invariant breach"
-    )
-    po.add_argument("--save", metavar="PATH", help="write results as JSON")
-    po.add_argument(
-        "--metrics-out", metavar="PATH", help="write telemetry as JSONL"
-    )
-    po.add_argument(
-        "--trace-dir", metavar="DIR", help="dump traces of violating campaigns"
-    )
-    po.add_argument("--jobs", type=int, default=1, metavar="N", help=jobs_help)
-    po.set_defaults(func=_cmd_overload)
-
-    pad = sub.add_parser(
-        "adaptive",
-        help="closed-loop SLA guardian vs. static knob grid",
-    )
-    pad.add_argument("--seeds", type=int, default=3, metavar="N")
-    pad.add_argument("--seed", type=int, default=0, help="base seed")
-    pad.add_argument("--duration", type=float, default=None, metavar="SECONDS")
-    pad.add_argument("--quick", action="store_true")
-    pad.add_argument(
-        "--check", action="store_true", help="exit non-zero on invariant breach"
-    )
-    pad.add_argument("--save", metavar="PATH", help="write results as JSON")
-    pad.add_argument(
-        "--metrics-out", metavar="PATH", help="write telemetry as JSONL"
-    )
-    pad.add_argument(
-        "--trace-dir", metavar="DIR", help="dump traces of violating campaigns"
-    )
-    pad.add_argument("--jobs", type=int, default=1, metavar="N", help=jobs_help)
-    pad.set_defaults(func=_cmd_adaptive)
-
-    pgr = sub.add_parser(
-        "gray", help="gray failures: φ-accrual detector vs. fixed timeouts"
-    )
-    pgr.add_argument("--seeds", type=int, default=5, metavar="N")
-    pgr.add_argument("--seed", type=int, default=0, help="base seed")
-    pgr.add_argument("--duration", type=float, default=None, metavar="SECONDS")
-    pgr.add_argument("--quick", action="store_true")
-    pgr.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on any invariant or acceptance violation",
-    )
-    pgr.add_argument("--save", metavar="PATH", help="write results as JSON")
-    pgr.add_argument(
-        "--metrics-out", metavar="PATH", help="write telemetry as JSONL"
-    )
-    pgr.add_argument(
-        "--trace-dir", metavar="DIR", help="dump traces of violating campaigns"
-    )
-    pgr.add_argument("--jobs", type=int, default=1, metavar="N", help=jobs_help)
-    pgr.set_defaults(func=_cmd_gray)
-
-    pm = sub.add_parser(
-        "metrics", help="instrumented cell: telemetry + calibration report"
-    )
-    pm.add_argument("--deadline-ms", type=int, default=None)
-    pm.add_argument("--pc", type=float, default=None)
-    pm.add_argument("--lui", type=float, default=None)
-    pm.add_argument("--requests", type=int, default=None)
-    pm.add_argument("--seed", type=int, default=None)
-    pm.add_argument("--quick", action="store_true")
-    pm.add_argument("--watch", type=float, default=None, metavar="SECONDS")
-    pm.add_argument("--metrics-out", metavar="PATH")
-    pm.add_argument(
-        "--timeline-out", metavar="PATH",
-        help="record a time series and write it as JSONL (repro dash input)",
-    )
-    pm.add_argument("--prometheus", metavar="PATH")
-    pm.add_argument("--check", action="store_true")
-    pm.set_defaults(func=_cmd_metrics)
-
-    pd = sub.add_parser(
-        "dash", help="sparkline/SLO dashboard over a timeline artifact"
-    )
-    pd.add_argument("input", help="JSONL artifact with timeline records")
-    pd.add_argument(
-        "--select", action="append", default=None, metavar="KEY=VALUE",
-        help="pick the timeline record matching this field; repeatable",
-    )
-    pd.add_argument("--objective", type=float, default=None)
-    pd.add_argument(
-        "--staleness-bound", type=float, default=None, metavar="SECONDS"
-    )
-    pd.add_argument("--watch", type=float, default=None, metavar="SECONDS")
-    pd.add_argument("--iterations", type=int, default=None, metavar="N")
-    pd.add_argument("--html", metavar="PATH")
-    pd.add_argument("--width", type=int, default=None)
-    pd.add_argument("--top", type=int, default=None)
-    pd.set_defaults(func=_cmd_dash)
-
-    pb = sub.add_parser(
-        "bench-diff", help="compare BENCH_*.json results against baselines"
-    )
-    pb.add_argument("--current", metavar="DIR", default=None)
-    pb.add_argument("--baseline", metavar="DIR", default=None)
-    pb.add_argument(
-        "--max-regression", type=float, default=None, metavar="FRACTION"
-    )
-    pb.add_argument(
-        "--update", action="store_true",
-        help="refresh the baselines from the current results",
-    )
-    pb.set_defaults(func=_cmd_bench_diff)
-
-    ps = sub.add_parser(
-        "speedup", help="warm-worker runner throughput per --jobs level"
-    )
-    ps.add_argument(
-        "--jobs-levels",
-        metavar="N,M,...",
-        default=None,
-        help="comma-separated jobs levels to time (default 1,2,4)",
-    )
-    ps.add_argument("--out", metavar="PATH", help="write the timing table")
-    ps.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero if parallel speedup regresses (multi-core only)",
-    )
-    ps.add_argument(
-        "--min-speedup", type=float, default=None, metavar="X",
-        help="required speedup for the gated jobs level (default 1.2)",
-    )
-    ps.add_argument(
-        "--check-jobs", type=int, default=None, metavar="N",
-        help="jobs level the gate applies to (default 2)",
-    )
-    ps.set_defaults(func=_cmd_speedup)
-
-    pg = sub.add_parser(
-        "scale", help="million-user cells via the aggregated client tier"
-    )
-    pg.add_argument(
-        "--validate",
-        action="store_true",
-        help="compare aggregate vs discrete at N=100/1000 (Wilson overlap)",
-    )
-    pg.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI shape: short N=100 validation + one 1M-user cell",
-    )
-    pg.add_argument("--quick", action="store_true")
-    pg.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on disagreement or a blown wall-clock budget",
-    )
-    pg.add_argument(
-        "--users",
-        metavar="N,M,...",
-        default=None,
-        help="comma-separated population sizes for the scaling surface",
-    )
-    pg.add_argument("--seed", type=int, default=None)
-    pg.add_argument("--save", metavar="PATH", help="write results JSON")
-    pg.add_argument(
-        "--metrics-out", metavar="PATH",
-        help="write the JSONL telemetry artifact (repro dash input)",
-    )
-    pg.add_argument("--jobs", type=int, default=1)
-    pg.set_defaults(func=_cmd_scale)
-
-    pi = sub.add_parser("info", help="reproduction summary")
-    pi.set_defaults(func=_cmd_info)
-
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args) or 0
+    argv = sys.argv[1:] if argv is None else argv
+    command = build_parser().parse_args(argv[:1]).command
+    module = importlib.import_module(COMMANDS[command][0])
+    return module.main(argv[1:], prog=f"repro {command}") or 0
 
 
 if __name__ == "__main__":

@@ -73,6 +73,11 @@ from repro.sim.tracing import NULL_TRACE, Trace
 
 OutcomeCallback = Callable[[Any], None]
 
+#: The one registry series fed from the host's wall clock (``perf_counter``
+#: around Algorithm 1, Fig. 3's overhead) rather than the simulated one:
+#: every seeded-outcome comparison drops it, by this name.
+WALL_CLOCK_SERIES = "client_selection_overhead_seconds"
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -248,7 +253,7 @@ class ClientHandler(GroupEndpoint):
             "client_response_time_seconds", **labels
         )
         self._h_selection_overhead = self.metrics.histogram(
-            "client_selection_overhead_seconds", **labels
+            WALL_CLOCK_SERIES, **labels
         )
         self.selected_counts: list[int] = []
         self.response_times: list[float] = []

@@ -23,7 +23,7 @@ processes; the tables are identical for any jobs value).
 
 from __future__ import annotations
 
-import sys
+import argparse
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -600,10 +600,16 @@ def _render_rows(title: str, rows: list[AblationRow]) -> str:
     )
 
 
-def main(argv: Optional[list[str]] = None) -> None:
-    argv = sys.argv[1:] if argv is None else argv
-    quick = "--quick" in argv
-    jobs = add_jobs_argument(argv)
+def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> None:
+    parser = argparse.ArgumentParser(
+        prog=prog, description=__doc__.split("\n\n")[0]
+    )
+    parser.add_argument(
+        "--quick", action="store_true", help="fewer requests, shorter phases"
+    )
+    add_jobs_argument(parser)
+    args = parser.parse_args(argv)
+    quick, jobs = args.quick, args.jobs
     n = 150 if quick else 400
     print(_render_rows(
         "A1 — lazy update interval", lui_sweep(total_requests=n, jobs=jobs)

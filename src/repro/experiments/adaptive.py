@@ -47,19 +47,23 @@ exits non-zero on any violation.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Optional
 
+from repro.core.client import WALL_CLOCK_SERIES
 from repro.core.controller import ControllerConfig, STATE_LEVELS
-from repro.experiments.report import format_table, render_report, save_results
-from repro.experiments.runner import CellSpec, run_cells
-from repro.net.chaos import ChaosConfig, ChaosEngine, ChaosTargets
+from repro.experiments.campaign import (
+    Campaign,
+    chaos_engine,
+    counter_sum,
+    dump_violation_trace,
+    engine_events,
+    main as campaign_main,
+    run_phases,
+    storm_chaos_config,
+)
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import Timeline
-from repro.sim.rng import seed_for
 from repro.sim.tracing import Trace
 from repro.workloads.scenarios import (
     OPERATION_CLASSES,
@@ -71,6 +75,14 @@ DRAIN_GRACE = 5.0
 
 #: Static grid: the same knob-ladder indices the controller walks.
 STATIC_GRID = (0, 1, 2, 3)
+
+#: The modes the controller's pooled score is compared across, and the
+#: suite's cells per seed (the chaos cell audits guardrails, not score).
+SCORED_MODES = ("controller",) + tuple(f"static-{i}" for i in STATIC_GRID)
+MODES = SCORED_MODES + ("chaos",)
+
+#: Arrival-rate multiplier range of one storm in the chaos cells.
+STORM_FACTOR = (10.0, 25.0)
 
 #: Deterministic load surges for the comparison cells, as
 #: ``(start_fraction, end_fraction, rate_factor)`` of the campaign
@@ -112,21 +124,6 @@ ADAPTIVE_CONFIG = ControllerConfig(
 )
 
 
-def storm_chaos_config(duration: float) -> ChaosConfig:
-    """A storm-only fault mix for the guardrail-audit cells."""
-    return ChaosConfig(
-        duration=duration,
-        mean_interval=1.0,
-        crash_weight=0.0,
-        partition_weight=0.0,
-        overload_weight=0.0,
-        loss_weight=0.0,
-        load_storm_weight=1.0,
-        storm_window=(1.0, 2.5),
-        storm_factor=(10.0, 25.0),
-    )
-
-
 @dataclass
 class AdaptiveCellResult:
     """Outcome of one (seed, mode) campaign cell."""
@@ -160,16 +157,6 @@ class AdaptiveCellResult:
         if self.cost_per_read <= 0.0:
             return 0.0
         return self.satisfaction / self.cost_per_read
-
-
-def _counter_sum(snapshot: dict, name: str) -> int:
-    total = 0
-    for series, entry in snapshot.items():
-        if entry.get("type") != "counter":
-            continue
-        if series == name or series.startswith(name + "{"):
-            total += entry["value"]
-    return int(total)
 
 
 def satisfaction_from_signals(signals: Dict[str, Dict[str, float]]) -> float:
@@ -226,22 +213,13 @@ def run_adaptive_cell(
         trace=trace,
     )
     sim, service = scenario.sim, scenario.service
-    network = scenario.testbed.network
     rate = scenario.rate_controller
 
     engine = None
     if chaos:
-        engine = ChaosEngine(
-            network,
-            ChaosTargets(
-                primaries=tuple(p.name for p in service.primaries),
-                secondaries=tuple(s.name for s in service.secondaries),
-                protected=(service.primaries[0].name,),
-            ),
-            storm_chaos_config(duration),
-            rng=scenario.testbed.rng.stream("chaos.engine"),
-            trace=trace,
-            metrics=metrics,
+        engine = chaos_engine(
+            scenario.testbed,
+            storm_chaos_config(duration, STORM_FACTOR),
             rate_controller=rate,
         )
     else:
@@ -253,18 +231,15 @@ def run_adaptive_cell(
             )
             sim.schedule(WARMUP + end * duration, rate.end_storm)
 
-    sim.run(until=WARMUP)
-    if engine is not None:
-        engine.start()
-    sim.run(until=WARMUP + duration + DRAIN_GRACE)
+    run_phases(scenario.testbed, engine, WARMUP, duration, DRAIN_GRACE)
     scenario.recorder.flush()
 
     timeline = scenario.recorder.timeline()
     signals = scenario.engine.signals(timeline)
     snapshot = metrics.snapshot()
-    reads_judged = _counter_sum(snapshot, "client_reads_judged")
-    replicas_selected = _counter_sum(snapshot, "client_replicas_selected")
-    lazy_messages = _counter_sum(snapshot, "replica_lazy_updates_sent") * len(
+    reads_judged = counter_sum(snapshot, "client_reads_judged")
+    replicas_selected = counter_sum(snapshot, "client_replicas_selected")
+    lazy_messages = counter_sum(snapshot, "replica_lazy_updates_sent") * len(
         service.secondaries
     )
     cost = (
@@ -286,7 +261,7 @@ def run_adaptive_cell(
         violations.extend(
             audit_decisions(decisions, ADAPTIVE_CONFIG, scenario.classes)
         )
-    if chaos and engine is not None and storms == 0:
+    if engine is not None and storms == 0:
         violations.append("storm: no load storm was injected")
 
     result = AdaptiveCellResult(
@@ -310,30 +285,16 @@ def run_adaptive_cell(
         final_relax_index=controller.relax_index if controller else static_relax,
         decisions=decisions,
         events=(
-            [f"t={e.time:.3f} {e.kind} {e.target}" for e in engine.events]
+            engine_events(engine)
             if engine is not None
             else [f"surge {s}-{e} x{f}" for s, e, f in SURGES]
         ),
         metrics=snapshot,
         timeline=timeline.to_dict(),
     )
-    if result.violations and trace_dir is not None:
-        directory = Path(trace_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"adaptive-seed{seed}-{mode}.trace"
-        with path.open("w") as fh:
-            for line in result.violations:
-                fh.write(f"VIOLATION {line}\n")
-            for d in decisions:
-                fh.write(f"DECISION {d}\n")
-            for record in trace.records:
-                fh.write(
-                    f"{record.time:.6f} {record.category} "
-                    f"{record.actor} {record.detail}\n"
-                )
-        (directory / f"adaptive-seed{seed}-{mode}.jsonl").write_text(
-            trace.to_jsonl()
-        )
+    dump_violation_trace(
+        "adaptive", result, trace, trace_dir, tag="DECISION", lines=decisions
+    )
     return result
 
 
@@ -459,7 +420,7 @@ def check_bit_identity(seed: int = 0, duration: float = 4.0) -> list[str]:
                 series: entry
                 for series, entry in scenario.testbed.metrics.snapshot().items()
                 if not series.startswith("controller_")
-                and not series.startswith("client_selection_overhead_seconds")
+                and not series.startswith(WALL_CLOCK_SERIES)
             }
         )
     violations: list[str] = []
@@ -487,33 +448,8 @@ def check_bit_identity(seed: int = 0, duration: float = 4.0) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Suite harness + CLI
+# Acceptance rule, campaign declaration + CLI
 # ---------------------------------------------------------------------------
-def run_adaptive_suite(
-    seeds: list[int],
-    duration: float = 12.0,
-    jobs: int = 1,
-    trace_dir: Optional[str] = None,
-) -> list[AdaptiveCellResult]:
-    """Controller + static grid + chaos audit for every seed."""
-    modes = ["controller"] + [f"static-{i}" for i in STATIC_GRID] + ["chaos"]
-    specs = [
-        CellSpec(
-            (seed, mode),
-            run_adaptive_cell,
-            {
-                "seed": seed,
-                "mode": mode,
-                "duration": duration,
-                "trace_dir": trace_dir,
-            },
-        )
-        for seed in seeds
-        for mode in modes
-    ]
-    return run_cells(specs, jobs=jobs, progress=True, label="adaptive")
-
-
 def pooled_score(results: list[AdaptiveCellResult], mode: str) -> float:
     """Mean satisfaction over mean cost for one mode's cells."""
     cells = [r for r in results if r.mode == mode]
@@ -526,189 +462,90 @@ def pooled_score(results: list[AdaptiveCellResult], mode: str) -> float:
     return mean_sat / mean_cost
 
 
-def suite_violations(results: list[AdaptiveCellResult]) -> list[str]:
-    """Cell violations + the cross-mode score acceptance check."""
-    violations = [
-        f"seed {r.seed} [{r.mode}]: {v}" for r in results for v in r.violations
-    ]
+def acceptance(results: list[AdaptiveCellResult]) -> list[str]:
+    """The cross-mode checks: the controller's pooled score at least every
+    static setting's, the chaos cells' guardrails actually exercised, and
+    the dry-run controller invisible (on the suite's first seed)."""
+    violations = []
     controller_score = pooled_score(results, "controller")
-    for i in STATIC_GRID:
-        static_score = pooled_score(results, f"static-{i}")
+    for mode in SCORED_MODES[1:]:
+        static_score = pooled_score(results, mode)
         if controller_score + 1e-9 < static_score:
             violations.append(
                 f"score: controller {controller_score:.4f} below "
-                f"static-{i} {static_score:.4f}"
+                f"{mode} {static_score:.4f}"
             )
     chaos_cells = [r for r in results if r.mode == "chaos"]
     if chaos_cells and not any(r.rollbacks > 0 for r in chaos_cells):
         violations.append(
             "guardrails: no chaos cell ever rolled back — the audit is vacuous"
         )
+    if results:
+        violations.extend(check_bit_identity(seed=results[0].seed))
     return violations
 
 
-def summarize(results: list[AdaptiveCellResult]) -> str:
-    rows = []
-    for r in results:
-        rows.append(
-            [
-                r.seed,
-                r.mode,
-                r.storms,
-                f"{r.satisfaction:.4f}",
-                f"{r.cost_per_read:.2f}",
-                f"{r.score:.4f}",
-                f"{r.relaxes}/{r.rollbacks}",
-                r.final_relax_index,
-                "CLEAN" if r.clean else f"{len(r.violations)} VIOLATIONS",
-            ]
-        )
-    table = format_table(
-        [
-            "seed", "mode", "storms", "satisfaction", "cost/read", "score",
-            "relax/rollbk", "idx", "verdict",
-        ],
-        rows,
-        title="adaptive campaign (controller vs. static grid)",
-    )
-    lines = [table, ""]
-    lines.append("pooled scores (satisfaction / cost-per-read):")
-    for mode in ["controller"] + [f"static-{i}" for i in STATIC_GRID]:
+def _scoreboard(results: list[AdaptiveCellResult]) -> str:
+    lines = ["pooled scores (satisfaction / cost-per-read):"]
+    for mode in SCORED_MODES:
         lines.append(f"  {mode:<12} {pooled_score(results, mode):.4f}")
-    merged = MetricsRegistry.merge(
-        *(
-            r.metrics
-            for r in results
-            if r.mode in ("controller", "chaos") and r.metrics
-        )
-    )
-    lines.append("")
-    lines.append(
-        render_report(metrics=merged, title="closed-loop cell telemetry")
-    )
     return "\n".join(lines)
 
 
-def write_metrics_artifact(
-    path: str, results: list[AdaptiveCellResult], seeds: list[int]
-) -> None:
-    """JSONL artifact: cells, pooled scores, controller decision logs, and
-    per-mode merged timelines (``repro dash`` input)."""
-    from repro.experiments.report import write_experiment_artifact
-
-    records: list[dict] = []
-    for r in results:
-        records.append(
-            {
-                "event": "cell",
-                "seed": r.seed,
-                "mode": r.mode,
-                "storms": r.storms,
-                "satisfaction": r.satisfaction,
-                "compliance": r.compliance,
-                "cost_per_read": r.cost_per_read,
-                "score": r.score,
-                "reads_judged": r.reads_judged,
-                "rollbacks": r.rollbacks,
-                "relaxes": r.relaxes,
-                "final_relax_index": r.final_relax_index,
-                "violations": r.violations,
-            }
-        )
-    for mode in ["controller"] + [f"static-{i}" for i in STATIC_GRID]:
-        records.append(
-            {
-                "event": "pooled",
-                "mode": mode,
-                "score": pooled_score(results, mode),
-                "cells": sum(1 for r in results if r.mode == mode),
-            }
-        )
-    for r in results:
-        if r.decisions:
-            records.append(
-                {
-                    "event": "controller",
-                    "seed": r.seed,
-                    "mode": r.mode,
-                    "decisions": r.decisions,
-                }
-            )
-    for mode in ("controller", "chaos") + tuple(
-        f"static-{i}" for i in STATIC_GRID
-    ):
-        timelines = [
-            Timeline.from_dict(r.timeline)
-            for r in results
-            if r.mode == mode and r.timeline is not None
-        ]
-        if timelines:
-            records.append(
-                {
-                    "event": "timeline",
-                    "mode": mode,
-                    "timeline": Timeline.merge(*timelines).to_dict(),
-                }
-            )
-    write_experiment_artifact(path, "adaptive", records, seeds=seeds)
+def _pooled_stats(results: list[AdaptiveCellResult], mode: str) -> dict:
+    return {
+        "score": pooled_score(results, mode),
+        "cells": sum(1 for r in results if r.mode == mode),
+    }
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=3, help="campaigns per mode")
-    parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--duration", type=float, default=12.0)
-    parser.add_argument("--quick", action="store_true", help="2 seeds x 8s")
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on any invariant, identity, or score violation",
-    )
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
-    parser.add_argument("--save", type=str, default=None)
-    parser.add_argument(
-        "--metrics-out", type=str, default=None, help="write telemetry as JSONL"
-    )
-    parser.add_argument(
-        "--trace-dir",
-        type=str,
-        default=None,
-        help="dump the full trace of any violating cell here",
-    )
-    args = parser.parse_args(argv)
+def _decision_logs(results: list[AdaptiveCellResult]) -> list[dict]:
+    return [
+        {
+            "event": "controller",
+            "seed": r.seed,
+            "mode": r.mode,
+            "decisions": r.decisions,
+        }
+        for r in results
+        if r.decisions
+    ]
 
-    count = 2 if args.quick else args.seeds
-    duration = 8.0 if args.quick else args.duration
-    seeds = [seed_for(args.seed, "adaptive", i) for i in range(count)]
-    results = run_adaptive_suite(
-        seeds, duration=duration, jobs=args.jobs, trace_dir=args.trace_dir
-    )
-    print(summarize(results))
 
-    violations = suite_violations(results)
-    violations.extend(check_bit_identity(seed=seeds[0]))
-    for line in violations:
-        print(f"VIOLATION {line}", file=sys.stderr)
+CAMPAIGN = Campaign(
+    name="adaptive",
+    doc=__doc__,
+    run_cell=run_adaptive_cell,
+    modes=MODES,
+    default=(3, 12.0),
+    quick=(2, 8.0),
+    title="adaptive campaign (controller vs. static grid)",
+    columns=(
+        ("storms", lambda r: r.storms),
+        ("satisfaction", lambda r: f"{r.satisfaction:.4f}"),
+        ("cost/read", lambda r: f"{r.cost_per_read:.2f}"),
+        ("score", lambda r: f"{r.score:.4f}"),
+        ("relax/rollbk", lambda r: f"{r.relaxes}/{r.rollbacks}"),
+        ("idx", lambda r: r.final_relax_index),
+    ),
+    cell_fields=(
+        "storms", "satisfaction", "compliance", "cost_per_read", "score",
+        "reads_judged", "rollbacks", "relaxes", "final_relax_index",
+        "violations",
+    ),
+    telemetry_title="closed-loop cell telemetry",
+    telemetry_modes=("controller", "chaos"),
+    acceptance=acceptance,
+    pooled_stats=_pooled_stats,
+    compared_modes=SCORED_MODES,
+    extra_records=_decision_logs,
+    scoreboard=_scoreboard,
+)
 
-    if args.save:
-        save_results(
-            args.save,
-            [r.__dict__ for r in results],
-            meta={
-                "experiment": "adaptive",
-                "seeds": seeds,
-                "duration": duration,
-                "violations": violations,
-            },
-        )
-    if args.metrics_out:
-        write_metrics_artifact(args.metrics_out, results, seeds)
-        print(f"telemetry written to {args.metrics_out}")
 
-    if args.check and violations:
-        return 1
-    return 0
+def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
+    return campaign_main(CAMPAIGN, argv, prog)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

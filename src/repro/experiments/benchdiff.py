@@ -134,10 +134,10 @@ def update_baselines(
     return written
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
     repo_root = Path(__file__).resolve().parents[3]
     parser = argparse.ArgumentParser(
-        prog="repro bench-diff", description=__doc__.split("\n\n")[0]
+        prog=prog, description=__doc__.split("\n\n")[0]
     )
     parser.add_argument(
         "--current",

@@ -27,20 +27,23 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from repro.core.client import RetryPolicy
 from repro.core.qos import QoSSpec
 from repro.core.requests import ReadOutcome, UpdateOutcome
-from repro.core.service import ServiceConfig, build_testbed
-from repro.experiments.report import format_table, render_report, save_results
-from repro.groups.membership import MembershipConfig
-from repro.net.chaos import ChaosConfig, ChaosEngine, ChaosTargets
+from repro.experiments.campaign import (
+    Campaign,
+    build_campaign_testbed,
+    chaos_engine,
+    dump_violation_trace,
+    engine_events,
+    main as campaign_main,
+    run_phases,
+)
+from repro.net.chaos import ChaosConfig
+from repro.obs.export import metrics_event
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import Timeline, TimeseriesRecorder
-from repro.sim.process import Process, Timeout
-from repro.sim.rng import Normal, seed_for
 from repro.sim.tracing import Trace
 from repro.workloads.generators import (
     ArrivalRateController,
@@ -49,6 +52,7 @@ from repro.workloads.generators import (
 )
 
 READ_QOS = QoSSpec(staleness_threshold=10, deadline=1.0, min_probability=0.5)
+WARMUP = 2.0
 DRAIN_GRACE = 6.0  # post-campaign window for retransmits + state transfers
 TIMELINE_INTERVAL = 0.25  # recorder tick: resolves fault windows of ~1 s
 
@@ -81,9 +85,9 @@ def run_campaign(
     duration: float = 20.0,
     membership_outage: bool = False,
     retry: bool = True,
-    chaos_config: Optional[ChaosConfig] = None,
     trace: Optional[Trace] = None,
     chaos_overrides: Optional[dict] = None,
+    trace_dir: Optional[str] = None,
 ) -> CampaignResult:
     """Run one seeded fault campaign and audit its trace.
 
@@ -95,26 +99,7 @@ def run_campaign(
     checkers audit the end state and the trace.
     """
     trace = trace if trace is not None else Trace(enabled=True)
-    metrics = MetricsRegistry()
-    config = ServiceConfig(
-        name="svc",
-        num_primaries=3,
-        num_secondaries=3,
-        lazy_update_interval=0.5,
-        read_service_time=Normal(0.020, 0.005, floor=0.002),
-        heartbeat_interval=0.1,
-        suspect_timeout=0.35,
-        gsn_wait_timeout=0.15,
-    )
-    testbed = build_testbed(
-        config,
-        seed=seed,
-        trace=trace,
-        metrics=metrics,
-        membership_config=MembershipConfig(
-            heartbeat_interval=0.1, suspect_timeout=0.35, sweep_interval=0.1
-        ),
-    )
+    testbed = build_campaign_testbed(seed, trace, lazy_update_interval=0.5)
     sim, service, network = testbed.sim, testbed.service, testbed.network
 
     policy = RetryPolicy(max_retries=2, hedge=True) if retry else None
@@ -130,13 +115,10 @@ def run_campaign(
     # A load storm needs the rate controller shared between the chaos
     # engine and the generators; leave it out entirely when the fault is
     # off so existing campaigns are untouched.
-    storming = overrides.get("load_storm_weight", 0.0) > 0 or (
-        chaos_config is not None and chaos_config.load_storm_weight > 0
-    )
+    storming = overrides.get("load_storm_weight", 0.0) > 0
     rate_controller = ArrivalRateController() if storming else None
 
-    warmup = 2.0
-    workload_span = warmup + duration + DRAIN_GRACE / 2
+    workload_span = WARMUP + duration + DRAIN_GRACE / 2
     updater = OpenLoopUpdater(
         sim, feed, testbed.rng, rate=4.0, duration=workload_span,
         rate_controller=rate_controller,
@@ -156,21 +138,13 @@ def run_campaign(
         else:
             network.recover(name)
 
-    engine = ChaosEngine(
-        network,
-        ChaosTargets(
-            primaries=tuple(p.name for p in service.primaries),
-            secondaries=tuple(s.name for s in service.secondaries),
-            sequencer=service.sequencer_name,
-            membership=testbed.membership.name if membership_outage else None,
-            protected=(service.primaries[0].name,),
-        ),
-        chaos_config or ChaosConfig(duration=duration, **overrides),
-        rng=testbed.rng.stream("chaos.engine"),
-        repair=repair,
-        trace=trace,
-        metrics=metrics,
+    engine = chaos_engine(
+        testbed,
+        ChaosConfig(duration=duration, **overrides),
         rate_controller=rate_controller,
+        repair=repair,
+        sequencer=service.sequencer_name,
+        membership=testbed.membership.name if membership_outage else None,
     )
 
     def repair_sweep() -> None:
@@ -187,23 +161,19 @@ def run_campaign(
                 service.recover_replica(handler.name)
         sim.schedule(0.4, repair_sweep)
 
-    recorder = TimeseriesRecorder(
-        sim, metrics, interval=TIMELINE_INTERVAL
-    ).start()
-    sim.run(until=warmup)
-    engine.start()
-    sim.schedule(0.4, repair_sweep)
-    sim.run(until=warmup + duration + DRAIN_GRACE)
+    recorder = run_phases(
+        testbed, engine, WARMUP, duration, DRAIN_GRACE,
+        interval=TIMELINE_INTERVAL,
+        after_start=lambda: sim.schedule(0.4, repair_sweep),
+    )
 
     # Liveness probes: after heal + grace every read must resolve.
-    probes: list[ReadOutcome] = []
     prober = PeriodicReader(sim, reader, READ_QOS, period=0.2, count=5)
-    probes = prober.outcomes
     sim.run(until=sim.now + 5.0)
     recorder.flush()
 
     violations = _check_invariants(
-        testbed, reader_gen.outcomes, updater.outcomes, probes, trace
+        testbed, reader_gen.outcomes, updater.outcomes, prober.outcomes, trace
     )
 
     recovery = dict(reader.recovery_stats())
@@ -215,7 +185,7 @@ def run_campaign(
         ):
             recovery[key] = recovery.get(key, 0) + getattr(handler, key, 0)
 
-    return CampaignResult(
+    result = CampaignResult(
         seed=seed,
         duration=duration,
         violations=violations,
@@ -226,12 +196,12 @@ def run_campaign(
         timing_failures=reader.timing_failures,
         updates_acked=len(updater.outcomes),
         recovery=recovery,
-        events=[
-            f"t={e.time:.3f} {e.kind} {e.target}" for e in engine.events
-        ],
-        metrics=metrics.snapshot(),
+        events=engine_events(engine),
+        metrics=testbed.metrics.snapshot(),
         timeline=recorder.timeline().to_dict(),
     )
+    dump_violation_trace("chaos", result, trace, trace_dir)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -352,121 +322,14 @@ def _check_invariants(
 
 
 # ---------------------------------------------------------------------------
-# Soak harness + CLI
+# Campaign declaration + CLI
 # ---------------------------------------------------------------------------
-def run_chaos_suite(
-    seeds: list[int],
-    duration: float = 20.0,
-    membership_outage: bool = False,
-    retry: bool = True,
-    trace_dir: Optional[Path] = None,
-    chaos_overrides: Optional[dict] = None,
-) -> list[CampaignResult]:
-    results = []
-    for seed in seeds:
-        trace = Trace(enabled=True)
-        result = run_campaign(
-            seed,
-            duration=duration,
-            membership_outage=membership_outage,
-            retry=retry,
-            trace=trace,
-            chaos_overrides=chaos_overrides,
-        )
-        results.append(result)
-        if result.violations and trace_dir is not None:
-            trace_dir.mkdir(parents=True, exist_ok=True)
-            path = trace_dir / f"chaos-seed{seed}.trace"
-            with path.open("w") as fh:
-                for line in result.violations:
-                    fh.write(f"VIOLATION {line}\n")
-                for line in result.events:
-                    fh.write(f"EVENT {line}\n")
-                for record in trace.records:
-                    fh.write(
-                        f"{record.time:.6f} {record.category} "
-                        f"{record.actor} {record.detail}\n"
-                    )
-            # Machine-readable twin of the dump, one JSON object per record.
-            (trace_dir / f"chaos-seed{seed}.jsonl").write_text(trace.to_jsonl())
-    return results
+def _merged_record(results: list[CampaignResult]) -> list[dict]:
+    merged = MetricsRegistry.merge(*(r.metrics for r in results))
+    return [metrics_event(merged, kind="merged")]
 
 
-def summarize(results: list[CampaignResult]) -> str:
-    rows = []
-    for r in results:
-        rows.append(
-            [
-                r.seed,
-                r.faults_injected,
-                r.reads_resolved,
-                r.timing_failures,
-                r.updates_acked,
-                r.recovery.get("retries_sent", 0),
-                r.recovery.get("state_transfers_completed", 0),
-                "CLEAN" if r.clean else f"{len(r.violations)} VIOLATIONS",
-            ]
-        )
-    table = format_table(
-        ["seed", "faults", "reads", "late", "acks", "retries", "xfers", "verdict"],
-        rows,
-        title="chaos soak",
-    )
-    totals: dict[str, int] = {}
-    for r in results:
-        for key, value in r.recovery.items():
-            totals[key] = totals.get(key, 0) + value
-    merged = MetricsRegistry.merge(*(r.metrics for r in results if r.metrics))
-    return (
-        table
-        + "\n\n"
-        + render_report(metrics=merged, recovery=totals, title="campaign telemetry")
-    )
-
-
-def write_metrics_artifact(
-    path: str, results: list[CampaignResult], seeds: list[int]
-) -> None:
-    """JSONL artifact: per-campaign metrics, merged totals, merged timeline."""
-    from repro.experiments.report import write_experiment_artifact
-    from repro.obs.export import metrics_event
-
-    records: list[dict] = []
-    for r in results:
-        if r.metrics:
-            records.append(
-                metrics_event(
-                    r.metrics,
-                    kind="cell",
-                    seed=r.seed,
-                    faults_injected=r.faults_injected,
-                    violations=r.violations,
-                )
-            )
-    merged = MetricsRegistry.merge(*(r.metrics for r in results if r.metrics))
-    records.append(metrics_event(merged, kind="merged"))
-    timelines = [
-        Timeline.from_dict(r.timeline)
-        for r in results
-        if r.timeline is not None
-    ]
-    if timelines:
-        records.append(
-            {
-                "event": "timeline",
-                "kind": "merged",
-                "timeline": Timeline.merge(*timelines).to_dict(),
-            }
-        )
-    write_experiment_artifact(path, "chaos", records, seeds=seeds)
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=10, help="number of campaigns")
-    parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--duration", type=float, default=20.0)
-    parser.add_argument("--quick", action="store_true", help="3 seeds x 8s")
+def _add_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--membership-outage",
         action="store_true",
@@ -478,7 +341,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--membership-outage-weight",
         type=float,
-        default=None,
+        metavar="W",
         help="weight of membership-service outages in the mix "
         "(implies --membership-outage when positive)",
     )
@@ -486,31 +349,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--overload-window",
         type=float,
         nargs=2,
-        default=None,
         metavar=("LOW", "HIGH"),
         help="host-overload window bounds in seconds",
     )
     parser.add_argument(
         "--load-storm-weight",
         type=float,
-        default=None,
+        metavar="W",
         help="weight of traffic-burst (load-storm) faults in the mix",
     )
-    parser.add_argument("--save", type=str, default=None)
-    parser.add_argument(
-        "--metrics-out", type=str, default=None, help="write telemetry as JSONL"
-    )
-    parser.add_argument(
-        "--trace-dir",
-        type=str,
-        default=None,
-        help="dump the full trace of any violating campaign here",
-    )
-    args = parser.parse_args(argv)
 
-    count = 3 if args.quick else args.seeds
-    duration = 8.0 if args.quick else args.duration
-    seeds = [seed_for(args.seed, "chaos", i) for i in range(count)]
+
+def _cell_kwargs(args: argparse.Namespace) -> dict:
     overrides: dict = {}
     if args.membership_outage_weight is not None:
         overrides["membership_outage_weight"] = args.membership_outage_weight
@@ -518,37 +368,42 @@ def main(argv: Optional[list[str]] = None) -> int:
         overrides["overload_window"] = tuple(args.overload_window)
     if args.load_storm_weight is not None:
         overrides["load_storm_weight"] = args.load_storm_weight
-    membership_outage = args.membership_outage or (
-        (args.membership_outage_weight or 0.0) > 0
-    )
-    results = run_chaos_suite(
-        seeds,
-        duration=duration,
-        membership_outage=membership_outage,
-        retry=not args.no_retry,
-        trace_dir=Path(args.trace_dir) if args.trace_dir else None,
-        chaos_overrides=overrides or None,
-    )
-    print(summarize(results))
+    return {
+        "membership_outage": args.membership_outage
+        or (args.membership_outage_weight or 0.0) > 0,
+        "retry": not args.no_retry,
+        "chaos_overrides": overrides or None,
+    }
 
-    if args.save:
-        save_results(
-            args.save,
-            [r.__dict__ for r in results],
-            meta={"experiment": "chaos", "seeds": seeds, "duration": duration},
-        )
-    if args.metrics_out:
-        write_metrics_artifact(args.metrics_out, results, seeds)
-        print(f"telemetry written to {args.metrics_out}")
 
-    dirty = [r for r in results if not r.clean]
-    if dirty:
-        for r in dirty:
-            for violation in r.violations:
-                print(f"seed {r.seed}: {violation}", file=sys.stderr)
-        return 1
-    return 0
+CAMPAIGN = Campaign(
+    name="chaos",
+    doc=__doc__,
+    run_cell=run_campaign,
+    modes=(),
+    default=(10, 20.0),
+    quick=(3, 8.0),
+    title="chaos soak",
+    columns=(
+        ("faults", lambda r: r.faults_injected),
+        ("reads", lambda r: r.reads_resolved),
+        ("late", lambda r: r.timing_failures),
+        ("acks", lambda r: r.updates_acked),
+        ("retries", lambda r: r.recovery.get("retries_sent", 0)),
+        ("xfers", lambda r: r.recovery.get("state_transfers_completed", 0)),
+    ),
+    cell_fields=("faults_injected", "violations", "metrics"),
+    telemetry_title="campaign telemetry",
+    extra_records=_merged_record,
+    check_flag=False,
+    add_flags=_add_flags,
+    cell_kwargs=_cell_kwargs,
+)
+
+
+def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
+    return campaign_main(CAMPAIGN, argv, prog)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

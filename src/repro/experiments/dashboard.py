@@ -485,9 +485,9 @@ def export_html(
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro dash", description=__doc__.split("\n\n")[0]
+        prog=prog, description=__doc__.split("\n\n")[0]
     )
     parser.add_argument(
         "input", help="JSONL artifact with timeline records "

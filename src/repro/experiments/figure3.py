@@ -17,6 +17,7 @@ Run: ``python -m repro.experiments.figure3``
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -229,28 +230,32 @@ def render(result: Figure3Result) -> str:
     )
 
 
-def main(argv: Optional[list[str]] = None) -> None:
-    import sys
+def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> None:
+    parser = argparse.ArgumentParser(
+        prog=prog, description=__doc__.split("\n\n")[0]
+    )
+    parser.add_argument("--save", metavar="PATH", help="write results as JSON")
+    parser.add_argument(
+        "--metrics-out", metavar="PATH", help="write telemetry as JSONL"
+    )
+    args = parser.parse_args(argv)
 
-    argv = sys.argv[1:] if argv is None else argv
     result = run_figure3()
     print(render(result))
     print()
     print(render_cache_comparison(run_cache_comparison()))
-    if "--save" in argv:
+    if args.save:
         from repro.experiments.report import save_results
 
-        path = argv[argv.index("--save") + 1]
         save_results(
-            path,
+            args.save,
             sorted(result.points.values(), key=lambda p: (p.window_size, p.num_replicas)),
             meta={"experiment": "figure3"},
         )
-        print(f"\nsaved to {path}")
-    if "--metrics-out" in argv:
-        path = argv[argv.index("--metrics-out") + 1]
-        write_metrics_artifact(path, result)
-        print(f"\ntelemetry written to {path}")
+        print(f"\nsaved to {args.save}")
+    if args.metrics_out:
+        write_metrics_artifact(args.metrics_out, result)
+        print(f"\ntelemetry written to {args.metrics_out}")
 
 
 def write_metrics_artifact(path: str, result: Figure3Result) -> None:

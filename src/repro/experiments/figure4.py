@@ -20,7 +20,7 @@ worker processes; results are identical for any jobs value).
 
 from __future__ import annotations
 
-import sys
+import argparse
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -274,18 +274,26 @@ def render(result: Figure4Result) -> str:
     return "\n\n".join(blocks)
 
 
-def main(argv: Optional[list[str]] = None) -> None:
-    argv = sys.argv[1:] if argv is None else argv
-    quick = "--quick" in argv
-    jobs = add_jobs_argument(argv)
-    metrics_out = None
-    if "--metrics-out" in argv:
-        metrics_out = argv[argv.index("--metrics-out") + 1]
+def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> None:
+    parser = argparse.ArgumentParser(
+        prog=prog, description=__doc__.split("\n\n")[0]
+    )
+    parser.add_argument(
+        "--quick", action="store_true", help="3 deadlines x 200 requests"
+    )
+    parser.add_argument("--save", metavar="PATH", help="write results as JSON")
+    parser.add_argument(
+        "--metrics-out", metavar="PATH", help="write telemetry as JSONL"
+    )
+    add_jobs_argument(parser)
+    args = parser.parse_args(argv)
+
+    quick, metrics_out = args.quick, args.metrics_out
     result = run_figure4(
         deadlines_ms=(100, 160, 220) if quick else DEADLINES_MS,
         total_requests=200 if quick else 1000,
-        jobs=jobs,
-        progress=jobs != 1,
+        jobs=args.jobs,
+        progress=args.jobs != 1,
         collect_metrics=metrics_out is not None,
         timeseries=TIMELINE_INTERVAL if metrics_out is not None else None,
     )
@@ -295,16 +303,15 @@ def main(argv: Optional[list[str]] = None) -> None:
             metrics_out, result, meta={"quick": quick, "seed": 0}
         )
         print(f"\ntelemetry written to {metrics_out}")
-    if "--save" in argv:
+    if args.save:
         from repro.experiments.report import save_results
 
-        path = argv[argv.index("--save") + 1]
         save_results(
-            path,
+            args.save,
             [result.cells[key] for key in sorted(result.cells)],
             meta={"experiment": "figure4", "quick": quick},
         )
-        print(f"\nsaved to {path}")
+        print(f"\nsaved to {args.save}")
 
 
 if __name__ == "__main__":

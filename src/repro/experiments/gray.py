@@ -39,25 +39,27 @@ non-zero on any violation.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from repro.core.client import RetryPolicy
 from repro.core.detector import DetectorConfig
 from repro.core.qos import QoSSpec
-from repro.core.service import ServiceConfig, build_testbed
-from repro.experiments.overload import effective_latency, percentile
-from repro.experiments.report import format_table, render_report, save_results
-from repro.experiments.runner import CellSpec, run_cells
-from repro.groups.membership import MembershipConfig
-from repro.net.chaos import ChaosConfig, ChaosEngine, ChaosTargets
+from repro.experiments.campaign import (
+    Campaign,
+    build_campaign_testbed,
+    chaos_engine,
+    dump_violation_trace,
+    effective_latency,
+    engine_events,
+    main as campaign_main,
+    percentile,
+    pooled,
+    run_phases,
+)
+from repro.net.chaos import ChaosConfig, ChaosEngine
 from repro.obs.detection import DetectionReport, score_detection
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import Timeline, TimeseriesRecorder
-from repro.sim.rng import Normal, seed_for
 from repro.sim.tracing import Trace
 from repro.workloads.generators import OpenLoopUpdater, PeriodicReader
 
@@ -85,6 +87,8 @@ SCORING_GRACE = 1.0
 WARMUP = 2.0
 DRAIN_GRACE = 5.0
 TIMELINE_INTERVAL = 0.25  # recorder tick: resolves 1.5-3.5 s gray windows
+
+MODES = ("detector", "baseline")
 
 
 def gray_chaos_config(duration: float) -> ChaosConfig:
@@ -169,33 +173,18 @@ def run_gray_cell(
     from its own ``chaos.engine`` stream and no gray fault consults
     protocol state, so both modes of a seed face the identical storm.
     """
-    if mode not in ("detector", "baseline"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     detecting = mode == "detector"
     trace = Trace(enabled=True)
-    metrics = MetricsRegistry()
-    config = ServiceConfig(
-        name="svc",
-        num_primaries=3,
-        num_secondaries=3,
+    testbed = build_campaign_testbed(
+        seed,
+        trace,
         lazy_update_interval=0.3,
-        read_service_time=Normal(0.020, 0.005, floor=0.002),
-        heartbeat_interval=0.1,
-        suspect_timeout=0.35,
-        gsn_wait_timeout=0.15,
         gc_timeout=4.0,
         detector=DETECTOR_CONFIG if detecting else None,
     )
-    testbed = build_testbed(
-        config,
-        seed=seed,
-        trace=trace,
-        metrics=metrics,
-        membership_config=MembershipConfig(
-            heartbeat_interval=0.1, suspect_timeout=0.35, sweep_interval=0.1
-        ),
-    )
-    sim, service, network = testbed.sim, testbed.service, testbed.network
+    sim, service = testbed.sim, testbed.service
 
     feed = service.create_client("feed", read_only_methods={"get"})
     reader_client = service.create_client(
@@ -208,28 +197,12 @@ def run_gray_cell(
     updater = OpenLoopUpdater(sim, feed, testbed.rng, rate=2.0, duration=span)
     reader = PeriodicReader(sim, reader_client, READ_QOS, period=0.03, duration=span)
 
-    serving = tuple(p.name for p in service.primaries) + tuple(
-        s.name for s in service.secondaries
+    serving = {h.name for h in service.primaries + service.secondaries}
+    engine = chaos_engine(testbed, gray_chaos_config(duration))
+    recorder = run_phases(
+        testbed, engine, WARMUP, duration, DRAIN_GRACE,
+        interval=TIMELINE_INTERVAL,
     )
-    engine = ChaosEngine(
-        network,
-        ChaosTargets(
-            primaries=tuple(p.name for p in service.primaries),
-            secondaries=tuple(s.name for s in service.secondaries),
-            protected=(service.primaries[0].name,),
-        ),
-        gray_chaos_config(duration),
-        rng=testbed.rng.stream("chaos.engine"),
-        trace=trace,
-        metrics=metrics,
-    )
-
-    recorder = TimeseriesRecorder(
-        sim, metrics, interval=TIMELINE_INTERVAL
-    ).start()
-    sim.run(until=WARMUP)
-    engine.start()
-    sim.run(until=WARMUP + duration + DRAIN_GRACE)
     recorder.flush()
 
     recovery = reader_client.recovery_stats()
@@ -239,12 +212,12 @@ def run_gray_cell(
         detection = score_detection(
             detector.transitions,
             engine.gray_schedule,
-            observable=set(serving),
+            observable=serving,
             grace=SCORING_GRACE,
         )
 
     violations = (
-        _check_gray_invariants(reader_client, engine, detection, set(serving))
+        _check_gray_invariants(reader_client, engine, detection, serving)
         if detecting
         else []
     )
@@ -277,27 +250,11 @@ def run_gray_cell(
         ),
         still_suspected=[] if detector is None else detector.suspected(),
         detection=None if detection is None else detection.to_dict(),
-        events=[f"t={e.time:.3f} {e.kind} {e.target}" for e in engine.events],
-        metrics=metrics.snapshot(),
+        events=engine_events(engine),
+        metrics=testbed.metrics.snapshot(),
         timeline=recorder.timeline().to_dict(),
     )
-    if result.violations and trace_dir is not None:
-        directory = Path(trace_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"gray-seed{seed}-{mode}.trace"
-        with path.open("w") as fh:
-            for line in result.violations:
-                fh.write(f"VIOLATION {line}\n")
-            for line in result.events:
-                fh.write(f"EVENT {line}\n")
-            for record in trace.records:
-                fh.write(
-                    f"{record.time:.6f} {record.category} "
-                    f"{record.actor} {record.detail}\n"
-                )
-        (directory / f"gray-seed{seed}-{mode}.jsonl").write_text(
-            trace.to_jsonl()
-        )
+    dump_violation_trace("gray", result, trace, trace_dir)
     return result
 
 
@@ -343,235 +300,93 @@ def _check_gray_invariants(
 
 
 # ---------------------------------------------------------------------------
-# Suite harness + CLI
+# Acceptance rule, campaign declaration + CLI
 # ---------------------------------------------------------------------------
-def run_gray_suite(
-    seeds: list[int],
-    duration: float = 14.0,
-    jobs: int = 1,
-    trace_dir: Optional[str] = None,
-) -> list[GrayCellResult]:
-    """Both modes for every seed; results ordered seed-major."""
-    specs = [
-        CellSpec(
-            (seed, mode),
-            run_gray_cell,
-            {
-                "seed": seed,
-                "mode": mode,
-                "duration": duration,
-                "trace_dir": trace_dir,
-            },
-        )
-        for seed in seeds
-        for mode in ("detector", "baseline")
-    ]
-    return run_cells(specs, jobs=jobs, progress=True, label="gray")
+def pooled_stats(results: list[GrayCellResult], mode: str) -> dict:
+    """One mode's read p99 and SLA rate, pooled across seeds."""
+    cells = [r for r in results if r.mode == mode]
+    latencies = pooled(results, mode, "latencies")
+    issued = sum(r.reads_issued for r in cells)
+    late = sum(r.timing_failures for r in cells)
+    return {
+        "p99": percentile(latencies, 0.99),
+        "sla_rate": 1.0 - late / issued if issued else 1.0,
+        "samples": len(latencies),
+    }
 
 
-def suite_violations(results: list[GrayCellResult]) -> list[str]:
-    """Cell-level violations plus the cross-mode acceptance checks."""
-    violations = [
-        f"seed {r.seed} [{r.mode}]: {v}" for r in results for v in r.violations
-    ]
-    det = [x for r in results if r.mode == "detector" for x in r.latencies]
-    base = [x for r in results if r.mode == "baseline" for x in r.latencies]
-    if det and base:
-        det_p99 = percentile(det, 0.99)
-        base_p99 = percentile(base, 0.99)
-        if not det_p99 < base_p99:
+def acceptance(results: list[GrayCellResult]) -> list[str]:
+    """The cross-mode checks: with the detector, pooled read p99 strictly
+    better and SLA satisfaction no worse than the baseline's."""
+    violations = []
+    det, base = (pooled_stats(results, mode) for mode in MODES)
+    if det["samples"] and base["samples"]:
+        if not det["p99"] < base["p99"]:
             violations.append(
                 f"p99: read effective latency with the detector "
-                f"({det_p99:.4f}s) is not better than baseline "
-                f"({base_p99:.4f}s)"
+                f"({det['p99']:.4f}s) is not better than baseline "
+                f"({base['p99']:.4f}s)"
             )
-    det_cells = [r for r in results if r.mode == "detector"]
-    base_cells = [r for r in results if r.mode == "baseline"]
-    if det_cells and base_cells:
-        det_sla = _pooled_sla(det_cells)
-        base_sla = _pooled_sla(base_cells)
-        if det_sla < base_sla:
+        if det["sla_rate"] < base["sla_rate"]:
             violations.append(
-                f"sla: satisfaction with the detector ({det_sla:.2%}) "
-                f"is worse than baseline ({base_sla:.2%})"
+                f"sla: satisfaction with the detector ({det['sla_rate']:.2%}) "
+                f"is worse than baseline ({base['sla_rate']:.2%})"
             )
     return violations
 
 
-def _pooled_sla(cells: list[GrayCellResult]) -> float:
-    issued = sum(r.reads_issued for r in cells)
-    late = sum(r.timing_failures for r in cells)
-    if not issued:
-        return 1.0
-    return 1.0 - late / issued
+def _detection(r: GrayCellResult, key: str, spec: str) -> str:
+    """A detection-report number for the table; ``-`` where none applies."""
+    value = None if r.detection is None else r.detection[key]
+    return "-" if value is None else format(value, spec)
 
 
-def summarize(results: list[GrayCellResult]) -> str:
-    rows = []
-    for r in results:
-        ttd = None if r.detection is None else r.detection["mean_time_to_detect"]
-        rows.append(
-            [
-                r.seed,
-                r.mode,
-                r.gray_faults,
-                r.reads_issued,
-                f"{r.p99:.4f}",
-                f"{r.sla_rate:.2%}",
-                r.timing_failures,
-                f"{r.detector_ejections}/{r.detector_hedges}/{r.detector_probes}",
-                "-" if ttd is None else f"{ttd:.3f}",
-                (
-                    "-" if r.detection is None
-                    else f"{r.detection['false_positive_rate']:.0%}"
-                ),
-                "CLEAN" if r.clean else f"{len(r.violations)} VIOLATIONS",
-            ]
-        )
-    table = format_table(
-        [
-            "seed", "mode", "faults", "reads", "p99", "sla", "late",
-            "eject/hedge/probe", "ttd", "fp", "verdict",
-        ],
-        rows,
-        title="gray-failure campaign (detector vs. baseline)",
-    )
-    merged = MetricsRegistry.merge(
-        *(r.metrics for r in results if r.mode == "detector" and r.metrics)
-    )
+def _pooled_line(results: list[GrayCellResult]) -> str:
+    det, base = (pooled_stats(results, mode) for mode in MODES)
     return (
-        table
-        + "\n\n"
-        + render_report(metrics=merged, title="detector-cell telemetry")
+        f"pooled: detector p99={det['p99']:.4f}s sla={det['sla_rate']:.2%} | "
+        f"baseline p99={base['p99']:.4f}s sla={base['sla_rate']:.2%}"
     )
 
 
-def write_metrics_artifact(
-    path: str, results: list[GrayCellResult], seeds: list[int]
-) -> None:
-    """JSONL artifact: one record per cell, the pooled comparison, and a
-    per-mode merged timeline (``repro dash`` input)."""
-    from repro.experiments.report import write_experiment_artifact
-
-    records: list[dict] = []
-    for r in results:
-        records.append(
-            {
-                "event": "cell",
-                "seed": r.seed,
-                "mode": r.mode,
-                "gray_faults": r.gray_faults,
-                "faults_by_kind": r.faults_by_kind,
-                "reads_issued": r.reads_issued,
-                "timing_failures": r.timing_failures,
-                "p99": r.p99,
-                "sla_rate": r.sla_rate,
-                "detector_ejections": r.detector_ejections,
-                "detector_hedges": r.detector_hedges,
-                "detector_probes": r.detector_probes,
-                "suspects_total": r.suspects_total,
-                "clears_total": r.clears_total,
-                "still_suspected": r.still_suspected,
-                "detection": r.detection,
-                "violations": r.violations,
-            }
-        )
-    for mode in ("detector", "baseline"):
-        cells = [r for r in results if r.mode == mode]
-        pooled = [x for r in cells for x in r.latencies]
-        records.append(
-            {
-                "event": "pooled",
-                "mode": mode,
-                "p99": percentile(pooled, 0.99),
-                "sla_rate": _pooled_sla(cells),
-                "samples": len(pooled),
-            }
-        )
-    for mode in ("detector", "baseline"):
-        timelines = [
-            Timeline.from_dict(r.timeline)
-            for r in results
-            if r.mode == mode and r.timeline is not None
-        ]
-        if timelines:
-            records.append(
-                {
-                    "event": "timeline",
-                    "mode": mode,
-                    "timeline": Timeline.merge(*timelines).to_dict(),
-                }
-            )
-    write_experiment_artifact(path, "gray", records, seeds=seeds)
+CAMPAIGN = Campaign(
+    name="gray",
+    doc=__doc__,
+    run_cell=run_gray_cell,
+    modes=MODES,
+    default=(5, 14.0),
+    quick=(2, 8.0),
+    title="gray-failure campaign (detector vs. baseline)",
+    columns=(
+        ("faults", lambda r: r.gray_faults),
+        ("reads", lambda r: r.reads_issued),
+        ("p99", lambda r: f"{r.p99:.4f}"),
+        ("sla", lambda r: f"{r.sla_rate:.2%}"),
+        ("late", lambda r: r.timing_failures),
+        (
+            "eject/hedge/probe",
+            lambda r: f"{r.detector_ejections}/{r.detector_hedges}/{r.detector_probes}",
+        ),
+        ("ttd", lambda r: _detection(r, "mean_time_to_detect", ".3f")),
+        ("fp", lambda r: _detection(r, "false_positive_rate", ".0%")),
+    ),
+    cell_fields=(
+        "gray_faults", "faults_by_kind", "reads_issued", "timing_failures",
+        "p99", "sla_rate", "detector_ejections", "detector_hedges",
+        "detector_probes", "suspects_total", "clears_total",
+        "still_suspected", "detection", "violations",
+    ),
+    telemetry_title="detector-cell telemetry",
+    telemetry_modes=("detector",),
+    acceptance=acceptance,
+    pooled_stats=pooled_stats,
+    footer=_pooled_line,
+)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=5, help="campaigns per mode")
-    parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--duration", type=float, default=14.0)
-    parser.add_argument("--quick", action="store_true", help="2 seeds x 8s")
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on any invariant or acceptance violation",
-    )
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
-    parser.add_argument("--save", type=str, default=None)
-    parser.add_argument(
-        "--metrics-out", type=str, default=None, help="write telemetry as JSONL"
-    )
-    parser.add_argument(
-        "--trace-dir",
-        type=str,
-        default=None,
-        help="dump the full trace of any violating cell here",
-    )
-    args = parser.parse_args(argv)
-
-    count = 2 if args.quick else args.seeds
-    duration = 8.0 if args.quick else args.duration
-    seeds = [seed_for(args.seed, "gray", i) for i in range(count)]
-    results = run_gray_suite(
-        seeds, duration=duration, jobs=args.jobs, trace_dir=args.trace_dir
-    )
-    print(summarize(results))
-
-    det_cells = [r for r in results if r.mode == "detector"]
-    base_cells = [r for r in results if r.mode == "baseline"]
-    if det_cells and base_cells:
-        det_lat = [x for r in det_cells for x in r.latencies]
-        base_lat = [x for r in base_cells for x in r.latencies]
-        print(
-            f"pooled: detector p99={percentile(det_lat, 0.99):.4f}s "
-            f"sla={_pooled_sla(det_cells):.2%} | baseline "
-            f"p99={percentile(base_lat, 0.99):.4f}s "
-            f"sla={_pooled_sla(base_cells):.2%}"
-        )
-
-    violations = suite_violations(results)
-    for line in violations:
-        print(f"VIOLATION {line}", file=sys.stderr)
-
-    if args.save:
-        save_results(
-            args.save,
-            [r.__dict__ for r in results],
-            meta={
-                "experiment": "gray",
-                "seeds": seeds,
-                "duration": duration,
-                "violations": violations,
-            },
-        )
-    if args.metrics_out:
-        write_metrics_artifact(args.metrics_out, results, seeds)
-        print(f"telemetry written to {args.metrics_out}")
-
-    if args.check and violations:
-        return 1
-    return 0
+def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
+    return campaign_main(CAMPAIGN, argv, prog)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -35,11 +35,8 @@ exits non-zero on any violation.
 
 from __future__ import annotations
 
-import argparse
-import math
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from repro.core.client import RetryPolicy
@@ -50,14 +47,20 @@ from repro.core.overload import (
 )
 from repro.core.priority import PriorityMapper
 from repro.core.qos import QoSSpec
-from repro.core.service import ServiceConfig, build_testbed
-from repro.experiments.report import format_table, render_report, save_results
-from repro.experiments.runner import CellSpec, run_cells
-from repro.groups.membership import MembershipConfig
-from repro.net.chaos import ChaosConfig, ChaosEngine, ChaosTargets
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import Timeline, TimeseriesRecorder
-from repro.sim.rng import Normal, seed_for
+from repro.experiments.campaign import (
+    Campaign,
+    build_campaign_testbed,
+    chaos_engine,
+    counter_sum,
+    dump_violation_trace,
+    effective_latency,
+    engine_events,
+    main as campaign_main,
+    percentile,
+    pooled,
+    run_phases,
+    storm_chaos_config,
+)
 from repro.sim.tracing import Trace
 from repro.workloads.generators import (
     ArrivalRateController,
@@ -81,20 +84,10 @@ DRAIN_GRACE = 5.0
 #: grid resolves the burn-rate ramp the SLO engine alerts on.
 TIMELINE_INTERVAL = 0.1
 
+MODES = ("shed", "unbounded")
 
-def storm_chaos_config(duration: float) -> ChaosConfig:
-    """A storm-only fault mix: no crashes, partitions, or loss."""
-    return ChaosConfig(
-        duration=duration,
-        mean_interval=1.0,
-        crash_weight=0.0,
-        partition_weight=0.0,
-        overload_weight=0.0,
-        loss_weight=0.0,
-        load_storm_weight=1.0,
-        storm_window=(1.0, 2.5),
-        storm_factor=(4.0, 8.0),
-    )
+#: Arrival-rate multiplier range of one storm.
+STORM_FACTOR = (4.0, 8.0)
 
 
 @dataclass
@@ -134,23 +127,6 @@ class OverloadCellResult:
         return percentile(self.vip_latencies, 0.99)
 
 
-def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile; +inf for an empty sample."""
-    if not values:
-        return float("inf")
-    ordered = sorted(values)
-    index = max(0, math.ceil(q * len(ordered)) - 1)
-    return ordered[index]
-
-
-def effective_latency(outcome, deadline: float) -> float:
-    """Latency a caller *experienced*: late or lost reads cost 2x the
-    deadline, so percentiles cannot be flattered by dropped replies."""
-    if outcome.value is not None and outcome.response_time is not None:
-        return outcome.response_time
-    return 2.0 * deadline
-
-
 def run_overload_cell(
     seed: int,
     mode: str,
@@ -169,33 +145,18 @@ def run_overload_cell(
     acceptance campaign uses a cautious ladder (longer step cooldown) so
     the burn-rate pager is expected to lead the slide into CRITICAL.
     """
-    if mode not in ("shed", "unbounded"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     shed = mode == "shed"
     trace = Trace(enabled=True)
-    metrics = MetricsRegistry()
-    config = ServiceConfig(
-        name="svc",
-        num_primaries=3,
-        num_secondaries=3,
+    testbed = build_campaign_testbed(
+        seed,
+        trace,
         lazy_update_interval=0.3,
-        read_service_time=Normal(0.020, 0.005, floor=0.002),
-        heartbeat_interval=0.1,
-        suspect_timeout=0.35,
-        gsn_wait_timeout=0.15,
         gc_timeout=4.0,
         overload=SHED_CONFIG if shed else None,
     )
-    testbed = build_testbed(
-        config,
-        seed=seed,
-        trace=trace,
-        metrics=metrics,
-        membership_config=MembershipConfig(
-            heartbeat_interval=0.1, suspect_timeout=0.35, sweep_interval=0.1
-        ),
-    )
-    sim, service, network = testbed.sim, testbed.service, testbed.network
+    sim, service = testbed.sim, testbed.service
 
     mapper = PriorityMapper()
     policy = RetryPolicy(max_retries=1)
@@ -232,27 +193,15 @@ def run_overload_cell(
         rate_controller=controller,
     )
 
-    engine = ChaosEngine(
-        network,
-        ChaosTargets(
-            primaries=tuple(p.name for p in service.primaries),
-            secondaries=tuple(s.name for s in service.secondaries),
-            protected=(service.primaries[0].name,),
-        ),
-        storm_chaos_config(duration),
-        rng=testbed.rng.stream("chaos.engine"),
-        trace=trace,
-        metrics=metrics,
+    engine = chaos_engine(
+        testbed,
+        storm_chaos_config(duration, STORM_FACTOR),
         rate_controller=controller,
     )
-
-    recorder = TimeseriesRecorder(
-        sim, metrics, interval=TIMELINE_INTERVAL
-    ).start()
-    sim.run(until=WARMUP)
-    if not calm:
-        engine.start()
-    sim.run(until=WARMUP + duration + DRAIN_GRACE)
+    recorder = run_phases(
+        testbed, None if calm else engine, WARMUP, duration, DRAIN_GRACE,
+        interval=TIMELINE_INTERVAL,
+    )
     recorder.flush()
 
     storms = sum(1 for e in engine.events if e.kind == "load-storm")
@@ -264,12 +213,7 @@ def run_overload_cell(
         handler.name: handler.queue_depth_peak
         for handler in service.all_replicas()
     }
-    replica_shed = sum(
-        entry["value"]
-        for series, entry in metrics.snapshot().items()
-        if series.startswith("replica_reads_shed{") or series == "replica_reads_shed"
-        if entry["type"] == "counter"
-    )
+    snapshot = testbed.metrics.snapshot()
 
     violations = (
         _check_overload_invariants(
@@ -298,34 +242,18 @@ def run_overload_cell(
         bulk_timing_failures=sum(
             1 for o in bulk_reader.outcomes if o.timing_failure
         ),
-        replica_reads_shed=int(replica_shed),
+        replica_reads_shed=counter_sum(snapshot, "replica_reads_shed"),
         client_reads_shed=vip.reads_shed + bulk.reads_shed,
         overload_replies=vip.overload_replies + bulk.overload_replies,
         degradation_steps_down=recovery.get("degradation_steps_down", 0),
         degradation_steps_up=recovery.get("degradation_steps_up", 0),
         queue_depth_peaks=peaks,
         recovery=recovery,
-        events=[f"t={e.time:.3f} {e.kind} {e.target}" for e in engine.events],
-        metrics=metrics.snapshot(),
+        events=engine_events(engine),
+        metrics=snapshot,
         timeline=recorder.timeline().to_dict(),
     )
-    if result.violations and trace_dir is not None:
-        directory = Path(trace_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"overload-seed{seed}-{mode}.trace"
-        with path.open("w") as fh:
-            for line in result.violations:
-                fh.write(f"VIOLATION {line}\n")
-            for line in result.events:
-                fh.write(f"EVENT {line}\n")
-            for record in trace.records:
-                fh.write(
-                    f"{record.time:.6f} {record.category} "
-                    f"{record.actor} {record.detail}\n"
-                )
-        (directory / f"overload-seed{seed}-{mode}.jsonl").write_text(
-            trace.to_jsonl()
-        )
+    dump_violation_trace("overload", result, trace, trace_dir)
     return result
 
 
@@ -391,207 +319,66 @@ def _check_overload_invariants(
 
 
 # ---------------------------------------------------------------------------
-# Suite harness + CLI
+# Acceptance rule, campaign declaration + CLI
 # ---------------------------------------------------------------------------
-def run_overload_suite(
-    seeds: list[int],
-    duration: float = 12.0,
-    jobs: int = 1,
-    trace_dir: Optional[str] = None,
-) -> list[OverloadCellResult]:
-    """Both modes for every seed; results ordered seed-major."""
-    specs = [
-        CellSpec(
-            (seed, mode),
-            run_overload_cell,
-            {
-                "seed": seed,
-                "mode": mode,
-                "duration": duration,
-                "trace_dir": trace_dir,
-            },
-        )
-        for seed in seeds
-        for mode in ("shed", "unbounded")
-    ]
-    return run_cells(specs, jobs=jobs, progress=True, label="overload")
+def pooled_stats(results: list[OverloadCellResult], mode: str) -> dict:
+    latencies = pooled(results, mode, "vip_latencies")
+    return {"vip_p99": percentile(latencies, 0.99), "samples": len(latencies)}
 
 
-def suite_violations(results: list[OverloadCellResult]) -> list[str]:
-    """Cell-level violations plus the cross-mode p99 acceptance check."""
-    violations = [
-        f"seed {r.seed} [{r.mode}]: {v}" for r in results for v in r.violations
-    ]
-    shed = [x for r in results if r.mode == "shed" for x in r.vip_latencies]
-    unbounded = [
-        x for r in results if r.mode == "unbounded" for x in r.vip_latencies
-    ]
-    if shed and unbounded:
-        shed_p99 = percentile(shed, 0.99)
-        unbounded_p99 = percentile(unbounded, 0.99)
-        if not shed_p99 < unbounded_p99:
-            violations.append(
-                f"p99: vip effective latency with shedding ({shed_p99:.4f}s) "
-                f"is not better than unbounded ({unbounded_p99:.4f}s)"
-            )
-    return violations
-
-
-def summarize(results: list[OverloadCellResult]) -> str:
-    rows = []
-    for r in results:
-        rows.append(
-            [
-                r.seed,
-                r.mode,
-                r.storms,
-                r.vip_issued,
-                f"{percentile(r.vip_latencies, 0.99):.4f}",
-                r.vip_timing_failures,
-                r.bulk_timing_failures,
-                r.replica_reads_shed,
-                r.client_reads_shed,
-                f"{r.degradation_steps_down}/{r.degradation_steps_up}",
-                "CLEAN" if r.clean else f"{len(r.violations)} VIOLATIONS",
-            ]
-        )
-    table = format_table(
-        [
-            "seed", "mode", "storms", "vip reads", "vip p99", "vip late",
-            "bulk late", "shed@replica", "shed@client", "steps v/^", "verdict",
-        ],
-        rows,
-        title="overload campaign (shed vs. unbounded)",
-    )
-    totals: dict[str, int] = {}
-    for r in results:
-        if r.mode != "shed":
-            continue
-        for key, value in r.recovery.items():
-            totals[key] = totals.get(key, 0) + value
-    merged = MetricsRegistry.merge(
-        *(r.metrics for r in results if r.mode == "shed" and r.metrics)
-    )
-    return (
-        table
-        + "\n\n"
-        + render_report(
-            metrics=merged, recovery=totals, title="shed-cell telemetry"
-        )
-    )
-
-
-def write_metrics_artifact(
-    path: str, results: list[OverloadCellResult], seeds: list[int]
-) -> None:
-    """JSONL artifact: one record per cell, the pooled comparison, and a
-    per-mode merged timeline (``repro dash`` input)."""
-    from repro.experiments.report import write_experiment_artifact
-
-    records: list[dict] = []
-    for r in results:
-        records.append(
-            {
-                "event": "cell",
-                "seed": r.seed,
-                "mode": r.mode,
-                "storms": r.storms,
-                "vip_p99": percentile(r.vip_latencies, 0.99),
-                "vip_timing_failures": r.vip_timing_failures,
-                "bulk_timing_failures": r.bulk_timing_failures,
-                "replica_reads_shed": r.replica_reads_shed,
-                "client_reads_shed": r.client_reads_shed,
-                "overload_replies": r.overload_replies,
-                "degradation_steps_down": r.degradation_steps_down,
-                "degradation_steps_up": r.degradation_steps_up,
-                "queue_depth_peaks": r.queue_depth_peaks,
-                "violations": r.violations,
-            }
-        )
-    for mode in ("shed", "unbounded"):
-        pooled = [
-            x for r in results if r.mode == mode for x in r.vip_latencies
+def acceptance(results: list[OverloadCellResult]) -> list[str]:
+    """The cross-mode check: pooled vip p99 strictly better with shedding."""
+    shed, unbounded = (pooled_stats(results, mode) for mode in MODES)
+    if (
+        shed["samples"]
+        and unbounded["samples"]
+        and not shed["vip_p99"] < unbounded["vip_p99"]
+    ):
+        return [
+            f"p99: vip effective latency with shedding "
+            f"({shed['vip_p99']:.4f}s) is not better than unbounded "
+            f"({unbounded['vip_p99']:.4f}s)"
         ]
-        records.append(
-            {
-                "event": "pooled",
-                "mode": mode,
-                "vip_p99": percentile(pooled, 0.99),
-                "samples": len(pooled),
-            }
-        )
-    for mode in ("shed", "unbounded"):
-        timelines = [
-            Timeline.from_dict(r.timeline)
-            for r in results
-            if r.mode == mode and r.timeline is not None
-        ]
-        if timelines:
-            records.append(
-                {
-                    "event": "timeline",
-                    "mode": mode,
-                    "timeline": Timeline.merge(*timelines).to_dict(),
-                }
-            )
-    write_experiment_artifact(path, "overload", records, seeds=seeds)
+    return []
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=5, help="campaigns per mode")
-    parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--duration", type=float, default=12.0)
-    parser.add_argument("--quick", action="store_true", help="2 seeds x 6s")
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on any invariant or p99 violation",
-    )
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
-    parser.add_argument("--save", type=str, default=None)
-    parser.add_argument(
-        "--metrics-out", type=str, default=None, help="write telemetry as JSONL"
-    )
-    parser.add_argument(
-        "--trace-dir",
-        type=str,
-        default=None,
-        help="dump the full trace of any violating cell here",
-    )
-    args = parser.parse_args(argv)
+CAMPAIGN = Campaign(
+    name="overload",
+    doc=__doc__,
+    run_cell=run_overload_cell,
+    modes=MODES,
+    default=(5, 12.0),
+    quick=(2, 6.0),
+    title="overload campaign (shed vs. unbounded)",
+    columns=(
+        ("storms", lambda r: r.storms),
+        ("vip reads", lambda r: r.vip_issued),
+        ("vip p99", lambda r: f"{r.vip_p99:.4f}"),
+        ("vip late", lambda r: r.vip_timing_failures),
+        ("bulk late", lambda r: r.bulk_timing_failures),
+        ("shed@replica", lambda r: r.replica_reads_shed),
+        ("shed@client", lambda r: r.client_reads_shed),
+        (
+            "steps v/^",
+            lambda r: f"{r.degradation_steps_down}/{r.degradation_steps_up}",
+        ),
+    ),
+    cell_fields=(
+        "storms", "vip_p99", "vip_timing_failures", "bulk_timing_failures",
+        "replica_reads_shed", "client_reads_shed", "overload_replies",
+        "degradation_steps_down", "degradation_steps_up",
+        "queue_depth_peaks", "violations",
+    ),
+    telemetry_title="shed-cell telemetry",
+    telemetry_modes=("shed",),
+    acceptance=acceptance,
+    pooled_stats=pooled_stats,
+)
 
-    count = 2 if args.quick else args.seeds
-    duration = 6.0 if args.quick else args.duration
-    seeds = [seed_for(args.seed, "overload", i) for i in range(count)]
-    results = run_overload_suite(
-        seeds, duration=duration, jobs=args.jobs, trace_dir=args.trace_dir
-    )
-    print(summarize(results))
 
-    violations = suite_violations(results)
-    for line in violations:
-        print(f"VIOLATION {line}", file=sys.stderr)
-
-    if args.save:
-        save_results(
-            args.save,
-            [r.__dict__ for r in results],
-            meta={
-                "experiment": "overload",
-                "seeds": seeds,
-                "duration": duration,
-                "violations": violations,
-            },
-        )
-    if args.metrics_out:
-        write_metrics_artifact(args.metrics_out, results, seeds)
-        print(f"telemetry written to {args.metrics_out}")
-
-    if args.check and violations:
-        return 1
-    return 0
+def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
+    return campaign_main(CAMPAIGN, argv, prog)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

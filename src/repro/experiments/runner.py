@@ -64,6 +64,7 @@ Typical use::
 
 from __future__ import annotations
 
+import argparse
 import atexit
 import hashlib
 import multiprocessing
@@ -412,36 +413,42 @@ def run_cells(
 
 
 # ---------------------------------------------------------------------------
-# --jobs flag parsing
+# --jobs flag
 # ---------------------------------------------------------------------------
-def add_jobs_argument(argv: Sequence[str], default: int = 1) -> int:
-    """Parse ``--jobs N`` / ``--jobs=N`` out of a raw argv-style list.
+def _jobs_count(raw: str) -> int:
+    """argparse ``type`` for ``--jobs``: a non-negative integer."""
+    try:
+        parsed = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects an integer, got {raw!r}"
+        ) from None
+    if parsed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {parsed}")
+    return parsed
 
-    The figure modules keep their historical hand-rolled flag parsing
-    (``--quick``, ``--save PATH``); this helper gives them a consistent
-    ``--jobs`` without pulling argparse into each ``main``.
 
-    Semantics match the CLI's argparse flag: the last occurrence wins
-    when the flag is repeated; a trailing ``--jobs`` with no value, a
-    non-integer value, or a negative value exits with a usage error
-    (``0`` is valid and means "all usable cores").
+def comma_ints(raw: str) -> list[int]:
+    """argparse ``type`` for ``N,M,...`` lists (``--users``, ``--jobs-levels``)."""
+    try:
+        return [int(part) for part in raw.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {raw!r}"
+        ) from None
+
+
+def add_jobs_argument(parser: argparse.ArgumentParser) -> None:
+    """Declare the one ``--jobs N`` flag every parallel sweep takes.
+
+    ``0`` is valid and means "all usable cores"; a missing, non-integer
+    or negative value exits with a usage error, and the last occurrence
+    wins when the flag is repeated.
     """
-    value = default
-    for index, arg in enumerate(argv):
-        raw: Optional[str] = None
-        if arg == "--jobs":
-            if index + 1 >= len(argv):
-                raise SystemExit("--jobs requires a value")
-            raw = argv[index + 1]
-        elif arg.startswith("--jobs="):
-            raw = arg.split("=", 1)[1]
-        if raw is None:
-            continue
-        try:
-            parsed = int(raw)
-        except ValueError:
-            raise SystemExit(f"--jobs expects an integer, got {raw!r}") from None
-        if parsed < 0:
-            raise SystemExit(f"--jobs must be >= 0, got {parsed}")
-        value = parsed
-    return value
+    parser.add_argument(
+        "--jobs",
+        type=_jobs_count,
+        default=1,
+        metavar="N",
+        help="worker processes for independent cells (0 = all cores)",
+    )

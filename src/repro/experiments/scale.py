@@ -29,6 +29,7 @@ Run: ``python -m repro.experiments.scale [--validate] [--smoke]`` or via
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 from dataclasses import dataclass, field
@@ -40,7 +41,12 @@ from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
 from repro.experiments.harness import Figure4Cell
 from repro.experiments.report import format_table
-from repro.experiments.runner import CellSpec, add_jobs_argument, run_cells
+from repro.experiments.runner import (
+    CellSpec,
+    add_jobs_argument,
+    comma_ints,
+    run_cells,
+)
 from repro.sim.rng import Normal
 from repro.stats.confidence import binomial_confidence_interval, proportions_agree
 from repro.workloads.aggregate import AggregatedClientPool, PopulationSpec
@@ -637,23 +643,41 @@ def _collect_timelines(result_v, result_s) -> list[tuple[str, dict]]:
     return out
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    validate = "--validate" in argv
-    smoke = "--smoke" in argv
-    quick = "--quick" in argv
-    check = "--check" in argv
-    jobs = add_jobs_argument(argv)
-    seed = 0
-    if "--seed" in argv:
-        seed = int(argv[argv.index("--seed") + 1])
-    users_list = list(SCALE_USERS)
-    if "--users" in argv:
-        users_list = [
-            int(u) for u in argv[argv.index("--users") + 1].split(",")
-        ]
+def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog=prog, description=__doc__.split("\n\n")[0]
+    )
+    parser.add_argument(
+        "--validate", action="store_true",
+        help="compare aggregate vs discrete at N=100/1000 (Wilson overlap)",
+    )
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="CI shape: short N=100 validation + one 1M-user cell",
+    )
+    parser.add_argument(
+        "--quick", action="store_true", help="one deadline, shorter cells"
+    )
+    parser.add_argument(
+        "--check", action="store_true",
+        help="exit non-zero on disagreement or a blown wall-clock budget",
+    )
+    parser.add_argument(
+        "--users", type=comma_ints, default=list(SCALE_USERS), metavar="N,M,...",
+        help="comma-separated population sizes for the scaling surface",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--save", metavar="PATH", help="write results JSON")
+    parser.add_argument(
+        "--metrics-out", metavar="PATH",
+        help="write the JSONL telemetry artifact (repro dash input)",
+    )
+    add_jobs_argument(parser)
+    args = parser.parse_args(argv)
+    validate, smoke, quick = args.validate, args.smoke, args.quick
+    seed, jobs = args.seed, args.jobs
     # Record 1 s-tick timelines only when an artifact will carry them.
-    timeseries = 1.0 if "--metrics-out" in argv else None
+    timeseries = 1.0 if args.metrics_out else None
 
     result_v = None
     result_s = None
@@ -695,7 +719,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
     else:
         result_s = run_scale_surface(
-            users_list=users_list,
+            users_list=args.users,
             deadlines_ms=(160,) if quick else DEADLINES_MS,
             duration=30.0 if quick else 60.0,
             warmup=5.0 if quick else 10.0,
@@ -714,21 +738,19 @@ def main(argv: Optional[list[str]] = None) -> int:
             print()
         print(render_surface(result_s))
 
-    if "--save" in argv:
+    if args.save:
         from repro.experiments.report import save_results
 
-        path = argv[argv.index("--save") + 1]
         meta = {
             "experiment": "scale", "seed": seed, "quick": quick,
             "smoke": smoke, "validate": validate,
         }
-        save_results(path, _as_payload(result_v, result_s, meta))
-        print(f"\nsaved to {path}")
+        save_results(args.save, _as_payload(result_v, result_s, meta))
+        print(f"\nsaved to {args.save}")
 
-    if "--metrics-out" in argv:
+    if args.metrics_out:
         from repro.experiments.report import write_experiment_artifact
 
-        path = argv[argv.index("--metrics-out") + 1]
         payload = _as_payload(result_v, result_s, {})
         records = [
             {"event": section, **payload[section]}
@@ -740,16 +762,16 @@ def main(argv: Optional[list[str]] = None) -> int:
                 {"event": "timeline", "kind": kind, "timeline": timelines}
             )
         write_experiment_artifact(
-            path, "scale", records, seed=seed,
+            args.metrics_out, "scale", records, seed=seed,
             quick=quick, smoke=smoke, validate=validate,
         )
-        print(f"telemetry written to {path}")
+        print(f"telemetry written to {args.metrics_out}")
 
     if failures:
         for line in failures:
             print(f"CHECK FAILED: {line}")
-        return 1 if check else 0
-    if check:
+        return 1 if args.check else 0
+    if args.check:
         print("\nall checks passed")
     return 0
 

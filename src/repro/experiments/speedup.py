@@ -22,6 +22,7 @@ speedup ...``).
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from typing import Optional, Sequence
 from repro.experiments.report import format_table
 from repro.experiments.runner import (
     available_cpus,
+    comma_ints,
     resolve_chunk_size,
     shutdown_pools,
 )
@@ -146,34 +148,31 @@ def render(report: SpeedupReport) -> str:
     return table
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    levels = (1, 2, 4)
-    out = None
-    check = False
-    min_speedup = 1.2
-    check_jobs = 2
-    it = iter(range(len(argv)))
-    for i in it:
-        arg = argv[i]
-        if arg == "--jobs-levels":
-            levels = tuple(int(v) for v in argv[i + 1].split(","))
-            next(it, None)
-        elif arg == "--out":
-            out = argv[i + 1]
-            next(it, None)
-        elif arg == "--check":
-            check = True
-        elif arg == "--min-speedup":
-            min_speedup = float(argv[i + 1])
-            next(it, None)
-        elif arg == "--check-jobs":
-            check_jobs = int(argv[i + 1])
-            next(it, None)
-        else:
-            raise SystemExit(f"unknown argument {arg!r}")
+def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog=prog, description=__doc__.split("\n\n")[0]
+    )
+    parser.add_argument(
+        "--jobs-levels", type=comma_ints, default=[1, 2, 4], metavar="N,M,...",
+        help="comma-separated jobs levels to time (default 1,2,4)",
+    )
+    parser.add_argument("--out", metavar="PATH", help="write the timing table")
+    parser.add_argument(
+        "--check", action="store_true",
+        help="exit non-zero if parallel speedup regresses (multi-core only)",
+    )
+    parser.add_argument(
+        "--min-speedup", type=float, default=1.2, metavar="X",
+        help="required speedup for the gated jobs level (default 1.2)",
+    )
+    parser.add_argument(
+        "--check-jobs", type=int, default=2, metavar="N",
+        help="jobs level the gate applies to (default 2)",
+    )
+    args = parser.parse_args(argv)
+    out, min_speedup, check_jobs = args.out, args.min_speedup, args.check_jobs
 
-    report = measure_speedup(jobs_levels=levels)
+    report = measure_speedup(jobs_levels=args.jobs_levels)
     shutdown_pools()
     text = render(report)
     print(text)
@@ -182,7 +181,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             fh.write(text + "\n")
         print(f"\ntiming table written to {out}")
 
-    if check:
+    if args.check:
         if report.cores < 2:
             print(
                 f"\ncheck skipped: {report.cores} usable core(s); "

@@ -91,9 +91,9 @@ def run_instrumented_cell(
     return metrics, calibration, scenario
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro metrics", description=__doc__.split("\n\n")[0]
+        prog=prog, description=__doc__.split("\n\n")[0]
     )
     parser.add_argument("--deadline-ms", type=int, default=200)
     parser.add_argument("--pc", type=float, default=0.9, help="P_c target")

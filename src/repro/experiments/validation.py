@@ -25,7 +25,7 @@ Run: ``python -m repro.experiments.validation [--quick] [--jobs N]``
 
 from __future__ import annotations
 
-import sys
+import argparse
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -241,10 +241,16 @@ def _staleness_cell(
     )
 
 
-def main(argv: Optional[list[str]] = None) -> None:
-    argv = sys.argv[1:] if argv is None else argv
-    quick = "--quick" in argv
-    jobs = add_jobs_argument(argv)
+def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> None:
+    parser = argparse.ArgumentParser(
+        prog=prog, description=__doc__.split("\n\n")[0]
+    )
+    parser.add_argument(
+        "--quick", action="store_true", help="shorter runs, fewer reads"
+    )
+    add_jobs_argument(parser)
+    args = parser.parse_args(argv)
+    quick, jobs = args.quick, args.jobs
     duration = 120.0 if quick else 240.0
 
     studies = [

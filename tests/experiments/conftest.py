@@ -8,10 +8,8 @@ import hashlib
 
 import pytest
 
+from repro.core.client import WALL_CLOCK_SERIES
 from repro.obs.slo import parse_series
-
-# The only registry series fed from the wall clock (Fig. 3's overhead).
-WALL_CLOCK_SERIES = "client_selection_overhead_seconds"
 
 
 def _sim_clock_only(series: dict) -> list[str]:

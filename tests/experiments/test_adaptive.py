@@ -9,6 +9,7 @@ import pytest
 from repro.core.controller import ControllerConfig
 from repro.experiments.adaptive import (
     ADAPTIVE_CONFIG,
+    CAMPAIGN,
     STATIC_GRID,
     AdaptiveCellResult,
     audit_decisions,
@@ -17,6 +18,7 @@ from repro.experiments.adaptive import (
     run_adaptive_cell,
     satisfaction_from_signals,
 )
+from repro.experiments.campaign import write_metrics_artifact
 from repro.workloads.scenarios import OPERATION_CLASSES
 
 
@@ -227,6 +229,26 @@ def test_controller_cell_runs_and_audits_clean(controller_cell):
         f"timeliness-{cls.name}" for cls in OPERATION_CLASSES
     }
     json.dumps(result.decisions)  # artifact-safe
+
+
+@pytest.mark.slow
+def test_metrics_artifact_leads_with_meta_and_carries_the_decision_log(
+    controller_cell, tmp_path
+):
+    path = tmp_path / "adaptive.jsonl"
+    write_metrics_artifact(CAMPAIGN, str(path), [controller_cell], seeds=[31])
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert records[0]["event"] == "meta"
+    assert records[0]["experiment"] == "adaptive"
+    (cell,) = [r for r in records if r["event"] == "cell"]
+    assert cell["mode"] == "controller" and cell["violations"] == []
+    pooled = {r["mode"]: r for r in records if r["event"] == "pooled"}
+    assert set(pooled) == {"controller"} | {f"static-{i}" for i in STATIC_GRID}
+    assert pooled["controller"]["score"] == pytest.approx(controller_cell.score)
+    (log,) = [r for r in records if r["event"] == "controller"]
+    assert log["decisions"] == controller_cell.decisions
+    (timeline,) = [r for r in records if r["event"] == "timeline"]
+    assert timeline["mode"] == "controller"
 
 
 @pytest.mark.slow

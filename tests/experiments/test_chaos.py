@@ -5,12 +5,8 @@ import pytest
 
 from repro.core.requests import ReadOutcome, UpdateOutcome
 from repro.experiments import chaos
-from repro.experiments.chaos import (
-    CampaignResult,
-    run_campaign,
-    run_chaos_suite,
-    summarize,
-)
+from repro.experiments.campaign import run_suite, summarize
+from repro.experiments.chaos import CAMPAIGN, CampaignResult, run_campaign
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +119,7 @@ def test_suite_dumps_trace_artifact_on_violation(tmp_path, monkeypatch):
     monkeypatch.setattr(
         chaos, "_check_invariants", lambda *args: ["synthetic: planted"]
     )
-    results = run_chaos_suite([42], duration=3.0, trace_dir=tmp_path)
+    results = run_suite(CAMPAIGN, [42], duration=3.0, trace_dir=tmp_path)
     assert not results[0].clean
     artifact = tmp_path / "chaos-seed42.trace"
     assert artifact.exists()
@@ -134,7 +130,7 @@ def test_suite_dumps_trace_artifact_on_violation(tmp_path, monkeypatch):
 
 
 def test_suite_writes_nothing_when_clean(tmp_path):
-    results = run_chaos_suite([101], duration=3.0, trace_dir=tmp_path)
+    results = run_suite(CAMPAIGN, [101], duration=3.0, trace_dir=tmp_path)
     assert results[0].clean, results[0].violations
     assert not list(tmp_path.iterdir())
 
@@ -152,7 +148,7 @@ def test_summarize_renders_counters():
         updates_acked=20,
         recovery={"retries_sent": 3, "state_transfers_completed": 1},
     )
-    text = summarize([result])
+    text = summarize(CAMPAIGN, [result])
     assert "chaos soak" in text
     assert "CLEAN" in text
     assert "retries_sent" in text

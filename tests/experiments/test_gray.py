@@ -9,14 +9,13 @@ import pytest
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
 from repro.experiments import gray
-from repro.experiments.gray import (
-    DETECTOR_CONFIG,
-    run_gray_cell,
-    run_gray_suite,
+from repro.experiments.campaign import (
+    run_suite,
     suite_violations,
     summarize,
     write_metrics_artifact,
 )
+from repro.experiments.gray import CAMPAIGN, DETECTOR_CONFIG, run_gray_cell
 from repro.net.latency import LanLatency
 from repro.sim.process import Process, Timeout
 from repro.sim.rng import Constant
@@ -93,15 +92,15 @@ def test_suite_flags_p99_regression(short_pair):
     # acceptance check must fire.
     worse = gray.GrayCellResult(**{**detector.__dict__})
     worse.latencies = [x + 0.5 for x in baseline.latencies]
-    violations = suite_violations([worse, baseline])
+    violations = suite_violations(CAMPAIGN, [worse, baseline])
     assert any(v.startswith("p99") for v in violations)
 
 
 def test_suite_jobs_equivalence():
     """`--jobs 4` must produce exactly the single-process results."""
     seeds = [11, 12]
-    serial = run_gray_suite(seeds, duration=5.0, jobs=1)
-    parallel = run_gray_suite(seeds, duration=5.0, jobs=4)
+    serial = run_suite(CAMPAIGN, seeds, duration=5.0, jobs=1)
+    parallel = run_suite(CAMPAIGN, seeds, duration=5.0, jobs=4)
     assert len(serial) == len(parallel)
     for a, b in zip(serial, parallel):
         assert (a.seed, a.mode) == (b.seed, b.mode)
@@ -111,14 +110,14 @@ def test_suite_jobs_equivalence():
 
 
 def test_summarize_renders_table(short_pair):
-    text = summarize(list(short_pair))
+    text = summarize(CAMPAIGN, list(short_pair))
     assert "gray-failure campaign" in text
     assert "eject/hedge/probe" in text
 
 
 def test_metrics_artifact_round_trips(short_pair, tmp_path):
     path = tmp_path / "gray.jsonl"
-    write_metrics_artifact(str(path), list(short_pair), [303])
+    write_metrics_artifact(CAMPAIGN, str(path), list(short_pair), [303])
     records = [json.loads(line) for line in path.read_text().splitlines()]
     events = [r["event"] for r in records]
     assert events[0] == "meta"
@@ -128,6 +127,10 @@ def test_metrics_artifact_round_trips(short_pair, tmp_path):
     assert {r["mode"] for r in pooled} == {"detector", "baseline"}
     for record in pooled:
         assert record["samples"] > 0
+    # Detector cells carry their ground-truth detection score.
+    cells = {r["mode"]: r for r in records if r["event"] == "cell"}
+    assert cells["detector"]["detection"] is not None
+    assert cells["baseline"]["detection"] is None
 
 
 def test_main_quick_check_passes(tmp_path, capsys):

@@ -6,6 +6,7 @@ commutative folds, so the merged totals must be byte-identical whatever
 the job count or scheduling order.
 """
 
+from repro.core.client import WALL_CLOCK_SERIES
 from repro.experiments.figure4 import merged_telemetry, run_figure4
 
 GRID = dict(
@@ -25,7 +26,7 @@ def drop_wall_clock(snapshot):
     return {
         series: entry
         for series, entry in snapshot.items()
-        if not series.startswith("client_selection_overhead_seconds")
+        if not series.startswith(WALL_CLOCK_SERIES)
     }
 
 

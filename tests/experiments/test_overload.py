@@ -6,15 +6,18 @@ import json
 import pytest
 
 from repro.experiments import overload
-from repro.experiments.overload import (
-    OverloadCellResult,
+from repro.experiments.campaign import (
     effective_latency,
     percentile,
-    run_overload_cell,
-    run_overload_suite,
+    run_suite,
     suite_violations,
     summarize,
     write_metrics_artifact,
+)
+from repro.experiments.overload import (
+    CAMPAIGN,
+    OverloadCellResult,
+    run_overload_cell,
 )
 
 
@@ -74,7 +77,7 @@ def test_queue_peaks_bounded_only_under_shedding(short_pair):
 
 def test_suite_p99_acceptance_holds(short_pair):
     shed, unbounded = short_pair
-    assert suite_violations([shed, unbounded]) == []
+    assert suite_violations(CAMPAIGN, [shed, unbounded]) == []
     assert shed.vip_p99 < unbounded.vip_p99
 
 
@@ -121,7 +124,7 @@ def test_suite_flags_p99_regression():
         bulk_timing_failures=0, replica_reads_shed=0, client_reads_shed=0,
         overload_replies=0, degradation_steps_down=0, degradation_steps_up=0,
     )
-    flagged = suite_violations([good, bad])
+    flagged = suite_violations(CAMPAIGN, [good, bad])
     assert len(flagged) == 1
     assert flagged[0].startswith("p99:")
 
@@ -147,7 +150,7 @@ def test_suite_dumps_trace_artifact_on_violation(tmp_path, monkeypatch):
 
 
 def test_summarize_renders_table_and_telemetry(short_pair):
-    text = summarize(list(short_pair))
+    text = summarize(CAMPAIGN, list(short_pair))
     assert "overload campaign" in text
     assert "CLEAN" in text
     assert "shed-cell telemetry" in text
@@ -156,7 +159,7 @@ def test_summarize_renders_table_and_telemetry(short_pair):
 
 def test_metrics_artifact_round_trips(short_pair, tmp_path):
     path = tmp_path / "overload.jsonl"
-    write_metrics_artifact(str(path), list(short_pair), seeds=[202])
+    write_metrics_artifact(CAMPAIGN, str(path), list(short_pair), seeds=[202])
     records = [json.loads(line) for line in path.read_text().splitlines()]
     meta = records[0]
     assert meta["event"] == "meta"
@@ -192,7 +195,7 @@ def test_main_runs_checks_and_saves(tmp_path, capsys):
 
 
 def test_suite_runs_both_modes_seed_major():
-    results = run_overload_suite([11], duration=4.0)
+    results = run_suite(CAMPAIGN, [11], duration=4.0)
     assert [(r.seed, r.mode) for r in results] == [
         (11, "shed"), (11, "unbounded")
     ]

@@ -8,11 +8,13 @@ execution order.
 
 from __future__ import annotations
 
+import argparse
 import io
 import os
 
 import pytest
 
+from repro.core.client import WALL_CLOCK_SERIES
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.runner import (
     CellError,
@@ -244,37 +246,41 @@ def test_dead_worker_raises_instead_of_hanging():
 # ---------------------------------------------------------------------------
 # --jobs flag parsing
 # ---------------------------------------------------------------------------
+def _parse_jobs(argv):
+    """What a sweep's ``main`` sees: ``--jobs`` next to another flag."""
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--quick", action="store_true")
+    add_jobs_argument(parser)
+    return parser.parse_args(argv).jobs
+
+
 def test_add_jobs_argument_forms():
-    assert add_jobs_argument([]) == 1
-    assert add_jobs_argument(["--quick"]) == 1
-    assert add_jobs_argument(["--jobs", "4"]) == 4
-    assert add_jobs_argument(["--jobs=8", "--quick"]) == 8
-    assert add_jobs_argument(["--quick", "--jobs", "0"]) == 0
-    assert add_jobs_argument(["--jobs=0"]) == 0
+    assert _parse_jobs([]) == 1
+    assert _parse_jobs(["--quick"]) == 1
+    assert _parse_jobs(["--jobs", "4"]) == 4
+    assert _parse_jobs(["--jobs=8", "--quick"]) == 8
+    assert _parse_jobs(["--quick", "--jobs", "0"]) == 0
+    assert _parse_jobs(["--jobs=0"]) == 0
 
 
 def test_add_jobs_argument_missing_value():
     with pytest.raises(SystemExit):
-        add_jobs_argument(["--jobs"])
+        _parse_jobs(["--jobs"])
     with pytest.raises(SystemExit):
-        add_jobs_argument(["--quick", "--jobs"])
+        _parse_jobs(["--quick", "--jobs"])
 
 
 def test_add_jobs_argument_rejects_garbage():
-    with pytest.raises(SystemExit):
-        add_jobs_argument(["--jobs", "-1"])
-    with pytest.raises(SystemExit):
-        add_jobs_argument(["--jobs=-4"])
-    with pytest.raises(SystemExit):
-        add_jobs_argument(["--jobs", "two"])
-    with pytest.raises(SystemExit):
-        add_jobs_argument(["--jobs="])
+    for argv in (["--jobs", "-1"], ["--jobs=-4"], ["--jobs", "two"], ["--jobs="]):
+        with pytest.raises(SystemExit) as excinfo:
+            _parse_jobs(argv)
+        assert excinfo.value.code == 2, argv
 
 
 def test_add_jobs_argument_duplicate_flags_last_wins():
-    assert add_jobs_argument(["--jobs", "2", "--jobs", "6"]) == 6
-    assert add_jobs_argument(["--jobs=2", "--quick", "--jobs", "3"]) == 3
-    assert add_jobs_argument(["--jobs", "4", "--jobs=0"]) == 0
+    assert _parse_jobs(["--jobs", "2", "--jobs", "6"]) == 6
+    assert _parse_jobs(["--jobs=2", "--quick", "--jobs", "3"]) == 3
+    assert _parse_jobs(["--jobs", "4", "--jobs=0"]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +353,7 @@ def test_run_figure4_chunked_identical_to_serial(chunk_size):
         return {
             series: entry
             for series, entry in snapshot.items()
-            if not series.startswith("client_selection_overhead_seconds")
+            if not series.startswith(WALL_CLOCK_SERIES)
         }
 
     kwargs = dict(

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.core.client import WALL_CLOCK_SERIES
 from repro.experiments.figure4 import (
     merged_timeline,
     run_figure4,
@@ -27,11 +28,6 @@ from repro.obs.timeseries import Timeline
 from repro.sim.tracing import Trace
 from repro.workloads.scenarios import build_paper_scenario
 
-#: Figure-3 selection overhead is measured with ``perf_counter`` — real
-#: wall-clock seconds — so it is the one series allowed to differ between
-#: serial and parallel runs of the same seeded cell.
-WALLCLOCK_PREFIX = "client_selection_overhead_seconds"
-
 QUICK = dict(
     deadline=0.200,
     min_probability=0.5,
@@ -45,7 +41,7 @@ def _strip_wallclock(timeline: Timeline) -> Timeline:
     series = {
         name: entry
         for name, entry in timeline.series.items()
-        if not name.startswith(WALLCLOCK_PREFIX)
+        if not name.startswith(WALL_CLOCK_SERIES)
     }
     return Timeline(
         timeline.interval, timeline.start, timeline.length, series

@@ -15,6 +15,7 @@ import hashlib
 
 import pytest
 
+from repro.core.client import WALL_CLOCK_SERIES
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
 from repro.experiments.chaos import run_campaign
@@ -22,9 +23,6 @@ from repro.obs.slo import parse_series
 from repro.sim.rng import Normal
 from repro.workloads.generators import OpenLoopUpdater, PoissonReader
 from repro.workloads.scenarios import build_paper_scenario
-
-# The only registry series fed from the wall clock (Fig. 3's overhead).
-WALL_CLOCK_SERIES = "client_selection_overhead_seconds"
 
 GOLDEN = {
     "paper_cell": "98c784ff3e2537f51529b57d9010e9221e5e9d705cd9da19b77db02d62f1a8f0",

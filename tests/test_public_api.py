@@ -1,6 +1,8 @@
 """The public API surface: everything a README user would import."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +58,17 @@ def test_dunder_all_resolves(module):
     mod = importlib.import_module(module)
     for name in getattr(mod, "__all__", []):
         assert getattr(mod, name, None) is not None, f"{module}.{name} missing"
+
+
+EXAMPLES = sorted((Path(__file__).resolve().parents[1] / "examples").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
+def test_example_imports_resolve(path):
+    """Every example is ``__main__``-guarded, so importing it runs nothing
+    but catches a name it imports having moved or gone."""
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def test_core_public_classes_have_docstrings():
