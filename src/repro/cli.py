@@ -52,7 +52,7 @@ COMMANDS: dict[str, tuple[str, str]] = {
     ),
     "speedup": (
         "repro.experiments.speedup",
-        "warm-worker runner throughput per --jobs level",
+        "parallel runner throughput per --jobs level",
     ),
     "scale": (
         "repro.experiments.scale",

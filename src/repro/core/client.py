@@ -129,7 +129,7 @@ class RetryPolicy:
 class _PendingCall:
     request: Request
     t0: float
-    tm: float  # transmission time (t0 + charged selection overhead)
+    tm: float  # transmission time (the paper's t_m; sends happen at t0)
     qos: Optional[QoSSpec]
     callback: Optional[OutcomeCallback]
     selected: tuple[str, ...]
@@ -167,7 +167,6 @@ class ClientHandler(GroupEndpoint):
         default_qos: Optional[QoSSpec] = None,
         has_sequencer: bool = True,
         use_prediction_cache: bool = True,
-        charge_selection_overhead: bool = False,
         retry_policy: Optional[RetryPolicy] = None,
         gc_timeout: float = 30.0,
         on_qos_violation: Optional[Callable[[float], None]] = None,
@@ -203,7 +202,6 @@ class ClientHandler(GroupEndpoint):
         self.strategy = strategy or StateBasedSelection()
         self.default_qos = default_qos
         self.has_sequencer = has_sequencer
-        self.charge_selection_overhead = charge_selection_overhead
         self.retry_policy = retry_policy
         self.gc_timeout = gc_timeout
         self.on_qos_violation = on_qos_violation
@@ -495,11 +493,10 @@ class ClientHandler(GroupEndpoint):
             sent_at=t0,
             context=self._read_context(),
         )
-        tm = t0 + (overhead if self.charge_selection_overhead else 0.0)
         pending = _PendingCall(
             request=request,
             t0=t0,
-            tm=tm,
+            tm=t0,
             qos=qos,
             callback=callback,
             selected=selection,
@@ -508,7 +505,7 @@ class ClientHandler(GroupEndpoint):
         pending.tried = set(selection)
         pending.predicted = predicted
         self._pending[request.request_id] = pending
-        self._remember_tm(request.request_id, tm)
+        self._remember_tm(request.request_id, t0)
         self._m_reads_issued.inc()
         self._m_replicas_selected.inc(len(selection))
         self.selected_counts.append(len(selection))
@@ -575,14 +572,8 @@ class ClientHandler(GroupEndpoint):
                 targets.append(sequencer)  # line 13/16: K extended with it
                 self._emit_dispatch(pending, sequencer, "sequencer")
 
-        def transmit() -> None:
-            for target in targets:
-                self.gsend(self.groups.qos, target, request)
-
-        if tm > t0:
-            self.sim.schedule(tm - t0, transmit)
-        else:
-            transmit()
+        for target in targets:
+            self.gsend(self.groups.qos, target, request)
 
         # The timing-failure detector arms a timer at the deadline.
         pending.deadline_event = self.sim.schedule(

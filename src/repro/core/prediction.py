@@ -179,43 +179,6 @@ class ResponseTimePredictor:
         base = self._immediate_pmf(replica, stats)
         return base, self._deferred_pmf(replica, stats, base)
 
-    # ------------------------------------------------------------------
-    # Batched evaluation
-    # ------------------------------------------------------------------
-    # Two batch shapes appear in practice: one replica against many
-    # deadlines (a batch of simultaneous reads with different QoS specs —
-    # ``*_many``), and many replicas against one deadline (every candidate
-    # of a single read — :meth:`candidate_cdfs`).  Both ride the versioned
-    # pmf cache; the ``*_many`` forms additionally collapse the per-point
-    # work into one :meth:`DiscretePmf.cdf_many` gather, and count as ONE
-    # distribution evaluation (the pmf is convolved once however many
-    # points it is read at).  Values are pinned to the scalar path by
-    # property tests (exact for in-cache reads; 1e-12 budget overall).
-
-    def immediate_cdf_many(self, replica: str, deadlines) -> np.ndarray:
-        """``F^I_{R_i}(d)`` for a batch of deadlines, one gather."""
-        deadlines = np.asarray(deadlines, dtype=float)
-        stats = self.repository.stats_for(replica)
-        if not stats.has_history:
-            return np.full(deadlines.shape, self.bootstrap_cdf)
-        self._m_evaluations.inc()
-        return self._immediate_pmf(replica, stats).cdf_many(deadlines)
-
-    def response_cdfs_many(
-        self, replica: str, deadlines
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(F^I_{R_i}, F^D_{R_i})`` arrays for a batch of deadlines."""
-        deadlines = np.asarray(deadlines, dtype=float)
-        stats = self.repository.stats_for(replica)
-        if not stats.has_history:
-            full = np.full(deadlines.shape, self.bootstrap_cdf)
-            return full, full.copy()
-        self._m_evaluations.inc()
-        base = self._immediate_pmf(replica, stats)
-        immediate = base.cdf_many(deadlines)
-        delayed = self._deferred_pmf(replica, stats, base).cdf_many(deadlines)
-        return immediate, delayed
-
     def candidate_cdfs(
         self, primaries, secondaries, deadline: float
     ) -> tuple[list[float], list[tuple[float, float]]]:

@@ -68,7 +68,6 @@ class ServiceConfig:
     update_service_time: Optional[Distribution] = None
     host_speed_factors: Optional[Sequence[float]] = None  # cycled over replicas
     publish_performance: bool = True
-    charge_selection_overhead: bool = False
     heartbeat_interval: float = 0.25
     suspect_timeout: float = 1.0
     rto: float = 0.05
@@ -397,7 +396,6 @@ class ReplicatedService:
             quantum=cfg.quantum,
             default_qos=default_qos,
             has_sequencer=cfg.has_sequencer,
-            charge_selection_overhead=cfg.charge_selection_overhead,
             retry_policy=retry_policy,
             gc_timeout=cfg.gc_timeout,
             on_qos_violation=on_qos_violation,

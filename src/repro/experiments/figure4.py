@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.core.selection import SelectionStrategy
-from repro.experiments.harness import (
-    Figure4Cell,
-    pack_figure4_cell,
-    run_figure4_cell,
-    unpack_figure4_cell,
-)
+from repro.experiments.harness import Figure4Cell, run_figure4_cell
 from repro.experiments.report import format_series, format_table
 from repro.experiments.runner import CellSpec, add_jobs_argument, run_cells
 
@@ -94,17 +89,15 @@ def run_figure4(
     jobs: Optional[int] = 1,
     progress: bool = False,
     collect_metrics: bool = False,
-    chunk_size: Optional[int] = None,
     timeseries: Optional[float] = None,
 ) -> Figure4Result:
     """Run the full sweep, optionally fanned out over ``jobs`` processes.
 
     Every cell is an independent simulation seeded from ``seed`` alone,
     so the grid parallelizes freely; ``jobs=1`` preserves the historical
-    serial loop bit for bit, and the chunked parallel path is pinned to
-    it by property tests.  The sweep-wide kwargs travel once per worker
-    (``common=``), each spec carries only its grid coordinates, and
-    telemetry-bearing cells return through the compact snapshot codec.
+    serial loop bit for bit and the parallel path is pinned to it by
+    tests.  The sweep-wide kwargs are declared once (``common=``); each
+    spec carries only its grid coordinates.
     """
     common = dict(
         total_requests=total_requests,
@@ -129,14 +122,7 @@ def run_figure4(
         for deadline_ms in deadlines_ms
     ]
     cells = run_cells(
-        specs,
-        jobs=jobs,
-        progress=progress,
-        label="figure4",
-        chunk_size=chunk_size,
-        common=common,
-        encode=pack_figure4_cell,
-        decode=unpack_figure4_cell,
+        specs, jobs=jobs, progress=progress, label="figure4", common=common
     )
     result = Figure4Result()
     for spec, cell in zip(specs, cells):

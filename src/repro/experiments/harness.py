@@ -15,7 +15,6 @@ Two kinds of measurement, matching the paper's §6:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -27,13 +26,8 @@ from repro.core.repository import ClientInfoRepository
 from repro.core.requests import PerfBroadcast, StalenessInfo
 from repro.core.selection import ReplicaView, SelectionStrategy, StateBasedSelection
 from repro.obs.calibration import CalibrationTracker
-from repro.obs.metrics import MetricsRegistry, decode_snapshot, encode_snapshot
-from repro.obs.timeseries import (
-    Timeline,
-    TimeseriesRecorder,
-    decode_timeline,
-    encode_timeline,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.timeseries import TimeseriesRecorder
 from repro.sim.rng import RngRegistry
 from repro.stats.confidence import binomial_confidence_interval
 from repro.workloads.scenarios import build_paper_scenario
@@ -220,39 +214,6 @@ class Figure4Cell:
     def meets_qos(self) -> bool:
         """Did the observed failure probability stay within 1 − P_c?"""
         return self.timing_failure_probability <= 1.0 - self.min_probability + 1e-9
-
-
-def pack_figure4_cell(cell: Figure4Cell) -> Figure4Cell:
-    """Worker-side ``encode`` hook for the parallel runner.
-
-    The only bulky field of a cell is its metrics snapshot (hundreds of
-    nested dict/list objects when ``collect_metrics=True``); packing it
-    into the flat :func:`repro.obs.metrics.encode_snapshot` payload lets
-    the cell cross the process boundary as a handful of bytes objects
-    instead.  Cells without telemetry pass through untouched.
-    """
-    replacements: dict = {}
-    if cell.metrics is not None:
-        replacements["metrics"] = encode_snapshot(cell.metrics)
-    if cell.timeline is not None:
-        replacements["timeline"] = encode_timeline(
-            Timeline.from_dict(cell.timeline)
-        )
-    if not replacements:
-        return cell
-    return dataclasses.replace(cell, **replacements)
-
-
-def unpack_figure4_cell(cell: Figure4Cell) -> Figure4Cell:
-    """Parent-side ``decode`` hook — exact inverse of :func:`pack_figure4_cell`."""
-    replacements: dict = {}
-    if isinstance(cell.metrics, bytes):
-        replacements["metrics"] = decode_snapshot(cell.metrics)
-    if isinstance(cell.timeline, bytes):
-        replacements["timeline"] = decode_timeline(cell.timeline).to_dict()
-    if not replacements:
-        return cell
-    return dataclasses.replace(cell, **replacements)
 
 
 def run_figure4_cell(

@@ -1,7 +1,7 @@
 """Runner-speedup measurement: the quick Figure 4 sweep at several
 ``--jobs`` levels.
 
-This is the regression harness for the warm-worker runner (DESIGN.md
+This is the regression harness for the parallel runner (DESIGN.md
 §12): it times the same 12-cell quick sweep serially and parallel, and
 reports one row per jobs level with cells-per-second and the speedup
 over ``--jobs 1``.  The table always states how many CPUs the process
@@ -29,12 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.experiments.report import format_table
-from repro.experiments.runner import (
-    available_cpus,
-    comma_ints,
-    resolve_chunk_size,
-    shutdown_pools,
-)
+from repro.experiments.runner import available_cpus, comma_ints
 
 #: The quick Figure 4 grid (same shape the bench suite and CI use):
 #: 3 deadlines x 2 P_c x 2 LUI = 12 independent cells.
@@ -56,9 +51,6 @@ class SpeedupRow:
     seconds: float
     cells_per_second: float
     speedup: float  # vs. the jobs=1 row of the same run
-    # Cells per worker round-trip actually used by the runner for this
-    # level (the default heuristic unless the caller pinned one).
-    chunk: int = 1
 
 
 @dataclass(frozen=True)
@@ -76,14 +68,11 @@ class SpeedupReport:
 def measure_speedup(
     jobs_levels: Sequence[int] = (1, 2, 4),
     grid: Optional[dict] = None,
-    warm: bool = True,
 ) -> SpeedupReport:
     """Time the quick sweep once per jobs level (jobs=1 first, as baseline).
 
-    With ``warm=True`` (the default, and what CI measures) each parallel
-    level gets one untimed throwaway sweep first so the timed number
-    reflects the steady state the warm pools exist for — a bench session
-    or a long campaign — rather than the one-off fork cost.
+    Each parallel number includes starting and stopping its process pool,
+    which is what every ``--jobs N`` sweep pays.
     """
     from repro.experiments.figure4 import run_figure4
 
@@ -100,8 +89,6 @@ def measure_speedup(
     serial_seconds: Optional[float] = None
     baseline = None
     for jobs in levels:
-        if warm and jobs != 1:
-            run_figure4(jobs=jobs, **grid)
         start = time.perf_counter()
         result = run_figure4(jobs=jobs, **grid)
         seconds = time.perf_counter() - start
@@ -121,7 +108,6 @@ def measure_speedup(
                 speedup=(serial_seconds / seconds)
                 if serial_seconds and seconds > 0
                 else 1.0,
-                chunk=resolve_chunk_size(None, num_cells, jobs),
             )
         )
     return SpeedupReport(cores=available_cpus(), rows=tuple(rows))
@@ -129,14 +115,14 @@ def measure_speedup(
 
 def render(report: SpeedupReport) -> str:
     table = format_table(
-        ["jobs", "cells", "chunk", "seconds", "cells/s", "speedup vs jobs=1"],
+        ["jobs", "cells", "seconds", "cells/s", "speedup vs jobs=1"],
         [
-            (row.jobs, row.cells, row.chunk, row.seconds,
+            (row.jobs, row.cells, row.seconds,
              row.cells_per_second, f"{row.speedup:.2f}x")
             for row in report.rows
         ],
         title=(
-            "Quick Figure 4 sweep — warm-worker runner throughput "
+            "Quick Figure 4 sweep — parallel runner throughput "
             f"({report.cores} usable core{'s' if report.cores != 1 else ''})"
         ),
     )
@@ -173,7 +159,6 @@ def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
     out, min_speedup, check_jobs = args.out, args.min_speedup, args.check_jobs
 
     report = measure_speedup(jobs_levels=args.jobs_levels)
-    shutdown_pools()
     text = render(report)
     print(text)
     if out is not None:

@@ -10,7 +10,7 @@ Crash detection: members periodically send heartbeats (scheduled by
 :class:`~repro.groups.group.GroupEndpoint`); the service sweeps for members
 whose last heartbeat is older than ``suspect_timeout`` and evicts them.
 Rank order (= join order) is preserved across views, which makes leader
-election deterministic (:mod:`repro.groups.leader`).
+election deterministic (:attr:`View.leader`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,11 @@ class View:
 
     @property
     def leader(self) -> Optional[str]:
-        """The rank-0 member, or None for an empty view."""
+        """The rank-0 member, or None for an empty view.
+
+        Every member learns the same view from the membership service, so
+        all agree on the leader without extra messages.
+        """
         return self.members[0] if self.members else None
 
     def rank_of(self, member: str) -> int:

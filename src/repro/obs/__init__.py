@@ -13,8 +13,7 @@ doing:
   predicted ``P_c(d)`` vs. observed deadline outcomes, per strategy;
 * :mod:`repro.obs.export` — JSONL event streams and Prometheus-style text;
 * :mod:`repro.obs.timeseries` — simulation-clock time series over registry
-  snapshots: fixed-interval deltas, commutative cross-worker merge, and a
-  compact binary codec;
+  snapshots: fixed-interval deltas and a commutative cross-worker merge;
 * :mod:`repro.obs.slo` — declarative SLOs over timelines: rolling
   compliance, multi-window error-budget burn alerts, and the per-read
   staleness attribution summary.
@@ -44,13 +43,7 @@ from repro.obs.slo import (
     attribution_summary,
     parse_series,
 )
-from repro.obs.timeseries import (
-    TIMELINE_CODEC_VERSION,
-    Timeline,
-    TimeseriesRecorder,
-    decode_timeline,
-    encode_timeline,
-)
+from repro.obs.timeseries import Timeline, TimeseriesRecorder
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
     Counter,
@@ -86,14 +79,11 @@ __all__ = [
     "SloReport",
     "SloSpec",
     "Span",
-    "TIMELINE_CODEC_VERSION",
     "Timeline",
     "TimeseriesRecorder",
     "attribution_summary",
     "build_span_trees",
-    "decode_timeline",
     "emit_span",
-    "encode_timeline",
     "metrics_event",
     "parse_series",
     "prometheus_text",

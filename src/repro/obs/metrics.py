@@ -21,8 +21,6 @@ hold it (the client caches its counters in ``_m_*`` attributes).
 
 from __future__ import annotations
 
-import json
-import struct
 from bisect import bisect_right
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -35,8 +33,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_METRICS",
     "DEFAULT_TIME_BUCKETS",
-    "encode_snapshot",
-    "decode_snapshot",
 ]
 
 #: Log-scale (base-2) bucket boundaries for time-like observations, in
@@ -348,133 +344,3 @@ class MetricsRegistry:
 #: to components whose telemetry you want fully off.
 NULL_METRICS = MetricsRegistry(enabled=False)
 
-
-# ---------------------------------------------------------------------------
-# Compact snapshot codec
-# ---------------------------------------------------------------------------
-#
-# The parallel runner ships one snapshot per cell from worker to parent.  As
-# plain nested dicts a §6 testbed snapshot is hundreds of heterogeneous
-# Python objects for pickle to walk — and most of the bytes are histogram
-# bucket lists plus boundary tables that every series repeats verbatim.  The
-# codec below flattens a snapshot into three parts:
-#
-# * a small JSON header naming each series and its shape, with histogram
-#   boundary tables **deduplicated** (every time-histogram in the registry
-#   shares ``DEFAULT_TIME_BUCKETS``, so the table is stored once),
-# * one packed ``int64`` array holding every integer in the snapshot
-#   (counter values, histogram bucket counts and totals), and
-# * one packed ``float64`` array holding every float (gauge values,
-#   histogram sums).
-#
-# The round-trip is exact: ``decode_snapshot(encode_snapshot(s)) == s``,
-# including value types (an int counter decodes as ``int``, a float gauge as
-# ``float``) — which is what lets the runner's ``jobs=1 == jobs=N`` property
-# hold bit-for-bit when telemetry rides along.  JSON is safe for the float
-# boundary tables because Python's ``json`` serializes floats with ``repr``,
-# which round-trips every finite double exactly.
-
-SNAPSHOT_CODEC_VERSION = 1
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
-
-
-def encode_snapshot(snapshot: Dict[str, dict]) -> bytes:
-    """Pack a :meth:`MetricsRegistry.snapshot` dict into a flat byte payload.
-
-    Layout: ``<u32 header_len, u32 n_int64, u32 n_float64>`` followed by the
-    JSON header, the int64 array, and the float64 array (little-endian).
-    """
-    ints: list[int] = []
-    floats: list[float] = []
-    series: list = []
-    boundary_tables: list[list[float]] = []
-    boundary_index: Dict[Tuple[float, ...], int] = {}
-    for name, entry in snapshot.items():
-        kind = entry["type"]
-        if kind == "histogram":
-            key = tuple(entry["boundaries"])
-            table = boundary_index.get(key)
-            if table is None:
-                table = boundary_index[key] = len(boundary_tables)
-                boundary_tables.append(list(key))
-            counts = entry["counts"]
-            series.append([name, "h", table, len(counts)])
-            ints.extend(counts)
-            ints.append(entry["count"])
-            floats.append(entry["sum"])
-        elif kind in ("counter", "gauge"):
-            tag = "c" if kind == "counter" else "g"
-            value = entry["value"]
-            if isinstance(value, int) and not isinstance(value, bool):
-                if _INT64_MIN <= value <= _INT64_MAX:
-                    series.append([name, tag, "i"])
-                    ints.append(value)
-                else:  # bignum escape hatch: carry it in the header verbatim
-                    series.append([name, tag, "j", value])
-            else:
-                series.append([name, tag, "f"])
-                floats.append(float(value))
-        else:
-            raise TypeError(f"series {name!r} has unknown type {kind!r}")
-    header = json.dumps(
-        {
-            "v": SNAPSHOT_CODEC_VERSION,
-            "series": series,
-            "boundaries": boundary_tables,
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-    int_array = np.asarray(ints, dtype="<i8")
-    float_array = np.asarray(floats, dtype="<f8")
-    return (
-        struct.pack("<III", len(header), int_array.size, float_array.size)
-        + header
-        + int_array.tobytes()
-        + float_array.tobytes()
-    )
-
-
-def decode_snapshot(payload: bytes) -> Dict[str, dict]:
-    """Inverse of :func:`encode_snapshot` — exact, including value types."""
-    header_len, n_ints, n_floats = struct.unpack_from("<III", payload, 0)
-    pos = struct.calcsize("<III")
-    header = json.loads(payload[pos : pos + header_len].decode("utf-8"))
-    if header.get("v") != SNAPSHOT_CODEC_VERSION:
-        raise ValueError(f"unsupported snapshot codec version {header.get('v')!r}")
-    pos += header_len
-    ints = np.frombuffer(payload, dtype="<i8", count=n_ints, offset=pos)
-    pos += ints.nbytes
-    floats = np.frombuffer(payload, dtype="<f8", count=n_floats, offset=pos)
-    boundary_tables = header["boundaries"]
-    out: Dict[str, dict] = {}
-    int_at = 0
-    float_at = 0
-    for entry in header["series"]:
-        name, tag = entry[0], entry[1]
-        if tag == "h":
-            table, n_counts = entry[2], entry[3]
-            counts = [int(v) for v in ints[int_at : int_at + n_counts]]
-            int_at += n_counts
-            out[name] = {
-                "type": "histogram",
-                "boundaries": list(boundary_tables[table]),
-                "counts": counts,
-                "sum": float(floats[float_at]),
-                "count": int(ints[int_at]),
-            }
-            int_at += 1
-            float_at += 1
-        else:
-            kind = "counter" if tag == "c" else "gauge"
-            value_tag = entry[2]
-            if value_tag == "i":
-                value: object = int(ints[int_at])
-                int_at += 1
-            elif value_tag == "f":
-                value = float(floats[float_at])
-                float_at += 1
-            else:  # "j": literal carried in the header
-                value = entry[3]
-            out[name] = {"type": kind, "value": value}
-    return out

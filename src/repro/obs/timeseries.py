@@ -15,10 +15,6 @@ adds the missing time axis:
   (tick ``i`` covers simulated time ``[i·interval, (i+1)·interval)``), with
   a **commutative** :meth:`Timeline.merge` so per-cell timelines from a
   ``--jobs N`` sweep fold into one fleet-wide timeline in any order.
-* :func:`encode_timeline` / :func:`decode_timeline` — a compact binary
-  codec in the style of :func:`repro.obs.metrics.encode_snapshot` (JSON
-  header with deduplicated boundary tables + packed int64/float64 arrays)
-  so timelines cross the parallel runner's process boundary cheaply.
 
 Everything here *observes*; nothing mutates simulation state or consumes
 RNG.  With no recorder attached (``timeseries=None`` in the harnesses) not
@@ -28,22 +24,9 @@ without this module.  See DESIGN.md §15.
 
 from __future__ import annotations
 
-import json
-import math
-import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-__all__ = [
-    "Timeline",
-    "TimeseriesRecorder",
-    "encode_timeline",
-    "decode_timeline",
-    "TIMELINE_CODEC_VERSION",
-]
-
-TIMELINE_CODEC_VERSION = 1
+__all__ = ["Timeline", "TimeseriesRecorder"]
 
 
 class Timeline:
@@ -456,140 +439,3 @@ class TimeseriesRecorder:
         """The recorded timeline (live view; copy via to_dict if needed)."""
         return self._timeline
 
-
-# ---------------------------------------------------------------------------
-# Compact timeline codec
-# ---------------------------------------------------------------------------
-#
-# Same shape as the snapshot codec (obs/metrics.py): a small JSON header
-# describing each series, histogram boundary tables deduplicated, then one
-# packed little-endian int64 array and one float64 array.  Gauges encode
-# ``None`` samples as NaN (a recorded gauge sample is always a finite
-# float, so the encoding is unambiguous).  The round-trip is exact:
-# ``decode_timeline(encode_timeline(t)) == t`` including counter value
-# types, which is what keeps the runner's jobs=1 == jobs=N property exact
-# when timelines ride along with cells.
-
-
-def encode_timeline(timeline: Timeline) -> bytes:
-    """Pack a :class:`Timeline` into a flat byte payload."""
-    ints: List[int] = []
-    floats: List[float] = []
-    series_index: list = []
-    boundary_tables: List[List[float]] = []
-    boundary_keys: Dict[Tuple[float, ...], int] = {}
-    for name, entry in timeline.series.items():
-        kind = entry["type"]
-        if kind == "counter":
-            deltas = entry["deltas"]
-            if all(
-                isinstance(v, int) and not isinstance(v, bool) for v in deltas
-            ):
-                series_index.append([name, "ci"])
-                ints.extend(deltas)
-            else:
-                series_index.append([name, "cf"])
-                floats.extend(float(v) for v in deltas)
-        elif kind == "gauge":
-            series_index.append([name, "g"])
-            floats.extend(
-                float("nan") if v is None else float(v)
-                for v in entry["values"]
-            )
-        else:
-            key = tuple(entry["boundaries"])
-            table = boundary_keys.get(key)
-            if table is None:
-                table = boundary_keys[key] = len(boundary_tables)
-                boundary_tables.append(list(key))
-            series_index.append([name, "h", table])
-            for row in entry["counts"]:
-                ints.extend(row)
-            ints.extend(entry["totals"])
-            floats.extend(entry["sums"])
-    header = json.dumps(
-        {
-            "v": TIMELINE_CODEC_VERSION,
-            "interval": timeline.interval,
-            "start": timeline.start,
-            "length": timeline.length,
-            "series": series_index,
-            "boundaries": boundary_tables,
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-    int_array = np.asarray(ints, dtype="<i8")
-    float_array = np.asarray(floats, dtype="<f8")
-    return (
-        struct.pack("<III", len(header), int_array.size, float_array.size)
-        + header
-        + int_array.tobytes()
-        + float_array.tobytes()
-    )
-
-
-def decode_timeline(payload: bytes) -> Timeline:
-    """Inverse of :func:`encode_timeline` — exact, including value types."""
-    header_len, n_ints, n_floats = struct.unpack_from("<III", payload, 0)
-    pos = struct.calcsize("<III")
-    header = json.loads(payload[pos : pos + header_len].decode("utf-8"))
-    if header.get("v") != TIMELINE_CODEC_VERSION:
-        raise ValueError(
-            f"unsupported timeline codec version {header.get('v')!r}"
-        )
-    pos += header_len
-    ints = np.frombuffer(payload, dtype="<i8", count=n_ints, offset=pos)
-    pos += ints.nbytes
-    floats = np.frombuffer(payload, dtype="<f8", count=n_floats, offset=pos)
-    boundary_tables = header["boundaries"]
-    length = header["length"]
-    timeline = Timeline(
-        interval=header["interval"], start=header["start"], length=length
-    )
-    int_at = 0
-    float_at = 0
-    for item in header["series"]:
-        name, tag = item[0], item[1]
-        if tag == "ci":
-            timeline.series[name] = {
-                "type": "counter",
-                "deltas": [int(v) for v in ints[int_at : int_at + length]],
-            }
-            int_at += length
-        elif tag == "cf":
-            timeline.series[name] = {
-                "type": "counter",
-                "deltas": [
-                    float(v) for v in floats[float_at : float_at + length]
-                ],
-            }
-            float_at += length
-        elif tag == "g":
-            timeline.series[name] = {
-                "type": "gauge",
-                "values": [
-                    None if math.isnan(v) else float(v)
-                    for v in floats[float_at : float_at + length]
-                ],
-            }
-            float_at += length
-        else:
-            boundaries = list(boundary_tables[item[2]])
-            width = len(boundaries) + 1
-            counts = [
-                [int(v) for v in ints[int_at + j * width : int_at + (j + 1) * width]]
-                for j in range(length)
-            ]
-            int_at += length * width
-            totals = [int(v) for v in ints[int_at : int_at + length]]
-            int_at += length
-            sums = [float(v) for v in floats[float_at : float_at + length]]
-            float_at += length
-            timeline.series[name] = {
-                "type": "histogram",
-                "boundaries": boundaries,
-                "counts": counts,
-                "sums": sums,
-                "totals": totals,
-            }
-    return timeline

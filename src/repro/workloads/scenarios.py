@@ -30,7 +30,6 @@ from repro.core.priority import PriorityMapper
 from repro.core.qos import QoSSpec
 from repro.core.selection import SelectionStrategy
 from repro.core.service import ServiceConfig, Testbed, build_testbed
-from repro.groups.membership import MembershipConfig
 from repro.obs.calibration import CalibrationTracker
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloEngine, SloSpec
@@ -338,15 +337,7 @@ def build_operation_mix_scenario(
         gc_timeout=4.0,
         controller=controller_config,
     )
-    testbed = build_testbed(
-        config,
-        seed=seed,
-        metrics=metrics,
-        trace=trace,
-        membership_config=MembershipConfig(
-            heartbeat_interval=0.1, suspect_timeout=0.35, sweep_interval=0.1
-        ),
-    )
+    testbed = build_testbed(config, seed=seed, metrics=metrics, trace=trace)
     sim, service = testbed.sim, testbed.service
 
     mapper = PriorityMapper()

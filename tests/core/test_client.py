@@ -227,14 +227,6 @@ def test_candidates_exclude_sequencer():
     assert len(names) == 4  # 2 primaries + 2 secondaries
 
 
-def test_charge_selection_overhead_delays_transmission():
-    testbed = make_testbed(charge_selection_overhead=True)
-    client = testbed.service.create_client("c", read_only_methods={"get"})
-    client.invoke("get", qos=QOS)
-    pending = next(iter(client._pending.values()))
-    assert pending.tm > pending.t0
-
-
 def test_call_returns_signal(sim):
     testbed = make_testbed()
     client = testbed.service.create_client("c", read_only_methods={"get"})

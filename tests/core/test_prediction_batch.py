@@ -1,17 +1,14 @@
 """Batched prediction APIs pinned to the scalar path (ISSUE 6).
 
-Three surfaces: ``immediate_cdf_many`` / ``response_cdfs_many`` (one
-replica, a batch of deadlines — the ``Pmf.cdf_many`` gather) and
-``candidate_cdfs`` (many replicas, one deadline — the fused per-read loop
-the client gateway runs).  The load-bearing property is that none of them
-may drift from the scalar methods: values within 1e-12 (exact in
-practice, since both paths read the same cached cumulative array) and,
-for the fused path, the *same counter increments in the same order* so
-Figure 3/4 telemetry is unchanged.
+Two surfaces: ``candidate_cdfs`` (many replicas, one deadline — the fused
+per-read loop the client gateway runs) and ``DiscretePmf.cdf_many`` (one
+pmf, a batch of points — the gather the fluid tier samples through).  The
+load-bearing property is that neither may drift from the scalar methods:
+exactly equal values and, for the fused path, the *same counter
+increments in the same order* so Figure 3/4 telemetry is unchanged.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,60 +36,6 @@ def _repo(replicas, seed=0, window_size=20):
             )
         repo.record_reply(name, tg=rng.uniform(0.0005, 0.002), now=1.0)
     return repo
-
-
-REPLICAS = ["p1", "p2", "s1", "s2", "s3", "empty1"]
-DEADLINES = [0.0, 0.001, 0.05, 0.08, 0.1, 0.15, 0.2, 0.5, 2.0]
-
-
-@pytest.mark.parametrize("use_cache", [True, False])
-def test_immediate_cdf_many_matches_scalar(use_cache):
-    repo = _repo(REPLICAS)
-    batch_p = ResponseTimePredictor(repo, 2.0, use_cache=use_cache)
-    scalar_p = ResponseTimePredictor(repo, 2.0, use_cache=use_cache)
-    for name in REPLICAS:
-        batch = batch_p.immediate_cdf_many(name, DEADLINES)
-        scalar = [scalar_p.immediate_cdf(name, d) for d in DEADLINES]
-        assert batch == pytest.approx(scalar, abs=1e-12), name
-
-
-@pytest.mark.parametrize("use_cache", [True, False])
-def test_response_cdfs_many_matches_scalar(use_cache):
-    repo = _repo(REPLICAS)
-    batch_p = ResponseTimePredictor(repo, 2.0, use_cache=use_cache)
-    scalar_p = ResponseTimePredictor(repo, 2.0, use_cache=use_cache)
-    for name in REPLICAS:
-        immediate, delayed = batch_p.response_cdfs_many(name, DEADLINES)
-        pairs = [scalar_p.response_cdfs(name, d) for d in DEADLINES]
-        assert immediate == pytest.approx([p[0] for p in pairs], abs=1e-12)
-        assert delayed == pytest.approx([p[1] for p in pairs], abs=1e-12)
-
-
-def test_batch_counts_one_evaluation_per_call():
-    """A batch reads one convolved distribution however many points it
-    evaluates — the evaluations counter reflects distribution
-    computations (Figure 3), not cdf lookups."""
-    repo = _repo(["s1"])
-    predictor = ResponseTimePredictor(repo, 2.0)
-    predictor.immediate_cdf_many("s1", DEADLINES)
-    assert predictor.evaluations == 1
-    predictor.response_cdfs_many("s1", DEADLINES)
-    assert predictor.evaluations == 2
-    # Bootstrap replicas never count as evaluations, matching the scalar.
-    predictor.immediate_cdf_many("nobody", DEADLINES)
-    assert predictor.evaluations == 2
-
-
-def test_bootstrap_batch_returns_filled_arrays():
-    repo = ClientInfoRepository(window_size=10)
-    predictor = ResponseTimePredictor(repo, 2.0, bootstrap_cdf=0.7)
-    out = predictor.immediate_cdf_many("ghost", DEADLINES)
-    assert out.shape == (len(DEADLINES),)
-    assert np.all(out == 0.7)
-    immediate, delayed = predictor.response_cdfs_many("ghost", DEADLINES)
-    assert np.all(immediate == 0.7) and np.all(delayed == 0.7)
-    delayed[0] = 0.0  # the two arrays must not alias each other
-    assert immediate[0] == 0.7
 
 
 def test_candidate_cdfs_bit_identical_to_scalar_loop():
@@ -129,7 +72,7 @@ def test_candidate_cdfs_bit_identical_to_scalar_loop():
     ),
 )
 def test_cdf_many_identical_to_scalar_cdf(samples, xs):
-    """The gather underneath every batch API: element-for-element equal
+    """The gather the fluid tier samples through: element-for-element equal
     to the scalar cdf, including edge bins, for arbitrary grids."""
     pmf = DiscretePmf.from_samples(samples)
     batch = pmf.cdf_many(xs)

@@ -20,6 +20,17 @@ def test_metric_direction_suffixes():
     assert metric_direction("fire_events_per_second") == "higher"
     assert metric_direction("cache_steady_speedup") == "higher"
     assert metric_direction("usable_cores") is None
+    assert metric_direction("jobs2_cells_per_s") == "higher"
+
+
+def test_committed_runner_throughput_rows_are_gated():
+    """Every per-jobs-level row of the committed Figure 4 baseline carries
+    a suffix the gate knows, so a runner slowdown is a REGRESSION rather
+    than ``untracked``."""
+    baselines = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
+    rows = [k for k in load_bench_files(baselines)["figure4"] if "cells_per_s" in k]
+    assert rows
+    assert [metric_direction(k) for k in rows] == ["higher"] * len(rows)
 
 
 def _write(directory: Path, module: str, values: dict) -> None:

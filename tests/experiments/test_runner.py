@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import io
+import multiprocessing
 import os
 
 import pytest
 
-from repro.core.client import WALL_CLOCK_SERIES
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.runner import (
     CellError,
@@ -22,20 +22,10 @@ from repro.experiments.runner import (
     SweepProgress,
     add_jobs_argument,
     available_cpus,
-    resolve_chunk_size,
     resolve_jobs,
     run_cells,
-    shutdown_pools,
-    warm_pool,
 )
 from repro.sim.rng import RngRegistry, seed_for
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _drain_pools():
-    """Leave no warm worker pools behind for the rest of the suite."""
-    yield
-    shutdown_pools()
 
 
 # Workers must be module-level so specs pickle across process boundaries.
@@ -57,10 +47,6 @@ def _die(x):
 
 def _concat(a, b):
     return f"{a}|{b}"
-
-
-def _stamp(x):
-    return ("encoded", x)
 
 
 # ---------------------------------------------------------------------------
@@ -133,34 +119,6 @@ def test_available_cpus_falls_back_to_affinity(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Chunk-size heuristic
-# ---------------------------------------------------------------------------
-def test_resolve_chunk_size_heuristic():
-    # ~4 chunks per worker on large grids; 1 cell per chunk on small ones.
-    assert resolve_chunk_size(None, 12, 4) == 1
-    assert resolve_chunk_size(None, 160, 4) == 10
-    assert resolve_chunk_size(None, 1000, 8) == 31
-    assert resolve_chunk_size(None, 0, 4) == 1
-    # An explicit chunk size wins; nonsense is rejected.
-    assert resolve_chunk_size(7, 12, 4) == 7
-    with pytest.raises(ValueError):
-        resolve_chunk_size(0, 12, 4)
-
-
-@pytest.mark.parametrize("chunk_size", [None, 1, 2, 3, 10])
-def test_run_cells_chunked_matches_serial(chunk_size):
-    """The chunk size may only affect wall clock, never results."""
-    specs = [
-        CellSpec(key=i, fn=_seeded_stream_head,
-                 kwargs={"seed": seed_for(1, i), "name": "s"})
-        for i in range(7)
-    ]
-    serial = run_cells(specs, jobs=1)
-    chunked = run_cells(specs, jobs=3, chunk_size=chunk_size)
-    assert chunked == serial
-
-
-# ---------------------------------------------------------------------------
 # Shared common config
 # ---------------------------------------------------------------------------
 def test_common_kwargs_merge_with_spec_precedence():
@@ -172,41 +130,6 @@ def test_common_kwargs_merge_with_spec_precedence():
     expected = ["shared|spec", "shared|common"]
     assert run_cells(specs, jobs=1, common=common) == expected
     assert run_cells(specs, jobs=2, common=common) == expected
-    assert run_cells(specs, jobs=2, chunk_size=2, common=common) == expected
-
-
-def test_warm_pool_reused_for_same_common_config():
-    first = warm_pool(2, {"a": 1})
-    again = warm_pool(2, {"a": 1})
-    other = warm_pool(2, {"a": 2})
-    assert first is again
-    assert first is not other
-
-
-# ---------------------------------------------------------------------------
-# encode/decode hooks
-# ---------------------------------------------------------------------------
-def test_encode_decode_hooks_applied_on_parallel_path():
-    specs = [CellSpec(key=i, fn=_square, kwargs={"x": i}) for i in range(5)]
-
-    def decode(payload):
-        tag, value = payload
-        assert tag == "encoded"
-        return value
-
-    assert run_cells(specs, jobs=2, encode=_stamp, decode=decode) == [
-        i * i for i in range(5)
-    ]
-
-
-def test_serial_path_never_invokes_codec():
-    """jobs=1 is the exact historical loop: no worker, no codec."""
-
-    def explode(_):
-        raise AssertionError("codec ran on the serial path")
-
-    specs = [CellSpec(key=0, fn=_square, kwargs={"x": 3})]
-    assert run_cells(specs, jobs=1, encode=_stamp, decode=explode) == [9]
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +148,24 @@ def test_cell_error_carries_key_and_remote_traceback():
     assert "_boom" in message  # down to the raising frame
 
 
-def test_pool_stays_usable_after_cell_exception():
+def test_no_worker_outlives_run_cells_on_success_or_cell_error():
+    """The pool lives exactly as long as the call: whether ``run_cells``
+    returns or raises, no child process is left behind and an immediate
+    second sweep on the same specs succeeds."""
+    good = [CellSpec(key=i, fn=_square, kwargs={"x": i}) for i in range(6)]
+    bad = good[:3] + [CellSpec(key="bad", fn=_boom, kwargs={"x": 0})] + good[3:]
+    squares = [i * i for i in range(6)]
+    assert run_cells(good, jobs=2) == squares
+    assert multiprocessing.active_children() == []
     with pytest.raises(CellError):
-        run_cells([CellSpec(key=0, fn=_boom, kwargs={"x": 0}),
-                   CellSpec(key=1, fn=_boom, kwargs={"x": 1})], jobs=2)
-    specs = [CellSpec(key=i, fn=_square, kwargs={"x": i}) for i in range(6)]
-    assert run_cells(specs, jobs=2) == [i * i for i in range(6)]
+        run_cells(bad, jobs=2)
+    assert multiprocessing.active_children() == []
+    assert run_cells(good, jobs=2) == squares
 
 
 def test_dead_worker_raises_instead_of_hanging():
     """A worker that dies without raising (os._exit) must surface as an
-    error promptly, and the next sweep must get a fresh working pool."""
+    error promptly, and the next sweep must still work."""
     specs = [CellSpec(key=i, fn=_die, kwargs={"x": i}) for i in range(2)]
     with pytest.raises(RuntimeError, match="died abruptly"):
         run_cells(specs, jobs=2)
@@ -324,8 +254,8 @@ def test_seed_for_independent_of_evaluation_order():
 
 
 # ---------------------------------------------------------------------------
-# Figure 4 end-to-end: jobs=1 and jobs=4 are identical (ISSUE 2 property,
-# extended to chunked dispatch and the telemetry codec by ISSUE 6)
+# Figure 4 end-to-end: jobs=1 and jobs=4 are identical (ISSUE 2 property;
+# the telemetry-bearing variant lives in test_metrics_merge.py)
 # ---------------------------------------------------------------------------
 def test_run_figure4_parallel_identical_to_serial():
     kwargs = dict(
@@ -340,41 +270,3 @@ def test_run_figure4_parallel_identical_to_serial():
     assert serial.cells.keys() == parallel.cells.keys()
     for key, cell in serial.cells.items():
         assert parallel.cells[key] == cell, f"cell {key} diverged across jobs"
-
-
-@pytest.mark.parametrize("chunk_size", [1, 2, 4])
-def test_run_figure4_chunked_identical_to_serial(chunk_size):
-    """Chunked dispatch at every chunk size reproduces the serial cells
-    bit for bit — including the telemetry that rides through the compact
-    snapshot codec (the wall-clock overhead histogram is excluded, as in
-    test_metrics_merge, because it times real CPU work)."""
-
-    def drop_wall_clock(snapshot):
-        return {
-            series: entry
-            for series, entry in snapshot.items()
-            if not series.startswith(WALL_CLOCK_SERIES)
-        }
-
-    kwargs = dict(
-        deadlines_ms=(100, 160),
-        probabilities=(0.9,),
-        lazy_intervals=(2.0,),
-        total_requests=25,
-        seed=3,
-        collect_metrics=True,
-    )
-    serial = run_figure4(jobs=1, **kwargs)
-    chunked = run_figure4(jobs=4, chunk_size=chunk_size, **kwargs)
-    assert serial.cells.keys() == chunked.cells.keys()
-    for key, cell in serial.cells.items():
-        other = chunked.cells[key]
-        assert drop_wall_clock(cell.metrics) == drop_wall_clock(other.metrics)
-        assert cell.calibration == other.calibration
-        # Every simulation-derived field matches exactly.
-        for field in (
-            "avg_replicas_selected", "timing_failure_probability",
-            "ci_low", "ci_high", "reads", "timing_failures",
-            "deferred_fraction", "mean_response_time",
-        ):
-            assert getattr(cell, field) == getattr(other, field), (key, field)

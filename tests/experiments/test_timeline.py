@@ -2,8 +2,8 @@
 
 Covers the observability acceptance criteria: recorder-off purity (the
 telemetry path must not perturb results), parallel-runner determinism
-(modulo the one wall-clock series), the cell codec round trip, the
-merged-timeline artifact, and per-read staleness-attribution additivity.
+(modulo the one wall-clock series), the merged-timeline artifact, and
+per-read staleness-attribution additivity.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ from repro.experiments.figure4 import (
     run_figure4,
     write_metrics_artifact,
 )
-from repro.experiments.harness import (
-    pack_figure4_cell,
-    run_figure4_cell,
-    unpack_figure4_cell,
-)
+from repro.experiments.harness import run_figure4_cell
 from repro.obs.timeseries import Timeline
 from repro.sim.tracing import Trace
 from repro.workloads.scenarios import build_paper_scenario
@@ -83,15 +79,6 @@ def test_timeline_totals_match_cell_summary(quick_cell_with_timeline):
         == cell.reads
     )
     assert judged >= cell.reads
-
-
-def test_pack_unpack_round_trips_timeline(quick_cell_with_timeline):
-    cell = quick_cell_with_timeline
-    packed = pack_figure4_cell(cell)
-    assert isinstance(packed.timeline, bytes)
-    unpacked = unpack_figure4_cell(packed)
-    assert unpacked.timeline == cell.timeline
-    assert unpacked == cell
 
 
 @pytest.mark.slow

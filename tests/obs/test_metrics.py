@@ -14,8 +14,6 @@ from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
     MetricsRegistry,
     NULL_METRICS,
-    decode_snapshot,
-    encode_snapshot,
 )
 
 
@@ -191,79 +189,3 @@ def test_summarize_histogram():
     assert summarize_histogram({"count": 0}) == {
         "count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
     }
-
-
-# ---------------------------------------------------------------------------
-# Compact snapshot codec (parallel-runner wire format)
-# ---------------------------------------------------------------------------
-def test_codec_round_trip_is_exact():
-    registry = MetricsRegistry()
-    registry.counter("reads", client="c1").inc(41)
-    registry.counter("reads", client="c2").inc(7)
-    registry.gauge("depth").set(3.25)
-    registry.gauge("interval").set(2.0)
-    hist = registry.histogram("latency", client="c1")
-    for value in (0.0001, 0.004, 0.004, 1.5, 500.0):
-        hist.observe(value)
-    registry.histogram("latency", client="c2").observe(0.02)
-    snapshot = registry.snapshot()
-    payload = encode_snapshot(snapshot)
-    assert isinstance(payload, bytes)
-    decoded = decode_snapshot(payload)
-    assert decoded == snapshot
-    # ...including value *types*: counters stay int, gauges stay float.
-    assert isinstance(decoded['reads{client="c1"}']["value"], int)
-    assert isinstance(decoded["depth"]["value"], float)
-    assert isinstance(decoded['latency{client="c1"}']["sum"], float)
-    assert isinstance(decoded['latency{client="c1"}']["count"], int)
-
-
-def test_codec_deduplicates_shared_boundary_tables():
-    registry = MetricsRegistry()
-    for i in range(40):
-        registry.histogram("h", client=f"c{i}").observe(0.01 * i)
-    payload = encode_snapshot(registry.snapshot())
-    # 40 histograms share DEFAULT_TIME_BUCKETS: one table, not 40 copies.
-    header_len = int.from_bytes(payload[0:4], "little")
-    header = json.loads(payload[12 : 12 + header_len].decode("utf-8"))
-    assert len(header["boundaries"]) == 1
-
-
-def test_codec_preserves_exact_floats():
-    registry = MetricsRegistry()
-    registry.gauge("g").set(0.1 + 0.2)  # 0.30000000000000004
-    h = registry.histogram("h")
-    h.observe(1e-300)
-    h.observe(1.7976931348623157e308)
-    snapshot = registry.snapshot()
-    assert decode_snapshot(encode_snapshot(snapshot)) == snapshot
-
-
-def test_codec_empty_and_merge_compatible():
-    assert decode_snapshot(encode_snapshot({})) == {}
-    a = MetricsRegistry()
-    a.counter("n").inc(2)
-    b = MetricsRegistry()
-    b.counter("n").inc(3)
-    via_codec = MetricsRegistry.merge(
-        decode_snapshot(encode_snapshot(a.snapshot())),
-        decode_snapshot(encode_snapshot(b.snapshot())),
-    )
-    assert via_codec == MetricsRegistry.merge(a.snapshot(), b.snapshot())
-    assert via_codec["n"]["value"] == 5
-
-
-def test_codec_rejects_unknown_version():
-    payload = bytearray(encode_snapshot({"n": {"type": "counter", "value": 1}}))
-    header_len = int.from_bytes(payload[0:4], "little")
-    header = json.loads(payload[12 : 12 + header_len].decode("utf-8"))
-    header["v"] = 99
-    new_header = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    rebuilt = (
-        len(new_header).to_bytes(4, "little")
-        + payload[4:12]
-        + new_header
-        + payload[12 + header_len :]
-    )
-    with pytest.raises(ValueError, match="codec version"):
-        decode_snapshot(bytes(rebuilt))

@@ -1,25 +1,11 @@
-"""Timeline recording, merge algebra, and the compact timeline codec."""
+"""Timeline recording and merge algebra."""
 
 from __future__ import annotations
 
-import math
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.obs.metrics import (
-    MetricsRegistry,
-    decode_snapshot,
-    encode_snapshot,
-)
-from repro.obs.timeseries import (
-    TIMELINE_CODEC_VERSION,
-    Timeline,
-    TimeseriesRecorder,
-    decode_timeline,
-    encode_timeline,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.timeseries import Timeline, TimeseriesRecorder
 from repro.sim.kernel import Simulator
 
 
@@ -238,176 +224,6 @@ def test_to_dict_round_trip_and_equality():
     assert clone == t
     clone.series["ops_total"]["deltas"][0] = 99
     assert clone != t  # to_dict copied, not aliased
-
-
-# ---------------------------------------------------------------------------
-# Timeline codec
-# ---------------------------------------------------------------------------
-def _rich_timeline():
-    return Timeline(
-        0.5,
-        start=4,
-        length=3,
-        series={
-            "int_total": {"type": "counter", "deltas": [1, 0, 7]},
-            'float_total{client="a"}': {
-                "type": "counter",
-                "deltas": [0.5, 0.0, 1.25],
-            },
-            "depth": {"type": "gauge", "values": [None, 2.0, -1.5]},
-            'wait_seconds{replica="p1"}': {
-                "type": "histogram",
-                "boundaries": [0.1, 1.0],
-                "counts": [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
-                "sums": [0.05, 0.9, 30.0],
-                "totals": [1, 2, 3],
-            },
-            'wait_seconds{replica="p2"}': {
-                "type": "histogram",
-                "boundaries": [0.1, 1.0],
-                "counts": [[0, 0, 0]] * 3,
-                "sums": [0.0] * 3,
-                "totals": [0] * 3,
-            },
-        },
-    )
-
-
-def test_timeline_codec_round_trip_is_exact():
-    t = _rich_timeline()
-    decoded = decode_timeline(encode_timeline(t))
-    assert decoded == t
-    assert decoded.to_dict() == t.to_dict()
-    # Value types survive: int counters stay int, float counters float.
-    assert all(isinstance(v, int) for v in decoded.deltas("int_total"))
-    assert all(
-        isinstance(v, float)
-        for v in decoded.deltas('float_total{client="a"}')
-    )
-    assert decoded.values("depth")[0] is None
-
-
-def test_timeline_codec_dedupes_boundary_tables():
-    import json
-    import struct
-
-    payload = encode_timeline(_rich_timeline())
-    header_len = struct.unpack_from("<III", payload, 0)[0]
-    header = json.loads(payload[12 : 12 + header_len])
-    assert header["boundaries"] == [[0.1, 1.0]]  # stored once, shared
-
-
-def test_timeline_codec_rejects_unknown_version():
-    payload = bytearray(encode_timeline(Timeline(1.0)))
-    # Corrupt the version digit inside the JSON header.
-    at = payload.find(b'"v":%d' % TIMELINE_CODEC_VERSION)
-    payload[at + 4 : at + 5] = b"9"
-    with pytest.raises(ValueError):
-        decode_timeline(bytes(payload))
-
-
-# ---------------------------------------------------------------------------
-# Hypothesis: random timelines and snapshots round-trip exactly
-# ---------------------------------------------------------------------------
-_finite = st.floats(
-    allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12
-)
-_names = st.text(
-    alphabet="abcdefgh_", min_size=1, max_size=8
-).map(lambda s: s + "_total")
-
-
-def _series_strategy(length):
-    width = 3  # two boundaries + overflow
-    counter = st.one_of(
-        st.lists(st.integers(-1000, 1000), min_size=length, max_size=length),
-        st.lists(_finite, min_size=length, max_size=length),
-    ).map(lambda deltas: {"type": "counter", "deltas": deltas})
-    gauge = st.lists(
-        st.one_of(st.none(), _finite), min_size=length, max_size=length
-    ).map(lambda values: {"type": "gauge", "values": values})
-    histogram = st.tuples(
-        st.lists(
-            st.lists(st.integers(0, 50), min_size=width, max_size=width),
-            min_size=length,
-            max_size=length,
-        ),
-        st.lists(_finite, min_size=length, max_size=length),
-        st.lists(st.integers(0, 500), min_size=length, max_size=length),
-    ).map(
-        lambda parts: {
-            "type": "histogram",
-            "boundaries": [0.1, 1.0],
-            "counts": parts[0],
-            "sums": parts[1],
-            "totals": parts[2],
-        }
-    )
-    return st.one_of(counter, gauge, histogram)
-
-
-@st.composite
-def _timelines(draw):
-    length = draw(st.integers(0, 5))
-    names = draw(
-        st.lists(_names, min_size=0, max_size=5, unique=True)
-    )
-    series = {name: draw(_series_strategy(length)) for name in names}
-    return Timeline(
-        interval=draw(st.sampled_from([0.1, 0.25, 1.0, 5.0])),
-        start=draw(st.integers(0, 100)),
-        length=length,
-        series=series,
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(_timelines())
-def test_timeline_codec_round_trip_property(timeline):
-    decoded = decode_timeline(encode_timeline(timeline))
-    assert decoded == timeline
-    assert decoded.to_dict() == timeline.to_dict()
-
-
-@st.composite
-def _snapshots(draw):
-    names = draw(st.lists(_names, min_size=0, max_size=6, unique=True))
-    out = {}
-    for name in names:
-        kind = draw(st.sampled_from(["counter", "gauge", "histogram"]))
-        if kind == "histogram":
-            boundaries = draw(
-                st.sampled_from([[], [0.5], [0.1, 1.0, 10.0]])
-            )
-            counts = draw(
-                st.lists(
-                    st.integers(0, 100),
-                    min_size=len(boundaries) + 1,
-                    max_size=len(boundaries) + 1,
-                )
-            )
-            out[name] = {
-                "type": "histogram",
-                "boundaries": boundaries,
-                "counts": counts,
-                "sum": draw(_finite),
-                "count": sum(counts),
-            }
-        else:
-            value = draw(st.one_of(st.integers(-(2**62), 2**62), _finite))
-            out[name] = {"type": kind, "value": value}
-    return out
-
-
-@settings(max_examples=60, deadline=None)
-@given(_snapshots())
-def test_snapshot_codec_round_trip_property(snapshot):
-    decoded = decode_snapshot(encode_snapshot(snapshot))
-    assert decoded == snapshot
-    for name, entry in decoded.items():
-        want = snapshot[name]
-        if entry["type"] in ("counter", "gauge"):
-            assert type(entry["value"]) is type(want["value"])
 
 
 # ---------------------------------------------------------------------------
