@@ -130,8 +130,22 @@ def test_prediction_pass_cached_steady_state(benchmark):
     assert predictor.cache_invalidations == 0
 
 
+#: Absolute budgets for one ``response_cdfs`` evaluation, in µs.  Until PR 15
+#: the gate was a ≥3x cached-vs-recomputed ratio: recomputation cost ~207 µs
+#: per replica (two convolutions, one against a 2 000-bin lazy wait) against
+#: ~2 µs for a lookup into a finished pmf, so any ratio held.  Counting from
+#: integer histograms builds no pmf: recomputation is ~30 µs, a hit ~7 µs
+#: (it counts), the ratio is ~4-5x and swings between 2x and 7x on a shared
+#: runner.  So the gate is now what a regression would actually break —
+#: a pmf materialized on this path again costs well over 150 µs per replica
+#: — and both absolute costs are what BENCH_components.json records.
+CACHED_BUDGET_US_PER_REPLICA = 40.0
+RECOMPUTED_BUDGET_US_PER_REPLICA = 150.0
+
+
 def test_prediction_cache_speedup_threshold(report, record):
-    """Acceptance: ≥3x on steady-state reads, no regression under churn."""
+    """Acceptance: both paths inside their absolute budgets, and the cache
+    still pays for itself on steady-state reads."""
     import time
 
     def timed_pass(predictor, names, reps=300):
@@ -143,17 +157,22 @@ def test_prediction_cache_speedup_threshold(report, record):
 
     uncached, names = _filled_predictor(use_cache=False)
     cached, _ = _filled_predictor(use_cache=True)
-    cold = timed_pass(uncached, names)
-    warm = timed_pass(cached, names)
-    speedup = cold / warm
+    cold_us = 1e6 * timed_pass(uncached, names) / 300
+    warm_us = 1e6 * timed_pass(cached, names) / 300
+    speedup = cold_us / warm_us
     report(
-        f"prediction cache steady-state: uncached {1e6 * cold / 300:.1f} us/pass, "
-        f"cached {1e6 * warm / 300:.1f} us/pass, speedup {speedup:.1f}x"
+        f"prediction cache steady-state: uncached {cold_us:.1f} us/pass, "
+        f"cached {warm_us:.1f} us/pass, speedup {speedup:.1f}x"
     )
-    record("prediction_uncached_us_per_pass", 1e6 * cold / 300)
-    record("prediction_cached_us_per_pass", 1e6 * warm / 300)
-    record("prediction_cache_speedup", speedup)
-    assert speedup >= 3.0, f"expected >=3x steady-state speedup, got {speedup:.2f}x"
+    record("prediction_uncached_us_per_pass", cold_us)
+    record("prediction_cached_us_per_pass", warm_us)
+    assert warm_us <= CACHED_BUDGET_US_PER_REPLICA * len(names), (
+        f"cached pass {warm_us:.1f} us over budget"
+    )
+    assert cold_us <= RECOMPUTED_BUDGET_US_PER_REPLICA * len(names), (
+        f"recomputed pass {cold_us:.1f} us over budget"
+    )
+    assert warm_us < cold_us, "the cache made steady-state reads slower"
     assert cached.cache_hits > 0 and cached.cache_invalidations == 0
 
 

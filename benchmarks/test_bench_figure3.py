@@ -57,21 +57,36 @@ def test_figure3_table(benchmark, report, record):
     assert all(p.cache_hits == 0 for p in result.points.values())
 
 
+#: Absolute per-read budgets in µs, as ``fixed + per_replica * n``; see
+#: test_bench_components.py for why they replaced the ≥3x ratio in PR 15.
+#: The fixed part is the staleness factor plus Algorithm 1 (~10 µs here).
+CACHED_BUDGET_US = (50.0, 40.0)
+RECOMPUTED_BUDGET_US = (50.0, 150.0)
+
+
 def test_figure3_cached_comparison_table(benchmark, report, record):
     """Steady-state cached reads vs fresh recomputation, with acceptance
-    thresholds: ≥3x steady-state speedup, no churn regression."""
+    thresholds: both inside their absolute budgets, the cache still pays
+    on steady-state reads, no churn regression."""
     points = benchmark.pedantic(
         run_cache_comparison, kwargs=dict(repetitions=200), rounds=1
     )
     report("")
     report(render_cache_comparison(points))
     for n, point in points.items():
-        record(f"cache_steady_speedup_n{n}", point.steady_speedup)
+        record(f"cache_steady_uncached_us_n{n}", point.uncached.total_us)
+        record(f"cache_steady_cached_us_n{n}", point.steady.total_us)
     for n, point in points.items():
-        assert point.steady_speedup >= 3.0, (
-            f"{n} replicas: steady-state speedup {point.steady_speedup:.2f}x < 3x"
+        fixed, per_replica = CACHED_BUDGET_US
+        assert point.steady.total_us <= fixed + per_replica * n, (
+            f"{n} replicas: cached read {point.steady.total_us:.1f} us over budget"
         )
-        assert point.steady_distribution_speedup >= 3.0
+        fixed, per_replica = RECOMPUTED_BUDGET_US
+        assert point.uncached.total_us <= fixed + per_replica * n, (
+            f"{n} replicas: recomputed read {point.uncached.total_us:.1f} us "
+            f"over budget"
+        )
+        assert point.steady.total_us < point.uncached.total_us
         # Every lookup after the first read is a version-key hit.
         assert point.steady.cache_hit_rate > 0.9
         assert point.steady.cache_invalidations == 0

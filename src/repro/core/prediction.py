@@ -21,19 +21,24 @@ Prediction quality notes:
   Uniform(0, T_L) pmf — exactly the distribution of the residual time to
   the next lazy update seen by a request arriving at a random phase.
 
-Caching (beyond the paper, see DESIGN.md "Prediction-cache architecture"):
-the convolved distributions only change when a new measurement lands, yet
-steady-state read bursts re-evaluate them on every request.  Each
-replica's base pmf (``S ⊛ W`` shifted by ``G``) and deferred pmf
-(``base ⊛ U``) are therefore cached, keyed on the sliding windows'
-monotonically increasing versions plus the latest gateway delay, and
-rebuilt only when that key changes.  The cache is bit-for-bit equivalent
-to fresh recomputation (property-tested), so Figure 3/4 results are
-unchanged — only faster.
+Exact counts instead of pmfs (beyond the paper, see DESIGN.md
+"Prediction-cache architecture"): selection needs two numbers per replica,
+not two distributions, and every term is an integer histogram of window
+samples.  ``F^I(d)`` is therefore the *count* of ``(s, w)`` sample pairs
+with ``s + w + g <= d`` over ``n_S * n_W``, and ``F^D(d)`` the count of
+``(s, w, u)`` triples over ``n_S * n_W * n_U`` — integer arithmetic on the
+grid and one correctly rounded division, so the values are the floats
+nearest the exact rationals and do not depend on summation order.  Per
+replica the counts of ``S ⊛ W`` (and their running sum) are cached, keyed
+on the two windows' versions only: ``G`` is an integer bin offset applied
+at evaluation time, so a reply invalidates nothing.  A
+:class:`~repro.stats.pmf.DiscretePmf` is materialized from the same counts
+only by :meth:`ResponseTimePredictor.response_pmfs`, for sampling.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,25 +46,34 @@ import numpy as np
 
 from repro.core.repository import ClientInfoRepository, ReplicaStats
 from repro.obs.metrics import MetricsRegistry
-from repro.stats.pmf import DEFAULT_QUANTUM, DiscretePmf
+from repro.stats.pmf import (
+    DEFAULT_QUANTUM,
+    CountHistogram,
+    DiscretePmf,
+    quantize_bins,
+)
 from repro.stats.sliding_window import SlidingWindow
 
 
 @dataclass
-class _ReplicaPmfCache:
-    """Cached distributions for one replica, tagged with version keys.
+class _ReplicaCounts:
+    """Cached exact counts for one replica, tagged with their version key.
 
-    ``base_key`` is ``(ts_version, tq_version, latest_tg)`` — the complete
-    set of inputs to the immediate-read pmf.  ``lazy_key`` extends it for
-    the deferred pmf with the ``t_b`` window version (or the uniform
-    fallback's interval).  A key mismatch means a measurement landed and
-    the entry is stale.
+    ``key`` is ``(ts_version, tq_version)`` — the complete set of inputs
+    to ``base``, the counts of ``S ⊛ W``; a mismatch means a measurement
+    landed and the entry is stale.  ``wait_bins`` are the sorted grid bins
+    of the ``t_b`` samples as of ``waits_version``.  ``pmfs`` is the
+    ``(immediate, deferred)`` pair materialized for sampling, valid while
+    ``pmfs_key`` (gateway bins and lazy-wait term) still describes the
+    repository.
     """
 
-    base_key: tuple
-    base_pmf: DiscretePmf
-    lazy_key: Optional[tuple] = None
-    full_pmf: Optional[DiscretePmf] = None
+    key: tuple[int, int]
+    base: CountHistogram
+    waits_version: int = -1
+    wait_bins: Optional[np.ndarray] = None
+    pmfs_key: Optional[tuple[int, int, int]] = None
+    pmfs: Optional[tuple[DiscretePmf, DiscretePmf]] = None
 
 
 class ResponseTimePredictor:
@@ -102,17 +116,16 @@ class ResponseTimePredictor:
         labels = metrics_labels or {}
         # evaluations: number of distribution computations (Fig. 3).
         self._m_evaluations = metrics.counter("predictor_evaluations", **labels)
-        # Versioned pmf cache (same counter pattern as ``evaluations``):
-        # a hit returns a previously convolved pmf, a miss rebuilds it, an
-        # invalidation is a miss that found a stale entry to replace.
+        # Versioned count cache, one lookup per evaluation: a hit reuses
+        # the S ⊛ W counts, a miss rebuilds them, an invalidation is a miss
+        # that found a stale entry to replace.
         self.use_cache = use_cache
         self._m_cache_hits = metrics.counter("predictor_cache_hits", **labels)
         self._m_cache_misses = metrics.counter("predictor_cache_misses", **labels)
         self._m_cache_invalidations = metrics.counter(
             "predictor_cache_invalidations", **labels
         )
-        self._pmf_cache: dict[str, _ReplicaPmfCache] = {}
-        self._uniform_lazy_cache: dict[tuple[float, float], DiscretePmf] = {}
+        self._cache: dict[str, _ReplicaCounts] = {}
 
     # ------------------------------------------------------------------
     # Registry-backed counters under their historical names
@@ -139,25 +152,31 @@ class ResponseTimePredictor:
     def response_cdfs(self, replica: str, deadline: float) -> tuple[float, float]:
         """``(F^I_{R_i}(d), F^D_{R_i}(d))`` for one replica.
 
-        The immediate and deferred evaluations share the S*W*G convolution;
-        the deferred one convolves in the lazy-wait pmf on top.
+        Both read the same cached ``S ⊛ W`` counts; the deferred value
+        additionally counts against the lazy-wait term.
         """
-        stats = self.repository.stats_for(replica)
-        if not stats.has_history:
-            return (self.bootstrap_cdf, self.bootstrap_cdf)
-        self._m_evaluations.inc()
-        base = self._immediate_pmf(replica, stats)
-        immediate = base.cdf(deadline)
-        delayed = self._deferred_pmf(replica, stats, base).cdf(deadline)
-        return (immediate, delayed)
+        return self._evaluate(replica, deadline, self._deadline_bin(deadline), True)
 
     def immediate_cdf(self, replica: str, deadline: float) -> float:
         """``F^I_{R_i}(d)`` alone (primary replicas never defer)."""
-        stats = self.repository.stats_for(replica)
-        if not stats.has_history:
-            return self.bootstrap_cdf
-        self._m_evaluations.inc()
-        return self._immediate_pmf(replica, stats).cdf(deadline)
+        return self._evaluate(replica, deadline, self._deadline_bin(deadline), False)[0]
+
+    def candidate_cdfs(
+        self, primaries, secondaries, deadline: float
+    ) -> tuple[list[float], list[tuple[float, float]]]:
+        """Every candidate's cdf values for one read, in one call.
+
+        The per-read loop the client gateway runs for Algorithm 1:
+        :meth:`immediate_cdf` for each primary, :meth:`response_cdfs` for
+        each secondary — same values, same counter increments in the same
+        order, with the deadline binned once.
+        """
+        k = self._deadline_bin(deadline)
+        evaluate = self._evaluate
+        return (
+            [evaluate(name, deadline, k, False)[0] for name in primaries],
+            [evaluate(name, deadline, k, True) for name in secondaries],
+        )
 
     def response_pmfs(
         self, replica: str
@@ -165,62 +184,100 @@ class ResponseTimePredictor:
         """The full ``(immediate, deferred)`` response-time pmfs of a replica.
 
         ``(None, None)`` before any history exists (the cdf methods'
-        ``bootstrap_cdf`` regime).  Rides the same versioned cache as the
-        cdf evaluations, so a steady-state caller gets the previously
-        convolved distributions back without recomputation.  This is the
-        sampling substrate of the aggregated client tier: one pmf pair per
-        selected replica, then vectorized inverse-CDF draws for the whole
-        arrival batch.
+        ``bootstrap_cdf`` regime).  Materialized from the cached counts the
+        cdf methods read, and kept with them until the counts, the gateway
+        delay or the lazy-wait term change.  This is the sampling substrate
+        of the aggregated client tier — one pmf pair per selected replica,
+        then vectorized inverse-CDF draws for the whole arrival batch — and
+        the only place the predictor builds a :class:`DiscretePmf`.
         """
         stats = self.repository.stats_for(replica)
         if not stats.has_history:
             return (None, None)
         self._m_evaluations.inc()
-        base = self._immediate_pmf(replica, stats)
-        return base, self._deferred_pmf(replica, stats, base)
-
-    def candidate_cdfs(
-        self, primaries, secondaries, deadline: float
-    ) -> tuple[list[float], list[tuple[float, float]]]:
-        """Every candidate's cdf values for one read, in one call.
-
-        Fuses the per-read loop the client gateway runs for Algorithm 1:
-        ``immediate_cdf`` for each primary, ``response_cdfs`` for each
-        secondary.  The body replays the scalar methods' exact sequence of
-        repository lookups, cache operations, and counter increments, so
-        the fused path is bit-identical to calling them one by one — it
-        just does so without re-entering a Python method (and re-binding
-        ``self`` attributes) per replica.
-        """
-        stats_for = self.repository.stats_for
-        bootstrap = self.bootstrap_cdf
-        inc = self._m_evaluations.inc
-        primary_cdfs: list[float] = []
-        for name in primaries:
-            stats = stats_for(name)
-            if not stats.has_history:
-                primary_cdfs.append(bootstrap)
-                continue
-            inc()
-            primary_cdfs.append(self._immediate_pmf(name, stats).cdf(deadline))
-        secondary_pairs: list[tuple[float, float]] = []
-        for name in secondaries:
-            stats = stats_for(name)
-            if not stats.has_history:
-                secondary_pairs.append((bootstrap, bootstrap))
-                continue
-            inc()
-            base = self._immediate_pmf(name, stats)
-            secondary_pairs.append(
-                (
-                    base.cdf(deadline),
-                    self._deferred_pmf(name, stats, base).cdf(deadline),
-                )
+        entry = self._counts(replica, stats)
+        gateway = self._gateway_bins(stats)
+        waits = stats.tb_window
+        n_wait = 0 if waits else self._uniform_bins()
+        key = (gateway, waits.version, n_wait)
+        if entry.pmfs_key != key:
+            quantum = self.quantum
+            base = entry.base
+            immediate = DiscretePmf.from_histogram(
+                quantum, base.offset + gateway, base.counts
             )
-        return primary_cdfs, secondary_pairs
+            if waits:
+                lazy_wait = DiscretePmf.from_samples(waits.samples(), quantum)
+            else:
+                lazy_wait = DiscretePmf(quantum, 0, np.ones(n_wait))
+            entry.pmfs_key = key
+            entry.pmfs = (immediate, immediate.convolve(lazy_wait))
+        return entry.pmfs
 
     # ------------------------------------------------------------------
-    # Versioned pmf cache
+    # Exact evaluation from window counts
+    # ------------------------------------------------------------------
+    def _deadline_bin(self, deadline: float) -> int:
+        """Last grid bin a response may land in (float-error tolerant)."""
+        return math.floor(deadline / self.quantum + 1e-9)
+
+    def _gateway_bins(self, stats: ReplicaStats) -> int:
+        """``G`` as a grid offset: its most recent value (§5.2.1), binned."""
+        gateway = (
+            stats.latest_tg
+            if stats.latest_tg is not None
+            else self.default_gateway_delay
+        )
+        return int(round(gateway / self.quantum))
+
+    def _uniform_bins(self) -> int:
+        """Bins of the Uniform(0, T_L) lazy wait, for the T_L in force."""
+        interval = self.repository.lazy_interval(self.lazy_update_interval)
+        return max(1, int(round(interval / self.quantum)))
+
+    def _evaluate(
+        self, replica: str, deadline: float, k: int, deferred: bool
+    ) -> tuple[float, float]:
+        """``(F^I(d), F^D(d))`` with ``k`` the deadline's bin.
+
+        ``F^D`` is only computed when ``deferred`` is set (primaries never
+        defer); otherwise the immediate value stands in for it.
+        """
+        stats = self.repository.stats_for(replica)
+        if not stats.has_history:
+            return (self.bootstrap_cdf, self.bootstrap_cdf)
+        self._m_evaluations.inc()
+        entry = self._counts(replica, stats)
+        base = entry.base
+        gateway = self._gateway_bins(stats)
+        floor = base.offset + gateway  # first bin S + W + G can land in
+        if deadline < floor * self.quantum:
+            return (0.0, 0.0)
+        room = k - gateway  # bins left for S + W (+ U)
+        immediate = base.count_le(room) / base.total
+        if not deferred:
+            return (immediate, immediate)
+        waits = stats.tb_window
+        if waits:
+            # U is the recorded t_b history: one count per window sample.
+            if entry.waits_version != waits.version:
+                entry.waits_version = waits.version
+                entry.wait_bins = np.sort(
+                    quantize_bins(waits.samples(), self.quantum)
+                )
+            wait_bins = entry.wait_bins
+            if deadline < (floor + int(wait_bins[0])) * self.quantum:
+                return (immediate, 0.0)
+            met = base.count_sum_le(room, wait_bins)
+            return (immediate, met / (base.total * wait_bins.size))
+        # No deferred read observed yet: the residual time to the next lazy
+        # update for a uniformly random arrival phase is Uniform(0, T_L).
+        n_wait = self._uniform_bins()
+        met = base.count_sum_le_uniform(room, n_wait)
+        return (immediate, met / (base.total * n_wait))
+
+    # ------------------------------------------------------------------
+    # Versioned count cache
     # ------------------------------------------------------------------
     @property
     def cache_stats(self) -> dict[str, int]:
@@ -232,81 +289,34 @@ class ResponseTimePredictor:
         }
 
     def clear_cache(self) -> None:
-        self._pmf_cache.clear()
-        self._uniform_lazy_cache.clear()
+        self._cache.clear()
 
-    def _immediate_pmf(self, replica: str, stats: ReplicaStats) -> DiscretePmf:
-        key = (
-            stats.ts_window.version,
-            stats.tq_window.version,
-            stats.latest_tg,
-        )
+    def _counts(self, replica: str, stats: ReplicaStats) -> _ReplicaCounts:
+        key = (stats.ts_window.version, stats.tq_window.version)
         if self.use_cache:
-            entry = self._pmf_cache.get(replica)
+            entry = self._cache.get(replica)
             if entry is not None:
-                if entry.base_key == key:
+                if entry.key == key:
                     self._m_cache_hits.inc()
-                    return entry.base_pmf
+                    return entry
                 self._m_cache_invalidations.inc()
             self._m_cache_misses.inc()
-        base = self._compute_immediate_pmf(stats)
-        if self.use_cache:
-            # Replacing the whole entry also drops the stale deferred pmf.
-            self._pmf_cache[replica] = _ReplicaPmfCache(base_key=key, base_pmf=base)
-        return base
-
-    def _deferred_pmf(
-        self, replica: str, stats: ReplicaStats, base: DiscretePmf
-    ) -> DiscretePmf:
-        if stats.tb_window:
-            lazy_key = ("tb", stats.tb_window.version)
-        else:
-            lazy_key = ("uniform", self.lazy_update_interval)
-        entry = self._pmf_cache.get(replica) if self.use_cache else None
-        if entry is not None:
-            if entry.full_pmf is not None:
-                if entry.lazy_key == lazy_key:
-                    self._m_cache_hits.inc()
-                    return entry.full_pmf
-                self._m_cache_invalidations.inc()
-            self._m_cache_misses.inc()
-        full = base.convolve(self._lazy_wait_pmf(stats))
-        if entry is not None:
-            entry.lazy_key = lazy_key
-            entry.full_pmf = full
-        return full
-
-    def _compute_immediate_pmf(self, stats: ReplicaStats) -> DiscretePmf:
-        service = self._window_pmf(stats.ts_window)
-        queuing = self._window_pmf(stats.tq_window)
-        gateway = (
-            stats.latest_tg
-            if stats.latest_tg is not None
-            else self.default_gateway_delay
+        entry = _ReplicaCounts(
+            key,
+            self._window_counts(stats.ts_window).convolve(
+                self._window_counts(stats.tq_window)
+            ),
         )
-        # G enters as its most recent value (§5.2.1): a shift of the grid.
-        return service.convolve(queuing).shift(gateway)
+        if self.use_cache:
+            self._cache[replica] = entry
+        return entry
 
-    def _window_pmf(self, window: SlidingWindow) -> DiscretePmf:
+    def _window_counts(self, window: SlidingWindow) -> CountHistogram:
         histogram = window.histogram(self.quantum)
         if histogram is not None:
-            return DiscretePmf.from_histogram(self.quantum, *histogram)
+            return CountHistogram(*histogram, len(window))
         # Quantum mismatch between window and predictor: bin raw samples.
-        return DiscretePmf.from_samples(window.samples(), self.quantum)
-
-    def _lazy_wait_pmf(self, stats: ReplicaStats) -> DiscretePmf:
-        if stats.tb_window:
-            return self._window_pmf(stats.tb_window)
-        # No deferred read observed yet: residual time to the next lazy
-        # update for a uniformly random arrival phase is Uniform(0, T_L).
-        # Constant for a given (T_L, quantum), so memoized unconditionally.
-        key = (self.lazy_update_interval, self.quantum)
-        pmf = self._uniform_lazy_cache.get(key)
-        if pmf is None:
-            bins = max(1, int(round(self.lazy_update_interval / self.quantum)))
-            pmf = DiscretePmf(self.quantum, 0, np.full(bins, 1.0 / bins))
-            self._uniform_lazy_cache[key] = pmf
-        return pmf
+        return CountHistogram.from_samples(window.samples(), self.quantum)
 
     # ------------------------------------------------------------------
     # Staleness factor (§5.1.3, Eq. 4)

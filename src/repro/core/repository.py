@@ -150,17 +150,27 @@ class ClientInfoRepository:
         """``lambda_u`` = sum(n_u) / sum(t_u) over the sliding window."""
         return self.update_rate_window.rate(default=0.0)
 
+    def lazy_interval(self, configured: float) -> float:
+        """The ``T_L`` in force: the publisher's announced live interval
+        (adaptive T_L) when there is one, else the ``configured`` constant.
+
+        The one precedence rule for every model that needs ``T_L`` — the
+        ``t_l`` modulo below and the predictor's Uniform(0, T_L) lazy wait.
+        """
+        lazy = self.latest_lazy
+        if lazy is not None and lazy.interval is not None and lazy.interval > 0:
+            return lazy.interval
+        return configured
+
     def time_since_lazy_update(self, now: float, lazy_interval: float) -> float:
         """``t_l = (t_L + t_z) mod T_L`` (§5.4.1); 0 if nothing observed.
 
-        When the publisher announced a live interval (adaptive T_L), that
-        value takes precedence over the configured constant.
+        ``lazy_interval`` is the configured constant; :meth:`lazy_interval`
+        resolves it against the publisher's announcement.
         """
         if lazy_interval <= 0:
             raise ValueError(f"lazy interval must be positive, got {lazy_interval!r}")
         if self.latest_lazy is None:
             return 0.0
-        if self.latest_lazy.interval is not None and self.latest_lazy.interval > 0:
-            lazy_interval = self.latest_lazy.interval
         t_z = now - self.latest_lazy.received_at
-        return (self.latest_lazy.t_l + t_z) % lazy_interval
+        return (self.latest_lazy.t_l + t_z) % self.lazy_interval(lazy_interval)

@@ -54,6 +54,9 @@ class GroupEndpoint(Endpoint):
         self._rto = rto
         self.views: dict[str, View] = {}
         self._joined: set[str] = set()
+        # The frozen heartbeat payload for the current ``_joined``; built on
+        # the first beat after a membership change, then reused.
+        self._heartbeat_msg: Optional[HeartbeatMsg] = None
         self._sender: Optional[FifoSender] = None
         self._receiver: Optional[FifoReceiver] = None
 
@@ -85,6 +88,7 @@ class GroupEndpoint(Endpoint):
     def join(self, group: str) -> None:
         """Join a group (asynchronously, via the membership service)."""
         self._joined.add(group)
+        self._heartbeat_msg = None
         self.send(self.membership_name, JoinMsg(group, self.name), size_bytes=64)
 
     def assume_membership(self, group: str) -> None:
@@ -95,9 +99,11 @@ class GroupEndpoint(Endpoint):
         heartbeat path so crash detection works from t=0.
         """
         self._joined.add(group)
+        self._heartbeat_msg = None
 
     def leave(self, group: str) -> None:
         self._joined.discard(group)
+        self._heartbeat_msg = None
         self.send(self.membership_name, LeaveMsg(group, self.name), size_bytes=64)
 
     def adopt_view(self, view: View) -> None:
@@ -132,11 +138,12 @@ class GroupEndpoint(Endpoint):
         if self.network is None:
             return
         if self.up and self._joined:
-            self.send(
-                self.membership_name,
-                HeartbeatMsg(self.name, tuple(sorted(self._joined))),
-                size_bytes=64,
-            )
+            message = self._heartbeat_msg
+            if message is None:
+                message = self._heartbeat_msg = HeartbeatMsg(
+                    self.name, tuple(sorted(self._joined))
+                )
+            self.send(self.membership_name, message, size_bytes=64)
         self.sim.schedule(self.heartbeat_interval, self._heartbeat)
 
     # ------------------------------------------------------------------

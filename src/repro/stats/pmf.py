@@ -11,6 +11,14 @@ of values recorded in sliding windows.
 ``numpy.convolve`` (offsets add, mass arrays convolve), which keeps the
 online prediction cheap — exactly the property the paper's Figure 3
 overhead measurement depends on.
+
+:class:`CountHistogram` is the same grid with *integer counts* instead of
+normalized mass.  The §5.2 selection loop needs only two numbers per
+replica, ``F^I(d)`` and ``F^D(d)``, and window samples are integers on the
+grid already: counting the sample combinations that meet the deadline is
+exact, independent of summation order, and O(bins) — no pmf is built.  A
+:class:`DiscretePmf` is materialized from counts only where a whole
+distribution is really needed (sampling in the aggregated client tier).
 """
 
 from __future__ import annotations
@@ -22,6 +30,110 @@ import numpy as np
 
 DEFAULT_QUANTUM = 1e-3  # 1 ms bins
 
+# Count arithmetic runs in int64; every product of totals is checked
+# against this before it is formed, so nothing can wrap silently.
+_COUNT_LIMIT = 2**63
+
+
+def quantize_bins(samples: Iterable[float], quantum: float) -> np.ndarray:
+    """Grid bin of each duration sample: ``rint(max(0, value) / quantum)``.
+
+    Round-half-even, negative samples clamped to zero — the one binning
+    rule shared by pmfs, count histograms and the sliding windows'
+    incremental histograms (``quantize_bin`` is its scalar twin).
+    """
+    values = np.asarray(
+        samples if isinstance(samples, np.ndarray) else list(samples), dtype=float
+    )
+    if values.size == 0:
+        raise ValueError("cannot quantize zero samples")
+    return np.rint(np.maximum(values, 0.0) / quantum).astype(np.int64)
+
+
+class CountHistogram:
+    """Exact sample counts on the grid: ``counts[i]`` samples in bin ``offset + i``.
+
+    Sums of independent window variables stay integer histograms
+    (:meth:`convolve` multiplies totals), so a CDF value is a ratio of two
+    integers: :meth:`count_le` and friends return the numerator, the caller
+    divides by the product of the totals once.  Python's ``int / int`` is
+    correctly rounded, which makes the result the float nearest the exact
+    rational — ``90 / 100`` is ``0.9``, not ``0.8999999999999999``.
+    """
+
+    __slots__ = ("offset", "counts", "total", "_cum")
+
+    def __init__(self, offset: int, counts: np.ndarray, total: int) -> None:
+        self.offset = int(offset)
+        self.counts = counts
+        self.total = total
+        self._cum: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_samples(
+        cls, samples: Iterable[float], quantum: float = DEFAULT_QUANTUM
+    ) -> "CountHistogram":
+        """Bin raw duration samples (one count each) by :func:`quantize_bins`."""
+        bins = quantize_bins(samples, quantum)
+        low = int(bins.min())
+        return cls(low, np.bincount(bins - low), bins.size)
+
+    def convolve(self, other: "CountHistogram") -> "CountHistogram":
+        """Counts of the sum: one entry per (self sample, other sample) pair."""
+        total = self.total * other.total
+        if total >= _COUNT_LIMIT:
+            raise OverflowError(f"{total} sample pairs overflow int64 counts")
+        return CountHistogram(
+            self.offset + other.offset,
+            np.convolve(self.counts, other.counts),
+            total,
+        )
+
+    def _cumulative(self) -> np.ndarray:
+        """``cum[i]`` = samples in the first ``i`` bins (leading 0), cached."""
+        cum = self._cum
+        if cum is None:
+            cum = np.zeros(self.counts.size + 1, dtype=np.int64)
+            np.cumsum(self.counts, out=cum[1:])
+            self._cum = cum
+        return cum
+
+    def count_le(self, k: int) -> int:
+        """Number of samples in bins ``<= k``."""
+        upto = k - self.offset + 1
+        if upto <= 0:
+            return 0
+        if upto >= self.counts.size:
+            return self.total
+        return int(self._cumulative()[upto])
+
+    def count_le_many(self, ks: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`count_le` over an integer array of bins."""
+        upto = np.minimum(np.maximum(ks - (self.offset - 1), 0), self.counts.size)
+        return self._cumulative()[upto]
+
+    def count_sum_le(self, k: int, bins: np.ndarray) -> int:
+        """``#{(x, u) : x + u <= k}`` for ``u`` over the sample bins ``bins``
+        (int64, one entry per sample): a gather of ``bins.size`` cumulative
+        counts, however wide the samples are spread."""
+        if self.total * bins.size >= _COUNT_LIMIT:
+            raise OverflowError(
+                f"{self.total} x {bins.size} sample pairs overflow int64"
+            )
+        return int(self.count_le_many(k - bins).sum())
+
+    def count_sum_le_uniform(self, k: int, n: int) -> int:
+        """``#{(x, u) : x + u <= k}`` for ``u`` one sample in each bin ``0..n-1``.
+
+        The cumulative counts of that uniform term are the closed-form
+        ramp ``clip(m + 1, 0, n)``, so the count is one dot product with
+        :attr:`counts` and the ``n``-bin term is never laid out.
+        """
+        if self.total * n >= _COUNT_LIMIT:
+            raise OverflowError(f"{self.total} x {n} sample pairs overflow int64")
+        room = (k - self.offset + 1) - np.arange(self.counts.size)
+        return int(self.counts @ np.minimum(np.maximum(room, 0), n))
+
 
 class DiscretePmf:
     """A pmf on the uniform grid ``value = (offset + i) * quantum``.
@@ -29,7 +141,7 @@ class DiscretePmf:
     Instances are immutable in practice: all operations return new pmfs.
     """
 
-    __slots__ = ("quantum", "offset", "mass", "_cum", "_pad")
+    __slots__ = ("quantum", "offset", "mass", "_cum", "_pad", "_guide")
 
     def __init__(self, quantum: float, offset: int, mass: np.ndarray) -> None:
         if quantum <= 0:
@@ -49,6 +161,7 @@ class DiscretePmf:
         self.mass = np.clip(mass, 0.0, None) / total
         self._cum: Optional[np.ndarray] = None
         self._pad: Optional[np.ndarray] = None
+        self._guide: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -62,13 +175,8 @@ class DiscretePmf:
         Each sample contributes equal mass (relative frequency, as §5.2
         prescribes).  Negative samples are clamped to zero.
         """
-        values = np.asarray(list(samples), dtype=float)
-        if values.size == 0:
-            raise ValueError("cannot build a pmf from zero samples")
-        bins = np.rint(np.clip(values, 0.0, None) / quantum).astype(int)
-        low = int(bins.min())
-        mass = np.bincount(bins - low).astype(float)
-        return cls(quantum, low, mass)
+        binned = CountHistogram.from_samples(samples, quantum)
+        return cls(quantum, binned.offset, binned.counts)
 
     @classmethod
     def from_histogram(
@@ -175,22 +283,60 @@ class DiscretePmf:
         out[xs < self.support_min] = 0.0
         return out
 
+    def _guide_table(self) -> np.ndarray:
+        """Where the inverse-CDF search may start, per slice of ``[0, 1)``.
+
+        Entry ``j`` is ``searchsorted(cum, j / K, side="right")`` (capped at
+        the last bin) for ``K = guide.size``, a power of two of 4–8 slices
+        per bin: a lower bound on the bin of every ``u`` in slice ``j``,
+        and for all but the few ``u`` that share their slice with a step of
+        the cdf, the bin itself.  ``K`` being a power of two makes
+        ``u * K`` and ``j / K`` exact, so the bound holds in floating
+        point, not just on paper.  Built by counting cdf steps per slice —
+        O(bins + K), no search — and cached like :attr:`_cum`.
+        """
+        guide = self._guide
+        if guide is None:
+            cum = self._cumulative()
+            slices = 1 << (4 * cum.size - 1).bit_length()
+            steps = np.minimum(np.ceil(cum * slices), slices).astype(np.intp)
+            guide = np.cumsum(np.bincount(steps, minlength=slices + 1))[:slices]
+            np.minimum(guide, cum.size - 1, out=guide)
+            self._guide = guide
+        return guide
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` i.i.d. values from the pmf (inverse-CDF on the grid).
 
-        One uniform vector and one ``searchsorted`` against the cached
-        cumulative array — the vectorized sampling primitive the
-        aggregated client tier uses to realize response times for whole
-        arrival batches at once.  Each draw is a grid value, i.e. exactly
-        a value :meth:`quantile` could return.
+        One uniform vector looked up in the cached cumulative array — the
+        vectorized sampling primitive the aggregated client tier uses to
+        realize response times for whole arrival batches at once.  Each
+        draw is a grid value, i.e. exactly a value :meth:`quantile` could
+        return.
+
+        The lookup is ``searchsorted(cum, u, side="right")`` draw for draw.
+        A batch of at least as many draws as bins computes it as one gather
+        from :meth:`_guide_table` plus a real search for the few draws the
+        table only bounds: a binary search per uniform draw mispredicts a
+        branch per level and was over a third of a million-user cell's run
+        time.
         """
         if n < 0:
             raise ValueError(f"negative sample count {n!r}")
         if n == 0:
             return np.empty(0, dtype=float)
         u = rng.random(n)
-        indices = np.searchsorted(self._cumulative(), u, side="right")
-        np.minimum(indices, self.mass.size - 1, out=indices)
+        cum = self._cumulative()
+        if n < cum.size:
+            # Too few draws to pay for the table.
+            indices = np.searchsorted(cum, u, side="right")
+        else:
+            guide = self._guide_table()
+            indices = guide[(u * guide.size).astype(np.intp)]
+            bounded = np.flatnonzero(cum[indices] <= u)
+            if bounded.size:
+                indices[bounded] = np.searchsorted(cum, u[bounded], side="right")
+        np.minimum(indices, cum.size - 1, out=indices)
         return (self.offset + indices) * self.quantum
 
     def quantile(self, q: float) -> float:

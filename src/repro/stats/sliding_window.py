@@ -12,9 +12,10 @@ the §5.2 prediction loop incremental instead of per-read:
 * a monotonically increasing **version** (bumped on every record/clear),
   which the prediction cache uses as an invalidation key — "has anything
   changed since the pmf was last built?" becomes one integer comparison;
-* an incrementally maintained **quantized histogram** (bin counts updated
-  on record and evict), so building a :class:`~repro.stats.pmf.DiscretePmf`
-  no longer iterates the raw samples at all.
+* an incrementally maintained **quantized histogram** (integer bin counts
+  updated on record and evict), which is the form the predictor's exact
+  count arithmetic (:class:`~repro.stats.pmf.CountHistogram`) consumes —
+  no pass over the raw samples, no normalization.
 """
 
 from __future__ import annotations
@@ -81,14 +82,14 @@ class SlidingWindow:
 
         ``None`` means the caller's quantum does not match this window's
         grid (or the window is empty) and it must fall back to binning the
-        raw samples itself.  The counts array is freshly allocated, so the
-        caller may hand it to :class:`~repro.stats.pmf.DiscretePmf` safely.
+        raw samples itself.  The counts are exact ``int64`` (they sum to
+        ``len(self)``) in a freshly allocated array the caller may keep.
         """
         if not self._bin_counts or abs(quantum - self.quantum) > 1e-15:
             return None
         low = min(self._bin_counts)
         high = max(self._bin_counts)
-        counts = np.zeros(high - low + 1, dtype=float)
+        counts = np.zeros(high - low + 1, dtype=np.int64)
         for bin_index, count in self._bin_counts.items():
             counts[bin_index - low] = count
         return low, counts

@@ -415,7 +415,9 @@ class AggregatedClientPool:
         stats = self.stats
 
         views = handler.candidate_views(qos)
-        lazy_interval = predictor.lazy_update_interval
+        lazy_interval = handler.repository.lazy_interval(
+            predictor.lazy_update_interval
+        )
         t_l_now = handler.repository.time_since_lazy_update(now, lazy_interval)
         # Selection sees the same Eq. 4 factor a discrete gateway would
         # compute, except λ_u is the pool's own (true) rate — the

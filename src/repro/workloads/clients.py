@@ -64,6 +64,9 @@ class AlternatingClient:
         self.read_outcomes: list[ReadOutcome] = []
         self.update_outcomes: list[UpdateOutcome] = []
         self.warmup_skipped = 0
+        #: Called once, from the workload's last event, when every request
+        #: has completed (``PaperScenario.run`` stops the kernel with it).
+        self.on_finished: Optional[Callable[[], None]] = None
         self.process = Process(sim, self._run(), name=f"workload-{handler.name}")
 
     @property
@@ -123,6 +126,8 @@ class AlternatingClient:
             is_update = not is_update
             if cfg.request_delay > 0:
                 yield Timeout(cfg.request_delay)
+        if self.on_finished is not None:
+            self.on_finished()
         return {
             "reads": len(self.read_outcomes),
             "updates": len(self.update_outcomes),

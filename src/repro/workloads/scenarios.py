@@ -69,11 +69,28 @@ class PaperScenario:
             cfg2.total_requests * (cfg2.request_delay + 5.0),
         )
         bound = self.sim.now + worst + slack
-        while not (self.client1.finished and self.client2.finished):
-            if self.sim.now >= bound:
+        running = [c for c in (self.client1, self.client2) if not c.finished]
+        if not running:
+            return
+
+        def one_finished() -> None:
+            running.pop()
+            if not running:
+                self.sim.stop()
+
+        # The workload that finishes last stops the kernel from inside its
+        # own final event, so the cell is one sim.run() with no per-event
+        # polling and no extra event scheduled.
+        for client in running:
+            client.on_finished = one_finished
+        try:
+            self.sim.run(until=bound)
+        finally:
+            self.client1.on_finished = self.client2.on_finished = None
+        if running:
+            if self.sim.pending():
                 raise RuntimeError("scenario did not finish within its time bound")
-            if not self.sim.step():
-                raise RuntimeError("simulation went idle before workloads finished")
+            raise RuntimeError("simulation went idle before workloads finished")
 
 
 def build_paper_scenario(

@@ -112,6 +112,36 @@ def test_lazy_wait_fallback_uniform_over_interval():
     assert delayed_full == pytest.approx(1.0, abs=0.01)
 
 
+def test_lazy_wait_fallback_honours_the_announced_interval():
+    """The publisher's live T_L (tuner or controller) takes precedence over
+    the constructor's constant in the Uniform(0, T_L) fallback exactly as it
+    does in the staleness factor's ``t_l`` modulo."""
+    repo = _repo_with(ts_samples=[0.0], tq_samples=[0.0], tg=0.0)
+    predictor = ResponseTimePredictor(repo, lazy_update_interval=1.0)
+    assert predictor.response_cdfs("r", 0.25)[1] == pytest.approx(0.25, abs=0.01)
+
+    def announce(lazy_interval):
+        repo.record_staleness(
+            PerfBroadcast(
+                replica="p", ts=0.1, tq=0.0, tb=None,
+                staleness=StalenessInfo(
+                    n_u=10, t_u=5.0, n_l=0, t_l=0.0, lazy_interval=lazy_interval
+                ),
+            ),
+            now=100.0,
+        )
+
+    announce(0.5)
+    assert predictor.response_cdfs("r", 0.25)[1] == pytest.approx(0.5, abs=0.01)
+    assert predictor.response_pmfs("r")[1].cdf(0.25) == pytest.approx(0.5, abs=0.01)
+    # Both models read the same T_L: t_l = 0.7 s wraps at the announced 0.5 s.
+    assert predictor.staleness_factor(3, now=100.7) == pytest.approx(
+        poisson_cdf(3, 2.0 * 0.2)
+    )
+    announce(None)  # the publisher stopped tuning: back to the constant
+    assert predictor.response_cdfs("r", 0.25)[1] == pytest.approx(0.25, abs=0.01)
+
+
 # ---------------------------------------------------------------------------
 # Staleness factor (Eq. 4)
 # ---------------------------------------------------------------------------

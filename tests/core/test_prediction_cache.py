@@ -1,11 +1,12 @@
-"""Tests for the versioned prediction cache (§5.2 hot path).
+"""Tests for the versioned count cache (§5.2 hot path).
 
-The cache must be *bit-for-bit* equivalent to fresh recomputation: a
-cached predictor and an uncached one observing the same repository must
-return exactly equal CDF values across arbitrary interleavings of
-measurements and queries.  Invalidation is purely version-keyed — a new
-measurement bumps a window version (or replaces ``latest_tg``) and the
-next evaluation rebuilds.
+The predictor caches, per replica, the exact counts of ``S ⊛ W`` keyed on
+``(ts_window.version, tq_window.version)`` — nothing else.  The gateway
+delay is a bin offset and the lazy-wait term is counted against at
+evaluation time, so neither a reply nor a ``t_b`` sample rebuilds anything.
+Because the arithmetic is exact, a cached predictor and an uncached one
+observing the same repository return *equal* values across arbitrary
+interleavings of measurements and queries.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core.prediction import ResponseTimePredictor
 from repro.core.repository import ClientInfoRepository
 from repro.core.requests import PerfBroadcast
+from repro.stats.pmf import CountHistogram
 
 
 def _fill(repo, replica="r", n=5, tb=True):
@@ -37,44 +39,76 @@ def _paired_predictors(**kwargs):
     return repo, cached, fresh
 
 
+@pytest.fixture
+def convolutions(monkeypatch):
+    """Counts every ``S ⊛ W`` rebuild, whoever asks for it."""
+    calls = []
+    convolve = CountHistogram.convolve
+
+    def counting(self, other):
+        calls.append((self, other))
+        return convolve(self, other)
+
+    monkeypatch.setattr(CountHistogram, "convolve", counting)
+    return calls
+
+
 # ---------------------------------------------------------------------------
-# Hit / miss / invalidation accounting
+# Hit / miss / invalidation accounting: one lookup per evaluation
 # ---------------------------------------------------------------------------
-def test_steady_state_reads_hit_the_cache():
+def test_steady_state_reads_hit_the_cache(convolutions):
     repo = ClientInfoRepository(8)
     _fill(repo)
     predictor = ResponseTimePredictor(repo, 2.0)
     predictor.response_cdfs("r", 0.150)
-    assert predictor.cache_misses == 2  # base pmf + deferred pmf
-    assert predictor.cache_hits == 0
-    predictor.response_cdfs("r", 0.200)  # different deadline, same pmfs
-    assert predictor.cache_hits == 2
-    assert predictor.cache_misses == 2
-    assert predictor.cache_invalidations == 0
+    assert predictor.cache_stats == {"hits": 0, "misses": 1, "invalidations": 0}
+    predictor.response_cdfs("r", 0.200)  # different deadline, same counts
+    predictor.immediate_cdf("r", 0.200)  # F^I and F^D share the one entry
+    assert predictor.cache_stats == {"hits": 2, "misses": 1, "invalidations": 0}
+    assert len(convolutions) == 1
 
 
-def test_new_measurement_invalidates():
+def test_new_measurement_invalidates(convolutions):
     repo = ClientInfoRepository(8)
     _fill(repo)
     predictor = ResponseTimePredictor(repo, 2.0)
     predictor.response_cdfs("r", 0.150)
     repo.record_broadcast(PerfBroadcast(replica="r", ts=0.02, tq=0.001, tb=0.2))
     predictor.response_cdfs("r", 0.150)
-    # Base entry went stale (ts/tq versions moved); the deferred pmf was
-    # dropped with it, so it recomputes as a plain miss.
-    assert predictor.cache_invalidations == 1
-    assert predictor.cache_misses == 4
+    # The ts/tq versions moved: the entry is stale and is replaced.
+    assert predictor.cache_stats == {"hits": 0, "misses": 2, "invalidations": 1}
+    assert len(convolutions) == 2
 
 
-def test_gateway_delay_refresh_invalidates():
+def test_gateway_delay_changes_the_value_without_rebuilding(convolutions):
+    """G is a bin offset applied at evaluation time, not part of the key."""
     repo = ClientInfoRepository(8)
     _fill(repo)
     predictor = ResponseTimePredictor(repo, 2.0)
-    before = predictor.immediate_cdf("r", 0.020)
+    before = predictor.response_cdfs("r", 0.120)
     repo.record_reply("r", tg=0.050, now=2.0)  # same windows, new G
-    after = predictor.immediate_cdf("r", 0.020)
-    assert predictor.cache_invalidations == 1
-    assert after < before  # larger gateway delay shifts the pmf right
+    after = predictor.response_cdfs("r", 0.120)
+    assert after[0] <= before[0] and after[1] < before[1]  # shifted right
+    assert predictor.immediate_cdf("r", 0.020) == 0.0  # 10 + 2 + 50 ms > 20 ms
+    assert predictor.cache_stats == {"hits": 2, "misses": 1, "invalidations": 0}
+    assert len(convolutions) == 1
+    fresh = ResponseTimePredictor(repo, 2.0, use_cache=False)
+    assert fresh.response_cdfs("r", 0.120) == after
+
+
+def test_lazy_wait_sample_changes_the_value_without_rebuilding(convolutions):
+    """A t_b sample that leaves t_s/t_q alone cannot exist on the wire (a
+    broadcast carries all three), so move the window directly: F^D follows
+    the new history, the S ⊛ W entry stays."""
+    repo = ClientInfoRepository(8)
+    _fill(repo)
+    predictor = ResponseTimePredictor(repo, 2.0)
+    _, before = predictor.response_cdfs("r", 0.150)
+    repo.stats_for("r").tb_window.record(1.5)
+    _, after = predictor.response_cdfs("r", 0.150)
+    assert after < before
+    assert predictor.cache_stats == {"hits": 1, "misses": 1, "invalidations": 0}
+    assert len(convolutions) == 1
 
 
 def test_unchanged_gateway_delay_does_not_invalidate():
@@ -111,19 +145,25 @@ def test_clear_cache_forces_recompute():
     first = predictor.response_cdfs("r", 0.150)
     predictor.clear_cache()
     assert predictor.response_cdfs("r", 0.150) == first
-    assert predictor.cache_misses == 4  # both pmfs rebuilt after the clear
+    assert predictor.cache_stats == {"hits": 0, "misses": 2, "invalidations": 0}
 
 
 def test_lazy_interval_change_invalidates_deferred_pmf():
-    """The uniform fallback is keyed on T_L: retuning it must not reuse a
-    pmf built for the old interval."""
+    """The Uniform(0, T_L) term follows the T_L in force: retuning it moves
+    F^D at once (the ramp is laid out per evaluation, S ⊛ W is not rebuilt)
+    and must not reuse a sampling pmf built for the old interval."""
     repo = ClientInfoRepository(8)
     _fill(repo, tb=False)  # no t_b history -> Uniform(0, T_L) fallback
     predictor = ResponseTimePredictor(repo, 2.0)
     _, before = predictor.response_cdfs("r", 0.5)
+    _, wide = predictor.response_pmfs("r")
     predictor.lazy_update_interval = 0.4
     _, after = predictor.response_cdfs("r", 0.5)
+    _, narrow = predictor.response_pmfs("r")
     assert after > before  # shorter interval -> much tighter lazy wait
+    assert narrow.mass.size == wide.mass.size - 1600
+    assert narrow.cdf(0.5) == pytest.approx(after, abs=1e-12)
+    assert predictor.cache_stats == {"hits": 3, "misses": 1, "invalidations": 0}
 
 
 def test_per_replica_isolation():
@@ -136,8 +176,28 @@ def test_per_replica_isolation():
     repo.record_broadcast(PerfBroadcast(replica="a", ts=0.02, tq=0.001, tb=0.1))
     predictor.response_cdfs("a", 0.15)
     predictor.response_cdfs("b", 0.15)  # b untouched: still a hit
-    assert predictor.cache_invalidations == 1
-    assert predictor.cache_hits == 2
+    assert predictor.cache_stats == {"hits": 1, "misses": 3, "invalidations": 1}
+
+
+def test_response_pmfs_ride_the_same_entry(convolutions):
+    """The sampling pmfs are materialized from the cached counts and kept
+    until the counts, the gateway bins or the lazy-wait term change."""
+    repo = ClientInfoRepository(8)
+    _fill(repo)
+    predictor = ResponseTimePredictor(repo, 2.0)
+    immediate, deferred = predictor.response_pmfs("r")
+    again = predictor.response_pmfs("r")
+    assert again[0] is immediate and again[1] is deferred
+    assert len(convolutions) == 1
+    for deadline in (0.011, 0.014, 0.120, 0.150, 0.3):
+        exact = predictor.response_cdfs("r", deadline)
+        assert immediate.cdf(deadline) == pytest.approx(exact[0], abs=1e-12)
+        assert deferred.cdf(deadline) == pytest.approx(exact[1], abs=1e-12)
+    repo.record_reply("r", tg=0.004, now=2.0)
+    shifted, _ = predictor.response_pmfs("r")
+    assert shifted.offset == immediate.offset + 3
+    assert len(convolutions) == 1  # a new G re-materializes, S ⊛ W stays
+    assert predictor.response_pmfs("unknown") == (None, None)
 
 
 # ---------------------------------------------------------------------------

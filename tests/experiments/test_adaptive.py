@@ -204,11 +204,14 @@ def controller_cell():
     return run_adaptive_cell(31, "controller", duration=5.0)
 
 
-#: Recorded at the commit before the campaign skeleton moved into
-#: ``experiments/campaign.py``; see tests/integration/test_golden_streams.py
-#: for when (and how) to re-record.
+#: See tests/integration/test_golden_streams.py for when (and how) to
+#: re-record.  Re-recorded by PR 15, which was meant to move it twice over:
+#: the ``predictor_cache_*`` series count differently under the new cache
+#: key, and — the only thing that moves outcomes in this cell — the
+#: Uniform(0, T_L) lazy-wait fallback now uses the T_L the publisher
+#: announces while the controller tunes it, not the constructor's constant.
 GOLDEN_CONTROLLER_CELL = (
-    "b833424fd834831392e4d893481075396e6799ad3050c9c9b23fd260cd8f301a"
+    "7fde696cf39604fefbe2a27774182f0be0087241c8b8eb5258261f53acd88c70"
 )
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.groups.group import GroupEndpoint
-from repro.groups.membership import MembershipService, View
+from repro.groups.membership import HeartbeatMsg, MembershipService, View
 
 
 class Echo(GroupEndpoint):
@@ -73,6 +73,31 @@ def test_assume_membership_arms_heartbeats(sim, wired):
     nodes["a"].assume_membership("g")
     sim.run(until=5.0)  # many suspect windows
     assert "a" in service.view_of("g")  # heartbeats kept it alive
+
+
+def test_heartbeat_payload_is_reused_until_membership_changes(sim, wired, monkeypatch):
+    """The frozen heartbeat message is built once per joined-set, not per
+    beat, and every join/assume/leave is reflected in the next beat."""
+    _, nodes = wired
+    a = nodes["a"]
+    beats = []
+    send = a.send
+
+    def spy(recipient, payload, size_bytes=0):
+        if isinstance(payload, HeartbeatMsg):
+            beats.append(payload)
+        return send(recipient, payload, size_bytes)
+
+    monkeypatch.setattr(a, "send", spy)
+    a.assume_membership("g")
+    sim.run(until=0.6)
+    a.join("h")
+    sim.run(until=1.1)
+    a.leave("g")
+    sim.run(until=1.6)
+    assert [beat.groups for beat in beats] == [("g",)] * 2 + [("g", "h")] * 2 + [("h",)] * 2
+    assert beats[0] is beats[1] and beats[2] is beats[3] and beats[4] is beats[5]
+    assert all(beat.member == "a" for beat in beats)
 
 
 def test_member_without_assume_is_evicted(sim, wired):

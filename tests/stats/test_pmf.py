@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.pmf import DiscretePmf, convolve_all
+from repro.stats.pmf import CountHistogram, DiscretePmf, convolve_all, quantize_bins
+from repro.stats.sliding_window import SlidingWindow, quantize_bin
 
 Q = 1e-3
 
@@ -373,3 +374,114 @@ def test_sample_distribution_matches_mass_property(seed):
     np.testing.assert_allclose(counts / n, mass, atol=0.02)
     # Sample mean tracks the analytic mean.
     assert abs(draws.mean() - pmf.mean()) < 5 * Q
+
+
+class _FixedUniforms:
+    """Stands in for a Generator: hands ``sample`` the uniforms it is given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    bins=st.integers(min_value=1, max_value=400),
+    holes=st.floats(min_value=0.0, max_value=0.9),
+    batches=st.lists(st.integers(min_value=1, max_value=1500), min_size=1, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_sample_is_the_plain_searchsorted_lookup_draw_for_draw(
+    seed, bins, holes, batches
+):
+    """The guide-table lookup is an implementation detail: every draw is
+    ``searchsorted(cum, u, side="right")`` capped at the last bin, for
+    batches below and above the table's break-even, on pmfs with empty
+    bins, vanishing tails and heavy atoms, and for uniforms that sit
+    exactly on a cdf step or on a slice boundary of the table."""
+    rng = np.random.default_rng(seed)
+    mass = rng.random(bins) ** 4
+    mass[rng.random(bins) < holes] = 0.0
+    mass[int(rng.integers(bins))] += rng.choice([1e-12, 1.0, 50.0])
+    pmf = DiscretePmf(Q, int(rng.integers(0, 50)), mass)
+    cum = np.cumsum(pmf.mass)
+    for n in batches:
+        u = rng.random(n)
+        on_a_step = cum[rng.integers(0, bins, size=n)]
+        on_a_slice = rng.integers(0, 8 * bins, size=n) / float(
+            1 << (8 * bins).bit_length()
+        )
+        pick = rng.integers(0, 4, size=n)
+        u = np.where(pick == 1, on_a_step, np.where(pick == 2, on_a_slice, u))
+        u = np.minimum(u, np.nextafter(1.0, 0.0))
+        u[0] = rng.choice([0.0, np.nextafter(1.0, 0.0), u[0]])
+        expected = np.minimum(np.searchsorted(cum, u, side="right"), bins - 1)
+        draws = pmf.sample(n, _FixedUniforms(u))
+        assert draws.tolist() == ((pmf.offset + expected) * Q).tolist()
+
+
+def test_sample_small_batches_build_no_table_and_large_ones_reuse_it():
+    pmf = DiscretePmf(Q, 0, np.ones(64))
+    rng = np.random.default_rng(3)
+    pmf.sample(63, rng)
+    assert pmf._guide is None
+    pmf.sample(64, rng)
+    table = pmf._guide
+    assert table is not None and table.size == 256
+    pmf.sample(5000, rng)
+    assert pmf._guide is table
+
+
+# ---------------------------------------------------------------------------
+# CountHistogram: exact integer counts on the grid
+# ---------------------------------------------------------------------------
+def test_quantize_bins_is_the_vector_twin_of_quantize_bin():
+    values = [-1.0, 0.0, 0.0005, 0.0015, 0.0025, 0.9987, 123.456]
+    assert quantize_bins(values, Q).tolist() == [quantize_bin(v, Q) for v in values]
+    assert quantize_bins(iter(values), Q).dtype == np.int64
+    with pytest.raises(ValueError):
+        quantize_bins([], Q)
+
+
+def test_count_histogram_from_samples_matches_the_window_histogram():
+    samples = [0.010, 0.0104, 0.020, 0.030, -0.5]
+    window = SlidingWindow(8, quantum=Q)
+    window.extend(samples)
+    offset, counts = window.histogram(Q)
+    binned = CountHistogram.from_samples(samples, Q)
+    assert (binned.offset, binned.total) == (offset, len(samples))
+    assert binned.counts.tolist() == counts.tolist()
+    assert counts.dtype == np.int64 and int(counts.sum()) == len(samples)
+
+
+_bin_lists = st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=40)
+
+
+@given(xs=_bin_lists, ys=_bin_lists, n=st.integers(1, 50), k=st.integers(-5, 200))
+@settings(max_examples=200, deadline=None)
+def test_count_histogram_counts_equal_brute_force(xs, ys, n, k):
+    x = CountHistogram.from_samples([b * Q for b in xs], Q)
+    y = CountHistogram.from_samples([b * Q for b in ys], Q)
+    assert x.count_le(k) == sum(1 for a in xs if a <= k)
+    ks = np.arange(k - 70, k + 70)
+    assert x.count_le_many(ks).tolist() == [x.count_le(int(v)) for v in ks]
+    both = x.convolve(y)
+    assert both.total == len(xs) * len(ys) == int(both.counts.sum())
+    assert both.count_le(k) == sum(1 for a in xs for b in ys if a + b <= k)
+    assert x.count_sum_le(k, np.array(ys)) == both.count_le(k)
+    assert x.count_sum_le_uniform(k, n) == sum(
+        1 for a in xs for u in range(n) if a + u <= k
+    )
+
+
+def test_count_histogram_refuses_products_that_overflow_int64():
+    wide = CountHistogram(0, np.array([1], dtype=np.int64), 2**62)
+    with pytest.raises(OverflowError):
+        wide.convolve(wide)
+    with pytest.raises(OverflowError):
+        wide.count_sum_le_uniform(0, 2)
+    with pytest.raises(OverflowError):
+        wide.count_sum_le(0, np.zeros(2, dtype=np.int64))

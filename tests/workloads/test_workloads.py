@@ -1,14 +1,18 @@
 """Tests for workload generators and the §6 scenario builder."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
 from repro.net.latency import FixedLatency
+from repro.sim.kernel import Simulator
+from repro.sim.process import Signal
 from repro.sim.rng import Constant
 from repro.workloads.clients import AlternatingClient, ClientWorkloadConfig
 from repro.workloads.generators import OpenLoopUpdater, PeriodicReader
-from repro.workloads.scenarios import build_paper_scenario
+from repro.workloads.scenarios import PaperScenario, build_paper_scenario
 
 
 def _testbed():
@@ -195,3 +199,55 @@ def test_paper_scenario_seed_reproducibility():
         )
 
     assert failure_counts(11) == failure_counts(11)
+
+
+def _polled_run(scenario):
+    """The event-at-a-time loop ``PaperScenario.run`` replaced, as reference."""
+    while not (scenario.client1.finished and scenario.client2.finished):
+        assert scenario.sim.step()
+
+
+def test_paper_scenario_run_stops_where_the_polling_loop_did():
+    """One ``sim.run`` stopped by the last workload's final event: the same
+    events, the same clock, the same outcomes, and no extra event."""
+    stopped = build_paper_scenario(total_requests=12, request_delay=0.1, seed=5)
+    polled = build_paper_scenario(total_requests=12, request_delay=0.1, seed=5)
+    stopped.run()
+    _polled_run(polled)
+    assert stopped.client1.finished and stopped.client2.finished
+    assert stopped.sim.now == polled.sim.now
+    assert stopped.sim.events_processed == polled.sim.events_processed
+    assert stopped.sim.pending() == polled.sim.pending()
+    observed = lambda s: [
+        (o.response_time, o.replicas_selected, o.first_replica, o.gsn, o.value)
+        for o in s.client2.read_outcomes
+    ]
+    assert observed(stopped) == observed(polled)
+    before = stopped.sim.events_processed
+    stopped.run()  # nothing left to wait for: returns without running
+    assert stopped.sim.events_processed == before
+    assert stopped.client1.on_finished is None
+
+
+def test_paper_scenario_run_reports_an_exceeded_time_bound():
+    scenario = build_paper_scenario(total_requests=8, request_delay=0.1)
+    with pytest.raises(RuntimeError, match="time bound"):
+        scenario.run(slack=-8 * 5.1 + 0.2)  # bound = 0.2 s of simulated time
+    assert not scenario.client2.finished
+    assert scenario.client2.on_finished is None
+
+
+class _NeverAnswers:
+    name = "mute"
+
+    def call(self, *args):
+        return Signal("never")
+
+
+def test_paper_scenario_run_reports_going_idle_before_finishing():
+    sim = Simulator()
+    config = ClientWorkloadConfig(total_requests=2, request_delay=0.1)
+    clients = [AlternatingClient(sim, _NeverAnswers(), config) for _ in range(2)]
+    scenario = PaperScenario(SimpleNamespace(sim=sim), *clients)
+    with pytest.raises(RuntimeError, match="went idle"):
+        scenario.run()
