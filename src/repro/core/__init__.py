@@ -7,9 +7,12 @@ Layering (bottom → top):
 * :mod:`repro.core.requests` — the request model (read-only registry,
   update vs. read) and every protocol wire payload;
 * :mod:`repro.core.state` — the versioned replicated-object interface;
+* :mod:`repro.core.config` — ``ServiceConfig``, the one declaration and
+  validator of every service parameter; everything below is built from it;
 * :mod:`repro.core.replica` / :mod:`repro.core.handlers` — the server-side
   gateway handlers implementing §4's tunable consistency protocols
-  (sequential with sequencer/GSN/CSN/lazy publisher, and FIFO);
+  (sequential with sequencer/GSN/CSN, FIFO, and causal) over one lazy
+  publisher in the handler base;
 * :mod:`repro.core.repository`, :mod:`repro.core.prediction`,
   :mod:`repro.core.selection` — the client-side probabilistic machinery of
   §5 (performance history, response-time distributions, staleness factor,

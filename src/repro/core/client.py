@@ -25,8 +25,9 @@ Responsibilities, mirroring the paper's client gateway:
   callback.
 
 Selection overhead is measured with a wall-clock timer around the
-prediction + selection computation (this is the quantity Figure 3 reports)
-and can optionally be *charged* to the request as virtual latency.
+prediction + selection computation (this is the quantity Figure 3 reports);
+it is observed into the ``client_selection_overhead_seconds`` histogram and
+never charged to the simulated clock.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
+from repro.core.config import ServiceConfig
 from repro.core.controller import QosAdjustment
-from repro.core.detector import DetectorConfig, PhiAccrualDetector
+from repro.core.detector import PhiAccrualDetector
 from repro.core.overload import DegradationPolicy
 from repro.core.prediction import ResponseTimePredictor
 from repro.core.qos import QoSSpec
@@ -157,29 +159,23 @@ class ClientHandler(GroupEndpoint):
     def __init__(
         self,
         name: str,
+        config: ServiceConfig,
         groups: ServiceGroups,
-        lazy_update_interval: float,
         read_only_methods: Optional[set[str]] = None,
         strategy: Optional[SelectionStrategy] = None,
         staleness_model: Optional["StalenessModel"] = None,
-        window_size: int = 20,
-        quantum: float = 1e-3,
         default_qos: Optional[QoSSpec] = None,
-        has_sequencer: bool = True,
-        use_prediction_cache: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
-        gc_timeout: float = 30.0,
         on_qos_violation: Optional[Callable[[float], None]] = None,
         trace: Trace = NULL_TRACE,
-        heartbeat_interval: float = 0.25,
-        rto: float = 0.05,
         metrics: Optional[MetricsRegistry] = None,
         calibration: Optional[CalibrationTracker] = None,
         degradation: Optional[DegradationPolicy] = None,
         priority: Optional[str] = None,
-        detector: Optional[DetectorConfig] = None,
     ) -> None:
-        super().__init__(name, heartbeat_interval=heartbeat_interval, rto=rto)
+        super().__init__(
+            name, heartbeat_interval=config.heartbeat_interval, rto=config.rto
+        )
         self.groups = groups
         self.registry = ReadOnlyRegistry(read_only_methods)
         # The counters below are load-bearing (timely_fraction drives the
@@ -189,21 +185,22 @@ class ClientHandler(GroupEndpoint):
         self.calibration = calibration
         # The repository's windows share the predictor's quantum so their
         # incremental histograms feed pmf construction directly.
-        self.repository = ClientInfoRepository(window_size, quantum=quantum)
+        self.repository = ClientInfoRepository(
+            config.window_size, quantum=config.quantum
+        )
         self.predictor = ResponseTimePredictor(
             self.repository,
-            lazy_update_interval,
-            quantum=quantum,
+            config.lazy_update_interval,
+            quantum=config.quantum,
             staleness_model=staleness_model,
-            use_cache=use_prediction_cache,
             metrics=self.metrics,
             metrics_labels={"client": name},
         )
         self.strategy = strategy or StateBasedSelection()
         self.default_qos = default_qos
-        self.has_sequencer = has_sequencer
+        self.has_sequencer = config.has_sequencer
         self.retry_policy = retry_policy
-        self.gc_timeout = gc_timeout
+        self.gc_timeout = config.gc_timeout
         self.on_qos_violation = on_qos_violation
         self.trace = trace
         self.degradation = degradation
@@ -217,9 +214,9 @@ class ClientHandler(GroupEndpoint):
         # replicas: None keeps the pre-detector behaviour bit-identical.
         self.detector: Optional[PhiAccrualDetector] = (
             None
-            if detector is None
+            if config.detector is None
             else PhiAccrualDetector(
-                detector, owner=name, metrics=self.metrics, trace=trace
+                config.detector, owner=name, metrics=self.metrics, trace=trace
             )
         )
         # Replica-name -> earliest time a new dispatch there is allowed
@@ -254,8 +251,6 @@ class ClientHandler(GroupEndpoint):
             WALL_CLOCK_SERIES, **labels
         )
         self.selected_counts: list[int] = []
-        self.response_times: list[float] = []
-        self.selection_overheads: list[float] = []  # wall-clock seconds (Fig. 3)
         self.staleness_violations = 0
 
         # Retry/hedge accounting, kept separate from the timing statistics
@@ -480,7 +475,6 @@ class ClientHandler(GroupEndpoint):
         started = time.perf_counter()
         selection, predicted = self._select_replicas(qos)
         overhead = time.perf_counter() - started
-        self.selection_overheads.append(overhead)
         self._h_selection_overhead.observe(overhead)
 
         request = Request(
@@ -727,9 +721,9 @@ class ClientHandler(GroupEndpoint):
         telemetry consumers (``client_*`` counters, the response-time
         histogram, ``timely_fraction``) see modeled traffic exactly as
         they see discrete traffic.  ``response_times`` covers the timely
-        reads that produced a response; per-read Python-side lists
-        (``response_times``/``selected_counts``) are deliberately *not*
-        grown — at millions of modeled reads they would dominate memory.
+        reads that produced a response; the per-read ``selected_counts``
+        list is deliberately *not* grown — at millions of modeled reads it
+        would dominate memory.
         """
         if count <= 0:
             return
@@ -890,7 +884,6 @@ class ClientHandler(GroupEndpoint):
                 self._m_hedge_resolved.inc()
             if reply.deferred:
                 self._m_deferred_replies.inc()
-            self.response_times.append(response_time)
             self._h_response_time.observe(response_time)
             outcome = ReadOutcome(
                 request_id=reply.request_id,

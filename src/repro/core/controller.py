@@ -78,6 +78,14 @@ CONSERVATIVE, MEASURE, RELAX, ROLLBACK = (
 #: Numeric encoding of the states (the ``controller_state`` gauge).
 STATE_LEVELS = {CONSERVATIVE: 0, MEASURE: 1, RELAX: 2, ROLLBACK: 3}
 
+#: Share of its lifetime error budget every SLO must retain before the
+#: controller may relax past the last confirmed-good index.
+MIN_EXPLORE_BUDGET = 0.25
+
+#: Third knob family: the degradation-ladder level registered clients are
+#: forced to while any SLO regresses and through the post-rollback hold.
+REGRESSION_LADDER_LEVEL = 1
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -117,16 +125,12 @@ class ControllerConfig:
     # 1.0 consumes exactly the allotted budget.
     relax_fast_burn: float = 1.0
     relax_slow_burn: float = 1.0
-    min_budget: float = 0.25
     # Knob ladder shape.
     t_l_step: float = 2.0
     t_l_min: float = 0.05
     t_l_max: float = 10.0
     staleness_step: int = 4
     probability_step: float = 0.1
-    # Third knob family: force the degradation ladder of registered
-    # clients to this level while any SLO regresses (0 disables).
-    regression_ladder_level: int = 1
     dry_run: bool = False
 
     def __post_init__(self) -> None:
@@ -151,8 +155,6 @@ class ControllerConfig:
             )
         if self.staleness_step < 0 or self.probability_step < 0:
             raise ValueError("knob steps must be >= 0 (relaxing only loosens)")
-        if self.regression_ladder_level < 0:
-            raise ValueError("regression_ladder_level must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -492,12 +494,11 @@ class ConsistencyController:
     def _budget_ok(self, signals: Dict[str, Dict[str, float]]) -> bool:
         """Enough lifetime error budget left to *experiment*: relaxing
         past ``last_good_index`` is an experiment and is only permitted
-        while every SLO retains at least ``min_budget`` of its budget.
+        while every SLO retains at least ``MIN_EXPLORE_BUDGET`` of its budget.
         Re-relaxing up to a confirmed-good index is not an experiment and
         stays allowed on recent health alone."""
-        cfg = self.config
         return all(
-            s["budget_remaining"] >= cfg.min_budget for s in signals.values()
+            s["budget_remaining"] >= MIN_EXPLORE_BUDGET for s in signals.values()
         )
 
     # ------------------------------------------------------------------
@@ -631,7 +632,7 @@ class ConsistencyController:
         # regresses and through the post-rollback hold (hysteresis), so
         # the ladder does not flap with a flickering alert edge.
         regression_level = (
-            cfg.regression_ladder_level
+            REGRESSION_LADDER_LEVEL
             if (regression or self.state == ROLLBACK)
             else 0
         )

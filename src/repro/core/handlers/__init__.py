@@ -3,17 +3,12 @@
 Each ordering guarantee a service offers is implemented as a pair of
 gateway handlers — a server-side replica handler and (optionally
 specialized) client-side handler.  The paper implements the sequential
-handler and depicts a FIFO one; we implement both plus a causal handler,
-and expose a registry so further guarantees plug into the same
-architecture:
-
-    register_handlers(MyOrdering, MyReplicaHandler, MyClientHandler)
-
-:class:`~repro.core.service.ReplicatedService` resolves its handlers
-through this registry.
+handler and depicts a FIFO one; we implement both plus a causal handler.
+:class:`~repro.core.service.ReplicatedService` resolves the pair for its
+``ServiceConfig.ordering`` through the two tables below.
 """
 
-from typing import Optional, Type
+from typing import Type
 
 from repro.core.client import ClientHandler
 from repro.core.qos import OrderingGuarantee
@@ -32,16 +27,6 @@ _CLIENT_HANDLERS: dict[OrderingGuarantee, Type[ClientHandler]] = {
     OrderingGuarantee.FIFO: ClientHandler,
     OrderingGuarantee.CAUSAL: CausalClientHandler,
 }
-
-
-def register_handlers(
-    ordering: OrderingGuarantee,
-    replica_handler: type,
-    client_handler: Optional[Type[ClientHandler]] = None,
-) -> None:
-    """Plug a new (or replacement) consistency handler into the gateway."""
-    _REPLICA_HANDLERS[ordering] = replica_handler
-    _CLIENT_HANDLERS[ordering] = client_handler or ClientHandler
 
 
 def replica_handler_for(ordering: OrderingGuarantee) -> type:
@@ -67,7 +52,6 @@ __all__ = [
     "FifoReplicaHandler",
     "CausalReplicaHandler",
     "CausalClientHandler",
-    "register_handlers",
     "replica_handler_for",
     "client_handler_for",
 ]

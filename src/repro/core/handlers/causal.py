@@ -31,18 +31,12 @@ clock — the count of updates the state reflects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.core.client import ClientHandler
-from repro.core.overload import OverloadConfig
-from repro.core.replica import PendingRequest, ReplicaHandlerBase, ServiceGroups
+from repro.core.replica import PendingRequest, ReplicaHandlerBase
 from repro.core.requests import LazyUpdate, Reply, Request, RequestKind
-from repro.core.state import ReplicatedObject
-from repro.groups.membership import View
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.clock import VectorClock
-from repro.sim.rng import Distribution, RngRegistry
-from repro.sim.tracing import NULL_TRACE, Trace
 
 
 @dataclass(frozen=True)
@@ -61,64 +55,13 @@ class CausalStamp:
 class CausalReplicaHandler(ReplicaHandlerBase):
     """Server-side gateway handler providing causal consistency."""
 
-    def __init__(
-        self,
-        name: str,
-        groups: ServiceGroups,
-        app: ReplicatedObject,
-        rng: RngRegistry,
-        read_service_time: Distribution,
-        update_service_time: Optional[Distribution] = None,
-        lazy_update_interval: float = 2.0,
-        trace: Trace = NULL_TRACE,
-        publish_performance: bool = True,
-        heartbeat_interval: float = 0.25,
-        rto: float = 0.05,
-        metrics: Optional[MetricsRegistry] = None,
-        overload: Optional["OverloadConfig"] = None,
-    ) -> None:
-        super().__init__(
-            name,
-            groups,
-            app,
-            rng,
-            read_service_time,
-            update_service_time,
-            trace=trace,
-            publish_performance=publish_performance,
-            heartbeat_interval=heartbeat_interval,
-            rto=rto,
-            metrics=metrics,
-            overload=overload,
-        )
-        if lazy_update_interval <= 0:
-            raise ValueError(
-                f"lazy update interval must be positive, got {lazy_update_interval!r}"
-            )
-        self.lazy_update_interval = lazy_update_interval
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.vc = VectorClock()
         self._blocked_updates: list[PendingRequest] = []
         self._blocked_reads: list[PendingRequest] = []
         self._update_in_flight = False
-        self._lazy_epoch = 0
-        self._m_lazy_updates_sent = self._counter("replica_lazy_updates_sent")
-        self._m_lazy_updates_applied = self._counter("replica_lazy_updates_applied")
         self.causal_delays = 0  # updates that had to wait for dependencies
-
-    # ------------------------------------------------------------------
-    # Roles
-    # ------------------------------------------------------------------
-    @property
-    def lazy_publisher_name(self) -> Optional[str]:
-        return self.primary_view.leader
-
-    @property
-    def is_lazy_publisher(self) -> bool:
-        return self.lazy_publisher_name == self.name
-
-    def attached(self, network, host) -> None:
-        super().attached(network, host)
-        self.sim.schedule(self.lazy_update_interval, self._lazy_tick)
 
     # ------------------------------------------------------------------
     # Protocol
@@ -185,14 +128,6 @@ class CausalReplicaHandler(ReplicaHandlerBase):
                 still_blocked.append(pending)
         self._blocked_reads = still_blocked
 
-    @property
-    def lazy_updates_sent(self) -> int:
-        return self._m_lazy_updates_sent.value
-
-    @property
-    def lazy_updates_applied(self) -> int:
-        return self._m_lazy_updates_applied.value
-
     def execute(self, pending: PendingRequest) -> Any:
         value = super().execute(pending)
         if pending.request.kind is RequestKind.UPDATE:
@@ -215,22 +150,11 @@ class CausalReplicaHandler(ReplicaHandlerBase):
         return self.vc.as_dict()
 
     # ------------------------------------------------------------------
-    # Lazy propagation
+    # Lazy propagation: the snapshot travels with its vector clock, and a
+    # secondary adopts it only when that clock dominates its own.
     # ------------------------------------------------------------------
-    def _lazy_tick(self) -> None:
-        if self.network is None:
-            return
-        if self.up and self.is_primary and self.is_lazy_publisher:
-            self._lazy_epoch += 1
-            update = LazyUpdate(
-                publisher=self.name,
-                epoch=self._lazy_epoch,
-                csn=self.vc.total(),
-                snapshot=(self.app.snapshot(), self.vc.as_dict()),
-            )
-            self.gmcast(self.groups.secondary, update, size_bytes=1024)
-            self._m_lazy_updates_sent.inc()
-        self.sim.schedule(self.lazy_update_interval, self._lazy_tick)
+    def lazy_snapshot(self) -> tuple:
+        return (self.app.snapshot(), self.vc.as_dict())
 
     def _on_lazy_update(self, update: LazyUpdate) -> None:
         if not self.is_secondary:
@@ -242,10 +166,6 @@ class CausalReplicaHandler(ReplicaHandlerBase):
             self.vc = incoming
             self._m_lazy_updates_applied.inc()
             self._release_reads()
-
-    def on_view_change(self, view: View, previous: Optional[View]) -> None:
-        # Roles are purely rank-based; nothing to hand over.
-        pass
 
 
 class CausalClientHandler(ClientHandler):

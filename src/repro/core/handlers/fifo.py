@@ -16,84 +16,18 @@ factor pinned to 1, as there is no global version to be stale against).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
-from repro.core.overload import OverloadConfig
-from repro.core.replica import PendingRequest, ReplicaHandlerBase, ServiceGroups
+from repro.core.replica import PendingRequest, ReplicaHandlerBase
 from repro.core.requests import LazyUpdate, Request, RequestKind
-from repro.core.state import ReplicatedObject
-from repro.groups.membership import View
-from repro.obs.metrics import MetricsRegistry
-from repro.sim.rng import Distribution, RngRegistry
-from repro.sim.tracing import NULL_TRACE, Trace
 
 
 class FifoReplicaHandler(ReplicaHandlerBase):
     """Server-side gateway handler providing FIFO consistency."""
 
-    def __init__(
-        self,
-        name: str,
-        groups: ServiceGroups,
-        app: ReplicatedObject,
-        rng: RngRegistry,
-        read_service_time: Distribution,
-        update_service_time: Optional[Distribution] = None,
-        lazy_update_interval: float = 2.0,
-        trace: Trace = NULL_TRACE,
-        publish_performance: bool = True,
-        heartbeat_interval: float = 0.25,
-        rto: float = 0.05,
-        metrics: Optional[MetricsRegistry] = None,
-        overload: Optional["OverloadConfig"] = None,
-    ) -> None:
-        super().__init__(
-            name,
-            groups,
-            app,
-            rng,
-            read_service_time,
-            update_service_time,
-            trace=trace,
-            publish_performance=publish_performance,
-            heartbeat_interval=heartbeat_interval,
-            rto=rto,
-            metrics=metrics,
-            overload=overload,
-        )
-        if lazy_update_interval <= 0:
-            raise ValueError(
-                f"lazy update interval must be positive, got {lazy_update_interval!r}"
-            )
-        self.lazy_update_interval = lazy_update_interval
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.commit_count = 0
-        self._lazy_epoch = 0
-        self._m_lazy_updates_sent = self._counter("replica_lazy_updates_sent")
-        self._m_lazy_updates_applied = self._counter("replica_lazy_updates_applied")
-
-    @property
-    def lazy_updates_sent(self) -> int:
-        return self._m_lazy_updates_sent.value
-
-    @property
-    def lazy_updates_applied(self) -> int:
-        return self._m_lazy_updates_applied.value
-
-    # ------------------------------------------------------------------
-    # Roles
-    # ------------------------------------------------------------------
-    @property
-    def lazy_publisher_name(self) -> Optional[str]:
-        """Without a sequencer, the primary leader publishes lazily."""
-        return self.primary_view.leader
-
-    @property
-    def is_lazy_publisher(self) -> bool:
-        return self.lazy_publisher_name == self.name
-
-    def attached(self, network, host) -> None:
-        super().attached(network, host)
-        self.sim.schedule(self.lazy_update_interval, self._lazy_tick)
 
     # ------------------------------------------------------------------
     # Protocol
@@ -125,23 +59,9 @@ class FifoReplicaHandler(ReplicaHandlerBase):
         return self.commit_count
 
     # ------------------------------------------------------------------
-    # Lazy propagation to the secondary group
+    # Lazy propagation: the primary leader publishes (no sequencer holds
+    # rank 0), and a secondary adopts any snapshot ahead of its own count.
     # ------------------------------------------------------------------
-    def _lazy_tick(self) -> None:
-        if self.network is None:
-            return
-        if self.up and self.is_primary and self.is_lazy_publisher:
-            self._lazy_epoch += 1
-            update = LazyUpdate(
-                publisher=self.name,
-                epoch=self._lazy_epoch,
-                csn=self.commit_count,
-                snapshot=self.app.snapshot(),
-            )
-            self.gmcast(self.groups.secondary, update, size_bytes=1024)
-            self._m_lazy_updates_sent.inc()
-        self.sim.schedule(self.lazy_update_interval, self._lazy_tick)
-
     def _on_lazy_update(self, update: LazyUpdate) -> None:
         if not self.is_secondary:
             return
@@ -149,7 +69,3 @@ class FifoReplicaHandler(ReplicaHandlerBase):
             self.app.restore(update.snapshot)
             self.commit_count = update.csn
             self._m_lazy_updates_applied.inc()
-
-    def on_view_change(self, view: View, previous: Optional[View]) -> None:
-        # Role designation is purely view-rank-based; nothing to hand over.
-        pass

@@ -29,9 +29,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Optional
 
-from repro.core.detector import DetectorConfig, PhiAccrualDetector
-from repro.core.overload import OverloadConfig
-from repro.core.replica import PendingRequest, ReplicaHandlerBase, ServiceGroups
+from repro.core.detector import PhiAccrualDetector
+from repro.core.replica import PendingRequest, ReplicaHandlerBase
 from repro.core.requests import (
     GsnAssign,
     GsnQuery,
@@ -47,70 +46,37 @@ from repro.core.requests import (
     StateTransferRequest,
     StateTransferSnapshot,
 )
-from repro.core.state import ReplicatedObject
 from repro.core.tuning import AdaptiveLazyController
 from repro.groups.membership import View
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import emit_span, span_root
-from repro.sim.rng import Distribution, RngRegistry
-from repro.sim.tracing import NULL_TRACE, Trace
 
 _ASSIGNMENT_CACHE = 8192  # bounded memory for request-id -> GSN bindings
 _RECENT_COMMITS = 2048  # bounded tail used for failover catch-up
+# How long a new sequencer waits for survivors' GSN state, and the retry
+# period of a state-transfer request; twice this is the fixed commit-gap
+# watchdog period.
+_SYNC_TIMEOUT = 0.3
 
 
 class SequentialReplicaHandler(ReplicaHandlerBase):
     """Server-side gateway handler providing sequential consistency."""
 
-    def __init__(
-        self,
-        name: str,
-        groups: ServiceGroups,
-        app: ReplicatedObject,
-        rng: RngRegistry,
-        read_service_time: Distribution,
-        update_service_time: Optional[Distribution] = None,
-        lazy_update_interval: float = 2.0,
-        lazy_controller: Optional["AdaptiveLazyController"] = None,
-        gsn_wait_timeout: float = 0.25,
-        sync_timeout: float = 0.3,
-        trace: Trace = NULL_TRACE,
-        publish_performance: bool = True,
-        heartbeat_interval: float = 0.25,
-        rto: float = 0.05,
-        metrics: Optional[MetricsRegistry] = None,
-        overload: Optional[OverloadConfig] = None,
-        detector: Optional[DetectorConfig] = None,
-    ) -> None:
-        super().__init__(
-            name,
-            groups,
-            app,
-            rng,
-            read_service_time,
-            update_service_time,
-            trace=trace,
-            publish_performance=publish_performance,
-            heartbeat_interval=heartbeat_interval,
-            rto=rto,
-            metrics=metrics,
-            overload=overload,
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        config = self.config
+        self.lazy_controller: Optional[AdaptiveLazyController] = (
+            None
+            if config.adaptive_lazy_target is None
+            else AdaptiveLazyController(config.adaptive_lazy_target)
         )
-        if lazy_update_interval <= 0:
-            raise ValueError(
-                f"lazy update interval must be positive, got {lazy_update_interval!r}"
-            )
-        self.lazy_update_interval = lazy_update_interval
-        self.lazy_controller = lazy_controller
-        self.gsn_wait_timeout = gsn_wait_timeout
-        self.sync_timeout = sync_timeout
+        self.gsn_wait_timeout = config.gsn_wait_timeout
 
         # T_L actuation precedence (DESIGN.md §16): the configured base,
         # an optional open-loop recommendation (lazy_controller), and an
         # optional closed-loop override set by the ConsistencyController.
         # _apply_lazy_interval() is the *single* writer resolving them;
         # nothing else assigns lazy_update_interval after construction.
-        self._base_lazy_interval = lazy_update_interval
+        self._base_lazy_interval = self.lazy_update_interval
         self._controller_interval: Optional[float] = None
         # Back-reference installed by ConsistencyController.register_service
         # so view changes and recovery can re-adopt the interval in force.
@@ -130,21 +96,16 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         self._deferred: list[PendingRequest] = []
         self._skips: set[int] = set()
 
-        # Lazy propagation / staleness accounting (§5.4.1).
-        self._lazy_epoch = 0
-        self._last_lazy_at = 0.0
+        # Staleness accounting (§5.4.1).
         self._updates_since_lazy = 0
         self._updates_since_perf = 0
         self._updates_since_tune = 0
         self._last_tune_at = 0.0
-        self._lazy_tick_event = None
         self._perf_anchor = 0.0
-        self._m_lazy_updates_sent = self._counter("replica_lazy_updates_sent")
-        self._m_lazy_updates_applied = self._counter("replica_lazy_updates_applied")
         self._g_lazy_interval = self.metrics.gauge(
-            "replica_lazy_interval_seconds", replica=name
+            "replica_lazy_interval_seconds", replica=self.name
         )
-        self._g_lazy_interval.set(lazy_update_interval)
+        self._g_lazy_interval.set(self.lazy_update_interval)
 
         # Sequencer failover state.
         self._sequencer_active = False
@@ -177,9 +138,12 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         # propagation cadence, for slow-publisher reassignment).
         self.detector: Optional[PhiAccrualDetector] = (
             None
-            if detector is None
+            if config.detector is None
             else PhiAccrualDetector(
-                detector, owner=name, metrics=self.metrics, trace=trace
+                config.detector,
+                owner=self.name,
+                metrics=self.metrics,
+                trace=self.trace,
             )
         )
         self._publisher_override: Optional[str] = None
@@ -194,14 +158,6 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
     # ------------------------------------------------------------------
     # Registry-backed counters under their historical names
     # ------------------------------------------------------------------
-    @property
-    def lazy_updates_sent(self) -> int:
-        return self._m_lazy_updates_sent.value
-
-    @property
-    def lazy_updates_applied(self) -> int:
-        return self._m_lazy_updates_applied.value
-
     @property
     def gsn_queries_sent(self) -> int:
         return self._m_gsn_queries_sent.value
@@ -244,10 +200,6 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
             return members[1]
         return members[0] if members else None
 
-    @property
-    def is_lazy_publisher(self) -> bool:
-        return self.lazy_publisher_name == self.name
-
     def staleness(self) -> int:
         """Current staleness in versions: ``my_GSN − my_CSN`` (§4.1.2)."""
         return max(0, self.my_gsn - self.my_csn)
@@ -256,11 +208,8 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
     # Wiring
     # ------------------------------------------------------------------
     def attached(self, network, host) -> None:
-        super().attached(network, host)
+        super().attached(network, host)  # arms the lazy tick
         self._perf_anchor = self.now
-        self._last_lazy_at = self.now
-        self._lazy_tick_event = None
-        self._schedule_lazy_tick()
         # Every primary watches its own commit frontier from the start: a
         # commit hole can open without a crash on *this* replica (lossy
         # links or a partition can exhaust a sender's retry budget).
@@ -274,12 +223,6 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
             self._updates_since_tune = 0
             self._last_tune_at = self.now
             self.sim.schedule(self._tune_interval(), self._tune_tick)
-
-    def _schedule_lazy_tick(self) -> None:
-        if self._lazy_tick_event is not None:
-            self._lazy_tick_event.cancel()
-        delay = max(0.0, (self._last_lazy_at + self.lazy_update_interval) - self.now)
-        self._lazy_tick_event = self.sim.schedule(delay, self._lazy_tick)
 
     def _tune_interval(self) -> float:
         # One-second observation windows: fast enough to catch an update
@@ -636,37 +579,10 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
     # ------------------------------------------------------------------
     # Lazy update propagation (§3, §4.1.2)
     # ------------------------------------------------------------------
-    def _lazy_tick(self) -> None:
-        """Fires every T_L on every primary; only the publisher sends.
-
-        All primaries share the tick so their ``updates-since-last-lazy``
-        counters stay aligned and a publisher failover needs no handshake.
-        """
-        if self.network is None:
-            return
-        if self.up and self.is_primary:
-            if self.is_lazy_publisher:
-                self._lazy_epoch += 1
-                update = LazyUpdate(
-                    publisher=self.name,
-                    epoch=self._lazy_epoch,
-                    csn=self.my_csn,
-                    snapshot=self.app.snapshot(),
-                    published_at=self.now,
-                )
-                self.gmcast(self.groups.secondary, update, size_bytes=1024)
-                self._m_lazy_updates_sent.inc()
-                self.trace.emit(
-                    self.now, "lazy.publish", self.name,
-                    epoch=self._lazy_epoch, csn=self.my_csn,
-                    interval=self.lazy_update_interval,
-                )
-            self._updates_since_lazy = 0
-        # Advance the tick anchor unconditionally: a non-primary (or a
-        # crashed primary) must still reschedule one full interval ahead,
-        # not spin at zero delay.
-        self._last_lazy_at = self.now
-        self._schedule_lazy_tick()
+    def after_lazy_tick(self) -> None:
+        # Every primary resets with the shared tick, so the ``n_l`` a
+        # newly promoted publisher announces is already aligned.
+        self._updates_since_lazy = 0
 
     def _on_lazy_update(self, update: LazyUpdate) -> None:
         if not self.is_secondary:
@@ -807,7 +723,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
             SequencerSyncRequest(self.name, self._sync_id),
             size_bytes=64,
         )
-        self.sim.schedule(self.sync_timeout, self._finish_sync, self._sync_id)
+        self.sim.schedule(_SYNC_TIMEOUT, self._finish_sync, self._sync_id)
         self.trace.emit(self.now, "sequencer.sync-start", self.name, sync_id=self._sync_id)
 
     def _local_sync_reply(self, sync_id: int) -> SequencerSyncReply:
@@ -949,7 +865,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         # members it does not (yet) see in its primary view, the chosen
         # donor may itself be recovering, and the sequencer can fail over
         # mid-transfer (retries re-resolve the current leader).
-        self.sim.schedule(self.sync_timeout, self._request_state_transfer, xfer_id)
+        self.sim.schedule(_SYNC_TIMEOUT, self._request_state_transfer, xfer_id)
 
     def _on_state_transfer_request(self, request: StateTransferRequest) -> None:
         if not self.is_sequencer:
@@ -1082,7 +998,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         )
 
     def _gap_delay(self) -> float:
-        """Watchdog period: fixed ``2·sync_timeout``, or adaptive.
+        """Watchdog period: fixed ``2·_SYNC_TIMEOUT``, or adaptive.
 
         With the detector enabled the period follows the observed
         GSN-broadcast cadence (mean + k·σ of inter-arrival times,
@@ -1090,7 +1006,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         frozen commit frontier in a fraction of the fixed window while
         an idle one does not cry wolf between sparse updates.
         """
-        fallback = 2 * self.sync_timeout
+        fallback = 2 * _SYNC_TIMEOUT
         if self.detector is None:
             return fallback
         return self.detector.adaptive_timeout("gsn-assign", fallback)

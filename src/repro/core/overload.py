@@ -224,6 +224,10 @@ class PressureMonitor:
 # ---------------------------------------------------------------------------
 # Client-side degradation ladder
 # ---------------------------------------------------------------------------
+#: The highest priority level the ladder sheds at ``shed_level``.
+SHED_PRIORITY = "bronze"
+
+
 @dataclass(frozen=True)
 class DegradationConfig:
     """Shape of the consistency-degradation ladder (DESIGN.md §11).
@@ -238,14 +242,13 @@ class DegradationConfig:
     * at ``prefer_secondaries_level`` and above, reads are redirected
       from primaries to the (lazier) secondary pool when one exists;
     * at ``shed_level``, reads whose priority is at or below
-      ``shed_priority`` are shed locally before any replica sees them.
+      :data:`SHED_PRIORITY` are shed locally before any replica sees them.
     """
 
     staleness_widen: int = 5
     probability_relief: float = 0.1
     prefer_secondaries_level: int = 2
     shed_level: int = 3
-    shed_priority: str = "bronze"
     max_level: int = 3
     step_cooldown: float = 0.25  # min seconds between downward steps
     recovery_window: float = 1.0  # quiet seconds required per upward step
@@ -300,9 +303,7 @@ class DegradationPolicy:
     ) -> None:
         self.config = config or DegradationConfig()
         self.priority_mapper = priority_mapper or PriorityMapper()
-        self.shed_floor = self.priority_mapper.probability_for(
-            self.config.shed_priority
-        )
+        self.shed_floor = self.priority_mapper.probability_for(SHED_PRIORITY)
         self.level = NOMINAL
         self.steps: list[DegradationStep] = []
         self.reads_shed = 0
@@ -366,7 +367,7 @@ class DegradationPolicy:
         Returns ``None`` when the read should be shed locally (ladder at
         ``shed_level`` and the request's priority — named, or inferred
         from its ``P_c(d)`` against the mapper's levels — is at or below
-        ``shed_priority``).  Otherwise returns the (possibly relaxed)
+        :data:`SHED_PRIORITY`).  Otherwise returns the (possibly relaxed)
         spec: staleness widened, ``P_c(d)`` lowered, deadline untouched.
         """
         if self.level >= self.config.shed_level and self._sheddable(qos, priority):

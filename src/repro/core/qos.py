@@ -4,7 +4,7 @@ Consistency is a two-dimensional attribute ``<ordering guarantee,
 staleness threshold>``:
 
 * the **ordering guarantee** is service-specific (we target sequential
-  ordering, with FIFO also implemented as an alternative handler);
+  ordering, with FIFO and causal also implemented as alternative handlers);
 * the **staleness threshold** ``a`` is client-specified and counted in
   *versions*: a response may come from a replica whose state misses at most
   the ``a`` most recent committed updates.
@@ -27,7 +27,7 @@ class OrderingGuarantee(Enum):
 
     SEQUENTIAL = "sequential"
     FIFO = "fifo"
-    CAUSAL = "causal"  # named in §2; no handler implemented (as in the paper)
+    CAUSAL = "causal"  # named in §2, not built in the paper; our extension
 
 
 @dataclass(frozen=True)

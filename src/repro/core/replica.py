@@ -12,7 +12,16 @@ gateway handler does (§5.4):
 * replying to the client with the piggybacked ``t1 = t_s + t_q + t_b``;
 * publishing a :class:`~repro.core.requests.PerfBroadcast` to every client
   after each completed read ("Each server handler also publishes the newly
-  measured values ... whenever it completes servicing a read request").
+  measured values ... whenever it completes servicing a read request");
+* the lazy publisher of §3's two-level organisation: every ``T_L`` the
+  designated primary multicasts its state to the secondary group.  It sits
+  underneath whichever ordering protocol runs; a protocol says only what a
+  snapshot holds (:meth:`ReplicaHandlerBase.lazy_snapshot`) and when a
+  secondary applies one.
+
+Every service parameter is read from the one
+:class:`~repro.core.config.ServiceConfig` and bound to a plain attribute
+here, so the per-request path never chases ``self.config``.
 """
 
 from __future__ import annotations
@@ -21,8 +30,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.core.overload import OverloadConfig, PressureMonitor
+from repro.core.config import ServiceConfig
+from repro.core.overload import PressureMonitor
 from repro.core.requests import (
+    LazyUpdate,
     OverloadReply,
     PerfBroadcast,
     Reply,
@@ -35,7 +46,7 @@ from repro.groups.group import GroupEndpoint
 from repro.groups.membership import View
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.spans import emit_span, span_root
-from repro.sim.rng import Distribution, RngRegistry
+from repro.sim.rng import RngRegistry
 from repro.sim.tracing import NULL_TRACE, Trace
 
 
@@ -88,30 +99,32 @@ class ReplicaHandlerBase(GroupEndpoint):
     def __init__(
         self,
         name: str,
+        config: ServiceConfig,
         groups: ServiceGroups,
         app: ReplicatedObject,
         rng: RngRegistry,
-        read_service_time: Distribution,
-        update_service_time: Optional[Distribution] = None,
         trace: Trace = NULL_TRACE,
-        publish_performance: bool = True,
-        heartbeat_interval: float = 0.25,
-        rto: float = 0.05,
         metrics: Optional[MetricsRegistry] = None,
-        overload: Optional[OverloadConfig] = None,
     ) -> None:
-        super().__init__(name, heartbeat_interval=heartbeat_interval, rto=rto)
+        super().__init__(
+            name, heartbeat_interval=config.heartbeat_interval, rto=config.rto
+        )
+        self.config = config  # the protocol subclasses read their own fields
         self.groups = groups
         self.app = app
         self.rng = rng
-        self.read_service_time = read_service_time
-        self.update_service_time = update_service_time or read_service_time
+        self.read_service_time = config.read_service_time
+        self.update_service_time = (
+            config.update_service_time or config.read_service_time
+        )
         self.trace = trace
-        self.publish_performance = publish_performance
+        self.publish_performance = config.publish_performance
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.overload = overload
+        self.overload = config.overload
         self.pressure: Optional[PressureMonitor] = (
-            PressureMonitor.from_config(overload) if overload is not None else None
+            PressureMonitor.from_config(config.overload)
+            if config.overload is not None
+            else None
         )
         self.queue_depth_peak = 0
         self._ready: deque[PendingRequest] = deque()
@@ -138,6 +151,15 @@ class ReplicaHandlerBase(GroupEndpoint):
         }
         self.busy_time = 0.0  # accumulated service time (utilization)
 
+        # Lazy propagation (§3): interval, publication epoch, and the
+        # anchor the next tick is scheduled from.
+        self.lazy_update_interval = config.lazy_update_interval
+        self._lazy_epoch = 0
+        self._last_lazy_at = 0.0
+        self._lazy_tick_event = None
+        self._m_lazy_updates_sent = self._counter("replica_lazy_updates_sent")
+        self._m_lazy_updates_applied = self._counter("replica_lazy_updates_applied")
+
     def _counter(self, name: str) -> Counter:
         """A registry counter labelled with this replica's name (handlers
         use this for their protocol-specific counters)."""
@@ -157,6 +179,14 @@ class ReplicaHandlerBase(GroupEndpoint):
     @property
     def deferred_reads_served(self) -> int:
         return self._m_deferred_reads_served.value
+
+    @property
+    def lazy_updates_sent(self) -> int:
+        return self._m_lazy_updates_sent.value
+
+    @property
+    def lazy_updates_applied(self) -> int:
+        return self._m_lazy_updates_applied.value
 
     # ------------------------------------------------------------------
     # Identity and roles (derived from views)
@@ -189,6 +219,17 @@ class ReplicaHandlerBase(GroupEndpoint):
     @property
     def is_sequencer(self) -> bool:
         return self.sequencer_name == self.name
+
+    @property
+    def lazy_publisher_name(self) -> Optional[str]:
+        """The designated lazy publisher: the primary group's leader,
+        unless the protocol reserves that rank (the sequential handler's
+        leader is the sequencer, which serves nothing)."""
+        return self.primary_view.leader
+
+    @property
+    def is_lazy_publisher(self) -> bool:
+        return self.lazy_publisher_name == self.name
 
     def replica_names(self) -> set[str]:
         return set(self.primary_view.members) | set(self.secondary_view.members)
@@ -434,6 +475,55 @@ class ReplicaHandlerBase(GroupEndpoint):
         self.multicast(self.client_names(), broadcast, size_bytes=128)
 
     # ------------------------------------------------------------------
+    # Lazy update propagation (§3, §4.1.2)
+    # ------------------------------------------------------------------
+    def attached(self, network, host) -> None:
+        super().attached(network, host)
+        self._last_lazy_at = self.now
+        self._lazy_tick_event = None
+        self._schedule_lazy_tick()
+
+    def _schedule_lazy_tick(self) -> None:
+        if self._lazy_tick_event is not None:
+            self._lazy_tick_event.cancel()
+        delay = max(0.0, (self._last_lazy_at + self.lazy_update_interval) - self.now)
+        self._lazy_tick_event = self.sim.schedule(delay, self._lazy_tick)
+
+    def _lazy_tick(self) -> None:
+        """Fires every T_L on every primary; only the publisher sends.
+
+        All primaries share the tick so whatever they count per lazy
+        interval (:meth:`after_lazy_tick`) stays aligned and a publisher
+        failover needs no handshake.
+        """
+        if self.network is None:
+            return
+        if self.up and self.is_primary:
+            if self.is_lazy_publisher:
+                self._lazy_epoch += 1
+                csn = self.committed_gsn()
+                update = LazyUpdate(
+                    publisher=self.name,
+                    epoch=self._lazy_epoch,
+                    csn=csn,
+                    snapshot=self.lazy_snapshot(),
+                    published_at=self.now,
+                )
+                self.gmcast(self.groups.secondary, update, size_bytes=1024)
+                self._m_lazy_updates_sent.inc()
+                self.trace.emit(
+                    self.now, "lazy.publish", self.name,
+                    epoch=self._lazy_epoch, csn=csn,
+                    interval=self.lazy_update_interval,
+                )
+            self.after_lazy_tick()
+        # Advance the tick anchor unconditionally: a non-primary (or a
+        # crashed primary) must still reschedule one full interval ahead,
+        # not spin at zero delay.
+        self._last_lazy_at = self.now
+        self._schedule_lazy_tick()
+
+    # ------------------------------------------------------------------
     # Hooks for the consistency protocols
     # ------------------------------------------------------------------
     def execute(self, pending: PendingRequest) -> Any:
@@ -459,3 +549,10 @@ class ReplicaHandlerBase(GroupEndpoint):
 
     def after_complete(self, pending: PendingRequest) -> None:
         """Post-completion hook (e.g. CSN advancement drains buffers)."""
+
+    def lazy_snapshot(self) -> Any:
+        """What a lazy update carries next to ``committed_gsn()``."""
+        return self.app.snapshot()
+
+    def after_lazy_tick(self) -> None:
+        """Called on every live primary each T_L, publisher or not."""

@@ -12,94 +12,37 @@ service, installs the initial views synchronously, and hands out
 :func:`build_testbed` creates the full stack (simulator, RNG registry,
 network, membership, service) in one call — the entry point the examples
 and the experiment harness both use.
+
+Every parameter comes from one :class:`~repro.core.config.ServiceConfig`
+(re-exported here): the handlers and the membership detector's config
+are built from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.core.client import ClientHandler, RetryPolicy
-from repro.core.controller import ConsistencyController, ControllerConfig
-from repro.core.detector import DetectorConfig
-from repro.core.handlers.fifo import FifoReplicaHandler
-from repro.core.handlers.sequential import SequentialReplicaHandler
-from repro.core.overload import DegradationPolicy, OverloadConfig
-from repro.core.qos import OrderingGuarantee, QoSSpec
+# Re-exported: callers import the config from here.
+from repro.core.config import ServiceConfig, default_service_time
+from repro.core.controller import ConsistencyController
+from repro.core.handlers import client_handler_for, replica_handler_for
+from repro.core.overload import DegradationPolicy
+from repro.core.qos import QoSSpec
 from repro.core.replica import ReplicaHandlerBase, ServiceGroups
 from repro.core.selection import SelectionStrategy
 from repro.core.staleness import StalenessModel
 from repro.core.state import CounterObject, ReplicatedObject
-from repro.core.tuning import StalenessTarget
-from repro.groups.membership import MembershipConfig, MembershipService
+from repro.groups.membership import MembershipService
 from repro.net.latency import LanLatency, LatencyModel
 from repro.obs.calibration import CalibrationTracker
 from repro.obs.metrics import MetricsRegistry
 from repro.net.network import Network
 from repro.net.node import Host
 from repro.sim.kernel import Simulator
-from repro.sim.rng import Distribution, Normal, RngRegistry
+from repro.sim.rng import RngRegistry
 from repro.sim.tracing import NULL_TRACE, Trace
-
-
-def default_service_time() -> Distribution:
-    """§6's simulated background load: normally distributed service delay
-    with a mean of 100 ms (spread parameter 50 ms; see DESIGN.md on the
-    paper's ambiguous "variance of 50 milliseconds")."""
-    return Normal(0.100, 0.050, floor=0.002)
-
-
-@dataclass
-class ServiceConfig:
-    """Everything tunable about one replicated service."""
-
-    name: str = "svc"
-    num_primaries: int = 4  # serving primaries; the sequencer is extra
-    num_secondaries: int = 6
-    ordering: OrderingGuarantee = OrderingGuarantee.SEQUENTIAL
-    lazy_update_interval: float = 2.0  # T_L / "LUI" in §6
-    # Optional closed-loop T_L tuning (repro.core.tuning): when set, the
-    # lazy publisher adapts the interval to hold this staleness target
-    # and announces the live value through its staleness broadcasts.
-    adaptive_lazy_target: Optional["StalenessTarget"] = None
-    window_size: int = 20  # sliding window l (§5.2; §6 uses 20)
-    quantum: float = 1e-3  # pmf grid (1 ms bins)
-    read_service_time: Distribution = field(default_factory=default_service_time)
-    update_service_time: Optional[Distribution] = None
-    host_speed_factors: Optional[Sequence[float]] = None  # cycled over replicas
-    publish_performance: bool = True
-    heartbeat_interval: float = 0.25
-    suspect_timeout: float = 1.0
-    rto: float = 0.05
-    gsn_wait_timeout: float = 0.25
-    gc_timeout: float = 30.0
-    # Overload protection (DESIGN.md §11).  None (the default) disables
-    # shedding, bounded queues, and deferred-read expiry entirely — the
-    # service behaves bit-identically to builds that predate the feature.
-    overload: Optional[OverloadConfig] = None
-    # φ-accrual gray-failure detection (DESIGN.md §14).  None (the
-    # default) disables suspicion-driven ejection, hedging, probing, the
-    # adaptive commit-gap watchdog, and slow-publisher reassignment —
-    # again bit-identical to detector-free builds.
-    detector: Optional[DetectorConfig] = None
-    # Closed-loop SLA guardian (DESIGN.md §16).  None (the default)
-    # means no controller exists and no actuation path is live — once
-    # more bit-identical to controller-free builds.  The live instance
-    # is built by attach_controller() when the sensors (SloEngine +
-    # TimeseriesRecorder) exist.
-    controller: Optional["ControllerConfig"] = None
-
-    def __post_init__(self) -> None:
-        if self.num_primaries < 1:
-            raise ValueError("need at least one serving primary")
-        if self.num_secondaries < 0:
-            raise ValueError("negative secondary count")
-        if self.lazy_update_interval <= 0:
-            raise ValueError("lazy update interval must be positive")
-
-    @property
-    def has_sequencer(self) -> bool:
-        return self.ordering is OrderingGuarantee.SEQUENTIAL
 
 
 class ReplicatedService:
@@ -150,34 +93,15 @@ class ReplicatedService:
         return Host(name, factor)
 
     def _make_replica(self, name: str) -> ReplicaHandlerBase:
-        from repro.core.handlers import replica_handler_for
-
-        cfg = self.config
-        common = dict(
-            groups=self.groups,
-            app=self.app_factory(),
-            rng=self.rng,
-            read_service_time=cfg.read_service_time,
-            update_service_time=cfg.update_service_time,
-            lazy_update_interval=cfg.lazy_update_interval,
+        handler: ReplicaHandlerBase = replica_handler_for(self.config.ordering)(
+            name,
+            self.config,
+            self.groups,
+            self.app_factory(),
+            self.rng,
             trace=self.trace,
-            publish_performance=cfg.publish_performance,
-            heartbeat_interval=cfg.heartbeat_interval,
-            rto=cfg.rto,
             metrics=self.metrics,
-            overload=cfg.overload,
         )
-        handler_cls = replica_handler_for(cfg.ordering)
-        if handler_cls is SequentialReplicaHandler:
-            common["gsn_wait_timeout"] = cfg.gsn_wait_timeout
-            common["detector"] = cfg.detector
-            if cfg.adaptive_lazy_target is not None:
-                from repro.core.tuning import AdaptiveLazyController
-
-                common["lazy_controller"] = AdaptiveLazyController(
-                    cfg.adaptive_lazy_target
-                )
-        handler: ReplicaHandlerBase = handler_cls(name, **common)
         self.network.attach(handler, self._make_host(f"host-{name}"))
         return handler
 
@@ -379,32 +303,21 @@ class ReplicatedService:
         priority: Optional[str] = None,
     ) -> ClientHandler:
         """Create and wire a client gateway handler for this service."""
-        from repro.core.handlers import client_handler_for
-
         if name in self.clients:
             raise ValueError(f"client {name!r} already exists")
-        cfg = self.config
-        handler_cls = client_handler_for(cfg.ordering)
-        handler = handler_cls(
+        handler = client_handler_for(self.config.ordering)(
             name,
-            groups=self.groups,
-            lazy_update_interval=cfg.lazy_update_interval,
+            self.config,
+            self.groups,
             read_only_methods=read_only_methods,
             strategy=strategy,
             staleness_model=staleness_model,
-            window_size=cfg.window_size,
-            quantum=cfg.quantum,
             default_qos=default_qos,
-            has_sequencer=cfg.has_sequencer,
             retry_policy=retry_policy,
-            gc_timeout=cfg.gc_timeout,
             on_qos_violation=on_qos_violation,
             degradation=degradation,
             priority=priority,
-            detector=cfg.detector,
             trace=self.trace,
-            heartbeat_interval=cfg.heartbeat_interval,
-            rto=cfg.rto,
             metrics=self.metrics,
             calibration=self.calibration,
         )
@@ -438,7 +351,6 @@ def build_testbed(
     latency: Optional[LatencyModel] = None,
     app_factory: Callable[[], ReplicatedObject] = CounterObject,
     trace: Optional[Trace] = None,
-    membership_config: Optional[MembershipConfig] = None,
     metrics: Optional[MetricsRegistry] = None,
     calibration: Optional[CalibrationTracker] = None,
 ) -> Testbed:
@@ -449,15 +361,7 @@ def build_testbed(
     sim = Simulator()
     rng = RngRegistry(seed)
     network = Network(sim, rng, latency or LanLatency(), trace=trace, metrics=metrics)
-    membership = MembershipService(
-        config=membership_config
-        or MembershipConfig(
-            heartbeat_interval=config.heartbeat_interval,
-            suspect_timeout=config.suspect_timeout,
-            sweep_interval=config.heartbeat_interval,
-        ),
-        trace=trace,
-    )
+    membership = MembershipService(config=config.membership(), trace=trace)
     network.attach(membership)
     service = ReplicatedService(
         sim, network, membership, rng, config, app_factory, trace,

@@ -12,7 +12,7 @@ submits one future per cell and shuts the pool down before it returns
 or raises, so a finished, failed or interrupted sweep leaves no worker
 process and no queued cell behind.  Results cross the pipe as whatever
 pickle makes of them; against cells of 0.25–10 s each, pool start-up and
-the per-cell round-trip cost milliseconds (measured in DESIGN.md §12).
+the per-cell round-trip cost milliseconds (measured in PR 14, CHANGES.md).
 
 Invariants:
 

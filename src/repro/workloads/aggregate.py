@@ -76,8 +76,6 @@ class PopulationSpec:
     qos: QoSSpec
     read_rate: float
     update_rate: float = 0.0
-    read_method: str = "get"
-    update_method: str = "increment"
     arrival: str = "poisson"  # "poisson" | "bursty"
     duty_cycle: float = 1.0
     region: str = "local"
@@ -383,11 +381,11 @@ class AggregatedClientPool:
             if outcome.response_time is not None:
                 stats.probe_response_times.append(outcome.response_time)
 
-        self.handler.invoke(spec.read_method, (), spec.qos, callback=_outcome)
+        self.handler.invoke("get", (), spec.qos, callback=_outcome)
 
     def _issue_probe_update(self) -> None:
         self.stats.probe_updates += 1
-        self.handler.invoke(self.spec.update_method, ())
+        self.handler.invoke("increment", ())
 
     # ------------------------------------------------------------------
     # Analytic resolution of the non-probe arrivals

@@ -33,11 +33,6 @@ class ClientWorkloadConfig:
             staleness_threshold=2, deadline=0.200, min_probability=0.9
         )
     )
-    update_method: str = "increment"
-    update_args: Callable[[int], tuple] = lambda i: ()
-    read_method: str = "get"
-    read_args: Callable[[int], tuple] = lambda i: ()
-    start_with_update: bool = True
     warmup_requests: int = 0  # leading requests excluded from statistics
 
     def __post_init__(self) -> None:
@@ -111,18 +106,13 @@ class AlternatingClient:
     # ------------------------------------------------------------------
     def _run(self):
         cfg = self.config
-        is_update = cfg.start_with_update
+        is_update = True  # §6: writes and reads alternate, a write first
         for i in range(cfg.total_requests):
             if is_update:
-                outcome = yield self.handler.call(
-                    cfg.update_method, cfg.update_args(i)
-                )
-                self._record(outcome, i)
+                outcome = yield self.handler.call("increment")
             else:
-                outcome = yield self.handler.call(
-                    cfg.read_method, cfg.read_args(i), cfg.qos
-                )
-                self._record(outcome, i)
+                outcome = yield self.handler.call("get", (), cfg.qos)
+            self._record(outcome, i)
             is_update = not is_update
             if cfg.request_delay > 0:
                 yield Timeout(cfg.request_delay)

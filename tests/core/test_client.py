@@ -205,8 +205,11 @@ def test_selection_overhead_recorded_per_read():
     client = testbed.service.create_client("c", read_only_methods={"get"})
     client.invoke("get", qos=QOS)
     testbed.sim.run(until=2.0)
-    assert len(client.selection_overheads) == 1
-    assert client.selection_overheads[0] > 0.0
+    overhead = testbed.metrics.histogram(
+        "client_selection_overhead_seconds", client="c"
+    )
+    assert overhead.count == 1
+    assert overhead.sum > 0.0
 
 
 def test_sequencer_added_to_read_targets():

@@ -12,7 +12,6 @@ import pytest
 from repro.core.client import RetryPolicy
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
-from repro.groups.membership import MembershipConfig
 from repro.net.latency import FixedLatency
 from repro.sim.process import Process, Timeout
 from repro.sim.rng import Constant
@@ -34,9 +33,6 @@ def make_testbed(num_primaries=2, num_secondaries=2, seed=21):
         config,
         seed=seed,
         latency=FixedLatency(0.001),
-        membership_config=MembershipConfig(
-            heartbeat_interval=0.1, suspect_timeout=0.35, sweep_interval=0.1
-        ),
     )
 
 
@@ -293,9 +289,6 @@ def shedding_testbed(retry_policy, seed=21):
         seed=seed,
         latency=FixedLatency(0.001),
         trace=Trace(enabled=True),
-        membership_config=MembershipConfig(
-            heartbeat_interval=0.1, suspect_timeout=0.35, sweep_interval=0.1
-        ),
     )
     client = testbed.service.create_client(
         "c", read_only_methods={"get"}, retry_policy=retry_policy

@@ -14,6 +14,7 @@ import pytest
 from repro.core.controller import (
     CONSERVATIVE,
     MEASURE,
+    REGRESSION_LADDER_LEVEL,
     RELAX,
     ROLLBACK,
     ClassBounds,
@@ -195,7 +196,7 @@ def test_rollback_preserves_confirmed_index_for_recovery():
 
 
 def test_budget_gate_blocks_exploration_beyond_last_good():
-    # Healthy recent windows but lifetime budget below min_budget from
+    # Healthy recent windows but lifetime budget below MIN_EXPLORE_BUDGET from
     # the start: nothing is confirmed, so no relax ever fires.
     script = [sig(budget=0.1)]
     sim, c = make_controller(script, config=FAST)
@@ -227,8 +228,8 @@ def test_regression_at_index_zero_engages_ladder_not_rollback():
     run_epochs(sim, c, 3)
     assert c.rollbacks == 0
     assert c.relax_index == 0
-    assert c.decisions[-1].ladder_level == FAST.regression_ladder_level
-    assert client.forced_levels[-1] == FAST.regression_ladder_level
+    assert c.decisions[-1].ladder_level == REGRESSION_LADDER_LEVEL
+    assert client.forced_levels[-1] == REGRESSION_LADDER_LEVEL
 
 
 def test_ladder_releases_after_regression_clears():

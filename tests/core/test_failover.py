@@ -22,15 +22,10 @@ def make_testbed(num_primaries=3, num_secondaries=2, lui=0.5, seed=5):
         heartbeat_interval=0.1,
         suspect_timeout=0.35,
     )
-    from repro.groups.membership import MembershipConfig
-
     return build_testbed(
         config,
         seed=seed,
         latency=FixedLatency(0.001),
-        membership_config=MembershipConfig(
-            heartbeat_interval=0.1, suspect_timeout=0.35, sweep_interval=0.1
-        ),
     )
 
 

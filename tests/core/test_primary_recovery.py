@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
-from repro.groups.membership import MembershipConfig
 from repro.net.latency import FixedLatency
 from repro.sim.process import Process, Timeout
 from repro.sim.rng import Constant
@@ -32,9 +31,6 @@ def make_testbed(num_primaries=3, num_secondaries=2, seed=7, trace=None):
         seed=seed,
         latency=FixedLatency(0.001),
         trace=trace,
-        membership_config=MembershipConfig(
-            heartbeat_interval=0.1, suspect_timeout=0.35, sweep_interval=0.1
-        ),
     )
 
 

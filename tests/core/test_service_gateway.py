@@ -43,6 +43,27 @@ def test_config_validation():
         ServiceConfig(lazy_update_interval=0.0)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        dict(lazy_update_interval=-1.0),
+        dict(heartbeat_interval=0.0),
+        dict(heartbeat_interval=2.0),  # not below the default suspect_timeout
+        dict(suspect_timeout=0.25),  # not above the default heartbeat_interval
+        dict(rto=0.0),
+        dict(gsn_wait_timeout=0.0),  # used to hang the first read at +0 s
+        dict(gsn_wait_timeout=-1.0),
+        dict(gc_timeout=-1.0),  # used to be a kernel error at the first request
+        dict(window_size=0),  # these two used to fail only in create_client
+        dict(quantum=0.0),
+    ],
+    ids=lambda field: "{}={}".format(*next(iter(field.items()))),
+)
+def test_config_rejects_what_would_only_fail_once_running(field):
+    with pytest.raises(ValueError):
+        ServiceConfig(**field)
+
+
 def test_default_service_time_matches_paper():
     dist = default_service_time()
     assert dist.mu == pytest.approx(0.100)

@@ -6,6 +6,7 @@ from repro.baselines.strategies import AllReplicasSelection
 from repro.experiments.figure3 import Figure3Result, render as render_fig3, run_figure3
 from repro.experiments.figure4 import render as render_fig4, run_figure4
 from repro.experiments.harness import (
+    SelectionOverheadResult,
     measure_selection_overhead,
     run_figure4_cell,
 )
@@ -83,24 +84,41 @@ def test_overhead_grows_with_replica_count():
     assert large.total_us > small.total_us
 
 
-def test_overhead_grows_with_window_size():
-    w10 = measure_selection_overhead(6, 10, repetitions=60)
-    w40 = measure_selection_overhead(6, 40, repetitions=60)
-    assert w40.total_us > w10.total_us
-
-
 def test_overhead_validation():
     with pytest.raises(ValueError):
         measure_selection_overhead(0, 10)
 
 
 def test_figure3_shape_checks():
-    result = run_figure3(repetitions=40, replica_counts=(2, 6, 10), window_sizes=(10, 20))
-    assert result.is_monotone_in_replicas(10)
-    assert result.is_monotone_in_replicas(20)
-    assert result.window20_above_window10()
+    """Tier-1 asserts what is deterministic about the sweep.  Whether the
+    *measured* costs have Figure 3's shape is a wall-clock question (the
+    window term is a few µs of a ~90 µs evaluation) and is asserted where
+    timings are repeated: benchmarks/test_bench_figure3.py."""
+    counts, windows = (2, 6, 10), (10, 20)
+    result = run_figure3(repetitions=40, replica_counts=counts, window_sizes=windows)
+    assert set(result.points) == {(w, n) for w in windows for n in counts}
+    for (window, n), point in result.points.items():
+        assert (point.window_size, point.num_replicas) == (window, n)
+        assert point.total_us > 0
+        assert point.repetitions == 40
     text = render_fig3(result)
     assert "Figure 3" in text and "dist_share" in text
+
+    # The shape predicates themselves, on costs we choose.
+    def shaped(cost):
+        return Figure3Result(
+            {
+                (w, n): SelectionOverheadResult(n, w, cost(w, n), 0.0, 0.0, 1)
+                for w in windows
+                for n in counts
+            }
+        )
+
+    rising = shaped(lambda w, n: w + 10.0 * n)
+    assert rising.is_monotone_in_replicas(10) and rising.window20_above_window10()
+    falling = shaped(lambda w, n: 2000.0 / w - 5.0 * n)
+    assert not falling.is_monotone_in_replicas(10)
+    assert not falling.window20_above_window10()
 
 
 # ---------------------------------------------------------------------------

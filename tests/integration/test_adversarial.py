@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
-from repro.groups.membership import MembershipConfig
 from repro.net.latency import FixedLatency, LanLatency
 from repro.sim.process import Process, Timeout
 from repro.sim.rng import Constant, Normal
@@ -25,9 +24,6 @@ def make_testbed(**kwargs):
         ServiceConfig(**defaults),
         seed=kwargs.pop("seed", 43),
         latency=FixedLatency(0.001),
-        membership_config=MembershipConfig(
-            heartbeat_interval=0.1, suspect_timeout=0.35, sweep_interval=0.1
-        ),
     )
 
 

@@ -104,3 +104,53 @@ def test_readme_quickstart_snippet_runs():
     testbed.sim.run(until=10.0)
     assert len(results) == 1
     assert results[0].value == 1
+
+
+#: Every field of ``ServiceConfig`` and of the config classes that ride
+#: with it — the twin of ``FLAG_SURFACE`` in tests/test_cli.py.  A new
+#: knob (or a removed one) is a one-line diff here, visible in review.
+CONFIG_SURFACE = {
+    "repro.core.config.ServiceConfig": (
+        "name num_primaries num_secondaries ordering lazy_update_interval "
+        "adaptive_lazy_target window_size quantum read_service_time "
+        "update_service_time host_speed_factors publish_performance "
+        "heartbeat_interval suspect_timeout rto gsn_wait_timeout gc_timeout "
+        "overload detector controller"
+    ),
+    "repro.core.overload.OverloadConfig": (
+        "queue_capacity shed_expired shed_predicted defer_capacity "
+        "expire_deferred min_retry_after pressure_alpha depth_thresholds "
+        "wait_ratio_thresholds hysteresis"
+    ),
+    "repro.core.detector.DetectorConfig": (
+        "window_size phi_suspect phi_hedge min_samples min_std probe_interval "
+        "min_eject_keep watchdog_multiplier quarantine_base quarantine_max "
+        "quarantine_memory"
+    ),
+    "repro.core.controller.ControllerConfig": (
+        "epoch warmup_epochs healthy_epochs confirm_epochs cooldown_epochs "
+        "hold_epochs max_relax_steps relax_fast_burn relax_slow_burn t_l_step "
+        "t_l_min t_l_max staleness_step probability_step dry_run"
+    ),
+    "repro.groups.membership.MembershipConfig": (
+        "heartbeat_interval suspect_timeout sweep_interval"
+    ),
+    "repro.core.client.RetryPolicy": (
+        "max_retries min_remaining_budget checkpoint_fraction hedge "
+        "hedge_min_probability"
+    ),
+    "repro.core.overload.DegradationConfig": (
+        "staleness_widen probability_relief prefer_secondaries_level "
+        "shed_level max_level step_cooldown recovery_window"
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_SURFACE))
+def test_config_surface_is_pinned(path):
+    import dataclasses
+
+    module, _, name = path.rpartition(".")
+    cls = getattr(importlib.import_module(module), name)
+    fields = [f.name for f in dataclasses.fields(cls)]
+    assert fields == CONFIG_SURFACE[path].split()
