@@ -9,8 +9,14 @@ here, in tier-1, and not only in the perf ledger.
 If a change is *meant* to move simulated outcomes, re-record the digests
 (run the test, copy the ``got`` value) and say so in the PR.
 
+The two fault-free streams are pinned in two parts: ``outcomes`` hashes the
+per-operation lines (what the clients observed) and ``cost`` keeps the
+kernel's fired events and the fabric's sent messages.  A change to the
+substrate may move ``cost`` — and says why here — while ``outcomes`` stays.
+
 ``paper_cell`` and ``open_loop_4_28`` date from the commit *before* the
-message-fabric fast path (PR 12) touched ``src/``.  ``campaign_5s`` was
+message-fabric fast path (PR 12) touched ``src/`` (split in two by PR 17 at
+its parent commit: the joined lines still hash to the PR 12 digests).  ``campaign_5s`` was
 re-recorded by PR 15, which was meant to move it: the predictor evaluates
 ``F^I(d)``/``F^D(d)`` from exact window counts cached on ``(ts.version,
 tq.version)`` alone, one lookup per evaluation, so the ``predictor_cache_*``
@@ -33,8 +39,10 @@ from repro.workloads.generators import OpenLoopUpdater, PoissonReader
 from repro.workloads.scenarios import build_paper_scenario
 
 GOLDEN = {
-    "paper_cell": "98c784ff3e2537f51529b57d9010e9221e5e9d705cd9da19b77db02d62f1a8f0",
-    "open_loop_4_28": "265c7f3ddc5bd1491c82c5111642eac77fe24934cd6bc495baa71c97b9300903",
+    "paper_cell.outcomes": "6ad39aba8bdce39f40055e1e27f3aec6ea006bc89bab372ea9c4d36504ef68fd",
+    "paper_cell.cost": "events=8930 sent=5109",
+    "open_loop_4_28.outcomes": "e805fe6fca85c0f3e34a643f437e80d0db5c2f17811fb9d9b1a60b70c601464b",
+    "open_loop_4_28.cost": "events=9729 sent=7729",
     "campaign_5s": "ee6c195b26680edcf19020dae1c55b381608bb589dee6bc713767b9e0e502a6d",
 }
 
@@ -65,6 +73,17 @@ def _check(name, lines):
     )
 
 
+def _check_stream(name, op_lines, testbed):
+    """``outcomes`` is what the clients saw; ``cost`` is what it took, kept
+    in clear so a re-recording shows which count moved and by how much."""
+    _check(f"{name}.outcomes", op_lines)
+    cost = (
+        f"events={testbed.sim.events_processed} "
+        f"sent={testbed.network.messages_sent}"
+    )
+    assert cost == GOLDEN[f"{name}.cost"], f"{name}: kernel/fabric cost moved"
+
+
 @pytest.fixture(scope="module")
 def paper_scenario():
     scenario = build_paper_scenario(
@@ -84,9 +103,7 @@ def test_paper_cell_outcome_stream_is_pinned(paper_scenario):
     lines = []
     for client in (scenario.client1, scenario.client2):
         lines.extend(_op_lines(client.read_outcomes, client.update_outcomes))
-    lines.append(f"events={scenario.testbed.sim.events_processed}")
-    lines.append(f"sent={scenario.testbed.network.messages_sent}")
-    _check("paper_cell", lines)
+    _check_stream("paper_cell", lines, scenario.testbed)
 
 
 def test_paper_cell_tombstones_are_the_cancelled_entries_in_the_heap(paper_scenario):
@@ -126,9 +143,7 @@ def test_open_loop_4_28_outcome_stream_is_pinned():
     )
     testbed.sim.run(until=8.0)
     lines = _op_lines([o for _, o in reader.records], updater.outcomes)
-    lines.append(f"events={testbed.sim.events_processed}")
-    lines.append(f"sent={testbed.network.messages_sent}")
-    _check("open_loop_4_28", lines)
+    _check_stream("open_loop_4_28", lines, testbed)
 
 
 def test_chaos_campaign_events_and_registry_are_pinned():
