@@ -5,7 +5,9 @@ A :class:`GroupEndpoint` is a network endpoint that
 * maintains local copies of the views of every group it belongs to or
   watches, updated by :class:`~repro.groups.membership.ViewChangeMsg`;
 * sends periodic heartbeats to the membership service so crashes are
-  detected and evicted;
+  detected and evicted — for real once the fabric expects faults, and
+  evaluated at the service's sweep without being sent while it is
+  fault-free (no beat can go missing there, so none is put on the wire);
 * offers reliable FIFO group messaging (``gmcast`` / ``gsend``) built on
   :mod:`repro.groups.multicast`;
 * dispatches inbound traffic to overridable hooks:
@@ -57,6 +59,9 @@ class GroupEndpoint(Endpoint):
         # The frozen heartbeat payload for the current ``_joined``; built on
         # the first beat after a membership change, then reused.
         self._heartbeat_msg: Optional[HeartbeatMsg] = None
+        # The first tick of the beats that are evaluated at the sweep and not
+        # sent; None while this endpoint beats for real.
+        self._lazy_since: Optional[float] = None
         self._sender: Optional[FifoSender] = None
         self._receiver: Optional[FifoReceiver] = None
 
@@ -69,7 +74,7 @@ class GroupEndpoint(Endpoint):
             self.sim, self.name, self._raw_send, rto=self._rto
         )
         self._receiver = FifoReceiver(self._fifo_deliver, self._fifo_ack)
-        self.sim.schedule(self.heartbeat_interval, self._heartbeat)
+        self.sim.schedule(self.heartbeat_interval, self._first_heartbeat)
 
     def _raw_send(self, recipient: str, payload: Any, size_bytes: int) -> None:
         self.send(recipient, payload, size_bytes)
@@ -133,6 +138,61 @@ class GroupEndpoint(Endpoint):
 
     def is_member(self, group: str) -> bool:
         return self.name in self.view_of(group)
+
+    @property
+    def beats_lazily(self) -> bool:
+        """True while this endpoint's beats are due but not sent: the
+        membership sweep counts the member as heard from instead."""
+        return self._lazy_since is not None and bool(self._joined)
+
+    def _first_heartbeat(self) -> None:
+        """The first tick: beat, unless no beat of this endpoint can go missing.
+
+        That is the case while the fabric is fault-free and the service
+        vouches that the link to it is fast enough.  The endpoint then
+        arms no timer and sends nothing until the fabric says a fault is
+        coming (:meth:`_resume_heartbeats`).  Decided here and not in
+        :meth:`attached`, so every link and fault injector set up before
+        the clock starts is seen.
+        """
+        network = self.network
+        assert network is not None
+        service = (
+            network.endpoint(self.membership_name)
+            if network.fault_free and network.is_up(self.membership_name)
+            else None
+        )
+        if isinstance(service, MembershipService) and service.beats_land_in_time(
+            self.name, self.heartbeat_interval
+        ):
+            self._lazy_since = self.now
+            network.on_first_fault(self._resume_heartbeats)
+        else:
+            self._heartbeat()
+
+    def _resume_heartbeats(self) -> None:
+        """A fault is about to apply: account for the beats not sent, then
+        beat for real on the tick grid the timer chain would have walked.
+
+        The service is credited with the arrival of the latest tick (one
+        modelled link delay after it), or of the tick before while that one
+        would still be in flight.
+        """
+        assert self.network is not None and self._lazy_since is not None
+        now = self.now
+        interval = self.heartbeat_interval
+        landed, tick = None, self._lazy_since
+        while tick + interval <= now:
+            landed, tick = tick, tick + interval
+        self._lazy_since = None
+        if self._joined:
+            service = self.network.endpoint(self.membership_name)
+            delay = service.beat_delay(self.name)
+            if tick + delay <= now:
+                landed = tick
+            if landed is not None:
+                service.heard_from(self.name, landed + delay)
+        self.sim.schedule_at(tick + interval, self._heartbeat)
 
     def _heartbeat(self) -> None:
         if self.network is None:

@@ -9,6 +9,10 @@ members of the group (plus any observers).
 Crash detection: members periodically send heartbeats (scheduled by
 :class:`~repro.groups.group.GroupEndpoint`); the service sweeps for members
 whose last heartbeat is older than ``suspect_timeout`` and evicts them.
+While the fabric is fault-free (:attr:`~repro.net.network.Network.fault_free`)
+no beat can go missing, so none is sent: the sweep counts a member as heard
+from when its endpoint would have beaten, and on the first fault every
+endpoint is credited with its latest tick and beats for real from then on.
 Rank order (= join order) is preserved across views, which makes leader
 election deterministic (:attr:`View.leader`).
 """
@@ -185,6 +189,24 @@ class MembershipService(Endpoint):
             self._last_heartbeat[payload.member] = self.now
         # Unknown payloads are ignored: the service is deaf to app traffic.
 
+    def heard_from(self, member: str, at: float) -> None:
+        """What a heartbeat arriving at ``at`` would have recorded (the
+        endpoint's account of beats it did not send, on the first fault)."""
+        self._last_heartbeat[member] = at
+
+    def beat_delay(self, member: str) -> float:
+        """The delay an unsent beat of ``member`` is taken to have had: the
+        mean of its link to the service for a heartbeat-sized message."""
+        assert self.network is not None
+        return self.network.latency_for(member, self.name).mean_delay(64)
+
+    def beats_land_in_time(self, member: str, interval: float) -> bool:
+        """Whether beats sent every ``interval`` over ``member``'s link can
+        be taken as received, faults aside: a beat's delay must leave it
+        ``interval`` to spare inside ``suspect_timeout``, or the very first
+        one could arrive after the member was suspected."""
+        return self.beat_delay(member) < self.config.suspect_timeout - interval
+
     def _admit(self, group: str, member: str) -> View:
         view = self.view_of(group)
         if member in view:
@@ -257,6 +279,8 @@ class MembershipService(Endpoint):
                 for member, seen in self._last_heartbeat.items()
                 if seen < deadline
             ]
+            if suspects and self.network.fault_free:
+                suspects = [m for m in suspects if not self._heard_lazily(m)]
             for member in suspects:
                 del self._last_heartbeat[member]
                 for group in list(self._views):
@@ -264,3 +288,14 @@ class MembershipService(Endpoint):
         elif self.network is not None:
             self._amnesty_pending = True
         self._schedule_sweep()
+
+    def _heard_lazily(self, member: str) -> bool:
+        """Fault-free fabric: a member whose endpoint is due to beat but
+        does not send (``GroupEndpoint.beats_lazily``) is heard from now."""
+        network = self.network
+        if network.is_up(member) and getattr(
+            network.endpoint(member), "beats_lazily", False
+        ):
+            self._last_heartbeat[member] = self.now
+            return True
+        return False

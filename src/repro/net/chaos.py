@@ -170,6 +170,10 @@ class ChaosConfig:
         low, high = self.dup_probability
         if high > 1.0:
             raise ValueError(f"dup_probability upper bound {high} exceeds 1")
+        low, high = self.loss_probability
+        if high >= 1.0:
+            # Network.drop_probability rejects it; fail here, not mid-campaign.
+            raise ValueError(f"loss_probability upper bound {high} not below 1")
         if self.slow_factor[0] < 1.0:
             # A factor below 1 would *speed up* the victim; degrade_node
             # rejects it, so fail at config time instead of mid-campaign.
@@ -232,6 +236,9 @@ class ChaosEngine:
         rate_controller: Optional[object] = None,
     ) -> None:
         self.network = network
+        # Said when the engine is built, not at the first injection, so a
+        # campaign's fault-free warm-up runs the code its faulty part runs.
+        network.expect_faults()
         self.sim = network.sim
         self.targets = targets
         self.config = config or ChaosConfig()

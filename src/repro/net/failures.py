@@ -35,6 +35,7 @@ class FailureInjector:
 
     def __init__(self, network: Network) -> None:
         self.network = network
+        network.expect_faults()
         self.sim = network.sim
         self.injected: list[str] = []
 

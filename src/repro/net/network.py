@@ -26,6 +26,11 @@ its ``(rng stream, latency model)`` *route* and reused until the topology or
 a degradation changes, and the crash, cut, loss and churn checks are skipped
 while the fabric's own state says none is configured.  None of this may
 change which RNG stream is drawn from, or in which order.
+
+The fabric also knows whether it has ever been anything but perfect:
+:attr:`Network.fault_free` holds until the first fault is configured or a
+fault injector is built on it, and :meth:`Network.on_first_fault` tells a
+layer that skipped work on the strength of it, before that fault applies.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.net.latency import DegradedLatency, LatencyModel
 from repro.net.message import Message
@@ -157,12 +162,12 @@ class Network:
         drop_probability: float = 0.0,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if not 0.0 <= drop_probability < 1.0:
-            raise ValueError(f"drop probability {drop_probability!r} outside [0, 1)")
         self.sim = sim
         self.rng = rng
         self.default_latency = default_latency
         self.trace = trace
+        self._fault_free = True
+        self._on_first_fault: list[Callable[[], None]] = []
         self.drop_probability = drop_probability
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._endpoints: dict[str, Endpoint] = {}
@@ -201,6 +206,50 @@ class Network:
         return self._m_dropped.value
 
     # ------------------------------------------------------------------
+    # The fault-free fact
+    # ------------------------------------------------------------------
+    @property
+    def fault_free(self) -> bool:
+        """True until the first :meth:`crash`, :meth:`partition`, non-zero
+        :attr:`drop_probability`, :meth:`set_churn`, ``degrade_*`` or
+        :meth:`detach`, or until a fault injector is built on this fabric.
+
+        While it holds, every message sent between attached endpoints is
+        delivered, once, after its link's undisturbed latency.  It never
+        becomes true again: healing the last fault does not restore it.
+        """
+        return self._fault_free
+
+    def on_first_fault(self, callback: Callable[[], None]) -> None:
+        """Run ``callback()`` once, right before the first fault applies."""
+        if not self._fault_free:
+            raise NetworkError("the fabric is no longer fault-free")
+        self._on_first_fault.append(callback)
+
+    def expect_faults(self) -> None:
+        """End the fault-free state (idempotent); fault injectors call this
+        when they are built, every fault entry point before it acts."""
+        if not self._fault_free:
+            return
+        self._fault_free = False
+        callbacks, self._on_first_fault = self._on_first_fault, []
+        for callback in callbacks:
+            callback()
+
+    @property
+    def drop_probability(self) -> float:
+        """Uniform per-message loss probability, in ``[0, 1)``."""
+        return self._drop_probability
+
+    @drop_probability.setter
+    def drop_probability(self, value: float) -> None:
+        if not 0.0 <= value < 1.0:
+            raise ValueError(f"drop probability {value!r} outside [0, 1)")
+        if value > 0.0:
+            self.expect_faults()
+        self._drop_probability = value
+
+    # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
     def attach(self, endpoint: Endpoint, host: Optional[Host] = None) -> None:
@@ -212,6 +261,7 @@ class Network:
         endpoint.attached(self, host)
 
     def detach(self, name: str) -> None:
+        self.expect_faults()
         self._endpoints.pop(name, None)
         self._hosts.pop(name, None)
         self._crashed.discard(name)
@@ -230,7 +280,14 @@ class Network:
         return sorted(self._endpoints)
 
     def set_link(self, sender: str, recipient: str, latency: LatencyModel) -> None:
-        """Override latency for the directed pair ``sender -> recipient``."""
+        """Override latency for the directed pair ``sender -> recipient``.
+
+        Re-wiring a link that someone already judged (a registered
+        :meth:`on_first_fault` callback) ends the fault-free state: what
+        they skipped was skipped on the strength of the old latency.
+        """
+        if self._on_first_fault:
+            self.expect_faults()
         self._links[(sender, recipient)] = latency
         self._routes.clear()
 
@@ -289,6 +346,7 @@ class Network:
             raise ValueError(
                 f"invalid degradation factor={factor!r} jitter={jitter_s!r}"
             )
+        self.expect_faults()
         self._degraded_nodes[name] = (factor, jitter_s)
         self._routes.clear()
         self.trace.emit(
@@ -313,6 +371,7 @@ class Network:
             raise ValueError(
                 f"invalid degradation factor={factor!r} jitter={jitter_s!r}"
             )
+        self.expect_faults()
         self._degraded_links[(sender, recipient)] = (factor, jitter_s)
         self._routes.clear()
         self.trace.emit(
@@ -348,6 +407,7 @@ class Network:
         over ``(sender, "*")``, which wins over ``("*", recipient)``,
         which wins over ``("*", "*")``.
         """
+        self.expect_faults()
         self._churn[(sender, recipient)] = churn
 
     def clear_churn(
@@ -385,6 +445,7 @@ class Network:
             raise NetworkError(f"unknown endpoint {name!r}")
         if name in self._crashed:
             return False
+        self.expect_faults()
         self._crashed.add(name)
         self.trace.emit(self.sim.now, "net.crash", name)
         return True
@@ -429,6 +490,7 @@ class Network:
         if name in self._partitions:
             raise NetworkError(f"partition {name!r} already active")
         cut = PartitionCut(name, frozenset(side_a), frozenset(side_b), symmetric)
+        self.expect_faults()
         self._partitions[name] = cut
         self.trace.emit(
             self.sim.now,
@@ -485,8 +547,8 @@ class Network:
         if self._partitions and self._cut(sender, recipient):
             self._drop(message, "partitioned")
             return message
-        if self.drop_probability > 0.0:
-            if self.rng.stream("net.loss").random() < self.drop_probability:
+        if self._drop_probability > 0.0:
+            if self.rng.stream("net.loss").random() < self._drop_probability:
                 self._drop(message, "random-loss")
                 return message
         link_rng, latency = route

@@ -75,10 +75,13 @@ def test_assume_membership_arms_heartbeats(sim, wired):
     assert "a" in service.view_of("g")  # heartbeats kept it alive
 
 
-def test_heartbeat_payload_is_reused_until_membership_changes(sim, wired, monkeypatch):
+def test_heartbeat_payload_is_reused_until_membership_changes(
+    sim, network, wired, monkeypatch
+):
     """The frozen heartbeat message is built once per joined-set, not per
     beat, and every join/assume/leave is reflected in the next beat."""
     _, nodes = wired
+    network.expect_faults()  # beats are on the wire
     a = nodes["a"]
     beats = []
     send = a.send

@@ -16,7 +16,13 @@ substrate may move ``cost`` — and says why here — while ``outcomes`` stays.
 
 ``paper_cell`` and ``open_loop_4_28`` date from the commit *before* the
 message-fabric fast path (PR 12) touched ``src/`` (split in two by PR 17 at
-its parent commit: the joined lines still hash to the PR 12 digests).  ``campaign_5s`` was
+its parent commit: the joined lines still hash to the PR 12 digests).  PR 17
+then re-recorded their ``cost`` and only that — ``events=8930 sent=5109`` and
+``events=9729 sent=7729`` before it: while the fabric is fault-free a group
+endpoint's heartbeats are evaluated at the membership sweep and not sent, so
+each endpoint costs one timer event per run where it cost a timer, a send and
+an arrival four times a simulated second.  ``campaign_5s`` builds its fault
+engine at t = 0, beats for real throughout, and did not move.  ``campaign_5s`` was
 re-recorded by PR 15, which was meant to move it: the predictor evaluates
 ``F^I(d)``/``F^D(d)`` from exact window counts cached on ``(ts.version,
 tq.version)`` alone, one lookup per evaluation, so the ``predictor_cache_*``
@@ -40,9 +46,9 @@ from repro.workloads.scenarios import build_paper_scenario
 
 GOLDEN = {
     "paper_cell.outcomes": "6ad39aba8bdce39f40055e1e27f3aec6ea006bc89bab372ea9c4d36504ef68fd",
-    "paper_cell.cost": "events=8930 sent=5109",
+    "paper_cell.cost": "events=4523 sent=2899",
     "open_loop_4_28.outcomes": "e805fe6fca85c0f3e34a643f437e80d0db5c2f17811fb9d9b1a60b70c601464b",
-    "open_loop_4_28.cost": "events=9729 sent=7729",
+    "open_loop_4_28.cost": "events=7559 sent=6609",
     "campaign_5s": "ee6c195b26680edcf19020dae1c55b381608bb589dee6bc713767b9e0e502a6d",
 }
 

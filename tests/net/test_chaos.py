@@ -58,6 +58,7 @@ def make_engine(network, seed=7, config=None, **target_kwargs):
         {"downtime": (0.0, 1.0)},
         {"downtime": (2.0, 1.0)},
         {"loss_probability": (0.2, 0.1)},
+        {"loss_probability": (0.5, 1.0)},  # the fabric takes [0, 1) only
     ],
 )
 def test_chaos_config_rejects_bad_values(kwargs):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.net.chaos import ChaosEngine, ChaosTargets
+from repro.net.failures import FailureInjector
 from repro.net.latency import FixedLatency, LanLatency
 from repro.net.message import Message, next_message_id
 from repro.net.network import Endpoint, LinkChurn, Network, NetworkError
@@ -250,6 +252,82 @@ def test_invalid_drop_probability_rejected(sim, rng):
         Network(sim, rng, FixedLatency(0.001), drop_probability=1.0)
 
 
+@pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
+def test_drop_probability_is_checked_on_every_write(network, bad):
+    """Fault injectors write it mid-run; a value the constructor would
+    refuse must not get in that way (1.5 used to drop every message)."""
+    network.drop_probability = 0.25
+    with pytest.raises(ValueError):
+        network.drop_probability = bad
+    assert network.drop_probability == 0.25
+
+
+# ---------------------------------------------------------------------------
+# The fault-free fact
+# ---------------------------------------------------------------------------
+_FIRST_FAULTS = {
+    "crash": lambda net: net.crash("a"),
+    "partition": lambda net: net.partition({"a"}, {"b"}),
+    "drop-probability": lambda net: setattr(net, "drop_probability", 0.1),
+    "churn": lambda net: net.set_churn("a", "b", LinkChurn(reorder_probability=0.5)),
+    "degrade-node": lambda net: net.degrade_node("a", factor=2.0),
+    "degrade-link": lambda net: net.degrade_link("a", "b", factor=2.0),
+    "detach": lambda net: net.detach("b"),
+    "expect-faults": lambda net: net.expect_faults(),
+    "failure-injector": lambda net: FailureInjector(net),
+    "chaos-engine": lambda net: ChaosEngine(net, ChaosTargets(primaries=("a", "b"))),
+    # Re-wiring counts once someone has judged the links as they were.
+    "set-link": lambda net: net.set_link("a", "b", FixedLatency(0.5)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FIRST_FAULTS))
+def test_first_fault_is_announced_once_and_before_it_applies(network, pair, fault):
+    seen = []
+
+    def on_first_fault():
+        # Nothing has been applied yet: the world is still whole.
+        seen.append(
+            (
+                network.fault_free,
+                network.is_up("a"),
+                network.endpoints(),
+                network.active_partitions(),
+                network.drop_probability,
+                network.is_degraded("a"),
+                network.latency_for("a", "b") is network.default_latency,
+            )
+        )
+
+    assert network.fault_free
+    network.on_first_fault(on_first_fault)
+    _FIRST_FAULTS[fault](network)
+    assert seen == [(False, True, ["a", "b"], [], 0.0, False, True)]
+    assert not network.fault_free
+    network.crash("a")  # a later fault: nothing more to announce
+    network.recover("a")
+    assert len(seen) == 1 and not network.fault_free
+    with pytest.raises(NetworkError):
+        network.on_first_fault(on_first_fault)
+
+
+def test_setup_and_healthy_operation_keep_the_fabric_fault_free(sim, network, pair):
+    a, b = pair
+    network.set_link("a", "b", FixedLatency(0.5))  # nobody relies on it yet
+    network.drop_probability = 0.0
+    network.clear_churn()
+    network.clear_degradations()
+    network.heal_partitions()
+    a.send("b", "x")
+    sim.run()
+    assert len(b.received) == 1
+    assert network.fault_free
+
+
+def test_fabric_built_lossy_never_was_fault_free(sim, rng):
+    assert not Network(sim, rng, FixedLatency(0.001), drop_probability=0.1).fault_free
+
+
 # ---------------------------------------------------------------------------
 # Named and asymmetric partitions
 # ---------------------------------------------------------------------------
@@ -475,7 +553,7 @@ _ROUTE_FAULTS = {
         0, 0, None,
     ),
     "drop-probability": (
-        lambda net, b: setattr(net, "drop_probability", 1.0),
+        lambda net, b: setattr(net, "drop_probability", 0.999999),
         lambda net, b: setattr(net, "drop_probability", 0.0),
         0, 0, None,
     ),
