@@ -14,6 +14,7 @@ Two artifact channels per bench session:
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ import pytest
 from repro.experiments.runner import available_cpus
 
 RESULTS_FILE = Path(__file__).parent / "results.txt"
+SEEDED_RESULTS = Path(__file__).parent / "seeded_results.json"
 
 #: Session accumulator for the JSON artifacts: bench name -> {metric: value}.
 _RECORDS: dict[str, dict[str, float]] = {}
@@ -56,6 +58,34 @@ def report(capfd):
             sink.write(text + "\n")
 
     return _report
+
+
+@pytest.fixture
+def pin():
+    """Assert a seeded result equals its committed value.
+
+    A seeded run repeats exactly, so its outcome is pinned, not tracked:
+    ints compare ``==``, floats to ``rel_tol=1e-9``, and a key missing from
+    ``seeded_results.json`` fails.  Refreshing a pin is editing the file to
+    the number the failure prints, in the change that moved it.
+    """
+    pins = json.loads(SEEDED_RESULTS.read_text())
+
+    def _pin(key: str, measured: float) -> None:
+        assert key in pins, (
+            f"{key} = {measured!r} has no entry in {SEEDED_RESULTS.name}"
+        )
+        pinned = pins[key]
+        if isinstance(pinned, int):
+            same = measured == pinned
+        else:
+            same = math.isclose(measured, pinned, rel_tol=1e-9)
+        assert same, (
+            f"{key}: measured {measured!r}, pinned {pinned!r} "
+            f"in benchmarks/{SEEDED_RESULTS.name}"
+        )
+
+    return _pin
 
 
 @pytest.fixture

@@ -31,16 +31,16 @@ REQUESTS = 400
 
 
 @pytest.mark.benchmark(group="ablations")
-def test_ablation_lui(benchmark, report, record):
+def test_ablation_lui(benchmark, report, pin):
     """A1: longer lazy update interval ⇒ staler secondaries."""
     rows = benchmark.pedantic(
         lui_sweep, kwargs=dict(total_requests=REQUESTS), rounds=1
     )
     report("")
     report(_render_rows("A1 — lazy update interval", rows))
-    record("lui_shortest_avg_selected", rows[0].avg_replicas_selected)
-    record("lui_longest_avg_selected", rows[-1].avg_replicas_selected)
-    record("lui_longest_deferred_fraction", rows[-1].deferred_fraction)
+    pin("lui_shortest_avg_selected", rows[0].avg_replicas_selected)
+    pin("lui_longest_avg_selected", rows[-1].avg_replicas_selected)
+    pin("lui_longest_deferred_fraction", rows[-1].deferred_fraction)
     # More replicas selected (or more deferrals) as the LUI grows 1s -> 8s.
     assert (
         rows[-1].avg_replicas_selected >= rows[0].avg_replicas_selected

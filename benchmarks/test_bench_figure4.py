@@ -57,7 +57,7 @@ def test_figure4_configuration(benchmark, min_probability, lui):
 
 
 @pytest.mark.benchmark(group="figure4-adaptivity")
-def test_figure4_report(benchmark, report, record):
+def test_figure4_report(benchmark, report, pin):
     """Merge the per-configuration sweeps and print both panels.
 
     Carries a (trivial) benchmark so ``--benchmark-only`` runs do not
@@ -73,7 +73,7 @@ def test_figure4_report(benchmark, report, record):
     report(render(merged))
     for (prob, lui), result in sorted(_results.items()):
         failures = sum(c.timing_failures for c in result.series(prob, lui))
-        record(f"failures_pc{prob}_lui{lui:g}", failures)
+        pin(f"failures_pc{prob}_lui{lui:g}", failures)
     # Cross-configuration observation (§6.1): with the longer LUI the
     # replicas are staler, so (summed over the sweep) timing failures are
     # at least as frequent as with the shorter LUI.

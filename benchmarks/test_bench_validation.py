@@ -21,7 +21,7 @@ from repro.experiments.validation import (
 
 
 @pytest.mark.benchmark(group="validation")
-def test_staleness_calibration_poisson(benchmark, report, record):
+def test_staleness_calibration_poisson(benchmark, report, pin):
     rows = benchmark.pedantic(
         run_staleness_validation, kwargs=dict(duration=240.0), rounds=1
     )
@@ -29,14 +29,14 @@ def test_staleness_calibration_poisson(benchmark, report, record):
     report(render_staleness(
         "Staleness calibration — Poisson arrivals, Eq. 4", rows
     ))
-    record("staleness_poisson_max_abs_error",
+    pin("staleness_poisson_max_abs_error",
            max(abs(row.error) for row in rows))
     # Eq. 4 should be well calibrated when its assumption holds.
     assert all(abs(row.error) < 0.1 for row in rows)
 
 
 @pytest.mark.benchmark(group="validation")
-def test_staleness_calibration_bursty(benchmark, report, record):
+def test_staleness_calibration_bursty(benchmark, report, pin):
     def both():
         poisson = run_staleness_validation(duration=240.0, bursty=True)
         mixture = run_staleness_validation(
@@ -58,13 +58,13 @@ def test_staleness_calibration_bursty(benchmark, report, record):
     ))
     poisson_err = sum(abs(r.error) for r in poisson)
     mixture_err = sum(abs(r.error) for r in mixture)
-    record("staleness_bursty_eq4_total_error", poisson_err)
-    record("staleness_bursty_mixture_total_error", mixture_err)
+    pin("staleness_bursty_eq4_total_error", poisson_err)
+    pin("staleness_bursty_mixture_total_error", mixture_err)
     assert mixture_err < poisson_err
 
 
 @pytest.mark.benchmark(group="validation")
-def test_hotspot_avoidance(benchmark, report, record):
+def test_hotspot_avoidance(benchmark, report, pin):
     result = benchmark.pedantic(
         run_hotspot_validation, kwargs=dict(reads=300), rounds=1
     )
@@ -77,7 +77,7 @@ def test_hotspot_avoidance(benchmark, report, record):
         ],
         title="Hot-spot avoidance (§5.3): read-load imbalance",
     ))
-    record("hotspot_ert_imbalance", result.with_ert_imbalance)
-    record("hotspot_greedy_imbalance", result.without_ert_imbalance)
+    pin("hotspot_ert_imbalance", result.with_ert_imbalance)
+    pin("hotspot_greedy_imbalance", result.without_ert_imbalance)
     assert result.with_ert_imbalance < 1.5
     assert result.without_ert_imbalance > result.with_ert_imbalance
