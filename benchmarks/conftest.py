@@ -1,14 +1,16 @@
 """Shared benchmark fixtures.
 
-Two artifact channels per bench session:
+The benches under this directory regenerate the paper's tables and check
+seeded results; host timings are not theirs to track — those belong to the
+perf ledger (``benchmarks/ledger/``, ``BENCHMARK.json``).  Two fixtures:
 
-* ``results.txt`` — the human-readable tables every bench prints, stamped
-  with the bench environment (usable cores) so numbers stay comparable
-  across machines;
-* ``BENCH_<name>.json`` — one flat metric-name → value JSON per bench
-  module (``test_bench_kernel.py`` → ``BENCH_kernel.json``), written at
-  session end and uploaded by CI so the perf trajectory is machine-
-  trackable instead of living only in a text table.
+* ``report`` — prints a bench's table and appends it to ``results.txt``,
+  the generated transcript of the latest bench session;
+* ``pin`` — asserts a seeded result equal to its committed value in
+  ``seeded_results.json``.
+
+The "feature off means free" budgets and the kernel-event cost they are
+measured against live in ``test_bench_guards.py``.
 """
 
 from __future__ import annotations
@@ -19,27 +21,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.runner import available_cpus
-
 RESULTS_FILE = Path(__file__).parent / "results.txt"
 SEEDED_RESULTS = Path(__file__).parent / "seeded_results.json"
-
-#: Session accumulator for the JSON artifacts: bench name -> {metric: value}.
-_RECORDS: dict[str, dict[str, float]] = {}
-
-
-def _bench_name(request: pytest.FixtureRequest) -> str:
-    module = request.node.module.__name__.rsplit(".", 1)[-1]
-    return module.removeprefix("test_bench_") or module
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _fresh_results_file():
-    """Start each bench session with an empty, env-stamped transcript."""
-    RESULTS_FILE.write_text(
-        f"# bench environment: usable_cores={available_cpus()}\n"
-    )
-    yield
+    """Start each bench session with an empty transcript."""
+    RESULTS_FILE.write_text("")
 
 
 @pytest.fixture
@@ -60,7 +49,7 @@ def report(capfd):
     return _report
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def pin():
     """Assert a seeded result equals its committed value.
 
@@ -86,25 +75,3 @@ def pin():
         )
 
     return _pin
-
-
-@pytest.fixture
-def record(request):
-    """Accumulate one named metric for this module's ``BENCH_<name>.json``.
-
-    Values are coerced to float; recording the same metric twice keeps
-    the last value (a re-run within the session supersedes).
-    """
-    sink = _RECORDS.setdefault(_bench_name(request), {})
-
-    def _record(metric: str, value: float) -> None:
-        sink[str(metric)] = float(value)
-
-    return _record
-
-
-def pytest_sessionfinish(session, exitstatus):
-    directory = Path(__file__).parent
-    for name, metrics in sorted(_RECORDS.items()):
-        path = directory / f"BENCH_{name}.json"
-        path.write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")

@@ -22,9 +22,6 @@ from repro.experiments.figure4 import (
     render,
     run_figure4,
 )
-from repro.experiments.runner import available_cpus
-from repro.experiments.speedup import measure_speedup
-from repro.experiments.speedup import render as render_speedup
 
 TOTAL_REQUESTS = 1000
 
@@ -86,41 +83,3 @@ def test_figure4_report(benchmark, report, pin):
                 c.timing_failures for c in _results[(prob, 4.0)].series(prob, 4.0)
             )
             assert long >= short
-
-
-# ---------------------------------------------------------------------------
-# Parallel runner speedup: one row per jobs level the box can deliver
-# ---------------------------------------------------------------------------
-@pytest.mark.benchmark(group="figure4-runner-speedup")
-def test_quick_sweep_speedup_per_jobs_level(benchmark, report, record):
-    """Quick Figure 4 grid timed at jobs ∈ {1, 2, 4, cores}, capped at cores.
-
-    One row per jobs level with cells-per-second and the speedup over the
-    serial run, plus the usable-core count.  Levels above the usable-core
-    count are not measured: they would record serial runs racing each
-    other under a parallel-looking key.  `measure_speedup` itself asserts
-    every level returns identical cells.
-    """
-    cores = available_cpus()
-    levels = sorted(n for n in {1, 2, 4, cores} if n <= cores)
-
-    result = benchmark.pedantic(
-        lambda: measure_speedup(jobs_levels=levels), rounds=1, iterations=1
-    )
-    report("")
-    report(render_speedup(result))
-    record("usable_cores", cores)
-    for row in result.rows:
-        # ``_per_s`` is a suffix bench-diff gates as higher-is-better.
-        record(f"jobs{row.jobs}_cells_per_s", row.cells_per_second)
-
-    if cores >= 2:
-        row = result.row_for(2)
-        assert row is not None and row.speedup >= 1.2, (
-            f"--jobs 2 speedup {row and row.speedup:.2f}x < 1.2x on {cores} cores"
-        )
-    if cores >= 4:
-        row = result.row_for(4)
-        assert row is not None and row.speedup >= 2.5, (
-            f"--jobs 4 speedup {row and row.speedup:.2f}x < 2.5x on {cores} cores"
-        )

@@ -29,8 +29,7 @@ def test_staleness_calibration_poisson(benchmark, report, pin):
     report(render_staleness(
         "Staleness calibration — Poisson arrivals, Eq. 4", rows
     ))
-    pin("staleness_poisson_max_abs_error",
-           max(abs(row.error) for row in rows))
+    pin("staleness_poisson_max_abs_error", max(abs(row.error) for row in rows))
     # Eq. 4 should be well calibrated when its assumption holds.
     assert all(abs(row.error) < 0.1 for row in rows)
 

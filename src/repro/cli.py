@@ -46,10 +46,6 @@ COMMANDS: dict[str, tuple[str, str]] = {
         "repro.experiments.dashboard",
         "sparkline/SLO dashboard over a timeline artifact",
     ),
-    "bench-diff": (
-        "repro.experiments.benchdiff",
-        "compare BENCH_*.json results against baselines",
-    ),
     "speedup": (
         "repro.experiments.speedup",
         "parallel runner throughput per --jobs level",

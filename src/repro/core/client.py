@@ -403,10 +403,6 @@ class ClientHandler(GroupEndpoint):
             return 0.0
         return sum(self.selected_counts) / len(self.selected_counts)
 
-    def prediction_cache_stats(self) -> dict[str, int]:
-        """Pmf-cache hit/miss/invalidation counters (benchmark reporting)."""
-        return self.predictor.cache_stats
-
     # ------------------------------------------------------------------
     # Update path (§5: multicast to all primaries)
     # ------------------------------------------------------------------

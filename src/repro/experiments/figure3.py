@@ -89,9 +89,8 @@ def run_figure3(
     seed: int = 0,
     replica_counts: tuple[int, ...] = REPLICA_COUNTS,
     window_sizes: tuple[int, ...] = WINDOW_SIZES,
-    use_cache: bool = False,
 ) -> Figure3Result:
-    """The Figure 3 sweep (uncached by default — the paper's semantics)."""
+    """The Figure 3 sweep."""
     result = Figure3Result()
     for window in window_sizes:
         for n in replica_counts:
@@ -100,131 +99,24 @@ def run_figure3(
                 window_size=window,
                 repetitions=repetitions,
                 seed=seed,
-                use_cache=use_cache,
             )
     return result
 
 
-@dataclass(frozen=True)
-class CacheComparisonPoint:
-    """Prediction-cache effect at one (replicas, window) Figure 3 point.
-
-    ``steady`` is the cache's best case (no new measurements between
-    reads: every lookup after the first is a hit); ``churn`` is its worst
-    case (a fresh broadcast before every read: every lookup invalidates).
-    """
-
-    uncached: SelectionOverheadResult
-    steady: SelectionOverheadResult
-    churn_uncached: SelectionOverheadResult
-    churn_cached: SelectionOverheadResult
-
-    @property
-    def steady_speedup(self) -> float:
-        """Whole-pass speedup of cached steady-state reads."""
-        if self.steady.total_us == 0:
-            return float("inf")
-        return self.uncached.total_us / self.steady.total_us
-
-    @property
-    def steady_distribution_speedup(self) -> float:
-        """Speedup of the distribution computation alone (the ~90 %)."""
-        if self.steady.distribution_us == 0:
-            return float("inf")
-        return self.uncached.distribution_us / self.steady.distribution_us
-
-    @property
-    def churn_ratio(self) -> float:
-        """Cached/uncached cost under per-read invalidation (~1.0 = no
-        regression)."""
-        if self.churn_uncached.total_us == 0:
-            return float("inf")
-        return self.churn_cached.total_us / self.churn_uncached.total_us
-
-
-def run_cache_comparison(
-    repetitions: int = 300,
-    seed: int = 0,
-    replica_counts: tuple[int, ...] = (4, 8),
-    window_size: int = 20,
-) -> dict[int, CacheComparisonPoint]:
-    """Measure the versioned prediction cache against fresh recomputation."""
-    points: dict[int, CacheComparisonPoint] = {}
-    for n in replica_counts:
-        common = dict(
-            num_replicas=n, window_size=window_size,
-            repetitions=repetitions, seed=seed,
-        )
-        points[n] = CacheComparisonPoint(
-            uncached=measure_selection_overhead(**common, use_cache=False),
-            steady=measure_selection_overhead(**common, use_cache=True),
-            churn_uncached=measure_selection_overhead(
-                **common, use_cache=False, fresh_measurements=True
-            ),
-            churn_cached=measure_selection_overhead(
-                **common, use_cache=True, fresh_measurements=True
-            ),
-        )
-    return points
-
-
-def render_cache_comparison(points: dict[int, CacheComparisonPoint]) -> str:
-    rows = []
-    for n, point in sorted(points.items()):
-        rows.append(
-            (
-                n,
-                point.uncached.total_us,
-                point.steady.total_us,
-                f"{point.steady_speedup:.1f}x",
-                f"{point.steady_distribution_speedup:.1f}x",
-                f"{100 * point.steady.cache_hit_rate:.0f}%",
-                f"{point.churn_ratio:.2f}",
-            )
-        )
-    return format_table(
-        [
-            "replicas",
-            "uncached_us",
-            "cached_us",
-            "speedup",
-            "dist_speedup",
-            "hit_rate",
-            "churn_ratio",
-        ],
-        rows,
-        title=(
-            "Prediction cache — steady-state reads vs fresh recomputation "
-            "(churn_ratio: cached/uncached cost when every read carries a "
-            "new measurement)"
-        ),
-    )
-
-
 def render(result: Figure3Result) -> str:
-    rows = []
-    show_cache = any(
-        p.cache_hits or p.cache_misses for p in result.points.values()
-    )
-    for (window, n), point in sorted(result.points.items()):
-        row = [
+    rows = [
+        (
             n,
             window,
             point.total_us,
             point.distribution_us,
             point.selection_us,
             f"{100 * point.distribution_share:.0f}%",
-        ]
-        if show_cache:
-            row.append(f"{100 * point.cache_hit_rate:.0f}%")
-        rows.append(tuple(row))
-    headers = [
-        "replicas", "window", "total_us", "distribution_us", "selection_us", "dist_share",
+        )
+        for (window, n), point in sorted(result.points.items())
     ]
-    if show_cache:
-        headers.append("cache_hits")
     return format_table(
-        headers,
+        ["replicas", "window", "total_us", "distribution_us", "selection_us", "dist_share"],
         rows,
         title="Figure 3 — selection algorithm overhead (microseconds per read)",
     )
@@ -242,8 +134,6 @@ def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> None:
 
     result = run_figure3()
     print(render(result))
-    print()
-    print(render_cache_comparison(run_cache_comparison()))
     if args.save:
         from repro.experiments.report import save_results
 
@@ -259,11 +149,10 @@ def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> None:
 
 
 def write_metrics_artifact(path: str, result: Figure3Result) -> None:
-    """JSONL telemetry: per-point cost and cache counters, plus totals."""
+    """JSONL telemetry: one record of per-read cost per point."""
     from repro.obs.export import write_jsonl
 
     records = [{"event": "meta", "experiment": "figure3"}]
-    totals = {"cache_hits": 0, "cache_misses": 0, "cache_invalidations": 0}
     for (window, n), point in sorted(result.points.items()):
         records.append(
             {
@@ -273,15 +162,8 @@ def write_metrics_artifact(path: str, result: Figure3Result) -> None:
                 "total_us": point.total_us,
                 "distribution_us": point.distribution_us,
                 "selection_us": point.selection_us,
-                "cache_hits": point.cache_hits,
-                "cache_misses": point.cache_misses,
-                "cache_invalidations": point.cache_invalidations,
             }
         )
-        totals["cache_hits"] += point.cache_hits
-        totals["cache_misses"] += point.cache_misses
-        totals["cache_invalidations"] += point.cache_invalidations
-    records.append({"event": "totals", **totals})
     write_jsonl(path, records)
 
 

@@ -46,23 +46,12 @@ class SelectionOverheadResult:
     distribution_us: float  # distribution computation share (paper: ~90 %)
     selection_us: float  # Algorithm 1 share (paper: ~10 %)
     repetitions: int
-    # Pmf-cache effectiveness over the run (all zero when uncached).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
 
     @property
     def distribution_share(self) -> float:
         if self.total_us == 0:
             return 0.0
         return self.distribution_us / self.total_us
-
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        if lookups == 0:
-            return 0.0
-        return self.cache_hits / lookups
 
 
 def _synthetic_repository(
@@ -109,18 +98,12 @@ def measure_selection_overhead(
     min_probability: float = 0.9,
     lazy_update_interval: float = 2.0,
     strategy: Optional[SelectionStrategy] = None,
-    use_cache: bool = False,
-    fresh_measurements: bool = False,
 ) -> SelectionOverheadResult:
     """Time one client-side prediction + selection pass (Figure 3).
 
-    By default the pmf cache is OFF so the measurement reproduces the
+    The predictor's per-replica cache is off, so every repetition pays the
     paper's Figure 3 semantics: the full per-read distribution
-    recomputation.  ``use_cache=True`` measures the production fast path
-    instead (steady-state reads hit the versioned cache).  With
-    ``fresh_measurements=True`` every repetition first folds a new
-    performance broadcast into each replica's windows — the worst case
-    for the cache, where every read invalidates and recomputes.
+    recomputation.
     """
     if num_replicas < 1:
         raise ValueError("need at least one replica")
@@ -128,27 +111,14 @@ def measure_selection_overhead(
         num_replicas, window_size, seed, num_primaries=4,
         lazy_update_interval=lazy_update_interval,
     )
-    predictor = ResponseTimePredictor(repo, lazy_update_interval, use_cache=use_cache)
+    predictor = ResponseTimePredictor(repo, lazy_update_interval, use_cache=False)
     qos = QoSSpec(staleness_threshold, deadline, min_probability)
     strategy = strategy or StateBasedSelection()
     now = 11.0
-    fresh_rng = RngRegistry(seed + 1).stream("figure3-fresh")
 
     dist_time = 0.0
     select_time = 0.0
     for rep in range(repetitions):
-        if fresh_measurements:
-            # A broadcast lands between reads: windows advance, versions
-            # bump, and any cached pmfs for these replicas go stale.
-            for name in primaries + secondaries:
-                repo.record_broadcast(
-                    PerfBroadcast(
-                        replica=name,
-                        ts=max(0.002, fresh_rng.gauss(0.100, 0.050)),
-                        tq=max(0.0, fresh_rng.gauss(0.010, 0.010)),
-                        tb=fresh_rng.uniform(0.0, lazy_update_interval),
-                    )
-                )
         t0 = time.perf_counter()
         candidates = []
         for name in primaries:
@@ -178,9 +148,6 @@ def measure_selection_overhead(
         distribution_us=1e6 * dist_time / repetitions,
         selection_us=1e6 * select_time / repetitions,
         repetitions=repetitions,
-        cache_hits=predictor.cache_hits,
-        cache_misses=predictor.cache_misses,
-        cache_invalidations=predictor.cache_invalidations,
     )
 
 

@@ -2,7 +2,7 @@
 ``--jobs`` levels.
 
 This is the regression harness for the parallel runner (DESIGN.md
-§12): it times the same 12-cell quick sweep serially and parallel, and
+§8): it times the same 12-cell quick sweep serially and parallel, and
 reports one row per jobs level with cells-per-second and the speedup
 over ``--jobs 1``.  The table always states how many CPUs the process
 may actually use (:func:`repro.experiments.runner.available_cpus`),

@@ -43,8 +43,7 @@ def test_parser_requires_command():
 def test_all_commands_registered():
     assert set(COMMANDS) == {
         "figure3", "figure4", "ablations", "validation", "chaos", "overload",
-        "adaptive", "gray", "metrics", "speedup", "scale", "dash",
-        "bench-diff", "info",
+        "adaptive", "gray", "metrics", "speedup", "scale", "dash", "info",
     }
 
 
@@ -134,10 +133,6 @@ FLAG_SURFACE = {
         "input": None, "--select": [], "--objective": 0.9,
         "--staleness-bound": None, "--width": 60, "--top": 16,
         "--watch": None, "--iterations": None, "--html": None,
-    },
-    "bench-diff": {
-        "--current": "benchmarks", "--baseline": "benchmarks/baselines",
-        "--max-regression": 0.2, "--update": False,
     },
     "speedup": {
         "--jobs-levels": [1, 2, 4], "--out": None, "--check": False,
