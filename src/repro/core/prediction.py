@@ -31,7 +31,11 @@ grid and one correctly rounded division, so the values are the floats
 nearest the exact rationals and do not depend on summation order.  Per
 replica the counts of ``S ⊛ W`` (and their running sum) are cached, keyed
 on the two windows' versions only: ``G`` is an integer bin offset applied
-at evaluation time, so a reply invalidates nothing.  A
+at evaluation time, so a reply invalidates nothing.  Behind
+:meth:`ResponseTimePredictor.candidate_cdfs`, the per-read loop, the two
+*values* are memoised per replica as well, keyed on everything an
+evaluation reads, so a read recomputes only the replicas whose history
+moved since the previous one.  A
 :class:`~repro.stats.pmf.DiscretePmf` is materialized from the same counts
 only by :meth:`ResponseTimePredictor.response_pmfs`, for sampling.
 """
@@ -126,6 +130,9 @@ class ResponseTimePredictor:
             "predictor_cache_invalidations", **labels
         )
         self._cache: dict[str, _ReplicaCounts] = {}
+        # Value memo behind candidate_cdfs: replica -> (key, (F^I, F^D)),
+        # the key being every input _evaluate read to produce the pair.
+        self._memo: dict[str, tuple[tuple, tuple[float, float]]] = {}
 
     # ------------------------------------------------------------------
     # Registry-backed counters under their historical names
@@ -168,15 +175,58 @@ class ResponseTimePredictor:
 
         The per-read loop the client gateway runs for Algorithm 1:
         :meth:`immediate_cdf` for each primary, :meth:`response_cdfs` for
-        each secondary — same values, same counter increments in the same
-        order, with the deadline binned once.
+        each secondary — same values, same counter totals, with the
+        deadline binned and ``T_L`` resolved once.
+
+        With the cache on, a candidate none of whose inputs moved since the
+        previous call is answered from the value memo: one dict lookup and
+        one tuple compare.  Such a candidate would have been one evaluation
+        and one count-cache hit (its key pins both window versions, so the
+        ``S ⊛ W`` entry stored with it is still current); the two counters
+        are credited in bulk after the loop.  The scalar methods neither
+        read nor write the memo, so a retry budget asked at another
+        deadline cannot evict the per-read slot.
         """
         k = self._deadline_bin(deadline)
+        n_wait = self._uniform_bins()
         evaluate = self._evaluate
-        return (
-            [evaluate(name, deadline, k, False)[0] for name in primaries],
-            [evaluate(name, deadline, k, True) for name in secondaries],
-        )
+        if not self.use_cache:
+            return (
+                [evaluate(name, deadline, k, False)[0] for name in primaries],
+                [evaluate(name, deadline, k, True, n_wait) for name in secondaries],
+            )
+        stats_for = self.repository.stats_for
+        memo = self._memo
+        primary_pairs: list[tuple[float, float]] = []
+        secondary_pairs: list[tuple[float, float]] = []
+        hits = 0
+        for names, deferred, pairs in (
+            (primaries, False, primary_pairs),
+            (secondaries, True, secondary_pairs),
+        ):
+            for name in names:
+                stats = stats_for(name)
+                key = (
+                    stats.ts_window.version,
+                    stats.tq_window.version,
+                    stats.tb_window.version,
+                    stats.latest_tg,
+                    deadline,
+                    n_wait,
+                    deferred,
+                )
+                slot = memo.get(name)
+                if slot is not None and slot[0] == key:
+                    hits += 1
+                    pairs.append(slot[1])
+                    continue
+                pair = evaluate(name, deadline, k, deferred, n_wait)
+                if stats.has_history:  # bootstrap values are not evaluations
+                    memo[name] = (key, pair)
+                pairs.append(pair)
+        self._m_evaluations.inc(hits)
+        self._m_cache_hits.inc(hits)
+        return [pair[0] for pair in primary_pairs], secondary_pairs
 
     def response_pmfs(
         self, replica: str
@@ -236,12 +286,18 @@ class ResponseTimePredictor:
         return max(1, int(round(interval / self.quantum)))
 
     def _evaluate(
-        self, replica: str, deadline: float, k: int, deferred: bool
+        self,
+        replica: str,
+        deadline: float,
+        k: int,
+        deferred: bool,
+        n_wait: Optional[int] = None,
     ) -> tuple[float, float]:
         """``(F^I(d), F^D(d))`` with ``k`` the deadline's bin.
 
         ``F^D`` is only computed when ``deferred`` is set (primaries never
-        defer); otherwise the immediate value stands in for it.
+        defer); otherwise the immediate value stands in for it.  ``n_wait``
+        is :meth:`_uniform_bins` when the caller has already resolved it.
         """
         stats = self.repository.stats_for(replica)
         if not stats.has_history:
@@ -272,7 +328,8 @@ class ResponseTimePredictor:
             return (immediate, met / (base.total * wait_bins.size))
         # No deferred read observed yet: the residual time to the next lazy
         # update for a uniformly random arrival phase is Uniform(0, T_L).
-        n_wait = self._uniform_bins()
+        if n_wait is None:
+            n_wait = self._uniform_bins()
         met = base.count_sum_le_uniform(room, n_wait)
         return (immediate, met / (base.total * n_wait))
 
@@ -290,6 +347,7 @@ class ResponseTimePredictor:
 
     def clear_cache(self) -> None:
         self._cache.clear()
+        self._memo.clear()
 
     def _counts(self, replica: str, stats: ReplicaStats) -> _ReplicaCounts:
         key = (stats.ts_window.version, stats.tq_window.version)

@@ -14,7 +14,6 @@ paper's algorithm against naive alternatives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -119,14 +118,7 @@ def sort_candidates(candidates: Sequence[ReplicaView]) -> list[ReplicaView]:
 
     A final name tie-break keeps runs reproducible.
     """
-    return sorted(
-        candidates,
-        key=lambda r: (
-            -r.ert if not math.isinf(r.ert) else -math.inf,
-            -r.immediate_cdf,
-            r.name,
-        ),
-    )
+    return sorted(candidates, key=lambda r: (-r.ert, -r.immediate_cdf, r.name))
 
 
 def set_success_probability(
@@ -212,16 +204,16 @@ class StateBasedSelection(SelectionStrategy):
                 max_cdf_replica = replica
             else:
                 acc.include(replica)
-            if acc.probability() >= target:
+            probability = acc.probability()
+            if probability >= target:
                 # Line 13: an acceptable set (sequencer appended upstream).
                 return SelectionResult(
-                    tuple(r.name for r in selected),
-                    acc.probability(),
-                    satisfied=True,
+                    tuple(r.name for r in selected), probability, satisfied=True
                 )
         # Line 16: not satisfiable — return every replica.
+        probability = acc.probability()
         return SelectionResult(
             tuple(r.name for r in selected),
-            acc.probability(),
-            satisfied=acc.probability() >= target,
+            probability,
+            satisfied=probability >= target,
         )

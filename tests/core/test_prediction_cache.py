@@ -10,12 +10,12 @@ interleavings of measurements and queries.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.prediction import ResponseTimePredictor
 from repro.core.repository import ClientInfoRepository
-from repro.core.requests import PerfBroadcast
+from repro.core.requests import PerfBroadcast, StalenessInfo
 from repro.stats.pmf import CountHistogram
 
 
@@ -201,6 +201,81 @@ def test_response_pmfs_ride_the_same_entry(convolutions):
 
 
 # ---------------------------------------------------------------------------
+# The value memo behind candidate_cdfs: a hit does no arithmetic
+# ---------------------------------------------------------------------------
+_PRIMARIES = [f"p{i}" for i in range(4)]
+_SECONDARIES = [f"s{i}" for i in range(28)]
+
+
+@pytest.fixture
+def arithmetic(monkeypatch):
+    """Records every count lookup and every ``T_L`` resolution as
+    ``(method name, receiver)``."""
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def recording(self, *args):
+            calls.append((name, self))
+            return original(self, *args)
+
+        monkeypatch.setattr(owner, name, recording)
+
+    for name in ("count_le", "count_sum_le", "count_sum_le_uniform"):
+        spy(CountHistogram, name)
+    spy(ClientInfoRepository, "lazy_interval")
+    return calls
+
+
+def _wide_read():
+    """A 4 + 28 candidate set, every other secondary with ``t_b`` history,
+    already read once at 150 ms."""
+    repo = ClientInfoRepository(8)
+    for i, name in enumerate(_PRIMARIES + _SECONDARIES):
+        _fill(repo, name, tb=bool(i % 2))
+    predictor = ResponseTimePredictor(repo, 2.0)
+    first = predictor.candidate_cdfs(_PRIMARIES, _SECONDARIES, 0.150)
+    return repo, predictor, first
+
+
+def test_unchanged_candidates_cost_no_arithmetic(arithmetic):
+    repo, predictor, first = _wide_read()
+    assert {name for name, _ in arithmetic} == {
+        "count_le", "count_sum_le", "count_sum_le_uniform", "lazy_interval"
+    }
+    del arithmetic[:]
+    assert predictor.candidate_cdfs(_PRIMARIES, _SECONDARIES, 0.150) == first
+    assert arithmetic == [("lazy_interval", repo)]  # T_L resolved once per read
+    assert predictor.evaluations == 64
+    assert predictor.cache_stats == {"hits": 32, "misses": 32, "invalidations": 0}
+
+
+def test_one_broadcast_recomputes_one_candidate(arithmetic):
+    repo, predictor, first = _wide_read()
+    repo.record_broadcast(PerfBroadcast(replica="s3", ts=0.2, tq=0.001, tb=None))
+    del arithmetic[:]
+    second = predictor.candidate_cdfs(_PRIMARIES, _SECONDARIES, 0.150)
+    rebuilt = predictor._cache["s3"].base
+    assert [receiver for name, receiver in arithmetic if name != "lazy_interval"] == [
+        rebuilt,  # count_le for F^I
+        rebuilt,  # count_sum_le_uniform for F^D: s3 has no t_b history
+    ]
+    changed = [i for i in range(28) if second[1][i] != first[1][i]]
+    assert second[0] == first[0] and changed == [3]
+    assert predictor.cache_stats == {"hits": 31, "misses": 33, "invalidations": 1}
+
+
+def test_scalar_query_does_not_evict_the_read_slot(arithmetic):
+    repo, predictor, first = _wide_read()
+    predictor.response_cdfs("s1", 0.050)  # a retry budget at another deadline
+    predictor.immediate_cdf("p0", 0.050)
+    del arithmetic[:]
+    assert predictor.candidate_cdfs(_PRIMARIES, _SECONDARIES, 0.150) == first
+    assert arithmetic == [("lazy_interval", repo)]
+
+
+# ---------------------------------------------------------------------------
 # Exact equivalence with fresh recomputation
 # ---------------------------------------------------------------------------
 def test_cached_results_equal_uncached_exactly():
@@ -225,44 +300,144 @@ def test_quantum_mismatch_falls_back_to_samples():
     assert cached.response_cdfs("r", 0.15) == fresh.response_cdfs("r", 0.15)
 
 
-_ops = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("broadcast"),
-            st.floats(min_value=0.0, max_value=0.3),  # ts
-            st.floats(min_value=0.0, max_value=0.05),  # tq
-            st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.5)),  # tb
-        ),
-        st.tuples(st.just("reply"), st.floats(min_value=0.0, max_value=0.01)),
-        st.tuples(st.just("query"), st.floats(min_value=0.0, max_value=2.0)),
+_NAMES = ("a", "b", "c")
+_DEADLINES = (0.150, 0.9)  # the two per-read deadlines the fused calls use
+_name = st.sampled_from(_NAMES)
+_interval = st.sampled_from((0.4, 2.0, 3.0))
+
+
+def _near(grid, high):
+    """Mostly values that put S + W + G (+ U) within a bin or two of one of
+    the two deadlines, so that a change to one input moves a value;
+    sometimes anything up to ``high``."""
+    on_grid = st.sampled_from(grid)
+    return st.one_of(on_grid, on_grid, on_grid, st.floats(min_value=0.0, max_value=high))
+
+
+_ts = _near((0.144, 0.146, 0.148), 0.3)
+_tq = _near((0.0, 0.001, 0.002), 0.05)
+_tg = _near((0.0, 0.002, 0.004), 0.01)
+_tb = _near((0.748, 0.750, 0.752), 1.5)
+
+_broadcast = st.tuples(st.just("broadcast"), _name, _ts, _tq, st.one_of(st.none(), _tb))
+# One read: each name is a primary, a secondary or absent, so the same name
+# is asked in both roles across reads (failover promotion).
+_read = st.tuples(
+    st.just("read"),
+    st.sampled_from(_DEADLINES),
+    st.tuples(*[st.sampled_from("pss-")] * len(_NAMES)),
+)
+_write = st.one_of(
+    _broadcast,
+    st.tuples(st.just("reply"), _name, _tg),
+    st.tuples(st.just("tb"), _name, _tb),
+    st.tuples(st.just("announce"), st.one_of(st.none(), _interval)),
+    st.tuples(st.just("configure"), _interval),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("flip")),
+    st.tuples(st.just("query"), _name, st.floats(min_value=0.0, max_value=2.0)),
+)
+# Some history first, then rounds of up to two writes and a read: a stale
+# slot shows as read, write, read.
+_ops = st.builds(
+    lambda history, rounds: history + [op for ops in rounds for op in ops],
+    st.lists(_broadcast, min_size=2, max_size=4),
+    st.lists(
+        st.builds(lambda writes, read: writes + [read], st.lists(_write, max_size=2), _read),
+        min_size=2,
+        max_size=25,
     ),
-    min_size=1,
-    max_size=40,
 )
 
 
+def _counters(predictor):
+    return (predictor.evaluations, predictor.cache_stats)
+
+
+def _stale_slot_examples(test):
+    """Read, move one thing an evaluation reads, read again — one explicit
+    example per component of the memo's key, whatever the search finds."""
+    history = ("broadcast", "a", 0.146, 0.002, None)  # S + W + G = 149 ms
+    as_primary = ("p", "-", "p")  # "c" has no history: never memoised
+    as_secondary = ("s", "-", "s")
+    for first, writes, second in (
+        (("read", 0.150, as_primary), [("reply", "a", 0.004)], ("read", 0.150, as_primary)),
+        (("read", 0.150, as_primary), [history], ("read", 0.150, as_primary)),
+        (("read", 0.9, as_secondary), [("tb", "a", 0.750)], ("read", 0.9, as_secondary)),
+        (("read", 0.9, as_secondary), [("announce", 0.4)], ("read", 0.9, as_secondary)),
+        (("read", 0.9, as_secondary), [("configure", 0.4)], ("read", 0.9, as_secondary)),
+        (("read", 0.9, as_primary), [], ("read", 0.9, as_secondary)),
+        (("read", 0.150, as_secondary), [], ("read", 0.9, as_secondary)),
+        (("read", 0.150, as_secondary), [("clear",)], ("read", 0.150, as_secondary)),
+        (("read", 0.150, as_secondary), [("query", "a", 0.050)], ("read", 0.150, as_secondary)),
+        (
+            ("read", 0.150, as_primary),
+            [("flip",), ("reply", "a", 0.004), ("read", 0.150, as_primary), ("flip",)],
+            ("read", 0.150, as_primary),
+        ),
+    ):
+        test = example(ops=[history, first, *writes, second])(test)
+    return test
+
+
+@_stale_slot_examples
 @given(ops=_ops)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_cache_equivalence_property(ops):
-    """Across arbitrary record/evict/query interleavings, the cached
-    predictor's CDFs are *exactly* equal to fresh recomputation."""
-    repo, cached, fresh = _paired_predictors()
+    """Across arbitrary interleavings of everything an evaluation reads —
+    measurements, replies, ``t_b`` samples, announced and configured
+    ``T_L``, cache clears and runtime ``use_cache`` flips, role changes —
+    with scalar queries and repeated fused reads in between: the memoised
+    predictor's values are *exactly* a ``use_cache=False`` predictor's, and
+    its counters are those of a cached predictor that only ever went
+    through the scalar methods."""
+    repo = ClientInfoRepository(window_size=8)
+    memoised = ResponseTimePredictor(repo, 2.0)
+    scalar = ResponseTimePredictor(repo, 2.0)
+    fresh = ResponseTimePredictor(repo, 2.0, use_cache=False)
     now = 1.0
     for op in ops:
-        if op[0] == "broadcast":
-            _, ts, tq, tb = op
-            repo.record_broadcast(PerfBroadcast(replica="r", ts=ts, tq=tq, tb=tb))
-        elif op[0] == "reply":
+        kind = op[0]
+        if kind == "broadcast":
+            _, name, ts, tq, tb = op
+            repo.record_broadcast(PerfBroadcast(replica=name, ts=ts, tq=tq, tb=tb))
+        elif kind == "reply":
             now += 1.0
-            repo.record_reply("r", tg=op[1], now=now)
+            repo.record_reply(op[1], tg=op[2], now=now)
+        elif kind == "tb":
+            repo.stats_for(op[1]).tb_window.record(op[2])
+        elif kind == "announce":
+            staleness = StalenessInfo(n_u=1, t_u=0.5, n_l=0, t_l=0.1, lazy_interval=op[1])
+            repo.record_staleness(
+                PerfBroadcast(replica="a", ts=0.01, tq=0.0, tb=None, staleness=staleness),
+                now,
+            )
+        elif kind == "configure":
+            for predictor in (memoised, scalar, fresh):
+                predictor.lazy_update_interval = op[1]
+        elif kind == "clear":
+            memoised.clear_cache()
+            scalar.clear_cache()
+        elif kind == "flip":
+            memoised.use_cache = scalar.use_cache = not memoised.use_cache
+        elif kind == "query":
+            _, name, deadline = op
+            expected = fresh.response_cdfs(name, deadline)
+            assert memoised.response_cdfs(name, deadline) == expected
+            assert memoised.immediate_cdf(name, deadline) == expected[0]
+            scalar.response_cdfs(name, deadline)
+            scalar.immediate_cdf(name, deadline)
         else:
-            deadline = op[1]
-            assert cached.response_cdfs("r", deadline) == fresh.response_cdfs(
-                "r", deadline
+            _, deadline, roles = op
+            primaries = [n for n, role in zip(_NAMES, roles) if role == "p"]
+            secondaries = [n for n, role in zip(_NAMES, roles) if role == "s"]
+            expected = fresh.candidate_cdfs(primaries, secondaries, deadline)
+            assert memoised.candidate_cdfs(primaries, secondaries, deadline) == expected
+            assert expected == (
+                [scalar.immediate_cdf(n, deadline) for n in primaries],
+                [scalar.response_cdfs(n, deadline) for n in secondaries],
             )
-            assert cached.immediate_cdf("r", deadline) == fresh.immediate_cdf(
-                "r", deadline
-            )
+        assert _counters(memoised) == _counters(scalar)
 
 
 # ---------------------------------------------------------------------------

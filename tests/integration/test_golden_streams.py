@@ -31,6 +31,7 @@ counters this digest hashes count differently (555/264 hits/misses became
 registry — stayed equal, as did the two older digests.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -90,16 +91,19 @@ def _check_stream(name, op_lines, testbed):
     assert cost == GOLDEN[f"{name}.cost"], f"{name}: kernel/fabric cost moved"
 
 
+PAPER_CELL = dict(
+    deadline=0.16,
+    min_probability=0.9,
+    lazy_update_interval=2.0,
+    staleness_threshold=2,
+    total_requests=40,
+    seed=7,
+)
+
+
 @pytest.fixture(scope="module")
 def paper_scenario():
-    scenario = build_paper_scenario(
-        deadline=0.16,
-        min_probability=0.9,
-        lazy_update_interval=2.0,
-        staleness_threshold=2,
-        total_requests=40,
-        seed=7,
-    )
+    scenario = build_paper_scenario(**PAPER_CELL)
     scenario.run()
     return scenario
 
@@ -110,6 +114,40 @@ def test_paper_cell_outcome_stream_is_pinned(paper_scenario):
     for client in (scenario.client1, scenario.client2):
         lines.extend(_op_lines(client.read_outcomes, client.update_outcomes))
     _check_stream("paper_cell", lines, scenario.testbed)
+
+
+def _renumbered(outcomes):
+    """Request ids come from one process-wide counter: two cells built in
+    one process differ in them and in nothing else."""
+    return [dataclasses.replace(o, request_id=0) for o in outcomes]
+
+
+def test_paper_cell_is_the_same_cell_with_the_prediction_cache_off(paper_scenario):
+    """Counts and values are cached, never approximated: a cell whose
+    clients recompute every ``F^I(d)``/``F^D(d)`` from the windows on every
+    read observes what the shipped cell observes."""
+    uncached = build_paper_scenario(**PAPER_CELL)
+    for client in (uncached.client1, uncached.client2):
+        client.handler.predictor.use_cache = False
+    uncached.run()
+    for shipped, recomputed in (
+        (paper_scenario.client1, uncached.client1),
+        (paper_scenario.client2, uncached.client2),
+    ):
+        assert shipped.handler.predictor.cache_hits > 0
+        assert recomputed.handler.predictor.cache_stats == {
+            "hits": 0, "misses": 0, "invalidations": 0
+        }
+        assert _renumbered(shipped.read_outcomes) == _renumbered(
+            recomputed.read_outcomes
+        )
+        assert _renumbered(shipped.update_outcomes) == _renumbered(
+            recomputed.update_outcomes
+        )
+        assert (
+            shipped.handler.predictor.evaluations
+            == recomputed.handler.predictor.evaluations
+        )
 
 
 def test_paper_cell_tombstones_are_the_cancelled_entries_in_the_heap(paper_scenario):
