@@ -9,7 +9,9 @@ A :class:`GroupEndpoint` is a network endpoint that
   evaluated at the service's sweep without being sent while it is
   fault-free (no beat can go missing there, so none is put on the wire);
 * offers reliable FIFO group messaging (``gmcast`` / ``gsend``) built on
-  :mod:`repro.groups.multicast`;
+  :mod:`repro.groups.multicast` — settled at the sender the instant it is
+  delivered while the fabric is fault-free and the channel fast (no ack
+  can go missing there, so none is sent), acked on the wire otherwise;
 * dispatches inbound traffic to overridable hooks:
   :meth:`on_group_message` (reliable FIFO payloads),
   :meth:`on_view_change`, and :meth:`on_message` (plain unicasts).
@@ -19,7 +21,8 @@ The middleware's gateway handlers (:mod:`repro.core`) all inherit from it.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 from repro.groups.membership import (
     HeartbeatMsg,
@@ -38,6 +41,13 @@ from repro.groups.multicast import (
 from repro.net.message import Message
 from repro.net.network import Endpoint, Network
 from repro.net.node import Host
+
+
+#: A message is settled at delivery only while its channel's modelled round
+#: trip (mean delay of the data out plus the ack back) times this margin is
+#: inside ``rto``, so that no ack could have come back late.  A LAN's ~0.6 ms
+#: against 50 ms is; a WAN's ~100 ms genuinely retransmits and is not.
+ACK_ROUND_TRIP_MARGIN = 4.0
 
 
 class GroupEndpoint(Endpoint):
@@ -62,6 +72,8 @@ class GroupEndpoint(Endpoint):
         # The first tick of the beats that are evaluated at the sweep and not
         # sent; None while this endpoint beats for real.
         self._lazy_since: Optional[float] = None
+        # Recipient -> _ack_draw's verdict on the channel to it.
+        self._ack_draws: dict[str, Optional[Callable[[], float]]] = {}
         self._sender: Optional[FifoSender] = None
         self._receiver: Optional[FifoReceiver] = None
 
@@ -76,10 +88,51 @@ class GroupEndpoint(Endpoint):
         self._receiver = FifoReceiver(self._fifo_deliver, self._fifo_ack)
         self.sim.schedule(self.heartbeat_interval, self._first_heartbeat)
 
-    def _raw_send(self, recipient: str, payload: Any, size_bytes: int) -> None:
+    def _raw_send(self, recipient: str, payload: Any, size_bytes: int) -> bool:
+        """Transmit; true when the message will be settled at delivery."""
         self.send(recipient, payload, size_bytes)
+        return self.network.fault_free and self._ack_draw(recipient) is not None
 
-    def _fifo_ack(self, origin: str, ack: GroupAckMsg) -> None:
+    def _ack_draw(self, recipient: str) -> Optional[Callable[[], float]]:
+        """How a message to ``recipient`` is acked while the fabric is
+        fault-free: on the wire (None), or settled at delivery — by a call
+        that draws the unsent ack's delay all the same, because its link
+        stream is shared with the data flowing the other way.
+
+        Judged at the first transmit, not in :meth:`attached`, so every link
+        and fault injector set up before the clock starts is seen;
+        ``set_link`` after that ends the fault-free state.
+        """
+        if recipient in self._ack_draws:
+            return self._ack_draws[recipient]
+        network, sender = self.network, self._sender
+        if not self._ack_draws:
+            network.on_first_fault(sender.expect_loss)
+        out = network.latency_for(self.name, recipient)
+        back = network.latency_for(recipient, self.name)
+        round_trip = out.mean_delay() + back.mean_delay(64)
+        draw = None
+        if network.is_up(recipient) and (
+            ACK_ROUND_TRIP_MARGIN * round_trip < sender.rto
+        ):
+            ack = Message(recipient, self.name, None, self.now, 64)
+            stream = network.rng.stream(f"net.link.{recipient}->{self.name}")
+            draw = partial(back.delay, ack, stream)
+        self._ack_draws[recipient] = draw
+        return draw
+
+    def _fifo_ack(self, origin: str, data: GroupDataMsg) -> None:
+        network = self.network
+        if network.fault_free:
+            # No ack can go missing: where the origin vouched for the
+            # channel, settle the message there, now.
+            peer = network.endpoint(origin)
+            draw = peer._ack_draws.get(self.name)
+            if draw is not None:
+                draw()
+                peer._sender.on_ack(data, self.name)
+                return
+        ack = GroupAckMsg(data.group, origin, data.seq, data.epoch)
         self.send(origin, ack, size_bytes=64)
 
     @property
@@ -244,7 +297,8 @@ class GroupEndpoint(Endpoint):
     # Inbound dispatch
     # ------------------------------------------------------------------
     def deliver(self, message: Message) -> None:
-        # Tested in traffic order: data and acks are most of what arrives.
+        # Tested in traffic order: data is most of what arrives, and its
+        # acks are the next most wherever they travel.
         payload = message.payload
         if isinstance(payload, GroupDataMsg):
             assert self._receiver is not None

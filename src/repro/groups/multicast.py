@@ -5,7 +5,8 @@ Guarantees (matching what the paper assumes from Maestro-Ensemble):
 * **Reliable** — every message is acknowledged; unacknowledged messages are
   retransmitted with backoff until acked or the retry budget is exhausted
   (the membership layer will have evicted a dead receiver well before
-  that).
+  that).  A message the fabric guarantees is settled when it is delivered:
+  no ack travels and no deadline is kept (:meth:`FifoSender.expect_loss`).
 * **FIFO** — between each (sender, receiver) pair within a group, messages
   are delivered in send order; out-of-order arrivals are buffered,
   duplicates suppressed (and re-acked, so lost acks recover).
@@ -47,11 +48,13 @@ class GroupDataMsg:
 
 @dataclass(slots=True, unsafe_hash=True)
 class GroupAckMsg:
-    """Acknowledgement for one :class:`GroupDataMsg`."""
+    """Acknowledgement for one :class:`GroupDataMsg` (its ``epoch`` too:
+    sequence numbers restart with every epoch)."""
 
     group: str
     origin: str
     seq: int
+    epoch: int = 0
 
 
 @dataclass(slots=True)
@@ -61,6 +64,8 @@ class _Outstanding:
     size_bytes: int
     retries: int = 0
     settled: bool = False  # acked, forgotten or abandoned
+    # When it was transmitted, while no deadline for it is in ``_due``.
+    sent_at: Optional[float] = None
 
 
 class FifoSender:
@@ -73,13 +78,17 @@ class FifoSender:
     message cost a ``schedule`` and a ``cancel`` each.  Retransmissions
     happen at the instants, and in the order, per-message timers would
     give.
+
+    ``send_raw`` returns true for a message the fabric guarantees, ack and
+    all, well inside ``rto``: that one keeps no deadline and arms no timer
+    until :meth:`expect_loss`.
     """
 
     def __init__(
         self,
         sim: Simulator,
         owner: str,
-        send_raw: Callable[[str, Any, int], Any],
+        send_raw: Callable[[str, Any, int], Optional[bool]],
         rto: float = 0.05,
         max_retries: int = 20,
         backoff: float = 1.5,
@@ -134,10 +143,28 @@ class FifoSender:
             if recipient != self.owner
         ]
 
-    def on_ack(self, ack: GroupAckMsg, from_member: str) -> None:
-        entry = self._outstanding.pop((ack.group, from_member, ack.seq), None)
-        if entry is not None:
+    def on_ack(self, ack: GroupAckMsg | GroupDataMsg, from_member: str) -> None:
+        """Settle what ``ack`` names: the ack that travelled, or the data
+        message itself when it is settled at delivery."""
+        key = (ack.group, from_member, ack.seq)
+        entry = self._outstanding.get(key)
+        # An ack of an earlier epoch names another message with this seq.
+        if entry is not None and entry.message.epoch == ack.epoch:
+            del self._outstanding[key]
             self._settle(entry)
+
+    def expect_loss(self) -> None:
+        """The fabric stops guaranteeing delivery: every message still
+        outstanding without a deadline — exactly the data in flight — gets
+        the one its transmission would have armed (there was no earlier
+        one, so no backoff), or fires now if that is already past."""
+        now = self.sim.now
+        for entry in self._outstanding.values():
+            if entry.sent_at is not None:
+                deadline = max(entry.sent_at + self.rto, now)
+                heapq.heappush(self._due, (deadline, next(self._transmits), entry))
+                entry.sent_at = None
+        self._arm()
 
     def reset_channel(self, group: str, recipient: str) -> None:
         """Open a fresh channel epoch to a (re)joined member.
@@ -165,7 +192,9 @@ class FifoSender:
         return len(self._outstanding)
 
     def _transmit(self, entry: _Outstanding) -> None:
-        self._send_raw(entry.recipient, entry.message, entry.size_bytes)
+        if self._send_raw(entry.recipient, entry.message, entry.size_bytes):
+            entry.sent_at = self.sim.now
+            return
         deadline = self.sim.now + self.rto * (self.backoff**entry.retries)
         heapq.heappush(self._due, (deadline, next(self._transmits), entry))
         if self._due[0][2] is entry:
@@ -173,7 +202,7 @@ class FifoSender:
 
     def _settle(self, entry: _Outstanding) -> None:
         entry.settled = True
-        if self._due[0][2] is entry:
+        if self._due and self._due[0][2] is entry:
             self._arm()
 
     def _arm(self) -> None:
@@ -218,7 +247,7 @@ class FifoReceiver:
     def __init__(
         self,
         deliver: Callable[[str, str, Any], None],
-        ack: Callable[[str, GroupAckMsg], None],
+        ack: Callable[[str, GroupDataMsg], None],
     ) -> None:
         self._deliver = deliver
         self._ack = ack
@@ -232,7 +261,8 @@ class FifoReceiver:
     def on_data(self, data: GroupDataMsg) -> None:
         # Always ack, including duplicates: the original ack may have been
         # lost, and re-acking is what stops the sender's retransmissions.
-        self._ack(data.origin, GroupAckMsg(data.group, data.origin, data.seq))
+        # How — a GroupAckMsg on the wire or a call — is the endpoint's.
+        self._ack(data.origin, data)
         key = (data.group, data.origin)
         epoch = self._epoch.get(key)
         if epoch is None or data.epoch > epoch:

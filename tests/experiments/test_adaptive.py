@@ -216,8 +216,12 @@ def controller_cell():
 #: ``net_messages_delivered`` and ``net_delivery_delay_seconds`` moved (in the
 #: snapshot and in the timeline: 29,498 sends became 27,818); every result
 #: field, decision and client series stayed equal.
+#: Re-recorded by PR 20 for the same reason one layer up: in the fault-free
+#: fabric a group message is settled at delivery and its ack is not sent.  The
+#: same three series moved and no other of the 618 lines (27,818 sends became
+#: 16,810).
 GOLDEN_CONTROLLER_CELL = (
-    "5f21efc6bc68081b203d024c38a0ef4c062d52483dea175a6c261a8c740379c8"
+    "16d9f1e2d7aabe08334a7431fa387b35fc747cb04ef6b9725477ace10b1086ac"
 )
 
 

@@ -207,3 +207,76 @@ def test_two_senders_interleaved_fifo(sim, rng):
     from_c = [p for p in b.got if p.startswith("c")]
     assert from_a == [f"a{i}" for i in range(10)]
     assert from_c == [f"c{i}" for i in range(10)]
+
+
+# ---------------------------------------------------------------------------
+# Acks name their epoch; deadlines held off until the fabric can lose
+# ---------------------------------------------------------------------------
+def test_ack_of_an_earlier_epoch_does_not_settle_the_same_seq(sim):
+    """``reset_channel`` restarts ``seq`` at 1: an ack still in flight for
+    (epoch 0, seq 1) must not count for the unrelated (epoch 1, seq 1)."""
+    sent = []
+    sender = FifoSender(sim, "me", lambda r, m, s: sent.append(m), rto=0.1)
+    sender.send("g", "a", "old")
+    sender.reset_channel("g", "a")
+    sender.send("g", "a", "new")
+    assert (sent[-1].epoch, sent[-1].seq) == (1, 1)
+    sender.on_ack(GroupAckMsg("g", "me", 1, epoch=0), "a")
+    assert sender.unacked == 1
+    sim.run(until=0.15)
+    assert [m.payload for m in sent] == ["old", "new", "new"]  # still retransmitted
+    sender.on_ack(GroupAckMsg("g", "me", 1, epoch=1), "a")
+    assert sender.unacked == 0
+
+
+def test_receiver_acks_with_the_data_it_was_handed():
+    col = _Collector()
+    receiver = FifoReceiver(col.deliver, col.ack)
+    data = GroupDataMsg("g", "s", 1, "x", epoch=3)
+    receiver.on_data(data)
+    assert col.acked == [("s", data)]
+
+
+def test_sender_keeps_no_deadline_for_a_message_the_fabric_guarantees(sim):
+    sent = []
+
+    def send_raw(recipient, message, size):
+        sent.append(message)
+        return True  # it and its ack cannot go missing
+
+    sender = FifoSender(sim, "me", send_raw, rto=0.1)
+    first = sender.send("g", "a", "x")
+    sender.send("g", "b", "y")
+    sender.send("g", "c", "z")
+    sim.run(until=5.0)
+    assert len(sent) == 3 and sim.events_processed == 0
+    # Settling with nothing in the deadline heap: by ack, by eviction, by a
+    # fresh epoch.
+    sender.on_ack(first, "a")
+    sender.forget_recipient("g", "b")
+    sender.reset_channel("g", "c")
+    assert sender.unacked == 0
+
+
+def test_expect_loss_gives_the_data_in_flight_its_deadline(sim):
+    sent = []
+    trusted = [True]
+
+    def send_raw(recipient, message, size):
+        sent.append((sim.now, recipient))
+        return trusted[0]
+
+    sender = FifoSender(sim, "me", send_raw, rto=0.1, backoff=2.0)
+    sim.schedule_at(1.00, sender.send, "g", "a", "early")  # deadline 1.10: past
+    sim.schedule_at(1.20, sender.send, "g", "b", "acked")
+    sim.schedule_at(1.25, sender.send, "g", "c", "late")  # deadline 1.35
+    sim.run(until=1.3)
+    sender.on_ack(GroupAckMsg("g", "me", 1), "b")
+    trusted[0] = False
+    sender.expect_loss()
+    sender.expect_loss()  # idempotent
+    sim.run(until=1.5)
+    # The overdue one fires at once (clamped to now), then backs off from
+    # there; the other on its own transmission's grid; the acked one never.
+    assert sent[3:] == [(1.3, "a"), (1.35, "c"), (1.5, "a")]
+    assert sender.retransmissions == 3 and sender.unacked == 2
