@@ -473,6 +473,47 @@ class ClientHandler(GroupEndpoint):
         overhead = time.perf_counter() - started
         self._h_selection_overhead.observe(overhead)
 
+        # Who the read goes to, settled before the (frozen) request that
+        # names them: the selection, an issue-time hedge, detector probes.
+        targets = list(selection)
+        policy = self.retry_policy
+        detector = self.detector
+        # Suspicion-triggered hedging: when the sole selected replica has
+        # an elevated (not yet ejectable) φ, hedge even below the
+        # checkpoint-fraction policy's min_probability trigger.
+        may_hedge = policy is not None and policy.hedge and len(selection) == 1
+        suspicion_hedge = (
+            may_hedge
+            and detector is not None
+            and detector.phi(selection[0], self.now) >= detector.config.phi_hedge
+        )
+        hedge: Optional[str] = None
+        if may_hedge and (
+            qos.min_probability >= policy.hedge_min_probability or suspicion_hedge
+        ):
+            # Hedge a demanding single-replica read: duplicate it to the
+            # runner-up so one slow/crashed replica cannot sink P_c(d).
+            hedge = self._next_best_replica(qos, set(selection), qos.deadline)
+            if hedge is not None:
+                targets.append(hedge)
+        live = set(targets)
+        probes: list[str] = []
+        if detector is not None:
+            # Probe traffic keeps ejected replicas observable: without it
+            # an ejected peer would produce no arrivals and stay ejected
+            # after its gray fault healed.
+            for peer in detector.suspected():
+                if peer not in targets and detector.should_probe(peer, self.now):
+                    probes.append(peer)
+            targets += probes
+        # The sequencer stamps the read at these replicas and nowhere else —
+        # unless someone else reads its broadcast: a retry re-sends this very
+        # request to a replica that must already hold the stamp, and under a
+        # φ-detector the replicas time their commit-gap watchdog by the
+        # stamp cadence.  (Nobody to name is the broadcast too.)
+        may_retry = policy is not None and policy.max_retries > 0
+        broadcast = may_retry or detector is not None
+
         request = Request(
             request_id=next_request_id(),
             client=self.name,
@@ -482,6 +523,7 @@ class ClientHandler(GroupEndpoint):
             qos=qos,
             sent_at=t0,
             context=self._read_context(),
+            targets=None if broadcast else (tuple(targets) or None),
         )
         pending = _PendingCall(
             request=request,
@@ -491,8 +533,8 @@ class ClientHandler(GroupEndpoint):
             callback=callback,
             selected=selection,
         )
-        pending.live = set(selection)
-        pending.tried = set(selection)
+        pending.live = live
+        pending.tried = set(targets)
         pending.predicted = predicted
         self._pending[request.request_id] = pending
         self._remember_tm(request.request_id, t0)
@@ -509,53 +551,15 @@ class ClientHandler(GroupEndpoint):
             )
             for target in selection:
                 self._emit_dispatch(pending, target, "select")
-
-        targets = list(selection)
-        policy = self.retry_policy
-        # Suspicion-triggered hedging: when the sole selected replica has
-        # an elevated (not yet ejectable) φ, hedge even below the
-        # checkpoint-fraction policy's min_probability trigger.
-        suspicion_hedge = (
-            policy is not None
-            and policy.hedge
-            and len(selection) == 1
-            and self.detector is not None
-            and self.detector.phi(selection[0], self.now)
-            >= self.detector.config.phi_hedge
-        )
-        if (
-            policy is not None
-            and policy.hedge
-            and len(selection) == 1
-            and (
-                qos.min_probability >= policy.hedge_min_probability
-                or suspicion_hedge
-            )
-        ):
-            # Hedge a demanding single-replica read: duplicate it to the
-            # runner-up so one slow/crashed replica cannot sink P_c(d).
-            extra = self._next_best_replica(qos, pending.tried, qos.deadline)
-            if extra is not None:
-                targets.append(extra)
-                pending.live.add(extra)
-                pending.tried.add(extra)
-                pending.hedge_targets.add(extra)
-                self._m_hedges_sent.inc()
-                if suspicion_hedge:
-                    self._m_detector_hedges.inc()
-                self._emit_dispatch(pending, extra, "hedge")
-        if self.detector is not None:
-            # Probe traffic keeps ejected replicas observable: without it
-            # an ejected peer would produce no arrivals and stay ejected
-            # after its gray fault healed.
-            for peer in self.detector.suspected():
-                if peer in targets:
-                    continue
-                if self.detector.should_probe(peer, self.now):
-                    targets.append(peer)
-                    pending.tried.add(peer)
-                    self._m_detector_probes.inc()
-                    self._emit_dispatch(pending, peer, "probe")
+        if hedge is not None:
+            pending.hedge_targets.add(hedge)
+            self._m_hedges_sent.inc()
+            if suspicion_hedge:
+                self._m_detector_hedges.inc()
+            self._emit_dispatch(pending, hedge, "hedge")
+        for peer in probes:
+            self._m_detector_probes.inc()
+            self._emit_dispatch(pending, peer, "probe")
         if self.has_sequencer:
             sequencer = self.view_of(self.groups.primary).leader
             if sequencer is not None and sequencer not in targets:
@@ -569,13 +573,13 @@ class ClientHandler(GroupEndpoint):
         pending.deadline_event = self.sim.schedule(
             qos.deadline, self._on_deadline, request.request_id
         )
-        if policy is not None and policy.max_retries > 0:
+        if may_retry:
             pending.retry_event = self.sim.schedule(
                 qos.deadline * policy.checkpoint_fraction,
                 self._retry_checkpoint,
                 request.request_id,
             )
-            if self.detector is not None:
+            if detector is not None:
                 self.sim.schedule(
                     qos.deadline * policy.checkpoint_fraction / 2.0,
                     self._suspicion_checkpoint,

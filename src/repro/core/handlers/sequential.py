@@ -384,10 +384,14 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         )
 
     def _sequence_read(self, request: Request) -> None:
-        """Sequencer role: broadcast the current GSN without advancing."""
+        """Sequencer role: stamp the read with the current GSN, unadvanced,
+        at the replicas it names — at every replica when it names none.  A
+        named replica this view lacks asks for its stamp (:meth:`_gsn_retry`).
+        """
         assign = GsnAssign(request.request_id, self.my_gsn, advances=False)
-        self.gmcast(self.groups.primary, assign, size_bytes=64)
-        self.gmcast(self.groups.secondary, assign, size_bytes=64)
+        only = request.targets
+        self.gmcast(self.groups.primary, assign, size_bytes=64, only=only)
+        self.gmcast(self.groups.secondary, assign, size_bytes=64, only=only)
         if self.trace.enabled:
             emit_span(
                 self.trace, self.now, self.name,

@@ -62,7 +62,14 @@ class ReadOnlyRegistry:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
 class Request:
-    """A client operation as transmitted to the selected replicas."""
+    """A client operation as transmitted to the selected replicas.
+
+    A read may name its ``targets`` — the replicas it was dispatched to, the
+    sequencer excluded — so that the sequencer stamps it there and nowhere
+    else; ``None`` asks for the paper's stamp broadcast.  The handful of
+    names does not change the modelled size: a request travels as 256 bytes
+    either way, so its own delay draw on a bandwidth-limited link holds.
+    """
 
     request_id: int
     client: str
@@ -74,10 +81,19 @@ class Request:
     # Protocol-specific piggyback (e.g. the causal handler's dependency
     # vector); None for the sequential and FIFO handlers.
     context: Any = None
+    targets: Optional[tuple[str, ...]] = None  # reads only; see above
 
     def __post_init__(self) -> None:
         if self.kind is RequestKind.READ and self.qos is None:
             raise ValueError("read requests must carry a QoS specification")
+        targets = self.targets
+        if targets is not None:
+            if self.kind is not RequestKind.READ:
+                raise ValueError("only read requests name their targets")
+            if not targets or not all(targets):
+                raise ValueError(f"targets must name replicas, got {targets!r}")
+            if len(set(targets)) != len(targets):
+                raise ValueError(f"duplicate target in {targets!r}")
 
     @property
     def staleness_threshold(self) -> int:

@@ -22,7 +22,7 @@ The middleware's gateway handlers (:mod:`repro.core`) all inherit from it.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Collection, Optional
 
 from repro.groups.membership import (
     HeartbeatMsg,
@@ -262,16 +262,50 @@ class GroupEndpoint(Endpoint):
     # ------------------------------------------------------------------
     # Reliable FIFO group messaging
     # ------------------------------------------------------------------
-    def gmcast(self, group: str, payload: Any, size_bytes: int = 256) -> int:
-        """Reliable FIFO multicast to the current view of ``group``.
+    def gmcast(
+        self,
+        group: str,
+        payload: Any,
+        size_bytes: int = 256,
+        only: Optional[Collection[str]] = None,
+    ) -> int:
+        """Reliable FIFO multicast to the current view of ``group`` — to
+        those of its members that ``only`` names, when it names any.
 
         Returns the number of recipients (self excluded).
         """
         if self._sender is None:
             raise RuntimeError(f"{self.name} not attached")
-        members = [m for m in self.view_of(group).members if m != self.name]
-        self._sender.send_to_all(group, members, payload, size_bytes)
-        return len(members)
+        members = self.view_of(group).members
+        if only is not None:
+            members = self._named(members, only, size_bytes)
+        return self._sender.send_to_all(group, members, payload, size_bytes)
+
+    def _named(
+        self, members: tuple[str, ...], only: Collection[str], size_bytes: int
+    ) -> list[str]:
+        """The members that ``only`` names, in view order.
+
+        Any other member is sent nothing and takes no sequence number, but
+        the delay of the message it is not sent is drawn all the same, and
+        discarded: that link's stream also times what *is* sent there (its
+        ack's is not: nothing else draws from that direction).  Looked up in
+        the route table per call, so ``set_link`` and ``degrade_*`` are seen.
+        """
+        network, name = self.network, self.name
+        routes = network._routes
+        # One stand-in for all of them: a delay model reads only the size.
+        unsent = Message(name, "", None, self.now, size_bytes)
+        named = []
+        for member in members:
+            if member in only:
+                named.append(member)
+            elif member != name:
+                rng, latency = routes.get((name, member)) or network._route(
+                    name, member
+                )
+                latency.delay(unsent, rng)
+        return named
 
     def gsend(
         self, group: str, member: str, payload: Any, size_bytes: int = 256

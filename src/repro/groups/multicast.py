@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.sim.kernel import Event, Simulator
 
@@ -132,16 +132,18 @@ class FifoSender:
     def send_to_all(
         self,
         group: str,
-        recipients: list[str],
+        recipients: Iterable[str],
         payload: Any,
         size_bytes: int = 256,
-    ) -> list[GroupDataMsg]:
-        """Reliable FIFO multicast: one channel message per recipient."""
-        return [
-            self.send(group, recipient, payload, size_bytes)
-            for recipient in recipients
-            if recipient != self.owner
-        ]
+    ) -> int:
+        """Reliable FIFO multicast: one channel message per recipient, the
+        owner skipped.  Returns how many were sent."""
+        sent = 0
+        for recipient in recipients:
+            if recipient != self.owner:
+                self.send(group, recipient, payload, size_bytes)
+                sent += 1
+        return sent
 
     def on_ack(self, ack: GroupAckMsg | GroupDataMsg, from_member: str) -> None:
         """Settle what ``ack`` names: the ack that travelled, or the data

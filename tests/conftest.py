@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.core.requests import Request
 from repro.net.latency import FixedLatency
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
@@ -52,3 +55,23 @@ class Recorder:
 @pytest.fixture
 def recorder() -> Recorder:
     return Recorder()
+
+
+def _broadcast_stamps(client) -> None:
+    gsend = client.gsend
+
+    def unnamed(group, member, payload, size_bytes=256):
+        if isinstance(payload, Request) and payload.targets is not None:
+            payload = dataclasses.replace(payload, targets=None)
+        gsend(group, member, payload, size_bytes)
+
+    client.gsend = unnamed
+
+
+@pytest.fixture(scope="session")
+def broadcast_stamps():
+    """``broadcast_stamps(client)`` makes a client handler the paper's client:
+    its reads travel with ``targets = None``, so the sequencer broadcasts
+    their stamp to every primary and secondary.  The twin a named-stamp run
+    is compared against."""
+    return _broadcast_stamps

@@ -38,6 +38,16 @@ fabric is fault-free and a channel's round trip is far inside ``rto``, a
 timer is armed.  The ack's latency draw is kept, so no variate moved and both
 ``outcomes`` digests held; ``campaign_5s`` expects faults from t = 0, acks on
 the wire throughout, and did not move.
+
+PR 21 re-recorded the two ``cost`` lines once more, and only those —
+``events=3237 sent=1613`` and ``events=4931 sent=3981`` before it: a read
+names the replicas it was dispatched to and the sequencer stamps it there
+alone, where it used to broadcast the stamp to every primary and secondary
+(300 of the §6 cell's sends and 2,039 of the 4 + 28 cell's were stamps for a
+replica that did not hold the read).  The delay of each stamp not sent is
+still drawn from its link's stream, so no variate moved and both ``outcomes``
+digests held; ``campaign_5s`` runs a retrying client, which keeps the
+broadcast, and did not move.
 """
 
 import dataclasses
@@ -56,9 +66,9 @@ from repro.workloads.scenarios import build_paper_scenario
 
 GOLDEN = {
     "paper_cell.outcomes": "6ad39aba8bdce39f40055e1e27f3aec6ea006bc89bab372ea9c4d36504ef68fd",
-    "paper_cell.cost": "events=3237 sent=1613",
+    "paper_cell.cost": "events=2937 sent=1313",
     "open_loop_4_28.outcomes": "e805fe6fca85c0f3e34a643f437e80d0db5c2f17811fb9d9b1a60b70c601464b",
-    "open_loop_4_28.cost": "events=4931 sent=3981",
+    "open_loop_4_28.cost": "events=2892 sent=1942",
     "campaign_5s": "ee6c195b26680edcf19020dae1c55b381608bb589dee6bc713767b9e0e502a6d",
 }
 
@@ -181,6 +191,42 @@ def test_paper_cell_is_the_same_cell_with_acks_and_beats_on_the_wire(paper_scena
     assert (
         wired.testbed.network.messages_sent
         > 1.5 * paper_scenario.testbed.network.messages_sent
+    )
+
+
+def test_paper_cell_is_the_same_cell_with_the_stamp_broadcast(
+    paper_scenario, broadcast_stamps
+):
+    """Nobody outside the read's targets does anything with its stamp: a cell
+    whose clients name no targets — the sequencer broadcasts every stamp, as
+    in the paper — observes what the shipped cell observes, at more messages."""
+    paper = build_paper_scenario(**PAPER_CELL)
+    for client in (paper.client1, paper.client2):
+        broadcast_stamps(client.handler)
+    paper.run()
+    for named, broadcast in (
+        (paper_scenario.client1, paper.client1),
+        (paper_scenario.client2, paper.client2),
+    ):
+        assert _renumbered(named.read_outcomes) == _renumbered(
+            broadcast.read_outcomes
+        )
+        assert _renumbered(named.update_outcomes) == _renumbered(
+            broadcast.update_outcomes
+        )
+    reads = sum(
+        len(client.read_outcomes) for client in (paper.client1, paper.client2)
+    )
+    selected = sum(
+        outcome.replicas_selected
+        for client in (paper.client1, paper.client2)
+        for outcome in client.read_outcomes
+    )
+    replicas = len(paper.testbed.service.all_replicas()) - 1
+    assert (
+        paper.testbed.network.messages_sent
+        - paper_scenario.testbed.network.messages_sent
+        == reads * replicas - selected
     )
 
 
