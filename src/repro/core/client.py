@@ -714,16 +714,18 @@ class ClientHandler(GroupEndpoint):
         deferred: int,
         replicas_selected: int,
         response_times,
+        response_counts=None,
     ) -> None:
         """Fold one batch of analytically resolved reads into the counters.
 
         The aggregated client tier accounts whole arrival batches here so
         telemetry consumers (``client_*`` counters, the response-time
         histogram, ``timely_fraction``) see modeled traffic exactly as
-        they see discrete traffic.  ``response_times`` covers the timely
-        reads that produced a response; the per-read ``selected_counts``
-        list is deliberately *not* grown — at millions of modeled reads it
-        would dominate memory.
+        they see discrete traffic.  ``response_times`` covers the reads
+        that produced a response, ``response_counts[i]`` of them at
+        ``response_times[i]`` (one each when omitted); the per-read
+        ``selected_counts`` list is deliberately *not* grown — at millions
+        of modeled reads it would dominate memory.
         """
         if count <= 0:
             return
@@ -733,7 +735,7 @@ class ClientHandler(GroupEndpoint):
         self._m_timing_failures.inc(timing_failures)
         self._m_deferred_replies.inc(deferred)
         self._m_replicas_selected.inc(replicas_selected)
-        self._h_response_time.observe_many(response_times)
+        self._h_response_time.observe_many(response_times, response_counts)
 
     def _emit_dispatch(self, pending: _PendingCall, target: str, reason: str) -> None:
         """Span for one transmission of the request to one target."""

@@ -236,10 +236,10 @@ class ResponseTimePredictor:
         ``(None, None)`` before any history exists (the cdf methods'
         ``bootstrap_cdf`` regime).  Materialized from the cached counts the
         cdf methods read, and kept with them until the counts, the gateway
-        delay or the lazy-wait term change.  This is the sampling substrate
-        of the aggregated client tier — one pmf pair per selected replica,
-        then vectorized inverse-CDF draws for the whole arrival batch — and
-        the only place the predictor builds a :class:`DiscretePmf`.
+        delay or the lazy-wait term change.  This is what the aggregated
+        client tier resolves a batch from — one pmf pair per selected
+        replica, folded into the law of the batch's first reply — and the
+        only place the predictor builds a :class:`DiscretePmf`.
         """
         stats = self.repository.stats_for(replica)
         if not stats.has_history:

@@ -95,27 +95,38 @@ class Histogram:
         self.count += 1
         self.sum += value
 
-    def observe_many(self, values) -> None:
+    def observe_many(self, values, counts=None) -> None:
         """Fold a whole vector of observations in at once.
 
-        Equivalent to calling :meth:`observe` per element; the bucketing
+        Equivalent to calling :meth:`observe` per element — ``counts[i]``
+        times for ``values[i]`` when ``counts`` is given; the bucketing
         runs as one ``searchsorted`` + ``bincount`` pass, which is what
-        lets the aggregated client tier account a batch of thousands of
-        modeled response times without a Python-level loop.
+        lets the aggregated client tier account a batch standing for
+        millions of modeled response times as one grid of (value, count)
+        pairs, without a Python-level loop.
         """
         import numpy as np
 
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             return
+        if counts is None:
+            weights = None
+            total, value_sum = values.size, values.sum()
+        else:
+            # float64 weights are exact for counts below 2**53.
+            weights = np.asarray(counts, dtype=float)
+            total, value_sum = weights.sum(), values @ weights
         indices = np.searchsorted(self.boundaries, values, side="right")
-        bucket_counts = np.bincount(indices, minlength=len(self.counts))
-        counts = self.counts
+        bucket_counts = np.bincount(
+            indices, weights=weights, minlength=len(self.counts)
+        )
+        bucket_totals = self.counts
         for i, c in enumerate(bucket_counts):
             if c:
-                counts[i] += int(c)
-        self.count += int(values.size)
-        self.sum += float(values.sum())
+                bucket_totals[i] += int(c)
+        self.count += int(total)
+        self.sum += float(value_sum)
 
     @property
     def mean(self) -> float:
@@ -160,7 +171,7 @@ class _NoopInstrument:
     def observe(self, value: float) -> None:
         pass
 
-    def observe_many(self, values) -> None:
+    def observe_many(self, values, counts=None) -> None:
         pass
 
     def quantile(self, q: float) -> float:

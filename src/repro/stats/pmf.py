@@ -18,7 +18,9 @@ replica, ``F^I(d)`` and ``F^D(d)``, and window samples are integers on the
 grid already: counting the sample combinations that meet the deadline is
 exact, independent of summation order, and O(bins) — no pmf is built.  A
 :class:`DiscretePmf` is materialized from counts only where a whole
-distribution is really needed (sampling in the aggregated client tier).
+distribution is really needed: the aggregated client tier resolves a batch
+of arrivals from :func:`first_reply_law`, the joint law of the earliest of
+the selected replicas' replies.
 """
 
 from __future__ import annotations
@@ -308,9 +310,7 @@ class DiscretePmf:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` i.i.d. values from the pmf (inverse-CDF on the grid).
 
-        One uniform vector looked up in the cached cumulative array — the
-        vectorized sampling primitive the aggregated client tier uses to
-        realize response times for whole arrival batches at once.  Each
+        One uniform vector looked up in the cached cumulative array.  Each
         draw is a grid value, i.e. exactly a value :meth:`quantile` could
         return.
 
@@ -318,8 +318,7 @@ class DiscretePmf:
         A batch of at least as many draws as bins computes it as one gather
         from :meth:`_guide_table` plus a real search for the few draws the
         table only bounds: a binary search per uniform draw mispredicts a
-        branch per level and was over a third of a million-user cell's run
-        time.
+        branch per level.
         """
         if n < 0:
             raise ValueError(f"negative sample count {n!r}")
@@ -393,6 +392,58 @@ class DiscretePmf:
         )
 
 
+def _shared_quantum(pmfs: Sequence[DiscretePmf]) -> float:
+    """The one grid step of ``pmfs`` (non-empty); raises when they differ."""
+    quantum = pmfs[0].quantum
+    for pmf in pmfs[1:]:
+        if abs(pmf.quantum - quantum) > 1e-15:
+            raise ValueError(f"quantum mismatch: {quantum} vs {pmf.quantum}")
+    return quantum
+
+
+def first_reply_law(
+    pmfs: Sequence[DiscretePmf], deferred: Sequence[bool]
+) -> tuple[int, np.ndarray]:
+    """Joint law of the first of several independent replies, bin by bin.
+
+    ``pmfs`` are the response-time pmfs of the replicas a read was sent to,
+    in the order they were selected; ``deferred[i]`` says whether replica
+    ``i`` answers as a deferred secondary.  Returns ``(offset, win)`` with
+    ``win[c, t]`` the probability that the earliest reply lands in grid bin
+    ``offset + t`` and that the earliest-*listed* replica attaining it has
+    ``deferred == bool(c)``.  ``win.sum(axis=0).cumsum()`` is Eq. 1,
+    ``1 − Π (1 − F_Ri)``, at every bin at once, and ``win`` sums to 1.
+
+    A tie goes to the replica listed first: replica ``i`` wins bin ``t``
+    when it replies in ``t``, every earlier one strictly later and every
+    later one no sooner, ``g_i(t) · Π_{j<i} P(X_j > t) · Π_{j>i} P(X_j >= t)``.
+    The fold is O(len(pmfs) · bins): the first reply cannot be later than
+    any replica's last bin, so the grid ends at the smallest support
+    maximum.
+    """
+    if not pmfs or len(pmfs) != len(deferred):
+        raise ValueError("first_reply_law needs one deferred flag per pmf, at least one")
+    _shared_quantum(pmfs)
+    offset = min(pmf.offset for pmf in pmfs)
+    bins = min(pmf.offset + pmf.mass.size for pmf in pmfs) - offset
+    win = np.zeros((2, bins))
+    all_later = np.ones(bins)  # Π_{j<i} P(X_j > t) over the replicas folded so far
+    for pmf, flag in zip(pmfs, deferred):
+        start = pmf.offset - offset
+        width = max(0, min(bins - start, pmf.mass.size))
+        mass = np.zeros(bins)
+        later = np.ones(bins)  # P(X > t)
+        mass[start : start + width] = pmf.mass[:width]
+        later[start : start + width] = 1.0 - pmf._cumulative()[:width]
+        if width == pmf.mass.size:
+            later[start + width - 1] = 0.0  # the running sum may end a rounding off 1
+        np.clip(later, 0.0, None, out=later)
+        win *= later + mass
+        win[int(bool(flag))] += mass * all_later
+        all_later *= later
+    return offset, win
+
+
 # Combined operand size (in bins) above which a pairwise convolution goes
 # through the FFT instead of the direct O(n*m) product.  Below it, direct
 # convolution is both faster and exact — in particular, every pmf the §6
@@ -434,10 +485,7 @@ def convolve_all(pmfs: Sequence[DiscretePmf]) -> DiscretePmf:
     """
     if not pmfs:
         raise ValueError("convolve_all needs at least one pmf")
-    quantum = pmfs[0].quantum
-    for pmf in pmfs[1:]:
-        if abs(pmf.quantum - quantum) > 1e-15:
-            raise ValueError(f"quantum mismatch: {quantum} vs {pmf.quantum}")
+    quantum = _shared_quantum(pmfs)
     if sum(p.mass.size for p in pmfs) < CONVOLVE_FFT_THRESHOLD:
         result = pmfs[0]
         for pmf in pmfs[1:]:

@@ -14,17 +14,22 @@ region) population, exploiting two classical results:
 * **the paper's own §5 model** — the per-replica response-time pmfs
   (``S ⊛ W`` shifted by ``G``; deferred adds the lazy wait ``U``) and the
   Poisson staleness factor of Eq. 4 describe outcome distributions well
-  (the calibration experiments pin this), so the pool *samples* outcomes
+  (the calibration experiments pin this), so the pool *draws* outcomes
   from those distributions instead of routing every request through the
   simulated network.
 
 Per batch the pool runs replica selection (Algorithm 1) **once** over the
-shared gateway's candidate views, then realizes all outcomes with
-vectorized numpy draws: a correlated freshness Bernoulli per arrival
-(one lazy multicast refreshes the whole secondary group), inverse-CDF
-response-time draws per selected replica, and a min-reduce for the
-first-reply time.  Results are folded into the ordinary ``client_*``
-telemetry through :meth:`ClientHandler.record_aggregate_batch`.
+shared gateway's candidate views, then resolves every modelled arrival of
+the batch from the closed-form law of its first reply — Eq. 1 over the
+selected replicas' pmfs, mixed over fresh and stale secondaries by Eq. 3
+(:func:`repro.stats.pmf.first_reply_law`): the number of arrivals that see
+fresh secondaries is one Binomial draw at Eq. 4 averaged over the batch's
+lazy-cycle phases (one lazy multicast refreshes the whole secondary
+group), and each class's outcomes are one multinomial draw over
+(first-reply bin, deferred or not).  A batch therefore costs
+O(selected replicas · bins) whatever population it stands for.  Results
+are folded into the ordinary ``client_*`` telemetry through
+:meth:`ClientHandler.record_aggregate_batch`.
 
 A small *probe* subsample per batch is issued as real discrete requests —
 these keep the load-bearing machinery alive: sliding windows, gateway
@@ -53,7 +58,8 @@ from repro.core.qos import QoSSpec
 from repro.core.requests import ReadOutcome
 from repro.sim.kernel import Simulator
 from repro.sim.rng import seed_for
-from repro.stats.poisson import poisson_cdf
+from repro.stats.pmf import first_reply_law
+from repro.stats.poisson import poisson_cdf, poisson_cdf_phase_mean
 from repro.workloads.generators import ArrivalRateController
 
 
@@ -231,16 +237,15 @@ class AggregatedClientPool:
        requests through the shared gateway handler, bulk-inserted with
        :meth:`Simulator.schedule_batch`;
     3. runs Algorithm 1 once over the gateway's candidate views and
-       samples the remaining arrivals' outcomes from the §5 model,
-       vectorized (see module docstring);
+       draws the remaining arrivals' outcomes from the first-reply law
+       of the §5 model (see module docstring);
     4. folds the batch into :class:`AggregateStats` and the gateway's
        standard telemetry counters.
 
     The staleness inputs are analytic: the pool knows its own true
     update rate (the repository's broadcast-based estimate would only
-    see probe updates), and each arrival's lazy-cycle phase ``t_l`` is
-    derived from the repository's observed phase plus the arrival's
-    offset within the batch.
+    see probe updates), and the batch's lazy-cycle phases are the
+    repository's observed phase plus the batch window, wrapped at ``T_L``.
     """
 
     def __init__(
@@ -266,6 +271,10 @@ class AggregatedClientPool:
             raise ValueError("negative probe count")
         if warmup < 0 or warmup >= duration:
             raise ValueError(f"warmup {warmup!r} outside [0, duration)")
+        if response_grid_max is not None and response_grid_max <= 0:
+            raise ValueError(
+                f"response grid must be positive, got {response_grid_max!r}"
+            )
         self.sim = sim
         self.handler = handler
         self.spec = spec
@@ -283,7 +292,11 @@ class AggregatedClientPool:
         self.finished = False
 
         quantum = handler.predictor.quantum
-        grid_max = response_grid_max or max(4.0 * spec.qos.deadline, 1.0)
+        grid_max = (
+            max(4.0 * spec.qos.deadline, 1.0)
+            if response_grid_max is None
+            else response_grid_max
+        )
         bins = max(1, int(math.ceil(grid_max / quantum)))
         self.stats = AggregateStats(
             quantum=quantum,
@@ -342,19 +355,19 @@ class AggregatedClientPool:
             self._m_updates_modeled.inc(modeled_u)
 
         if k_reads:
-            offsets = self._rng.random(k_reads) * window
             n_probe_r = min(k_reads, self.probe_reads)
             if n_probe_r:
+                offsets = self._rng.random(n_probe_r) * window
                 include = now >= self._warmup_until
                 self.sim.schedule_batch(
-                    now + offsets[:n_probe_r],
+                    now + offsets,
                     self._issue_probe_read,
                     args_list=[(include,)] * n_probe_r,
                 )
             modeled = k_reads - n_probe_r
             if modeled:
                 if now >= self._warmup_until:
-                    self._resolve_batch(offsets[n_probe_r:], update_rate, window)
+                    self._resolve_batch(modeled, update_rate, window)
                 else:
                     self.stats.warmup_skipped += modeled
 
@@ -390,21 +403,8 @@ class AggregatedClientPool:
     # ------------------------------------------------------------------
     # Analytic resolution of the non-probe arrivals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _poisson_cdf_many(threshold: int, means: np.ndarray) -> np.ndarray:
-        """Vectorized ``P(Poisson(mean) <= threshold)`` (Eq. 4 per arrival)."""
-        means = np.asarray(means, dtype=float)
-        term = np.exp(-means)
-        out = term.copy()
-        for k in range(1, threshold + 1):
-            term = term * means / k
-            out += term
-        return np.clip(out, 0.0, 1.0)
-
-    def _resolve_batch(
-        self, offsets: np.ndarray, update_rate: float, window: float
-    ) -> None:
-        m = offsets.size
+    def _resolve_batch(self, m: int, update_rate: float, window: float) -> None:
+        """Outcomes of ``m`` arrivals, i.i.d. uniform over the next ``window``."""
         qos = self.spec.qos
         handler = self.handler
         predictor = handler.predictor
@@ -426,60 +426,65 @@ class AggregatedClientPool:
         result = handler.strategy.select(views, qos, stale_now)
         selected = result.replicas
 
-        # Correlated freshness: one lazy multicast refreshes the whole
-        # secondary group, so each *arrival* draws a single Bernoulli that
-        # applies to every selected secondary.  The arrival's own phase in
-        # the lazy cycle sets its staleness mean.
-        t_l = np.mod(t_l_now + offsets, lazy_interval)
-        p_fresh = self._poisson_cdf_many(qos.staleness_threshold, update_rate * t_l)
-        fresh = rng.random(m) < p_fresh
-
-        response = np.full(m, np.inf)
-        deferred_win = np.zeros(m, dtype=bool)
-        view_by_name = {view.name: view for view in views}
-        n_fresh = int(np.count_nonzero(fresh))
+        # (immediate pmf, deferred pmf, is secondary) of every selected
+        # replica that has history; one without contributes no reply.
+        is_primary = {view.name: view.is_primary for view in views}
+        replies = []
         for name in selected:
-            view = view_by_name[name]
             immediate, deferred = predictor.response_pmfs(name)
-            if immediate is None:
-                continue  # no history yet: this replica contributes no reply
-            if view.is_primary:
-                draws = immediate.sample(m, rng)
-                was_deferred = None
-            else:
-                draws = np.empty(m, dtype=float)
-                if n_fresh:
-                    draws[fresh] = immediate.sample(n_fresh, rng)
-                if m - n_fresh:
-                    draws[~fresh] = deferred.sample(m - n_fresh, rng)
-                was_deferred = ~fresh
-            better = draws < response
-            response[better] = draws[better]
-            if was_deferred is None:
-                deferred_win[better] = False
-            else:
-                deferred_win[better] = was_deferred[better]
+            if immediate is not None:
+                replies.append((immediate, deferred, not is_primary[name]))
 
-        resolved = np.isfinite(response)
-        unresolved = m - int(np.count_nonzero(resolved))
-        failures = int(np.count_nonzero(response > qos.deadline))
-        deferred_count = int(np.count_nonzero(deferred_win))
-        times = response[resolved]
+        bins = np.empty(0, dtype=np.int64)
+        counts = np.empty(0, dtype=np.int64)
+        deferred_count = 0
+        if replies:
+            # Correlated freshness: one lazy multicast refreshes the whole
+            # secondary group, so an arrival is fresh or stale at every
+            # selected secondary at once, with Eq. 4 at its own phase of
+            # the lazy cycle.  Arrivals are i.i.d. uniform in the window,
+            # so the fresh ones number Binomial(m, Eq. 4 averaged over the
+            # window's phases) — the law of m per-arrival Bernoullis.
+            p_fresh = poisson_cdf_phase_mean(
+                qos.staleness_threshold, update_rate, t_l_now, window,
+                lazy_interval,
+            )
+            n_fresh = int(rng.binomial(m, p_fresh))
+            # Within a class the arrivals' (first-reply bin, deferred)
+            # pairs are i.i.d. from the law, so their counts are one
+            # multinomial draw.  A fresh arrival reads every secondary's
+            # immediate pmf; a stale one its deferred pmf.
+            immediates = [imm for imm, _, _ in replies]
+            secondary = [sec for _, _, sec in replies]
+            stale_pmfs = [dfr if sec else imm for imm, dfr, sec in replies]
+            for size, pmfs, deferred_flags in (
+                (n_fresh, immediates, [False] * len(replies)),
+                (m - n_fresh, stale_pmfs, secondary),
+            ):
+                if not size:
+                    continue
+                offset, win = first_reply_law(pmfs, deferred_flags)
+                drawn = rng.multinomial(size, win.ravel() / win.sum()).reshape(
+                    win.shape
+                )
+                deferred_count += int(drawn[1].sum())
+                bins = np.concatenate((bins, offset + np.arange(win.shape[1])))
+                counts = np.concatenate((counts, drawn.sum(axis=0)))
+
+        values = bins * stats.quantum
+        unresolved = 0 if replies else m
+        failures = unresolved + int(counts[values > qos.deadline].sum())
 
         stats.reads_modeled += m
         stats.failures_modeled += failures
         stats.deferred_modeled += deferred_count
         stats.selected_modeled += len(selected) * m
         stats.unresolved += unresolved
-        stats.response_sum += float(times.sum())
+        stats.response_sum += float(values @ counts)
         grid = stats.response_hist
-        if times.size:
-            bins = np.minimum(
-                (times / stats.quantum + 0.5).astype(int), grid.size - 1
-            )
-            grid += np.bincount(bins, minlength=grid.size)
+        np.add.at(grid, np.minimum(bins, grid.size - 1), counts)
 
         self._m_reads_modeled.inc(m)
         handler.record_aggregate_batch(
-            m, failures, deferred_count, len(selected) * m, times
+            m, failures, deferred_count, len(selected) * m, values, counts
         )

@@ -2,7 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.export import (
     metrics_event,
@@ -59,6 +62,34 @@ def test_histogram_buckets_mean_and_quantile():
     assert hist.quantile(0.5) == 1.0
 
 
+_observations = st.lists(
+    st.tuples(st.floats(0.0, 20.0), st.integers(0, 1000)), max_size=30
+)
+
+
+@given(pairs=_observations)
+@settings(max_examples=100, deadline=None)
+def test_observe_many_weighted_equals_the_repeated_values(pairs):
+    """``observe_many(values, counts)`` is ``observe_many`` of every value
+    repeated ``counts[i]`` times, which is ``observe`` per element."""
+    values = np.array([v for v, _ in pairs], dtype=float)
+    counts = np.array([c for _, c in pairs], dtype=np.int64)
+    registry = MetricsRegistry()
+    weighted, repeated, scalar = (
+        registry.histogram(name, boundaries=(0.1, 1.0, 10.0))
+        for name in ("weighted", "repeated", "scalar")
+    )
+    weighted.observe_many(values, counts)
+    repeated.observe_many(np.repeat(values, counts))
+    for value in np.repeat(values, counts):
+        scalar.observe(value)
+    assert weighted.counts == repeated.counts == scalar.counts
+    assert weighted.count == repeated.count == scalar.count == int(counts.sum())
+    assert all(isinstance(c, int) for c in weighted.counts)
+    assert weighted.sum == pytest.approx(repeated.sum, rel=1e-12)
+    assert weighted.sum == pytest.approx(scalar.sum, rel=1e-12)
+
+
 def test_default_time_buckets_are_log_scale():
     assert DEFAULT_TIME_BUCKETS[0] == pytest.approx(1e-4)
     ratios = [
@@ -74,6 +105,8 @@ def test_disabled_registry_hands_out_noops():
     assert counter.value == 0
     hist = registry.histogram("y")
     hist.observe(1.0)
+    hist.observe_many([1.0, 2.0])
+    hist.observe_many([1.0, 2.0], [3, 4])
     assert hist.count == 0
     assert registry.snapshot() == {}
     assert NULL_METRICS.counter("z") is NULL_METRICS.histogram("z")

@@ -1,5 +1,7 @@
 """Tests for the aggregated client tier (:mod:`repro.workloads.aggregate`)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,8 @@ def test_population_spec_rejects_invalid(overrides):
         {"probe_updates": -1},
         {"warmup": -1.0},
         {"warmup": 20.0},  # warmup must be < duration
+        {"response_grid_max": 0.0},  # not "use the default"
+        {"response_grid_max": -1.0},
     ],
 )
 def test_pool_rejects_invalid_parameters(overrides):
@@ -169,6 +173,71 @@ def test_bursty_pool_preserves_mean_rate():
     assert 280 <= pool.stats.reads <= 540
 
 
+def test_pool_without_history_resolves_nothing():
+    """Before any reply has been recorded the selected replicas have no
+    pmf: every modelled arrival is an unresolved timing failure and the
+    response histogram is untouched."""
+    testbed = _testbed()
+    pool = _pool(testbed, _spec(), probe_reads=0, probe_updates=0, duration=2.0)
+    testbed.sim.run(until=5.0)
+    stats = pool.stats
+    assert stats.reads_modeled > 0
+    assert stats.unresolved == stats.failures_modeled == stats.reads_modeled
+    assert stats.deferred_modeled == 0
+    assert stats.response_sum == 0.0
+    assert not stats.response_hist.any()
+    hist = pool.handler.metrics.histogram(
+        "client_response_time_seconds", client=pool.handler.name
+    )
+    assert hist.count == 0
+
+
+def test_a_batch_costs_the_same_whatever_it_stands_for():
+    """A billion users resolve a 30 s cell inside tier-1: a batch is one
+    Binomial and two multinomial draws over the grid, and nothing is
+    allocated per arrival (the per-arrival sampler needed 1.25·10⁷-element
+    arrays, 100 MB each, per replica for each of these batches)."""
+    testbed = _testbed()
+    spec = _spec(clients=10**9, read_rate=0.05, update_rate=1e-9)
+    pool = _pool(testbed, spec, duration=30.0, batch_window=0.25, warmup=5.0)
+    tracemalloc.start()
+    try:
+        testbed.sim.run(until=32.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    stats = pool.stats
+    assert pool.finished and stats.batches == 120
+    # 5·10⁷ reads per second over the 25 s after warm-up.
+    assert stats.reads_modeled == pytest.approx(1.25e9, rel=1e-3)
+    assert stats.unresolved == 0
+    assert int(stats.response_hist.sum()) == stats.reads_modeled
+    assert stats.failures_modeled + stats.deferred_modeled < stats.reads_modeled
+    assert 0.010 < stats.mean_response_time < QOS.deadline
+    hist = pool.handler.metrics.histogram(
+        "client_response_time_seconds", client=pool.handler.name
+    )
+    # Modelled reads plus at most one probe per batch.
+    assert 0 <= hist.count - stats.reads_modeled <= stats.batches
+
+
+def test_modeled_outcomes_follow_the_first_reply_law():
+    """Constant 10 ms service and 1 ms links: every reply of a primary
+    lands in one bin, so the modelled histogram is that bin alone."""
+    testbed = _testbed()
+    qos = QoSSpec(staleness_threshold=10**6, deadline=1.0, min_probability=0.5)
+    pool = _pool(testbed, _spec(qos=qos, update_rate=0.0), warmup=5.0)
+    testbed.sim.run(until=30.0)
+    stats = pool.stats
+    occupied = np.flatnonzero(stats.response_hist)
+    assert stats.reads_modeled > 100 and stats.failures_modeled == 0
+    assert occupied.size <= 2 and 0.010 <= occupied[0] * stats.quantum <= 0.020
+    assert stats.response_sum == pytest.approx(
+        float(stats.response_hist[occupied] @ (occupied * stats.quantum))
+    )
+
+
 def test_pool_feeds_gateway_metrics():
     testbed = _testbed()
     pool = _pool(testbed, _spec())
@@ -248,16 +317,3 @@ def test_stats_overflow_bin_not_counted_as_finite():
     stats.reads_modeled = 10
     # At the far edge of the grid only the 7 on-grid responses count.
     assert stats.modeled_response_cdf([0.09])[0] == pytest.approx(0.7)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized Poisson CDF helper
-# ---------------------------------------------------------------------------
-def test_poisson_cdf_many_matches_scalar_reference():
-    from repro.stats.poisson import poisson_cdf
-
-    means = np.array([0.0, 0.1, 1.0, 3.7, 10.0])
-    for threshold in (0, 1, 2, 5):
-        got = AggregatedClientPool._poisson_cdf_many(threshold, means)
-        expected = [poisson_cdf(threshold, mean) for mean in means]
-        assert np.allclose(got, expected, atol=1e-12)
