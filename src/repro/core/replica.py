@@ -494,9 +494,13 @@ class ReplicaHandlerBase(GroupEndpoint):
 
         All primaries share the tick so whatever they count per lazy
         interval (:meth:`after_lazy_tick`) stays aligned and a publisher
-        failover needs no handshake.
+        failover needs no handshake.  It is armed on every replica, because
+        roles are registered after attach; a replica that never joined the
+        primary group — every secondary — ends the chain at its first tick.
         """
         if self.network is None:
+            return
+        if self.groups.primary not in self._joined:
             return
         if self.up and self.is_primary:
             if self.is_lazy_publisher:
@@ -517,9 +521,9 @@ class ReplicaHandlerBase(GroupEndpoint):
                     interval=self.lazy_update_interval,
                 )
             self.after_lazy_tick()
-        # Advance the tick anchor unconditionally: a non-primary (or a
-        # crashed primary) must still reschedule one full interval ahead,
-        # not spin at zero delay.
+        # Advance the tick anchor unconditionally: a primary that is out of
+        # the view (or crashed) must still reschedule one full interval
+        # ahead, not spin at zero delay.
         self._last_lazy_at = self.now
         self._schedule_lazy_tick()
 
