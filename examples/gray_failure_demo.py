@@ -15,7 +15,7 @@ then healed.  The baseline client keeps selecting the unreachable
 replica on the strength of its broadcasts and burns a retry checkpoint
 on every such read; the detector client notices the missing reply
 arrivals within a few expected inter-arrival times (φ crosses
-``phi_suspect``), ejects the replica from Algorithm-1 candidacy, probes
+``PHI_SUSPECT``), ejects the replica from Algorithm-1 candidacy, probes
 it on a rate limit while suspected, and re-admits it once a probe
 lands after the heal.
 
@@ -32,13 +32,7 @@ from repro.sim.rng import Normal
 
 QOS = QoSSpec(staleness_threshold=10, deadline=0.25, min_probability=0.9)
 
-DETECTOR = DetectorConfig(
-    window_size=48,
-    phi_suspect=8.0,
-    phi_hedge=4.0,
-    min_samples=6,
-    probe_interval=0.3,
-)
+DETECTOR = DetectorConfig(window_size=48, min_samples=6, probe_interval=0.3)
 
 
 def run_once(detector):

@@ -14,7 +14,7 @@ and evaluates a timeliness SLO on the bronze ("bulk") traffic class:
 Run: ``python examples/slo_dashboard_demo.py``
 """
 
-from repro.core.overload import CRITICAL, DegradationConfig
+from repro.core.overload import CRITICAL
 from repro.experiments.dashboard import render_attribution, render_slo_table
 from repro.experiments.harness import run_figure4_cell
 from repro.experiments.overload import run_overload_cell
@@ -25,7 +25,7 @@ SEED = 202
 DURATION = 8.0
 # A cautious ladder (1 s step cooldown): automatic degradation is the
 # *second* line of defense, so the page has something to lead.
-LADDER = DegradationConfig(step_cooldown=1.0)
+STEP_COOLDOWN = 1.0
 
 SLO = SloSpec(
     name="timeliness:bulk",
@@ -52,7 +52,7 @@ def main() -> None:
     for label, calm in (("storm", False), ("calm", True)):
         cell = run_overload_cell(
             SEED, "shed", duration=DURATION, calm=calm,
-            degradation_config=LADDER,
+            step_cooldown=STEP_COOLDOWN,
         )
         timeline = Timeline.from_dict(cell.timeline)
         reports = engine.evaluate(timeline)

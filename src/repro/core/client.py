@@ -80,6 +80,26 @@ OutcomeCallback = Callable[[Any], None]
 #: every seeded-outcome comparison drops it, by this name.
 WALL_CLOCK_SERIES = "client_selection_overhead_seconds"
 
+#: The pmf grid (§5.2): 1 ms bins, shared by the repository's windows and
+#: the predictor so the windows' incremental histograms feed it directly.
+QUANTUM = 1e-3
+
+#: Retry policy shape (DESIGN.md §9): a retry needs at least
+#: ``MIN_REMAINING_BUDGET`` seconds of deadline left, the no-reply
+#: checkpoint fires at ``CHECKPOINT_FRACTION`` of the remaining budget,
+#: and a read is hedged when its ``P_c(d)`` is at least
+#: ``HEDGE_MIN_PROBABILITY``.
+MIN_REMAINING_BUDGET = 0.020
+CHECKPOINT_FRACTION = 0.6
+HEDGE_MIN_PROBABILITY = 0.9
+
+#: φ-detector policies (DESIGN.md §14): a single-replica read whose target's
+#: φ has reached ``PHI_HEDGE`` (below the detector's ``PHI_SUSPECT``) is
+#: hedged, and ejecting suspects always leaves ``MIN_EJECT_KEEP``
+#: candidates — if suspicion is that widespread the detector stands aside.
+PHI_HEDGE = 4.0
+MIN_EJECT_KEEP = 1
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -91,16 +111,16 @@ class RetryPolicy:
 
     * ``max_retries`` bounds re-dispatches per read (hedges not counted);
     * a retry is only attempted while the remaining deadline budget is at
-      least ``min_remaining_budget`` seconds — a retry that cannot finish
-      in time is wasted load;
-    * ``checkpoint_fraction`` places the no-reply checkpoint: if nothing
-      arrived by ``t0 + checkpoint_fraction * d``, the read is re-sent
-      (subsequent checkpoints recurse on the remaining budget);
+      least :data:`MIN_REMAINING_BUDGET` seconds — a retry that cannot
+      finish in time is wasted load;
+    * :data:`CHECKPOINT_FRACTION` places the no-reply checkpoint: if
+      nothing arrived by ``t0 + CHECKPOINT_FRACTION * d``, the read is
+      re-sent (subsequent checkpoints recurse on the remaining budget);
     * an eviction of every live selected replica (observed via a QoS-group
       view change) triggers an immediate re-dispatch;
     * ``hedge`` duplicates demanding reads — ``P_c(d)`` at least
-      ``hedge_min_probability`` — to the runner-up replica at issue time
-      when the strategy selected a single one.
+      :data:`HEDGE_MIN_PROBABILITY` — to the runner-up replica at issue
+      time when the strategy selected a single one.
 
     Retries never double-count in the timing statistics: each read is
     judged once, and the per-counter breakdown (``retries_sent``,
@@ -109,29 +129,17 @@ class RetryPolicy:
     """
 
     max_retries: int = 1
-    min_remaining_budget: float = 0.020
-    checkpoint_fraction: float = 0.6
     hedge: bool = False
-    hedge_min_probability: float = 0.9
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"negative max_retries {self.max_retries!r}")
-        if self.min_remaining_budget < 0:
-            raise ValueError("min_remaining_budget must be >= 0")
-        if not 0.0 < self.checkpoint_fraction < 1.0:
-            raise ValueError(
-                f"checkpoint_fraction {self.checkpoint_fraction!r} outside (0, 1)"
-            )
-        if not 0.0 <= self.hedge_min_probability <= 1.0:
-            raise ValueError("hedge_min_probability outside [0, 1]")
 
 
 @dataclass
 class _PendingCall:
     request: Request
-    t0: float
-    tm: float  # transmission time (the paper's t_m; sends happen at t0)
+    t0: float  # also the paper's transmission time t_m: sends happen at t0
     qos: Optional[QoSSpec]
     callback: Optional[OutcomeCallback]
     selected: tuple[str, ...]
@@ -173,9 +181,7 @@ class ClientHandler(GroupEndpoint):
         degradation: Optional[DegradationPolicy] = None,
         priority: Optional[str] = None,
     ) -> None:
-        super().__init__(
-            name, heartbeat_interval=config.heartbeat_interval, rto=config.rto
-        )
+        super().__init__(name, heartbeat_interval=config.heartbeat_interval)
         self.groups = groups
         self.registry = ReadOnlyRegistry(read_only_methods)
         # The counters below are load-bearing (timely_fraction drives the
@@ -183,15 +189,11 @@ class ClientHandler(GroupEndpoint):
         # enabled one, never the no-op NULL_METRICS.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.calibration = calibration
-        # The repository's windows share the predictor's quantum so their
-        # incremental histograms feed pmf construction directly.
-        self.repository = ClientInfoRepository(
-            config.window_size, quantum=config.quantum
-        )
+        self.repository = ClientInfoRepository(config.window_size, quantum=QUANTUM)
         self.predictor = ResponseTimePredictor(
             self.repository,
             config.lazy_update_interval,
-            quantum=config.quantum,
+            quantum=QUANTUM,
             staleness_model=staleness_model,
             metrics=self.metrics,
             metrics_labels={"client": name},
@@ -423,13 +425,12 @@ class ClientHandler(GroupEndpoint):
         pending = _PendingCall(
             request=request,
             t0=self.now,
-            tm=self.now,
             qos=None,
             callback=callback,
             selected=tuple(targets),
         )
         self._pending[request.request_id] = pending
-        self._remember_tm(request.request_id, pending.tm)
+        self._remember_tm(request.request_id, pending.t0)
         pending.gc_event = self.sim.schedule(
             self.gc_timeout, self._garbage_collect, request.request_id
         )
@@ -485,11 +486,11 @@ class ClientHandler(GroupEndpoint):
         suspicion_hedge = (
             may_hedge
             and detector is not None
-            and detector.phi(selection[0], self.now) >= detector.config.phi_hedge
+            and detector.phi(selection[0], self.now) >= PHI_HEDGE
         )
         hedge: Optional[str] = None
         if may_hedge and (
-            qos.min_probability >= policy.hedge_min_probability or suspicion_hedge
+            qos.min_probability >= HEDGE_MIN_PROBABILITY or suspicion_hedge
         ):
             # Hedge a demanding single-replica read: duplicate it to the
             # runner-up so one slow/crashed replica cannot sink P_c(d).
@@ -528,7 +529,6 @@ class ClientHandler(GroupEndpoint):
         pending = _PendingCall(
             request=request,
             t0=t0,
-            tm=t0,
             qos=qos,
             callback=callback,
             selected=selection,
@@ -575,13 +575,13 @@ class ClientHandler(GroupEndpoint):
         )
         if may_retry:
             pending.retry_event = self.sim.schedule(
-                qos.deadline * policy.checkpoint_fraction,
+                qos.deadline * CHECKPOINT_FRACTION,
                 self._retry_checkpoint,
                 request.request_id,
             )
             if detector is not None:
                 self.sim.schedule(
-                    qos.deadline * policy.checkpoint_fraction / 2.0,
+                    qos.deadline * CHECKPOINT_FRACTION / 2.0,
                     self._suspicion_checkpoint,
                     request.request_id,
                 )
@@ -635,7 +635,7 @@ class ClientHandler(GroupEndpoint):
     ) -> tuple[tuple[str, ...], Optional[float]]:
         candidates = self._candidates(qos)
         if self.degradation is not None and self.degradation.prefer_secondaries:
-            # Ladder level >= prefer_secondaries_level: push read load off
+            # Ladder level >= PREFER_SECONDARIES_LEVEL: push read load off
             # the (update-serving) primaries onto the lazier secondaries
             # whenever any secondary is a candidate at all.
             secondaries = [c for c in candidates if not c.is_primary]
@@ -666,7 +666,7 @@ class ClientHandler(GroupEndpoint):
         """Drop φ-suspected candidates before Algorithm 1 runs.
 
         Ejection is advisory, never total: if fewer than
-        ``min_eject_keep`` candidates would survive, the detector stands
+        :data:`MIN_EJECT_KEEP` candidates would survive, the detector stands
         aside and Algorithm 1 sees the full set (a detector in a
         panicking state must not be able to starve selection).  Ejected
         replicas stay in the repository and keep receiving probe traffic
@@ -687,7 +687,7 @@ class ClientHandler(GroupEndpoint):
                 ejected.append(view.name)
             else:
                 healthy.append(view)
-        if not ejected or len(healthy) < detector.config.min_eject_keep:
+        if not ejected or len(healthy) < MIN_EJECT_KEEP:
             return candidates
         self._m_detector_ejections.inc(len(ejected))
         self.trace.emit(
@@ -846,7 +846,7 @@ class ClientHandler(GroupEndpoint):
         pending = self._pending.get(reply.request_id)
         # Even late/duplicate replies refresh the monitoring state (§5.4).
         if pending is not None:
-            tm = pending.tm
+            tm = pending.t0
         else:
             tm = self._recent_tm.get(reply.request_id)
         if tm is not None:
@@ -977,7 +977,7 @@ class ClientHandler(GroupEndpoint):
             return
         wake = min(waits)
         deadline_at = pending.t0 + pending.qos.deadline
-        if wake > deadline_at - policy.min_remaining_budget:
+        if wake > deadline_at - MIN_REMAINING_BUDGET:
             return  # it could not finish in time anyway
         if pending.retry_event is not None:
             pending.retry_event.cancel()
@@ -1048,7 +1048,7 @@ class ClientHandler(GroupEndpoint):
 
         Fires at half the checkpoint delay.  The checkpoint-fraction
         policy waits a fixed share of the deadline; but when a live
-        target's φ has meanwhile climbed past ``phi_hedge`` — or the
+        target's φ has meanwhile climbed past :data:`PHI_HEDGE` — or the
         target has been latched or quarantined outright — the dispatch
         raced a gray fault the detector has since noticed, and waiting
         out the rest of the checkpoint only converts a salvageable read
@@ -1061,11 +1061,10 @@ class ClientHandler(GroupEndpoint):
             return
         if not pending.live:
             return  # the overload/failover paths own empty-live re-dispatch
-        cfg = self.detector.config
         now = self.now
         if not any(
             self.detector.is_suspected(target, now)
-            or self.detector.phi(target, now) >= cfg.phi_hedge
+            or self.detector.phi(target, now) >= PHI_HEDGE
             for target in pending.live
         ):
             return
@@ -1094,7 +1093,7 @@ class ClientHandler(GroupEndpoint):
         if pending.retries >= policy.max_retries:
             return
         remaining = (pending.t0 + pending.qos.deadline) - self.now
-        delay = remaining * policy.checkpoint_fraction
+        delay = remaining * CHECKPOINT_FRACTION
         if delay <= 0.0:
             return
         pending.retry_event = self.sim.schedule(
@@ -1115,7 +1114,7 @@ class ClientHandler(GroupEndpoint):
         if pending.completed or pending.retries >= policy.max_retries:
             return False
         remaining = (pending.t0 + pending.qos.deadline) - self.now
-        if remaining < policy.min_remaining_budget:
+        if remaining < MIN_REMAINING_BUDGET:
             return False
         # Replicas actively backing us off (OverloadReply.retry_after) are
         # never retried before their back-off elapses.
@@ -1236,7 +1235,7 @@ class ClientHandler(GroupEndpoint):
     def _check_violation(self, qos: Optional[QoSSpec]) -> None:
         if qos is None or self.on_qos_violation is None:
             return
-        if self.reads_resolved > 0 and self.timely_fraction < qos.min_probability:
+        if self.reads_judged > 0 and self.timely_fraction < qos.min_probability:
             self.on_qos_violation(self.observed_failure_probability)
 
     def _garbage_collect(self, request_id: int) -> None:

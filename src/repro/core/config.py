@@ -1,9 +1,12 @@
 """The one declaration, and the one validator, of every service parameter.
 
 :class:`ServiceConfig` is the paper's handful of dials — the ordering
-guarantee (§2), the two group sizes (§3), ``T_L`` (§4.1), the window
-``l`` and pmf grid (§5.2) — plus the fabric timers our completion of the
-protocols needs.  Everything below it is built *from* it:
+guarantee (§2), the two group sizes (§3), ``T_L`` (§4.1) and the window
+``l`` (§5.2) — plus the fabric timers our completion of the protocols
+needs.  A field exists only while some caller sets it; a value nobody
+varies is a named constant in the module that reads it (the 1 ms pmf
+grid is :data:`repro.core.client.QUANTUM`).  Everything below it is
+built *from* it:
 :class:`~repro.core.replica.ReplicaHandlerBase` and
 :class:`~repro.core.client.ClientHandler` take the config and bind what
 they read as plain attributes, and :func:`~repro.core.service.build_testbed`
@@ -16,7 +19,7 @@ where it is first used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.controller import ControllerConfig
 from repro.core.detector import DetectorConfig
@@ -48,16 +51,12 @@ class ServiceConfig:
     # and announces the live value through its staleness broadcasts.
     adaptive_lazy_target: Optional[StalenessTarget] = None
     window_size: int = 20  # sliding window l (§5.2; §6 uses 20)
-    quantum: float = 1e-3  # pmf grid (1 ms bins)
     read_service_time: Distribution = field(default_factory=default_service_time)
     update_service_time: Optional[Distribution] = None
-    host_speed_factors: Optional[Sequence[float]] = None  # cycled over replicas
-    publish_performance: bool = True
     # Membership: every endpoint beats at heartbeat_interval and the
     # detector (swept at the same period) evicts after suspect_timeout.
     heartbeat_interval: float = 0.25
     suspect_timeout: float = 1.0
-    rto: float = 0.05  # reliable-FIFO retransmission timeout
     gsn_wait_timeout: float = 0.25  # re-request a read's GSN stamp after this
     gc_timeout: float = 30.0  # a client forgets an unanswered request
     # Overload protection (DESIGN.md §11).  None (the default) disables
@@ -86,10 +85,10 @@ class ServiceConfig:
                 "lazy update interval must be positive, "
                 f"got {self.lazy_update_interval!r}"
             )
-        # Each of these is a timer period or a grid step: zero re-arms a
-        # timer at +0 s forever (or divides by it), negative is refused by
-        # the kernel only once the first request arrives.
-        for name in ("quantum", "rto", "gsn_wait_timeout", "gc_timeout"):
+        # Each of these is a timer period: zero re-arms a timer at +0 s
+        # forever, negative is refused by the kernel only once the first
+        # request arrives.
+        for name in ("gsn_wait_timeout", "gc_timeout"):
             if getattr(self, name) <= 0:
                 raise ValueError(
                     f"{name} must be positive, got {getattr(self, name)!r}"
@@ -109,5 +108,4 @@ class ServiceConfig:
         return MembershipConfig(
             heartbeat_interval=self.heartbeat_interval,
             suspect_timeout=self.suspect_timeout,
-            sweep_interval=self.heartbeat_interval,
         )

@@ -24,8 +24,8 @@ read fan-out).  Safety comes from four guardrails:
   index on burn regression and refuses to relax again for
   ``hold_epochs``;
 * rate-limited actuation — at most one relax step per
-  ``cooldown_epochs``; rollbacks are never rate-limited;
-* hard min/max bounds — ``T_L`` is clamped into ``[t_l_min, t_l_max]``
+  :data:`COOLDOWN_EPOCHS`; rollbacks are never rate-limited;
+* hard min/max bounds — ``T_L`` is clamped into ``[T_L_MIN, t_l_max]``
   by the controller *and* re-clamped by the handler against the
   open-loop consistency bound, and every per-class adjustment is clamped
   inside :meth:`QosAdjustment.apply` against the class's declared
@@ -87,74 +87,66 @@ MIN_EXPLORE_BUDGET = 0.25
 REGRESSION_LADDER_LEVEL = 1
 
 
+#: The control period in simulated seconds: every epoch the controller
+#: re-reads the burn signals and re-actuates.
+CONTROL_EPOCH = 0.5
+
+#: Epoch counts gating the state machine: ``WARMUP_EPOCHS`` before
+#: leaving CONSERVATIVE, ``HEALTHY_EPOCHS`` consecutive quiet epochs
+#: before a relax step, ``CONFIRM_EPOCHS`` quiet epochs at an index
+#: before it becomes the rollback target (*last good*), and
+#: ``COOLDOWN_EPOCHS`` between relax steps.  The cooldown exceeds the
+#: confirmation so a confirmation can land between consecutive relax
+#: steps — otherwise last_good never advances and every rollback falls
+#: all the way to index 0.
+WARMUP_EPOCHS = 2
+HEALTHY_EPOCHS = 2
+CONFIRM_EPOCHS = 3
+COOLDOWN_EPOCHS = 4
+
+#: The knob ladder: at relax index ``i``, ``T_L`` is the base interval
+#: times ``T_L_STEP ** i``, clamped into ``[T_L_MIN, t_l_max]``; each
+#: registered class widens ``a`` by ``STALENESS_STEP × i`` (to its
+#: ceiling) and lowers ``P_c`` by ``PROBABILITY_STEP × i`` (to its floor),
+#: unless its :class:`ClassBounds` names its own steps.
+T_L_STEP = 2.0
+T_L_MIN = 0.05
+STALENESS_STEP = 4
+PROBABILITY_STEP = 0.1
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
     """Shape of the closed-loop controller (DESIGN.md §16).
 
-    ``epoch`` is the control period in simulated seconds; every epoch the
-    controller re-reads the burn signals and re-actuates.  The epoch
-    counts below gate the state machine: ``warmup_epochs`` before leaving
-    CONSERVATIVE, ``healthy_epochs`` consecutive quiet epochs before a
-    relax step, ``confirm_epochs`` quiet epochs at an index before it
-    becomes the rollback target (*last good*), ``cooldown_epochs``
-    between relax steps, and ``hold_epochs`` of refusing to relax after a
-    rollback (the hysteresis that stops relax/rollback flapping).
-
-    The knob ladder: at relax index ``i``, ``T_L`` is the base interval
-    times ``t_l_step ** i`` clamped into ``[t_l_min, t_l_max]``; each
-    registered class widens ``a`` by ``staleness_step × i`` (to its
-    ceiling) and lowers ``P_c`` by ``probability_step × i`` (to its
-    floor).
+    ``hold_epochs`` is how long the controller refuses to relax after a
+    rollback (the hysteresis that stops relax/rollback flapping),
+    ``max_relax_steps`` the top of the knob ladder, and ``t_l_max`` the
+    ceiling ``T_L`` is clamped to.
 
     ``dry_run`` observes, decides, and records without actuating — the
     bit-identity property test runs a dry controller against a
     controller-free build.
     """
 
-    epoch: float = 0.5
-    warmup_epochs: int = 2
-    healthy_epochs: int = 2
-    confirm_epochs: int = 3
-    # Default cooldown exceeds confirm_epochs so a confirmation can land
-    # between consecutive relax steps — otherwise last_good never
-    # advances and every rollback falls all the way to index 0.
-    cooldown_epochs: int = 4
     hold_epochs: int = 4
     max_relax_steps: int = 4
     # Healthy means every SLO is inside these thresholds; a burn rate of
     # 1.0 consumes exactly the allotted budget.
     relax_fast_burn: float = 1.0
     relax_slow_burn: float = 1.0
-    # Knob ladder shape.
-    t_l_step: float = 2.0
-    t_l_min: float = 0.05
     t_l_max: float = 10.0
-    staleness_step: int = 4
-    probability_step: float = 0.1
     dry_run: bool = False
 
     def __post_init__(self) -> None:
-        if self.epoch <= 0:
-            raise ValueError(f"control epoch must be positive, got {self.epoch!r}")
-        for name in (
-            "warmup_epochs",
-            "healthy_epochs",
-            "confirm_epochs",
-            "cooldown_epochs",
-            "hold_epochs",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.hold_epochs < 0:
+            raise ValueError("hold_epochs must be >= 0")
         if self.max_relax_steps < 0:
             raise ValueError("max_relax_steps must be >= 0")
-        if self.t_l_step < 1.0:
-            raise ValueError("t_l_step must be >= 1 (relaxing lengthens T_L)")
-        if not 0 < self.t_l_min <= self.t_l_max:
+        if self.t_l_max < T_L_MIN:
             raise ValueError(
-                f"invalid T_L bounds [{self.t_l_min}, {self.t_l_max}]"
+                f"t_l_max {self.t_l_max!r} is below T_L_MIN {T_L_MIN}"
             )
-        if self.staleness_step < 0 or self.probability_step < 0:
-            raise ValueError("knob steps must be >= 0 (relaxing only loosens)")
 
 
 @dataclass(frozen=True)
@@ -164,7 +156,8 @@ class ClassBounds:
     ``staleness_ceiling`` is the widest ``a`` the class tolerates and
     ``probability_floor`` the lowest ``P_c`` — the controller cannot
     cross either, whatever its state machine does.  The optional steps
-    override the config-wide ladder increments for this class.
+    override the ladder's :data:`STALENESS_STEP` / :data:`PROBABILITY_STEP`
+    for this class.
     """
 
     staleness_ceiling: int
@@ -237,23 +230,21 @@ class QosAdjustment:
 
 def t_l_at(config: ControllerConfig, base: float, index: int) -> float:
     """The lazy update interval the knob ladder prescribes at ``index``."""
-    raw = base * (config.t_l_step ** index)
-    return min(config.t_l_max, max(config.t_l_min, raw))
+    raw = base * (T_L_STEP ** index)
+    return min(config.t_l_max, max(T_L_MIN, raw))
 
 
-def class_adjustment_at(
-    config: ControllerConfig, bounds: ClassBounds, index: int
-) -> QosAdjustment:
+def class_adjustment_at(bounds: ClassBounds, index: int) -> QosAdjustment:
     """The per-class adjustment the knob ladder prescribes at ``index``."""
     staleness_step = (
         bounds.staleness_step
         if bounds.staleness_step is not None
-        else config.staleness_step
+        else STALENESS_STEP
     )
     probability_step = (
         bounds.probability_step
         if bounds.probability_step is not None
-        else config.probability_step
+        else PROBABILITY_STEP
     )
     return QosAdjustment(
         widen_staleness=staleness_step * index,
@@ -425,9 +416,7 @@ class ConsistencyController:
     # ------------------------------------------------------------------
     def start(self) -> "ConsistencyController":
         if self._tick_event is None:
-            self._tick_event = self.sim.schedule(
-                self.config.epoch, self._epoch_tick
-            )
+            self._tick_event = self.sim.schedule(CONTROL_EPOCH, self._epoch_tick)
         return self
 
     def stop(self) -> None:
@@ -505,7 +494,7 @@ class ConsistencyController:
     # The control epoch
     # ------------------------------------------------------------------
     def _epoch_tick(self) -> None:
-        self._tick_event = self.sim.schedule(self.config.epoch, self._epoch_tick)
+        self._tick_event = self.sim.schedule(CONTROL_EPOCH, self._epoch_tick)
         cfg = self.config
         self.epoch += 1
         self._m_epochs.inc()
@@ -518,7 +507,7 @@ class ConsistencyController:
         rollback = False
 
         if self.state == CONSERVATIVE:
-            if self.epoch >= cfg.warmup_epochs:
+            if self.epoch >= WARMUP_EPOCHS:
                 self.state = MEASURE
                 self._healthy_streak = 0
         elif regression:
@@ -554,18 +543,18 @@ class ConsistencyController:
                 self._healthy_streak += 1
                 self._healthy_at_index += 1
                 if (
-                    self._healthy_at_index >= cfg.confirm_epochs
+                    self._healthy_at_index >= CONFIRM_EPOCHS
                     and self.relax_index > self.last_good_index
                 ):
                     actions.append(f"confirm:{self.relax_index}")
                     self.last_good_index = self.relax_index
                 if (
                     self.state == MEASURE
-                    and self._healthy_streak >= cfg.healthy_epochs
+                    and self._healthy_streak >= HEALTHY_EPOCHS
                     and self.relax_index < cfg.max_relax_steps
                     and (budget_ok or self.relax_index < self.last_good_index)
                     and self.epoch - self._last_actuation_epoch
-                    >= cfg.cooldown_epochs
+                    >= COOLDOWN_EPOCHS
                     and self.epoch - self._last_rollback_epoch
                     >= cfg.hold_epochs
                 ):
@@ -643,7 +632,7 @@ class ConsistencyController:
             if self._current_t_l is not None and t_l != self._current_t_l:
                 actions.append(f"t_l:{self._current_t_l:.3f}->{t_l:.3f}")
         for name, entry in self._classes.items():
-            adjustment = class_adjustment_at(cfg, entry.bounds, self.relax_index)
+            adjustment = class_adjustment_at(entry.bounds, self.relax_index)
             applied = adjustment.apply(entry.base_qos)
             knobs[name] = {
                 "staleness_threshold": float(applied.staleness_threshold),

@@ -19,8 +19,9 @@ under a normal fit of the window (σ floored so a near-constant history
 does not make φ explode on microscopic delays).  φ ≈ 1 means "this gap
 would happen one time in ten"; φ ≥ 8 is a one-in-10⁸ gap.  Because φ is
 continuous, one detector serves several policies at different
-thresholds: candidate *ejection* before Algorithm-1 at ``phi_suspect``,
-earlier *hedging* at ``phi_hedge``, and an adaptive timeout
+thresholds: candidate *ejection* before Algorithm-1 at
+:data:`PHI_SUSPECT`, earlier *hedging* at the client's
+:data:`~repro.core.client.PHI_HEDGE`, and an adaptive timeout
 (``mean + k·σ``) for the commit-gap watchdog.
 
 Suspicion is not eviction: a suspected peer is only *deprioritized*,
@@ -48,75 +49,54 @@ from repro.sim.tracing import NULL_TRACE, Trace
 PHI_CAP = 40.0
 
 
+#: Suspicion threshold: a peer whose φ reaches it is latched as suspected
+#: (and ejected from Algorithm-1 candidacy by the client).
+PHI_SUSPECT = 8.0
+
+#: Absolute floor (seconds) on the fitted σ; the effective floor is
+#: ``max(MIN_STD, 0.1 × mean)`` so regular traffic does not produce a
+#: degenerate distribution.
+MIN_STD = 0.005
+
+#: ``k`` in the adaptive timeout ``mean + k·σ``.
+WATCHDOG_MULTIPLIER = 6.0
+
+#: Flap damping.  A flapping link alternates cut and connected several
+#: times a second; each connected half-period delivers an arrival that
+#: clears suspicion, and the freshly re-admitted peer immediately times
+#: out the next read.  On every *repeat* suspicion within
+#: ``QUARANTINE_MEMORY`` seconds, the clearing arrival re-admits the peer
+#: only after a quarantine of ``QUARANTINE_BASE × 2^(repeats − 2)``
+#: seconds (capped at ``QUARANTINE_MAX``).  The first suspicion is never
+#: quarantined, so a one-off gap still re-admits instantly.
+QUARANTINE_BASE = 0.2
+QUARANTINE_MAX = 3.0
+QUARANTINE_MEMORY = 10.0
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Tuning knobs for one φ-accrual detector instance.
 
     ``window_size``
         Inter-arrival samples kept per peer.
-    ``phi_suspect`` / ``phi_hedge``
-        Suspicion thresholds: ejection from Algorithm-1 candidacy starts
-        at ``phi_suspect``; hedging a single-replica read starts at the
-        lower ``phi_hedge``.
     ``min_samples``
         Below this many samples a peer is never suspected (cold start).
-    ``min_std``
-        Absolute floor on the fitted σ (seconds); the effective floor is
-        ``max(min_std, 0.1 × mean)`` so regular traffic does not produce
-        a degenerate distribution.
     ``probe_interval``
         Minimum spacing of probe reads at a suspected peer.
-    ``min_eject_keep``
-        Candidate ejection always leaves at least this many unsuspected
-        candidates; if suspicion is that widespread the detector stands
-        aside (ejecting everyone is worse than trusting Algorithm-1).
-    ``watchdog_multiplier``
-        ``k`` in the adaptive timeout ``mean + k·σ``.
-    ``quarantine_base`` / ``quarantine_max`` / ``quarantine_memory``
-        Flap damping.  A flapping link alternates cut and connected
-        several times a second; each connected half-period delivers an
-        arrival that clears suspicion, and the freshly re-admitted peer
-        immediately times out the next read.  On every *repeat*
-        suspicion within ``quarantine_memory`` seconds, the clearing
-        arrival re-admits the peer only after a quarantine of
-        ``quarantine_base × 2^(repeats − 2)`` seconds (capped at
-        ``quarantine_max``).  The first suspicion is never quarantined,
-        so a one-off gap still re-admits instantly.
     """
 
     window_size: int = 64
-    phi_suspect: float = 8.0
-    phi_hedge: float = 4.0
     min_samples: int = 8
-    min_std: float = 0.005
     probe_interval: float = 0.5
-    min_eject_keep: int = 1
-    watchdog_multiplier: float = 6.0
-    quarantine_base: float = 0.2
-    quarantine_max: float = 3.0
-    quarantine_memory: float = 10.0
 
     def __post_init__(self) -> None:
         if self.window_size < 2:
             raise ValueError("window_size must be >= 2")
-        if self.phi_suspect <= 0 or self.phi_hedge <= 0:
-            raise ValueError("phi thresholds must be positive")
-        if self.phi_hedge > self.phi_suspect:
-            raise ValueError("phi_hedge must not exceed phi_suspect")
         if self.min_samples < 2:
             raise ValueError("min_samples must be >= 2")
-        if self.min_std <= 0:
-            raise ValueError("min_std must be positive")
         if self.probe_interval <= 0:
             raise ValueError("probe_interval must be positive")
-        if self.min_eject_keep < 1:
-            raise ValueError("min_eject_keep must be >= 1")
-        if self.watchdog_multiplier <= 0:
-            raise ValueError("watchdog_multiplier must be positive")
-        if self.quarantine_base < 0 or self.quarantine_max < 0:
-            raise ValueError("quarantine durations must be non-negative")
-        if self.quarantine_memory <= 0:
-            raise ValueError("quarantine_memory must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,7 +174,7 @@ class PhiAccrualDetector:
             return 0.0
         mean = sum(window) / len(window)
         var = sum((x - mean) ** 2 for x in window) / len(window)
-        std = max(math.sqrt(var), self.config.min_std, 0.1 * mean)
+        std = max(math.sqrt(var), MIN_STD, 0.1 * mean)
         # P(next arrival later than elapsed) under Normal(mean, std).
         p_later = 0.5 * math.erfc((elapsed - mean) / (std * math.sqrt(2.0)))
         if p_later <= 0.0:
@@ -204,7 +184,7 @@ class PhiAccrualDetector:
     def suspicion_check(self, peer: str, now: float) -> float:
         """Compute φ and latch the suspect state on threshold crossing."""
         value = self.phi(peer, now)
-        if value >= self.config.phi_suspect and peer not in self._suspected:
+        if value >= PHI_SUSPECT and peer not in self._suspected:
             self._suspected.add(peer)
             self._last_probe[peer] = now
             times = self._suspect_times.setdefault(peer, deque(maxlen=16))
@@ -225,15 +205,12 @@ class PhiAccrualDetector:
         repeats = sum(
             1
             for t in self._suspect_times.get(peer, ())
-            if now - t <= self.config.quarantine_memory
+            if now - t <= QUARANTINE_MEMORY
         )
-        if repeats >= 2 and self.config.quarantine_base > 0:
+        if repeats >= 2:
             # Flap damping: the peer keeps earning suspicion, so one
             # on-time arrival no longer buys instant re-admission.
-            hold = min(
-                self.config.quarantine_base * 2.0 ** (repeats - 2),
-                self.config.quarantine_max,
-            )
+            hold = min(QUARANTINE_BASE * 2.0 ** (repeats - 2), QUARANTINE_MAX)
             self._quarantine_until[peer] = now + hold
         self.transitions.append(SuspicionTransition(now, peer, 0.0, False))
         self._m_clears.inc()
@@ -291,8 +268,8 @@ class PhiAccrualDetector:
             return fallback
         mean = sum(window) / len(window)
         var = sum((x - mean) ** 2 for x in window) / len(window)
-        std = max(math.sqrt(var), self.config.min_std, 0.1 * mean)
-        timeout = mean + self.config.watchdog_multiplier * std
+        std = max(math.sqrt(var), MIN_STD, 0.1 * mean)
+        timeout = mean + WATCHDOG_MULTIPLIER * std
         return min(max(timeout, fallback / 2.0), 10.0 * fallback)
 
     def stats(self) -> dict:

@@ -508,7 +508,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
                 return
             pending.defer_started_at = self.now
             self._deferred.append(pending)
-            if self.overload is not None and self.overload.expire_deferred:
+            if self.overload is not None:
                 qos = pending.request.qos
                 if qos is not None:
                     # Bounce the read the moment its own deadline passes

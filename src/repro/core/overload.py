@@ -9,11 +9,11 @@ This module makes the trade at *run* time as well (DESIGN.md §11), in the
 spirit of OptCon's SLA-aware tuning (arXiv:1603.07938) and the stepwise
 latency-bounding of arXiv:1212.1046:
 
-* :class:`OverloadConfig` — replica-side knobs: a queue capacity, a
+* :class:`OverloadConfig` — replica-side protection: a queue capacity, a
   deadline-aware shed policy (drop requests that cannot possibly answer in
   time and say so with an explicit
-  :class:`~repro.core.requests.OverloadReply`), and bounds/expiry for the
-  deferred-read buffer;
+  :class:`~repro.core.requests.OverloadReply`), and a bound and expiry for
+  the deferred-read buffer;
 * :class:`PressureMonitor` — an EWMA observer of queue depth and
   wait-vs-service ratio exposing a discrete, hysteretic pressure level;
 * :class:`DegradationPolicy` — the client/gateway ladder: on overload
@@ -25,13 +25,14 @@ latency-bounding of arXiv:1212.1046:
   degradation is auditable.
 
 Everything here is **default-off**: a service built without an
-``OverloadConfig`` behaves bit-identically to the pre-overload runtime
-(property-tested in ``tests/core/test_overload.py``).
+``OverloadConfig`` runs none of it, and one whose protection never fires
+behaves bit-identically to it (property-tested in
+``tests/core/test_overload.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.priority import PriorityMapper
@@ -59,13 +60,13 @@ class OverloadConfig:
 
     ``queue_capacity`` bounds the *ready* queue (requests whose ordering
     constraints are met, waiting for the single server); a read arriving
-    at a full queue is shed.  ``shed_expired`` sheds reads whose deadline
-    has already passed on arrival; ``shed_predicted`` additionally sheds
-    reads whose predicted wait (queue depth × EWMA service time) exceeds
-    the remaining deadline budget.  ``defer_capacity`` caps the
-    deferred-read buffer and ``expire_deferred`` gives every buffered
-    deferred read an expiry at the owning client's deadline, so a dead or
-    partitioned lazy publisher bounces reads instead of leaking them.
+    at a full queue is shed.  ``defer_capacity`` caps the deferred-read
+    buffer.  With a config in place a replica also sheds, always, a read
+    whose deadline has already passed on arrival or whose predicted wait
+    (queue depth × EWMA service time) exceeds the remaining deadline
+    budget, and gives every buffered deferred read an expiry at the
+    owning client's deadline, so a dead or partitioned lazy publisher
+    bounces reads instead of leaking them.
 
     Updates are **never shed**: the sequential commit order admits no
     holes, so the update path is protected indirectly — by admission
@@ -73,16 +74,7 @@ class OverloadConfig:
     """
 
     queue_capacity: Optional[int] = 64
-    shed_expired: bool = True
-    shed_predicted: bool = True
     defer_capacity: Optional[int] = 256
-    expire_deferred: bool = True
-    min_retry_after: float = 0.05  # floor for the back-pressure hint
-    # PressureMonitor shape.
-    pressure_alpha: float = 0.2
-    depth_thresholds: tuple[float, float, float] = (4.0, 8.0, 16.0)
-    wait_ratio_thresholds: tuple[float, float, float] = (1.0, 2.0, 4.0)
-    hysteresis: float = 0.7  # fraction of a threshold required to step down
 
     def __post_init__(self) -> None:
         if self.queue_capacity is not None and self.queue_capacity < 1:
@@ -93,47 +85,21 @@ class OverloadConfig:
             raise ValueError(
                 f"defer capacity must be >= 1 (or None), got {self.defer_capacity!r}"
             )
-        if self.min_retry_after < 0:
-            raise ValueError("min_retry_after must be >= 0")
-        if not 0.0 < self.pressure_alpha <= 1.0:
-            raise ValueError(f"pressure_alpha {self.pressure_alpha!r} outside (0, 1]")
-        if not 0.0 < self.hysteresis <= 1.0:
-            raise ValueError(f"hysteresis {self.hysteresis!r} outside (0, 1]")
-        for name in ("depth_thresholds", "wait_ratio_thresholds"):
-            values = getattr(self, name)
-            if len(values) != 3 or any(v <= 0 for v in values) or list(values) != sorted(values):
-                raise ValueError(f"{name} must be three positive ascending values")
-
-    @classmethod
-    def disabled(cls) -> "OverloadConfig":
-        """An inert config: monitoring only, no shedding, no expiry.
-
-        Used by the default-off property test — a service carrying this
-        config must behave bit-identically to one carrying ``None``.
-        """
-        return cls(
-            queue_capacity=None,
-            shed_expired=False,
-            shed_predicted=False,
-            defer_capacity=None,
-            expire_deferred=False,
-        )
-
-    @property
-    def inert(self) -> bool:
-        """True when no knob can ever shed or expire a request."""
-        return (
-            self.queue_capacity is None
-            and not self.shed_expired
-            and not self.shed_predicted
-            and self.defer_capacity is None
-            and not self.expire_deferred
-        )
 
 
 # ---------------------------------------------------------------------------
 # Pressure detection
 # ---------------------------------------------------------------------------
+#: :class:`PressureMonitor`'s shape: EWMA weight of a new sample, the
+#: queue-depth and wait/service-ratio thresholds of the ELEVATED, HIGH
+#: and CRITICAL levels, and the fraction of a threshold a signal must
+#: fall below before the level steps down.
+PRESSURE_ALPHA = 0.2
+DEPTH_THRESHOLDS = (4.0, 8.0, 16.0)
+WAIT_RATIO_THRESHOLDS = (1.0, 2.0, 4.0)
+HYSTERESIS = 0.7
+
+
 class PressureMonitor:
     """EWMA-based overload detector for one replica.
 
@@ -141,41 +107,22 @@ class PressureMonitor:
     queuing delay ``t_q``, and the service time ``t_s``.  Two smoothed
     signals — queue depth and the wait/service ratio — are mapped to a
     discrete pressure level (0–3).  Rising pressure takes effect
-    immediately; falling pressure must clear ``hysteresis`` × the lower
-    threshold before the level steps down, so the exported level does not
-    flap at a boundary.
+    immediately; falling pressure must clear :data:`HYSTERESIS` × the
+    lower threshold before the level steps down, so the exported level
+    does not flap at a boundary.
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.2,
-        depth_thresholds: tuple[float, float, float] = (4.0, 8.0, 16.0),
-        wait_ratio_thresholds: tuple[float, float, float] = (1.0, 2.0, 4.0),
-        hysteresis: float = 0.7,
-    ) -> None:
-        self.alpha = alpha
-        self.depth_thresholds = tuple(depth_thresholds)
-        self.wait_ratio_thresholds = tuple(wait_ratio_thresholds)
-        self.hysteresis = hysteresis
+    def __init__(self) -> None:
         self.depth_ewma = 0.0
         self.wait_ratio_ewma = 0.0
         self.service_time_ewma = 0.0
         self.level = NOMINAL
         self.samples = 0
 
-    @classmethod
-    def from_config(cls, config: OverloadConfig) -> "PressureMonitor":
-        return cls(
-            alpha=config.pressure_alpha,
-            depth_thresholds=config.depth_thresholds,
-            wait_ratio_thresholds=config.wait_ratio_thresholds,
-            hysteresis=config.hysteresis,
-        )
-
     def _ewma(self, current: float, sample: float) -> float:
         if self.samples == 0:
             return sample
-        return current + self.alpha * (sample - current)
+        return current + PRESSURE_ALPHA * (sample - current)
 
     @staticmethod
     def _bucket(value: float, thresholds: tuple[float, ...]) -> int:
@@ -193,8 +140,8 @@ class PressureMonitor:
         self.service_time_ewma = self._ewma(self.service_time_ewma, ts)
         self.samples += 1
         candidate = max(
-            self._bucket(self.depth_ewma, self.depth_thresholds),
-            self._bucket(self.wait_ratio_ewma, self.wait_ratio_thresholds),
+            self._bucket(self.depth_ewma, DEPTH_THRESHOLDS),
+            self._bucket(self.wait_ratio_ewma, WAIT_RATIO_THRESHOLDS),
         )
         if candidate > self.level:
             self.level = candidate
@@ -202,19 +149,20 @@ class PressureMonitor:
             # Hysteretic descent: require the signals to clear the band
             # below the current level by a margin before stepping down.
             step = self.level - 1
-            depth_ok = self.depth_ewma < self._descend_bound(self.depth_thresholds, step)
+            depth_ok = self.depth_ewma < self._descend_bound(DEPTH_THRESHOLDS, step)
             ratio_ok = self.wait_ratio_ewma < self._descend_bound(
-                self.wait_ratio_thresholds, step
+                WAIT_RATIO_THRESHOLDS, step
             )
             if depth_ok and ratio_ok:
                 self.level = step
         return self.level
 
-    def _descend_bound(self, thresholds: tuple[float, ...], step: int) -> float:
+    @staticmethod
+    def _descend_bound(thresholds: tuple[float, ...], step: int) -> float:
         # To *hold* level N the signal sits above thresholds[N-1]; to drop
-        # to N-1 it must fall below hysteresis * thresholds[N-1].
+        # to N-1 it must fall below HYSTERESIS * thresholds[N-1].
         index = min(step, len(thresholds) - 1)
-        return self.hysteresis * thresholds[index]
+        return HYSTERESIS * thresholds[index]
 
     def expected_wait(self, queue_depth: int) -> float:
         """Predicted queuing delay for a request joining the queue now."""
@@ -224,48 +172,33 @@ class PressureMonitor:
 # ---------------------------------------------------------------------------
 # Client-side degradation ladder
 # ---------------------------------------------------------------------------
-#: The highest priority level the ladder sheds at ``shed_level``.
+#: Shape of the consistency-degradation ladder (DESIGN.md §11).  At ladder
+#: level ``L`` (0 = nominal):
+#:
+#: * the staleness threshold ``a`` widens by ``STALENESS_WIDEN × L``
+#:   versions (secondaries defer less, fewer reads block on the lazy
+#:   publisher);
+#: * ``P_c(d)`` is lowered by ``PROBABILITY_RELIEF × L`` (the selection
+#:   algorithm picks fewer replicas per read — less fan-out load);
+#: * at ``PREFER_SECONDARIES_LEVEL`` and above, reads are redirected from
+#:   primaries to the (lazier) secondary pool when one exists;
+#: * at ``SHED_LEVEL``, reads whose priority is at or below
+#:   :data:`SHED_PRIORITY` are shed locally before any replica sees them.
+#:
+#: ``MAX_LEVEL`` tops the ladder; a step back up needs ``RECOVERY_WINDOW``
+#: quiet seconds, and ``STEP_COOLDOWN`` (the one per-policy setting,
+#: :class:`DegradationPolicy`'s ``step_cooldown``) is the default minimum
+#: gap between downward steps.
+STALENESS_WIDEN = 5
+PROBABILITY_RELIEF = 0.1
+PREFER_SECONDARIES_LEVEL = 2
+SHED_LEVEL = 3
+MAX_LEVEL = 3
+RECOVERY_WINDOW = 1.0
+STEP_COOLDOWN = 0.25
+
+#: The highest priority level the ladder sheds at :data:`SHED_LEVEL`.
 SHED_PRIORITY = "bronze"
-
-
-@dataclass(frozen=True)
-class DegradationConfig:
-    """Shape of the consistency-degradation ladder (DESIGN.md §11).
-
-    At ladder level ``L`` (0 = nominal):
-
-    * the staleness threshold ``a`` widens by ``staleness_widen × L``
-      versions (secondaries defer less, fewer reads block on the lazy
-      publisher);
-    * ``P_c(d)`` is lowered by ``probability_relief × L`` (the selection
-      algorithm picks fewer replicas per read — less fan-out load);
-    * at ``prefer_secondaries_level`` and above, reads are redirected
-      from primaries to the (lazier) secondary pool when one exists;
-    * at ``shed_level``, reads whose priority is at or below
-      :data:`SHED_PRIORITY` are shed locally before any replica sees them.
-    """
-
-    staleness_widen: int = 5
-    probability_relief: float = 0.1
-    prefer_secondaries_level: int = 2
-    shed_level: int = 3
-    max_level: int = 3
-    step_cooldown: float = 0.25  # min seconds between downward steps
-    recovery_window: float = 1.0  # quiet seconds required per upward step
-
-    def __post_init__(self) -> None:
-        if self.staleness_widen < 0:
-            raise ValueError("staleness_widen must be >= 0")
-        if not 0.0 <= self.probability_relief <= 1.0:
-            raise ValueError("probability_relief outside [0, 1]")
-        if self.max_level < 1:
-            raise ValueError("max_level must be >= 1")
-        if not 0 < self.shed_level <= self.max_level:
-            raise ValueError("shed_level must be in [1, max_level]")
-        if self.prefer_secondaries_level < 1:
-            raise ValueError("prefer_secondaries_level must be >= 1")
-        if self.step_cooldown < 0 or self.recovery_window <= 0:
-            raise ValueError("invalid cooldown/recovery window")
 
 
 @dataclass(frozen=True)
@@ -289,8 +222,8 @@ class DegradationPolicy:
     :class:`~repro.core.requests.OverloadReply` arrived) or
     :meth:`note_pressure` (a replica reported pressure ≥ HIGH), rate-
     limited by ``step_cooldown``.  Up-steps happen on :meth:`note_ok`
-    once ``recovery_window`` seconds pass with no trigger — one level at
-    a time, so recovery is as gradual as degradation.
+    once :data:`RECOVERY_WINDOW` seconds pass with no trigger — one level
+    at a time, so recovery is as gradual as degradation.
 
     The policy is pure bookkeeping: it owns no sockets and schedules no
     events.  The client consults :meth:`admit` before issuing each read.
@@ -298,10 +231,12 @@ class DegradationPolicy:
 
     def __init__(
         self,
-        config: Optional[DegradationConfig] = None,
         priority_mapper: Optional[PriorityMapper] = None,
+        step_cooldown: float = STEP_COOLDOWN,
     ) -> None:
-        self.config = config or DegradationConfig()
+        if step_cooldown < 0:
+            raise ValueError(f"negative step_cooldown {step_cooldown!r}")
+        self.step_cooldown = step_cooldown
         self.priority_mapper = priority_mapper or PriorityMapper()
         self.shed_floor = self.priority_mapper.probability_for(SHED_PRIORITY)
         self.level = NOMINAL
@@ -314,9 +249,9 @@ class DegradationPolicy:
     def note_overload(self, now: float, trigger: str = "overload") -> Optional[DegradationStep]:
         """An OverloadReply (or equivalent) arrived; maybe step down."""
         self._last_trigger = now
-        if self.level >= self.config.max_level:
+        if self.level >= MAX_LEVEL:
             return None
-        if now - self._last_change < self.config.step_cooldown:
+        if now - self._last_change < self.step_cooldown:
             return None
         return self._move(now, self.level + 1, trigger)
 
@@ -330,8 +265,7 @@ class DegradationPolicy:
         """Quiet evidence (a timely reply); maybe step back up one level."""
         if self.level == NOMINAL:
             return None
-        window = self.config.recovery_window
-        if now - self._last_trigger < window or now - self._last_change < window:
+        if now - max(self._last_trigger, self._last_change) < RECOVERY_WINDOW:
             return None
         return self._move(now, self.level - 1, "recovered")
 
@@ -341,12 +275,12 @@ class DegradationPolicy:
         """Pin the ladder at ``level`` (closed-loop actuation, DESIGN.md §16).
 
         Bypasses the evidence cooldowns — the controller already
-        rate-limits itself — but stays clamped to ``[0, max_level]`` and
+        rate-limits itself — but stays clamped to ``[0, MAX_LEVEL]`` and
         records the transition like any other step.  Pinning a level
         counts as trigger evidence so the evidence-driven ``note_ok``
         path cannot immediately unwind a controller hold.
         """
-        level = max(0, min(level, self.config.max_level))
+        level = max(0, min(level, MAX_LEVEL))
         if level == self.level:
             return None
         if level > self.level:
@@ -365,20 +299,20 @@ class DegradationPolicy:
         """The QoS to issue a read with at the current level.
 
         Returns ``None`` when the read should be shed locally (ladder at
-        ``shed_level`` and the request's priority — named, or inferred
+        :data:`SHED_LEVEL` and the request's priority — named, or inferred
         from its ``P_c(d)`` against the mapper's levels — is at or below
         :data:`SHED_PRIORITY`).  Otherwise returns the (possibly relaxed)
         spec: staleness widened, ``P_c(d)`` lowered, deadline untouched.
         """
-        if self.level >= self.config.shed_level and self._sheddable(qos, priority):
+        if self.level >= SHED_LEVEL and self._sheddable(qos, priority):
             self.reads_shed += 1
             return None
         if self.level == NOMINAL:
             return qos
-        relief = self.config.probability_relief * self.level
+        relief = PROBABILITY_RELIEF * self.level
         return QoSSpec(
             staleness_threshold=qos.staleness_threshold
-            + self.config.staleness_widen * self.level,
+            + STALENESS_WIDEN * self.level,
             deadline=qos.deadline,
             min_probability=max(0.0, qos.min_probability - relief),
         )
@@ -390,7 +324,7 @@ class DegradationPolicy:
 
     @property
     def prefer_secondaries(self) -> bool:
-        return self.level >= self.config.prefer_secondaries_level
+        return self.level >= PREFER_SECONDARIES_LEVEL
 
     # -- reporting ------------------------------------------------------
     def stats(self) -> dict[str, int]:

@@ -49,6 +49,10 @@ from repro.obs.spans import emit_span, span_root
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import NULL_TRACE, Trace
 
+#: Floor (seconds) of the back-pressure hint an :class:`OverloadReply`
+#: carries: a client backs off a shedding replica at least this long.
+MIN_RETRY_AFTER = 0.05
+
 
 @dataclass(frozen=True)
 class ServiceGroups:
@@ -106,9 +110,7 @@ class ReplicaHandlerBase(GroupEndpoint):
         trace: Trace = NULL_TRACE,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        super().__init__(
-            name, heartbeat_interval=config.heartbeat_interval, rto=config.rto
-        )
+        super().__init__(name, heartbeat_interval=config.heartbeat_interval)
         self.config = config  # the protocol subclasses read their own fields
         self.groups = groups
         self.app = app
@@ -118,13 +120,10 @@ class ReplicaHandlerBase(GroupEndpoint):
             config.update_service_time or config.read_service_time
         )
         self.trace = trace
-        self.publish_performance = config.publish_performance
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.overload = config.overload
         self.pressure: Optional[PressureMonitor] = (
-            PressureMonitor.from_config(config.overload)
-            if config.overload is not None
-            else None
+            PressureMonitor() if config.overload is not None else None
         )
         self.queue_depth_peak = 0
         self._ready: deque[PendingRequest] = deque()
@@ -262,25 +261,20 @@ class ReplicaHandlerBase(GroupEndpoint):
 
     def _shed_reason(self, pending: PendingRequest) -> Optional[str]:
         """Why this read should bounce right now, or None to admit it."""
-        config = self.overload
-        assert config is not None
+        capacity = self.overload.queue_capacity
+        pressure = self.pressure
         qos = pending.request.qos
         remaining = None
         if qos is not None:
             remaining = pending.request.sent_at + qos.deadline - self.now
-        if config.shed_expired and remaining is not None and remaining <= 0.0:
+        if remaining is not None and remaining <= 0.0:
             return "deadline-passed"
-        if (
-            config.queue_capacity is not None
-            and len(self._ready) >= config.queue_capacity
-        ):
+        if capacity is not None and len(self._ready) >= capacity:
             return "queue-full"
         if (
-            config.shed_predicted
-            and remaining is not None
-            and self.pressure is not None
-            and self.pressure.samples > 0
-            and self.pressure.expected_wait(self.queue_depth) > remaining
+            remaining is not None
+            and pressure.samples > 0
+            and pressure.expected_wait(self.queue_depth) > remaining
         ):
             return "predicted-late"
         return None
@@ -292,14 +286,12 @@ class ReplicaHandlerBase(GroupEndpoint):
         deferred-read cleanup (the silent-drop bugfix): every dropped read
         gets an explicit failure reply so client accounting stays honest.
         """
-        config = self.overload
         expected = (
             self.pressure.expected_wait(max(1, self.queue_depth))
             if self.pressure is not None
             else 0.0
         )
-        min_after = config.min_retry_after if config is not None else 0.05
-        retry_after = max(min_after, 0.5 * expected)
+        retry_after = max(MIN_RETRY_AFTER, 0.5 * expected)
         level = self.pressure.level if self.pressure is not None else 0
         reply = OverloadReply(
             request_id=pending.request.request_id,
@@ -432,8 +424,7 @@ class ReplicaHandlerBase(GroupEndpoint):
                     network=pending.net_wait,
                     deferred=pending.deferred,
                 )
-            if self.publish_performance:
-                self._publish_performance(ts, tq, pending)
+            self._publish_performance(ts, tq, pending)
         if self.trace.enabled:
             # Serve span: stitched under the dispatch edge that carried the
             # request here by obs.spans.build_span_trees (parent=None).

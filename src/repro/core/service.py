@@ -75,9 +75,6 @@ class ReplicatedService:
         self.clients: dict[str, ClientHandler] = {}
         self.controller: Optional[ConsistencyController] = None
 
-        self._speed_cycle = list(self.config.host_speed_factors or [1.0])
-        self._next_host = 0
-
         self.sequencer: Optional[ReplicaHandlerBase] = None
         self.primaries: list[ReplicaHandlerBase] = []
         self.secondaries: list[ReplicaHandlerBase] = []
@@ -87,11 +84,6 @@ class ReplicatedService:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _make_host(self, name: str) -> Host:
-        factor = self._speed_cycle[self._next_host % len(self._speed_cycle)]
-        self._next_host += 1
-        return Host(name, factor)
-
     def _make_replica(self, name: str) -> ReplicaHandlerBase:
         handler: ReplicaHandlerBase = replica_handler_for(self.config.ordering)(
             name,
@@ -102,7 +94,7 @@ class ReplicatedService:
             trace=self.trace,
             metrics=self.metrics,
         )
-        self.network.attach(handler, self._make_host(f"host-{name}"))
+        self.network.attach(handler, Host(f"host-{name}"))
         return handler
 
     def _build_replicas(self) -> None:
@@ -321,7 +313,7 @@ class ReplicatedService:
             metrics=self.metrics,
             calibration=self.calibration,
         )
-        self.network.attach(handler, host or self._make_host(f"host-{name}"))
+        self.network.attach(handler, host or Host(f"host-{name}"))
         self.membership.register(self.groups.qos, name)
         handler.assume_membership(self.groups.qos)
         self.membership.watch(self.groups.primary, name)

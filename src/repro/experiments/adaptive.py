@@ -17,12 +17,12 @@ kinds of cells:
 
 Controller invariants audited on every decision log (DESIGN.md §16):
 
-* **bounds** — ``T_L`` stays inside ``[t_l_min, t_l_max]``, every
+* **bounds** — ``T_L`` stays inside ``[T_L_MIN, t_l_max]``, every
   per-class staleness knob at or under its ceiling, every probability
   knob at or above its floor, the relax index inside
   ``[0, max_relax_steps]``;
 * **anti-flap** — consecutive relax steps are at least
-  ``cooldown_epochs`` apart and never within ``hold_epochs`` of a
+  ``COOLDOWN_EPOCHS`` apart and never within ``hold_epochs`` of a
   rollback;
 * **rollback coupling** — every epoch that observes a burn regression
   while relaxed (index > 0) rolls back in that same epoch (safety moves
@@ -52,7 +52,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.core.client import WALL_CLOCK_SERIES
-from repro.core.controller import ControllerConfig, STATE_LEVELS
+from repro.core.controller import (
+    COOLDOWN_EPOCHS,
+    STATE_LEVELS,
+    T_L_MIN,
+    ControllerConfig,
+)
 from repro.experiments.campaign import (
     Campaign,
     chaos_engine,
@@ -310,10 +315,10 @@ def audit_decisions(
     for d in decisions:
         epoch = d["epoch"]
         # Bounds.
-        if not (config.t_l_min - eps <= d["t_l"] <= config.t_l_max + eps):
+        if not (T_L_MIN - eps <= d["t_l"] <= config.t_l_max + eps):
             violations.append(
                 f"bounds: epoch {epoch} T_L {d['t_l']} outside "
-                f"[{config.t_l_min}, {config.t_l_max}]"
+                f"[{T_L_MIN}, {config.t_l_max}]"
             )
         if not (0 <= d["relax_index"] <= config.max_relax_steps):
             violations.append(
@@ -359,10 +364,10 @@ def audit_decisions(
     # Anti-flap: relax steps rate-limited, and never inside the
     # post-rollback hold window.
     for a, b in zip(relax_epochs, relax_epochs[1:]):
-        if b - a < config.cooldown_epochs:
+        if b - a < COOLDOWN_EPOCHS:
             violations.append(
                 f"anti-flap: relaxes at epochs {a} and {b} closer than "
-                f"cooldown {config.cooldown_epochs}"
+                f"cooldown {COOLDOWN_EPOCHS}"
             )
     for r in rollback_epochs:
         for e in relax_epochs:

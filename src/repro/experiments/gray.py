@@ -67,18 +67,9 @@ from repro.workloads.generators import OpenLoopUpdater, PeriodicReader
 #: whose p99 the detector must defend.
 READ_QOS = QoSSpec(staleness_threshold=10, deadline=0.25, min_probability=0.9)
 
-#: Detection tuning used by the detector cells.  Spelled out rather than
-#: defaulted so the experiment is reproducible against config drift.
-DETECTOR_CONFIG = DetectorConfig(
-    window_size=48,
-    phi_suspect=8.0,
-    phi_hedge=4.0,
-    min_samples=6,
-    min_std=0.005,
-    probe_interval=0.3,
-    min_eject_keep=1,
-    watchdog_multiplier=6.0,
-)
+#: Detection tuning used by the detector cells: a shorter window, colder
+#: start and faster probing than the defaults.
+DETECTOR_CONFIG = DetectorConfig(window_size=48, min_samples=6, probe_interval=0.3)
 
 #: Suspicions raised this long (seconds) after a fault healed are still
 #: attributed to it — the evidence (a missing arrival) trails the fault.

@@ -40,11 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.client import RetryPolicy
-from repro.core.overload import (
-    DegradationConfig,
-    DegradationPolicy,
-    OverloadConfig,
-)
+from repro.core.overload import STEP_COOLDOWN, DegradationPolicy, OverloadConfig
 from repro.core.priority import PriorityMapper
 from repro.core.qos import QoSSpec
 from repro.experiments.campaign import (
@@ -133,7 +129,7 @@ def run_overload_cell(
     duration: float = 12.0,
     trace_dir: Optional[str] = None,
     calm: bool = False,
-    degradation_config: Optional[DegradationConfig] = None,
+    step_cooldown: float = STEP_COOLDOWN,
 ) -> OverloadCellResult:
     """Run one seeded storm campaign in ``shed`` or ``unbounded`` mode.
 
@@ -141,9 +137,9 @@ def run_overload_cell(
     identical but never starts the chaos engine, giving the storm-free
     control run the SLO burn-alert tests compare against.
 
-    ``degradation_config`` overrides the clients' ladder shape; the SLO
-    acceptance campaign uses a cautious ladder (longer step cooldown) so
-    the burn-rate pager is expected to lead the slide into CRITICAL.
+    ``step_cooldown`` spaces the clients' ladder steps; the SLO acceptance
+    campaign uses a cautious ladder (a longer cooldown) so the burn-rate
+    pager is expected to lead the slide into CRITICAL.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -160,9 +156,8 @@ def run_overload_cell(
 
     mapper = PriorityMapper()
     policy = RetryPolicy(max_retries=1)
-    ladder_config = degradation_config or DegradationConfig()
-    vip_ladder = DegradationPolicy(ladder_config, mapper) if shed else None
-    bulk_ladder = DegradationPolicy(ladder_config, mapper) if shed else None
+    vip_ladder = DegradationPolicy(mapper, step_cooldown) if shed else None
+    bulk_ladder = DegradationPolicy(mapper, step_cooldown) if shed else None
     feed = service.create_client("feed", read_only_methods={"get"})
     vip = service.create_client(
         "vip",

@@ -329,8 +329,10 @@ def compare_cells(
     aggregate: ScaleCellResult,
     discrete: ScaleCellResult,
     level: float = 0.95,
+    seed: int = 0,
 ) -> ValidationCell:
-    """Wilson-overlap agreement on failure/deferral/CDF proportions."""
+    """Wilson-overlap agreement on failure/deferral/CDF proportions of
+    the two tiers' cells at ``seed``."""
     failure_agree = proportions_agree(
         aggregate.sample_failures, aggregate.sample_reads,
         discrete.sample_failures, discrete.sample_reads, level,
@@ -347,7 +349,7 @@ def compare_cells(
     )
     return ValidationCell(
         users=aggregate.users,
-        seed=0,
+        seed=seed,
         aggregate=aggregate,
         discrete=discrete,
         failure_agree=failure_agree,
@@ -418,18 +420,12 @@ def run_scale_validation(
     by_key = {spec.key: cell for spec, cell in zip(specs, cells)}
     result = ScaleValidationResult()
     for users in populations:
-        comparison = compare_cells(
-            by_key[(users, "aggregate")], by_key[(users, "discrete")], level
-        )
         result.cells.append(
-            ValidationCell(
-                users=comparison.users,
-                seed=seed,
-                aggregate=comparison.aggregate,
-                discrete=comparison.discrete,
-                failure_agree=comparison.failure_agree,
-                deferred_agree=comparison.deferred_agree,
-                cdf_agree=comparison.cdf_agree,
+            compare_cells(
+                by_key[(users, "aggregate")],
+                by_key[(users, "discrete")],
+                level,
+                seed,
             )
         )
     return result

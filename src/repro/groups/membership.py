@@ -111,19 +111,17 @@ class ViewChangeMsg:
 
 @dataclass
 class MembershipConfig:
-    """Tuning knobs for the failure detector."""
+    """Tuning knobs for the failure detector, which sweeps once per
+    heartbeat."""
 
     heartbeat_interval: float = 0.25
     suspect_timeout: float = 1.0
-    sweep_interval: float = 0.25
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         if self.suspect_timeout <= self.heartbeat_interval:
             raise ValueError("suspect_timeout must exceed heartbeat_interval")
-        if self.sweep_interval <= 0:
-            raise ValueError("sweep_interval must be positive")
 
 
 class MembershipService(Endpoint):
@@ -163,10 +161,10 @@ class MembershipService(Endpoint):
     # ------------------------------------------------------------------
     def attached(self, network: Network, host) -> None:
         super().attached(network, host)
-        self.sim.schedule(self.config.sweep_interval, self._first_sweep)
+        self.sim.schedule(self.config.heartbeat_interval, self._first_sweep)
 
     def _schedule_sweep(self) -> None:
-        self.sim.schedule(self.config.sweep_interval, self._sweep)
+        self.sim.schedule(self.config.heartbeat_interval, self._sweep)
 
     # ------------------------------------------------------------------
     # Queries
@@ -340,7 +338,7 @@ class MembershipService(Endpoint):
         after it."""
         if self._idle_since is None:
             return
-        interval = self.config.sweep_interval
+        interval = self.config.heartbeat_interval
         _, last = walk_grid(self._idle_since, interval, self.now)
         self._idle_since = None
         self.sim.schedule_at(last + interval, self._sweep)

@@ -25,7 +25,7 @@ from repro.core.controller import (
     class_adjustment_at,
     t_l_at,
 )
-from repro.core.overload import DegradationConfig, DegradationPolicy
+from repro.core.overload import DegradationPolicy
 from repro.core.priority import PriorityMapper
 from repro.core.qos import QoSSpec
 from repro.core.selection import SelectionStrategy
@@ -376,16 +376,10 @@ def build_operation_mix_scenario(
         rate_controller=rate_controller,
     )
     for cls in classes:
-        ladder = (
-            DegradationPolicy(DegradationConfig(), mapper)
-            if with_ladder
-            else None
-        )
+        ladder = DegradationPolicy(mapper) if with_ladder else None
         qos = cls.qos
         if not closed_loop and static_relax > 0:
-            qos = class_adjustment_at(
-                knob_config, cls.bounds, static_relax
-            ).apply(qos)
+            qos = class_adjustment_at(cls.bounds, static_relax).apply(qos)
         handler = service.create_client(
             cls.name,
             read_only_methods={"get"},

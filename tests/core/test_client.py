@@ -180,6 +180,25 @@ def test_qos_violation_callback_fires():
     assert all(0.0 <= v <= 1.0 for v in violations)
 
 
+def test_qos_violation_callback_fires_when_the_first_read_misses_its_deadline():
+    """The verdict is judged over reads whose deadline has passed, so the
+    client hears of a miss at ``t0 + d``, not when a late reply (or the
+    garbage collector) finally resolves the read."""
+    testbed = make_testbed(service_time=Constant(0.300))
+    heard = []
+    client = testbed.service.create_client(
+        "c",
+        read_only_methods={"get"},
+        on_qos_violation=lambda p: heard.append((testbed.sim.now, p)),
+    )
+    tight = QoSSpec(10, 0.050, 0.9)
+    t0 = 1.0
+    testbed.sim.schedule_at(t0, client.invoke, "get", (), tight)
+    testbed.sim.run(until=3.0)
+    assert client.reads_resolved == 1
+    assert heard[0] == (pytest.approx(t0 + tight.deadline), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Selection bookkeeping
 # ---------------------------------------------------------------------------

@@ -73,7 +73,9 @@ def test_retry_policy_defaults_valid():
     ],
 )
 def test_retry_policy_rejects_bad_fields(kwargs):
-    with pytest.raises(ValueError):
+    # A knob that is a module constant rather than a field is refused as an
+    # unknown keyword, so a caller passing it fails instead of being ignored.
+    with pytest.raises((TypeError, ValueError)):
         RetryPolicy(**kwargs)
 
 
@@ -104,7 +106,7 @@ def test_recovery_stats_shape():
 # ---------------------------------------------------------------------------
 # Retry behaviour
 # ---------------------------------------------------------------------------
-def crashed_replica_scenario(retry_policy, seed=21):
+def crashed_replica_scenario(retry_policy, seed=21, qos=QOS):
     """Reads flow while one replica silently crashes and stays down.
 
     Returns ``(client, outcomes)`` after the workload drains.  The crash
@@ -117,7 +119,7 @@ def crashed_replica_scenario(retry_policy, seed=21):
         "c", read_only_methods={"get"}, retry_policy=retry_policy
     )
     warm_up(testbed, client)
-    reader = PeriodicReader(testbed.sim, client, QOS, period=0.05, count=60)
+    reader = PeriodicReader(testbed.sim, client, qos, period=0.05, count=60)
 
     # Crash exactly the replicas the warmed selection favours: reads
     # dispatched in the window before the membership eviction are
@@ -166,9 +168,11 @@ def test_retry_resolution_is_attributed():
 
 def test_budget_guard_suppresses_hopeless_retries():
     """A retry that cannot finish inside the remaining deadline budget is
-    wasted load; with the guard above the whole deadline, none fire."""
-    policy = RetryPolicy(max_retries=2, min_remaining_budget=2.0)
-    client, outcomes = crashed_replica_scenario(policy)
+    wasted load; with the whole deadline (15 ms) under the guard's
+    MIN_REMAINING_BUDGET (20 ms), none fire."""
+    policy = RetryPolicy(max_retries=2)
+    tight = QoSSpec(staleness_threshold=10, deadline=0.015, min_probability=0.5)
+    client, outcomes = crashed_replica_scenario(policy, qos=tight)
     assert client.retries_sent == 0
     assert sum(1 for o in outcomes if o.timing_failure) > 0
 
@@ -188,7 +192,7 @@ def test_eviction_of_all_live_targets_triggers_redispatch():
     client = service.create_client(
         "c",
         read_only_methods={"get"},
-        retry_policy=RetryPolicy(max_retries=2, checkpoint_fraction=0.9),
+        retry_policy=RetryPolicy(max_retries=2),
     )
     warm_up(testbed, client)
 
@@ -217,7 +221,7 @@ def test_eviction_of_all_live_targets_triggers_redispatch():
 # ---------------------------------------------------------------------------
 # Hedging
 # ---------------------------------------------------------------------------
-def hedging_client(testbed, min_probability):
+def hedging_client(testbed):
     """Algorithm 1 always over-provisions to survive one crash, so single
     selections only arise with single-replica strategies — exactly the
     configurations hedging exists to protect."""
@@ -227,15 +231,13 @@ def hedging_client(testbed, min_probability):
         "c",
         read_only_methods={"get"},
         strategy=RoundRobinSelection(),
-        retry_policy=RetryPolicy(
-            hedge=True, hedge_min_probability=min_probability
-        ),
+        retry_policy=RetryPolicy(hedge=True),
     )
 
 
 def test_hedge_duplicates_demanding_single_selections():
     testbed = make_testbed(num_primaries=3, num_secondaries=3)
-    client = hedging_client(testbed, min_probability=0.9)
+    client = hedging_client(testbed)
     warm_up(testbed, client, reads=20, until=4.0)
 
     demanding = QoSSpec(staleness_threshold=10, deadline=1.0, min_probability=0.95)
@@ -257,7 +259,7 @@ def test_hedge_duplicates_demanding_single_selections():
 
 def test_no_hedge_below_probability_bar():
     testbed = make_testbed(num_primaries=3, num_secondaries=3)
-    client = hedging_client(testbed, min_probability=0.9)
+    client = hedging_client(testbed)
     warm_up(testbed, client, reads=20, until=4.0)
     relaxed = QoSSpec(staleness_threshold=10, deadline=1.0, min_probability=0.5)
     PeriodicReader(testbed.sim, client, relaxed, period=0.1, count=20)
@@ -282,7 +284,7 @@ def shedding_testbed(retry_policy, seed=21):
         heartbeat_interval=0.1,
         suspect_timeout=0.35,
         gc_timeout=5.0,
-        overload=OverloadConfig(queue_capacity=2, shed_predicted=False),
+        overload=OverloadConfig(queue_capacity=2),
     )
     testbed = build_testbed(
         config,

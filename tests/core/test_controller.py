@@ -13,10 +13,13 @@ import pytest
 
 from repro.core.controller import (
     CONSERVATIVE,
+    CONTROL_EPOCH,
+    COOLDOWN_EPOCHS,
     MEASURE,
     REGRESSION_LADDER_LEVEL,
     RELAX,
     ROLLBACK,
+    T_L_MIN,
     ClassBounds,
     ConsistencyController,
     ControllerConfig,
@@ -102,20 +105,13 @@ def make_controller(script, config=None, **kwargs):
 
 def run_epochs(sim, controller, epochs):
     controller.start()
-    sim.run(until=sim.now + epochs * controller.config.epoch + 1e-9)
+    sim.run(until=sim.now + epochs * CONTROL_EPOCH + 1e-9)
 
 
-# Small, fast shape: warmup 1, relax after 1 healthy epoch, confirm in 2,
-# one-epoch cooldown/hold so trajectories stay short.
-FAST = ControllerConfig(
-    epoch=1.0,
-    warmup_epochs=1,
-    healthy_epochs=1,
-    confirm_epochs=2,
-    cooldown_epochs=2,
-    hold_epochs=1,
-    max_relax_steps=3,
-)
+# The constants' shape (warmup 2, relax after 2 healthy epochs, confirm
+# in 3, cooldown 4) with a one-epoch hold so trajectories stay short:
+# under steady health the first relax lands at epoch 4, then every 4th.
+FAST = ControllerConfig(hold_epochs=1, max_relax_steps=3)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +122,7 @@ def test_warmup_holds_conservative_then_measures_then_relaxes():
     run_epochs(sim, c, 4)
     states = [d.state for d in c.decisions]
     # Epoch 1 is warmup (CONSERVATIVE -> MEASURE transition happens at
-    # epoch >= warmup_epochs); a relax follows once the healthy streak
+    # epoch >= WARMUP_EPOCHS); a relax follows once the healthy streak
     # builds.
     assert states[0] in (CONSERVATIVE, MEASURE)
     assert RELAX in states
@@ -145,16 +141,16 @@ def test_relax_steps_respect_cooldown_and_max():
     ]
     assert relax_epochs, "controller never relaxed under healthy signals"
     gaps = [b - a for a, b in zip(relax_epochs, relax_epochs[1:])]
-    assert all(g >= FAST.cooldown_epochs for g in gaps)
+    assert all(g >= COOLDOWN_EPOCHS for g in gaps)
     assert c.relax_index <= FAST.max_relax_steps
     # Healthy forever: the walk tops out at max_relax_steps exactly.
     assert c.relax_index == FAST.max_relax_steps
 
 
 def test_rollback_reverts_to_last_good_and_holds():
-    # Healthy long enough to confirm index 1 and reach index 2, then a
-    # sustained alert.
-    script = [HEALTHY] * 6 + [ALERTING] * 3 + [HEALTHY] * 6
+    # Healthy long enough to confirm index 1 (epoch 7) and reach index 2
+    # (epoch 8), then a sustained alert.
+    script = [HEALTHY] * 8 + [ALERTING] * 3 + [HEALTHY] * 6
     sim, c = make_controller(script, config=FAST)
     run_epochs(sim, c, len(script))
     rollback_decisions = [d for d in c.decisions if d.rollback]
@@ -182,7 +178,7 @@ def test_rollback_preserves_confirmed_index_for_recovery():
     # recover: the controller must climb back to the confirmed index
     # without fresh budget (the disturbance does not erase confirmation).
     script = (
-        [HEALTHY] * 6
+        [HEALTHY] * 8
         + [dict(ALERTING)] * 4
         + [sig(budget=-2.0)] * 8  # healthy windows, lifetime budget spent
     )
@@ -246,7 +242,7 @@ def test_ladder_releases_after_regression_clears():
 # Knob ladder math and hard bounds
 # ---------------------------------------------------------------------------
 def test_t_l_ladder_doubles_and_clamps():
-    cfg = ControllerConfig(t_l_step=2.0, t_l_min=0.05, t_l_max=1.0)
+    cfg = ControllerConfig(t_l_max=1.0)  # T_L_STEP 2, T_L_MIN 0.05
     assert t_l_at(cfg, 0.3, 0) == pytest.approx(0.3)
     assert t_l_at(cfg, 0.3, 1) == pytest.approx(0.6)
     assert t_l_at(cfg, 0.3, 2) == pytest.approx(1.0)  # clamped at max
@@ -254,12 +250,11 @@ def test_t_l_ladder_doubles_and_clamps():
 
 
 def test_class_adjustment_uses_bounds_overrides():
-    cfg = ControllerConfig(staleness_step=4, probability_step=0.1)
     bounds = ClassBounds(
         staleness_ceiling=10, probability_floor=0.5,
         staleness_step=1, probability_step=0.01,
     )
-    adj = class_adjustment_at(cfg, bounds, 3)
+    adj = class_adjustment_at(bounds, 3)  # not STALENESS_STEP 4 / 0.1
     assert adj.widen_staleness == 3
     assert adj.relax_probability == pytest.approx(0.03)
     assert adj.staleness_ceiling == 10
@@ -313,13 +308,11 @@ def test_register_class_rejects_bounds_tighter_than_base():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ControllerConfig(epoch=0.0)
+        ControllerConfig(hold_epochs=-1)
     with pytest.raises(ValueError):
-        ControllerConfig(t_l_step=0.5)
+        ControllerConfig(max_relax_steps=-1)
     with pytest.raises(ValueError):
-        ControllerConfig(t_l_min=2.0, t_l_max=1.0)
-    with pytest.raises(ValueError):
-        ControllerConfig(cooldown_epochs=-1)
+        ControllerConfig(t_l_max=T_L_MIN / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +347,6 @@ def test_dry_run_decides_but_never_actuates():
     handler = FakeHandler()
     client = FakeClient()
     cfg = ControllerConfig(
-        epoch=FAST.epoch,
-        warmup_epochs=FAST.warmup_epochs,
-        healthy_epochs=FAST.healthy_epochs,
-        confirm_epochs=FAST.confirm_epochs,
-        cooldown_epochs=FAST.cooldown_epochs,
         hold_epochs=FAST.hold_epochs,
         max_relax_steps=FAST.max_relax_steps,
         dry_run=True,
@@ -396,7 +384,7 @@ def test_decision_bounds_hold_under_adversarial_signals():
             d.last_good_index >= d.relax_index
         )
         if d.t_l is not None:
-            assert FAST.t_l_min <= d.t_l <= FAST.t_l_max
+            assert T_L_MIN <= d.t_l <= FAST.t_l_max
 
 
 def test_decision_to_dict_round_trips_fields():
@@ -484,15 +472,7 @@ def test_epoch_tick_survives_publisher_crash_mid_epoch():
     scenario = build_operation_mix_scenario(
         seed=11,
         duration=10.0,
-        controller_config=ControllerConfig(
-            epoch=0.5,
-            warmup_epochs=1,
-            healthy_epochs=1,
-            confirm_epochs=2,
-            cooldown_epochs=2,
-            hold_epochs=1,
-            max_relax_steps=1,
-        ),
+        controller_config=ControllerConfig(hold_epochs=1, max_relax_steps=1),
         num_primaries=3,
         num_secondaries=2,
     )

@@ -2,20 +2,15 @@
 
 import pytest
 
-from repro.core.detector import PHI_CAP, DetectorConfig, PhiAccrualDetector
-
-
-CFG = DetectorConfig(
-    window_size=8,
-    phi_suspect=8.0,
-    phi_hedge=4.0,
-    min_samples=4,
-    min_std=0.005,
-    probe_interval=0.5,
-    quarantine_base=0.2,
-    quarantine_max=3.0,
-    quarantine_memory=10.0,
+from repro.core.detector import (
+    PHI_CAP,
+    PHI_SUSPECT,
+    DetectorConfig,
+    PhiAccrualDetector,
 )
+
+
+CFG = DetectorConfig(window_size=8, min_samples=4, probe_interval=0.5)
 
 
 def feed(det, peer, start, count, dt):
@@ -48,7 +43,9 @@ def feed(det, peer, start, count, dt):
     ],
 )
 def test_config_rejects_invalid(kwargs):
-    with pytest.raises(ValueError):
+    # A knob that is a module constant rather than a field is refused as an
+    # unknown keyword, so a caller passing it fails instead of being ignored.
+    with pytest.raises((TypeError, ValueError)):
         DetectorConfig(**kwargs)
 
 
@@ -101,7 +98,7 @@ def test_suspicion_latches_and_clears_on_arrival():
     det = PhiAccrualDetector(CFG)
     last = feed(det, "p", 0.0, 8, 0.1)
     value = det.suspicion_check("p", last + 2.0)
-    assert value >= CFG.phi_suspect
+    assert value >= PHI_SUSPECT
     assert det.is_suspected("p")
     assert det.suspected() == ["p"]
     # The latch holds even if queried again.
@@ -120,7 +117,7 @@ def test_transitions_record_suspect_and_clear_edges():
     det.record("p", last + 3.0)
     kinds = [(t.peer, t.suspected) for t in det.transitions]
     assert kinds == [("p", True), ("p", False)]
-    assert det.transitions[0].phi >= CFG.phi_suspect
+    assert det.transitions[0].phi >= PHI_SUSPECT
     assert det.transitions[0].time == pytest.approx(last + 2.0)
     assert det.transitions[1].time == pytest.approx(last + 3.0)
 
@@ -128,16 +125,16 @@ def test_transitions_record_suspect_and_clear_edges():
 # ---------------------------------------------------------------------------
 # Flap-damping quarantine
 # ---------------------------------------------------------------------------
-def episode(det, peer, last):
+def episode(det, peer, last, gap=2.0):
     """One suspect -> clear flap episode.
 
-    Latches at a 2 s gap, clears with one arrival, then feeds a fresh
-    rhythm so the clearing outlier rotates out of the window (maxlen 8)
-    and the next episode latches on the same 2 s gap.  Returns
+    Latches at a ``gap``-second silence, clears with one arrival, then
+    feeds a fresh rhythm so the clearing outlier rotates out of the window
+    (maxlen 8) and the next episode latches on the same gap.  Returns
     ``(clear_time, last_arrival_time)``.
     """
-    suspect_t = last + 2.0
-    assert det.suspicion_check(peer, suspect_t) >= det.config.phi_suspect
+    suspect_t = last + gap
+    assert det.suspicion_check(peer, suspect_t) >= PHI_SUSPECT
     clear_t = suspect_t + 0.5
     det.record(peer, clear_t)
     return clear_t, feed(det, peer, clear_t + 0.1, 8, 0.1)
@@ -154,7 +151,7 @@ def test_repeat_suspicion_quarantines_with_backoff():
     det = PhiAccrualDetector(CFG)
     last = feed(det, "p", 0.0, 8, 0.1)
     _, last = episode(det, "p", last)  # first episode: no quarantine
-    # Second episode within quarantine_memory: base hold (0.2 s).
+    # Second episode within QUARANTINE_MEMORY: base hold (0.2 s).
     clear_t, last = episode(det, "p", last)
     assert det.is_suspected("p", clear_t + 0.1)
     assert not det.is_suspected("p", clear_t + 0.3)
@@ -165,21 +162,15 @@ def test_repeat_suspicion_quarantines_with_backoff():
 
 
 def test_quarantine_hold_is_capped():
-    cfg = DetectorConfig(
-        window_size=8,
-        min_samples=4,
-        quarantine_base=0.2,
-        quarantine_max=0.3,
-        quarantine_memory=60.0,
-    )
-    det = PhiAccrualDetector(cfg)
+    det = PhiAccrualDetector(CFG)
     last = feed(det, "p", 0.0, 8, 0.1)
     clear_t = 0.0
-    for _ in range(5):  # five suspect/clear episodes
-        clear_t, last = episode(det, "p", last)
-    # Hold would be 0.2 * 2^3 = 1.6 s without the cap.
-    assert det.is_suspected("p", clear_t + 0.25)
-    assert not det.is_suspected("p", clear_t + 0.35)
+    # Six suspect/clear episodes, short enough to fit QUARANTINE_MEMORY.
+    for _ in range(6):
+        clear_t, last = episode(det, "p", last, gap=0.5)
+    # Hold would be 0.2 * 2^4 = 3.2 s without the 3 s cap.
+    assert det.is_suspected("p", clear_t + 2.9)
+    assert not det.is_suspected("p", clear_t + 3.1)
 
 
 def test_is_suspected_without_now_ignores_quarantine():

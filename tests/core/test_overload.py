@@ -1,7 +1,7 @@
 """Overload protection (DESIGN.md §11): bounded queues, deadline-aware
 shedding, pressure detection, the degradation ladder — and the default-off
 guarantee that a service built without an OverloadConfig behaves
-bit-identically to one carrying the inert ``disabled()`` config.
+bit-identically to one whose protection never fires.
 """
 
 import pytest
@@ -13,7 +13,7 @@ from repro.core.overload import (
     ELEVATED,
     HIGH,
     NOMINAL,
-    DegradationConfig,
+    SHED_LEVEL,
     DegradationPolicy,
     OverloadConfig,
     PressureMonitor,
@@ -94,13 +94,10 @@ class SecondariesOnly(SelectionStrategy):
     ],
 )
 def test_overload_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    # A knob that is a module constant rather than a field is refused as an
+    # unknown keyword, so a caller passing it fails instead of being ignored.
+    with pytest.raises((TypeError, ValueError)):
         OverloadConfig(**kwargs)
-
-
-def test_disabled_config_is_inert():
-    assert OverloadConfig.disabled().inert
-    assert not OverloadConfig().inert
 
 
 @pytest.mark.parametrize(
@@ -117,8 +114,10 @@ def test_disabled_config_is_inert():
     ],
 )
 def test_degradation_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
-        DegradationConfig(**kwargs)
+    # The ladder's one setting is DegradationPolicy's step_cooldown; the
+    # rest of its shape is module constants, refused as unknown keywords.
+    with pytest.raises((TypeError, ValueError)):
+        DegradationPolicy(**kwargs)
 
 
 def test_pressure_names():
@@ -138,31 +137,38 @@ def test_pressure_rises_immediately_on_heavy_samples():
 
 
 def test_pressure_descends_only_with_hysteresis():
-    monitor = PressureMonitor(alpha=1.0)  # no smoothing: follow samples
-    monitor.observe(queue_depth=9, tq=0.0, ts=0.01)
+    monitor = PressureMonitor()
+    monitor.observe(queue_depth=9, tq=0.0, ts=0.01)  # seeds the EWMA at 9
     assert monitor.level == ELEVATED + 1  # depth 9 >= both 4 and 8
-    # A sample just below the held band is NOT enough to step down...
-    monitor.observe(queue_depth=7, tq=0.0, ts=0.01)
-    assert monitor.level == HIGH
-    # ...but one clearing hysteresis * thresholds[1] = 0.7 * 8 is.
-    monitor.observe(queue_depth=5, tq=0.0, ts=0.01)
+    # Smoothed depth 7.2 (then 5.76), below the held band's 8, is NOT
+    # enough to step down...
+    for depth_ewma in (7.2, 5.76):
+        monitor.observe(queue_depth=0, tq=0.0, ts=0.01)
+        assert monitor.depth_ewma == pytest.approx(depth_ewma)
+        assert monitor.level == HIGH
+    # ...but 4.608, clearing HYSTERESIS * thresholds[1] = 0.7 * 8, is.
+    monitor.observe(queue_depth=0, tq=0.0, ts=0.01)
+    assert monitor.depth_ewma == pytest.approx(4.608)
     assert monitor.level == ELEVATED
 
 
 def test_pressure_needs_both_signals_quiet_to_descend():
-    monitor = PressureMonitor(alpha=1.0)
+    monitor = PressureMonitor()
     monitor.observe(queue_depth=9, tq=0.05, ts=0.01)  # ratio 5 -> CRITICAL
     assert monitor.level == CRITICAL
     # Depth quiet, ratio still hot: hold the level.
-    monitor.observe(queue_depth=0, tq=0.05, ts=0.01)
+    for _ in range(10):
+        monitor.observe(queue_depth=0, tq=0.05, ts=0.01)
+    assert monitor.depth_ewma < 1.0
     assert monitor.level == CRITICAL
     # Both quiet: step down one level at a time.
-    monitor.observe(queue_depth=0, tq=0.0, ts=0.01)
+    while monitor.level == CRITICAL:
+        monitor.observe(queue_depth=0, tq=0.0, ts=0.01)
     assert monitor.level == HIGH
 
 
 def test_expected_wait_tracks_service_time():
-    monitor = PressureMonitor(alpha=1.0)
+    monitor = PressureMonitor()
     monitor.observe(queue_depth=1, tq=0.0, ts=0.02)
     assert monitor.expected_wait(5) == pytest.approx(0.1)
 
@@ -171,7 +177,7 @@ def test_expected_wait_tracks_service_time():
 # DegradationPolicy
 # ---------------------------------------------------------------------------
 def test_ladder_steps_down_on_overload_with_cooldown():
-    policy = DegradationPolicy(DegradationConfig(step_cooldown=1.0))
+    policy = DegradationPolicy(step_cooldown=1.0)
     assert policy.note_overload(0.0) is not None
     assert policy.level == 1
     # Within the cooldown: evidence noted, no further step.
@@ -182,9 +188,7 @@ def test_ladder_steps_down_on_overload_with_cooldown():
 
 
 def test_ladder_recovers_one_level_per_quiet_window():
-    policy = DegradationPolicy(
-        DegradationConfig(step_cooldown=0.0, recovery_window=1.0)
-    )
+    policy = DegradationPolicy(step_cooldown=0.0)  # RECOVERY_WINDOW is 1 s
     policy.note_overload(0.0)
     policy.note_overload(0.1)
     assert policy.level == 2
@@ -200,16 +204,14 @@ def test_ladder_recovers_one_level_per_quiet_window():
 
 
 def test_note_pressure_only_reacts_to_high_levels():
-    policy = DegradationPolicy(DegradationConfig(step_cooldown=0.0))
+    policy = DegradationPolicy(step_cooldown=0.0)
     assert policy.note_pressure(0.0, ELEVATED) is None
     assert policy.note_pressure(0.0, HIGH) is not None
     assert policy.level == 1
 
 
 def test_admit_relaxes_qos_per_level():
-    policy = DegradationPolicy(
-        DegradationConfig(staleness_widen=5, probability_relief=0.1)
-    )
+    policy = DegradationPolicy()  # STALENESS_WIDEN 5, PROBABILITY_RELIEF 0.1
     assert policy.admit(QOS) is QOS  # nominal: untouched
     policy.note_overload(0.0)
     policy.note_overload(1.0)
@@ -220,10 +222,10 @@ def test_admit_relaxes_qos_per_level():
 
 
 def test_shed_level_sheds_only_low_priority():
-    policy = DegradationPolicy(DegradationConfig(step_cooldown=0.0))
+    policy = DegradationPolicy(step_cooldown=0.0)
     for t in range(3):
         policy.note_overload(float(t))
-    assert policy.level == policy.config.shed_level
+    assert policy.level == SHED_LEVEL
     vip = QoSSpec(staleness_threshold=10, deadline=1.0, min_probability=0.99)
     assert policy.admit(vip, priority="platinum") is not None
     assert policy.admit(QOS, priority="bronze") is None
@@ -235,7 +237,7 @@ def test_shed_level_sheds_only_low_priority():
 
 
 def test_prefer_secondaries_at_configured_level():
-    policy = DegradationPolicy(DegradationConfig(step_cooldown=0.0))
+    policy = DegradationPolicy(step_cooldown=0.0)
     assert not policy.prefer_secondaries
     policy.note_overload(0.0)
     assert not policy.prefer_secondaries
@@ -247,7 +249,7 @@ def test_prefer_secondaries_at_configured_level():
 # Replica-side shedding
 # ---------------------------------------------------------------------------
 def test_full_queue_sheds_reads_with_explicit_reply():
-    overload = OverloadConfig(queue_capacity=2, shed_predicted=False)
+    overload = OverloadConfig(queue_capacity=2)
     testbed = make_testbed(overload=overload)
     client = testbed.service.create_client("c", read_only_methods={"get"})
     warm_up(testbed, client)
@@ -268,7 +270,7 @@ def test_full_queue_sheds_reads_with_explicit_reply():
 
 
 def test_expired_deadline_sheds_on_arrival():
-    overload = OverloadConfig(queue_capacity=None, shed_predicted=False)
+    overload = OverloadConfig(queue_capacity=None)
     testbed = make_testbed(overload=overload)
     client = testbed.service.create_client("c", read_only_methods={"get"})
     warm_up(testbed, client)
@@ -367,7 +369,7 @@ def test_recovery_bounces_deferred_reads_even_without_overload_config():
 
 
 # ---------------------------------------------------------------------------
-# Default-off: None and disabled() are bit-identical
+# Default-off: None and a config that never fires are bit-identical
 # ---------------------------------------------------------------------------
 def run_signature(overload, seed):
     """Full outcome signature of a small mixed workload."""
@@ -399,6 +401,8 @@ def run_signature(overload, seed):
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**16))
 def test_default_off_is_bit_identical(seed):
+    # Unbounded queue and deferral buffer, and deadlines far above this
+    # workload's waits: the protection is installed but never sheds.
     assert run_signature(None, seed) == run_signature(
-        OverloadConfig.disabled(), seed
+        OverloadConfig(queue_capacity=None, defer_capacity=None), seed
     )

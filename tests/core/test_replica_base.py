@@ -123,20 +123,3 @@ def test_crashed_replica_drops_in_service_work():
     testbed.sim.run(until=2.0)
     assert primary.reads_served == 0
     assert primary.busy_time == 0.0
-
-
-def test_perf_broadcast_disabled():
-    testbed = _testbed(publish_performance=False)
-    client = testbed.service.create_client("c", read_only_methods={"get"})
-
-    def run():
-        for _ in range(3):
-            yield client.call("get", (), QOS)
-            yield Timeout(0.1)
-
-    Process(testbed.sim, run())
-    testbed.sim.run(until=5.0)
-    assert client.reads_resolved == 3
-    # No broadcasts: windows stay empty; predictions stay at bootstrap.
-    for name in client.repository.known_replicas():
-        assert not client.repository.stats_for(name).has_history

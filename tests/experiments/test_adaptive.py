@@ -22,10 +22,7 @@ from repro.experiments.campaign import write_metrics_artifact
 from repro.workloads.scenarios import OPERATION_CLASSES
 
 
-CFG = ControllerConfig(
-    epoch=0.5, cooldown_epochs=2, hold_epochs=2, max_relax_steps=2,
-    t_l_min=0.05, t_l_max=1.2,
-)
+CFG = ControllerConfig(hold_epochs=2, max_relax_steps=2, t_l_max=1.2)
 CLASSES = {cls.name: cls for cls in OPERATION_CLASSES}
 
 
@@ -65,11 +62,11 @@ def test_audit_clean_log_passes():
     log = [
         decision(1),
         decision(2, actions=["relax:0->1"], index=1, t_l=0.6),
-        decision(4, actions=["relax:1->2"], index=2, t_l=1.2),
+        decision(6, actions=["relax:1->2"], index=2, t_l=1.2),
         decision(
-            5, regression=True, rollback=True, index=0, actions=["rollback:2->0"]
+            7, regression=True, rollback=True, index=0, actions=["rollback:2->0"]
         ),
-        decision(8, actions=["relax:0->1"], index=1, t_l=0.6),
+        decision(10, actions=["relax:0->1"], index=1, t_l=0.6),
     ]
     assert audit_decisions(log, CFG, CLASSES) == []
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.overload import CRITICAL, DegradationConfig
+from repro.core.overload import CRITICAL
 from repro.experiments.overload import run_overload_cell
 from repro.obs.slo import SloEngine, SloSpec
 from repro.obs.timeseries import Timeline
@@ -21,7 +21,7 @@ SEED = 202
 DURATION = 8.0
 #: A 1 s step cooldown: the operationally cautious ladder an operator
 #: would run when alerts, not automatic shedding, are the first response.
-CAUTIOUS = DegradationConfig(step_cooldown=1.0)
+CAUTIOUS_COOLDOWN = 1.0
 
 BULK_SLO = SloSpec(
     name="timeliness:bulk",
@@ -35,7 +35,7 @@ BULK_SLO = SloSpec(
 @pytest.fixture(scope="module")
 def storm():
     return run_overload_cell(
-        SEED, "shed", duration=DURATION, degradation_config=CAUTIOUS
+        SEED, "shed", duration=DURATION, step_cooldown=CAUTIOUS_COOLDOWN
     )
 
 
@@ -46,7 +46,7 @@ def calm():
         "shed",
         duration=DURATION,
         calm=True,
-        degradation_config=CAUTIOUS,
+        step_cooldown=CAUTIOUS_COOLDOWN,
     )
 
 

@@ -23,7 +23,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 
 MEMBERS = ("a", "b", "c")
-FAST = MembershipConfig(heartbeat_interval=0.1, suspect_timeout=0.35, sweep_interval=0.1)
+FAST = MembershipConfig(heartbeat_interval=0.1, suspect_timeout=0.35)
 
 
 class SpyNetwork(Network):
@@ -192,7 +192,7 @@ def test_switch_over_evicts_the_victim_at_the_same_sweep(crash_at, victim, confi
     in_flight = min(since_tick, interval - since_tick) <= 0.001
     if in_flight:
         assert evicted_at[False] == pytest.approx(
-            evicted_at[True], abs=config.sweep_interval + 1e-9
+            evicted_at[True], abs=interval + 1e-9
         )
     else:
         assert evicted_at[False] == evicted_at[True]

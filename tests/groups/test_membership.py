@@ -45,7 +45,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MembershipConfig(heartbeat_interval=1.0, suspect_timeout=0.5)
     with pytest.raises(ValueError):
-        MembershipConfig(sweep_interval=0.0)
+        MembershipConfig(heartbeat_interval=-0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -151,9 +151,7 @@ def test_consistency_preserved_under_message_loss():
     rng = RngRegistry(23)
     network = Network(sim, rng, FixedLatency(0.001), drop_probability=0.1)
     membership = MembershipService(
-        config=MembershipConfig(
-            heartbeat_interval=0.2, suspect_timeout=2.0, sweep_interval=0.2
-        )
+        config=MembershipConfig(heartbeat_interval=0.2, suspect_timeout=2.0)
     )
     network.attach(membership)
     service = ReplicatedService(

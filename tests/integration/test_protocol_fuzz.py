@@ -176,9 +176,7 @@ def test_reliability_under_random_loss_fuzz(seed, drop):
     rng = RngRegistry(seed)
     network = Network(sim, rng, FixedLatency(0.001), drop_probability=drop)
     membership = MembershipService(
-        config=MembershipConfig(
-            heartbeat_interval=0.2, suspect_timeout=3.0, sweep_interval=0.2
-        )
+        config=MembershipConfig(heartbeat_interval=0.2, suspect_timeout=3.0)
     )
     network.attach(membership)
     service = ReplicatedService(

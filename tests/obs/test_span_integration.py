@@ -48,7 +48,7 @@ def test_hedged_read_is_one_tree_with_two_dispatches():
         "c",
         read_only_methods={"get"},
         strategy=RoundRobinSelection(),
-        retry_policy=RetryPolicy(hedge=True, hedge_min_probability=0.95),
+        retry_policy=RetryPolicy(hedge=True),
     )
     run_reads(testbed, client)
     assert client.hedges_sent > 0

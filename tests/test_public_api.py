@@ -112,37 +112,31 @@ def test_readme_quickstart_snippet_runs():
 CONFIG_SURFACE = {
     "repro.core.config.ServiceConfig": (
         "name num_primaries num_secondaries ordering lazy_update_interval "
-        "adaptive_lazy_target window_size quantum read_service_time "
-        "update_service_time host_speed_factors publish_performance "
-        "heartbeat_interval suspect_timeout rto gsn_wait_timeout gc_timeout "
-        "overload detector controller"
+        "adaptive_lazy_target window_size read_service_time "
+        "update_service_time heartbeat_interval suspect_timeout "
+        "gsn_wait_timeout gc_timeout overload detector controller"
     ),
-    "repro.core.overload.OverloadConfig": (
-        "queue_capacity shed_expired shed_predicted defer_capacity "
-        "expire_deferred min_retry_after pressure_alpha depth_thresholds "
-        "wait_ratio_thresholds hysteresis"
-    ),
+    "repro.core.overload.OverloadConfig": "queue_capacity defer_capacity",
     "repro.core.detector.DetectorConfig": (
-        "window_size phi_suspect phi_hedge min_samples min_std probe_interval "
-        "min_eject_keep watchdog_multiplier quarantine_base quarantine_max "
-        "quarantine_memory"
+        "window_size min_samples probe_interval"
     ),
     "repro.core.controller.ControllerConfig": (
-        "epoch warmup_epochs healthy_epochs confirm_epochs cooldown_epochs "
-        "hold_epochs max_relax_steps relax_fast_burn relax_slow_burn t_l_step "
-        "t_l_min t_l_max staleness_step probability_step dry_run"
+        "hold_epochs max_relax_steps relax_fast_burn relax_slow_burn t_l_max "
+        "dry_run"
     ),
     "repro.groups.membership.MembershipConfig": (
-        "heartbeat_interval suspect_timeout sweep_interval"
+        "heartbeat_interval suspect_timeout"
     ),
-    "repro.core.client.RetryPolicy": (
-        "max_retries min_remaining_budget checkpoint_fraction hedge "
-        "hedge_min_probability"
-    ),
-    "repro.core.overload.DegradationConfig": (
-        "staleness_widen probability_relief prefer_secondaries_level "
-        "shed_level max_level step_cooldown recovery_window"
-    ),
+    "repro.core.client.RetryPolicy": "max_retries hedge",
+}
+
+#: Fields no caller outside tests and examples passes yet, and why each
+#: stays a field anyway.
+UNCALLED_FIELDS = {
+    # The paper's §2 dial (sequential, FIFO, causal).  No campaign or
+    # benchmark runs a FIFO or causal service until ROADMAP item 1(d)
+    # audits every ordering from the client's side.
+    "repro.core.config.ServiceConfig": {"ordering"},
 }
 
 
@@ -154,3 +148,36 @@ def test_config_surface_is_pinned(path):
     cls = getattr(importlib.import_module(module), name)
     fields = [f.name for f in dataclasses.fields(cls)]
     assert fields == CONFIG_SURFACE[path].split()
+
+
+def test_every_config_field_has_a_caller():
+    """A knob nobody turns is a constant: every field of the pinned
+    classes is passed by keyword somewhere under ``src/`` or
+    ``benchmarks/``, outside the module that declares it."""
+    import ast
+    import dataclasses
+
+    root = Path(__file__).resolve().parents[1]
+    keywords: dict[Path, set[str]] = {}
+    for tree in ("src", "benchmarks"):
+        for path in sorted((root / tree).rglob("*.py")):
+            keywords[path] = {
+                keyword.arg
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call)
+                for keyword in node.keywords
+                if keyword.arg is not None
+            }
+    unused = []
+    for path in CONFIG_SURFACE:
+        module, _, name = path.rpartition(".")
+        cls = getattr(importlib.import_module(module), name)
+        home = root.joinpath("src", *module.split(".")).with_suffix(".py")
+        passed = set().union(*(kw for p, kw in keywords.items() if p != home))
+        allowed = UNCALLED_FIELDS.get(path, set())
+        unused += [
+            f"{path}.{field.name}"
+            for field in dataclasses.fields(cls)
+            if field.name not in passed | allowed
+        ]
+    assert not unused, f"config fields no caller sets: {unused}"
