@@ -1226,12 +1226,6 @@ class ClientHandler(GroupEndpoint):
             "detector_probes": self._m_detector_probes.value,
         }
 
-    def detector_stats(self) -> dict:
-        """φ-accrual detector summary ({} when the detector is off)."""
-        if self.detector is None:
-            return {}
-        return self.detector.stats()
-
     def _check_violation(self, qos: Optional[QoSSpec]) -> None:
         if qos is None or self.on_qos_violation is None:
             return

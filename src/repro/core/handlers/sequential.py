@@ -167,10 +167,6 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         return self._m_gsn_queries_sent.value
 
     @property
-    def reassignments(self) -> int:
-        return self._m_reassignments.value
-
-    @property
     def state_transfers_started(self) -> int:
         return self._m_state_transfers_started.value
 

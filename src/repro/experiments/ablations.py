@@ -24,6 +24,7 @@ processes; the tables are identical for any jobs value).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -64,6 +65,20 @@ def _row(label: str, cell: Figure4Cell) -> AblationRow:
     )
 
 
+def _sweep(
+    label: str,
+    cells: Sequence[tuple[str, dict]],
+    jobs: Optional[int],
+    fn: Callable[..., Figure4Cell] = run_figure4_cell,
+    **common,
+) -> list[AblationRow]:
+    """One ablation table: a ``fn`` cell per ``(row label, kwargs)`` on top
+    of the ``common`` kwargs, run through :func:`run_cells`."""
+    specs = [CellSpec(key=key, fn=fn, kwargs=kwargs) for key, kwargs in cells]
+    results = run_cells(specs, jobs=jobs, label=label, common=common)
+    return [_row(spec.key, cell) for spec, cell in zip(specs, results)]
+
+
 # ---------------------------------------------------------------------------
 # A1: lazy update interval
 # ---------------------------------------------------------------------------
@@ -77,22 +92,15 @@ def lui_sweep(
 ) -> list[AblationRow]:
     """Longer LUI ⇒ staler secondaries ⇒ more deferred reads and more
     replicas needed (§6.1's second observation, extended)."""
-    common = dict(
+    return _sweep(
+        "A1-lui",
+        [(f"LUI={lui:g}s", dict(lazy_update_interval=lui)) for lui in luis],
+        jobs,
         deadline=deadline,
         min_probability=min_probability,
         total_requests=total_requests,
         seed=seed,
     )
-    specs = [
-        CellSpec(
-            key=f"LUI={lui:g}s",
-            fn=run_figure4_cell,
-            kwargs=dict(lazy_update_interval=lui),
-        )
-        for lui in luis
-    ]
-    cells = run_cells(specs, jobs=jobs, label="A1-lui", common=common)
-    return [_row(spec.key, cell) for spec, cell in zip(specs, cells)]
 
 
 # ---------------------------------------------------------------------------
@@ -108,23 +116,19 @@ def request_delay_sweep(
 ) -> list[AblationRow]:
     """Shorter request delay ⇒ higher update arrival rate λ_u ⇒ staler
     secondaries between lazy updates ⇒ more deferrals."""
-    common = dict(
+    return _sweep(
+        "A2-delay",
+        [
+            (f"request_delay={delay:g}s", dict(request_delay=delay))
+            for delay in delays
+        ],
+        jobs,
         deadline=deadline,
         min_probability=min_probability,
         lazy_update_interval=2.0,
         total_requests=total_requests,
         seed=seed,
     )
-    specs = [
-        CellSpec(
-            key=f"request_delay={delay:g}s",
-            fn=run_figure4_cell,
-            kwargs=dict(request_delay=delay),
-        )
-        for delay in delays
-    ]
-    cells = run_cells(specs, jobs=jobs, label="A2-delay", common=common)
-    return [_row(spec.key, cell) for spec, cell in zip(specs, cells)]
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +140,7 @@ def _window_cell(
     min_probability: float,
     total_requests: int,
     seed: int,
-) -> AblationRow:
+) -> Figure4Cell:
     """One window-size configuration (module-level so cells can pickle)."""
     scenario = build_paper_scenario(
         deadline=deadline,
@@ -147,15 +151,8 @@ def _window_cell(
         window_size=window,
     )
     scenario.run()
-    client2 = scenario.client2
-    return AblationRow(
-        label=f"window={window}",
-        avg_replicas_selected=client2.average_replicas_selected(),
-        timing_failure_probability=client2.timing_failure_probability(),
-        deferred_fraction=client2.deferred_fraction(),
-        mean_response_time_ms=client2.mean_response_time() * 1000,
-        meets_qos=client2.timing_failure_probability()
-        <= 1.0 - min_probability + 1e-9,
+    return Figure4Cell.from_reads(
+        scenario.client2.read_outcomes, deadline, min_probability, 2.0
     )
 
 
@@ -170,21 +167,16 @@ def window_sweep(
     """Window size trades prediction freshness against noise (§5.2: chosen
     "to include a reasonable number of recently measured values, while
     eliminating obsolete measurements")."""
-    common = dict(
+    return _sweep(
+        "A3-window",
+        [(f"window={window}", dict(window=window)) for window in windows],
+        jobs,
+        fn=_window_cell,
         deadline=deadline,
         min_probability=min_probability,
         total_requests=total_requests,
         seed=seed,
     )
-    specs = [
-        CellSpec(
-            key=f"window={window}",
-            fn=_window_cell,
-            kwargs=dict(window=window),
-        )
-        for window in windows
-    ]
-    return run_cells(specs, jobs=jobs, label="A3-window", common=common)
 
 
 # ---------------------------------------------------------------------------
@@ -203,23 +195,19 @@ def staleness_sweep(
     smaller than the lazy update interval, fewer replicas are available to
     respond immediately" — relaxing the threshold should monotonically cut
     deferrals and timing failures."""
-    common = dict(
+    return _sweep(
+        "A4-staleness",
+        [
+            (f"a={threshold}", dict(staleness_threshold=threshold))
+            for threshold in thresholds
+        ],
+        jobs,
         deadline=deadline,
         min_probability=min_probability,
         lazy_update_interval=lazy_update_interval,
         total_requests=total_requests,
         seed=seed,
     )
-    specs = [
-        CellSpec(
-            key=f"a={threshold}",
-            fn=run_figure4_cell,
-            kwargs=dict(staleness_threshold=threshold),
-        )
-        for threshold in thresholds
-    ]
-    cells = run_cells(specs, jobs=jobs, label="A4-staleness", common=common)
-    return [_row(spec.key, cell) for spec, cell in zip(specs, cells)]
 
 
 # ---------------------------------------------------------------------------
@@ -246,23 +234,19 @@ def baseline_comparison(
 ) -> list[AblationRow]:
     """Algorithm 1 should match all-replicas' failure rate at a fraction of
     its replica usage, and beat the single-replica policies on failures."""
-    common = dict(
+    return _sweep(
+        "A5-baselines",
+        [
+            (label, dict(strategy2=factory()))
+            for label, factory in baseline_strategies().items()
+        ],
+        jobs,
         deadline=deadline,
         min_probability=min_probability,
         lazy_update_interval=lazy_update_interval,
         total_requests=total_requests,
         seed=seed,
     )
-    specs = [
-        CellSpec(
-            key=label,
-            fn=run_figure4_cell,
-            kwargs=dict(strategy2=factory()),
-        )
-        for label, factory in baseline_strategies().items()
-    ]
-    cells = run_cells(specs, jobs=jobs, label="A5-baselines", common=common)
-    return [_row(spec.key, cell) for spec, cell in zip(specs, cells)]
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +306,13 @@ def failover_study(
     # asserted over the *serving* survivors only.
     serving = [p for p in survivors if p.name != any_primary.sequencer_name]
     values = {p.app.value for p in serving if hasattr(p.app, "value")}
+    summary = Figure4Cell.from_reads(
+        scenario.client2.read_outcomes, deadline, min_probability, 2.0
+    )
     return FailoverResult(
         label=f"crash-{crash}",
-        timing_failure_probability=scenario.client2.timing_failure_probability(),
-        reads=len(scenario.client2.read_outcomes),
+        timing_failure_probability=summary.timing_failure_probability,
+        reads=summary.reads,
         final_sequencer=any_primary.sequencer_name,
         final_publisher=getattr(any_primary, "lazy_publisher_name", None),
         updates_converged=len(values) <= 1,
@@ -558,46 +545,35 @@ def deferral_model_study(
         testbed.sim.run(until=600.0)
         # Judge the steady state (second half), past window bootstrap.
         steady = reads[len(reads) // 2:]
-        failures = sum(1 for o in steady if o.timing_failure)
-        answered = [o for o in steady if o.response_time is not None]
-        rows.append(
-            AblationRow(
-                label=label,
-                avg_replicas_selected=(
-                    sum(o.replicas_selected for o in steady) / len(steady)
-                ),
-                timing_failure_probability=failures / len(steady),
-                deferred_fraction=(
-                    sum(1 for o in steady if o.deferred) / len(steady)
-                ),
-                mean_response_time_ms=1000
-                * sum(o.response_time for o in answered)
-                / len(answered),
-                meets_qos=failures / len(steady) <= 1 - min_probability + 1e-9,
-            )
+        cell = Figure4Cell.from_reads(
+            steady, deadline, min_probability, lazy_update_interval
         )
+        rows.append(_row(label, cell))
     return rows
 
 
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+_ROW_HEADERS = [
+    "config", "avg_selected", "P(fail)", "deferred", "mean_rt_ms", "QoS met",
+]
+
+
+def _cells(results) -> list[tuple]:
+    """Table rows from result dataclasses: fields in declaration order,
+    booleans as yes/NO."""
+    return [
+        tuple(
+            ("yes" if v else "NO") if isinstance(v, bool) else v
+            for v in dataclasses.astuple(r)
+        )
+        for r in results
+    ]
+
+
 def _render_rows(title: str, rows: list[AblationRow]) -> str:
-    return format_table(
-        ["config", "avg_selected", "P(fail)", "deferred", "mean_rt_ms", "QoS met"],
-        [
-            (
-                r.label,
-                r.avg_replicas_selected,
-                r.timing_failure_probability,
-                r.deferred_fraction,
-                r.mean_response_time_ms,
-                "yes" if r.meets_qos else "NO",
-            )
-            for r in rows
-        ],
-        title=title,
-    )
+    return format_table(_ROW_HEADERS, _cells(rows), title=title)
 
 
 def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> None:
@@ -611,88 +587,53 @@ def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> None:
     args = parser.parse_args(argv)
     quick, jobs = args.quick, args.jobs
     n = 150 if quick else 400
-    print(_render_rows(
-        "A1 — lazy update interval", lui_sweep(total_requests=n, jobs=jobs)
-    ))
-    print()
-    print(_render_rows(
-        "A2 — request delay", request_delay_sweep(total_requests=n, jobs=jobs)
-    ))
-    print()
-    print(_render_rows(
-        "A3 — sliding window size", window_sweep(total_requests=n, jobs=jobs)
-    ))
-    print()
-    print(_render_rows(
-        "A4 — staleness threshold", staleness_sweep(total_requests=n, jobs=jobs)
-    ))
-    print()
-    print(_render_rows(
-        "A5 — selection strategies", baseline_comparison(total_requests=n, jobs=jobs)
-    ))
-    print()
-    crash_specs = [
-        CellSpec(key=crash, fn=failover_study, kwargs=dict(crash=crash))
-        for crash in ("sequencer", "publisher", "secondary")
+    # (title, headers, study): each study returns its rows as dataclasses.
+    tables = [
+        (title, _ROW_HEADERS, lambda sweep=sweep: sweep(total_requests=n, jobs=jobs))
+        for title, sweep in (
+            ("A1 — lazy update interval", lui_sweep),
+            ("A2 — request delay", request_delay_sweep),
+            ("A3 — sliding window size", window_sweep),
+            ("A4 — staleness threshold", staleness_sweep),
+            ("A5 — selection strategies", baseline_comparison),
+        )
     ]
-    crash_common = dict(total_requests=100 if quick else 300)
-    rows = []
-    for res in run_cells(
-        crash_specs, jobs=jobs, label="A6-failover", common=crash_common
-    ):
-        rows.append(
-            (
-                res.label,
-                res.timing_failure_probability,
-                res.reads,
-                res.final_sequencer,
-                res.final_publisher,
-                "yes" if res.updates_converged else "NO",
-            )
-        )
-    print(
-        format_table(
-            ["crash", "P(fail)", "reads", "sequencer_after", "publisher_after", "converged"],
-            rows,
-            title="A6 — failure injection",
-        )
-    )
-    print()
-    print(
-        format_table(
+    tables += [
+        (
+            "A6 — failure injection",
+            ["crash", "P(fail)", "reads", "sequencer_after",
+             "publisher_after", "converged"],
+            lambda: run_cells(
+                [
+                    CellSpec(key=crash, fn=failover_study, kwargs=dict(crash=crash))
+                    for crash in ("sequencer", "publisher", "secondary")
+                ],
+                jobs=jobs,
+                label="A6-failover",
+                common=dict(total_requests=100 if quick else 300),
+            ),
+        ),
+        (
+            "A7 — adaptive lazy update interval",
             ["config", "lazy_msgs", "target_hit_fraction", "final_T_L"],
-            [
-                (r.label, r.lazy_updates_sent,
-                 r.staleness_target_hit_fraction, r.final_interval)
-                for r in adaptive_lui_study(
-                    phase_length=30.0 if quick else 60.0
-                )
-            ],
-            title="A7 — adaptive lazy update interval",
-        )
-    )
-    print()
-    print(_render_rows(
-        "A9 — deferred-read correlation (out-of-regime; DESIGN.md §5a)",
-        deferral_model_study(reads_per_client=15 if quick else 30),
-    ))
-    print()
-    overload = overload_study(phase_length=20.0 if quick else 40.0)
-    print(
-        format_table(
+            lambda: adaptive_lui_study(phase_length=30.0 if quick else 60.0),
+        ),
+        (
+            "A9 — deferred-read correlation (out-of-regime; DESIGN.md §5a)",
+            _ROW_HEADERS,
+            lambda: deferral_model_study(reads_per_client=15 if quick else 30),
+        ),
+        (
+            "A8 — transient overload adaptivity",
             ["victim", "share_before", "share_during", "share_after",
              "P(fail) during", "reads_during"],
-            [(
-                overload.victim,
-                overload.share_before,
-                overload.share_during,
-                overload.share_after,
-                overload.failure_rate_during,
-                overload.reads_during,
-            )],
-            title="A8 — transient overload adaptivity",
-        )
-    )
+            lambda: [overload_study(phase_length=20.0 if quick else 40.0)],
+        ),
+    ]
+    for i, (title, headers, study) in enumerate(tables):
+        if i:
+            print()
+        print(format_table(headers, _cells(study()), title=title))
 
 
 if __name__ == "__main__":

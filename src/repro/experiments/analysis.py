@@ -48,13 +48,9 @@ class LoadReport:
 
     def read_imbalance(self) -> float:
         """max/mean reads served over the serving replicas (1.0 = even)."""
-        counts = [
-            r.reads_served for r in self.replicas if r.role != "sequencer"
-        ]
-        if not counts or sum(counts) == 0:
-            return 1.0
-        mean = sum(counts) / len(counts)
-        return max(counts) / mean
+        return max_mean_imbalance(
+            [r.reads_served for r in self.replicas if r.role != "sequencer"]
+        )
 
     def total_reads(self) -> int:
         return sum(r.reads_served for r in self.replicas)
@@ -65,6 +61,15 @@ class LoadReport:
              r.deferred_reads, round(r.utilization, 4))
             for r in self.replicas
         ]
+
+
+def max_mean_imbalance(counts: Sequence[int]) -> float:
+    """max/mean of per-replica counts; 1.0 is perfectly balanced, and also
+    what an empty or all-zero list reports."""
+    if not counts or sum(counts) == 0:
+        return 1.0
+    mean = sum(counts) / len(counts)
+    return max(counts) / mean
 
 
 def replica_load_report(service: ReplicatedService, elapsed: float) -> LoadReport:

@@ -359,19 +359,13 @@ def timeline_records(campaign: Campaign, results: list) -> list[dict]:
     modes = [*lead, *(m for m in campaign.modes if m not in lead)] or [None]
     records = []
     for mode in modes:
-        timelines = [
-            Timeline.from_dict(r.timeline)
-            for r in results
-            if r.timeline is not None and (mode is None or r.mode == mode)
-        ]
-        if timelines:
+        merged = Timeline.merge_payloads(
+            r.timeline for r in results if mode is None or r.mode == mode
+        )
+        if merged is not None:
             label = {"kind": "merged"} if mode is None else {"mode": mode}
             records.append(
-                {
-                    "event": "timeline",
-                    **label,
-                    "timeline": Timeline.merge(*timelines).to_dict(),
-                }
+                {"event": "timeline", **label, "timeline": merged.to_dict()}
             )
     return records
 

@@ -1,9 +1,8 @@
 """``repro dash``: terminal + HTML dashboards over timeline artifacts.
 
-Reads the JSONL artifacts the experiment campaigns write with
-``--metrics-out``/``--timeline-out`` (any record with ``"event":
-"timeline"`` carries a :meth:`Timeline.to_dict` payload), evaluates the
-SLOs, and renders:
+Reads the JSONL artifacts the experiments write with ``--metrics-out``
+(any record with ``"event": "timeline"`` carries a
+:meth:`Timeline.to_dict` payload), evaluates the SLOs, and renders:
 
 * per-series unicode **sparklines** — counter rates, gauge values, and
   histogram p95s over simulated time;
@@ -166,6 +165,17 @@ def default_slos(
     return specs
 
 
+def _latest(r: SloReport) -> Tuple[float, float, float, float]:
+    """The report's current (compliance, budget consumed, fast burn, slow
+    burn), with the no-data values 1, 0, 0, 0."""
+    return (
+        r.compliance[-1] if r.compliance else 1.0,
+        r.budget_consumed[-1] if r.budget_consumed else 0.0,
+        r.fast_burn[-1] if r.fast_burn else 0.0,
+        r.slow_burn[-1] if r.slow_burn else 0.0,
+    )
+
+
 def render_slo_table(reports: Dict[str, SloReport]) -> str:
     """Compliance / budget / burn table, one row per SLO."""
     if not reports:
@@ -173,10 +183,7 @@ def render_slo_table(reports: Dict[str, SloReport]) -> str:
     rows = []
     for name in sorted(reports):
         r = reports[name]
-        compliance = r.compliance[-1] if r.compliance else 1.0
-        consumed = r.budget_consumed[-1] if r.budget_consumed else 0.0
-        fast = r.fast_burn[-1] if r.fast_burn else 0.0
-        slow = r.slow_burn[-1] if r.slow_burn else 0.0
+        compliance, consumed, fast, slow = _latest(r)
         pages = sum(1 for a in r.alerts if a.severity == "page")
         tickets = sum(1 for a in r.alerts if a.severity == "ticket")
         first = r.first_alert("page")
@@ -250,36 +257,27 @@ def render_dashboard(
 # ---------------------------------------------------------------------------
 # Artifact loading
 # ---------------------------------------------------------------------------
-def load_timeline_records(path: str | Path) -> Tuple[dict, List[dict]]:
-    """(meta record, timeline records) from a JSONL artifact."""
+def load_artifact(path: str | Path) -> Tuple[dict, List[dict], List[dict]]:
+    """(meta record, timeline records, controller records) from a JSONL
+    artifact, in one read, so every panel of a render comes from the same
+    version of a file a running campaign is rewriting."""
     meta: dict = {}
-    records: List[dict] = []
+    timelines: List[dict] = []
+    controllers: List[dict] = []
     with Path(path).open("r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
             record = json.loads(line)
-            if record.get("event") == "meta" and not meta:
+            event = record.get("event")
+            if event == "meta" and not meta:
                 meta = record
-            elif record.get("event") == "timeline":
-                records.append(record)
-    return meta, records
-
-
-def load_controller_records(path: str | Path) -> List[dict]:
-    """Controller decision logs (``"event": "controller"`` records, as the
-    adaptive campaign writes them) from a JSONL artifact."""
-    records: List[dict] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record.get("event") == "controller":
-                records.append(record)
-    return records
+            elif event == "timeline":
+                timelines.append(record)
+            elif event == "controller":
+                controllers.append(record)
+    return meta, timelines, controllers
 
 
 #: State names at their escalation level, for the controller state strip.
@@ -291,24 +289,35 @@ _CONTROLLER_STATE_LEVELS = {
 }
 
 
+def _controller_series(records: List[dict]):
+    """Per decision log with decisions: (record, decisions, relax-index
+    series, T_L series, decisions that rolled back)."""
+    for record in records:
+        decisions = record.get("decisions") or []
+        if not decisions:
+            continue
+        rollbacks = [
+            d for d in decisions
+            if any(str(a).startswith("rollback:") for a in d.get("actions", ()))
+        ]
+        yield (
+            record,
+            decisions,
+            [float(d.get("relax_index", 0)) for d in decisions],
+            [float(d.get("t_l") or 0.0) for d in decisions],
+            rollbacks,
+        )
+
+
 def render_controller(records: List[dict], width: int = 60) -> str:
     """The closed-loop controller panel: per decision log, sparklines of
     the relax index, the actuated lazy interval, and the guardrail state
     (conservative→measure→relax→rollback), plus the rollback ledger."""
     blocks: List[str] = []
-    for record in records:
-        decisions = record.get("decisions") or []
-        if not decisions:
-            continue
-        index = [float(d.get("relax_index", 0)) for d in decisions]
-        t_l = [float(d.get("t_l") or 0.0) for d in decisions]
+    for record, decisions, index, t_l, rollbacks in _controller_series(records):
         state = [
             _CONTROLLER_STATE_LEVELS.get(str(d.get("state")), 0.0)
             for d in decisions
-        ]
-        rollbacks = [
-            d for d in decisions
-            if any(str(a).startswith("rollback:") for a in d.get("actions", ()))
         ]
         relaxes = sum(
             1
@@ -424,10 +433,7 @@ def export_html(
                      "<th>slow burn</th><th>alerts</th><th>met</th></tr>")
         for name in sorted(reports):
             r = reports[name]
-            compliance = r.compliance[-1] if r.compliance else 1.0
-            consumed = r.budget_consumed[-1] if r.budget_consumed else 0.0
-            fast = r.fast_burn[-1] if r.fast_burn else 0.0
-            slow = r.slow_burn[-1] if r.slow_burn else 0.0
+            compliance, consumed, fast, slow = _latest(r)
             met = "yes" if r.met() else "<span class='alert'>NO</span>"
             parts.append(
                 f"<tr><td>{esc(name)}</td><td>{r.spec.objective:.3f}</td>"
@@ -457,22 +463,13 @@ def export_html(
         parts.append("</table>")
     if controllers:
         parts.append("<h2>Closed-loop controller</h2>")
-        for record in controllers:
-            decisions = record.get("decisions") or []
-            if not decisions:
-                continue
-            index = [float(d.get("relax_index", 0)) for d in decisions]
-            t_l = [float(d.get("t_l") or 0.0) for d in decisions]
-            rollbacks = sum(
-                1
-                for d in decisions
-                for a in d.get("actions", ())
-                if str(a).startswith("rollback:")
-            )
+        for record, decisions, index, t_l, rollbacks in _controller_series(
+            controllers
+        ):
             parts.append(
                 f"<p>mode=<code>{esc(str(record.get('mode', '?')))}</code> "
                 f"seed=<code>{esc(str(record.get('seed', '?')))}</code> — "
-                f"{len(decisions)} epochs, {rollbacks} rollbacks<br>"
+                f"{len(decisions)} epochs, {len(rollbacks)} rollbacks<br>"
                 f"relax index {_svg_polyline(index)}<br>"
                 f"T_L {_svg_polyline(t_l)}</p>"
             )
@@ -491,7 +488,7 @@ def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
     )
     parser.add_argument(
         "input", help="JSONL artifact with timeline records "
-        "(--metrics-out/--timeline-out output)"
+        "(--metrics-out output)"
     )
     parser.add_argument(
         "--select",
@@ -534,11 +531,10 @@ def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
         select[key] = value
 
     def render_once() -> Optional[str]:
-        meta, records = load_timeline_records(args.input)
+        meta, records, controllers = load_artifact(args.input)
         timeline = select_timeline(records, select or None)
         if timeline is None:
             return None
-        controllers = load_controller_records(args.input)
         specs = default_slos(
             timeline,
             objective=args.objective,

@@ -149,22 +149,22 @@ def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> None:
 
 
 def write_metrics_artifact(path: str, result: Figure3Result) -> None:
-    """JSONL telemetry: one record of per-read cost per point."""
-    from repro.obs.export import write_jsonl
+    """JSONL telemetry: the unified meta line (wall-clock numbers need its
+    ``usable_cores``), then one record of per-read cost per point."""
+    from repro.experiments.report import write_experiment_artifact
 
-    records = [{"event": "meta", "experiment": "figure3"}]
-    for (window, n), point in sorted(result.points.items()):
-        records.append(
-            {
-                "event": "point",
-                "window": window,
-                "replicas": n,
-                "total_us": point.total_us,
-                "distribution_us": point.distribution_us,
-                "selection_us": point.selection_us,
-            }
-        )
-    write_jsonl(path, records)
+    records = [
+        {
+            "event": "point",
+            "window": window,
+            "replicas": n,
+            "total_us": point.total_us,
+            "distribution_us": point.distribution_us,
+            "selection_us": point.selection_us,
+        }
+        for (window, n), point in sorted(result.points.items())
+    ]
+    write_experiment_artifact(path, "figure3", records)
 
 
 if __name__ == "__main__":

@@ -149,34 +149,18 @@ def merged_telemetry(result: Figure4Result) -> tuple[dict, Optional[dict]]:
     return metrics, calibration
 
 
-def merged_timeline(result: Figure4Result):
-    """Fold every cell's timeline into one sweep-wide Timeline (or None).
-
-    Cells share the same simulated clock origin, so their tick grids
-    align and the merge is the exact cross-worker/cross-cell total —
-    identical for any jobs value.
-    """
-    from repro.obs.timeseries import Timeline
-
-    timelines = [
-        Timeline.from_dict(c.timeline)
-        for c in result.cells.values()
-        if c.timeline is not None
-    ]
-    if not timelines:
-        return None
-    return Timeline.merge(*timelines)
-
-
 def write_metrics_artifact(
     path: str, result: Figure4Result, meta: Optional[dict] = None
 ) -> None:
     """JSONL telemetry artifact: one meta line, one line per cell, one
     merged-totals line, and — when the sweep recorded time series — one
     merged-timeline line (the ``repro metrics``/``repro dash``/CI
-    consumers parse this)."""
+    consumers parse this).  Cells share the simulated clock origin, so
+    their tick grids align and the merged timeline is the same for any
+    jobs value."""
     from repro.experiments.report import write_experiment_artifact
     from repro.obs.export import metrics_event
+    from repro.obs.timeseries import Timeline
 
     meta = dict(meta or {})
     seed = meta.pop("seed", None)
@@ -199,7 +183,7 @@ def write_metrics_artifact(
     records.append(
         metrics_event(merged, kind="merged", calibration=calibration)
     )
-    timeline = merged_timeline(result)
+    timeline = Timeline.merge_payloads(c.timeline for c in result.cells.values())
     if timeline is not None:
         records.append(
             {"event": "timeline", "kind": "merged", "timeline": timeline.to_dict()}

@@ -15,15 +15,15 @@ Two kinds of measurement, matching the paper's §6:
 
 from __future__ import annotations
 
-import math
+import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.prediction import ResponseTimePredictor
 from repro.core.qos import QoSSpec
 from repro.core.repository import ClientInfoRepository
-from repro.core.requests import PerfBroadcast, StalenessInfo
+from repro.core.requests import PerfBroadcast, ReadOutcome, StalenessInfo
 from repro.core.selection import ReplicaView, SelectionStrategy, StateBasedSelection
 from repro.obs.calibration import CalibrationTracker
 from repro.obs.metrics import MetricsRegistry
@@ -182,6 +182,46 @@ class Figure4Cell:
         """Did the observed failure probability stay within 1 − P_c?"""
         return self.timing_failure_probability <= 1.0 - self.min_probability + 1e-9
 
+    @classmethod
+    def from_reads(
+        cls,
+        outcomes: Sequence[ReadOutcome],
+        deadline: float,
+        min_probability: float,
+        lazy_update_interval: float,
+    ) -> "Figure4Cell":
+        """The §6 statistics of one client's reads: every field is 0 with
+        no reads, and the mean response time is over answered reads."""
+        reads = len(outcomes)
+        failures = sum(1 for o in outcomes if o.timing_failure)
+        times = [o.response_time for o in outcomes if o.response_time is not None]
+        ci_low, ci_high = failure_interval(failures, reads)
+        return cls(
+            deadline=deadline,
+            min_probability=min_probability,
+            lazy_update_interval=lazy_update_interval,
+            avg_replicas_selected=(
+                sum(o.replicas_selected for o in outcomes) / reads
+                if reads else 0.0
+            ),
+            timing_failure_probability=failures / reads if reads else 0.0,
+            ci_low=ci_low,
+            ci_high=ci_high,
+            reads=reads,
+            timing_failures=failures,
+            deferred_fraction=(
+                sum(1 for o in outcomes if o.deferred) / reads if reads else 0.0
+            ),
+            mean_response_time=sum(times) / len(times) if times else 0.0,
+        )
+
+
+def failure_interval(failures: int, reads: int) -> tuple[float, float]:
+    """95 % binomial CI of a timing-failure probability; (0, 0) with no reads."""
+    if not reads:
+        return 0.0, 0.0
+    return binomial_confidence_interval(failures, reads, 0.95)
+
 
 def run_figure4_cell(
     deadline: float,
@@ -232,25 +272,14 @@ def run_figure4_cell(
     scenario.run()
     if recorder is not None:
         recorder.flush()
-    client2 = scenario.client2
-    reads = len(client2.read_outcomes)
-    failures = client2.timing_failure_count()
-    if reads > 0:
-        ci_low, ci_high = binomial_confidence_interval(failures, reads, 0.95)
-    else:
-        ci_low = ci_high = 0.0
-    return Figure4Cell(
-        deadline=deadline,
-        min_probability=min_probability,
-        lazy_update_interval=lazy_update_interval,
-        avg_replicas_selected=client2.average_replicas_selected(),
-        timing_failure_probability=client2.timing_failure_probability(),
-        ci_low=ci_low,
-        ci_high=ci_high,
-        reads=reads,
-        timing_failures=failures,
-        deferred_fraction=client2.deferred_fraction(),
-        mean_response_time=client2.mean_response_time(),
+    cell = Figure4Cell.from_reads(
+        scenario.client2.read_outcomes,
+        deadline,
+        min_probability,
+        lazy_update_interval,
+    )
+    return dataclasses.replace(
+        cell,
         metrics=(
             registry.snapshot()
             if registry is not None and collect_metrics

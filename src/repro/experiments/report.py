@@ -45,6 +45,9 @@ RECOVERY_COUNTERS: tuple[tuple[str, str], ...] = (
     ("reads_shed", "reads the degradation ladder refused to dispatch"),
     ("degradation_steps_down", "ladder transitions toward weaker consistency"),
     ("degradation_steps_up", "hysteretic recoveries toward nominal"),
+    ("detector_ejections", "suspected replicas ejected from read selection"),
+    ("detector_hedges", "hedges triggered by a suspect selected replica"),
+    ("detector_probes", "probe copies of reads sent to ejected replicas"),
 )
 
 
@@ -225,10 +228,10 @@ def write_experiment_artifact(
 ) -> Path:
     """Write a JSONL artifact led by the unified :func:`run_metadata` line.
 
-    The one writer behind ``--metrics-out`` across figure4, chaos,
-    overload, gray, and scale, so every artifact opens with the same
-    traceability stamps instead of each campaign rolling its own meta
-    record.
+    The one writer behind ``--metrics-out`` across figure3, figure4,
+    metrics, chaos, overload, gray, adaptive, and scale, so every artifact
+    opens with the same traceability stamps instead of each experiment
+    rolling its own meta record.
     """
     from repro.obs.export import write_jsonl
 

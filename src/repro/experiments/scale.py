@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
-from repro.experiments.harness import Figure4Cell
+from repro.experiments.harness import Figure4Cell, failure_interval
 from repro.experiments.report import format_table
 from repro.experiments.runner import (
     CellSpec,
@@ -47,8 +47,10 @@ from repro.experiments.runner import (
     comma_ints,
     run_cells,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.timeseries import Timeline, TimeseriesRecorder
 from repro.sim.rng import Normal
-from repro.stats.confidence import binomial_confidence_interval, proportions_agree
+from repro.stats.confidence import proportions_agree
 from repro.workloads.aggregate import AggregatedClientPool, PopulationSpec
 from repro.workloads.generators import OpenLoopUpdater, PoissonReader
 
@@ -153,11 +155,7 @@ def run_scale_cell(
         else users * update_rate_per_user
     )
     qos = QoSSpec(staleness_threshold, deadline, min_probability)
-    registry = None
-    if timeseries is not None:
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
+    registry = MetricsRegistry() if timeseries is not None else None
     testbed = build_testbed(
         scale_config(lazy_update_interval), seed=seed, metrics=registry
     )
@@ -166,8 +164,6 @@ def run_scale_cell(
     )
     recorder = None
     if registry is not None:
-        from repro.obs.timeseries import TimeseriesRecorder
-
         recorder = TimeseriesRecorder(
             testbed.sim, registry, interval=timeseries
         ).start()
@@ -203,10 +199,7 @@ def run_scale_cell(
         stats = pool.stats
         reads = stats.reads
         failures = stats.timing_failures
-        ci = (
-            binomial_confidence_interval(failures, reads, 0.95)
-            if reads else (0.0, 0.0)
-        )
+        ci = failure_interval(failures, reads)
         cell = Figure4Cell(
             deadline=deadline,
             min_probability=min_probability,
@@ -259,29 +252,11 @@ def run_scale_cell(
         recorder.flush()
     wall = time.perf_counter() - t0
     cutoff = start + warmup
-    records = [(t, o) for t, o in reader.records if t >= cutoff]
-    reads = len(records)
-    failures = sum(1 for _, o in records if o.timing_failure)
-    deferred = sum(1 for _, o in records if o.deferred)
-    selected = sum(o.replicas_selected for _, o in records)
-    times = [o.response_time for _, o in records if o.response_time is not None]
-    ci = (
-        binomial_confidence_interval(failures, reads, 0.95)
-        if reads else (0.0, 0.0)
+    outcomes = [o for t, o in reader.records if t >= cutoff]
+    cell = Figure4Cell.from_reads(
+        outcomes, deadline, min_probability, lazy_update_interval
     )
-    cell = Figure4Cell(
-        deadline=deadline,
-        min_probability=min_probability,
-        lazy_update_interval=lazy_update_interval,
-        avg_replicas_selected=selected / reads if reads else 0.0,
-        timing_failure_probability=failures / reads if reads else 0.0,
-        ci_low=ci[0],
-        ci_high=ci[1],
-        reads=reads,
-        timing_failures=failures,
-        deferred_fraction=deferred / reads if reads else 0.0,
-        mean_response_time=sum(times) / len(times) if times else 0.0,
-    )
+    times = [o.response_time for o in outcomes if o.response_time is not None]
     counts = tuple(
         sum(1 for rt in times if rt <= x) for x in cdf_points
     )
@@ -294,9 +269,9 @@ def run_scale_cell(
         arrivals=reader.issued,
         batches=0,
         probe_reads=0,
-        sample_reads=reads,
-        sample_failures=failures,
-        sample_deferred=deferred,
+        sample_reads=cell.reads,
+        sample_failures=cell.timing_failures,
+        sample_deferred=sum(1 for o in outcomes if o.deferred),
         cdf_points=cdf_points,
         cdf_counts=counts,
         timeline=(
@@ -616,29 +591,6 @@ def _as_payload(result_v, result_s, meta):
     return payload
 
 
-def _collect_timelines(result_v, result_s) -> list[tuple[str, dict]]:
-    """``(kind, merged Timeline.to_dict())`` per campaign section."""
-    from repro.obs.timeseries import Timeline
-
-    out: list[tuple[str, dict]] = []
-    groups = []
-    if result_v is not None:
-        cells = [c.aggregate for c in result_v.cells]
-        cells += [c.discrete for c in result_v.cells]
-        groups.append(("validation", cells))
-    if result_s is not None:
-        groups.append(("surface", list(result_s.cells.values())))
-    for kind, cells in groups:
-        timelines = [
-            Timeline.from_dict(c.timeline)
-            for c in cells
-            if c.timeline is not None
-        ]
-        if timelines:
-            out.append((kind, Timeline.merge(*timelines).to_dict()))
-    return out
-
-
 def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
     parser = argparse.ArgumentParser(
         prog=prog, description=__doc__.split("\n\n")[0]
@@ -753,10 +705,21 @@ def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
             for section in ("validation", "surface")
             if section in payload
         ]
-        for kind, timelines in _collect_timelines(result_v, result_s):
-            records.append(
-                {"event": "timeline", "kind": kind, "timeline": timelines}
-            )
+        sections = []
+        if result_v is not None:
+            sections.append(("validation", [
+                *(c.aggregate for c in result_v.cells),
+                *(c.discrete for c in result_v.cells),
+            ]))
+        if result_s is not None:
+            sections.append(("surface", result_s.cells.values()))
+        for kind, cells in sections:
+            timeline = Timeline.merge_payloads(c.timeline for c in cells)
+            if timeline is not None:
+                records.append(
+                    {"event": "timeline", "kind": kind,
+                     "timeline": timeline.to_dict()}
+                )
         write_experiment_artifact(
             args.metrics_out, "scale", records, seed=seed,
             quick=quick, smoke=smoke, validate=validate,

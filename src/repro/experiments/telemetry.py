@@ -9,7 +9,8 @@ Wilson CIs and the Brier score).
 
 ``--watch SECONDS`` prints counter deltas at sim-time intervals while the
 cell runs (the same mechanism a chaos soak uses for periodic dumps);
-``--metrics-out`` writes the JSONL artifact; ``--prometheus`` writes the
+``--metrics-out`` writes the JSONL artifact (merged totals plus the
+cell's timeline, ``repro dash`` input); ``--prometheus`` writes the
 text exposition format; ``--check`` exits non-zero unless the model-based
 strategy is well calibrated (every populated bucket's observed frequency
 inside its CI).
@@ -23,9 +24,9 @@ import argparse
 import sys
 from typing import Optional
 
-from repro.experiments.report import render_report
+from repro.experiments.report import render_report, write_experiment_artifact
 from repro.obs.calibration import CalibrationTracker
-from repro.obs.export import metrics_event, prometheus_text, write_jsonl
+from repro.obs.export import metrics_event, prometheus_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeseriesRecorder
 from repro.workloads.scenarios import build_paper_scenario
@@ -112,13 +113,8 @@ def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
         help="print counter deltas at this simulated-time interval",
     )
     parser.add_argument(
-        "--metrics-out", metavar="PATH", help="write the JSONL telemetry artifact"
-    )
-    parser.add_argument(
-        "--timeline-out",
-        metavar="PATH",
-        help="record a 1 s-tick time series and write it as JSONL "
-        "(repro dash input)",
+        "--metrics-out", metavar="PATH",
+        help="write the JSONL telemetry artifact (repro dash input)",
     )
     parser.add_argument(
         "--prometheus", metavar="PATH", help="write the text exposition format"
@@ -132,11 +128,11 @@ def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
 
     requests = 150 if args.quick else args.requests
     # --watch gets the recorder at the watch cadence for free; otherwise
-    # a 1 s tick when a timeline artifact was asked for.
+    # a 1 s tick when the artifact will carry the timeline.
     timeseries = None
     if args.watch is not None and args.watch > 0:
         timeseries = args.watch
-    elif args.timeline_out:
+    elif args.metrics_out:
         timeseries = 1.0
     metrics, calibration, scenario = run_instrumented_cell(
         deadline=args.deadline_ms / 1000.0,
@@ -170,46 +166,26 @@ def main(argv: Optional[list[str]] = None, prog: Optional[str] = None) -> int:
         print()
         print(render_timeline(recorder.timeline()))
 
-    if args.timeline_out:
-        from repro.experiments.report import write_experiment_artifact
-
+    if args.metrics_out:
+        # --metrics-out always runs a recorder; the merged totals stay last.
         write_experiment_artifact(
-            args.timeline_out,
+            args.metrics_out,
             "metrics",
             [
                 {
                     "event": "timeline",
                     "kind": "cell",
                     "timeline": recorder.timeline().to_dict(),
-                }
+                },
+                metrics_event(
+                    snapshot, kind="merged", calibration=calibration.to_dict()
+                ),
             ],
             seed=args.seed,
             deadline_ms=args.deadline_ms,
             pc=args.pc,
             lui=args.lui,
             requests=requests,
-        )
-        print(f"\ntimeline written to {args.timeline_out}")
-
-    if args.metrics_out:
-        write_jsonl(
-            args.metrics_out,
-            [
-                {
-                    "event": "meta",
-                    "experiment": "metrics",
-                    "deadline_ms": args.deadline_ms,
-                    "pc": args.pc,
-                    "lui": args.lui,
-                    "requests": requests,
-                    "seed": args.seed,
-                },
-                metrics_event(
-                    snapshot,
-                    kind="merged",
-                    calibration=calibration.to_dict(),
-                ),
-            ],
         )
         print(f"\ntelemetry written to {args.metrics_out}")
     if args.prometheus:

@@ -37,6 +37,7 @@ from repro.core.staleness import (
     RateMixtureStalenessModel,
     StalenessModel,
 )
+from repro.experiments.analysis import max_mean_imbalance
 from repro.experiments.report import format_table
 from repro.experiments.runner import CellSpec, add_jobs_argument, run_cells
 from repro.sim.rng import Normal
@@ -154,22 +155,13 @@ class HotspotValidationResult:
     with_ert_reads: dict[str, int]
     without_ert_reads: dict[str, int]
 
-    @staticmethod
-    def _imbalance(reads: dict[str, int]) -> float:
-        """max/mean reads served; 1.0 is perfectly balanced."""
-        counts = [c for c in reads.values()]
-        if not counts or sum(counts) == 0:
-            return 1.0
-        mean = sum(counts) / len(counts)
-        return max(counts) / mean if mean > 0 else float("inf")
-
     @property
     def with_ert_imbalance(self) -> float:
-        return self._imbalance(self.with_ert_reads)
+        return max_mean_imbalance(list(self.with_ert_reads.values()))
 
     @property
     def without_ert_imbalance(self) -> float:
-        return self._imbalance(self.without_ert_reads)
+        return max_mean_imbalance(list(self.without_ert_reads.values()))
 
 
 def _hotspot_cell(

@@ -12,6 +12,8 @@ import re
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Union
 
+from repro.obs.metrics import bucket_quantile
+
 __all__ = [
     "prometheus_text",
     "prometheus_timeseries_text",
@@ -155,22 +157,9 @@ def summarize_histogram(entry: dict) -> dict:
     count = entry["count"]
     if not count:
         return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-    boundaries = entry["boundaries"]
-    counts = entry["counts"]
-
-    def quantile(q: float) -> float:
-        target = q * count
-        seen = 0
-        for i, bucket_count in enumerate(counts):
-            seen += bucket_count
-            if seen >= target and bucket_count:
-                return boundaries[min(i, len(boundaries) - 1)] if boundaries else 0.0
-        return boundaries[-1] if boundaries else 0.0
-
-    return {
-        "count": count,
-        "mean": entry["sum"] / count,
-        "p50": quantile(0.50),
-        "p95": quantile(0.95),
-        "p99": quantile(0.99),
-    }
+    summary = {"count": count, "mean": entry["sum"] / count}
+    for q, key in ((0.50, "p50"), (0.95, "p95"), (0.99, "p99")):
+        summary[key] = bucket_quantile(
+            entry["boundaries"], entry["counts"], count, q
+        )
+    return summary

@@ -134,17 +134,29 @@ class Histogram:
 
     def quantile(self, q: float) -> float:
         """Upper-boundary estimate of the ``q``-quantile (0 <= q <= 1)."""
-        if not self.count:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for i, bucket_count in enumerate(self.counts):
-            seen += bucket_count
-            if seen >= target and bucket_count:
-                if i < len(self.boundaries):
-                    return self.boundaries[i]
-                return self.boundaries[-1] if self.boundaries else float("inf")
-        return self.boundaries[-1] if self.boundaries else float("inf")
+        return bucket_quantile(self.boundaries, self.counts, self.count, q)
+
+
+def bucket_quantile(
+    boundaries: Sequence[float], counts: Sequence[int], total: int, q: float
+) -> float:
+    """Upper-boundary estimate of the ``q``-quantile of bucket ``counts``
+    (``total`` observations; the last bucket is the overflow): the
+    boundary of the first non-empty bucket at which the cumulative count
+    reaches ``q · total``, the last boundary for the overflow bucket,
+    ``inf`` with no boundaries, and ``0.0`` with no observations.  One
+    rule for live histograms, snapshot entries and timeline rows."""
+    if not total:
+        return 0.0
+    if not boundaries:
+        return float("inf")
+    target = q * total
+    seen = 0
+    for i, bucket_count in enumerate(counts):
+        seen += bucket_count
+        if seen >= target and bucket_count:
+            return boundaries[min(i, len(boundaries) - 1)]
+    return boundaries[-1]
 
 
 class _NoopInstrument:

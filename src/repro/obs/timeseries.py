@@ -24,7 +24,9 @@ without this module.  See DESIGN.md §15.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
+
+from repro.obs.metrics import bucket_quantile
 
 __all__ = ["Timeline", "TimeseriesRecorder"]
 
@@ -92,10 +94,10 @@ class Timeline:
         """
         entry = self._entry(series, "histogram")
         boundaries = entry["boundaries"]
-        out: List[float] = []
-        for row, total in zip(entry["counts"], entry["totals"]):
-            out.append(_bucket_quantile(boundaries, row, total, q))
-        return out
+        return [
+            bucket_quantile(boundaries, row, total, q)
+            for row, total in zip(entry["counts"], entry["totals"])
+        ]
 
     def _entry(self, series: str, kind: str) -> dict:
         entry = self.series[series]
@@ -147,6 +149,14 @@ class Timeline:
                     )
                 _fold_entry(have, entry, offset)
         return merged
+
+    @staticmethod
+    def merge_payloads(payloads: Iterable[Optional[dict]]) -> Optional["Timeline"]:
+        """:meth:`merge` of the non-``None`` :meth:`to_dict` payloads (the
+        per-cell ``timeline`` fields of a sweep); ``None`` when there are
+        none."""
+        timelines = [Timeline.from_dict(p) for p in payloads if p is not None]
+        return Timeline.merge(*timelines) if timelines else None
 
     # -- plain-dict round trip (JSONL artifacts) ------------------------
 
@@ -235,22 +245,6 @@ def _fold_entry(have: dict, entry: dict, offset: int) -> None:
             sums[offset + j] += value
         for j, value in enumerate(entry["totals"]):
             totals[offset + j] += value
-
-
-def _bucket_quantile(
-    boundaries: Sequence[float], counts: Sequence[int], total: int, q: float
-) -> float:
-    if not total:
-        return 0.0
-    target = q * total
-    seen = 0
-    for i, bucket_count in enumerate(counts):
-        seen += bucket_count
-        if seen >= target and bucket_count:
-            if i < len(boundaries):
-                return boundaries[i]
-            return boundaries[-1] if boundaries else float("inf")
-    return boundaries[-1] if boundaries else float("inf")
 
 
 class TimeseriesRecorder:

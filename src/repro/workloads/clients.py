@@ -7,7 +7,9 @@ completion of its previous request."
 
 :class:`AlternatingClient` reproduces that pattern as a simulation process
 on top of a :class:`~repro.core.client.ClientHandler`, collecting every
-outcome for post-run analysis.
+outcome for post-run analysis
+(:meth:`repro.experiments.harness.Figure4Cell.from_reads` summarizes the
+reads).
 """
 
 from __future__ import annotations
@@ -67,39 +69,6 @@ class AlternatingClient:
     @property
     def finished(self) -> bool:
         return not self.process.alive
-
-    # ------------------------------------------------------------------
-    # Metrics over the post-warmup reads
-    # ------------------------------------------------------------------
-    def timing_failure_count(self) -> int:
-        return sum(1 for o in self.read_outcomes if o.timing_failure)
-
-    def timing_failure_probability(self) -> float:
-        if not self.read_outcomes:
-            return 0.0
-        return self.timing_failure_count() / len(self.read_outcomes)
-
-    def average_replicas_selected(self) -> float:
-        if not self.read_outcomes:
-            return 0.0
-        return sum(o.replicas_selected for o in self.read_outcomes) / len(
-            self.read_outcomes
-        )
-
-    def mean_response_time(self) -> float:
-        times = [
-            o.response_time for o in self.read_outcomes if o.response_time is not None
-        ]
-        if not times:
-            return 0.0
-        return sum(times) / len(times)
-
-    def deferred_fraction(self) -> float:
-        if not self.read_outcomes:
-            return 0.0
-        return sum(1 for o in self.read_outcomes if o.deferred) / len(
-            self.read_outcomes
-        )
 
     # ------------------------------------------------------------------
     # The workload process

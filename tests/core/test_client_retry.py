@@ -103,6 +103,17 @@ def test_recovery_stats_shape():
     assert all(v == 0 for v in stats.values())
 
 
+def test_every_recovery_counter_has_a_meaning():
+    """The fault-recovery table explains each counter the client reports."""
+    from repro.experiments.report import RECOVERY_COUNTERS, format_recovery_stats
+
+    client = make_testbed().service.create_client("c", read_only_methods={"get"})
+    stats = client.recovery_stats()
+    assert set(stats) <= {name for name, _ in RECOVERY_COUNTERS}
+    rows = format_recovery_stats(stats).splitlines()[3:]
+    assert all(len(row.split(None, 2)) == 3 for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # Retry behaviour
 # ---------------------------------------------------------------------------

@@ -83,7 +83,10 @@ def test_adaptive_lui_study_beats_static():
     from repro.experiments.ablations import adaptive_lui_study
 
     rows = adaptive_lui_study(phase_length=30.0)
-    assert [r.label.startswith(p) for r, p in zip(rows, ("static", "static", "adaptive"))]
+    assert all(
+        r.label.startswith(p)
+        for r, p in zip(rows, ("static", "static", "adaptive"), strict=True)
+    )
     adaptive = rows[2]
     assert adaptive.staleness_target_hit_fraction >= 0.85
     assert adaptive.staleness_target_hit_fraction >= max(

@@ -9,8 +9,7 @@ import pytest
 from repro.experiments.dashboard import (
     default_slos,
     export_html,
-    load_controller_records,
-    load_timeline_records,
+    load_artifact,
     main,
     render_controller,
     render_dashboard,
@@ -121,9 +120,10 @@ def artifact(tmp_path):
 
 
 def test_load_and_select_prefers_merged(artifact):
-    meta, records = load_timeline_records(artifact)
+    meta, records, controllers = load_artifact(artifact)
     assert meta["experiment"] == "dashtest"
     assert len(records) == 2
+    assert controllers == []
     assert select_timeline(records).length == 8
     assert select_timeline(records, {"kind": "cell"}).length == 4
     assert select_timeline(records, {"mode": "missing"}) is None
@@ -191,16 +191,20 @@ def test_render_controller_panel():
     assert render_controller([{"event": "controller", "decisions": []}]) == ""
 
 
-def test_load_controller_records_filters_events(tmp_path):
+def test_load_artifact_splits_records_by_event(tmp_path):
     path = tmp_path / "metrics.jsonl"
     record = _controller_record()
+    timeline = {"event": "timeline", "kind": "merged",
+                "timeline": _timeline(4).to_dict()}
     write_experiment_artifact(
         path,
         "adaptive",
-        [record, {"event": "cell", "mode": "static-0"}],
+        [record, {"event": "cell", "mode": "static-0"}, timeline],
         seed=1,
     )
-    loaded = load_controller_records(path)
+    meta, timelines, loaded = load_artifact(path)
+    assert meta["experiment"] == "adaptive"
+    assert timelines == [timeline]
     assert len(loaded) == 1
     assert loaded[0]["mode"] == "controller"
     assert len(loaded[0]["decisions"]) == 5

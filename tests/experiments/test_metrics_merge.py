@@ -10,11 +10,8 @@ the job count or scheduling order.
 import dataclasses
 
 from repro.core.client import WALL_CLOCK_SERIES
-from repro.experiments.figure4 import (
-    merged_telemetry,
-    merged_timeline,
-    run_figure4,
-)
+from repro.experiments.figure4 import merged_telemetry, run_figure4
+from repro.obs.timeseries import Timeline
 
 GRID = dict(
     deadlines_ms=(120, 200),
@@ -51,6 +48,10 @@ def sim_derived(cell):
     )
 
 
+def _merged_timeline(result):
+    return Timeline.merge_payloads(c.timeline for c in result.cells.values())
+
+
 def test_jobs4_metrics_equal_jobs1():
     serial = run_figure4(jobs=1, **GRID)
     parallel = run_figure4(jobs=4, **GRID)
@@ -59,10 +60,10 @@ def test_jobs4_metrics_equal_jobs1():
     assert {k: sim_derived(c) for k, c in serial.cells.items()} == {
         k: sim_derived(c) for k, c in parallel.cells.items()
     }
-    timeline_1 = merged_timeline(serial).to_dict()
+    timeline_1 = _merged_timeline(serial).to_dict()
     assert timeline_1["length"] > 0
     assert sim_derived_timeline(timeline_1) == sim_derived_timeline(
-        merged_timeline(parallel).to_dict()
+        _merged_timeline(parallel).to_dict()
     )
     metrics_1, calibration_1 = merged_telemetry(serial)
     metrics_4, calibration_4 = merged_telemetry(parallel)

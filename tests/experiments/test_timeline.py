@@ -14,11 +14,7 @@ import json
 import pytest
 
 from repro.core.client import WALL_CLOCK_SERIES
-from repro.experiments.figure4 import (
-    merged_timeline,
-    run_figure4,
-    write_metrics_artifact,
-)
+from repro.experiments.figure4 import run_figure4, write_metrics_artifact
 from repro.experiments.harness import run_figure4_cell
 from repro.obs.timeseries import Timeline
 from repro.sim.tracing import Trace
@@ -101,7 +97,9 @@ def test_parallel_runner_merges_identical_timelines(tmp_path):
         )
         assert a == b, key
 
-    merged = merged_timeline(serial)
+    merged = Timeline.merge_payloads(
+        c.timeline for c in serial.cells.values()
+    )
     assert merged is not None
     assert _strip_wallclock(merged) == _strip_wallclock(
         Timeline.merge(

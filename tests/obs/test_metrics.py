@@ -17,7 +17,10 @@ from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
     MetricsRegistry,
     NULL_METRICS,
+    bucket_quantile,
 )
+from repro.obs.timeseries import TimeseriesRecorder
+from repro.sim.kernel import Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -222,3 +225,20 @@ def test_summarize_histogram():
     assert summarize_histogram({"count": 0}) == {
         "count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
     }
+
+
+def test_one_bucket_quantile_behind_histogram_snapshot_and_timeline():
+    registry = MetricsRegistry()
+    hist = registry.histogram("lat", boundaries=(0.1, 1.0, 10.0))
+    recorder = TimeseriesRecorder(Simulator(), registry, interval=1.0).start()
+    for value in (0.05, 0.5, 0.5, 5.0, 50.0):
+        hist.observe(value)
+    recorder.flush()
+    summary = summarize_histogram(registry.snapshot()["lat"])
+    (row,) = recorder.timeline().quantiles("lat", 0.99)
+    for q, key in ((0.5, "p50"), (0.95, "p95"), (0.99, "p99")):
+        assert summary[key] == hist.quantile(q)
+    assert hist.quantile(0.5) == 1.0
+    assert row == hist.quantile(0.99) == 10.0  # overflow reports the last boundary
+    assert bucket_quantile((), [3], 3, 0.5) == float("inf")
+    assert bucket_quantile((1.0,), [0, 0], 0, 0.5) == 0.0

@@ -126,7 +126,7 @@ FLAG_SURFACE = {
     "metrics": {
         "--deadline-ms": 200, "--pc": 0.9, "--lui": 2.0, "--requests": 400,
         "--seed": 0, "--staleness": 2, "--quick": False, "--watch": None,
-        "--metrics-out": None, "--timeline-out": None, "--prometheus": None,
+        "--metrics-out": None, "--prometheus": None,
         "--check": False,
     },
     "dash": {

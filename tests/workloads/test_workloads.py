@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
+from repro.experiments.harness import Figure4Cell
 from repro.net.latency import FixedLatency
 from repro.sim.kernel import Simulator
 from repro.sim.process import Signal
@@ -74,12 +75,14 @@ def test_metrics_computed_over_reads():
         ClientWorkloadConfig(total_requests=8, request_delay=0.05, qos=QOS),
     )
     testbed.sim.run(until=60.0)
-    assert workload.timing_failure_probability() == pytest.approx(
-        workload.timing_failure_count() / 4
+    cell = Figure4Cell.from_reads(workload.read_outcomes, 1.0, 0.5, 0.5)
+    assert cell.reads == 4
+    assert cell.timing_failure_probability == pytest.approx(
+        cell.timing_failures / 4
     )
-    assert workload.average_replicas_selected() >= 1.0
-    assert workload.mean_response_time() > 0.0
-    assert 0.0 <= workload.deferred_fraction() <= 1.0
+    assert cell.avg_replicas_selected >= 1.0
+    assert cell.mean_response_time > 0.0
+    assert 0.0 <= cell.deferred_fraction <= 1.0
 
 
 def test_warmup_requests_excluded():
@@ -104,9 +107,11 @@ def test_empty_metrics_are_zero():
         testbed.sim, handler, ClientWorkloadConfig(total_requests=0, qos=QOS)
     )
     testbed.sim.run(until=1.0)
-    assert workload.timing_failure_probability() == 0.0
-    assert workload.average_replicas_selected() == 0.0
-    assert workload.mean_response_time() == 0.0
+    cell = Figure4Cell.from_reads(workload.read_outcomes, 1.0, 0.5, 0.5)
+    assert cell.timing_failure_probability == 0.0
+    assert cell.avg_replicas_selected == 0.0
+    assert cell.mean_response_time == 0.0
+    assert (cell.ci_low, cell.ci_high) == (0.0, 0.0)
 
 
 def test_config_validation():
@@ -193,10 +198,10 @@ def test_paper_scenario_seed_reproducibility():
             total_requests=20, request_delay=0.05, seed=seed
         )
         scenario.run()
-        return (
-            scenario.client2.timing_failure_count(),
-            scenario.client2.average_replicas_selected(),
+        cell = Figure4Cell.from_reads(
+            scenario.client2.read_outcomes, 0.2, 0.9, 2.0
         )
+        return cell.timing_failures, cell.avg_replicas_selected
 
     assert failure_counts(11) == failure_counts(11)
 
