@@ -443,10 +443,11 @@ class ClientHandler(GroupEndpoint):
             self._emit_dispatch(pending, target, "update")
             self.gsend(self.groups.qos, target, request)
         self._m_updates_issued.inc()
-        self.trace.emit(
-            self.now, "client.update", self.name,
-            request_id=request.request_id, targets=targets,
-        )
+        if self.trace.enabled:
+            self.trace.emit(
+                self.now, "client.update", self.name,
+                request_id=request.request_id, targets=targets,
+            )
         return request.request_id
 
     # ------------------------------------------------------------------
@@ -590,10 +591,11 @@ class ClientHandler(GroupEndpoint):
             self._garbage_collect,
             request.request_id,
         )
-        self.trace.emit(
-            self.now, "client.read", self.name,
-            request_id=request.request_id, selected=list(selection),
-        )
+        if self.trace.enabled:
+            self.trace.emit(
+                self.now, "client.read", self.name,
+                request_id=request.request_id, selected=list(selection),
+            )
         return request.request_id
 
     def _remember_tm(self, request_id: int, tm: float) -> None:
@@ -915,11 +917,11 @@ class ClientHandler(GroupEndpoint):
                 response_time=response_time, gsn=reply.gsn,
                 deferred=reply.deferred,
             )
-        self.trace.emit(
-            self.now, "client.reply", self.name,
-            request_id=reply.request_id, replica=reply.replica,
-            response_time=response_time,
-        )
+            self.trace.emit(
+                self.now, "client.reply", self.name,
+                request_id=reply.request_id, replica=reply.replica,
+                response_time=response_time,
+            )
         if pending.callback is not None:
             pending.callback(outcome)
 

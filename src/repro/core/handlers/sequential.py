@@ -388,10 +388,10 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
                 f"{span_root(request.request_id)}/q", "sequence",
                 gsn=self.my_gsn, advances=True,
             )
-        self.trace.emit(
-            self.now, "sequencer.assign", self.name,
-            request_id=request.request_id, gsn=self.my_gsn,
-        )
+            self.trace.emit(
+                self.now, "sequencer.assign", self.name,
+                request_id=request.request_id, gsn=self.my_gsn,
+            )
 
     def _sequence_read(self, request: Request) -> None:
         """Sequencer role: stamp the read with the current GSN, unadvanced,
@@ -408,10 +408,10 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
                 f"{span_root(request.request_id)}/q", "sequence",
                 gsn=self.my_gsn, advances=False,
             )
-        self.trace.emit(
-            self.now, "sequencer.stamp", self.name,
-            request_id=request.request_id, gsn=self.my_gsn,
-        )
+            self.trace.emit(
+                self.now, "sequencer.stamp", self.name,
+                request_id=request.request_id, gsn=self.my_gsn,
+            )
 
     def _buffer_for_gsn(self, request: Request) -> None:
         pending = PendingRequest(request=request, arrived_at=self.now)

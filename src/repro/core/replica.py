@@ -56,21 +56,20 @@ MIN_RETRY_AFTER = 0.05
 
 @dataclass(frozen=True)
 class ServiceGroups:
-    """The three group names of one replicated service (Figure 1)."""
+    """The three group names of one replicated service (Figure 1).
+
+    Named once, here: every message a handler sends reads one of them.
+    Equality, hashing and repr go by ``service`` alone.
+    """
 
     service: str
+    primary: str = field(init=False, repr=False, compare=False)
+    secondary: str = field(init=False, repr=False, compare=False)
+    qos: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def primary(self) -> str:
-        return f"{self.service}.primary"
-
-    @property
-    def secondary(self) -> str:
-        return f"{self.service}.secondary"
-
-    @property
-    def qos(self) -> str:
-        return f"{self.service}.qos"
+    def __post_init__(self) -> None:
+        for role in ("primary", "secondary", "qos"):
+            object.__setattr__(self, role, f"{self.service}.{role}")
 
 
 @dataclass
@@ -113,6 +112,7 @@ class ReplicaHandlerBase(GroupEndpoint):
         super().__init__(name, heartbeat_interval=config.heartbeat_interval)
         self.config = config  # the protocol subclasses read their own fields
         self.groups = groups
+        self._refresh_roles()  # none yet: no view is installed
         self.app = app
         self.rng = rng
         self.read_service_time = config.read_service_time
@@ -202,41 +202,46 @@ class ReplicaHandlerBase(GroupEndpoint):
     def qos_view(self) -> View:
         return self.view_of(self.groups.qos)
 
-    @property
-    def is_primary(self) -> bool:
-        return self.name in self.primary_view
+    def _refresh_roles(self) -> None:
+        """Derive the roles from the installed views — only when a view is
+        installed, since every message reads them (§4.1: the sequencer is
+        the leader of the primary group).
 
-    @property
-    def is_secondary(self) -> bool:
-        return self.name in self.secondary_view
-
-    @property
-    def sequencer_name(self) -> Optional[str]:
-        """The sequencer is the leader of the primary group (§4.1)."""
-        return self.primary_view.leader
-
-    @property
-    def is_sequencer(self) -> bool:
-        return self.sequencer_name == self.name
+        Sets ``is_primary``, ``is_secondary``, ``sequencer_name``,
+        ``is_sequencer`` and what :meth:`replica_names` and
+        :meth:`client_names` return.
+        """
+        views, groups, name = self.views, self.groups, self.name
+        primary, secondary, qos = (
+            views[group].members if group in views else ()
+            for group in (groups.primary, groups.secondary, groups.qos)
+        )
+        self.is_primary = name in primary
+        self.is_secondary = name in secondary
+        self.sequencer_name = primary[0] if primary else None
+        self.is_sequencer = self.sequencer_name == name
+        replicas = frozenset(primary) | frozenset(secondary)
+        self._replica_names = replicas
+        self._client_names = tuple(m for m in qos if m not in replicas)
 
     @property
     def lazy_publisher_name(self) -> Optional[str]:
         """The designated lazy publisher: the primary group's leader,
         unless the protocol reserves that rank (the sequential handler's
-        leader is the sequencer, which serves nothing)."""
+        leader is the sequencer, which serves nothing).  Derived per call:
+        a protocol may override the rank designation between views."""
         return self.primary_view.leader
 
     @property
     def is_lazy_publisher(self) -> bool:
         return self.lazy_publisher_name == self.name
 
-    def replica_names(self) -> set[str]:
-        return set(self.primary_view.members) | set(self.secondary_view.members)
+    def replica_names(self) -> frozenset[str]:
+        return self._replica_names
 
-    def client_names(self) -> list[str]:
+    def client_names(self) -> tuple[str, ...]:
         """QoS-group members that are not replicas (i.e. the clients)."""
-        replicas = self.replica_names()
-        return [m for m in self.qos_view.members if m not in replicas]
+        return self._client_names
 
     # ------------------------------------------------------------------
     # Processing queue
@@ -436,16 +441,16 @@ class ReplicaHandlerBase(GroupEndpoint):
                 staleness=self.staleness(), deferred=pending.deferred,
                 kind=pending.request.kind.value,
             )
-        self.trace.emit(
-            self.now,
-            "replica.complete",
-            self.name,
-            request_id=pending.request.request_id,
-            kind=pending.request.kind.value,
-            ts=ts,
-            tq=tq,
-            tb=pending.tb,
-        )
+            self.trace.emit(
+                self.now,
+                "replica.complete",
+                self.name,
+                request_id=pending.request.request_id,
+                kind=pending.request.kind.value,
+                ts=ts,
+                tq=tq,
+                tb=pending.tb,
+            )
         self._maybe_start()
         self.after_complete(pending)
 
@@ -506,11 +511,12 @@ class ReplicaHandlerBase(GroupEndpoint):
                 )
                 self.gmcast(self.groups.secondary, update, size_bytes=1024)
                 self._m_lazy_updates_sent.inc()
-                self.trace.emit(
-                    self.now, "lazy.publish", self.name,
-                    epoch=self._lazy_epoch, csn=csn,
-                    interval=self.lazy_update_interval,
-                )
+                if self.trace.enabled:
+                    self.trace.emit(
+                        self.now, "lazy.publish", self.name,
+                        epoch=self._lazy_epoch, csn=csn,
+                        interval=self.lazy_update_interval,
+                    )
             self.after_lazy_tick()
         # Advance the tick anchor unconditionally: a primary that is out of
         # the view (or crashed) must still reschedule one full interval

@@ -90,22 +90,31 @@ class GroupEndpoint(Endpoint):
         self.sim.schedule(self.heartbeat_interval, self._first_heartbeat)
 
     def _raw_send(self, recipient: str, payload: Any, size_bytes: int) -> bool:
-        """Transmit; true when the message will be settled at delivery."""
-        self.send(recipient, payload, size_bytes)
-        return self.network.fault_free and self._ack_draw(recipient) is not None
+        """Transmit; true when the message will be settled at delivery.
+
+        Runs for every group message, so it reads what is already resolved:
+        the fabric's fault-free fact (false from the instant
+        ``expect_faults`` flips it) and the cached verdict on the channel.
+        """
+        network = self.network
+        network.send(self.name, recipient, payload, size_bytes)
+        if not network.fault_free:
+            return False
+        draws = self._ack_draws
+        if recipient in draws:
+            return draws[recipient] is not None
+        return self._ack_draw(recipient) is not None
 
     def _ack_draw(self, recipient: str) -> Optional[Callable[[], float]]:
-        """How a message to ``recipient`` is acked while the fabric is
-        fault-free: on the wire (None), or settled at delivery — by a call
-        that draws the unsent ack's delay all the same, because its link
-        stream is shared with the data flowing the other way.
+        """Judge, once, how a message to ``recipient`` is acked while the
+        fabric is fault-free: on the wire (None), or settled at delivery —
+        by a call that draws the unsent ack's delay all the same, because
+        its link stream is shared with the data flowing the other way.
 
         Judged at the first transmit, not in :meth:`attached`, so every link
         and fault injector set up before the clock starts is seen;
         ``set_link`` after that ends the fault-free state.
         """
-        if recipient in self._ack_draws:
-            return self._ack_draws[recipient]
         network, sender = self.network, self._sender
         if not self._ack_draws:
             network.on_first_fault(sender.expect_loss)
@@ -134,7 +143,7 @@ class GroupEndpoint(Endpoint):
                 peer._sender.on_ack(data, self.name)
                 return
         ack = GroupAckMsg(data.group, origin, data.seq, data.epoch)
-        self.send(origin, ack, size_bytes=64)
+        network.send(self.name, origin, ack, 64)
 
     @property
     def up(self) -> bool:
@@ -166,11 +175,17 @@ class GroupEndpoint(Endpoint):
         self.send(self.membership_name, LeaveMsg(group, self.name), size_bytes=64)
 
     def adopt_view(self, view: View) -> None:
-        """Install a view locally (initial wiring or ViewChangeMsg)."""
+        """Install a view locally (initial wiring or ViewChangeMsg).
+
+        The one place a view is installed: whatever is derived from the
+        views (:meth:`_refresh_roles`) is re-derived here, before
+        :meth:`on_view_change` runs.
+        """
         previous = self.views.get(view.group)
         if previous is not None and previous.view_id >= view.view_id:
             return
         self.views[view.group] = view
+        self._refresh_roles()
         if self._sender is not None and previous is not None:
             for member in previous.members:
                 if member not in view:
@@ -353,6 +368,10 @@ class GroupEndpoint(Endpoint):
     # ------------------------------------------------------------------
     def on_group_message(self, group: str, sender: str, payload: Any) -> None:
         """Reliable FIFO payload from a fellow member.  Override."""
+
+    def _refresh_roles(self) -> None:
+        """Re-derive what this endpoint caches from :attr:`views` (called by
+        :meth:`adopt_view` after each install).  Override."""
 
     def on_view_change(self, view: View, previous: Optional[View]) -> None:
         """A new view was installed.  Override for failover logic."""

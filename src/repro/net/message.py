@@ -2,36 +2,34 @@
 
 Messages carry an opaque ``payload`` (protocol layers define their own
 payload dataclasses), plus enough metadata for tracing: sender, recipient,
-send time, a globally unique id, and an optional size used by
-bandwidth-aware latency models.
+send time, an id, and an optional size used by bandwidth-aware latency
+models.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
-
-_MESSAGE_IDS = itertools.count(1)
-
-
-def next_message_id() -> int:
-    """Allocate a process-wide unique message id (monotonic)."""
-    return next(_MESSAGE_IDS)
 
 
 # Not frozen: the fabric builds one per send, and a frozen dataclass pays
 # ``object.__setattr__`` per field.  Treat instances as immutable.
 @dataclass(slots=True, unsafe_hash=True)
 class Message:
-    """One message in flight between two endpoints."""
+    """One message in flight between two endpoints.
+
+    ``msg_id`` is drawn by the :class:`~repro.net.network.Network` that
+    sends the message: unique and increasing within that fabric, from 1, so
+    a seeded run numbers its messages the same way in any process.  A
+    message no fabric sent (a stand-in handed to a latency model) keeps 0.
+    """
 
     sender: str
     recipient: str
     payload: Any
     sent_at: float
     size_bytes: int = 256
-    msg_id: int = field(default_factory=next_message_id)
+    msg_id: int = 0
 
     def __post_init__(self) -> None:
         if self.size_bytes < 0:

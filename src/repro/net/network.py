@@ -112,22 +112,28 @@ class Endpoint:
         self.name = name
         self.network: Optional[Network] = None
         self.host: Optional[Host] = None
+        self._sim: Optional[Simulator] = None
 
     # -- wiring --------------------------------------------------------
     def attached(self, network: "Network", host: Optional[Host]) -> None:
         """Called by the fabric on attach; override for setup hooks."""
         self.network = network
         self.host = host
+        self._sim = network.sim
 
     @property
     def sim(self) -> Simulator:
-        if self.network is None:
+        if self._sim is None:
             raise NetworkError(f"endpoint {self.name!r} is not attached")
-        return self.network.sim
+        return self._sim
 
     @property
     def now(self) -> float:
-        return self.sim.now
+        # Read per message: the clock itself, in one frame.
+        sim = self._sim
+        if sim is None:
+            raise NetworkError(f"endpoint {self.name!r} is not attached")
+        return sim._now
 
     # -- messaging -----------------------------------------------------
     def send(self, recipient: str, payload: Any, size_bytes: int = 256) -> Message:
@@ -179,6 +185,7 @@ class Network:
         self._degraded_nodes: dict[str, tuple[float, float]] = {}
         self._degraded_links: dict[tuple[str, str], tuple[float, float]] = {}
         self._churn: dict[tuple[str, str], LinkChurn] = {}
+        self._msg_ids = itertools.count(1)
         # Resolved directed links; see _route for what invalidates them.
         self._routes: dict[tuple[str, str], tuple[random.Random, LatencyModel]] = {}
         self._m_sent = self.metrics.counter("net_messages_sent")
@@ -534,7 +541,9 @@ class Network:
             raise NetworkError(f"unknown sender {sender!r}")
         sim = self.sim
         now = sim.now
-        message = Message(sender, recipient, payload, now, size_bytes)
+        message = Message(
+            sender, recipient, payload, now, size_bytes, next(self._msg_ids)
+        )
         self._m_sent.inc()
         if self._crashed and sender in self._crashed:
             self._drop(message, "sender-crashed")

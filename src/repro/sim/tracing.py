@@ -2,8 +2,15 @@
 
 Experiments and tests observe protocol behaviour through a :class:`Trace`:
 components emit :class:`TraceRecord` entries (category, actor, detail dict)
-and analyses filter them afterwards.  Tracing is optional everywhere — a
-``Trace`` with ``enabled=False`` costs one attribute check per emission.
+and analyses filter them afterwards.  Tracing is optional everywhere: a
+``Trace`` with ``enabled=False`` records nothing.  What it costs is decided
+at the emitting site.  A site behind ``if trace.enabled:`` pays one
+attribute check; a bare ``trace.emit(...)`` still evaluates its arguments
+(a kwargs dict, the clock, any derived values) and makes the call, which
+returns at once.  The sites every read or update passes (issue, GSN
+assignment or stamp, completion, reply, lazy publication, delivery) are
+guarded; a bare call is left only where an operation is deferred, shed,
+retried or failed, or a fault or failover is handled.
 """
 
 from __future__ import annotations

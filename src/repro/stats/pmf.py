@@ -257,7 +257,11 @@ class DiscretePmf:
         return padded
 
     def cdf(self, x: float) -> float:
-        """P(X <= x): total mass of grid values <= x (float-error tolerant)."""
+        """P(X <= x): total mass of grid values <= x (float-error tolerant).
+
+        Never above 1.0: a running sum of normalised mass can overshoot it
+        by an ulp inside the support.
+        """
         if x < self.support_min:
             return 0.0
         # math.floor == np.floor for every finite float, without the numpy
@@ -267,7 +271,7 @@ class DiscretePmf:
             return 0.0
         if upto >= self.mass.size:
             return 1.0
-        return float(self._cumulative()[upto - 1])
+        return min(1.0, float(self._cumulative()[upto - 1]))
 
     def cdf_many(self, xs: Iterable[float]) -> np.ndarray:
         """Vectorized :meth:`cdf` over many evaluation points at once.
@@ -283,7 +287,7 @@ class DiscretePmf:
         out = self._padded_cumulative()[upto]
         out[upto == self.mass.size] = 1.0
         out[xs < self.support_min] = 0.0
-        return out
+        return np.minimum(out, 1.0, out=out)
 
     def _guide_table(self) -> np.ndarray:
         """Where the inverse-CDF search may start, per slice of ``[0, 1)``.

@@ -233,9 +233,12 @@ def test_a_named_replica_outside_the_sequencers_view_asks_for_its_stamp():
     client = service.create_client(
         "c", read_only_methods={"get"}, strategy=Pick("svc-p1", "svc-s3")
     )
-    # The sequencer has not yet learnt of svc-s3; the client has.
+    # The sequencer holds a view without svc-s3; the client's has it.
     group = service.groups.secondary
-    service.sequencer.views[group] = View(group, 1, ("svc-s1", "svc-s2"))
+    sequencer = service.sequencer
+    sequencer.adopt_view(
+        View(group, sequencer.view_of(group).view_id + 1, ("svc-s1", "svc-s2"))
+    )
     stamps = spy_on_stamps(testbed)
     replies = []
     on_reply = client._on_reply

@@ -29,6 +29,10 @@ def test_group_names_derived_from_service():
     assert groups.primary == "svc.primary"
     assert groups.secondary == "svc.secondary"
     assert groups.qos == "svc.qos"
+    # The names are derived, so the service name is the whole identity.
+    assert groups == ServiceGroups("svc") != ServiceGroups("other")
+    assert hash(groups) == hash(ServiceGroups("svc"))
+    assert repr(groups) == "ServiceGroups(service='svc')"
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +132,7 @@ def test_client_joins_qos_group_and_views_pushed():
     assert client.view_of("svc.primary").members == ("svc-seq", "svc-p1", "svc-p2")
     # Replicas see the client in the QoS group (for perf broadcasts).
     assert "c" in testbed.service.primaries[0].qos_view
-    assert testbed.service.primaries[0].client_names() == ["c"]
+    assert testbed.service.primaries[0].client_names() == ("c",)
 
 
 def test_heterogeneous_hosts_slow_service_times():

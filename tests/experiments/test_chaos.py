@@ -1,12 +1,15 @@
 """Full-stack chaos campaigns: determinism, clean soaks, and the
 invariant checkers' ability to actually catch violations."""
 
+import re
+
 import pytest
 
 from repro.core.requests import ReadOutcome, UpdateOutcome
 from repro.experiments import chaos
 from repro.experiments.campaign import run_suite, summarize
 from repro.experiments.chaos import CAMPAIGN, CampaignResult, run_campaign
+from repro.sim.tracing import Trace
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +52,28 @@ def test_same_seed_campaign_is_deterministic():
     assert first.updates_acked == second.updates_acked
     assert first.recovery == second.recovery
     assert first.violations == second.violations
+
+
+def test_same_seed_campaign_replays_its_trace_in_one_process():
+    """The trace a soak dumps for a seed is the one its ``--seed`` replay
+    prints, whatever ran before it in the process: each fabric numbers its
+    own messages.  Request ids are still drawn from one process-wide
+    counter (``next_request_id``), so the second run's are shifted back by
+    the constant gap before comparing."""
+    request_ids = re.compile(r'("request_id": |req-)(\d+)')
+
+    def replay():
+        trace = Trace(enabled=True)
+        run_campaign(seed=5, duration=3.0, trace=trace)
+        text = trace.to_jsonl()
+        first = min(int(m.group(2)) for m in request_ids.finditer(text))
+        return request_ids.sub(
+            lambda m: f"{m.group(1)}{int(m.group(2)) - first}", text
+        )
+
+    first, second = replay(), replay()
+    assert '"msg_id": 1}' in first
+    assert first == second
 
 
 def test_membership_outage_campaign_is_clean():

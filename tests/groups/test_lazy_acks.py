@@ -6,10 +6,16 @@ Every scenario runs twice where it matters: on a fabric told to expect
 faults at t = 0, which acks every message with a message and arms a
 retransmit timer for it throughout (the code before lazy acks existed), and
 on one left fault-free.  What the members are handed must not depend on
-which.
+which — with one known exception, DESIGN §8 *First-fault ties*: under loss
+or churn every send draws from ``net.loss`` or ``net.churn``, and where the
+first fault makes the twins send at one instant in another order (a chain
+resumed at the fault runs after events the wired twin's ran before), or
+makes only the wired twin beat (a tick at the fault's very instant), the
+variates go to other messages.  From there the twins are two different
+lossy runs.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import example, given, settings
@@ -47,8 +53,10 @@ class SpyNetwork(Network):
         super().__init__(*args, **kwargs)
         self.acks = []  # (time, sender, recipient)
         self.data = []  # (time, sender, recipient, GroupDataMsg)
+        self.sent = []  # (time, sender, recipient, payload type), every send
 
     def send(self, sender, recipient, payload, size_bytes=256):
+        self.sent.append((self.sim.now, sender, recipient, type(payload).__name__))
         if isinstance(payload, GroupAckMsg):
             self.acks.append((self.sim.now, sender, recipient))
         elif isinstance(payload, GroupDataMsg):
@@ -305,37 +313,23 @@ def _run(expect_faults, sends, fault, fault_ms):
     return group, state["outstanding"]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    sends=st.lists(a_send, min_size=1, max_size=25),
-    fault=st.sampled_from(sorted(FAULTS)),
-    fault_ms=millis,
-)
-# Data in flight a -> c (2.6 ms) when c is cut off / crashes.
-@example(sends=[(100, "a", "c"), (101, "a", None)], fault="partition_c", fault_ms=102)
-@example(sends=[(100, "a", "c"), (500, "c", "a")], fault="crash_c", fault_ms=101)
-# The ack c -> a (2.9 ms) in flight: the wired twin loses it, the lazy twin
-# had counted it at delivery.
-@example(sends=[(100, "a", "c")], fault="partition_c", fault_ms=104)
-@example(sends=[(0, "b", None)] * 5, fault="lose_a_third", fault_ms=1)
-@example(sends=[(10 * i, "a", "b") for i in range(20)], fault="degrade_a_to_b", fault_ms=95)
-@example(sends=[(7 * i, "c", None) for i in range(20)], fault="churn", fault_ms=30)
-def test_first_fault_mid_traffic_hands_every_member_the_same_messages(
-    sends, fault, fault_ms
-):
-    """A random schedule of ``gsend``/``gmcast`` and one fault at a random
-    instant, healed 0.4 s later: whether the fabric expected faults from
-    t = 0 or was fault-free until then, every member is handed the same
-    messages in the same order.
+#: Faults whose draws come from a stream the group traffic also draws from
+#: (``net.loss``, ``net.churn``).
+SHARED_STREAM_FAULTS = {"lose_a_third", "churn"}
 
-    The one thing the twins may do differently: an ack that was in flight
-    at the fault and got lost makes the wired twin retransmit a message
-    that had been delivered (the duplicate is suppressed); the lazy twin
-    settled that message when it was delivered.
-    """
+
+def _twins(sends, fault, fault_ms):
     (wired, _), (lazy, outstanding) = (
         _run(expect_faults, sends, fault, fault_ms) for expect_faults in (True, False)
     )
+    return wired, lazy, outstanding
+
+
+def _assert_twins_agree(wired, lazy, outstanding):
+    """Every member is handed the same messages in the same order; each
+    message is sent when the wired twin sent it, except that a message
+    settled at delivery is never re-sent; what was in flight at the fault
+    is retransmitted on its own grid."""
     for name in MEMBERS:
         got = lazy.members[name].got
         assert got == wired.members[name].got
@@ -365,6 +359,124 @@ def test_first_fault_mid_traffic_hands_every_member_the_same_messages(
         for k, at in enumerate(sent_lazy[key][1:]):
             expected += RTO * BACKOFF**k
             assert at == pytest.approx(expected, abs=1e-9)
+
+
+def _sends_diverge_as_known(wired, lazy, fault_at):
+    """Whether the twins, from the fault on, send differently.  Asserts
+    that the first difference is a first-fault tie: one instant whose sends
+    come in another order, plus, at the fault's instant, beats that only
+    the wired twin sends."""
+    w = [s for s in wired.network.sent if s[0] >= fault_at]
+    z = [s for s in lazy.network.sent if s[0] >= fault_at]
+    if w == z:
+        return False
+    i = 0
+    while i < min(len(w), len(z)) and w[i] == z[i]:
+        i += 1
+    at = min(sent[i][0] for sent in (w, z) if i < len(sent))
+    only_wired = Counter(s for s in w if s[0] == at)
+    only_wired.subtract(s for s in z if s[0] == at)
+    assert min(only_wired.values()) >= 0  # the lazy twin sends nothing more
+    for _, _, _, kind in +only_wired:
+        assert at == fault_at and kind == "HeartbeatMsg"
+    return True
+
+
+def _assert_every_member_is_handed_every_message(wired, lazy):
+    """What still holds between two different lossy runs: each member is
+    handed the same messages, FIFO from each sender, and nothing is left
+    unsettled."""
+    for name in MEMBERS:
+        got = lazy.members[name].got
+        assert sorted(got) == sorted(wired.members[name].got)
+        for sender in MEMBERS:
+            payloads = [p for _, s, p in got if s == sender]
+            assert payloads == sorted(payloads)
+    assert lazy.unacked() == wired.unacked() == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sends=st.lists(a_send, min_size=1, max_size=25),
+    fault=st.sampled_from(sorted(FAULTS)),
+    fault_ms=millis,
+)
+# Data in flight a -> c (2.6 ms) when c is cut off / crashes.
+@example(sends=[(100, "a", "c"), (101, "a", None)], fault="partition_c", fault_ms=102)
+@example(sends=[(100, "a", "c"), (500, "c", "a")], fault="crash_c", fault_ms=101)
+# The ack c -> a (2.9 ms) in flight: the wired twin loses it, the lazy twin
+# had counted it at delivery.
+@example(sends=[(100, "a", "c")], fault="partition_c", fault_ms=104)
+@example(sends=[(0, "b", None)] * 5, fault="lose_a_third", fault_ms=1)
+@example(sends=[(10 * i, "a", "b") for i in range(20)], fault="degrade_a_to_b", fault_ms=95)
+@example(sends=[(7 * i, "c", None) for i in range(20)], fault="churn", fault_ms=30)
+# A beat tick at the fault's instant, a -> b landing then: exact where the
+# fault draws no shared stream (FIRST_FAULT_TIES below where it does).
+@example(sends=[(498, "a", None)], fault="crash_c", fault_ms=500)
+def test_first_fault_mid_traffic_hands_every_member_the_same_messages(
+    sends, fault, fault_ms
+):
+    """A random schedule of ``gsend``/``gmcast`` and one fault at a random
+    instant, healed 0.4 s later: whether the fabric expected faults from
+    t = 0 or was fault-free until then, every member is handed the same
+    messages in the same order.
+
+    The one thing the twins may do differently: an ack that was in flight
+    at the fault and got lost makes the wired twin retransmit a message
+    that had been delivered (the duplicate is suppressed); the lazy twin
+    settled that message when it was delivered.
+
+    Under loss or churn a first-fault tie (see the module docstring) is
+    the known exception: the test checks that a divergence is one, and
+    then holds the twins only to what two lossy runs share.
+    """
+    wired, lazy, outstanding = _twins(sends, fault, fault_ms)
+    if fault in SHARED_STREAM_FAULTS and _sends_diverge_as_known(
+        wired, lazy, fault_ms / 1000
+    ):
+        _assert_every_member_is_handed_every_message(wired, lazy)
+    else:
+        _assert_twins_agree(wired, lazy, outstanding)
+
+
+#: First-fault ties under loss, one per way the twins come to draw
+#: ``net.loss`` for other messages (found by the test above).
+FIRST_FAULT_TIES = {
+    # Loss from 500 ms, a beat tick, with a -> b landing then: the wired
+    # twin's three beats draw ahead of b's ack; the lazy twin counts them
+    # as past and draws for the ack alone.
+    "beat_due_at_the_fault": ([(498, "a", None)], 500),
+    # Loss from 748 ms; a -> b, sent then, lands on the 750 ms tick.  The
+    # wired twin's beats, armed at 500 ms, draw before b's ack; the lazy
+    # twin re-armed them at 748 ms, after that arrival.
+    "first_resumed_beat": ([(747, "a", None), (747, "b", "a"), (748, "a", "b")], 748),
+    # Loss from 1251 ms; c and a both have data in flight due at 1299 ms.
+    # The wired twin retransmits in the order its timers were armed (a, c),
+    # the lazy twin in the order the senders subscribed to the first fault.
+    "retransmits_of_the_data_in_flight": (
+        [(1243, "c", "b"), (1249, "c", None), (1249, "a", None), (1260, "b", "b")],
+        1251,
+    ),
+}
+
+
+@pytest.mark.parametrize("tie", sorted(FIRST_FAULT_TIES))
+def test_first_fault_tie_is_the_known_divergence(tie):
+    sends, fault_ms = FIRST_FAULT_TIES[tie]
+    wired, lazy, _ = _twins(sends, "lose_a_third", fault_ms)
+    assert _sends_diverge_as_known(wired, lazy, fault_ms / 1000)
+    _assert_every_member_is_handed_every_message(wired, lazy)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="DESIGN §8 First-fault ties: the twins draw net.loss for other messages",
+)
+@pytest.mark.parametrize("tie", sorted(FIRST_FAULT_TIES))
+def test_first_fault_tie_leaves_the_twins_alike(tie):
+    sends, fault_ms = FIRST_FAULT_TIES[tie]
+    _assert_twins_agree(*_twins(sends, "lose_a_third", fault_ms))
 
 
 def test_ack_in_flight_at_the_first_fault_is_already_counted():

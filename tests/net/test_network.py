@@ -5,7 +5,7 @@ import pytest
 from repro.net.chaos import ChaosEngine, ChaosTargets
 from repro.net.failures import FailureInjector
 from repro.net.latency import FixedLatency, LanLatency
-from repro.net.message import Message, next_message_id
+from repro.net.message import Message
 from repro.net.network import Endpoint, LinkChurn, Network, NetworkError
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
@@ -32,7 +32,16 @@ def pair(network):
 # Messages
 # ---------------------------------------------------------------------------
 def test_message_ids_are_unique():
-    assert next_message_id() != next_message_id()
+    """Each fabric numbers what it sends from 1; a message no fabric sent
+    (a stand-in handed to a latency model) takes no id."""
+    for _ in range(2):
+        network = Network(Simulator(), RngRegistry(0), FixedLatency(0.001))
+        a, b = Sink("a"), Sink("b")
+        network.attach(a)
+        network.attach(b)
+        assert Message("a", "b", None, 0.0).msg_id == 0
+        sent = [a.send("b", i) for i in range(3)] + [b.send("ghost", 3)]
+        assert [m.msg_id for m in sent] == [1, 2, 3, 4]
 
 
 def test_message_kind_is_payload_type():
@@ -120,6 +129,10 @@ def test_send_from_unattached_endpoint_rejected():
     orphan = Sink("orphan")
     with pytest.raises(NetworkError):
         orphan.send("x", 1)
+    with pytest.raises(NetworkError):
+        orphan.sim
+    with pytest.raises(NetworkError):
+        orphan.now
 
 
 def test_unknown_sender_rejected(network, pair):

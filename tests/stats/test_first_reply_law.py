@@ -8,7 +8,7 @@ Monte-Carlo sampler, which is kept here — and only here — as the oracle.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -32,6 +32,7 @@ _pmfs = st.builds(
 # One selected replica: (immediate pmf, deferred pmf, is it a secondary).
 _replica = st.tuples(_pmfs, _pmfs, st.booleans())
 _replicas = st.lists(_replica, min_size=1, max_size=6)
+_OVERSHOOT = DiscretePmf(Q, 14, np.array([0.3, 0.2, 1 / 3, 0.2, 0, 0, 0, 0.001, 0]))
 
 
 def _classes(replicas):
@@ -62,6 +63,10 @@ def test_win_vectors_sum_to_one(replicas):
     replicas=_replicas,
     p_fresh=st.floats(0.0, 1.0),
     deadline_bin=st.integers(0, 110),
+)
+# A cdf whose running sum overshoots 1.0 by an ulp inside the support.
+@example(
+    replicas=[(_OVERSHOOT, _OVERSHOOT, True)], p_fresh=0.5, deadline_bin=21
 )
 @settings(max_examples=200, deadline=None)
 def test_cumulative_at_the_deadline_is_eq_1_to_3(replicas, p_fresh, deadline_bin):

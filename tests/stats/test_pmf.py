@@ -122,6 +122,14 @@ def test_cdf_many_exact_bounds():
     assert values[1] == 1.0  # exactly, like the scalar path
 
 
+def test_cdf_never_exceeds_one_inside_the_support():
+    # The normalised running sum reaches 1 + 1 ulp before the last bin.
+    pmf = DiscretePmf(Q, 14, np.array([0.3, 0.2, 1 / 3, 0.2, 0, 0, 0, 0.001, 0]))
+    assert pmf._cumulative()[7] > 1.0
+    assert pmf.cdf(0.021) == 1.0
+    assert pmf.cdf_many([0.021, 0.022]).tolist() == [1.0, 1.0]
+
+
 def test_cdf_many_accepts_numpy_input():
     pmf = DiscretePmf.degenerate(0.005, Q)
     out = pmf.cdf_many(np.array([0.004, 0.005]))
