@@ -7,7 +7,9 @@ simulation-kernel event, so that instrumenting per event is free when off.
 All four guards are measured against one ``kernel_event_seconds``.  What
 the features cost when *on* is printed for the reader and gated nowhere
 here: the perf ledger's ``chaos`` workload runs with them on and carries
-that cost (``obs.self_us_per_op``, ``host_us_per_op``).
+that cost (``obs.self_us_per_op``, ``host_us_per_op``).  That includes an
+enabled trace record: ``trace.emit`` shaped like the fabric's
+``net.deliver``, and an ``emit_span``.
 
 Run: ``pytest benchmarks/test_bench_guards.py --benchmark-only``
 """
@@ -22,8 +24,9 @@ import pytest
 from repro.core.detector import DetectorConfig, PhiAccrualDetector
 from repro.experiments.report import format_table
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.spans import emit_span
 from repro.sim.kernel import Simulator
-from repro.sim.tracing import NULL_TRACE
+from repro.sim.tracing import NULL_TRACE, Trace
 
 OPS = 200_000
 KERNEL_EVENTS = 50_000
@@ -154,6 +157,20 @@ def test_enabled_costs_are_reported(benchmark, report, kernel_event_seconds):
         "detector.adaptive_timeout": lambda: det.adaptive_timeout("peer", 0.5),
     }
     costs = {name: _seconds_per_call(fn, ops=OPS // 4) for name, fn in calls.items()}
+    # An enabled trace keeps every record, so fewer calls keep memory small.
+    trace = Trace(enabled=True)
+    emits = {
+        # Shaped like the fabric's per-message net.deliver record.
+        "trace.emit": lambda: trace.emit(
+            100.0, "net.deliver", "peer", sender="client", kind="Request", msg_id=7
+        ),
+        "emit_span": lambda: emit_span(
+            trace, 100.0, "peer", "req-7/s/peer", "serve", gsn=3, deferred=False
+        ),
+    }
+    for name, fn in emits.items():
+        costs[name] = _seconds_per_call(fn, ops=OPS // 40)
+        trace.clear()
     # Carries a benchmark so ``--benchmark-only`` runs do not skip the table.
     benchmark.pedantic(live_counter.inc, rounds=3, iterations=OPS)
     report("")

@@ -57,7 +57,6 @@ from repro.core.requests import (
     Request,
     RequestKind,
     UpdateOutcome,
-    next_request_id,
 )
 from repro.core.selection import (
     ReplicaView,
@@ -412,7 +411,7 @@ class ClientHandler(GroupEndpoint):
         self, method: str, args: tuple, callback: Optional[OutcomeCallback]
     ) -> int:
         request = Request(
-            request_id=next_request_id(),
+            request_id=next(self.network.request_ids),
             client=self.name,
             method=method,
             args=args,
@@ -475,7 +474,7 @@ class ClientHandler(GroupEndpoint):
         overhead = time.perf_counter() - started
         self._h_selection_overhead.observe(overhead)
 
-        # Who the read goes to, settled before the (frozen) request that
+        # Who the read goes to, settled before the (immutable) request that
         # names them: the selection, an issue-time hedge, detector probes.
         targets = list(selection)
         policy = self.retry_policy
@@ -517,7 +516,7 @@ class ClientHandler(GroupEndpoint):
         broadcast = may_retry or detector is not None
 
         request = Request(
-            request_id=next_request_id(),
+            request_id=next(self.network.request_ids),
             client=self.name,
             method=method,
             args=args,
@@ -611,7 +610,7 @@ class ClientHandler(GroupEndpoint):
         the timing statistics (``reads_shed`` accounts for it instead, so
         ``observed_failure_probability`` keeps describing attempted reads).
         """
-        request_id = next_request_id()
+        request_id = next(self.network.request_ids)
         self._m_reads_shed.inc()
         self.trace.emit(
             self.now, "client.shed", self.name,

@@ -42,7 +42,8 @@ class ReplicaStats:
         return bool(self.ts_window) and bool(self.tq_window)
 
 
-@dataclass(frozen=True)
+# Not frozen (one per publisher broadcast heard); treat as immutable.
+@dataclass(slots=True, unsafe_hash=True)
 class LazyObservation:
     """The most recent ``<n_L, t_L>`` from the publisher, with receipt time.
 

@@ -10,23 +10,20 @@ server-side gateway handlers: requests/replies, GSN assignments from the
 sequencer, lazy state updates, performance broadcasts (§5.4), and the
 sequencer-failover messages (§4.1 notes failure handling; details were
 omitted from the paper, ours are documented in DESIGN.md).
+
+None of the payloads is frozen: one or more is built per operation, and a
+frozen dataclass pays ``object.__setattr__`` per field.  Treat instances
+as immutable.  Request ids are drawn per fabric
+(:attr:`repro.net.network.Network.request_ids`).
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
 
 from repro.core.qos import QoSSpec
-
-_REQUEST_IDS = itertools.count(1)
-
-
-def next_request_id() -> int:
-    """Allocate a process-wide unique request id."""
-    return next(_REQUEST_IDS)
 
 
 class RequestKind(Enum):
@@ -60,7 +57,7 @@ class ReadOnlyRegistry:
 # ---------------------------------------------------------------------------
 # Client <-> replica payloads
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Request:
     """A client operation as transmitted to the selected replicas.
 
@@ -102,7 +99,7 @@ class Request:
         return self.qos.staleness_threshold
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Reply:
     """A replica's response.
 
@@ -128,7 +125,7 @@ class Reply:
 # ---------------------------------------------------------------------------
 # Sequencer payloads (§4.1)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OverloadReply:
     """An explicit bounce instead of a late (or never) response.
 
@@ -151,7 +148,7 @@ class OverloadReply:
     pressure: int = 0  # the replica's discrete pressure level at shed time
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GsnAssign:
     """GSN assignment broadcast by the sequencer.
 
@@ -164,7 +161,7 @@ class GsnAssign:
     advances: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GsnQuery:
     """A replica re-requests the GSN for a buffered read.
 
@@ -180,7 +177,7 @@ class GsnQuery:
 # ---------------------------------------------------------------------------
 # Lazy update propagation (§3, §4.1.2)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LazyUpdate:
     """State snapshot the lazy publisher multicasts to the secondary group.
 
@@ -197,7 +194,7 @@ class LazyUpdate:
     published_at: Optional[float] = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PublisherSuspicion:
     """A secondary's report that the lazy publisher has gone gray.
 
@@ -217,7 +214,7 @@ class PublisherSuspicion:
 # ---------------------------------------------------------------------------
 # Online performance monitoring (§5.4)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StalenessInfo:
     """The lazy publisher's extra broadcast fields (§5.4.1).
 
@@ -236,7 +233,7 @@ class StalenessInfo:
     lazy_interval: Optional[float] = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PerfBroadcast:
     """Measurements a replica publishes to all clients after a read.
 
@@ -254,7 +251,7 @@ class PerfBroadcast:
 # ---------------------------------------------------------------------------
 # Sequencer failover (our completion of §4.1's omitted failure handling)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SequencerSyncRequest:
     """New sequencer asks surviving primaries for their GSN state."""
 
@@ -262,7 +259,7 @@ class SequencerSyncRequest:
     sync_id: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SequencerSyncReply:
     """A primary's view of sequencing state, for GSN recovery.
 
@@ -283,7 +280,7 @@ class SequencerSyncReply:
     unassigned: tuple[int, ...]  # request ids, sorted
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StateTransferRequest:
     """A rejoining primary asks the current sequencer for a state transfer.
 
@@ -297,7 +294,7 @@ class StateTransferRequest:
     xfer_id: int  # requester-local transfer attempt counter
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StateTransferRelay:
     """Sequencer-to-donor forwarding of a :class:`StateTransferRequest`.
 
@@ -311,7 +308,7 @@ class StateTransferRelay:
     max_gsn: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StateTransferSnapshot:
     """The donor's reply to a rejoining primary: everything needed to
     re-enter the primary group at full strength.
@@ -345,7 +342,7 @@ class StateTransferSnapshot:
     skips: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GsnSkip:
     """Sequencer-declared no-op GSNs.
 
@@ -362,7 +359,7 @@ class GsnSkip:
 # ---------------------------------------------------------------------------
 # Outcomes delivered to the client application
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReadOutcome:
     """What the client application learns about one read."""
 
@@ -376,7 +373,7 @@ class ReadOutcome:
     gsn: int  # version of the delivered response (-1 if none)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UpdateOutcome:
     """What the client application learns about one update."""
 

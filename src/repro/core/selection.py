@@ -20,7 +20,10 @@ from typing import Optional, Sequence
 from repro.core.qos import QoSSpec
 
 
-@dataclass(frozen=True)
+# Neither record is frozen: Algorithm 1 builds one view per candidate per
+# read, and a frozen dataclass pays ``object.__setattr__`` per field.  Treat
+# instances as immutable.
+@dataclass(slots=True, unsafe_hash=True)
 class ReplicaView:
     """The per-replica tuple ``V = <i, F^I_Ri(d), F^D_Ri(d), ert_i>``.
 
@@ -41,7 +44,7 @@ class ReplicaView:
             raise ValueError(f"delayed cdf {self.delayed_cdf!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SelectionResult:
     """Outcome of a selection: the chosen replicas (sequencer excluded —
     the client handler appends it) plus the model's prediction."""

@@ -398,9 +398,7 @@ def check_bit_identity(seed: int = 0, duration: float = 4.0) -> list[str]:
         )
         scenario.sim.run(until=duration + DRAIN_GRACE)
         scenario.recorder.flush()
-        # request_id is a process-global counter, so back-to-back runs in
-        # one process number their requests differently; everything else
-        # about an outcome must match exactly.
+        # Everything an outcome reports about the read must match exactly.
         outcomes.append(
             {
                 name: [

@@ -186,6 +186,10 @@ class Network:
         self._degraded_links: dict[tuple[str, str], tuple[float, float]] = {}
         self._churn: dict[tuple[str, str], LinkChurn] = {}
         self._msg_ids = itertools.count(1)
+        # The ids of the requests the clients on this fabric issue: numbered
+        # per fabric like ``msg_id``, so a seeded run replays its ids (and
+        # ``req-<rid>`` span names) in any process.
+        self.request_ids = itertools.count(1)
         # Resolved directed links; see _route for what invalidates them.
         self._routes: dict[tuple[str, str], tuple[random.Random, LatencyModel]] = {}
         self._m_sent = self.metrics.counter("net_messages_sent")
@@ -617,7 +621,7 @@ class Network:
                 "net.deliver",
                 name,
                 sender=message.sender,
-                kind=message.kind,
+                kind=type(message.payload).__name__,
                 msg_id=message.msg_id,
             )
         recipient.deliver(message)
@@ -631,7 +635,7 @@ class Network:
                 "net.drop",
                 message.recipient,
                 sender=message.sender,
-                kind=message.kind,
+                kind=type(message.payload).__name__,
                 reason=reason,
                 msg_id=message.msg_id,
             )

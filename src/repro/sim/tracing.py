@@ -11,6 +11,12 @@ returns at once.  The sites every read or update passes (issue, GSN
 assignment or stamp, completion, reply, lazy publication, delivery) are
 guarded; a bare call is left only where an operation is deferred, shed,
 retried or failed, or a fault or failover is handled.
+
+An enabled record costs its keyword dict, one :class:`TraceRecord` (a
+non-frozen ``slots`` dataclass, DESIGN.md §8) and one list append: about
+0.6 µs for a three-key ``net.deliver`` and 1.5 µs for an ``emit_span``
+on a 2-core Xeon VM, where a kernel event costs 3 µs.
+``benchmarks/test_bench_guards.py`` prints both.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TraceRecord:
     """One traced event."""
 
@@ -54,14 +60,14 @@ class Trace:
         if not self.enabled:
             return
         record = TraceRecord(time, category, actor, detail)
-        stored = not (
-            self.capacity is not None and len(self.records) >= self.capacity
-        )
+        capacity = self.capacity
+        stored = capacity is None or len(self.records) < capacity
         if stored:
             self.records.append(record)
-        for subscriber in self._subscribers:
-            subscriber(record)
-        if not stored and not self._subscribers:
+        if self._subscribers:
+            for subscriber in self._subscribers:
+                subscriber(record)
+        elif not stored:
             self.dropped += 1
 
     def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:

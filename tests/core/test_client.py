@@ -65,6 +65,19 @@ def test_declare_read_only_at_runtime():
     assert client.reads_issued == 1
 
 
+def test_request_ids_are_numbered_per_fabric():
+    """Unique across the clients of one fabric, and from 1 in every
+    fabric, so a seeded run issues the same ids in any process."""
+
+    def issue():
+        testbed = make_testbed()
+        a = testbed.service.create_client("a", read_only_methods={"get"})
+        b = testbed.service.create_client("b", read_only_methods={"get"})
+        return [a.invoke("increment"), b.invoke("get", qos=QOS), a.invoke("get", qos=QOS)]
+
+    assert issue() == issue() == [1, 2, 3]
+
+
 # ---------------------------------------------------------------------------
 # First-reply delivery
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ chain throughout: both must observe the same operations and record the same
 commit gaps, state transfers and evictions, at the same instants.
 """
 
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -191,16 +190,12 @@ def run_twin(
     if fault is not None:
         sim.schedule_at(fault_at, inject)
     sim.run(until=6.0)
-    observed = {
-        name: [dataclasses.replace(o, request_id=0) for o in got]
-        for name, got in outcomes.items()
-    }
     records = [
         (r.time, r.category, r.actor, sorted(r.detail.items()))
         for r in trace.records
         if r.category in RECORDS
     ]
-    return observed, records, sorted(firings), testbed
+    return outcomes, records, sorted(firings), testbed
 
 
 def assert_twins_agree(**scenario):

@@ -14,8 +14,6 @@ which, except where a message used to wait behind a stamp that is no longer
 sent (the FIFO-slot tests).
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,7 +142,7 @@ def test_one_read_puts_k_stamps_on_the_wire_and_draws_every_link(
         before = link_states(testbed, [(r, SEQ) for r in replicas])
         testbed.sim.run(until=2.0)
         assert len(outcomes) == 1 and not outcomes[0].timing_failure
-        return testbed, stamps, dataclasses.replace(outcomes[0], request_id=0), before
+        return testbed, stamps, outcomes[0], before
 
     named, stamps, outcome, before = run(broadcast=False)
     twin, twin_stamps, twin_outcome, _ = run(broadcast=True)
@@ -436,7 +434,7 @@ def test_named_and_broadcast_twins_observe_the_same_operations(
         testbed.sim.run(until=at + 5.0)
         assert len(outcomes) == len(schedule)
         return (
-            [dataclasses.replace(o, request_id=0) for o in outcomes],
+            outcomes,
             testbed.network.messages_sent,
         )
 

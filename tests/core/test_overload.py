@@ -389,8 +389,7 @@ def run_signature(overload, seed):
 
     Process(testbed.sim, updates())
     testbed.sim.run(until=10.0)
-    # request_id is a process-global counter and differs across testbeds;
-    # everything observable about each read must match exactly.
+    # Everything observable about each read must match exactly.
     return [
         (o.value, o.response_time, o.timing_failure,
          o.deferred, o.gsn, o.first_replica)

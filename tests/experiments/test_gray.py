@@ -179,8 +179,7 @@ def run_calm_cell(detector_config):
 
     Process(testbed.sim, run())
     testbed.sim.run(until=30.0)
-    # request_id is a process-global counter, so it is excluded: only the
-    # observable behavior (values, timing, routing) must match.
+    # The observable behavior (values, timing, routing) must match.
     return [
         (o.value, round(o.response_time, 12), o.first_replica,
          o.replicas_selected, o.gsn, o.timing_failure)

@@ -61,7 +61,6 @@ expects faults from t = 0, loses only its secondaries' idle chains, and did
 not move.
 """
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -146,12 +145,6 @@ def test_paper_cell_outcome_stream_is_pinned(paper_scenario):
     _check_stream("paper_cell", lines, scenario.testbed)
 
 
-def _renumbered(outcomes):
-    """Request ids come from one process-wide counter: two cells built in
-    one process differ in them and in nothing else."""
-    return [dataclasses.replace(o, request_id=0) for o in outcomes]
-
-
 def test_paper_cell_is_the_same_cell_with_the_prediction_cache_off(paper_scenario):
     """Counts and values are cached, never approximated: a cell whose
     clients recompute every ``F^I(d)``/``F^D(d)`` from the windows on every
@@ -168,12 +161,8 @@ def test_paper_cell_is_the_same_cell_with_the_prediction_cache_off(paper_scenari
         assert recomputed.handler.predictor.cache_stats == {
             "hits": 0, "misses": 0, "invalidations": 0
         }
-        assert _renumbered(shipped.read_outcomes) == _renumbered(
-            recomputed.read_outcomes
-        )
-        assert _renumbered(shipped.update_outcomes) == _renumbered(
-            recomputed.update_outcomes
-        )
+        assert shipped.read_outcomes == recomputed.read_outcomes
+        assert shipped.update_outcomes == recomputed.update_outcomes
         assert (
             shipped.handler.predictor.evaluations
             == recomputed.handler.predictor.evaluations
@@ -192,12 +181,8 @@ def test_paper_cell_is_the_same_cell_with_acks_and_beats_on_the_wire(paper_scena
         (paper_scenario.client1, wired.client1),
         (paper_scenario.client2, wired.client2),
     ):
-        assert _renumbered(lazy.read_outcomes) == _renumbered(
-            on_the_wire.read_outcomes
-        )
-        assert _renumbered(lazy.update_outcomes) == _renumbered(
-            on_the_wire.update_outcomes
-        )
+        assert lazy.read_outcomes == on_the_wire.read_outcomes
+        assert lazy.update_outcomes == on_the_wire.update_outcomes
     assert paper_scenario.testbed.network.fault_free
     assert (
         wired.testbed.network.messages_sent
@@ -219,12 +204,8 @@ def test_paper_cell_is_the_same_cell_with_the_stamp_broadcast(
         (paper_scenario.client1, paper.client1),
         (paper_scenario.client2, paper.client2),
     ):
-        assert _renumbered(named.read_outcomes) == _renumbered(
-            broadcast.read_outcomes
-        )
-        assert _renumbered(named.update_outcomes) == _renumbered(
-            broadcast.update_outcomes
-        )
+        assert named.read_outcomes == broadcast.read_outcomes
+        assert named.update_outcomes == broadcast.update_outcomes
     reads = sum(
         len(client.read_outcomes) for client in (paper.client1, paper.client2)
     )
