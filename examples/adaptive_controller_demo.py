@@ -64,7 +64,7 @@ def main() -> None:
 
     print()
     print(
-        f"{controller.relaxes} relaxes, {controller.rollbacks} rollbacks; "
+        f"{controller.relaxes.value} relaxes, {controller.rollbacks.value} rollbacks; "
         f"final T_L={controller.current_interval():.2f}s"
     )
     signals = scenario.engine.signals(scenario.recorder.timeline())

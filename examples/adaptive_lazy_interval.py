@@ -60,7 +60,7 @@ def main() -> None:
             f"[{sim.now:5.0f}s] T_L={publisher.lazy_update_interval:6.2f}s  "
             f"rate~{publisher.lazy_controller.estimated_rate:5.2f}/s  "
             f"staleness={staleness:2d}  "
-            f"lazy msgs so far={publisher.lazy_updates_sent}"
+            f"lazy msgs so far={publisher.lazy_updates_sent.value}"
         )
         sim.schedule(5.0, report)
 
@@ -71,7 +71,7 @@ def main() -> None:
     print(f"staleness target (<= {target.threshold} w.p. {target.probability}) "
           f"held in {hits[0]}/{hits[1]} samples "
           f"({hits[0] / hits[1]:.2%})")
-    print(f"total lazy propagations: {publisher.lazy_updates_sent}")
+    print(f"total lazy propagations: {publisher.lazy_updates_sent.value}")
 
 
 if __name__ == "__main__":

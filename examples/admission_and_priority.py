@@ -53,7 +53,7 @@ def main() -> None:
     Process(sim, warmup())
     sim.run(until=30.0)
     print(f"[warmup done at t={sim.now:.1f}s] "
-          f"{monitor.reads_resolved} reads observed\n")
+          f"{monitor.reads_resolved.value} reads observed\n")
 
     # Phase 2 — prospective clients arrive with priorities and budgets.
     priorities = PriorityMapper()

@@ -96,7 +96,7 @@ def main() -> None:
     for name, handler in handlers.items():
         print(
             f"{name:14s} avg replicas selected: {handler.average_selected():.2f}, "
-            f"timing failures: {handler.timing_failures}/{handler.reads_resolved}"
+            f"timing failures: {handler.timing_failures.value}/{handler.reads_resolved.value}"
         )
     publisher = service.primaries[0]
     print(

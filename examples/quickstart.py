@@ -54,8 +54,8 @@ def main() -> None:
     testbed.sim.run(until=60.0)
 
     print()
-    print(f"reads resolved:        {client.reads_resolved}")
-    print(f"timing failures:       {client.timing_failures}")
+    print(f"reads resolved:        {client.reads_resolved.value}")
+    print(f"timing failures:       {client.timing_failures.value}")
     print(f"avg replicas selected: {client.average_selected():.2f}")
     print(f"observed timely freq:  {client.timely_fraction:.3f}")
 

@@ -91,9 +91,9 @@ def main() -> None:
     for handler, qos, _ in profiles:
         print(
             f"{handler.name:12s} staleness<= {qos.staleness_threshold:2d} ticks: "
-            f"{handler.timing_failures}/{handler.reads_resolved} timing failures, "
+            f"{handler.timing_failures.value}/{handler.reads_resolved.value} timing failures, "
             f"avg {handler.average_selected():.2f} replicas/read, "
-            f"{handler.deferred_replies} deferred"
+            f"{handler.deferred_replies.value} deferred"
         )
 
 

@@ -160,6 +160,21 @@ class _PendingCall:
     dispatches: int = 0
 
 
+def _unanswered_read(request_id: int, replicas_selected: int) -> ReadOutcome:
+    """The failed outcome of a read no replica answered: shed before
+    dispatch, or abandoned by the garbage collector."""
+    return ReadOutcome(
+        request_id=request_id,
+        value=None,
+        response_time=None,
+        timing_failure=True,
+        replicas_selected=replicas_selected,
+        first_replica=None,
+        deferred=False,
+        gsn=-1,
+    )
+
+
 class ClientHandler(GroupEndpoint):
     """One client's gateway handler for one replicated service."""
 
@@ -230,20 +245,20 @@ class ClientHandler(GroupEndpoint):
         # delay sample and an ert refresh.
         self._recent_tm: "OrderedDict[int, float]" = OrderedDict()
 
-        # Metrics the experiments consume, registry-backed; the historical
-        # attribute names survive as read-only properties below.
+        # Metrics the experiments consume: registry counters, read as
+        # ``handler.reads_judged.value``.
         labels = {"client": name}
         counter = self.metrics.counter
-        self._m_reads_issued = counter("client_reads_issued", **labels)
-        self._m_reads_resolved = counter("client_reads_resolved", **labels)
+        self.reads_issued = counter("client_reads_issued", **labels)
+        self.reads_resolved = counter("client_reads_resolved", **labels)
         # Reads whose timing outcome is known: resolved reads plus pending
         # reads whose deadline has already passed.  The failure frequency
         # is judged against this so it is well-defined mid-flight.
-        self._m_reads_judged = counter("client_reads_judged", **labels)
-        self._m_updates_issued = counter("client_updates_issued", **labels)
-        self._m_updates_resolved = counter("client_updates_resolved", **labels)
-        self._m_timing_failures = counter("client_timing_failures", **labels)
-        self._m_deferred_replies = counter("client_deferred_replies", **labels)
+        self.reads_judged = counter("client_reads_judged", **labels)
+        self.updates_issued = counter("client_updates_issued", **labels)
+        self.updates_resolved = counter("client_updates_resolved", **labels)
+        self.timing_failures = counter("client_timing_failures", **labels)
+        self.deferred_replies = counter("client_deferred_replies", **labels)
         self._m_replicas_selected = counter("client_replicas_selected", **labels)
         self._h_response_time = self.metrics.histogram(
             "client_response_time_seconds", **labels
@@ -252,20 +267,22 @@ class ClientHandler(GroupEndpoint):
             WALL_CLOCK_SERIES, **labels
         )
         self.selected_counts: list[int] = []
+        # Never incremented: the ledger's CellOutcome is its one reader.
+        # It goes once the ledger stops reading it (ROADMAP item 8).
         self.staleness_violations = 0
 
         # Retry/hedge accounting, kept separate from the timing statistics
         # so ``observed_failure_probability`` stays honest (§5.4).
-        self._m_retries_sent = counter("client_retries_sent", **labels)
-        self._m_hedges_sent = counter("client_hedges_sent", **labels)
-        self._m_failover_redispatches = counter(
+        self.retries_sent = counter("client_retries_sent", **labels)
+        self.hedges_sent = counter("client_hedges_sent", **labels)
+        self.failover_redispatches = counter(
             "client_failover_redispatches", **labels
         )
         # resolved counters: the first delivered reply came from a retry /
         # the hedge; salvaged: judged failed at the deadline, value later.
-        self._m_retry_resolved = counter("client_retry_resolved", **labels)
-        self._m_hedge_resolved = counter("client_hedge_resolved", **labels)
-        self._m_reads_salvaged = counter("client_reads_salvaged", **labels)
+        self.retry_resolved = counter("client_retry_resolved", **labels)
+        self.hedge_resolved = counter("client_hedge_resolved", **labels)
+        self.reads_salvaged = counter("client_reads_salvaged", **labels)
 
         # Gray-failure detection accounting (DESIGN.md §14).
         self._m_detector_ejections = counter(
@@ -275,77 +292,14 @@ class ClientHandler(GroupEndpoint):
         self._m_detector_probes = counter("client_detector_probes", **labels)
 
         # Overload / degradation-ladder accounting (DESIGN.md §11).
-        self._m_overload_replies = counter("client_overload_replies", **labels)
-        self._m_reads_shed = counter("client_reads_shed", **labels)
+        self.overload_replies = counter("client_overload_replies", **labels)
+        # Reads the degradation ladder shed locally (never dispatched).
+        self.reads_shed = counter("client_reads_shed", **labels)
         self._m_steps_down = counter("client_degradation_steps_down", **labels)
         self._m_steps_up = counter("client_degradation_steps_up", **labels)
         self._g_degradation_level = self.metrics.gauge(
             "client_degradation_level", **labels
         )
-
-    # ------------------------------------------------------------------
-    # Registry-backed counters, exposed under their historical names.
-    # ------------------------------------------------------------------
-    @property
-    def reads_issued(self) -> int:
-        return self._m_reads_issued.value
-
-    @property
-    def reads_resolved(self) -> int:
-        return self._m_reads_resolved.value
-
-    @property
-    def reads_judged(self) -> int:
-        return self._m_reads_judged.value
-
-    @property
-    def updates_issued(self) -> int:
-        return self._m_updates_issued.value
-
-    @property
-    def updates_resolved(self) -> int:
-        return self._m_updates_resolved.value
-
-    @property
-    def timing_failures(self) -> int:
-        return self._m_timing_failures.value
-
-    @property
-    def deferred_replies(self) -> int:
-        return self._m_deferred_replies.value
-
-    @property
-    def retries_sent(self) -> int:
-        return self._m_retries_sent.value
-
-    @property
-    def hedges_sent(self) -> int:
-        return self._m_hedges_sent.value
-
-    @property
-    def failover_redispatches(self) -> int:
-        return self._m_failover_redispatches.value
-
-    @property
-    def retry_resolved(self) -> int:
-        return self._m_retry_resolved.value
-
-    @property
-    def hedge_resolved(self) -> int:
-        return self._m_hedge_resolved.value
-
-    @property
-    def reads_salvaged(self) -> int:
-        return self._m_reads_salvaged.value
-
-    @property
-    def overload_replies(self) -> int:
-        return self._m_overload_replies.value
-
-    @property
-    def reads_shed(self) -> int:
-        """Reads the degradation ladder shed locally (never dispatched)."""
-        return self._m_reads_shed.value
 
     # ------------------------------------------------------------------
     # Public API
@@ -389,15 +343,12 @@ class ClientHandler(GroupEndpoint):
     @property
     def timely_fraction(self) -> float:
         """Observed frequency of timely responses so far (1.0 before data)."""
-        if self.reads_judged == 0:
-            return 1.0
-        return 1.0 - self.timing_failures / self.reads_judged
+        return 1.0 - self.observed_failure_probability
 
     @property
     def observed_failure_probability(self) -> float:
-        if self.reads_judged == 0:
-            return 0.0
-        return self.timing_failures / self.reads_judged
+        judged = self.reads_judged.value
+        return self.timing_failures.value / judged if judged else 0.0
 
     def average_selected(self) -> float:
         if not self.selected_counts:
@@ -441,7 +392,7 @@ class ClientHandler(GroupEndpoint):
         for target in targets:
             self._emit_dispatch(pending, target, "update")
             self.gsend(self.groups.qos, target, request)
-        self._m_updates_issued.inc()
+        self.updates_issued.inc()
         if self.trace.enabled:
             self.trace.emit(
                 self.now, "client.update", self.name,
@@ -538,7 +489,7 @@ class ClientHandler(GroupEndpoint):
         pending.predicted = predicted
         self._pending[request.request_id] = pending
         self._remember_tm(request.request_id, t0)
-        self._m_reads_issued.inc()
+        self.reads_issued.inc()
         self._m_replicas_selected.inc(len(selection))
         self.selected_counts.append(len(selection))
         if self.trace.enabled:
@@ -553,7 +504,7 @@ class ClientHandler(GroupEndpoint):
                 self._emit_dispatch(pending, target, "select")
         if hedge is not None:
             pending.hedge_targets.add(hedge)
-            self._m_hedges_sent.inc()
+            self.hedges_sent.inc()
             if suspicion_hedge:
                 self._m_detector_hedges.inc()
             self._emit_dispatch(pending, hedge, "hedge")
@@ -611,24 +562,14 @@ class ClientHandler(GroupEndpoint):
         ``observed_failure_probability`` keeps describing attempted reads).
         """
         request_id = next(self.network.request_ids)
-        self._m_reads_shed.inc()
+        self.reads_shed.inc()
         self.trace.emit(
             self.now, "client.shed", self.name,
             request_id=request_id, level=self.degradation.level
             if self.degradation is not None else 0,
         )
         if callback is not None:
-            outcome = ReadOutcome(
-                request_id=request_id,
-                value=None,
-                response_time=None,
-                timing_failure=True,
-                replicas_selected=0,
-                first_replica=None,
-                deferred=False,
-                gsn=-1,
-            )
-            self.sim.schedule(0.0, callback, outcome)
+            self.sim.schedule(0.0, callback, _unanswered_read(request_id, 0))
         return request_id
 
     def _select_replicas(
@@ -730,11 +671,11 @@ class ClientHandler(GroupEndpoint):
         """
         if count <= 0:
             return
-        self._m_reads_issued.inc(count)
-        self._m_reads_resolved.inc(count)
-        self._m_reads_judged.inc(count)
-        self._m_timing_failures.inc(timing_failures)
-        self._m_deferred_replies.inc(deferred)
+        self.reads_issued.inc(count)
+        self.reads_resolved.inc(count)
+        self.reads_judged.inc(count)
+        self.timing_failures.inc(timing_failures)
+        self.deferred_replies.inc(deferred)
         self._m_replicas_selected.inc(replicas_selected)
         self._h_response_time.observe_many(response_times, response_counts)
 
@@ -751,11 +692,17 @@ class ClientHandler(GroupEndpoint):
         )
 
     def _judge(self, pending: _PendingCall, timely: bool) -> None:
-        """One-shot verdict hook: calibration sample + judgement span.
+        """The read's one timing verdict (§5.4).
 
-        Called exactly once per read, at whichever of reply / deadline /
-        garbage-collection first decides the timing outcome.
+        Called exactly once per read, by whichever of its first reply and
+        its deadline comes first: counts the verdict, scores the
+        calibration forecast, emits the judgement span and checks the
+        observed timely frequency against ``P_c(d)``.  A read the garbage
+        collector abandons was judged at its deadline already.
         """
+        self.reads_judged.inc()
+        if not timely:
+            self.timing_failures.inc()
         if self.calibration is not None and pending.predicted is not None:
             self.calibration.observe(self.strategy.name, pending.predicted, timely)
         if self.trace.enabled:
@@ -764,6 +711,7 @@ class ClientHandler(GroupEndpoint):
                 self.trace, self.now, self.name, f"{root}/j", "judge",
                 parent_id=root, timely=timely, predicted=pending.predicted,
             )
+        self._check_violation(pending.qos)
 
     def _candidates(self, qos: QoSSpec) -> list[ReplicaView]:
         """Build the ``V`` tuples of Algorithm 1 from the repository.
@@ -853,40 +801,28 @@ class ClientHandler(GroupEndpoint):
         if tm is not None:
             tg = tp - tm - reply.t1
             self.repository.record_reply(reply.replica, tg, tp, read=is_read)
-        if pending is None:
+        if pending is None or pending.completed:
             return
-        if pending.completed:
-            return
-        pending.completed = True
-        if pending.deadline_event is not None:
-            pending.deadline_event.cancel()
-        if pending.gc_event is not None:
-            pending.gc_event.cancel()
-        if pending.retry_event is not None:
-            pending.retry_event.cancel()
-        del self._pending[reply.request_id]
+        self._settle(pending)
 
         response_time = tp - pending.t0
         if pending.request.kind is RequestKind.READ:
             assert pending.qos is not None
             timing_failure = pending.failed or response_time > pending.qos.deadline
-            self._m_reads_resolved.inc()
+            self.reads_resolved.inc()
             if self.degradation is not None and not timing_failure:
                 # Quiet evidence: the ladder may hysteretically step back up.
                 self._record_step(self.degradation.note_ok(self.now))
             if not pending.failed:
-                self._m_reads_judged.inc()
-                if timing_failure:
-                    self._m_timing_failures.inc()
                 self._judge(pending, timely=not timing_failure)
             elif reply.value is not None:
-                self._m_reads_salvaged.inc()
+                self.reads_salvaged.inc()
             if reply.replica in pending.retry_targets:
-                self._m_retry_resolved.inc()
+                self.retry_resolved.inc()
             elif reply.replica in pending.hedge_targets:
-                self._m_hedge_resolved.inc()
+                self.hedge_resolved.inc()
             if reply.deferred:
-                self._m_deferred_replies.inc()
+                self.deferred_replies.inc()
             self._h_response_time.observe(response_time)
             outcome = ReadOutcome(
                 request_id=reply.request_id,
@@ -898,9 +834,8 @@ class ClientHandler(GroupEndpoint):
                 deferred=reply.deferred,
                 gsn=reply.gsn,
             )
-            self._check_violation(pending.qos)
         else:
-            self._m_updates_resolved.inc()
+            self.updates_resolved.inc()
             outcome = UpdateOutcome(
                 request_id=reply.request_id,
                 value=reply.value,
@@ -932,7 +867,7 @@ class ClientHandler(GroupEndpoint):
         if self.detector is not None:
             # A bounce is still evidence of life (overloaded, not gray).
             self.detector.record(bounce.replica, self.now)
-        self._m_overload_replies.inc()
+        self.overload_replies.inc()
         until = self.now + bounce.retry_after
         if until > self._shed_until.get(bounce.replica, 0.0):
             self._shed_until[bounce.replica] = until
@@ -968,10 +903,7 @@ class ClientHandler(GroupEndpoint):
         replica (or giving up), the read sleeps until some replica accepts
         dispatches again, provided the deadline budget still allows it.
         """
-        policy = self.retry_policy
-        if policy is None or pending.qos is None:
-            return
-        if pending.retries >= policy.max_retries:
+        if not self._retries_left(pending):
             return
         waits = [t for t in self._shed_until.values() if t > self.now]
         if not waits:
@@ -1029,17 +961,13 @@ class ClientHandler(GroupEndpoint):
         pending = self._pending.get(request_id)
         if pending is None or pending.completed or pending.failed:
             return
-        # No reply by the deadline: a timing failure, counted once even if
+        # No reply by the deadline: a timing failure, judged once even if
         # a (late) reply arrives afterwards.
         pending.failed = True
-        self._m_timing_failures.inc()
-        self._m_reads_judged.inc()
         self._judge(pending, timely=False)
         self.trace.emit(
             self.now, "client.timing-failure", self.name, request_id=request_id
         )
-        if pending.qos is not None:
-            self._check_violation(pending.qos)
 
     # ------------------------------------------------------------------
     # Deadline-budget-aware retry (DESIGN.md §9)
@@ -1087,11 +1015,18 @@ class ClientHandler(GroupEndpoint):
         if self._retry_dispatch(pending, reason="timeout"):
             self._arm_retry_checkpoint(pending)
 
-    def _arm_retry_checkpoint(self, pending: _PendingCall) -> None:
+    def _retries_left(self, pending: _PendingCall) -> bool:
+        """A retry policy is configured, the call is a read, and its retry
+        budget is not spent."""
         policy = self.retry_policy
-        if policy is None or pending.qos is None:
-            return
-        if pending.retries >= policy.max_retries:
+        return (
+            policy is not None
+            and pending.qos is not None
+            and pending.retries < policy.max_retries
+        )
+
+    def _arm_retry_checkpoint(self, pending: _PendingCall) -> None:
+        if not self._retries_left(pending):
             return
         remaining = (pending.t0 + pending.qos.deadline) - self.now
         delay = remaining * CHECKPOINT_FRACTION
@@ -1109,10 +1044,7 @@ class ClientHandler(GroupEndpoint):
         remaining deadline budget both allow it, and an untried candidate
         exists.
         """
-        policy = self.retry_policy
-        if policy is None or pending.qos is None:
-            return False
-        if pending.completed or pending.retries >= policy.max_retries:
+        if pending.completed or not self._retries_left(pending):
             return False
         remaining = (pending.t0 + pending.qos.deadline) - self.now
         if remaining < MIN_REMAINING_BUDGET:
@@ -1141,7 +1073,7 @@ class ClientHandler(GroupEndpoint):
         pending.tried.add(target)
         pending.live.add(target)
         pending.retry_targets.add(target)
-        self._m_retries_sent.inc()
+        self.retries_sent.inc()
         self._emit_dispatch(pending, target, reason)
         self.gsend(self.groups.qos, target, pending.request)
         self.trace.emit(
@@ -1207,19 +1139,19 @@ class ClientHandler(GroupEndpoint):
             if pending.live:
                 continue  # another selected replica may still answer
             if self._retry_dispatch(pending, reason="failover"):
-                self._m_failover_redispatches.inc()
+                self.failover_redispatches.inc()
 
     def recovery_stats(self) -> dict[str, int]:
         """Retry/hedge/failover/overload counters for the reports."""
         return {
-            "retries_sent": self.retries_sent,
-            "hedges_sent": self.hedges_sent,
-            "failover_redispatches": self.failover_redispatches,
-            "retry_resolved": self.retry_resolved,
-            "hedge_resolved": self.hedge_resolved,
-            "reads_salvaged": self.reads_salvaged,
-            "overload_replies": self.overload_replies,
-            "reads_shed": self.reads_shed,
+            "retries_sent": self.retries_sent.value,
+            "hedges_sent": self.hedges_sent.value,
+            "failover_redispatches": self.failover_redispatches.value,
+            "retry_resolved": self.retry_resolved.value,
+            "hedge_resolved": self.hedge_resolved.value,
+            "reads_salvaged": self.reads_salvaged.value,
+            "overload_replies": self.overload_replies.value,
+            "reads_shed": self.reads_shed.value,
             "degradation_steps_down": self._m_steps_down.value,
             "degradation_steps_up": self._m_steps_up.value,
             "detector_ejections": self._m_detector_ejections.value,
@@ -1227,39 +1159,40 @@ class ClientHandler(GroupEndpoint):
             "detector_probes": self._m_detector_probes.value,
         }
 
-    def _check_violation(self, qos: Optional[QoSSpec]) -> None:
-        if qos is None or self.on_qos_violation is None:
-            return
-        if self.reads_judged > 0 and self.timely_fraction < qos.min_probability:
+    def _check_violation(self, qos: QoSSpec) -> None:
+        """Notify the client when the observed timely frequency has fallen
+        below ``P_c(d)``.  Runs once per read, when :meth:`_judge` judges
+        it, so a late reply to a read already judged does not notify again.
+        """
+        if (
+            self.on_qos_violation is not None
+            and self.timely_fraction < qos.min_probability
+        ):
             self.on_qos_violation(self.observed_failure_probability)
+
+    def _settle(self, pending: _PendingCall) -> None:
+        """Close a call: forget it and cancel its timers (cancelling one
+        that has already fired is a no-op)."""
+        pending.completed = True
+        del self._pending[pending.request.request_id]
+        for event in (pending.deadline_event, pending.gc_event, pending.retry_event):
+            if event is not None:
+                event.cancel()
 
     def _garbage_collect(self, request_id: int) -> None:
         """Abandon a request that will never complete (e.g. all selected
-        replicas crashed before replying)."""
-        pending = self._pending.pop(request_id, None)
-        if pending is None or pending.completed:
+        replicas crashed before replying).
+
+        A read gets here already judged: its deadline timer fires at
+        ``t0 + d``, before this one, and only a reply cancels it.
+        """
+        pending = self._pending.get(request_id)
+        if pending is None:
             return
-        pending.completed = True
-        if pending.retry_event is not None:
-            pending.retry_event.cancel()
-        if pending.request.kind is RequestKind.READ:
-            self._m_reads_resolved.inc()
-            if not pending.failed:
-                self._m_timing_failures.inc()
-                self._m_reads_judged.inc()
-                self._judge(pending, timely=False)
-            outcome: Any = ReadOutcome(
-                request_id=request_id,
-                value=None,
-                response_time=None,
-                timing_failure=True,
-                replicas_selected=len(pending.selected),
-                first_replica=None,
-                deferred=False,
-                gsn=-1,
-            )
-        else:
-            outcome = None
+        self._settle(pending)
+        is_read = pending.request.kind is RequestKind.READ
+        if is_read:
+            self.reads_resolved.inc()
         self.trace.emit(self.now, "client.gc", self.name, request_id=request_id)
-        if pending.callback is not None and outcome is not None:
-            pending.callback(outcome)
+        if is_read and pending.callback is not None:
+            pending.callback(_unanswered_read(request_id, len(pending.selected)))

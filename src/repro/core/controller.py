@@ -359,10 +359,8 @@ class ConsistencyController:
         self._g_index = self.metrics.gauge("controller_relax_index", **labels)
         self._g_t_l = self.metrics.gauge("controller_t_l_seconds", **labels)
         self._m_epochs = self.metrics.counter("controller_epochs", **labels)
-        self._m_relaxes = self.metrics.counter("controller_relaxes", **labels)
-        self._m_rollbacks = self.metrics.counter(
-            "controller_rollbacks", **labels
-        )
+        self.relaxes = self.metrics.counter("controller_relaxes", **labels)
+        self.rollbacks = self.metrics.counter("controller_rollbacks", **labels)
 
     # ------------------------------------------------------------------
     # Actuator registration
@@ -427,14 +425,6 @@ class ConsistencyController:
     def current_interval(self) -> Optional[float]:
         """The T_L in force, for handler re-arm after failover/recovery."""
         return self._current_t_l
-
-    @property
-    def rollbacks(self) -> int:
-        return self._m_rollbacks.value
-
-    @property
-    def relaxes(self) -> int:
-        return self._m_relaxes.value
 
     # ------------------------------------------------------------------
     # Sensing
@@ -526,7 +516,7 @@ class ConsistencyController:
                 self._healthy_at_index = 0
                 self._last_rollback_epoch = self.epoch
                 self._last_actuation_epoch = self.epoch
-                self._m_rollbacks.inc()
+                self.rollbacks.inc()
                 rollback = True
                 self.state = ROLLBACK
             elif self.state != ROLLBACK:
@@ -565,7 +555,7 @@ class ConsistencyController:
                     self._healthy_streak = 0
                     self._healthy_at_index = 0
                     self._last_actuation_epoch = self.epoch
-                    self._m_relaxes.inc()
+                    self.relaxes.inc()
                     self.state = RELAX
             else:
                 self._healthy_streak = 0

@@ -134,7 +134,7 @@ class CausalReplicaHandler(ReplicaHandlerBase):
             stamp: CausalStamp = pending.request.context
             self.vc.merge(VectorClock(stamp.deps))
             self.vc.increment(stamp.writer)
-            self._m_updates_committed.inc()
+            self.updates_committed.inc()
         return value
 
     def after_complete(self, pending: PendingRequest) -> None:
@@ -164,7 +164,7 @@ class CausalReplicaHandler(ReplicaHandlerBase):
         if incoming.dominates(self.vc) and incoming.total() > self.vc.total():
             self.app.restore(app_snapshot)
             self.vc = incoming
-            self._m_lazy_updates_applied.inc()
+            self.lazy_updates_applied.inc()
             self._release_reads()
 
 

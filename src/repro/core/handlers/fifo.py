@@ -52,7 +52,7 @@ class FifoReplicaHandler(ReplicaHandlerBase):
         value = super().execute(pending)
         if pending.request.kind is RequestKind.UPDATE:
             self.commit_count += 1
-            self._m_updates_committed.inc()
+            self.updates_committed.inc()
         return value
 
     def committed_gsn(self) -> int:
@@ -68,4 +68,4 @@ class FifoReplicaHandler(ReplicaHandlerBase):
         if update.csn > self.commit_count:
             self.app.restore(update.snapshot)
             self.commit_count = update.csn
-            self._m_lazy_updates_applied.inc()
+            self.lazy_updates_applied.inc()

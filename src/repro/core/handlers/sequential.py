@@ -114,20 +114,20 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         self._sync_id = 0
         self._sync_replies: dict[str, SequencerSyncReply] = {}
         self._sync_buffer: list[Request] = []
-        self._m_gsn_queries_sent = self._counter("replica_gsn_queries_sent")
+        self.gsn_queries_sent = self._counter("replica_gsn_queries_sent")
         self._m_reassignments = self._counter("replica_reassignments")
 
         # Primary recovery (state transfer; DESIGN.md §9).
         self._recovering = False
         self._xfer_id = 0
         self._xfer_rotation = 0
-        self._m_state_transfers_started = self._counter(
+        self.state_transfers_started = self._counter(
             "replica_state_transfers_started"
         )
-        self._m_state_transfers_completed = self._counter(
+        self.state_transfers_completed = self._counter(
             "replica_state_transfers_completed"
         )
-        self._m_state_transfers_served = self._counter(
+        self.state_transfers_served = self._counter(
             "replica_state_transfers_served"
         )
         self._gap_stuck_csn: Optional[int] = None
@@ -158,25 +158,6 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         self._m_publisher_reassignments = self._counter(
             "replica_publisher_reassignments"
         )
-
-    # ------------------------------------------------------------------
-    # Registry-backed counters under their historical names
-    # ------------------------------------------------------------------
-    @property
-    def gsn_queries_sent(self) -> int:
-        return self._m_gsn_queries_sent.value
-
-    @property
-    def state_transfers_started(self) -> int:
-        return self._m_state_transfers_started.value
-
-    @property
-    def state_transfers_completed(self) -> int:
-        return self._m_state_transfers_completed.value
-
-    @property
-    def state_transfers_served(self) -> int:
-        return self._m_state_transfers_served.value
 
     # ------------------------------------------------------------------
     # Roles
@@ -436,7 +417,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
                 self.groups.qos, sequencer, GsnQuery(request_id, self.name),
                 size_bytes=64,
             )
-            self._m_gsn_queries_sent.inc()
+            self.gsn_queries_sent.inc()
         self.sim.schedule(self.gsn_wait_timeout, self._gsn_retry, request_id)
 
     def _on_gsn_query(self, query: GsnQuery) -> None:
@@ -558,7 +539,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
             assert pending.gsn is not None
             self.my_csn = pending.gsn
             self.my_gsn = max(self.my_gsn, self.my_csn)
-            self._m_updates_committed.inc()
+            self.updates_committed.inc()
             self._recent_commits[pending.request.request_id] = pending.gsn
             while len(self._recent_commits) > _RECENT_COMMITS:
                 self._recent_commits.popitem(last=False)
@@ -608,7 +589,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
             self.app.restore(update.snapshot)
             self.my_csn = update.csn
             self.my_gsn = max(self.my_gsn, update.csn)
-            self._m_lazy_updates_applied.inc()
+            self.lazy_updates_applied.inc()
         # §4.1.2: deferred reads are answered "immediately after receiving
         # the next state update from the lazy publisher".
         deferred, self._deferred = self._deferred, []
@@ -838,7 +819,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         """
         self._recovering = True
         self._xfer_id += 1
-        self._m_state_transfers_started.inc()
+        self.state_transfers_started.inc()
         self._disarm_gap_watchdog()
         self.flush_pending()  # also bounces deferred reads explicitly
         self._awaiting_gsn.clear()
@@ -859,7 +840,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
             # Nobody to ask: we lead (or the view is empty), so no peer
             # holds newer committed state.  Keep the retained state.
             self._recovering = False
-            self._m_state_transfers_completed.inc()
+            self.state_transfers_completed.inc()
             self.trace.emit(
                 self.now, "replica.state-transfer-done", self.name,
                 donor=None, csn=self.my_csn, gsn=self.my_gsn,
@@ -943,7 +924,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
             assignments=tuple(sorted(assignments.items(), key=lambda kv: kv[1])),
             skips=tuple(sorted(g for g in self._skips if g > self.my_csn)),
         )
-        self._m_state_transfers_served.inc()
+        self.state_transfers_served.inc()
         self.gsend(self.groups.primary, relay.requester, reply, size_bytes=2048)
         self.trace.emit(
             self.now, "replica.state-transfer-serve", self.name,
@@ -954,7 +935,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         if not self._recovering or snap.xfer_id != self._xfer_id:
             return
         self._recovering = False
-        self._m_state_transfers_completed.inc()
+        self.state_transfers_completed.inc()
         if snap.snapshot is not None:
             self.app.restore(snap.snapshot)
             self.my_csn = snap.csn

@@ -208,7 +208,7 @@ class DegradationStep:
     time: float
     from_level: int
     to_level: int
-    trigger: str  # "overload" | "pressure" | "recovered" | ...
+    trigger: str  # "overload" | "recovered" | the forcing caller's name
 
     @property
     def down(self) -> bool:
@@ -219,9 +219,8 @@ class DegradationPolicy:
     """Hysteretic ladder a client gateway walks under overload evidence.
 
     Down-steps happen on :meth:`note_overload` (an
-    :class:`~repro.core.requests.OverloadReply` arrived) or
-    :meth:`note_pressure` (a replica reported pressure ≥ HIGH), rate-
-    limited by ``step_cooldown``.  Up-steps happen on :meth:`note_ok`
+    :class:`~repro.core.requests.OverloadReply` arrived), rate-limited by
+    ``step_cooldown``.  Up-steps happen on :meth:`note_ok`
     once :data:`RECOVERY_WINDOW` seconds pass with no trigger — one level
     at a time, so recovery is as gradual as degradation.
 
@@ -241,25 +240,18 @@ class DegradationPolicy:
         self.shed_floor = self.priority_mapper.probability_for(SHED_PRIORITY)
         self.level = NOMINAL
         self.steps: list[DegradationStep] = []
-        self.reads_shed = 0
         self._last_trigger = float("-inf")
         self._last_change = float("-inf")
 
     # -- evidence -------------------------------------------------------
-    def note_overload(self, now: float, trigger: str = "overload") -> Optional[DegradationStep]:
+    def note_overload(self, now: float) -> Optional[DegradationStep]:
         """An OverloadReply (or equivalent) arrived; maybe step down."""
         self._last_trigger = now
         if self.level >= MAX_LEVEL:
             return None
         if now - self._last_change < self.step_cooldown:
             return None
-        return self._move(now, self.level + 1, trigger)
-
-    def note_pressure(self, now: float, level: int) -> Optional[DegradationStep]:
-        """A replica reported its pressure level (piggybacked on sheds)."""
-        if level >= HIGH:
-            return self.note_overload(now, trigger="pressure")
-        return None
+        return self._move(now, self.level + 1, "overload")
 
     def note_ok(self, now: float) -> Optional[DegradationStep]:
         """Quiet evidence (a timely reply); maybe step back up one level."""
@@ -305,7 +297,6 @@ class DegradationPolicy:
         spec: staleness widened, ``P_c(d)`` lowered, deadline untouched.
         """
         if self.level >= SHED_LEVEL and self._sheddable(qos, priority):
-            self.reads_shed += 1
             return None
         if self.level == NOMINAL:
             return qos
@@ -325,12 +316,3 @@ class DegradationPolicy:
     @property
     def prefer_secondaries(self) -> bool:
         return self.level >= PREFER_SECONDARIES_LEVEL
-
-    # -- reporting ------------------------------------------------------
-    def stats(self) -> dict[str, int]:
-        down = sum(1 for s in self.steps if s.down)
-        return {
-            "degradation_steps_down": down,
-            "degradation_steps_up": len(self.steps) - down,
-            "degradation_reads_shed": self.reads_shed,
-        }

@@ -111,47 +111,27 @@ class ResponseTimePredictor:
         self.default_gateway_delay = default_gateway_delay
         self.bootstrap_cdf = bootstrap_cdf
         self.staleness_model = staleness_model or PoissonStalenessModel()
-        # Registry-backed counters, exposed under their historical names via
-        # properties.  These feed Figure 3 reports, so a missing registry
-        # means a private enabled one rather than a no-op.
+        # Registry counters.  These feed Figure 3 reports, so a missing
+        # registry means a private enabled one rather than a no-op.
         if metrics is None:
             metrics = MetricsRegistry()
         self.metrics = metrics
         labels = metrics_labels or {}
         # evaluations: number of distribution computations (Fig. 3).
-        self._m_evaluations = metrics.counter("predictor_evaluations", **labels)
+        self.evaluations = metrics.counter("predictor_evaluations", **labels)
         # Versioned count cache, one lookup per evaluation: a hit reuses
         # the S ⊛ W counts, a miss rebuilds them, an invalidation is a miss
         # that found a stale entry to replace.
         self.use_cache = use_cache
-        self._m_cache_hits = metrics.counter("predictor_cache_hits", **labels)
-        self._m_cache_misses = metrics.counter("predictor_cache_misses", **labels)
-        self._m_cache_invalidations = metrics.counter(
+        self.cache_hits = metrics.counter("predictor_cache_hits", **labels)
+        self.cache_misses = metrics.counter("predictor_cache_misses", **labels)
+        self.cache_invalidations = metrics.counter(
             "predictor_cache_invalidations", **labels
         )
         self._cache: dict[str, _ReplicaCounts] = {}
         # Value memo behind candidate_cdfs: replica -> (key, (F^I, F^D)),
         # the key being every input _evaluate read to produce the pair.
         self._memo: dict[str, tuple[tuple, tuple[float, float]]] = {}
-
-    # ------------------------------------------------------------------
-    # Registry-backed counters under their historical names
-    # ------------------------------------------------------------------
-    @property
-    def evaluations(self) -> int:
-        return self._m_evaluations.value
-
-    @property
-    def cache_hits(self) -> int:
-        return self._m_cache_hits.value
-
-    @property
-    def cache_misses(self) -> int:
-        return self._m_cache_misses.value
-
-    @property
-    def cache_invalidations(self) -> int:
-        return self._m_cache_invalidations.value
 
     # ------------------------------------------------------------------
     # Response-time distributions (§5.2)
@@ -224,8 +204,8 @@ class ResponseTimePredictor:
                 if stats.has_history:  # bootstrap values are not evaluations
                     memo[name] = (key, pair)
                 pairs.append(pair)
-        self._m_evaluations.inc(hits)
-        self._m_cache_hits.inc(hits)
+        self.evaluations.inc(hits)
+        self.cache_hits.inc(hits)
         return [pair[0] for pair in primary_pairs], secondary_pairs
 
     def response_pmfs(
@@ -244,7 +224,7 @@ class ResponseTimePredictor:
         stats = self.repository.stats_for(replica)
         if not stats.has_history:
             return (None, None)
-        self._m_evaluations.inc()
+        self.evaluations.inc()
         entry = self._counts(replica, stats)
         gateway = self._gateway_bins(stats)
         waits = stats.tb_window
@@ -302,7 +282,7 @@ class ResponseTimePredictor:
         stats = self.repository.stats_for(replica)
         if not stats.has_history:
             return (self.bootstrap_cdf, self.bootstrap_cdf)
-        self._m_evaluations.inc()
+        self.evaluations.inc()
         entry = self._counts(replica, stats)
         base = entry.base
         gateway = self._gateway_bins(stats)
@@ -340,9 +320,9 @@ class ResponseTimePredictor:
     def cache_stats(self) -> dict[str, int]:
         """Hit/miss/invalidation counters for benchmark reports."""
         return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "invalidations": self.cache_invalidations,
+            "hits": self.cache_hits.value,
+            "misses": self.cache_misses.value,
+            "invalidations": self.cache_invalidations.value,
         }
 
     def clear_cache(self) -> None:
@@ -355,10 +335,10 @@ class ResponseTimePredictor:
             entry = self._cache.get(replica)
             if entry is not None:
                 if entry.key == key:
-                    self._m_cache_hits.inc()
+                    self.cache_hits.inc()
                     return entry
-                self._m_cache_invalidations.inc()
-            self._m_cache_misses.inc()
+                self.cache_invalidations.inc()
+            self.cache_misses.inc()
         entry = _ReplicaCounts(
             key,
             self._window_counts(stats.ts_window).convolve(

@@ -129,9 +129,9 @@ class ReplicaHandlerBase(GroupEndpoint):
         self._ready: deque[PendingRequest] = deque()
         self._busy = False
         self._incarnation = 0
-        self._m_reads_served = self._counter("replica_reads_served")
-        self._m_updates_committed = self._counter("replica_updates_committed")
-        self._m_deferred_reads_served = self._counter(
+        self.reads_served = self._counter("replica_reads_served")
+        self.updates_committed = self._counter("replica_updates_committed")
+        self.deferred_reads_served = self._counter(
             "replica_deferred_reads_served"
         )
         self._h_service_time = self.metrics.histogram(
@@ -156,36 +156,13 @@ class ReplicaHandlerBase(GroupEndpoint):
         self._lazy_epoch = 0
         self._last_lazy_at = 0.0
         self._lazy_tick_event = None
-        self._m_lazy_updates_sent = self._counter("replica_lazy_updates_sent")
-        self._m_lazy_updates_applied = self._counter("replica_lazy_updates_applied")
+        self.lazy_updates_sent = self._counter("replica_lazy_updates_sent")
+        self.lazy_updates_applied = self._counter("replica_lazy_updates_applied")
 
     def _counter(self, name: str) -> Counter:
         """A registry counter labelled with this replica's name (handlers
         use this for their protocol-specific counters)."""
         return self.metrics.counter(name, replica=self.name)
-
-    # ------------------------------------------------------------------
-    # Registry-backed counters under their historical names
-    # ------------------------------------------------------------------
-    @property
-    def reads_served(self) -> int:
-        return self._m_reads_served.value
-
-    @property
-    def updates_committed(self) -> int:
-        return self._m_updates_committed.value
-
-    @property
-    def deferred_reads_served(self) -> int:
-        return self._m_deferred_reads_served.value
-
-    @property
-    def lazy_updates_sent(self) -> int:
-        return self._m_lazy_updates_sent.value
-
-    @property
-    def lazy_updates_applied(self) -> int:
-        return self._m_lazy_updates_applied.value
 
     # ------------------------------------------------------------------
     # Identity and roles (derived from views)
@@ -399,9 +376,9 @@ class ReplicaHandlerBase(GroupEndpoint):
         self.gsend(self.groups.qos, pending.request.client, reply)
         self._h_service_time.observe(ts)
         if pending.request.kind is RequestKind.READ:
-            self._m_reads_served.inc()
+            self.reads_served.inc()
             if pending.deferred:
-                self._m_deferred_reads_served.inc()
+                self.deferred_reads_served.inc()
             # Staleness attribution: observed wait and its decomposition.
             # The components are computed from the same simulation
             # timestamps as the wait itself, so they sum to it exactly
@@ -510,7 +487,7 @@ class ReplicaHandlerBase(GroupEndpoint):
                     published_at=self.now,
                 )
                 self.gmcast(self.groups.secondary, update, size_bytes=1024)
-                self._m_lazy_updates_sent.inc()
+                self.lazy_updates_sent.inc()
                 if self.trace.enabled:
                     self.trace.emit(
                         self.now, "lazy.publish", self.name,

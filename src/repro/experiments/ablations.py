@@ -392,7 +392,7 @@ def adaptive_lui_study(
         rows.append(
             AdaptiveLuiRow(
                 label=label,
-                lazy_updates_sent=publisher.lazy_updates_sent,
+                lazy_updates_sent=publisher.lazy_updates_sent.value,
                 staleness_target_hit_fraction=sum(hits) / len(hits),
                 final_interval=publisher.lazy_update_interval,
             )

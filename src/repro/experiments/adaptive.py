@@ -285,8 +285,8 @@ def run_adaptive_cell(
         reads_judged=reads_judged,
         replicas_selected=replicas_selected,
         lazy_messages=lazy_messages,
-        rollbacks=controller.rollbacks if controller else 0,
-        relaxes=controller.relaxes if controller else 0,
+        rollbacks=controller.rollbacks.value if controller else 0,
+        relaxes=controller.relaxes.value if controller else 0,
         final_relax_index=controller.relax_index if controller else static_relax,
         decisions=decisions,
         events=(

@@ -89,9 +89,9 @@ def replica_load_report(service: ReplicatedService, elapsed: float) -> LoadRepor
             ReplicaLoad(
                 name=handler.name,
                 role=role,
-                reads_served=handler.reads_served,
-                updates_committed=handler.updates_committed,
-                deferred_reads=handler.deferred_reads_served,
+                reads_served=handler.reads_served.value,
+                updates_committed=handler.updates_committed.value,
+                deferred_reads=handler.deferred_reads_served.value,
                 utilization=min(1.0, handler.busy_time / elapsed),
             )
         )

@@ -176,24 +176,25 @@ def run_campaign(
         testbed, reader_gen.outcomes, updater.outcomes, prober.outcomes, trace
     )
 
-    recovery = dict(reader.recovery_stats())
-    for handler in service.all_replicas():
-        for key in (
-            "state_transfers_started",
-            "state_transfers_completed",
-            "state_transfers_served",
-        ):
-            recovery[key] = recovery.get(key, 0) + getattr(handler, key, 0)
+    recovery = reader.recovery_stats()
+    for key in (
+        "state_transfers_started",
+        "state_transfers_completed",
+        "state_transfers_served",
+    ):
+        recovery[key] = sum(
+            getattr(handler, key).value for handler in service.all_replicas()
+        )
 
     result = CampaignResult(
         seed=seed,
         duration=duration,
         violations=violations,
-        faults_injected=engine.faults_injected,
-        faults_skipped=engine.faults_skipped,
-        reads_issued=reader.reads_issued,
-        reads_resolved=reader.reads_resolved,
-        timing_failures=reader.timing_failures,
+        faults_injected=engine.faults_injected.value,
+        faults_skipped=engine.faults_skipped.value,
+        reads_issued=reader.reads_issued.value,
+        reads_resolved=reader.reads_resolved.value,
+        timing_failures=reader.timing_failures.value,
         updates_acked=len(updater.outcomes),
         recovery=recovery,
         events=engine_events(engine),

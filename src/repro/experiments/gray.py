@@ -282,11 +282,9 @@ def _check_gray_invariants(
         )
 
     # Every issued read was judged: nothing is silently dropped.
-    if client.reads_issued != client.reads_judged:
-        violations.append(
-            f"accounting: issued {client.reads_issued} reads "
-            f"but judged {client.reads_judged}"
-        )
+    issued, judged = client.reads_issued.value, client.reads_judged.value
+    if issued != judged:
+        violations.append(f"accounting: issued {issued} reads but judged {judged}")
     return violations
 
 

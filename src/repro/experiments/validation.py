@@ -187,7 +187,7 @@ def _hotspot_cell(
     PeriodicReader(testbed.sim, client, qos, period=0.2, count=reads)
     testbed.sim.run(until=reads * 0.2 + 30.0)
     return {
-        r.name: r.reads_served
+        r.name: r.reads_served.value
         for r in service.primaries + service.secondaries
     }
 

@@ -17,9 +17,9 @@ Safety constraints keep campaigns *survivable* rather than merely random:
 
 * ``protected`` endpoints are never faulted (keep one serving replica and
   the invariant-checking ground truth alive);
-* at most ``max_concurrent_down`` endpoints are crashed at once;
+* at most :data:`MAX_CONCURRENT_DOWN` endpoints are crashed at once;
 * a crash is skipped when it would leave no live serving primary;
-* at most ``max_concurrent_partitions`` cuts at once (each cut is a
+* at most :data:`MAX_CONCURRENT_PARTITIONS` cuts at once (each cut is a
   *named* fabric partition and heals individually, so overlapping cuts
   unwind safely); loss windows may overlap freely — the effective drop
   probability is the max of the active windows.
@@ -58,6 +58,18 @@ from typing import Callable, Optional
 from repro.net.network import LinkChurn, Network
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.tracing import NULL_TRACE, Trace
+
+#: Fault shapes no campaign varies (DESIGN.md §3): the concurrency caps,
+#: and the ``(low, high)`` ranges a crash's downtime, a partition's
+#: window, an overload's speed factor, and a loss window's length and
+#: drop probability are drawn from, uniformly.
+MAX_CONCURRENT_DOWN = 2
+MAX_CONCURRENT_PARTITIONS = 2
+DOWNTIME = (0.8, 3.0)
+PARTITION_WINDOW = (0.5, 2.0)
+OVERLOAD_FACTOR = (2.0, 8.0)
+LOSS_WINDOW = (0.5, 2.0)
+LOSS_PROBABILITY = (0.02, 0.15)
 
 
 @dataclass(frozen=True)
@@ -106,14 +118,7 @@ class ChaosConfig:
     flapping_link_weight: float = 0.0
     oneway_partition_weight: float = 0.0
     dup_storm_weight: float = 0.0
-    max_concurrent_down: int = 2
-    max_concurrent_partitions: int = 2
-    downtime: tuple[float, float] = (0.8, 3.0)
-    partition_window: tuple[float, float] = (0.5, 2.0)
     overload_window: tuple[float, float] = (0.5, 2.0)
-    overload_factor: tuple[float, float] = (2.0, 8.0)
-    loss_window: tuple[float, float] = (0.5, 2.0)
-    loss_probability: tuple[float, float] = (0.02, 0.15)
     storm_window: tuple[float, float] = (1.0, 3.0)
     storm_factor: tuple[float, float] = (3.0, 10.0)
     slow_window: tuple[float, float] = (1.0, 3.0)
@@ -129,10 +134,6 @@ class ChaosConfig:
             raise ValueError("campaign duration must be positive")
         if self.mean_interval <= 0:
             raise ValueError("mean_interval must be positive")
-        if self.max_concurrent_down < 1:
-            raise ValueError("max_concurrent_down must be >= 1")
-        if self.max_concurrent_partitions < 1:
-            raise ValueError("max_concurrent_partitions must be >= 1")
         for name in (
             "crash_weight",
             "partition_weight",
@@ -148,12 +149,7 @@ class ChaosConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         for name in (
-            "downtime",
-            "partition_window",
             "overload_window",
-            "overload_factor",
-            "loss_window",
-            "loss_probability",
             "storm_window",
             "storm_factor",
             "slow_window",
@@ -170,10 +166,6 @@ class ChaosConfig:
         low, high = self.dup_probability
         if high > 1.0:
             raise ValueError(f"dup_probability upper bound {high} exceeds 1")
-        low, high = self.loss_probability
-        if high >= 1.0:
-            # Network.drop_probability rejects it; fail here, not mid-campaign.
-            raise ValueError(f"loss_probability upper bound {high} not below 1")
         if self.slow_factor[0] < 1.0:
             # A factor below 1 would *speed up* the victim; degrade_node
             # rejects it, so fail at config time instead of mid-campaign.
@@ -263,19 +255,8 @@ class ChaosEngine:
         self._started_at: Optional[float] = None
         self._stopped = False
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._m_faults_injected = self.metrics.counter("chaos_faults_injected")
-        self._m_faults_skipped = self.metrics.counter("chaos_faults_skipped")
-
-    # ------------------------------------------------------------------
-    # Registry-backed counters under their historical names
-    # ------------------------------------------------------------------
-    @property
-    def faults_injected(self) -> int:
-        return self._m_faults_injected.value
-
-    @property
-    def faults_skipped(self) -> int:
-        return self._m_faults_skipped.value
+        self.faults_injected = self.metrics.counter("chaos_faults_injected")
+        self.faults_skipped = self.metrics.counter("chaos_faults_skipped")
 
     # ------------------------------------------------------------------
     # Campaign lifecycle
@@ -302,9 +283,9 @@ class ChaosEngine:
         if self.sim.now - self._started_at >= self.config.duration:
             return
         if self._inject():
-            self._m_faults_injected.inc()
+            self.faults_injected.inc()
         else:
-            self._m_faults_skipped.inc()
+            self.faults_skipped.inc()
         self.sim.schedule(self._next_gap(), self._tick)
 
     def _finish(self) -> None:
@@ -332,7 +313,8 @@ class ChaosEngine:
                 fault.end = self.sim.now
         self.trace.emit(
             self.sim.now, "chaos.end", "chaos",
-            injected=self.faults_injected, skipped=self.faults_skipped,
+            injected=self.faults_injected.value,
+            skipped=self.faults_skipped.value,
         )
 
     # ------------------------------------------------------------------
@@ -389,7 +371,7 @@ class ChaosEngine:
         )
 
     def _crash_candidates(self) -> list[str]:
-        if len(self._down) >= self.config.max_concurrent_down:
+        if len(self._down) >= MAX_CONCURRENT_DOWN:
             return []
         candidates = []
         for name in self.targets.crashable():
@@ -408,7 +390,7 @@ class ChaosEngine:
         if not self.network.crash(victim):
             return False
         self._down.add(victim)
-        downtime = self.rng.uniform(*self.config.downtime)
+        downtime = self.rng.uniform(*DOWNTIME)
         self._record(
             ChaosEvent(self.sim.now, "crash", victim, until=self.sim.now + downtime)
         )
@@ -438,7 +420,7 @@ class ChaosEngine:
         return minority, majority
 
     def _inject_partition(self) -> bool:
-        if len(self._cuts) >= self.config.max_concurrent_partitions:
+        if len(self._cuts) >= MAX_CONCURRENT_PARTITIONS:
             return False
         picked = self._pick_minority()
         if picked is None:
@@ -446,7 +428,7 @@ class ChaosEngine:
         minority, majority = picked
         name = self.network.partition(sorted(minority), majority)
         self._cuts.add(name)
-        window = self.rng.uniform(*self.config.partition_window)
+        window = self.rng.uniform(*PARTITION_WINDOW)
         self._record(
             ChaosEvent(
                 self.sim.now, "partition", "+".join(sorted(minority)),
@@ -478,7 +460,7 @@ class ChaosEngine:
         victim = self.rng.choice(pool)
         host = self.network.host_of(victim)
         assert host is not None
-        factor = self.rng.uniform(*self.config.overload_factor)
+        factor = self.rng.uniform(*OVERLOAD_FACTOR)
         window = self.rng.uniform(*self.config.overload_window)
         host.begin_overload(factor)
         self.sim.schedule(window, host.end_overload)
@@ -491,8 +473,8 @@ class ChaosEngine:
         return True
 
     def _inject_loss(self) -> bool:
-        probability = self.rng.uniform(*self.config.loss_probability)
-        window = self.rng.uniform(*self.config.loss_window)
+        probability = self.rng.uniform(*LOSS_PROBABILITY)
+        window = self.rng.uniform(*LOSS_WINDOW)
         token = self._loss_token
         self._loss_token += 1
         self._loss_windows[token] = probability
@@ -550,12 +532,12 @@ class ChaosEngine:
         name = self.targets.membership
         if name is None or name in self._down:
             return False
-        if len(self._down) >= self.config.max_concurrent_down:
+        if len(self._down) >= MAX_CONCURRENT_DOWN:
             return False
         if not self.network.crash(name):
             return False
         self._down.add(name)
-        downtime = self.rng.uniform(*self.config.downtime)
+        downtime = self.rng.uniform(*DOWNTIME)
         self._record(
             ChaosEvent(
                 self.sim.now, "membership-outage", name,
@@ -664,7 +646,7 @@ class ChaosEngine:
         self._record(ChaosEvent(self.sim.now, "flapping-link-end", victim))
 
     def _inject_oneway_partition(self) -> bool:
-        if len(self._cuts) >= self.config.max_concurrent_partitions:
+        if len(self._cuts) >= MAX_CONCURRENT_PARTITIONS:
             return False
         picked = self._pick_minority()
         if picked is None:
@@ -682,7 +664,7 @@ class ChaosEngine:
                 majority, sorted(minority), symmetric=False
             )
         self._cuts.add(name)
-        window = self.rng.uniform(*self.config.partition_window)
+        window = self.rng.uniform(*PARTITION_WINDOW)
         for member in sorted(minority):
             self._gray_fault("oneway_partition", member, window, 1.0)
         self._record(

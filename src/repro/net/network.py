@@ -192,29 +192,14 @@ class Network:
         self.request_ids = itertools.count(1)
         # Resolved directed links; see _route for what invalidates them.
         self._routes: dict[tuple[str, str], tuple[random.Random, LatencyModel]] = {}
-        self._m_sent = self.metrics.counter("net_messages_sent")
-        self._m_delivered = self.metrics.counter("net_messages_delivered")
-        self._m_dropped = self.metrics.counter("net_messages_dropped")
+        self.messages_sent = self.metrics.counter("net_messages_sent")
+        self.messages_delivered = self.metrics.counter("net_messages_delivered")
+        self.messages_dropped = self.metrics.counter("net_messages_dropped")
         self._m_duplicated = self.metrics.counter("net_messages_duplicated")
         self._m_reordered = self.metrics.counter("net_messages_reordered")
         self._h_delivery_delay = self.metrics.histogram(
             "net_delivery_delay_seconds"
         )
-
-    # ------------------------------------------------------------------
-    # Registry-backed counters under their historical names
-    # ------------------------------------------------------------------
-    @property
-    def messages_sent(self) -> int:
-        return self._m_sent.value
-
-    @property
-    def messages_delivered(self) -> int:
-        return self._m_delivered.value
-
-    @property
-    def messages_dropped(self) -> int:
-        return self._m_dropped.value
 
     # ------------------------------------------------------------------
     # The fault-free fact
@@ -548,7 +533,7 @@ class Network:
         message = Message(
             sender, recipient, payload, now, size_bytes, next(self._msg_ids)
         )
-        self._m_sent.inc()
+        self.messages_sent.inc()
         if self._crashed and sender in self._crashed:
             self._drop(message, "sender-crashed")
             return message
@@ -613,7 +598,7 @@ class Network:
             self._drop(message, "partitioned-in-flight")
             return
         now = self.sim.now
-        self._m_delivered.inc()
+        self.messages_delivered.inc()
         self._h_delivery_delay.observe(now - message.sent_at)
         if self.trace.enabled:
             self.trace.emit(
@@ -627,7 +612,7 @@ class Network:
         recipient.deliver(message)
 
     def _drop(self, message: Message, reason: str) -> None:
-        self._m_dropped.inc()
+        self.messages_dropped.inc()
         self.metrics.counter("net_drops", reason=reason).inc()
         if self.trace.enabled:
             self.trace.emit(

@@ -16,7 +16,8 @@ structural half, see :mod:`repro.obs.spans`).  Design constraints, in order:
 
 Instruments are memoized per ``(name, labels)`` pair, so holding onto the
 returned object is an optimisation, not a requirement — but hot paths should
-hold it (the client caches its counters in ``_m_*`` attributes).
+hold it.  A component's counter handle is its one public spelling of the
+count (``client.reads_judged.value``): no property repeats it as an int.
 """
 
 from __future__ import annotations

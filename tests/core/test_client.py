@@ -35,7 +35,7 @@ def test_undeclared_method_treated_as_update():
     outcomes = []
     client.invoke("increment", callback=outcomes.append)  # no QoS needed
     testbed.sim.run(until=2.0)
-    assert client.updates_issued == 1
+    assert client.updates_issued.value == 1
     assert len(outcomes) == 1
 
 
@@ -53,7 +53,7 @@ def test_default_qos_used_when_not_passed():
     )
     client.invoke("get")
     testbed.sim.run(until=2.0)
-    assert client.reads_resolved == 1
+    assert client.reads_resolved.value == 1
 
 
 def test_declare_read_only_at_runtime():
@@ -62,7 +62,7 @@ def test_declare_read_only_at_runtime():
     client.declare_read_only("get")
     client.invoke("get", qos=QOS)
     testbed.sim.run(until=2.0)
-    assert client.reads_issued == 1
+    assert client.reads_issued.value == 1
 
 
 def test_request_ids_are_numbered_per_fabric():
@@ -131,7 +131,7 @@ def test_timing_failure_when_deadline_missed():
     assert len(outcomes) == 1
     assert outcomes[0].timing_failure
     assert outcomes[0].response_time > 0.050
-    assert client.timing_failures == 1
+    assert client.timing_failures.value == 1
 
 
 def test_timely_response_not_a_failure():
@@ -141,7 +141,7 @@ def test_timely_response_not_a_failure():
     client.invoke("get", qos=QOS, callback=outcomes.append)
     testbed.sim.run(until=5.0)
     assert not outcomes[0].timing_failure
-    assert client.timing_failures == 0
+    assert client.timing_failures.value == 0
     assert client.timely_fraction == 1.0
 
 
@@ -151,11 +151,13 @@ def test_failure_counted_once_even_with_late_reply():
     tight = QoSSpec(10, 0.050, 0.5)
     client.invoke("get", qos=tight)
     testbed.sim.run(until=5.0)
-    assert client.timing_failures == 1
-    assert client.reads_resolved == 1
+    assert client.timing_failures.value == 1
+    assert client.reads_resolved.value == 1
 
 
 def test_unanswered_read_garbage_collected_as_failure():
+    """Judged a timing failure at ``t0 + d``; resolved, failed, when the
+    garbage collector abandons it at ``t0 + gc_timeout``."""
     testbed = make_testbed(gc_timeout=2.0)
     service = testbed.service
     # Crash every replica so no reply can ever arrive.
@@ -163,13 +165,25 @@ def test_unanswered_read_garbage_collected_as_failure():
         testbed.network.crash(replica.name)
     client = service.create_client("c", read_only_methods={"get"})
     outcomes = []
-    client.invoke("get", qos=QOS, callback=outcomes.append)
+    t0 = testbed.sim.now
+    client.invoke(
+        "get", qos=QOS,
+        callback=lambda o: outcomes.append((testbed.sim.now, o)),
+    )
+    testbed.sim.run(until=t0 + QOS.deadline * 0.99)
+    assert client.reads_judged.value == 0
+    testbed.sim.run(until=t0 + QOS.deadline)
+    assert client.reads_judged.value == client.timing_failures.value == 1
+    assert client.reads_resolved.value == 0 and not outcomes
     testbed.sim.run(until=30.0)
     assert len(outcomes) == 1
-    assert outcomes[0].timing_failure
-    assert outcomes[0].value is None
-    assert outcomes[0].response_time is None
-    assert client.reads_resolved == 1
+    resolved_at, outcome = outcomes[0]
+    assert resolved_at == pytest.approx(t0 + 2.0)
+    assert outcome.timing_failure
+    assert outcome.value is None
+    assert outcome.response_time is None
+    assert client.reads_resolved.value == 1
+    assert client.reads_judged.value == client.timing_failures.value == 1
 
 
 def test_qos_violation_callback_fires():
@@ -195,8 +209,9 @@ def test_qos_violation_callback_fires():
 
 def test_qos_violation_callback_fires_when_the_first_read_misses_its_deadline():
     """The verdict is judged over reads whose deadline has passed, so the
-    client hears of a miss at ``t0 + d``, not when a late reply (or the
-    garbage collector) finally resolves the read."""
+    client hears of a miss at ``t0 + d`` — and only then: the late reply
+    that resolves the read at ``t0 + 0.3`` changes no verdict, so it does
+    not notify again."""
     testbed = make_testbed(service_time=Constant(0.300))
     heard = []
     client = testbed.service.create_client(
@@ -208,8 +223,8 @@ def test_qos_violation_callback_fires_when_the_first_read_misses_its_deadline():
     t0 = 1.0
     testbed.sim.schedule_at(t0, client.invoke, "get", (), tight)
     testbed.sim.run(until=3.0)
-    assert client.reads_resolved == 1
-    assert heard[0] == (pytest.approx(t0 + tight.deadline), 1.0)
+    assert client.reads_resolved.value == 1
+    assert heard == [(pytest.approx(t0 + tight.deadline), 1.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +266,7 @@ def test_sequencer_added_to_read_targets():
     client = testbed.service.create_client("c", read_only_methods={"get"})
     client.invoke("get", qos=QOS)
     testbed.sim.run(until=2.0)
-    assert client.reads_resolved == 1  # stamp arrived, read completed
+    assert client.reads_resolved.value == 1  # stamp arrived, read completed
 
 
 def test_candidates_exclude_sequencer():

@@ -161,9 +161,9 @@ def test_retry_lowers_timing_failure_frequency():
 
     # Recovery effort is visible in its own counters, not smuggled into
     # the timing statistics: both clients judged every read exactly once.
-    assert retrying.retries_sent > 0
+    assert retrying.retries_sent.value > 0
     assert baseline.recovery_stats() == {k: 0 for k in baseline.recovery_stats()}
-    assert baseline.reads_judged == retrying.reads_judged
+    assert baseline.reads_judged.value == retrying.reads_judged.value
     assert retrying.observed_failure_probability < (
         baseline.observed_failure_probability
     )
@@ -184,14 +184,14 @@ def test_budget_guard_suppresses_hopeless_retries():
     policy = RetryPolicy(max_retries=2)
     tight = QoSSpec(staleness_threshold=10, deadline=0.015, min_probability=0.5)
     client, outcomes = crashed_replica_scenario(policy, qos=tight)
-    assert client.retries_sent == 0
+    assert client.retries_sent.value == 0
     assert sum(1 for o in outcomes if o.timing_failure) > 0
 
 
 def test_max_retries_bounds_redispatches():
     client, _ = crashed_replica_scenario(RetryPolicy(max_retries=1))
-    judged = client.reads_judged
-    assert client.retries_sent <= judged  # at most one per read
+    judged = client.reads_judged.value
+    assert client.retries_sent.value <= judged  # at most one per read
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def test_eviction_of_all_live_targets_triggers_redispatch():
     Process(testbed.sim, run())
     testbed.sim.run(until=8.0)
 
-    assert client.failover_redispatches >= 1
+    assert client.failover_redispatches.value >= 1
     assert len(outcomes) == 1
     assert outcomes[0].value is not None
     assert not outcomes[0].timing_failure
@@ -258,14 +258,14 @@ def test_hedge_duplicates_demanding_single_selections():
     assert len(reader.outcomes) == 20
     # Every single-replica selection above the probability bar is hedged
     # to the model's runner-up replica.
-    assert client.hedges_sent == 20
+    assert client.hedges_sent.value == 20
     stats = client.recovery_stats()
     assert stats["hedges_sent"] == 20
     assert stats["hedge_resolved"] <= 20
     # Hedges are free of accounting side effects: one judgement per read,
     # no retries implied.
-    assert client.reads_judged >= 20
-    assert client.retries_sent == 0
+    assert client.reads_judged.value >= 20
+    assert client.retries_sent.value == 0
 
 
 def test_no_hedge_below_probability_bar():
@@ -275,7 +275,7 @@ def test_no_hedge_below_probability_bar():
     relaxed = QoSSpec(staleness_threshold=10, deadline=1.0, min_probability=0.5)
     PeriodicReader(testbed.sim, client, relaxed, period=0.1, count=20)
     testbed.sim.run(until=8.0)
-    assert client.hedges_sent == 0
+    assert client.hedges_sent.value == 0
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +325,12 @@ def test_overload_reply_does_not_burn_retry_budget_immediately():
     testbed, client = shedding_testbed(RetryPolicy(max_retries=1))
     outcomes = flood(testbed, client)
 
-    assert client.overload_replies > 0
+    assert client.overload_replies.value > 0
     assert len(outcomes) == 80  # every flooded read was judged
     # The retry budget bounds re-dispatches: at most one per read, even
     # though far more OverloadReplies than reads arrived.
-    assert client.retries_sent <= 80
-    assert client.overload_replies > client.retries_sent
+    assert client.retries_sent.value <= 80
+    assert client.overload_replies.value > client.retries_sent.value
 
 
 def test_never_retries_a_shedding_replica_before_retry_after():
@@ -352,7 +352,7 @@ def test_never_retries_a_shedding_replica_before_retry_after():
                 violations.append(
                     (record.time, target, backoff_until[target])
                 )
-    assert client.retries_sent > 0  # the scenario actually exercised retries
+    assert client.retries_sent.value > 0  # the scenario actually exercised retries
     assert not violations
 
 
@@ -374,9 +374,9 @@ def test_backoff_retry_waits_out_the_shed_window():
         client.invoke("get", (), QOS, callback=outcomes.append)
     testbed.sim.run(until=12.0)
 
-    assert client.overload_replies > 0
+    assert client.overload_replies.value > 0
     assert len(outcomes) == 40
     # Single-replica selections that get bounced recover via the armed
     # back-off retry; some reads resolve only because of it.
-    assert client.retries_sent > 0
+    assert client.retries_sent.value > 0
     assert sum(1 for o in outcomes if o.value is not None) > 0

@@ -94,7 +94,7 @@ def test_added_secondary_serves_reads():
 
     Process(testbed.sim, run())
     testbed.sim.run(until=30.0)
-    assert new.reads_served > 0
+    assert new.reads_served.value > 0
     assert all(o.value is not None for o in reads)
 
 
@@ -126,7 +126,7 @@ def test_recovered_secondary_serves_deferred_and_fresh_reads():
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
     victim = service.secondaries[0]
-    reads_before = victim.reads_served
+    reads_before = victim.reads_served.value
 
     def run():
         for i in range(30):
@@ -140,7 +140,7 @@ def test_recovered_secondary_serves_deferred_and_fresh_reads():
     testbed.sim.schedule_at(3.0, service.recover_secondary, victim.name)
     testbed.sim.run(until=30.0)
     # It served reads again after recovery (channel epochs healed).
-    assert victim.reads_served > reads_before
+    assert victim.reads_served.value > reads_before
     assert victim.app.value == 30
 
 

@@ -73,7 +73,7 @@ def test_updates_continue_after_sequencer_crash():
     serving = [p for p in service.primaries if p.name != "svc-p1"]
     histories = {tuple(p.app.history) for p in serving}
     assert len(histories) == 1
-    assert client.updates_resolved == client.updates_issued
+    assert client.updates_resolved.value == client.updates_issued.value
     # Reads kept flowing after the crash too.
     assert any(not r.timing_failure for r in reads[-5:])
 
@@ -118,8 +118,8 @@ def test_reads_restamped_after_sequencer_crash():
     testbed.sim.run(until=20.0)
     assert len(outcomes) == 1
     assert outcomes[0].value == 1
-    queried = sum(p.gsn_queries_sent for p in service.primaries) + sum(
-        s.gsn_queries_sent for s in service.secondaries
+    queried = sum(p.gsn_queries_sent.value for p in service.primaries) + sum(
+        s.gsn_queries_sent.value for s in service.secondaries
     )
     assert queried > 0
 
@@ -144,7 +144,7 @@ def test_lazy_propagation_continues_after_publisher_crash():
     testbed.sim.schedule_at(3.0, testbed.network.crash, "svc-p1")
     testbed.sim.run(until=20.0)
     new_publisher = service.primaries[1]
-    assert new_publisher.lazy_updates_sent > 0
+    assert new_publisher.lazy_updates_sent.value > 0
     final = max(p.my_csn for p in service.primaries[1:])
     for secondary in service.secondaries:
         assert secondary.my_csn >= final - 2  # within a couple of lazy rounds

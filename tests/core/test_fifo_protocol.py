@@ -122,7 +122,7 @@ def test_fifo_lazy_propagation_to_secondaries():
     for secondary in testbed.service.secondaries:
         assert secondary.commit_count == 5
         assert secondary.app.value == 5
-        assert secondary.lazy_updates_applied > 0
+        assert secondary.lazy_updates_applied.value > 0
 
 
 def test_fifo_client_candidates_include_all_primaries():

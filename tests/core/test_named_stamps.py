@@ -245,8 +245,8 @@ def test_a_named_replica_outside_the_sequencers_view_asks_for_its_stamp():
     testbed.sim.run(until=2.0)
     wait = service.config.gsn_wait_timeout
     s3 = service.replica_by_name("svc-s3")
-    assert s3.gsn_queries_sent == 1
-    assert service.replica_by_name("svc-p1").gsn_queries_sent == 0
+    assert s3.gsn_queries_sent.value == 1
+    assert service.replica_by_name("svc-p1").gsn_queries_sent.value == 0
     assert [recipient for _, _, recipient in stamps] == ["svc-p1", "svc-s3"]
     assert stamps[1][0] == pytest.approx(0.001 + wait + 0.001)
     assert [replica for _, replica in replies] == ["svc-p1", "svc-s3"]
@@ -284,11 +284,11 @@ def test_a_sequencer_crash_around_a_named_stamp_still_resolves_the_read(
     assert not p3._awaiting_gsn
     if via_new_leader:
         # The stamp was never sent: the new leader answered a GsnQuery.
-        assert p3.gsn_queries_sent >= 1
+        assert p3.gsn_queries_sent.value >= 1
         assert outcomes[0].response_time > 0.35
     else:
         # Sent before the crash, it lands all the same.
-        assert p3.gsn_queries_sent == 0
+        assert p3.gsn_queries_sent.value == 0
         assert outcomes[0].response_time < 0.1
 
 
@@ -435,7 +435,7 @@ def test_named_and_broadcast_twins_observe_the_same_operations(
         assert len(outcomes) == len(schedule)
         return (
             outcomes,
-            testbed.network.messages_sent,
+            testbed.network.messages_sent.value,
         )
 
     named, named_sent = run(broadcast=False)

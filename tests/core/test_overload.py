@@ -203,13 +203,6 @@ def test_ladder_recovers_one_level_per_quiet_window():
     assert policy.note_ok(5.0) is None  # already nominal
 
 
-def test_note_pressure_only_reacts_to_high_levels():
-    policy = DegradationPolicy(step_cooldown=0.0)
-    assert policy.note_pressure(0.0, ELEVATED) is None
-    assert policy.note_pressure(0.0, HIGH) is not None
-    assert policy.level == 1
-
-
 def test_admit_relaxes_qos_per_level():
     policy = DegradationPolicy()  # STALENESS_WIDEN 5, PROBABILITY_RELIEF 0.1
     assert policy.admit(QOS) is QOS  # nominal: untouched
@@ -230,10 +223,7 @@ def test_shed_level_sheds_only_low_priority():
     assert policy.admit(vip, priority="platinum") is not None
     assert policy.admit(QOS, priority="bronze") is None
     assert policy.admit(QOS) is None  # inferred from P_c <= bronze floor
-    assert policy.reads_shed == 2
-    stats = policy.stats()
-    assert stats["degradation_steps_down"] == 3
-    assert stats["degradation_reads_shed"] == 2
+    assert sum(step.down for step in policy.steps) == 3
 
 
 def test_prefer_secondaries_at_configured_level():
@@ -259,7 +249,7 @@ def test_full_queue_sheds_reads_with_explicit_reply():
         client.invoke("get", (), QOS, callback=outcomes.append)
     testbed.sim.run(until=8.0)
 
-    assert client.overload_replies > 0
+    assert client.overload_replies.value > 0
     assert len(outcomes) == 50  # every read judged, shed or served
     for handler in testbed.service.all_replicas():
         # capacity + the in-service slot + one unsheddable update
@@ -283,7 +273,7 @@ def test_expired_deadline_sheds_on_arrival():
     client.invoke("get", (), hopeless, callback=outcomes.append)
     testbed.sim.run(until=6.0)
 
-    assert client.overload_replies > 0
+    assert client.overload_replies.value > 0
     reasons = {
         r.detail["reason"] for r in testbed.trace.filter("replica.shed")
     }
@@ -299,7 +289,7 @@ def test_unbounded_service_never_sheds():
     for _ in range(50):
         client.invoke("get", (), QOS, callback=outcomes.append)
     testbed.sim.run(until=8.0)
-    assert client.overload_replies == 0
+    assert client.overload_replies.value == 0
     assert all(o.value is not None for o in outcomes)
 
 
@@ -334,7 +324,7 @@ def test_deferred_read_expires_at_client_deadline():
 
     testbed.sim.run(until=5.0)
     assert len(secondary._deferred) == 0
-    assert client.overload_replies == 1
+    assert client.overload_replies.value == 1
     reasons = {
         r.detail["reason"] for r in testbed.trace.filter("replica.shed")
     }
@@ -361,7 +351,7 @@ def test_recovery_bounces_deferred_reads_even_without_overload_config():
     testbed.sim.run(until=3.0)
 
     assert len(secondary._deferred) == 0
-    assert client.overload_replies == 1
+    assert client.overload_replies.value == 1
     reasons = {
         r.detail["reason"] for r in testbed.trace.filter("replica.shed")
     }

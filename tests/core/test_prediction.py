@@ -206,7 +206,7 @@ def test_evaluation_counter_tracks_distribution_computations():
     predictor = ResponseTimePredictor(repo, 2.0)
     predictor.immediate_cdf("r", 0.1)
     predictor.response_cdfs("r", 0.1)
-    assert predictor.evaluations == 2
+    assert predictor.evaluations.value == 2
 
 
 def test_constructor_validation():

@@ -54,7 +54,7 @@ def test_candidate_cdfs_bit_identical_to_scalar_loop():
         expected_pairs = [scalar_p.response_cdfs(n, deadline) for n in secondaries]
         assert primary_cdfs == expected_primary  # exact, not approx
         assert secondary_pairs == expected_pairs
-    assert fused_p.evaluations == scalar_p.evaluations
+    assert fused_p.evaluations.value == scalar_p.evaluations.value
     assert fused_p.cache_stats == scalar_p.cache_stats
 
 

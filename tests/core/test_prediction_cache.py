@@ -118,8 +118,8 @@ def test_unchanged_gateway_delay_does_not_invalidate():
     predictor.immediate_cdf("r", 0.150)
     repo.record_reply("r", tg=0.001, now=2.0)  # identical latest_tg
     predictor.immediate_cdf("r", 0.150)
-    assert predictor.cache_hits == 1
-    assert predictor.cache_invalidations == 0
+    assert predictor.cache_hits.value == 1
+    assert predictor.cache_invalidations.value == 0
 
 
 def test_bootstrap_path_bypasses_cache():
@@ -247,7 +247,7 @@ def test_unchanged_candidates_cost_no_arithmetic(arithmetic):
     del arithmetic[:]
     assert predictor.candidate_cdfs(_PRIMARIES, _SECONDARIES, 0.150) == first
     assert arithmetic == [("lazy_interval", repo)]  # T_L resolved once per read
-    assert predictor.evaluations == 64
+    assert predictor.evaluations.value == 64
     assert predictor.cache_stats == {"hits": 32, "misses": 32, "invalidations": 0}
 
 
@@ -351,7 +351,7 @@ _ops = st.builds(
 
 
 def _counters(predictor):
-    return (predictor.evaluations, predictor.cache_stats)
+    return (predictor.evaluations.value, predictor.cache_stats)
 
 
 def _stale_slot_examples(test):

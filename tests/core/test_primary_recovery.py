@@ -91,7 +91,7 @@ def test_primary_rejoin_restores_full_strength():
     assert victim.my_gsn >= donor.my_csn
     assert victim.app.history == donor.app.history
     assert victim.app.value == donor.app.value
-    assert victim.state_transfers_completed >= 1
+    assert victim.state_transfers_completed.value >= 1
     assert donor.my_csn >= 16  # nothing was lost while the victim was out
     assert len(committed_before) == 8
     done = [r for r in trace.filter("replica.state-transfer-done", victim.name)]
@@ -160,7 +160,7 @@ def test_rejoin_survives_sequencer_failover_mid_transfer():
     assert view.leader == service.primaries[0].name  # promoted by rank
     assert victim.name in view
     assert not victim._recovering
-    assert victim.state_transfers_completed >= 1
+    assert victim.state_transfers_completed.value >= 1
     donor = service.primaries[2]
     assert victim.my_csn == donor.my_csn
     assert victim.app.history == donor.app.history
@@ -234,7 +234,7 @@ def test_flush_pending_invalidates_inflight_completions():
         testbed.sim.run(until=testbed.sim.now + 0.005)
     assert victim._busy
     incarnation = victim._incarnation
-    served_before = victim.updates_committed + victim.reads_served
+    served_before = victim.updates_committed.value + victim.reads_served.value
 
     testbed.network.crash(victim.name)
     victim.flush_pending()
@@ -242,4 +242,4 @@ def test_flush_pending_invalidates_inflight_completions():
     assert not victim._busy
     testbed.sim.run(until=testbed.sim.now + 0.5)
     # The stale completion fired but was discarded by the guard.
-    assert victim.updates_committed + victim.reads_served == served_before
+    assert victim.updates_committed.value + victim.reads_served.value == served_before

@@ -72,11 +72,11 @@ def test_busy_time_accumulates_service_time():
     testbed.sim.run(until=10.0)
     served = [
         r for r in testbed.service.primaries + testbed.service.secondaries
-        if r.reads_served
+        if r.reads_served.value
     ]
     assert served
     for replica in served:
-        assert replica.busy_time == pytest.approx(0.020 * replica.reads_served)
+        assert replica.busy_time == pytest.approx(0.020 * replica.reads_served.value)
 
 
 def test_queuing_delay_measured_under_contention():
@@ -121,5 +121,5 @@ def test_crashed_replica_drops_in_service_work():
     primary.enqueue_ready(PendingRequest(request=request, arrived_at=0.0))
     testbed.sim.schedule_at(0.05, testbed.network.crash, primary.name)
     testbed.sim.run(until=2.0)
-    assert primary.reads_served == 0
+    assert primary.reads_served.value == 0
     assert primary.busy_time == 0.0

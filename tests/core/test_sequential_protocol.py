@@ -97,7 +97,7 @@ def test_sequencer_does_not_execute_updates():
     client = testbed.service.create_client("c", read_only_methods={"get"})
     drive(testbed, client, steps=3)
     assert testbed.service.sequencer.app.value == 0
-    assert testbed.service.sequencer.updates_committed == 0
+    assert testbed.service.sequencer.updates_committed.value == 0
 
 
 def test_all_primaries_commit_same_order_under_concurrency():
@@ -219,7 +219,7 @@ def test_deferred_read_waits_for_lazy_update():
         "c", read_only_methods={"get"}, strategy=SecondariesOnly()
     )
     reads = drive(testbed, client, steps=6, qos=qos, gap=0.1)
-    assert secondary.deferred_reads_served > 0
+    assert secondary.deferred_reads_served.value > 0
     deferred = [o for o in reads if o.deferred]
     assert deferred, "deferred service should surface in outcomes"
     for outcome in deferred:
@@ -240,16 +240,16 @@ def test_lazy_updates_propagate_state_to_secondaries():
     for secondary in testbed.service.secondaries:
         assert secondary.app.value == 5
         assert secondary.my_csn == 5
-        assert secondary.lazy_updates_applied > 0
+        assert secondary.lazy_updates_applied.value > 0
 
 
 def test_only_publisher_sends_lazy_updates():
     testbed = make_testbed(lui=0.5)
     testbed.sim.run(until=5.0)
     service = testbed.service
-    assert service.primaries[0].lazy_updates_sent >= 8
-    assert service.primaries[1].lazy_updates_sent == 0
-    assert service.sequencer.lazy_updates_sent == 0
+    assert service.primaries[0].lazy_updates_sent.value >= 8
+    assert service.primaries[1].lazy_updates_sent.value == 0
+    assert service.sequencer.lazy_updates_sent.value == 0
 
 
 def test_lazy_interval_controls_propagation_rate():
@@ -258,8 +258,8 @@ def test_lazy_interval_controls_propagation_rate():
     fast.sim.run(until=10.0)
     slow.sim.run(until=10.0)
     assert (
-        fast.service.primaries[0].lazy_updates_sent
-        > 3 * slow.service.primaries[0].lazy_updates_sent
+        fast.service.primaries[0].lazy_updates_sent.value
+        > 3 * slow.service.primaries[0].lazy_updates_sent.value
     )
 
 

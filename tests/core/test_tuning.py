@@ -139,7 +139,7 @@ def test_adaptive_interval_tightens_under_fast_updates():
     # Budget for (a=2, p=0.9) is ~1.1 expected updates; at 5/s the interval
     # must come down to ~0.22 s, far below the initial 2 s.
     assert publisher.lazy_update_interval < 0.5
-    assert publisher.lazy_updates_sent > 100  # propagating much more often
+    assert publisher.lazy_updates_sent.value > 100  # propagating much more often
 
 
 def test_adaptive_interval_relaxes_when_quiet():

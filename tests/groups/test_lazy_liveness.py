@@ -86,7 +86,7 @@ def test_fault_free_fabric_carries_no_heartbeat_and_keeps_the_view():
     # the members' first ticks make them lazy; the second (0.5) finds every
     # member beating lazily, so all a later sweep could do is credit a beat
     # that the first fault overwrites anyway: the chain stops there.
-    assert group.network.messages_sent == 6
+    assert group.network.messages_sent.value == 6
     assert group.sim.events_processed == 6 + 2 + len(MEMBERS)
 
 

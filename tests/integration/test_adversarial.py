@@ -79,7 +79,7 @@ def test_two_successive_sequencer_crashes():
         if p.name != "svc-p2"  # p2 is the final sequencer
     ]
     assert all(p.app.history == list(range(1, 41)) for p in live_serving)
-    assert client.updates_resolved == 40
+    assert client.updates_resolved.value == 40
 
 
 def test_membership_service_outage_does_not_stop_traffic():

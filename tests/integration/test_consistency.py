@@ -191,4 +191,4 @@ def test_realistic_service_times_end_to_end():
     for outcome in reads:
         assert outcome.value == outcome.gsn
     for client in clients:
-        assert client.updates_resolved == 10
+        assert client.updates_resolved.value == 10

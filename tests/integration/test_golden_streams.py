@@ -115,7 +115,7 @@ def _check_stream(name, op_lines, testbed):
     _check(f"{name}.outcomes", op_lines)
     cost = (
         f"events={testbed.sim.events_processed} "
-        f"sent={testbed.network.messages_sent}"
+        f"sent={testbed.network.messages_sent.value}"
     )
     assert cost == GOLDEN[f"{name}.cost"], f"{name}: kernel/fabric cost moved"
 
@@ -157,15 +157,15 @@ def test_paper_cell_is_the_same_cell_with_the_prediction_cache_off(paper_scenari
         (paper_scenario.client1, uncached.client1),
         (paper_scenario.client2, uncached.client2),
     ):
-        assert shipped.handler.predictor.cache_hits > 0
+        assert shipped.handler.predictor.cache_hits.value > 0
         assert recomputed.handler.predictor.cache_stats == {
             "hits": 0, "misses": 0, "invalidations": 0
         }
         assert shipped.read_outcomes == recomputed.read_outcomes
         assert shipped.update_outcomes == recomputed.update_outcomes
         assert (
-            shipped.handler.predictor.evaluations
-            == recomputed.handler.predictor.evaluations
+            shipped.handler.predictor.evaluations.value
+            == recomputed.handler.predictor.evaluations.value
         )
 
 
@@ -185,8 +185,8 @@ def test_paper_cell_is_the_same_cell_with_acks_and_beats_on_the_wire(paper_scena
         assert lazy.update_outcomes == on_the_wire.update_outcomes
     assert paper_scenario.testbed.network.fault_free
     assert (
-        wired.testbed.network.messages_sent
-        > 1.5 * paper_scenario.testbed.network.messages_sent
+        wired.testbed.network.messages_sent.value
+        > 1.5 * paper_scenario.testbed.network.messages_sent.value
     )
 
 
@@ -216,8 +216,8 @@ def test_paper_cell_is_the_same_cell_with_the_stamp_broadcast(
     )
     replicas = len(paper.testbed.service.all_replicas()) - 1
     assert (
-        paper.testbed.network.messages_sent
-        - paper_scenario.testbed.network.messages_sent
+        paper.testbed.network.messages_sent.value
+        - paper_scenario.testbed.network.messages_sent.value
         == reads * replicas - selected
     )
 

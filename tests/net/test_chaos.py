@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.net import chaos
 from repro.net.chaos import ChaosConfig, ChaosEngine, ChaosTargets
 from repro.net.latency import FixedLatency
 from repro.net.network import Endpoint, Network
@@ -54,11 +55,11 @@ def make_engine(network, seed=7, config=None, **target_kwargs):
     [
         {"duration": 0.0},
         {"mean_interval": 0.0},
-        {"max_concurrent_down": 0},
-        {"downtime": (0.0, 1.0)},
-        {"downtime": (2.0, 1.0)},
-        {"loss_probability": (0.2, 0.1)},
-        {"loss_probability": (0.5, 1.0)},  # the fabric takes [0, 1) only
+        {"partition_weight": -1.0},
+        {"overload_window": (0.0, 1.0)},
+        {"overload_window": (2.0, 1.0)},
+        {"loss_weight": -0.1},
+        {"membership_outage_weight": -1.0},
     ],
 )
 def test_chaos_config_rejects_bad_values(kwargs):
@@ -123,15 +124,17 @@ def test_protected_endpoints_are_never_faulted():
 
     sim.schedule(0.05, sample)
     sim.run(until=15.0)
-    assert engine.faults_injected > 0
+    assert engine.faults_injected.value > 0
     for event in engine.events:
         assert event.target != "p1"
         assert "p1" not in event.detail.get("minority", ())
 
 
-def test_at_least_one_serving_primary_stays_live():
+def test_at_least_one_serving_primary_stays_live(monkeypatch):
     sim, network = make_fabric()
     # Crash-only campaign with room to take everything down if unchecked.
+    monkeypatch.setattr(chaos, "MAX_CONCURRENT_DOWN", 6)
+    monkeypatch.setattr(chaos, "DOWNTIME", (2.0, 4.0))
     config = ChaosConfig(
         duration=12.0,
         mean_interval=0.1,
@@ -139,8 +142,6 @@ def test_at_least_one_serving_primary_stays_live():
         partition_weight=0.0,
         overload_weight=0.0,
         loss_weight=0.0,
-        max_concurrent_down=6,
-        downtime=(2.0, 4.0),
     )
     engine = make_engine(network, config=config)
     engine.start()
@@ -151,19 +152,18 @@ def test_at_least_one_serving_primary_stays_live():
 
     sim.schedule(0.05, sample)
     sim.run(until=20.0)
-    assert engine.faults_injected > 0
+    assert engine.faults_injected.value > 0
 
 
-def test_concurrent_crashes_bounded():
+def test_concurrent_crashes_bounded(monkeypatch):
     sim, network = make_fabric()
+    monkeypatch.setattr(chaos, "DOWNTIME", (2.0, 4.0))
     config = ChaosConfig(
         duration=12.0,
         mean_interval=0.1,
         partition_weight=0.0,
         overload_weight=0.0,
         loss_weight=0.0,
-        max_concurrent_down=2,
-        downtime=(2.0, 4.0),
     )
     engine = make_engine(network, config=config)
     engine.start()
@@ -175,7 +175,7 @@ def test_concurrent_crashes_bounded():
 
     sim.schedule(0.05, sample)
     sim.run(until=20.0)
-    assert engine.faults_skipped > 0  # the cap actually bit
+    assert engine.faults_skipped.value > 0  # the cap actually bit
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +195,16 @@ def test_world_is_healed_after_campaign():
     assert not any(h.overloaded for h in hosts if h is not None)
 
 
-def test_repair_callback_replaces_plain_recover():
+def test_repair_callback_replaces_plain_recover(monkeypatch):
     sim, network = make_fabric()
     repaired = []
+    monkeypatch.setattr(chaos, "DOWNTIME", (0.5, 1.0))
     config = ChaosConfig(
         duration=8.0,
         mean_interval=0.2,
         partition_weight=0.0,
         overload_weight=0.0,
         loss_weight=0.0,
-        downtime=(0.5, 1.0),
     )
     targets = ChaosTargets(primaries=PRIMARIES, secondaries=SECONDARIES)
 
@@ -320,7 +320,7 @@ def test_storms_skipped_without_rate_controller():
     engine.start()
     sim.run(until=15.0)
     assert not engine.events  # storm is the only weighted fault
-    assert engine.faults_injected == 0
+    assert engine.faults_injected.value == 0
 
 
 def test_zero_storm_weight_keeps_existing_schedules():

@@ -112,9 +112,9 @@ def test_stats_counters(sim, network, pair):
     a.send("b", 1)
     a.send("nonexistent", 2)
     sim.run()
-    assert network.messages_sent == 2
-    assert network.messages_delivered == 1
-    assert network.messages_dropped == 1
+    assert network.messages_sent.value == 2
+    assert network.messages_delivered.value == 1
+    assert network.messages_dropped.value == 1
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_send_to_unknown_recipient_is_dropped(sim, network, pair):
     a, _ = pair
     a.send("ghost", 1)
     sim.run()
-    assert network.messages_dropped == 1
+    assert network.messages_dropped.value == 1
 
 
 def test_endpoint_lookup(network, pair):
