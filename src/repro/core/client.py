@@ -32,8 +32,10 @@ never charged to the simulated clock.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -238,6 +240,13 @@ class ClientHandler(GroupEndpoint):
         # Replica-name -> earliest time a new dispatch there is allowed
         # again (populated by OverloadReply.retry_after back-pressure).
         self._shed_until: dict[str, float] = {}
+        # The §5.3 candidates, name -> is_primary in view order (primaries
+        # without the sequencer, then secondaries), re-derived per view
+        # install; and those never heard from, re-derived when the views
+        # change or a replica is heard from for the first time.
+        self._roles: dict[str, bool] = {}
+        self._unheard: Optional[list[str]] = None
+        self._heard_count = 0
 
         self._pending: dict[int, _PendingCall] = {}
         # Transmission times of recent requests, kept so late replies (the
@@ -575,22 +584,33 @@ class ClientHandler(GroupEndpoint):
     def _select_replicas(
         self, qos: QoSSpec
     ) -> tuple[tuple[str, ...], Optional[float]]:
-        candidates = self._candidates(qos)
+        names = self._roles
         if self.degradation is not None and self.degradation.prefer_secondaries:
             # Ladder level >= PREFER_SECONDARIES_LEVEL: push read load off
             # the (update-serving) primaries onto the lazier secondaries
             # whenever any secondary is a candidate at all.
-            secondaries = [c for c in candidates if not c.is_primary]
+            secondaries = {n: False for n, primary in names.items() if not primary}
             if secondaries:
-                candidates = secondaries
+                names = secondaries
         if self.detector is not None:
-            candidates = self._eject_suspects(candidates)
+            names = self._eject_suspects(names)
         stale_factor = self.predictor.staleness_factor(
             qos.staleness_threshold, self.now
         )
-        result = self.strategy.select(candidates, qos, stale_factor)
+        strategy = self.strategy
+        visited: Optional[dict[str, ReplicaView]] = None
+        if isinstance(strategy, StateBasedSelection) and strategy.hot_spot_avoidance:
+            visited = {}
+            result = strategy.select(
+                self._walk(names, qos.deadline, visited), qos, stale_factor
+            )
+        else:
+            candidates = self._views(names, qos.deadline)
+            result = strategy.select(candidates, qos, stale_factor)
         predicted: Optional[float] = None
         if self.calibration is not None or self.trace.enabled:
+            if visited is not None:  # the views the walk built, in view order
+                candidates = [visited[n] for n in names if n in visited]
             # The calibration forecast folds in *all* selected replicas —
             # SelectionResult.predicted_probability deliberately excludes
             # the best one (fault tolerance) and would read conservative.
@@ -598,13 +618,82 @@ class ClientHandler(GroupEndpoint):
                 candidates,
                 result.replicas,
                 stale_factor,
-                getattr(self.strategy, "correlated_deferral", False),
+                getattr(strategy, "correlated_deferral", False),
             )
         return result.replicas, predicted
 
-    def _eject_suspects(
-        self, candidates: list[ReplicaView]
-    ) -> list[ReplicaView]:
+    def _walk(
+        self,
+        names: dict[str, bool],
+        deadline: float,
+        visited: dict[str, ReplicaView],
+    ) -> Iterator[ReplicaView]:
+        """The candidates ``names`` in Algorithm 1's line-2 order, each
+        ``V`` tuple built only when the loop asks for it.
+
+        Replicas never heard from come first (``ert`` = ∞), then the
+        repository's reply order: oldest last reply first is decreasing
+        ``ert``.  Candidates with equal ``ert`` are evaluated together and
+        visited by decreasing ``F^I``, then name — :func:`~repro.core
+        .selection.sort_candidates`' key, so the order is the sort's even
+        where float rounding makes two ``ert`` values equal.  Every view built
+        is also put in ``visited``.
+        """
+        cdfs = self.predictor.cdfs_at(deadline)
+
+        def ties(group: list[str], ert: float) -> list[ReplicaView]:
+            views = []
+            for name in group:
+                primary = names[name]
+                view = ReplicaView(name, primary, *cdfs(name, not primary), ert)
+                visited[name] = view
+                views.append(view)
+            if len(views) > 1:
+                views.sort(key=lambda v: (-v.immediate_cdf, v.name))
+            return views
+
+        unheard = [n for n in self._never_heard() if n in names]
+        if unheard:
+            yield from ties(unheard, math.inf)
+        now = self.now
+        group: list[str] = []
+        group_ert = math.inf
+        for name, stats in self.repository.by_last_reply.items():
+            if name not in names:
+                continue
+            ert = now - stats.last_reply_at
+            if ert != group_ert:
+                if group:
+                    yield from ties(group, group_ert)
+                group = []
+                group_ert = ert
+            group.append(name)
+        if group:
+            yield from ties(group, group_ert)
+
+    def _never_heard(self) -> list[str]:
+        """The candidates with no read reply yet, in view order."""
+        heard = self.repository.by_last_reply
+        if self._unheard is None or self._heard_count != len(heard):
+            self._unheard = [n for n in self._roles if n not in heard]
+            self._heard_count = len(heard)
+        return self._unheard
+
+    def _refresh_roles(self) -> None:
+        """Re-derive the candidates from the views just installed."""
+        views = self.views
+        primary = views.get(self.groups.primary)
+        secondary = views.get(self.groups.secondary)
+        roles: dict[str, bool] = {}
+        if primary is not None:
+            sequencer = primary.leader if self.has_sequencer else None
+            roles.update((m, True) for m in primary.members if m != sequencer)
+        if secondary is not None:
+            roles.update((m, False) for m in secondary.members)
+        self._roles = roles
+        self._unheard = None
+
+    def _eject_suspects(self, names: dict[str, bool]) -> dict[str, bool]:
         """Drop φ-suspected candidates before Algorithm 1 runs.
 
         Ejection is advisory, never total: if fewer than
@@ -618,19 +707,19 @@ class ClientHandler(GroupEndpoint):
         assert self.detector is not None
         detector = self.detector
         now = self.now
-        healthy: list[ReplicaView] = []
+        healthy: dict[str, bool] = {}
         ejected: list[str] = []
-        for view in candidates:
-            detector.suspicion_check(view.name, now)
+        for name, primary in names.items():
+            detector.suspicion_check(name, now)
             # is_suspected covers both the latched state (threshold may
             # have been crossed on an earlier check) and the flap-damping
             # quarantine, which outlives the clearing arrival.
-            if detector.is_suspected(view.name, now):
-                ejected.append(view.name)
+            if detector.is_suspected(name, now):
+                ejected.append(name)
             else:
-                healthy.append(view)
+                healthy[name] = primary
         if not ejected or len(healthy) < MIN_EJECT_KEEP:
-            return candidates
+            return names
         self._m_detector_ejections.inc(len(ejected))
         self.trace.emit(
             self.now, "client.eject", self.name, ejected=ejected
@@ -713,47 +802,29 @@ class ClientHandler(GroupEndpoint):
             )
         self._check_violation(pending.qos)
 
-    def _candidates(self, qos: QoSSpec) -> list[ReplicaView]:
-        """Build the ``V`` tuples of Algorithm 1 from the repository.
-
-        Goes through the predictor's fused :meth:`~repro.core.prediction
-        .ResponseTimePredictor.candidate_cdfs` — one call for the whole
-        candidate set instead of one method per replica.  ``ert`` reads
-        repository state the predictor never writes, so splitting the loop
-        in two leaves every value (and every counter) unchanged.
-        """
-        primary_view = self.view_of(self.groups.primary)
-        secondary_view = self.view_of(self.groups.secondary)
-        sequencer = primary_view.leader if self.has_sequencer else None
-        primaries = [m for m in primary_view.members if m != sequencer]
-        secondaries = list(secondary_view.members)
+    def _views(self, names: dict[str, bool], deadline: float) -> list[ReplicaView]:
+        """Every candidate in ``names`` evaluated, in view order: the whole
+        list, for a strategy that does not visit in ``ert`` order."""
+        primaries = [n for n, primary in names.items() if primary]
+        secondaries = [n for n, primary in names.items() if not primary]
         primary_cdfs, secondary_pairs = self.predictor.candidate_cdfs(
-            primaries, secondaries, qos.deadline
+            primaries, secondaries, deadline
         )
         ert = self.repository.ert
         now = self.now
-        views: list[ReplicaView] = []
-        for member, cdf in zip(primaries, primary_cdfs):
-            views.append(
-                ReplicaView(
-                    name=member,
-                    is_primary=True,
-                    immediate_cdf=cdf,
-                    delayed_cdf=cdf,  # unused for primaries (§5.3)
-                    ert=ert(member, now),
-                )
-            )
-        for member, (immediate, delayed) in zip(secondaries, secondary_pairs):
-            views.append(
-                ReplicaView(
-                    name=member,
-                    is_primary=False,
-                    immediate_cdf=immediate,
-                    delayed_cdf=delayed,
-                    ert=ert(member, now),
-                )
-            )
+        views = [
+            ReplicaView(name, True, cdf, cdf, ert(name, now))
+            for name, cdf in zip(primaries, primary_cdfs)
+        ]
+        views.extend(
+            ReplicaView(name, False, immediate, delayed, ert(name, now))
+            for name, (immediate, delayed) in zip(secondaries, secondary_pairs)
+        )
         return views
+
+    def _candidates(self, qos: QoSSpec) -> list[ReplicaView]:
+        """Every candidate's ``V`` tuple at ``qos.deadline``, in view order."""
+        return self._views(self._roles, qos.deadline)
 
     # ------------------------------------------------------------------
     # Inbound traffic
@@ -1093,21 +1164,18 @@ class ClientHandler(GroupEndpoint):
         stale_factor = self.predictor.staleness_factor(
             qos.staleness_threshold, self.now
         )
-        for view in self._candidates(qos):
-            if view.name in exclude:
+        for name, primary in self._roles.items():
+            if name in exclude:
                 continue
-            if view.is_primary:
-                score = self.predictor.immediate_cdf(view.name, deadline)
+            if primary:
+                score = self.predictor.immediate_cdf(name, deadline)
             else:
-                immediate, delayed = self.predictor.response_cdfs(
-                    view.name, deadline
-                )
+                immediate, delayed = self.predictor.response_cdfs(name, deadline)
                 score = stale_factor * immediate + (1.0 - stale_factor) * delayed
             if score > best_score or (
-                score == best_score
-                and (best_name is None or view.name < best_name)
+                score == best_score and (best_name is None or name < best_name)
             ):
-                best_name = view.name
+                best_name = name
                 best_score = score
         return best_name
 

@@ -31,11 +31,11 @@ grid and one correctly rounded division, so the values are the floats
 nearest the exact rationals and do not depend on summation order.  Per
 replica the counts of ``S ⊛ W`` (and their running sum) are cached, keyed
 on the two windows' versions only: ``G`` is an integer bin offset applied
-at evaluation time, so a reply invalidates nothing.  Behind
-:meth:`ResponseTimePredictor.candidate_cdfs`, the per-read loop, the two
-*values* are memoised per replica as well, keyed on everything an
-evaluation reads, so a read recomputes only the replicas whose history
-moved since the previous one.  A
+at evaluation time, so a reply invalidates nothing.  A read evaluates
+only the candidates Algorithm 1 visits (:meth:`ResponseTimePredictor
+.cdfs_at`); behind :meth:`ResponseTimePredictor.candidate_cdfs`, which
+evaluates every candidate, the two *values* are memoised per replica,
+keyed on everything an evaluation reads.  A
 :class:`~repro.stats.pmf.DiscretePmf` is materialized from the same counts
 only by :meth:`ResponseTimePredictor.response_pmfs`, for sampling.
 """
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -148,35 +148,34 @@ class ResponseTimePredictor:
         """``F^I_{R_i}(d)`` alone (primary replicas never defer)."""
         return self._evaluate(replica, deadline, self._deadline_bin(deadline), False)[0]
 
+    def cdfs_at(self, deadline: float) -> Callable[[str, bool], tuple[float, float]]:
+        """One read's evaluator ``(replica, deferred) -> (F^I(d), F^D(d))``,
+        with the deadline binned and ``T_L`` resolved once: the client's
+        walk calls it for each candidate Algorithm 1 visits, and no other."""
+        k = self._deadline_bin(deadline)
+        n_wait = self._uniform_bins()
+        evaluate = self._evaluate
+        return lambda name, deferred: evaluate(name, deadline, k, deferred, n_wait)
+
     def candidate_cdfs(
         self, primaries, secondaries, deadline: float
     ) -> tuple[list[float], list[tuple[float, float]]]:
-        """Every candidate's cdf values for one read, in one call.
-
-        The per-read loop the client gateway runs for Algorithm 1:
-        :meth:`immediate_cdf` for each primary, :meth:`response_cdfs` for
-        each secondary — same values, same counter totals, with the
-        deadline binned and ``T_L`` resolved once.
+        """Every candidate's cdf values for one read, in one call, for a
+        strategy that takes the whole list (the baselines, the no-``ert``
+        ablation, the aggregated client tier): :meth:`cdfs_at`'s values.
 
         With the cache on, a candidate none of whose inputs moved since the
-        previous call is answered from the value memo: one dict lookup and
-        one tuple compare.  Such a candidate would have been one evaluation
-        and one count-cache hit (its key pins both window versions, so the
-        ``S ⊛ W`` entry stored with it is still current); the two counters
-        are credited in bulk after the loop.  The scalar methods neither
-        read nor write the memo, so a retry budget asked at another
-        deadline cannot evict the per-read slot.
+        previous call is answered from the value memo (one dict lookup, one
+        tuple compare) and credited, after the loop, as the evaluation and
+        count-cache hit it stands for: its key pins both window versions.
+        The scalar methods and :meth:`cdfs_at` neither read nor write the
+        memo, so a question at another deadline cannot evict a slot.
         """
         k = self._deadline_bin(deadline)
         n_wait = self._uniform_bins()
         evaluate = self._evaluate
-        if not self.use_cache:
-            return (
-                [evaluate(name, deadline, k, False)[0] for name in primaries],
-                [evaluate(name, deadline, k, True, n_wait) for name in secondaries],
-            )
         stats_for = self.repository.stats_for
-        memo = self._memo
+        memo = self._memo if self.use_cache else {}  # off: no slot survives
         primary_pairs: list[tuple[float, float]] = []
         secondary_pairs: list[tuple[float, float]] = []
         hits = 0

@@ -7,7 +7,9 @@ broadcasts), the most recently observed two-way gateway delay ``t_g``
 (derived from replies; §5.2.1 keeps only the latest value because the
 gateway delay "does not fluctuate as much as the other parameters do"),
 and the time a reply was last received (for the elapsed-response-time
-``ert`` ordering that avoids hot spots).
+``ert`` ordering that avoids hot spots).  The replicas heard from are also
+kept in the order of their last read reply, which is Algorithm 1's
+line-2 visiting order without a sort.
 
 For the staleness model (§5.4.1) it keeps a sliding window of the lazy
 publisher's ``<n_u, t_u>`` pairs (update-arrival-rate estimate) and the
@@ -74,6 +76,10 @@ class ClientInfoRepository:
         # raw samples otherwise, so a mismatch costs speed, not accuracy).
         self.quantum = float(quantum)
         self._stats: dict[str, ReplicaStats] = {}
+        # Replicas with a read reply, oldest last reply first: decreasing
+        # ert.  record_reply moves a replica to the end, and the simulated
+        # clock never goes back, so the order holds without a sort.
+        self.by_last_reply: dict[str, ReplicaStats] = {}
         self.update_rate_window = PairWindow(window_size)
         self.latest_lazy: Optional[LazyObservation] = None
 
@@ -138,11 +144,16 @@ class ClientInfoRepository:
         depress the primaries' ert, starve them of read duty, and silence
         the lazy publisher's staleness broadcasts (which ride on read
         completions, §5.4.1).  The gateway delay is refreshed either way.
+        ``now`` never decreases from one call to the next (it is the
+        simulated clock), which keeps :attr:`by_last_reply` in order.
         """
         stats = self.stats_for(replica)
         stats.latest_tg = max(0.0, tg)
         if read:
             stats.last_reply_at = now
+            order = self.by_last_reply
+            order.pop(replica, None)
+            order[replica] = stats
 
     # ------------------------------------------------------------------
     # Staleness-model inputs (§5.4.1)

@@ -14,15 +14,16 @@ paper's algorithm against naive alternatives.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from repro.core.qos import QoSSpec
 
 
-# Neither record is frozen: Algorithm 1 builds one view per candidate per
-# read, and a frozen dataclass pays ``object.__setattr__`` per field.  Treat
-# instances as immutable.
+# Neither record is frozen: Algorithm 1 builds one view per visited
+# candidate per read, and a frozen dataclass pays ``object.__setattr__`` per
+# field.  Treat instances as immutable.
 @dataclass(slots=True, unsafe_hash=True)
 class ReplicaView:
     """The per-replica tuple ``V = <i, F^I_Ri(d), F^D_Ri(d), ert_i>``.
@@ -119,7 +120,8 @@ class _PkAccumulator:
 def sort_candidates(candidates: Sequence[ReplicaView]) -> list[ReplicaView]:
     """Line 2 of Algorithm 1: decreasing ``ert``; ties by decreasing CDF.
 
-    A final name tie-break keeps runs reproducible.
+    A final name tie-break keeps runs reproducible.  The client's read path
+    produces the same order without this sort (``ClientHandler._walk``).
     """
     return sorted(candidates, key=lambda r: (-r.ert, -r.immediate_cdf, r.name))
 
@@ -177,28 +179,38 @@ class StateBasedSelection(SelectionStrategy):
 
     def select(
         self,
-        candidates: Sequence[ReplicaView],
+        candidates: Union[Sequence[ReplicaView], Iterator[ReplicaView]],
         qos: QoSSpec,
         stale_factor: float,
     ) -> SelectionResult:
-        if not candidates:
-            return SelectionResult((), 0.0, satisfied=qos.min_probability == 0.0)
-        if self.hot_spot_avoidance:
-            ordered = sort_candidates(candidates)
+        """Run Algorithm 1 over ``candidates``.
+
+        A sequence is sorted into the visiting order here.  An iterator is
+        taken to arrive in line-2 order already: the client's reply-order
+        walk, which builds each ``V`` tuple only when the loop asks for the
+        next one, so a read pays only for the replicas it visits.
+        """
+        if isinstance(candidates, Iterator):
+            ordered = candidates
+        elif self.hot_spot_avoidance:
+            ordered = iter(sort_candidates(candidates))
         else:
-            ordered = sorted(
-                candidates, key=lambda r: (-r.immediate_cdf, r.name)
+            ordered = iter(
+                sorted(candidates, key=lambda r: (-r.immediate_cdf, r.name))
             )
+        first = next(ordered, None)
+        if first is None:
+            return SelectionResult((), 0.0, satisfied=qos.min_probability == 0.0)
         acc = _PkAccumulator(stale_factor, self.correlated_deferral)
         target = qos.min_probability
 
         # Lines 3: seed K with the first candidate, which also starts as
         # maxCDFReplica — the member whose failure the test simulates by
         # excluding its distribution from the product.
-        selected: list[ReplicaView] = [ordered[0]]
-        max_cdf_replica = ordered[0]
+        selected: list[ReplicaView] = [first]
+        max_cdf_replica = first
 
-        for replica in ordered[1:]:
+        for replica in ordered:
             selected.append(replica)
             # Lines 6-11: always keep the best immediate CDF excluded;
             # fold the previous best (or this replica) into the products.

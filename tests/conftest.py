@@ -14,6 +14,24 @@ from repro.sim.rng import RngRegistry
 from repro.sim.tracing import Trace
 
 
+#: Registry series that count work rather than record what happened: how
+#: often the predictor evaluated and looked up its count cache.  A change
+#: that only evaluates less moves these and nothing else, so each pinned
+#: campaign cell also pins its digest without them (``work_free`` goldens),
+#: recorded at the commit before the last such change.
+WORK_SERIES = frozenset({
+    "predictor_evaluations",
+    "predictor_cache_hits",
+    "predictor_cache_misses",
+    "predictor_cache_invalidations",
+})
+
+
+@pytest.fixture(scope="session")
+def work_series() -> frozenset:
+    return WORK_SERIES
+
+
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()

@@ -1,7 +1,7 @@
 """Batched prediction APIs pinned to the scalar path (ISSUE 6).
 
-Two surfaces: ``candidate_cdfs`` (many replicas, one deadline — the fused
-per-read loop the client gateway runs) and ``DiscretePmf.cdf_many`` (one
+Two surfaces: ``candidate_cdfs`` (many replicas, one deadline — every
+candidate of a read, for the strategies that take the whole list) and ``DiscretePmf.cdf_many`` (one
 pmf, a batch of points — the gather the fluid tier samples through).  The
 load-bearing property is that neither may drift from the scalar methods:
 exactly equal values and, for the fused path, the *same counter

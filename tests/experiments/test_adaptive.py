@@ -232,15 +232,29 @@ def controller_cell():
 #: arrival — a read that must wait for state starts waiting that much sooner,
 #: one that need not is answered that much sooner.  Every result field,
 #: bucket count and controller decision stayed equal.
+#: Re-recorded when a read came to evaluate only the candidates Algorithm 1
+#: visits, so the ``predictor_*`` series count fewer evaluations; the
+#: ``GOLDEN_CONTROLLER_CELL_WORK_FREE`` digest, recorded at the commit
+#: before, holds.
 GOLDEN_CONTROLLER_CELL = (
-    "1bddc97bdf83a9114a7b12cb34cb0f031c5a7cb4684ea8087c76d8b1519f5390"
+    "dba36853fc7cb8b87c73db0bb0e540ffbc25ebefc999204fd388d93e679f9b90"
+)
+
+
+#: The same cell without the work series (``tests/conftest.py``).
+GOLDEN_CONTROLLER_CELL_WORK_FREE = (
+    "236a3d003f2c2703a1fde9c2eebaf65c5b5903ef5247f0ebed07b8a67047c43e"
 )
 
 
 @pytest.mark.slow
-def test_controller_cell_is_pinned(controller_cell, cell_digest):
+def test_controller_cell_is_pinned(controller_cell, cell_digest, work_series):
     got = cell_digest(controller_cell)
     assert got == GOLDEN_CONTROLLER_CELL, f"the seeded cell moved (got {got})"
+    work_free = cell_digest(controller_cell, work_series)
+    assert work_free == GOLDEN_CONTROLLER_CELL_WORK_FREE, (
+        f"more than work moved (got {work_free})"
+    )
 
 
 @pytest.mark.slow

@@ -36,16 +36,30 @@ def short_pair():
 #: in ``baseline`` the exact values also resolve selection ties the old
 #: rounding noise used to decide (839 -> 835 replicas selected, 36 fewer
 #: messages), which is the intended effect.
+#: Re-recorded when a read came to evaluate only the candidates Algorithm 1
+#: visits, so the ``predictor_*`` series count fewer evaluations; the
+#: ``GOLDEN_WORK_FREE`` digests, recorded at the commit before, hold.
 GOLDEN = {
-    "detector": "b6f248806134bbfea512ff6f07029531106465562dffab84b3615e19dcb676a7",
-    "baseline": "9f99043301a88480511b044b41d08d6086cb9bba70f6ed71bae75c3248cd0f82",
+    "detector": "5afebf8417b097ec789c7cb59e4f1d7f2b22fda7590e44b0ccae1420a91b8658",
+    "baseline": "9908d67f7a2340f7ce99367aa91d2641040adbbeedec8a5aca7383ebe27db7bc",
 }
 
 
-def test_short_pair_cells_are_pinned(short_pair, cell_digest):
+#: The same cells without the work series (``tests/conftest.py``).
+GOLDEN_WORK_FREE = {
+    "detector": "daa780cf546f0ad3076f19ff25dda2490a4d6a2cea520722132a255335a61574",
+    "baseline": "737098c4c7ea29cfaab0c195f277bfdc5cf90c60a425cca78f29386d54873204",
+}
+
+
+def test_short_pair_cells_are_pinned(short_pair, cell_digest, work_series):
     for cell in short_pair:
         assert cell_digest(cell) == GOLDEN[cell.mode], (
             f"{cell.mode}: the seeded cell moved (got {cell_digest(cell)})"
+        )
+        work_free = cell_digest(cell, work_series)
+        assert work_free == GOLDEN_WORK_FREE[cell.mode], (
+            f"{cell.mode}: more than work moved (got {work_free})"
         )
 
 

@@ -34,16 +34,30 @@ def short_pair():
 #: predictor's cache is keyed on ``(ts.version, tq.version)`` alone and looked
 #: up once per evaluation, so the ``predictor_cache_*`` series count
 #: differently; nothing else in either cell moved.
+#: Re-recorded when a read came to evaluate only the candidates Algorithm 1
+#: visits, so the ``predictor_*`` series count fewer evaluations; the
+#: ``GOLDEN_WORK_FREE`` digests, recorded at the commit before, hold.
 GOLDEN = {
-    "shed": "583191c49138843568384fe902222e894fd079ecbaafdb94f3091fd8ea79d4b8",
-    "unbounded": "bfbab8a705a34d4b5ef59b2f0a00ca0c162259fb372d907884693e09c8f8f606",
+    "shed": "4055e8fc434f2e40c35e63d38970c0d66f43d231e5bfa174cd1e9769b84f153a",
+    "unbounded": "11fc6b5b985295e62dac98eef044e2ea28c26683cc5543d1797d0589c8d8b0d3",
 }
 
 
-def test_short_pair_cells_are_pinned(short_pair, cell_digest):
+#: The same cells without the work series (``tests/conftest.py``).
+GOLDEN_WORK_FREE = {
+    "shed": "371299588557b1d59c3979ecc8666407cfd2d427832ba8da4f28c5e464fcc40b",
+    "unbounded": "45248aec24c5b2728043bfec1e5b52eb1a7b519669539da745b3b9ddcd2b8393",
+}
+
+
+def test_short_pair_cells_are_pinned(short_pair, cell_digest, work_series):
     for cell in short_pair:
         assert cell_digest(cell) == GOLDEN[cell.mode], (
             f"{cell.mode}: the seeded cell moved (got {cell_digest(cell)})"
+        )
+        work_free = cell_digest(cell, work_series)
+        assert work_free == GOLDEN_WORK_FREE[cell.mode], (
+            f"{cell.mode}: more than work moved (got {work_free})"
         )
 
 
