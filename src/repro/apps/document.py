@@ -38,11 +38,6 @@ class SharedDocument(ReplicatedObject):
         self.edits += 1
         return previous
 
-    def delete_paragraph(self, index: int) -> str:
-        removed = self.paragraphs.pop(index)
-        self.edits += 1
-        return removed
-
     # -- read-only -------------------------------------------------------
     def read_document(self) -> tuple[int, list[str]]:
         """The whole document with its edit version."""

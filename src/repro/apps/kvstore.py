@@ -1,6 +1,6 @@
 """A replicated key-value object store.
 
-Update methods: ``put``, ``delete``, ``clear``.  Read-only methods:
+Update methods: ``put``, ``clear``.  Read-only methods:
 ``get``, ``keys``, ``size``, ``dump``.  A client should declare the
 read-only set with :data:`KVStore.READ_ONLY_METHODS` (§2's request model
 — methods not declared read-only are treated as updates).
@@ -27,12 +27,6 @@ class KVStore(ReplicatedObject):
         self._data[key] = value
         self._mutations += 1
         return value
-
-    def delete(self, key: str) -> bool:
-        existed = key in self._data
-        self._data.pop(key, None)
-        self._mutations += 1
-        return existed
 
     def clear(self) -> int:
         count = len(self._data)

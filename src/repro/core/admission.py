@@ -88,9 +88,6 @@ class AdmissionController:
         self.config = config or AdmissionConfig()
         self.admitted: dict[str, ClientProfile] = {}
         self.rejections: list[tuple[str, str]] = []
-        # Observed (not declared) request rates, fed by the runtime hook
-        # below; client name -> (read_rate, update_rate).
-        self.observed: dict[str, tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     # Feasibility: can the pool meet the QoS at all?
@@ -228,81 +225,6 @@ class AdmissionController:
 
     def reject(self, profile: ClientProfile, decision: AdmissionDecision) -> None:
         self.rejections.append((profile.name, decision.reason))
-
-    def release(self, name: str) -> None:
-        """A client departed; its demand no longer counts."""
-        self.admitted.pop(name, None)
-        self.observed.pop(name, None)
-
-    # ------------------------------------------------------------------
-    # Runtime reassessment against observed demand (DESIGN.md §11)
-    # ------------------------------------------------------------------
-    def observe_demand(
-        self, name: str, read_rate: float, update_rate: float = 0.0
-    ) -> None:
-        """Feed a client's *measured* request rates.
-
-        Admission decisions rest on declared rates; a client that
-        under-declared (or whose workload grew) silently erodes everyone's
-        guarantee.  :meth:`reassess` re-runs the capacity check with these
-        observations substituted for the declarations.
-        """
-        if read_rate < 0 or update_rate < 0:
-            raise ValueError("observed rates must be non-negative")
-        if name in self.admitted:
-            self.observed[name] = (read_rate, update_rate)
-
-    def effective_profile(self, name: str) -> ClientProfile:
-        """The admitted profile with observed rates substituted (if any)."""
-        profile = self.admitted[name]
-        rates = self.observed.get(name)
-        if rates is None:
-            return profile
-        return ClientProfile(
-            name=profile.name,
-            qos=profile.qos,
-            read_rate=rates[0],
-            update_rate=rates[1],
-        )
-
-    def reassess(
-        self,
-        serving_replicas: int,
-        num_primaries: int,
-        avg_replicas_per_read: float = 2.0,
-    ) -> list[str]:
-        """Re-evaluate the admitted set against observed demand.
-
-        Returns the clients that would have to go (largest observed
-        demand first, deterministic name tie-break) to bring projected
-        utilization back under the bound.  Advisory, like everything else
-        here: the caller decides whether to release, throttle, or merely
-        flag them — the overload campaign feeds them to the degradation
-        ladder's shed tier.
-        """
-        if serving_replicas <= 0:
-            return sorted(self.admitted)
-        remaining = {
-            name: self.effective_profile(name) for name in self.admitted
-        }
-        flagged: list[str] = []
-        bound = self.config.max_utilization * serving_replicas
-        while remaining:
-            demand = self._demand(
-                list(remaining.values()), avg_replicas_per_read, num_primaries
-            )
-            if demand <= bound:
-                break
-            worst = max(
-                remaining.values(),
-                key=lambda p: (
-                    self._demand([p], avg_replicas_per_read, num_primaries),
-                    p.name,
-                ),
-            )
-            flagged.append(worst.name)
-            del remaining[worst.name]
-        return flagged
 
 
 def evaluate_against_client(

@@ -197,7 +197,9 @@ class ClientHandler(GroupEndpoint):
         degradation: Optional[DegradationPolicy] = None,
         priority: Optional[str] = None,
     ) -> None:
-        super().__init__(name, heartbeat_interval=config.heartbeat_interval)
+        super().__init__(
+            name, heartbeat_interval=config.membership.heartbeat_interval
+        )
         self.groups = groups
         self.registry = ReadOnlyRegistry(read_only_methods)
         # The counters below are load-bearing (timely_fraction drives the
@@ -313,10 +315,6 @@ class ClientHandler(GroupEndpoint):
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def declare_read_only(self, method: str) -> None:
-        """§2: the client names its read-only methods explicitly."""
-        self.registry.declare(method)
-
     def invoke(
         self,
         method: str,
@@ -736,7 +734,7 @@ class ClientHandler(GroupEndpoint):
         Algorithm 1 once per arrival *batch* over exactly these views
         instead of once per simulated client.
         """
-        return self._candidates(qos)
+        return self._views(self._roles, qos.deadline)
 
     def record_aggregate_batch(
         self,
@@ -821,10 +819,6 @@ class ClientHandler(GroupEndpoint):
             for name, (immediate, delayed) in zip(secondaries, secondary_pairs)
         )
         return views
-
-    def _candidates(self, qos: QoSSpec) -> list[ReplicaView]:
-        """Every candidate's ``V`` tuple at ``qos.deadline``, in view order."""
-        return self._views(self._roles, qos.deadline)
 
     # ------------------------------------------------------------------
     # Inbound traffic

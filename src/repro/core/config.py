@@ -10,10 +10,9 @@ built *from* it:
 :class:`~repro.core.replica.ReplicaHandlerBase` and
 :class:`~repro.core.client.ClientHandler` take the config and bind what
 they read as plain attributes, and :func:`~repro.core.service.build_testbed`
-takes the membership detector's config from
-:meth:`ServiceConfig.membership`.  A value that would hang or crash a
-running simulation is therefore refused here, where it is written, not
-where it is first used.
+hands :attr:`ServiceConfig.membership` to the membership detector.  A
+value that would hang or crash a running simulation is therefore refused
+here, where it is written, not where it is first used.
 """
 
 from __future__ import annotations
@@ -55,8 +54,7 @@ class ServiceConfig:
     update_service_time: Optional[Distribution] = None
     # Membership: every endpoint beats at heartbeat_interval and the
     # detector (swept at the same period) evicts after suspect_timeout.
-    heartbeat_interval: float = 0.25
-    suspect_timeout: float = 1.0
+    membership: MembershipConfig = field(default_factory=MembershipConfig)
     gsn_wait_timeout: float = 0.25  # re-request a read's GSN stamp after this
     gc_timeout: float = 30.0  # a client forgets an unanswered request
     # Overload protection (DESIGN.md §11).  None (the default) disables
@@ -95,17 +93,7 @@ class ServiceConfig:
                 )
         if self.window_size < 1:
             raise ValueError(f"window_size must be >= 1, got {self.window_size!r}")
-        # heartbeat_interval > 0 and suspect_timeout above it: the rule is
-        # MembershipConfig's, so it is MembershipConfig that checks it.
-        self.membership()
 
     @property
     def has_sequencer(self) -> bool:
         return self.ordering is OrderingGuarantee.SEQUENTIAL
-
-    def membership(self) -> MembershipConfig:
-        """The membership detector's input: it sweeps once per heartbeat."""
-        return MembershipConfig(
-            heartbeat_interval=self.heartbeat_interval,
-            suspect_timeout=self.suspect_timeout,
-        )

@@ -43,13 +43,6 @@ from repro.core.qos import QoSSpec
 #: comparable, mergeable, and JSON-able.
 NOMINAL, ELEVATED, HIGH, CRITICAL = 0, 1, 2, 3
 
-PRESSURE_NAMES = ("nominal", "elevated", "high", "critical")
-
-
-def pressure_name(level: int) -> str:
-    """Human-readable name of a pressure/degradation level."""
-    return PRESSURE_NAMES[max(0, min(level, len(PRESSURE_NAMES) - 1))]
-
 
 # ---------------------------------------------------------------------------
 # Replica-side configuration

@@ -315,19 +315,6 @@ class ResponseTimePredictor:
     # ------------------------------------------------------------------
     # Versioned count cache
     # ------------------------------------------------------------------
-    @property
-    def cache_stats(self) -> dict[str, int]:
-        """Hit/miss/invalidation counters for benchmark reports."""
-        return {
-            "hits": self.cache_hits.value,
-            "misses": self.cache_misses.value,
-            "invalidations": self.cache_invalidations.value,
-        }
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
-        self._memo.clear()
-
     def _counts(self, replica: str, stats: ReplicaStats) -> _ReplicaCounts:
         key = (stats.ts_window.version, stats.tq_window.version)
         if self.use_cache:

@@ -73,10 +73,6 @@ class PriorityMapper:
             min_probability=self.probability_for(priority),
         )
 
-    def ranked_levels(self) -> list[str]:
-        """Level names from strongest to weakest guarantee."""
-        return sorted(self.levels, key=lambda name: -self.levels[name])
-
 
 @dataclass
 class CostMapper:
@@ -122,23 +118,3 @@ class CostMapper:
             deadline=deadline,
             min_probability=self.probability_for(budget),
         )
-
-    def budget_for(self, probability: float) -> float:
-        """Inverse mapping: the spend needed for a target probability.
-
-        Useful for quoting prices; returns 0 for targets at or below the
-        base, and raises for targets above ``max_probability``.
-        """
-        import math
-
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability {probability!r} outside [0, 1]")
-        if probability > self.max_probability:
-            raise ValueError(
-                f"target {probability!r} exceeds the quotable maximum "
-                f"{self.max_probability!r}"
-            )
-        if probability <= self.base_probability:
-            return 0.0
-        ratio = (1.0 - probability) / (1.0 - self.base_probability)
-        return math.log(ratio) / math.log(self.failure_discount)

@@ -55,14 +55,6 @@ class QoSSpec:
                 f"min probability must be in [0, 1], got {self.min_probability!r}"
             )
 
-    def relax_deadline(self, factor: float) -> "QoSSpec":
-        """A copy with the deadline scaled by ``factor`` (sweeps/ablations)."""
-        if factor <= 0:
-            raise ValueError(f"factor must be positive, got {factor!r}")
-        return QoSSpec(
-            self.staleness_threshold, self.deadline * factor, self.min_probability
-        )
-
     def describe(self) -> str:
         """Human-readable one-liner used in reports."""
         return (

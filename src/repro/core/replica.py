@@ -109,7 +109,9 @@ class ReplicaHandlerBase(GroupEndpoint):
         trace: Trace = NULL_TRACE,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        super().__init__(name, heartbeat_interval=config.heartbeat_interval)
+        super().__init__(
+            name, heartbeat_interval=config.membership.heartbeat_interval
+        )
         self.config = config  # the protocol subclasses read their own fields
         self.groups = groups
         self._refresh_roles()  # none yet: no view is installed
@@ -170,14 +172,6 @@ class ReplicaHandlerBase(GroupEndpoint):
     @property
     def primary_view(self) -> View:
         return self.view_of(self.groups.primary)
-
-    @property
-    def secondary_view(self) -> View:
-        return self.view_of(self.groups.secondary)
-
-    @property
-    def qos_view(self) -> View:
-        return self.view_of(self.groups.qos)
 
     def _refresh_roles(self) -> None:
         """Derive the roles from the installed views — only when a view is

@@ -97,9 +97,6 @@ class ClientInfoRepository:
             self._stats[replica] = stats
         return stats
 
-    def known_replicas(self) -> list[str]:
-        return sorted(self._stats)
-
     def ert(self, replica: str, now: float) -> float:
         """Elapsed response time: time since the last reply from ``replica``.
 

@@ -39,11 +39,6 @@ class ReadOnlyRegistry:
     def __init__(self, read_only_methods: Optional[set[str]] = None) -> None:
         self._read_only = set(read_only_methods or ())
 
-    def declare(self, method: str) -> None:
-        if not method:
-            raise ValueError("method name must be non-empty")
-        self._read_only.add(method)
-
     def kind_of(self, method: str) -> RequestKind:
         """READ iff the method was declared read-only; UPDATE otherwise."""
         if method in self._read_only:

@@ -163,34 +163,9 @@ class ReplicatedService:
     def sequencer_name(self) -> Optional[str]:
         return self.sequencer.name if self.sequencer is not None else None
 
-    def serving_replica_count(self) -> int:
-        return len(self.primaries) + len(self.secondaries)
-
     # ------------------------------------------------------------------
-    # Dynamic membership (scale-out and recovery)
+    # Recovery
     # ------------------------------------------------------------------
-    def add_secondary(self) -> ReplicaHandlerBase:
-        """Grow the secondary group at runtime.
-
-        §3: "The size of these groups can be tuned to implement a range of
-        consistency semantics."  A fresh secondary joins with empty state
-        and synchronizes at the next lazy update — exactly how the
-        protocol keeps any secondary current, so no extra state-transfer
-        machinery is needed.
-        """
-        self._secondary_counter = getattr(
-            self, "_secondary_counter", len(self.secondaries)
-        ) + 1
-        handler = self._make_replica(f"{self.config.name}-s{self._secondary_counter}")
-        self.secondaries.append(handler)
-        self.membership.register(self.groups.secondary, handler.name)
-        handler.assume_membership(self.groups.secondary)
-        self.membership.register(self.groups.qos, handler.name)
-        handler.assume_membership(self.groups.qos)
-        self.membership.watch(self.groups.primary, handler.name)
-        self._push_views()
-        return handler
-
     def recover_secondary(self, name: str) -> ReplicaHandlerBase:
         """Bring a crashed-and-evicted secondary back into service.
 
@@ -353,7 +328,7 @@ def build_testbed(
     sim = Simulator()
     rng = RngRegistry(seed)
     network = Network(sim, rng, latency or LanLatency(), trace=trace, metrics=metrics)
-    membership = MembershipService(config=config.membership(), trace=trace)
+    membership = MembershipService(config=config.membership, trace=trace)
     network.attach(membership)
     service = ReplicatedService(
         sim, network, membership, rng, config, app_factory, trace,

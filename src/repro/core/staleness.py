@@ -8,16 +8,11 @@ distribution that is not Poisson."  This module makes the model a
 strategy so that note is realized:
 
 * :class:`PoissonStalenessModel` — Equation 4 verbatim (the default);
-* :class:`DeterministicStalenessModel` — periodic arrivals: exactly
-  ``floor(lambda_u * t_l)`` updates since the last lazy round, so the
-  factor is a step function (right for clock-driven updaters);
 * :class:`RateMixtureStalenessModel` — a robust variant for *bursty*
   (over-dispersed) traffic: instead of collapsing the ``<n_u, t_u>``
   window to one average rate, it treats each recorded pair as a rate
   observation and averages the Poisson CDF over them, which keeps the
-  factor honest when the arrival rate itself fluctuates;
-* :class:`OptimisticStalenessModel` / :class:`PessimisticStalenessModel`
-  — constant bounds, useful as ablation endpoints.
+  factor honest when the arrival rate itself fluctuates.
 
 All models read the same repository state the paper's clients maintain
 (the ``<n_u, t_u>`` sliding window and the latest ``<n_L, t_L>``).
@@ -63,26 +58,6 @@ class PoissonStalenessModel(StalenessModel):
         return poisson_cdf(threshold, rate * t_l)
 
 
-class DeterministicStalenessModel(StalenessModel):
-    """Periodic arrivals: exactly ``floor(lambda_u * t_l)`` updates."""
-
-    name = "deterministic"
-
-    def staleness_factor(
-        self,
-        threshold: int,
-        repository: ClientInfoRepository,
-        now: float,
-        lazy_interval: float,
-    ) -> float:
-        rate = repository.update_arrival_rate()
-        if rate <= 0.0:
-            return 1.0
-        t_l = repository.time_since_lazy_update(now, lazy_interval)
-        expected = int(rate * t_l)
-        return 1.0 if expected <= threshold else 0.0
-
-
 class RateMixtureStalenessModel(StalenessModel):
     """Averages the Poisson CDF over the observed per-interval rates.
 
@@ -112,33 +87,3 @@ class RateMixtureStalenessModel(StalenessModel):
             rate = count / duration
             total += poisson_cdf(threshold, rate * t_l)
         return total / len(usable)
-
-
-class OptimisticStalenessModel(StalenessModel):
-    """Always assumes the secondary group is fresh (ablation endpoint)."""
-
-    name = "optimistic"
-
-    def staleness_factor(
-        self,
-        threshold: int,
-        repository: ClientInfoRepository,
-        now: float,
-        lazy_interval: float,
-    ) -> float:
-        return 1.0
-
-
-class PessimisticStalenessModel(StalenessModel):
-    """Always assumes the secondary group is stale (ablation endpoint)."""
-
-    name = "pessimistic"
-
-    def staleness_factor(
-        self,
-        threshold: int,
-        repository: ClientInfoRepository,
-        now: float,
-        lazy_interval: float,
-    ) -> float:
-        return 0.0

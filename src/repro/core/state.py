@@ -66,9 +66,6 @@ class CounterObject(ReplicatedObject):
     def get(self) -> int:
         return self.value
 
-    def version_count(self) -> int:
-        return len(self.history)
-
     def snapshot(self) -> dict:
         # The history holds ints, so a new list is a full copy; the
         # inherited deepcopy would walk every element on each lazy publish

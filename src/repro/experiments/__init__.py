@@ -30,7 +30,6 @@ from repro.experiments.analysis import (
 from repro.experiments.report import (
     format_series,
     format_table,
-    load_results,
     save_results,
 )
 from repro.experiments.runner import (
@@ -51,7 +50,6 @@ __all__ = [
     "selection_profile",
     "format_series",
     "format_table",
-    "load_results",
     "save_results",
     "CellSpec",
     "SweepProgress",

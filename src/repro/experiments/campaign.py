@@ -27,6 +27,7 @@ from repro.experiments.report import (
     write_experiment_artifact,
 )
 from repro.experiments.runner import CellSpec, add_jobs_argument, run_cells
+from repro.groups.membership import MembershipConfig
 from repro.net.chaos import ChaosConfig, ChaosEngine, ChaosTargets
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import Timeline, TimeseriesRecorder
@@ -97,8 +98,7 @@ def build_campaign_testbed(seed: int, trace: Trace, **service: Any) -> Testbed:
         num_primaries=3,
         num_secondaries=3,
         read_service_time=Normal(0.020, 0.005, floor=0.002),
-        heartbeat_interval=0.1,
-        suspect_timeout=0.35,
+        membership=MembershipConfig(heartbeat_interval=0.1, suspect_timeout=0.35),
         gsn_wait_timeout=0.15,
         **service,
     )

@@ -250,8 +250,3 @@ def save_results(path: str | Path, payload: Any, meta: dict | None = None) -> Pa
     document = {"meta": meta or {}, "results": _jsonable(payload)}
     path.write_text(json.dumps(document, indent=2, sort_keys=True))
     return path
-
-
-def load_results(path: str | Path) -> dict:
-    """Load a document written by :func:`save_results`."""
-    return json.loads(Path(path).read_text())

@@ -205,9 +205,6 @@ class GroupEndpoint(Endpoint):
             self.views[group] = view
         return view
 
-    def is_member(self, group: str) -> bool:
-        return self.name in self.view_of(group)
-
     @property
     def beats_lazily(self) -> bool:
         """True while this endpoint's beats are due but not sent: the

@@ -52,10 +52,6 @@ class View:
         """
         return self.members[0] if self.members else None
 
-    def rank_of(self, member: str) -> int:
-        """0-based rank; raises ValueError if not a member."""
-        return self.members.index(member)
-
     def __contains__(self, member: str) -> bool:
         return member in self.members
 

@@ -10,7 +10,7 @@ overloads at scheduled virtual times.
 """
 
 from repro.net.message import Message
-from repro.net.latency import FixedLatency, LanLatency, LatencyModel, WanLatency
+from repro.net.latency import FixedLatency, LanLatency, LatencyModel
 from repro.net.network import Endpoint, Network, NetworkError
 from repro.net.node import Host
 from repro.net.failures import FailureInjector, OverloadWindow
@@ -20,7 +20,6 @@ __all__ = [
     "LatencyModel",
     "FixedLatency",
     "LanLatency",
-    "WanLatency",
     "Endpoint",
     "Network",
     "NetworkError",

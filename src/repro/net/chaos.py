@@ -1,11 +1,11 @@
 """Seeded chaos campaigns over the network fabric.
 
-The :class:`ChaosEngine` turns the point primitives of
-:class:`~repro.net.failures.FailureInjector` — crash/recover, partition/
-heal, host overload, lossy links — into a *randomized but reproducible*
-fault schedule: every decision (what to break, when, for how long) is drawn
-from one ``random.Random`` stream, so a campaign is a pure function of its
-seed and the fleet can replay any failing run bit-for-bit.
+The :class:`ChaosEngine` turns the fabric's point primitives —
+crash/recover, partition/heal, host overload, lossy links — into a
+*randomized but reproducible* fault schedule: every decision (what to
+break, when, for how long) is drawn from one ``random.Random`` stream, so
+a campaign is a pure function of its seed and the fleet can replay any
+failing run bit-for-bit.
 
 The engine is deliberately service-agnostic: it knows endpoint *names*
 (via :class:`ChaosTargets`), not protocol roles.  Recovery of a crashed

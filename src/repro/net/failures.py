@@ -1,15 +1,14 @@
 """Scheduled fault injection.
 
-Experiments inject faults at virtual times: endpoint crashes (with optional
-recovery), network partitions, and transient host overloads.  The injector
-only *schedules*; the semantics live in :class:`~repro.net.network.Network`
-and :class:`~repro.net.node.Host`.
+Experiments inject transient host overloads at virtual times.  The injector
+only *schedules*; the semantics live in :class:`~repro.net.node.Host`.
+Crashes, partitions and lossy links are drawn by
+:class:`~repro.net.chaos.ChaosEngine`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
 
 from repro.net.network import Network
 from repro.net.node import Host
@@ -31,7 +30,7 @@ class OverloadWindow:
 
 
 class FailureInjector:
-    """Schedules crashes, recoveries, partitions, and overloads."""
+    """Schedules transient host overloads."""
 
     def __init__(self, network: Network) -> None:
         self.network = network
@@ -41,67 +40,6 @@ class FailureInjector:
 
     def _log(self, text: str) -> None:
         self.injected.append(f"t={self.sim.now:.3f} scheduled {text}")
-
-    # ------------------------------------------------------------------
-    # Crashes
-    # ------------------------------------------------------------------
-    def crash_at(
-        self,
-        time: float,
-        endpoint: str,
-        recover_at: Optional[float] = None,
-        on_crash: Optional[Callable[[], None]] = None,
-        on_recover: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """Crash ``endpoint`` at ``time``; optionally recover later.
-
-        The endpoint must already be attached when the injection is
-        *scheduled* — typos in failure scripts fail fast instead of at
-        some later virtual time.  Scheduled crashes/recoveries inherit the
-        fabric's idempotent semantics: overlapping injections against the
-        same endpoint are safe, only real state transitions emit traces
-        and run the ``on_crash``/``on_recover`` hooks.
-        """
-        if endpoint not in self.network.endpoints():
-            raise ValueError(f"cannot schedule crash of unknown endpoint {endpoint!r}")
-
-        def do_crash() -> None:
-            if self.network.crash(endpoint) and on_crash is not None:
-                on_crash()
-
-        def do_recover() -> None:
-            if self.network.recover(endpoint) and on_recover is not None:
-                on_recover()
-
-        self.sim.schedule_at(time, do_crash)
-        self._log(f"crash {endpoint} at {time}")
-        if recover_at is not None:
-            if recover_at <= time:
-                raise ValueError(
-                    f"recovery time {recover_at} not after crash time {time}"
-                )
-            self.sim.schedule_at(recover_at, do_recover)
-            self._log(f"recover {endpoint} at {recover_at}")
-
-    # ------------------------------------------------------------------
-    # Partitions
-    # ------------------------------------------------------------------
-    def partition_at(
-        self,
-        time: float,
-        side_a: Iterable[str],
-        side_b: Iterable[str],
-        heal_at: Optional[float] = None,
-    ) -> None:
-        side_a = list(side_a)
-        side_b = list(side_b)
-        self.sim.schedule_at(time, self.network.partition, side_a, side_b)
-        self._log(f"partition {side_a}|{side_b} at {time}")
-        if heal_at is not None:
-            if heal_at <= time:
-                raise ValueError(f"heal time {heal_at} not after cut time {time}")
-            self.sim.schedule_at(heal_at, self.network.heal_partitions)
-            self._log(f"heal at {heal_at}")
 
     # ------------------------------------------------------------------
     # Transient overloads

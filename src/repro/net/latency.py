@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from repro.net.message import Message
-from repro.sim.rng import Constant, Distribution, Normal, Uniform
+from repro.sim.rng import Constant, Distribution, Normal
 
 
 class LatencyModel:
@@ -49,9 +49,8 @@ class LatencyModel:
 class DegradedLatency(LatencyModel):
     """A gray-failure wrapper: base delay × ``factor`` + uniform jitter.
 
-    The fabric composes one of these on the fly when a node or link is
-    degraded (:meth:`~repro.net.network.Network.degrade_node` /
-    :meth:`~repro.net.network.Network.degrade_link`), so the endpoint
+    The fabric composes one of these on the fly when a node is degraded
+    (:meth:`~repro.net.network.Network.degrade_node`), so the endpoint
     stays *alive* — heartbeats and replies still flow — but every
     message through it is late by a multiplicative slowdown plus an
     additive jitter sampled from the same per-link stream the base
@@ -99,18 +98,6 @@ class LanLatency(LatencyModel):
             Normal(mean_s, jitter_s, floor=mean_s * 0.1),
             bandwidth_bytes_per_s,
         )
-
-
-class WanLatency(LatencyModel):
-    """A wide-area-like link with tens of milliseconds of spread."""
-
-    def __init__(
-        self,
-        low_s: float = 0.02,
-        high_s: float = 0.08,
-        bandwidth_bytes_per_s: float = 10e6 / 8,
-    ) -> None:
-        super().__init__(Uniform(low_s, high_s), bandwidth_bytes_per_s)
 
 
 class FixedLatency(LatencyModel):

@@ -183,7 +183,6 @@ class Network:
         self._partitions: dict[str, PartitionCut] = {}
         self._cut_ids = itertools.count(1)
         self._degraded_nodes: dict[str, tuple[float, float]] = {}
-        self._degraded_links: dict[tuple[str, str], tuple[float, float]] = {}
         self._churn: dict[tuple[str, str], LinkChurn] = {}
         self._msg_ids = itertools.count(1)
         # The ids of the requests the clients on this fabric issue: numbered
@@ -207,8 +206,8 @@ class Network:
     @property
     def fault_free(self) -> bool:
         """True until the first :meth:`crash`, :meth:`partition`, non-zero
-        :attr:`drop_probability`, :meth:`set_churn`, ``degrade_*`` or
-        :meth:`detach`, or until a fault injector is built on this fabric.
+        :attr:`drop_probability`, :meth:`set_churn` or :meth:`degrade_node`,
+        or until a fault injector is built on this fabric.
 
         While it holds, every message sent between attached endpoints is
         delivered, once, after its link's undisturbed latency.  It never
@@ -256,13 +255,6 @@ class Network:
             self._hosts[endpoint.name] = host
         endpoint.attached(self, host)
 
-    def detach(self, name: str) -> None:
-        self.expect_faults()
-        self._endpoints.pop(name, None)
-        self._hosts.pop(name, None)
-        self._crashed.discard(name)
-        self._routes.clear()
-
     def endpoint(self, name: str) -> Endpoint:
         try:
             return self._endpoints[name]
@@ -287,19 +279,14 @@ class Network:
         self._links[(sender, recipient)] = latency
         self._routes.clear()
 
-    def set_symmetric_link(self, a: str, b: str, latency: LatencyModel) -> None:
-        self.set_link(a, b, latency)
-        self.set_link(b, a, latency)
-
     def latency_for(self, sender: str, recipient: str) -> LatencyModel:
         base = self._links.get((sender, recipient), self.default_latency)
-        if not self._degraded_nodes and not self._degraded_links:
+        if not self._degraded_nodes:
             return base
         factor, jitter = 1.0, 0.0
         for entry in (
             self._degraded_nodes.get(sender),
             self._degraded_nodes.get(recipient),
-            self._degraded_links.get((sender, recipient)),
         ):
             if entry is not None:
                 factor *= entry[0]
@@ -314,8 +301,8 @@ class Network:
         """Resolve ``sender -> recipient`` once: its RNG stream and latency.
 
         A cached route also vouches that both ends are attached.  Whatever
-        changes an input — ``set_link``, ``degrade_*``/``restore_*`` (and
-        so ``clear_degradations``), ``detach`` — clears the table.
+        changes an input — ``set_link``, ``degrade_node``/``restore_node`` —
+        clears the table.
         """
         route = (
             self.rng.stream(f"net.link.{sender}->{recipient}"),
@@ -357,41 +344,6 @@ class Network:
         self._routes.clear()
         self.trace.emit(self.sim.now, "net.restore", name)
         return True
-
-    def degrade_link(
-        self, sender: str, recipient: str, factor: float = 1.0,
-        jitter_s: float = 0.0,
-    ) -> None:
-        """Slow the directed link ``sender -> recipient`` only."""
-        if factor < 1.0 or jitter_s < 0.0:
-            raise ValueError(
-                f"invalid degradation factor={factor!r} jitter={jitter_s!r}"
-            )
-        self.expect_faults()
-        self._degraded_links[(sender, recipient)] = (factor, jitter_s)
-        self._routes.clear()
-        self.trace.emit(
-            self.sim.now, "net.degrade-link", f"{sender}->{recipient}",
-            factor=round(factor, 3), jitter=round(jitter_s, 5),
-        )
-
-    def restore_link(self, sender: str, recipient: str) -> bool:
-        if self._degraded_links.pop((sender, recipient), None) is None:
-            return False
-        self._routes.clear()
-        self.trace.emit(
-            self.sim.now, "net.restore-link", f"{sender}->{recipient}"
-        )
-        return True
-
-    def is_degraded(self, name: str) -> bool:
-        return name in self._degraded_nodes
-
-    def clear_degradations(self) -> None:
-        for name in sorted(self._degraded_nodes):
-            self.restore_node(name)
-        for sender, recipient in sorted(self._degraded_links):
-            self.restore_link(sender, recipient)
 
     # ------------------------------------------------------------------
     # Link churn: duplication and reordering
@@ -477,9 +429,8 @@ class Network:
 
         ``symmetric=True`` blocks all traffic between the two sets;
         ``symmetric=False`` blocks only ``side_a -> side_b`` (a one-way
-        gray partition: replies and heartbeats still flow back).  Cuts
-        are healed individually by :meth:`heal_partition` or wholesale
-        by :meth:`heal_partitions`.
+        gray partition: replies and heartbeats still flow back).  Each cut
+        is healed by :meth:`heal_partition`.
         """
         if name is None:
             name = f"cut-{next(self._cut_ids)}"
@@ -505,13 +456,6 @@ class Network:
             return False
         self.trace.emit(self.sim.now, "net.heal", "network", name=name)
         return True
-
-    def heal_partitions(self) -> None:
-        self._partitions.clear()
-        self.trace.emit(self.sim.now, "net.heal", "network")
-
-    def active_partitions(self) -> list[str]:
-        return sorted(self._partitions)
 
     def _cut(self, sender: str, recipient: str) -> bool:
         for cut in self._partitions.values():

@@ -48,9 +48,5 @@ class Host:
     def end_overload(self) -> None:
         self._overload_factor = 1.0
 
-    @property
-    def overloaded(self) -> bool:
-        return self._overload_factor > 1.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Host {self.name} x{self.speed_factor:g}>"

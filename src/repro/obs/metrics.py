@@ -70,9 +70,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Fixed-boundary histogram with an overflow bucket.
@@ -173,9 +170,6 @@ class _NoopInstrument:
     counts: list = []
 
     def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
         pass
 
     def set(self, value: float) -> None:

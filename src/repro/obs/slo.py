@@ -134,14 +134,6 @@ class SloReport:
     alert_active: List[bool] = field(default_factory=list)  # page-level
     alerts: List[BurnAlert] = field(default_factory=list)
 
-    @property
-    def total_good(self) -> float:
-        return sum(self.good)
-
-    @property
-    def total_bad(self) -> float:
-        return sum(self.bad)
-
     def met(self) -> bool:
         """Did the run finish within its error budget?"""
         if not self.compliance:

@@ -4,8 +4,8 @@ A *span* is a trace record in category ``"span"`` whose detail dict carries
 three reserved keys — ``span`` (the span id), ``parent`` (the parent span id
 or ``None``), and ``name`` (what happened) — plus free-form annotations
 (GSN/CSN, staleness, deadline, response time, ...).  Spans ride the existing
-:class:`~repro.sim.tracing.Trace` transport, so capacity limits, subscribers,
-and ``to_jsonl`` artifact dumps all apply unchanged, and disabling the trace
+:class:`~repro.sim.tracing.Trace` transport, so capacity limits and
+``to_jsonl`` artifact dumps apply unchanged, and disabling the trace
 disables span emission with it.
 
 Span-id scheme (all ids derive from the request id, so they survive process
@@ -102,11 +102,6 @@ class Span:
         for child in self.children:
             hits.extend(child.find(name))
         return hits
-
-    def walk(self) -> Iterable["Span"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
 
     def to_dict(self) -> dict:
         return {

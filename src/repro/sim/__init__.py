@@ -4,46 +4,35 @@ The paper evaluated its middleware on a LAN of Linux hosts; this package is
 the stand-in testbed.  It provides a deterministic event-driven simulator
 (:mod:`repro.sim.kernel`), generator-based processes
 (:mod:`repro.sim.process`), reproducible named random streams and delay
-distributions (:mod:`repro.sim.rng`), Lamport logical clocks and version
-stamps (:mod:`repro.sim.clock`), and structured tracing
+distributions (:mod:`repro.sim.rng`), vector clocks and version stamps
+(:mod:`repro.sim.clock`), and structured tracing
 (:mod:`repro.sim.tracing`).
 """
 
 from repro.sim.kernel import Event, SimulationError, Simulator
-from repro.sim.process import Interrupt, Process, Signal, Timeout, all_of
+from repro.sim.process import Process, Signal, Timeout
 from repro.sim.rng import (
     Constant,
     Distribution,
-    Empirical,
-    Exponential,
     LogNormal,
-    Mixture,
     Normal,
     RngRegistry,
-    Uniform,
 )
-from repro.sim.clock import LamportClock, Version, ZERO_VERSION
+from repro.sim.clock import Version, ZERO_VERSION
 from repro.sim.tracing import NULL_TRACE, Trace, TraceRecord
 
 __all__ = [
     "Event",
     "SimulationError",
     "Simulator",
-    "Interrupt",
     "Process",
     "Signal",
     "Timeout",
-    "all_of",
     "Constant",
     "Distribution",
-    "Empirical",
-    "Exponential",
     "LogNormal",
-    "Mixture",
     "Normal",
     "RngRegistry",
-    "Uniform",
-    "LamportClock",
     "Version",
     "ZERO_VERSION",
     "NULL_TRACE",

@@ -3,44 +3,14 @@
 The paper measures staleness in *versions* using timestamps "based on
 logical clocks" (Lamport [7]) so that no clock synchronization is needed
 across replicas.  The GSN counter in the sequencer is one such logical
-clock; this module provides the general mechanism plus a monotonic version
-counter used by the replicated object state.
+clock; this module provides the vector clock the causal handler stamps
+updates with and the totally ordered version stamp of the replicated
+object state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-class LamportClock:
-    """A classic Lamport logical clock.
-
-    ``tick()`` for local events, ``witness(remote)`` on message receipt.
-    """
-
-    def __init__(self, start: int = 0) -> None:
-        if start < 0:
-            raise ValueError(f"negative clock start {start!r}")
-        self._time = int(start)
-
-    @property
-    def time(self) -> int:
-        return self._time
-
-    def tick(self) -> int:
-        """Advance for a local event; returns the new timestamp."""
-        self._time += 1
-        return self._time
-
-    def witness(self, remote_time: int) -> int:
-        """Merge a received timestamp; returns the new local timestamp."""
-        if remote_time < 0:
-            raise ValueError(f"negative remote timestamp {remote_time!r}")
-        self._time = max(self._time, remote_time) + 1
-        return self._time
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LamportClock({self._time})"
 
 
 class VectorClock:

@@ -8,11 +8,6 @@ A process is a Python generator driven by the simulator.  It may yield:
 * another :class:`Process` — suspend until that process terminates, and
   receive its return value.
 
-Processes can be interrupted (:meth:`Process.interrupt`), which raises
-:class:`Interrupt` inside the generator at its current suspension point —
-the idiom used by the client-side timing-failure detector and by failure
-injection.
-
 Example::
 
     def client(sim):
@@ -27,20 +22,9 @@ Example::
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Generator, Optional
 
 from repro.sim.kernel import Event, SimulationError, Simulator
-
-
-class Interrupt(Exception):
-    """Raised inside a process generator when it is interrupted.
-
-    The ``cause`` attribute carries whatever the interrupter supplied.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Timeout:
@@ -120,26 +104,19 @@ class Process:
         """True until the generator returns or raises."""
         return self._alive
 
-    @property
-    def done_signal(self) -> Signal:
-        """Signal fired (with the return value) when the process finishes."""
-        return self._done_signal
-
     # ------------------------------------------------------------------
     # Control
     # ------------------------------------------------------------------
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at its wait point."""
-        if not self._alive:
-            return
-        self._detach()
-        self._step(Interrupt(cause), throw=True)
-
     def _resume(self, value: Any) -> None:
         if not self._alive:
             return
         self._detach()
-        self._step(value, throw=False)
+        try:
+            yielded = self._gen.send(value)
+        except StopIteration as stop:
+            self._finish(stop.value)
+            return
+        self._wait_on(yielded)
 
     def _detach(self) -> None:
         """Drop whatever the process is currently waiting on."""
@@ -149,21 +126,6 @@ class Process:
         if self._waiting_on is not None:
             self._waiting_on._remove_waiter(self)
             self._waiting_on = None
-
-    def _step(self, value: Any, throw: bool) -> None:
-        try:
-            if throw:
-                yielded = self._gen.throw(value)
-            else:
-                yielded = self._gen.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        except Interrupt:
-            # An un-caught interrupt terminates the process quietly.
-            self._finish(None)
-            return
-        self._wait_on(yielded)
 
     def _wait_on(self, yielded: Any) -> None:
         if isinstance(yielded, Timeout):
@@ -194,21 +156,3 @@ class Process:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self._alive else "done"
         return f"<Process {self.name} {state}>"
-
-
-def all_of(sim: Simulator, processes: Iterable[Process]) -> Process:
-    """Return a process that finishes when every given process has finished.
-
-    Its result is the list of individual results, in input order.
-    """
-    procs = list(processes)
-
-    def waiter() -> Generator:
-        results = []
-        for proc in procs:
-            if proc.alive:
-                yield proc
-            results.append(proc.result)
-        return results
-
-    return Process(sim, waiter(), name="all_of")

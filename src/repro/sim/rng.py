@@ -8,16 +8,14 @@ every run is exactly reproducible from ``(seed, names used)``.
 
 :class:`Distribution` subclasses model the delay distributions used across
 the testbed.  The paper's background load (§6) is a normally distributed
-service delay; network substrates also use uniform/exponential/shifted
-distributions.  All distributions clamp to a non-negative floor because they
-model durations.
+service delay, and the LAN links jitter the same way.  All distributions
+clamp to a non-negative floor because they model durations.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional, Sequence
 
 
 class RngRegistry:
@@ -85,25 +83,6 @@ class Constant(Distribution):
         return f"Constant({self.value})"
 
 
-class Uniform(Distribution):
-    """Uniform on ``[low, high]``."""
-
-    def __init__(self, low: float, high: float) -> None:
-        if low < 0 or high < low:
-            raise ValueError(f"invalid uniform bounds [{low}, {high}]")
-        self.low = float(low)
-        self.high = float(high)
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
-
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
-    def __repr__(self) -> str:
-        return f"Uniform({self.low}, {self.high})"
-
-
 class Normal(Distribution):
     """Normal(mu, sigma) truncated below at ``floor`` (durations only).
 
@@ -131,27 +110,6 @@ class Normal(Distribution):
         return f"Normal({self.mu}, {self.sigma}, floor={self.floor})"
 
 
-class Exponential(Distribution):
-    """Exponential with the given mean, optionally shifted by ``offset``."""
-
-    def __init__(self, mean: float, offset: float = 0.0) -> None:
-        if mean <= 0:
-            raise ValueError(f"non-positive mean {mean!r}")
-        if offset < 0:
-            raise ValueError(f"negative offset {offset!r}")
-        self._mean = float(mean)
-        self.offset = float(offset)
-
-    def sample(self, rng: random.Random) -> float:
-        return self.offset + rng.expovariate(1.0 / self._mean)
-
-    def mean(self) -> float:
-        return self.offset + self._mean
-
-    def __repr__(self) -> str:
-        return f"Exponential(mean={self._mean}, offset={self.offset})"
-
-
 class LogNormal(Distribution):
     """Log-normal parameterized by the underlying normal's mu/sigma."""
 
@@ -171,66 +129,3 @@ class LogNormal(Distribution):
 
     def __repr__(self) -> str:
         return f"LogNormal({self.mu}, {self.sigma})"
-
-
-class Empirical(Distribution):
-    """Samples uniformly from recorded values (for trace-driven runs)."""
-
-    def __init__(self, values: Sequence[float]) -> None:
-        vals = [float(v) for v in values]
-        if not vals:
-            raise ValueError("empirical distribution needs at least one value")
-        if any(v < 0 for v in vals):
-            raise ValueError("empirical durations must be non-negative")
-        self.values = vals
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.choice(self.values)
-
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values)
-
-    def __repr__(self) -> str:
-        return f"Empirical(n={len(self.values)})"
-
-
-class Mixture(Distribution):
-    """Weighted mixture of component distributions.
-
-    Models bimodal behaviour such as a host that is usually fast but
-    occasionally suffers a transient overload (§1 motivates exactly this).
-    """
-
-    def __init__(
-        self,
-        components: Sequence[Distribution],
-        weights: Optional[Sequence[float]] = None,
-    ) -> None:
-        comps = list(components)
-        if not comps:
-            raise ValueError("mixture needs at least one component")
-        if weights is None:
-            weights = [1.0] * len(comps)
-        weights = [float(w) for w in weights]
-        if len(weights) != len(comps):
-            raise ValueError("weights/components length mismatch")
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ValueError("weights must be non-negative and sum > 0")
-        self.components = comps
-        total = sum(weights)
-        self.weights = [w / total for w in weights]
-
-    def sample(self, rng: random.Random) -> float:
-        pick = rng.random()
-        acc = 0.0
-        for comp, weight in zip(self.components, self.weights):
-            acc += weight
-            if pick <= acc:
-                return comp.sample(rng)
-        return self.components[-1].sample(rng)
-
-    def mean(self) -> float:
-        return sum(w * c.mean() for w, c in zip(self.weights, self.components))
-
-    def __repr__(self) -> str:
-        return f"Mixture({self.components!r}, weights={self.weights!r})"

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -47,32 +47,20 @@ class Trace:
         self.capacity = capacity
         self.records: list[TraceRecord] = []
         self.dropped = 0
-        self._subscribers: list[Callable[[TraceRecord], None]] = []
 
     def emit(self, time: float, category: str, actor: str, **detail: Any) -> None:
         """Record one event (no-op when disabled).
 
-        ``dropped`` counts records that were lost entirely: neither stored
-        (capacity hit) nor delivered to any live subscriber.  A record that
-        overflows capacity but reaches a subscriber was observed, not
-        dropped.
+        ``dropped`` counts the records lost to the capacity limit.
         """
         if not self.enabled:
             return
         record = TraceRecord(time, category, actor, detail)
         capacity = self.capacity
-        stored = capacity is None or len(self.records) < capacity
-        if stored:
+        if capacity is None or len(self.records) < capacity:
             self.records.append(record)
-        if self._subscribers:
-            for subscriber in self._subscribers:
-                subscriber(record)
-        elif not stored:
+        else:
             self.dropped += 1
-
-    def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:
-        """Invoke ``callback`` for every future record (live monitoring)."""
-        self._subscribers.append(callback)
 
     def filter(
         self, category: Optional[str] = None, actor: Optional[str] = None

@@ -10,22 +10,20 @@
 * :mod:`repro.stats.poisson` — Poisson CDF for the staleness factor (Eq. 4).
 * :mod:`repro.stats.confidence` — binomial proportion confidence intervals
   (§6: 95 % intervals assuming binomially distributed timing failures).
-* :mod:`repro.stats.summary` — running summaries used in reports.
+* :mod:`repro.stats.summary` — the percentile helper used in reports.
 """
 
 from repro.stats.pmf import DiscretePmf
 from repro.stats.sliding_window import SlidingWindow
-from repro.stats.poisson import poisson_cdf, poisson_pmf
+from repro.stats.poisson import poisson_cdf
 from repro.stats.confidence import binomial_confidence_interval, wilson_interval
-from repro.stats.summary import RunningSummary, percentile
+from repro.stats.summary import percentile
 
 __all__ = [
     "DiscretePmf",
     "SlidingWindow",
     "poisson_cdf",
-    "poisson_pmf",
     "binomial_confidence_interval",
     "wilson_interval",
-    "RunningSummary",
     "percentile",
 ]

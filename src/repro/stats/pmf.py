@@ -201,7 +201,7 @@ class DiscretePmf:
     def degenerate(
         cls, value: float, quantum: float = DEFAULT_QUANTUM
     ) -> "DiscretePmf":
-        """A point mass at ``value`` (used for the latest gateway delay)."""
+        """A point mass at ``value``."""
         bin_index = max(0, int(round(max(0.0, value) / quantum)))
         return cls(quantum, bin_index, np.array([1.0]))
 
@@ -222,11 +222,6 @@ class DiscretePmf:
 
     def mean(self) -> float:
         return float(np.dot(self.values(), self.mass))
-
-    def variance(self) -> float:
-        values = self.values()
-        mu = float(np.dot(values, self.mass))
-        return float(np.dot((values - mu) ** 2, self.mass))
 
     def _cumulative(self) -> np.ndarray:
         """Lazily materialized running sum of :attr:`mass`.
@@ -362,14 +357,6 @@ class DiscretePmf:
             )
         mass = np.convolve(self.mass, other.mass)
         return DiscretePmf(self.quantum, self.offset + other.offset, mass)
-
-    def shift(self, delta: float) -> "DiscretePmf":
-        """Add a constant (non-negative after quantization) to the variable."""
-        bins = int(round(delta / self.quantum))
-        new_offset = self.offset + bins
-        if new_offset < 0:
-            raise ValueError(f"shift {delta!r} would move support negative")
-        return DiscretePmf(self.quantum, new_offset, self.mass.copy())
 
     def mix(self, other: "DiscretePmf", weight: float) -> "DiscretePmf":
         """Mixture ``weight * self + (1 - weight) * other``."""

@@ -21,18 +21,6 @@ from __future__ import annotations
 import math
 
 
-def poisson_pmf(n: int, mean: float) -> float:
-    """P(N = n) for N ~ Poisson(mean)."""
-    if n < 0:
-        raise ValueError(f"negative count {n!r}")
-    if mean < 0:
-        raise ValueError(f"negative mean {mean!r}")
-    if mean == 0:
-        return 1.0 if n == 0 else 0.0
-    log_p = -mean + n * math.log(mean) - math.lgamma(n + 1)
-    return math.exp(log_p)
-
-
 def poisson_cdf(a: int, mean: float) -> float:
     """P(N <= a) for N ~ Poisson(mean); Equation 4 with mean = lambda_u * t_l."""
     if mean < 0:
@@ -106,23 +94,3 @@ def poisson_cdf_phase_mean(
         return cycles * full_cycle + poisson_cdf_integral(a, rate, phase)
 
     return min(1.0, max(0.0, (upto(start + width) - upto(start)) / width))
-
-
-def poisson_quantile(q: float, mean: float) -> int:
-    """Smallest a with P(N <= a) >= q (used by adaptive-LUI extensions)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile level {q!r} outside [0, 1]")
-    if mean < 0:
-        raise ValueError(f"negative mean {mean!r}")
-    if mean == 0 or q == 0.0:
-        return 0
-    a = 0
-    total = math.exp(-mean)
-    term = total
-    # The loop bound is generous; Poisson tail decays super-exponentially.
-    limit = int(mean + 20 * math.sqrt(mean) + 20)
-    while total < q and a < limit:
-        a += 1
-        term *= mean / a
-        total += term
-    return a

@@ -95,10 +95,6 @@ class SlidingWindow:
         return low, counts
 
     @property
-    def latest(self) -> Optional[float]:
-        return self._samples[-1] if self._samples else None
-
-    @property
     def full(self) -> bool:
         return len(self._samples) == self.size
 

@@ -172,22 +172,10 @@ class AggregateStats:
         total = self.response_sum + sum(self.probe_response_times)
         return total / resolved
 
-    # -- modeled-only views --------------------------------------------
-    # The validation comparison uses these: the probe subsample is itself
+    # -- modeled-only view ---------------------------------------------
+    # The validation comparison uses it: the probe subsample is itself
     # discretely simulated, so folding it in would dilute the test of the
     # analytic model with data generated by the reference mechanism.
-    @property
-    def modeled_failure_probability(self) -> float:
-        if not self.reads_modeled:
-            return 0.0
-        return self.failures_modeled / self.reads_modeled
-
-    @property
-    def modeled_deferred_fraction(self) -> float:
-        if not self.reads_modeled:
-            return 0.0
-        return self.deferred_modeled / self.reads_modeled
-
     def _grid_counts_at(self, xs: np.ndarray) -> np.ndarray:
         """Cumulative grid-histogram counts P-numerator at each x."""
         grid_counts = self.response_hist[:-1]
@@ -205,22 +193,6 @@ class AggregateStats:
         if self.reads_modeled == 0:
             return np.zeros(xs.shape)
         return self._grid_counts_at(xs) / self.reads_modeled
-
-    def response_cdf(self, xs) -> np.ndarray:
-        """Empirical P(response <= x) over *all* reads at each x.
-
-        Never-resolved reads count in the denominator (their response
-        time is effectively infinite), matching how the discrete tier's
-        outcome lists are summarized for the validation comparison.
-        """
-        xs = np.asarray(xs, dtype=float)
-        if self.reads == 0:
-            return np.zeros(xs.shape)
-        counts = self._grid_counts_at(xs)
-        probe = np.asarray(sorted(self.probe_response_times), dtype=float)
-        if probe.size:
-            counts = counts + np.searchsorted(probe, xs, side="right")
-        return counts / self.reads
 
 
 class AggregatedClientPool:

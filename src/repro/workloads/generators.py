@@ -145,11 +145,6 @@ class BurstyUpdater:
         self._rng = rng.stream(f"bursty.{handler.name}")
         self.process = Process(sim, self._run(), name=f"bursty-{handler.name}")
 
-    @property
-    def mean_rate(self) -> float:
-        cycle = self.burst_length + self.idle_length
-        return self.burst_rate * self.burst_length / cycle
-
     def _run(self):
         deadline = self.sim.now + self.duration
         while self.sim.now < deadline:

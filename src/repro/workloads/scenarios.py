@@ -30,6 +30,7 @@ from repro.core.priority import PriorityMapper
 from repro.core.qos import QoSSpec
 from repro.core.selection import SelectionStrategy
 from repro.core.service import ServiceConfig, Testbed, build_testbed
+from repro.groups.membership import MembershipConfig
 from repro.obs.calibration import CalibrationTracker
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloEngine, SloSpec
@@ -348,8 +349,7 @@ def build_operation_mix_scenario(
             lazy_update_interval if closed_loop else static_t_l
         ),
         read_service_time=service_time or default_mix_service_time(),
-        heartbeat_interval=0.1,
-        suspect_timeout=0.35,
+        membership=MembershipConfig(heartbeat_interval=0.1, suspect_timeout=0.35),
         gsn_wait_timeout=0.15,
         gc_timeout=4.0,
         controller=controller_config,

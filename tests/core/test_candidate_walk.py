@@ -143,7 +143,7 @@ def _build(scene):
 def _sorted_selection(client, qos, suspects, prefer_secondaries):
     """What the read path did before the walk: every candidate evaluated in
     view order, filtered, sorted, then Algorithm 1."""
-    views = client._candidates(qos)
+    views = client.candidate_views(qos)
     if prefer_secondaries:
         secondaries = [v for v in views if not v.is_primary]
         if secondaries:
@@ -167,7 +167,7 @@ def test_the_walk_is_the_sort(scene):
     assert "svc-seq" not in client._roles  # the sequencer is no candidate
 
     # Every candidate, exhausted: the walk's order is the sort's.
-    every = client._candidates(qos)
+    every = client.candidate_views(qos)
     walked = list(client._walk(client._roles, qos.deadline, {}))
     assert walked == sort_candidates(every)
 

@@ -56,15 +56,6 @@ def test_default_qos_used_when_not_passed():
     assert client.reads_resolved.value == 1
 
 
-def test_declare_read_only_at_runtime():
-    testbed = make_testbed()
-    client = testbed.service.create_client("c")
-    client.declare_read_only("get")
-    client.invoke("get", qos=QOS)
-    testbed.sim.run(until=2.0)
-    assert client.reads_issued.value == 1
-
-
 def test_request_ids_are_numbered_per_fabric():
     """Unique across the clients of one fabric, and from 1 in every
     fabric, so a seeded run issues the same ids in any process."""
@@ -109,13 +100,8 @@ def test_late_replies_still_update_monitoring():
 
     Process(testbed.sim, run())
     testbed.sim.run(until=5.0)
-    selected_with_data = [
-        name
-        for name in client.repository.known_replicas()
-        if client.repository.stats_for(name).last_reply_at is not None
-    ]
     # More than one replica's reply reached the repository.
-    assert len(selected_with_data) >= 2
+    assert len(client.repository.by_last_reply) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +258,7 @@ def test_sequencer_added_to_read_targets():
 def test_candidates_exclude_sequencer():
     testbed = make_testbed()
     client = testbed.service.create_client("c", read_only_methods={"get"})
-    names = {c.name for c in client._candidates(QOS)}
+    names = {c.name for c in client.candidate_views(QOS)}
     assert testbed.service.sequencer_name not in names
     assert len(names) == 4  # 2 primaries + 2 secondaries
 

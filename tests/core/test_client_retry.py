@@ -12,6 +12,7 @@ import pytest
 from repro.core.client import RetryPolicy
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
+from repro.groups.membership import MembershipConfig
 from repro.net.latency import FixedLatency
 from repro.sim.process import Process, Timeout
 from repro.sim.rng import Constant
@@ -25,8 +26,7 @@ def make_testbed(num_primaries=2, num_secondaries=2, seed=21):
         num_secondaries=num_secondaries,
         lazy_update_interval=0.4,
         read_service_time=Constant(0.010),
-        heartbeat_interval=0.1,
-        suspect_timeout=0.35,
+        membership=MembershipConfig(heartbeat_interval=0.1, suspect_timeout=0.35),
         gc_timeout=5.0,  # stranded reads resolve within the test horizon
     )
     return build_testbed(
@@ -292,8 +292,7 @@ def shedding_testbed(retry_policy, seed=21):
         num_secondaries=2,
         lazy_update_interval=0.4,
         read_service_time=Constant(0.010),
-        heartbeat_interval=0.1,
-        suspect_timeout=0.35,
+        membership=MembershipConfig(heartbeat_interval=0.1, suspect_timeout=0.35),
         gc_timeout=5.0,
         overload=OverloadConfig(queue_capacity=2),
     )

@@ -1,9 +1,10 @@
-"""Tests for runtime scale-out and secondary recovery (channel epochs)."""
+"""Tests for secondary recovery (channel epochs)."""
 
 import pytest
 
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
+from repro.groups.membership import MembershipConfig
 from repro.net.latency import FixedLatency
 from repro.sim.process import Process, Timeout
 from repro.sim.rng import Constant
@@ -16,8 +17,7 @@ def make_testbed(num_secondaries=2, lui=0.5):
         num_secondaries=num_secondaries,
         lazy_update_interval=lui,
         read_service_time=Constant(0.010),
-        heartbeat_interval=0.1,
-        suspect_timeout=0.35,
+        membership=MembershipConfig(heartbeat_interval=0.1, suspect_timeout=0.35),
     )
     return build_testbed(
         config,
@@ -36,66 +36,6 @@ def updates(testbed, client, count, gap=0.1):
             yield Timeout(gap)
 
     return Process(testbed.sim, run())
-
-
-# ---------------------------------------------------------------------------
-# Scale-out
-# ---------------------------------------------------------------------------
-def test_add_secondary_joins_groups():
-    testbed = make_testbed()
-    service = testbed.service
-    new = service.add_secondary()
-    assert new.name == "svc-s3"
-    assert new.name in testbed.membership.view_of("svc.secondary")
-    assert new.name in testbed.membership.view_of("svc.qos")
-    assert len(service.secondaries) == 3
-
-
-def test_added_secondary_syncs_via_lazy_update():
-    testbed = make_testbed(lui=0.5)
-    service = testbed.service
-    client = service.create_client("c", read_only_methods={"get"})
-    updates(testbed, client, 5)
-    testbed.sim.run(until=3.0)
-
-    new = service.add_secondary()
-    assert new.app.value == 0  # joins empty
-    testbed.sim.run(until=6.0)
-    assert new.app.value == 5  # caught up by lazy propagation
-    assert new.my_csn == 5
-
-
-def test_added_secondary_becomes_selectable():
-    testbed = make_testbed()
-    service = testbed.service
-    client = service.create_client("c", read_only_methods={"get"})
-    testbed.sim.run(until=1.0)
-    new = service.add_secondary()
-    testbed.sim.run(until=2.0)
-    names = {c.name for c in client._candidates(QOS)}
-    assert new.name in names
-
-
-def test_added_secondary_serves_reads():
-    testbed = make_testbed(num_secondaries=1)
-    service = testbed.service
-    client = service.create_client("c", read_only_methods={"get"})
-    new = service.add_secondary()
-
-    reads = []
-
-    def run():
-        for _ in range(10):
-            yield client.call("increment")
-            yield Timeout(0.1)
-            outcome = yield client.call("get", (), QOS)
-            reads.append(outcome)
-            yield Timeout(0.1)
-
-    Process(testbed.sim, run())
-    testbed.sim.run(until=30.0)
-    assert new.reads_served.value > 0
-    assert all(o.value is not None for o in reads)
 
 
 # ---------------------------------------------------------------------------

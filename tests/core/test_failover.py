@@ -7,6 +7,7 @@ import pytest
 from repro.core.qos import QoSSpec
 from repro.core.requests import GsnSkip
 from repro.core.service import ServiceConfig, build_testbed
+from repro.groups.membership import MembershipConfig
 from repro.net.latency import FixedLatency
 from repro.sim.process import Process, Timeout
 from repro.sim.rng import Constant
@@ -19,8 +20,7 @@ def make_testbed(num_primaries=3, num_secondaries=2, lui=0.5, seed=5):
         num_secondaries=num_secondaries,
         lazy_update_interval=lui,
         read_service_time=Constant(0.010),
-        heartbeat_interval=0.1,
-        suspect_timeout=0.35,
+        membership=MembershipConfig(heartbeat_interval=0.1, suspect_timeout=0.35),
     )
     return build_testbed(
         config,

@@ -129,7 +129,7 @@ def test_fifo_client_candidates_include_all_primaries():
     """Without a sequencer, no primary is excluded from selection."""
     testbed = make_fifo_testbed()
     client = testbed.service.create_client("c", read_only_methods={"get"})
-    candidates = client._candidates(QOS)
+    candidates = client.candidate_views(QOS)
     names = {c.name for c in candidates}
     assert names == {
         p.name for p in testbed.service.primaries

@@ -25,9 +25,9 @@ from repro.core.qos import QoSSpec
 from repro.core.selection import SelectionResult, SelectionStrategy
 from repro.core.service import ServiceConfig, build_testbed
 from repro.core.tuning import StalenessTarget
-from repro.groups.membership import walk_grid
+from repro.groups.membership import MembershipConfig, walk_grid
 from repro.net.latency import FixedLatency, LatencyModel
-from repro.sim.rng import Exponential, Normal
+from repro.sim.rng import Distribution, Normal
 from repro.sim.tracing import Trace
 
 HEARTBEAT = 0.1
@@ -62,8 +62,7 @@ def make_testbed(seed=1, trace=None, link=LINK, **config):
             num_primaries=3,
             num_secondaries=2,
             lazy_update_interval=0.5,
-            heartbeat_interval=HEARTBEAT,
-            suspect_timeout=0.35,
+            membership=MembershipConfig(heartbeat_interval=HEARTBEAT, suspect_timeout=0.35),
             **config,
         ),
         seed=seed,
@@ -160,12 +159,12 @@ def run_twin(
             network.crash("svc-p2")
             sim.schedule(1.0, service.recover_primary, "svc-p2")
         elif fault == "cut":
-            network.partition({"feed"}, {"svc-p2"}, symmetric=False)
-            sim.schedule(1.5, network.heal_partitions)
+            cut = network.partition({"feed"}, {"svc-p2"}, symmetric=False)
+            sim.schedule(1.5, network.heal_partition, cut)
         else:
             everyone = set(network.endpoints()) - {"svc-p2"}
-            network.partition({"svc-p2"}, everyone)
-            sim.schedule(0.8, network.heal_partitions)
+            cut = network.partition({"svc-p2"}, everyone)
+            sim.schedule(0.8, network.heal_partition, cut)
 
     # Every watchdog check and sweep from the fault on: the grid the lazy
     # twin resumes on must be the one the wired twin never left.  (Checks
@@ -238,7 +237,7 @@ def test_an_idle_sweep_resumes_on_its_grid_when_a_member_is_admitted():
     # the second finds every one of them lazy and stops the chain.
     assert sweeps == pytest.approx([0.1, 0.2])
     assert membership._idle_since == sweeps[-1]
-    sim.schedule_at(1.23, testbed.service.add_secondary)
+    sim.schedule_at(1.23, testbed.service.create_client, "late")
     sim.run(until=3.0)
     # Back on the old grid from the admission until the newcomer's first
     # tick (1.33) makes it lazy, then idle again.
@@ -276,10 +275,23 @@ def test_first_fault_mid_run_records_what_the_wired_twin_records(
     assert_twins_agree(fault=fault, fault_at=fault_at, slow=slow, seed=seed)
 
 
+class _ShiftedExponential(Distribution):
+    """``offset`` plus an exponential delay of mean ``scale``."""
+
+    def __init__(self, scale: float, offset: float) -> None:
+        self.scale, self.offset = scale, offset
+
+    def sample(self, rng):
+        return self.offset + rng.expovariate(1.0 / self.scale)
+
+    def mean(self) -> float:
+        return self.offset + self.scale
+
+
 #: A link with an unbounded tail whose mean (1.1 ms, as ``LINK``) passes the
 #: watchdog's guard.  Its delays reorder requests, so holes open and close
 #: at random; one beyond 35 ms has probability e^-43.
-EXPONENTIAL = LatencyModel(Exponential(0.0008, offset=0.0003))
+EXPONENTIAL = LatencyModel(_ShiftedExponential(0.0008, offset=0.0003))
 
 
 @settings(max_examples=15, deadline=None)

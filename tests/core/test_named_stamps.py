@@ -24,7 +24,7 @@ from repro.core.qos import QoSSpec
 from repro.core.requests import GsnAssign, Request, RequestKind
 from repro.core.selection import SelectionResult, SelectionStrategy
 from repro.core.service import ServiceConfig, build_testbed
-from repro.groups.membership import View
+from repro.groups.membership import MembershipConfig, View
 from repro.groups.multicast import GroupDataMsg
 from repro.net.latency import FixedLatency
 from repro.sim.rng import Constant, Normal
@@ -263,7 +263,8 @@ def test_a_sequencer_crash_around_a_named_stamp_still_resolves_the_read(
     crash_at, via_new_leader
 ):
     testbed = make_testbed(
-        3, 2, latency=FixedLatency(0.001), heartbeat_interval=0.1, suspect_timeout=0.35
+        3, 2, latency=FixedLatency(0.001),
+        membership=MembershipConfig(heartbeat_interval=0.1, suspect_timeout=0.35),
     )
     service = testbed.service
     client = service.create_client(

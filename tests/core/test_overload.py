@@ -17,11 +17,11 @@ from repro.core.overload import (
     DegradationPolicy,
     OverloadConfig,
     PressureMonitor,
-    pressure_name,
 )
 from repro.core.qos import QoSSpec
 from repro.core.selection import SelectionResult, SelectionStrategy
 from repro.core.service import ServiceConfig, build_testbed
+from repro.groups.membership import MembershipConfig
 from repro.net.latency import FixedLatency
 from repro.sim.process import Process, Timeout
 from repro.sim.rng import Constant
@@ -45,8 +45,7 @@ def make_testbed(
         num_secondaries=num_secondaries,
         lazy_update_interval=lui,
         read_service_time=Constant(0.010),
-        heartbeat_interval=0.1,
-        suspect_timeout=0.35,
+        membership=MembershipConfig(heartbeat_interval=0.1, suspect_timeout=0.35),
         gc_timeout=3.0,
         overload=overload,
         **config_kwargs,
@@ -118,12 +117,6 @@ def test_degradation_config_rejects_bad_values(kwargs):
     # rest of its shape is module constants, refused as unknown keywords.
     with pytest.raises((TypeError, ValueError)):
         DegradationPolicy(**kwargs)
-
-
-def test_pressure_names():
-    assert pressure_name(NOMINAL) == "nominal"
-    assert pressure_name(CRITICAL) == "critical"
-    assert pressure_name(99) == "critical"  # clamped
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,15 @@ from repro.core.requests import PerfBroadcast, StalenessInfo
 from repro.stats.pmf import CountHistogram
 
 
+def _cache(predictor):
+    """The count cache's (hits, misses, invalidations)."""
+    return (
+        predictor.cache_hits.value,
+        predictor.cache_misses.value,
+        predictor.cache_invalidations.value,
+    )
+
+
 def _fill(repo, replica="r", n=5, tb=True):
     for i in range(n):
         repo.record_broadcast(
@@ -61,10 +70,10 @@ def test_steady_state_reads_hit_the_cache(convolutions):
     _fill(repo)
     predictor = ResponseTimePredictor(repo, 2.0)
     predictor.response_cdfs("r", 0.150)
-    assert predictor.cache_stats == {"hits": 0, "misses": 1, "invalidations": 0}
+    assert _cache(predictor) == (0, 1, 0)
     predictor.response_cdfs("r", 0.200)  # different deadline, same counts
     predictor.immediate_cdf("r", 0.200)  # F^I and F^D share the one entry
-    assert predictor.cache_stats == {"hits": 2, "misses": 1, "invalidations": 0}
+    assert _cache(predictor) == (2, 1, 0)
     assert len(convolutions) == 1
 
 
@@ -76,7 +85,7 @@ def test_new_measurement_invalidates(convolutions):
     repo.record_broadcast(PerfBroadcast(replica="r", ts=0.02, tq=0.001, tb=0.2))
     predictor.response_cdfs("r", 0.150)
     # The ts/tq versions moved: the entry is stale and is replaced.
-    assert predictor.cache_stats == {"hits": 0, "misses": 2, "invalidations": 1}
+    assert _cache(predictor) == (0, 2, 1)
     assert len(convolutions) == 2
 
 
@@ -90,7 +99,7 @@ def test_gateway_delay_changes_the_value_without_rebuilding(convolutions):
     after = predictor.response_cdfs("r", 0.120)
     assert after[0] <= before[0] and after[1] < before[1]  # shifted right
     assert predictor.immediate_cdf("r", 0.020) == 0.0  # 10 + 2 + 50 ms > 20 ms
-    assert predictor.cache_stats == {"hits": 2, "misses": 1, "invalidations": 0}
+    assert _cache(predictor) == (2, 1, 0)
     assert len(convolutions) == 1
     fresh = ResponseTimePredictor(repo, 2.0, use_cache=False)
     assert fresh.response_cdfs("r", 0.120) == after
@@ -107,7 +116,7 @@ def test_lazy_wait_sample_changes_the_value_without_rebuilding(convolutions):
     repo.stats_for("r").tb_window.record(1.5)
     _, after = predictor.response_cdfs("r", 0.150)
     assert after < before
-    assert predictor.cache_stats == {"hits": 1, "misses": 1, "invalidations": 0}
+    assert _cache(predictor) == (1, 1, 0)
     assert len(convolutions) == 1
 
 
@@ -126,7 +135,7 @@ def test_bootstrap_path_bypasses_cache():
     repo = ClientInfoRepository(8)
     predictor = ResponseTimePredictor(repo, 2.0)
     assert predictor.response_cdfs("unknown", 0.1) == (1.0, 1.0)
-    assert predictor.cache_stats == {"hits": 0, "misses": 0, "invalidations": 0}
+    assert _cache(predictor) == (0, 0, 0)
 
 
 def test_disabled_cache_keeps_counters_at_zero():
@@ -135,17 +144,7 @@ def test_disabled_cache_keeps_counters_at_zero():
     predictor = ResponseTimePredictor(repo, 2.0, use_cache=False)
     predictor.response_cdfs("r", 0.150)
     predictor.response_cdfs("r", 0.150)
-    assert predictor.cache_stats == {"hits": 0, "misses": 0, "invalidations": 0}
-
-
-def test_clear_cache_forces_recompute():
-    repo = ClientInfoRepository(8)
-    _fill(repo)
-    predictor = ResponseTimePredictor(repo, 2.0)
-    first = predictor.response_cdfs("r", 0.150)
-    predictor.clear_cache()
-    assert predictor.response_cdfs("r", 0.150) == first
-    assert predictor.cache_stats == {"hits": 0, "misses": 2, "invalidations": 0}
+    assert _cache(predictor) == (0, 0, 0)
 
 
 def test_lazy_interval_change_invalidates_deferred_pmf():
@@ -163,7 +162,7 @@ def test_lazy_interval_change_invalidates_deferred_pmf():
     assert after > before  # shorter interval -> much tighter lazy wait
     assert narrow.mass.size == wide.mass.size - 1600
     assert narrow.cdf(0.5) == pytest.approx(after, abs=1e-12)
-    assert predictor.cache_stats == {"hits": 3, "misses": 1, "invalidations": 0}
+    assert _cache(predictor) == (3, 1, 0)
 
 
 def test_per_replica_isolation():
@@ -176,7 +175,7 @@ def test_per_replica_isolation():
     repo.record_broadcast(PerfBroadcast(replica="a", ts=0.02, tq=0.001, tb=0.1))
     predictor.response_cdfs("a", 0.15)
     predictor.response_cdfs("b", 0.15)  # b untouched: still a hit
-    assert predictor.cache_stats == {"hits": 1, "misses": 3, "invalidations": 1}
+    assert _cache(predictor) == (1, 3, 1)
 
 
 def test_response_pmfs_ride_the_same_entry(convolutions):
@@ -248,7 +247,7 @@ def test_unchanged_candidates_cost_no_arithmetic(arithmetic):
     assert predictor.candidate_cdfs(_PRIMARIES, _SECONDARIES, 0.150) == first
     assert arithmetic == [("lazy_interval", repo)]  # T_L resolved once per read
     assert predictor.evaluations.value == 64
-    assert predictor.cache_stats == {"hits": 32, "misses": 32, "invalidations": 0}
+    assert _cache(predictor) == (32, 32, 0)
 
 
 def test_one_broadcast_recomputes_one_candidate(arithmetic):
@@ -263,7 +262,7 @@ def test_one_broadcast_recomputes_one_candidate(arithmetic):
     ]
     changed = [i for i in range(28) if second[1][i] != first[1][i]]
     assert second[0] == first[0] and changed == [3]
-    assert predictor.cache_stats == {"hits": 31, "misses": 33, "invalidations": 1}
+    assert _cache(predictor) == (31, 33, 1)
 
 
 def test_scalar_query_does_not_evict_the_read_slot(arithmetic):
@@ -333,7 +332,6 @@ _write = st.one_of(
     st.tuples(st.just("tb"), _name, _tb),
     st.tuples(st.just("announce"), st.one_of(st.none(), _interval)),
     st.tuples(st.just("configure"), _interval),
-    st.tuples(st.just("clear")),
     st.tuples(st.just("flip")),
     st.tuples(st.just("query"), _name, st.floats(min_value=0.0, max_value=2.0)),
 )
@@ -351,7 +349,7 @@ _ops = st.builds(
 
 
 def _counters(predictor):
-    return (predictor.evaluations.value, predictor.cache_stats)
+    return (predictor.evaluations.value, _cache(predictor))
 
 
 def _stale_slot_examples(test):
@@ -368,7 +366,6 @@ def _stale_slot_examples(test):
         (("read", 0.9, as_secondary), [("configure", 0.4)], ("read", 0.9, as_secondary)),
         (("read", 0.9, as_primary), [], ("read", 0.9, as_secondary)),
         (("read", 0.150, as_secondary), [], ("read", 0.9, as_secondary)),
-        (("read", 0.150, as_secondary), [("clear",)], ("read", 0.150, as_secondary)),
         (("read", 0.150, as_secondary), [("query", "a", 0.050)], ("read", 0.150, as_secondary)),
         (
             ("read", 0.150, as_primary),
@@ -386,7 +383,7 @@ def _stale_slot_examples(test):
 def test_cache_equivalence_property(ops):
     """Across arbitrary interleavings of everything an evaluation reads —
     measurements, replies, ``t_b`` samples, announced and configured
-    ``T_L``, cache clears and runtime ``use_cache`` flips, role changes —
+    ``T_L`` and runtime ``use_cache`` flips, role changes —
     with scalar queries and repeated fused reads in between: the memoised
     predictor's values are *exactly* a ``use_cache=False`` predictor's, and
     its counters are those of a cached predictor that only ever went
@@ -415,9 +412,6 @@ def test_cache_equivalence_property(ops):
         elif kind == "configure":
             for predictor in (memoised, scalar, fresh):
                 predictor.lazy_update_interval = op[1]
-        elif kind == "clear":
-            memoised.clear_cache()
-            scalar.clear_cache()
         elif kind == "flip":
             memoised.use_cache = scalar.use_cache = not memoised.use_cache
         elif kind == "query":

@@ -53,7 +53,7 @@ def _pmf_chain(stats, tg, lazy_interval, deadline):
     """The retained reference: what the predictor built before ISSUE 15."""
     service = DiscretePmf.from_histogram(Q, *stats.ts_window.histogram(Q))
     queuing = DiscretePmf.from_histogram(Q, *stats.tq_window.histogram(Q))
-    base = service.convolve(queuing).shift(tg)
+    base = service.convolve(queuing).convolve(DiscretePmf.degenerate(tg, Q))
     if stats.tb_window:
         lazy_wait = DiscretePmf.from_histogram(Q, *stats.tb_window.histogram(Q))
     else:

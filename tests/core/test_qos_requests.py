@@ -68,14 +68,6 @@ def test_zero_staleness_and_extreme_probabilities_allowed():
     QoSSpec(0, 0.1, 1.0)
 
 
-def test_relax_deadline():
-    spec = QoSSpec(2, 0.1, 0.9).relax_deadline(2.0)
-    assert spec.deadline == pytest.approx(0.2)
-    assert spec.staleness_threshold == 2
-    with pytest.raises(ValueError):
-        spec.relax_deadline(0.0)
-
-
 def test_describe_mentions_all_attributes():
     text = QoSSpec(3, 0.25, 0.8).describe()
     assert "3" in text and "250" in text and "0.80" in text
@@ -102,18 +94,6 @@ def test_declared_methods_are_reads():
     registry = ReadOnlyRegistry({"get"})
     assert registry.kind_of("get") is RequestKind.READ
     assert registry.kind_of("put") is RequestKind.UPDATE
-
-
-def test_declare_after_construction():
-    registry = ReadOnlyRegistry()
-    registry.declare("peek")
-    assert registry.kind_of("peek") is RequestKind.READ
-    assert registry.read_only_methods() == {"peek"}
-
-
-def test_declare_empty_name_rejected():
-    with pytest.raises(ValueError):
-        ReadOnlyRegistry().declare("")
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ def test_stats_separate_per_replica():
     repo.record_broadcast(_broadcast(replica="b", ts=0.9))
     assert repo.stats_for("a").ts_window.samples() == [0.1]
     assert repo.stats_for("b").ts_window.samples() == [0.9]
-    assert repo.known_replicas() == ["a", "b"]
 
 
 def test_ert_infinite_before_any_reply():

@@ -51,9 +51,8 @@ def test_config_validation():
     "field",
     [
         dict(lazy_update_interval=-1.0),
-        dict(heartbeat_interval=0.0),
-        dict(heartbeat_interval=2.0),  # not below the default suspect_timeout
-        dict(suspect_timeout=0.25),  # not above the default heartbeat_interval
+        dict(heartbeat_interval=0.0),  # these two are MembershipConfig's
+        dict(suspect_timeout=0.25),
         dict(rto=0.0),
         dict(gsn_wait_timeout=0.0),  # used to hang the first read at +0 s
         dict(gsn_wait_timeout=-1.0),
@@ -65,7 +64,8 @@ def test_config_validation():
 )
 def test_config_rejects_what_would_only_fail_once_running(field):
     # rto and quantum are constants, not fields (GroupEndpoint's own timeout
-    # and client.QUANTUM), so passing one is refused, not ignored.
+    # and client.QUANTUM), and the membership timers are fields of
+    # ServiceConfig.membership, so passing one is refused, not ignored.
     with pytest.raises((TypeError, ValueError)):
         ServiceConfig(**field)
 
@@ -103,7 +103,6 @@ def test_replica_counts_and_names():
     assert service.sequencer_name == "svc-seq"
     assert [p.name for p in service.primaries] == ["svc-p1", "svc-p2"]
     assert [s.name for s in service.secondaries] == ["svc-s1", "svc-s2", "svc-s3"]
-    assert service.serving_replica_count() == 5
     assert len(service.all_replicas()) == 6
 
 
@@ -112,8 +111,8 @@ def test_initial_views_installed_synchronously():
     service = testbed.service
     for replica in service.all_replicas():
         assert replica.primary_view.members == ("svc-seq", "svc-p1", "svc-p2")
-        assert replica.secondary_view.members == ("svc-s1", "svc-s2", "svc-s3")
-        assert set(replica.qos_view.members) == {
+        assert replica.view_of("svc.secondary").members == ("svc-s1", "svc-s2", "svc-s3")
+        assert set(replica.view_of("svc.qos").members) == {
             r.name for r in service.all_replicas()
         }
 
@@ -131,7 +130,7 @@ def test_client_joins_qos_group_and_views_pushed():
     assert "c" in testbed.membership.view_of("svc.qos")
     assert client.view_of("svc.primary").members == ("svc-seq", "svc-p1", "svc-p2")
     # Replicas see the client in the QoS group (for perf broadcasts).
-    assert "c" in testbed.service.primaries[0].qos_view
+    assert "c" in testbed.service.primaries[0].view_of("svc.qos")
     assert testbed.service.primaries[0].client_names() == ("c",)
 
 

@@ -4,13 +4,7 @@ import pytest
 
 from repro.core.repository import ClientInfoRepository
 from repro.core.requests import PerfBroadcast, StalenessInfo
-from repro.core.staleness import (
-    DeterministicStalenessModel,
-    OptimisticStalenessModel,
-    PessimisticStalenessModel,
-    PoissonStalenessModel,
-    RateMixtureStalenessModel,
-)
+from repro.core.staleness import PoissonStalenessModel, RateMixtureStalenessModel
 from repro.stats.poisson import poisson_cdf
 
 
@@ -38,18 +32,6 @@ def test_poisson_matches_equation4():
 def test_poisson_no_updates_gives_one():
     repo = ClientInfoRepository(10)
     assert PoissonStalenessModel().staleness_factor(0, repo, 1.0, 2.0) == 1.0
-
-
-def test_deterministic_step_function():
-    repo = _repo([(10, 5.0)], t_l=1.0)  # rate 2/s, t_l = 1 -> 2 updates
-    model = DeterministicStalenessModel()
-    assert model.staleness_factor(2, repo, 10.0, 4.0) == 1.0
-    assert model.staleness_factor(1, repo, 10.0, 4.0) == 0.0
-
-
-def test_deterministic_no_updates_gives_one():
-    repo = ClientInfoRepository(10)
-    assert DeterministicStalenessModel().staleness_factor(0, repo, 1.0, 2.0) == 1.0
 
 
 def test_rate_mixture_equals_poisson_for_constant_rate():
@@ -81,35 +63,22 @@ def test_rate_mixture_empty_window_gives_one():
     assert RateMixtureStalenessModel().staleness_factor(0, repo, 1.0, 2.0) == 1.0
 
 
-def test_constant_models():
-    repo = _repo([(10, 1.0)], t_l=1.0)
-    assert OptimisticStalenessModel().staleness_factor(0, repo, 10.0, 2.0) == 1.0
-    assert PessimisticStalenessModel().staleness_factor(99, repo, 10.0, 2.0) == 0.0
-
-
 def test_model_names_distinct():
-    names = {
-        PoissonStalenessModel.name,
-        DeterministicStalenessModel.name,
-        RateMixtureStalenessModel.name,
-        OptimisticStalenessModel.name,
-        PessimisticStalenessModel.name,
-    }
-    assert len(names) == 5
+    assert PoissonStalenessModel.name != RateMixtureStalenessModel.name
 
 
 def test_predictor_uses_configured_model():
     from repro.core.prediction import ResponseTimePredictor
 
-    repo = _repo([(10, 1.0)], t_l=1.0)
-    optimistic = ResponseTimePredictor(
-        repo, 2.0, staleness_model=OptimisticStalenessModel()
+    bursty = _repo([(8, 1.0), (0, 1.0), (0, 1.0), (0, 1.0)], t_l=1.0)
+    default = ResponseTimePredictor(bursty, 4.0)
+    mixture = ResponseTimePredictor(
+        bursty, 4.0, staleness_model=RateMixtureStalenessModel()
     )
-    pessimistic = ResponseTimePredictor(
-        repo, 2.0, staleness_model=PessimisticStalenessModel()
+    assert mixture.staleness_factor(4, now=10.0) == (
+        RateMixtureStalenessModel().staleness_factor(4, bursty, 10.0, 4.0)
     )
-    assert optimistic.staleness_factor(0, now=10.0) == 1.0
-    assert pessimistic.staleness_factor(0, now=10.0) == 0.0
+    assert mixture.staleness_factor(4, now=10.0) < default.staleness_factor(4, now=10.0)
 
 
 def test_client_accepts_staleness_model():
@@ -125,6 +94,6 @@ def test_client_accepts_staleness_model():
     client = testbed.service.create_client(
         "c",
         read_only_methods={"get"},
-        staleness_model=PessimisticStalenessModel(),
+        staleness_model=RateMixtureStalenessModel(),
     )
-    assert client.predictor.staleness_model.name == "pessimistic"
+    assert client.predictor.staleness_model.name == "rate-mixture"

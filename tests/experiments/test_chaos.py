@@ -180,8 +180,8 @@ def test_main_runs_and_saves(tmp_path, capsys):
     assert code == 0
     assert "chaos soak" in out
     assert "fault recovery" in out
-    from repro.experiments.report import load_results
+    import json
 
-    document = load_results(str(save))
+    document = json.loads(save.read_text())
     assert document["meta"]["experiment"] == "chaos"
     assert len(document["results"]) == 1

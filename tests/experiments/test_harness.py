@@ -1,5 +1,7 @@
 """Tests for the experiment harness (scaled-down runs)."""
 
+import json
+
 import pytest
 
 from repro.baselines.strategies import AllReplicasSelection
@@ -31,7 +33,7 @@ def test_format_series():
 
 
 def test_save_and_load_results_round_trip(tmp_path):
-    from repro.experiments.report import load_results, save_results
+    from repro.experiments.report import save_results
 
     cell = run_figure4_cell(
         deadline=0.3, min_probability=0.5, lazy_update_interval=2.0,
@@ -40,7 +42,7 @@ def test_save_and_load_results_round_trip(tmp_path):
     path = save_results(
         tmp_path / "fig4.json", [cell], meta={"seed": 0, "requests": 8}
     )
-    document = load_results(path)
+    document = json.loads(path.read_text())
     assert document["meta"]["seed"] == 0
     row = document["results"][0]
     assert row["__dataclass__"] == "Figure4Cell"
@@ -49,11 +51,11 @@ def test_save_and_load_results_round_trip(tmp_path):
 
 
 def test_save_results_handles_nested_structures(tmp_path):
-    from repro.experiments.report import load_results, save_results
+    from repro.experiments.report import save_results
 
     payload = {"series": [(1, 0.5), (2, 0.25)], "labels": {"a": [1, 2]}}
     path = save_results(tmp_path / "x.json", payload)
-    assert load_results(path)["results"] == {
+    assert json.loads(path.read_text())["results"] == {
         "series": [[1, 0.5], [2, 0.25]],
         "labels": {"a": [1, 2]},
     }

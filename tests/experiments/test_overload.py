@@ -202,9 +202,8 @@ def test_main_runs_checks_and_saves(tmp_path, capsys):
     assert code == 0
     assert "overload campaign" in out
     assert metrics_out.exists()
-    from repro.experiments.report import load_results
 
-    document = load_results(str(save))
+    document = json.loads(save.read_text())
     assert document["meta"]["experiment"] == "overload"
     assert document["meta"]["violations"] == []
     assert len(document["results"]) == 2  # one seed x two modes

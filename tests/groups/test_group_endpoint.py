@@ -114,8 +114,8 @@ def test_is_member_and_up(sim, network, wired):
     service, nodes = wired
     a = nodes["a"]
     a.adopt_view(View("g", 1, ("a",)))
-    assert a.is_member("g")
-    assert not a.is_member("other")
+    assert "a" in a.view_of("g")
+    assert "a" not in a.view_of("other")
     assert a.up
     network.crash("a")
     assert not a.up

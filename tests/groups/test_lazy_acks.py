@@ -24,10 +24,10 @@ from hypothesis import strategies as st
 from repro.groups.group import GroupEndpoint
 from repro.groups.membership import MembershipService
 from repro.groups.multicast import GroupAckMsg, GroupDataMsg
-from repro.net.latency import FixedLatency, LanLatency, WanLatency
+from repro.net.latency import FixedLatency, LanLatency, LatencyModel
 from repro.net.network import LinkChurn, Network
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import Normal, RngRegistry
 
 MEMBERS = ("a", "b", "c")
 RTO, BACKOFF = 0.05, 1.5
@@ -161,7 +161,8 @@ def test_channel_whose_round_trip_is_not_inside_rto_acks_on_the_wire():
     """Over a WAN (round trip ~100 ms against ``rto`` = 50 ms) a fault-free
     run genuinely retransmits: the channel is not taken on trust, and the
     wire carries what it carried before lazy acks existed."""
-    wired, lazy = twins(latency=WanLatency())
+    wan = LatencyModel(Normal(0.05, 0.015, floor=0.02), bandwidth_bytes_per_s=10e6 / 8)
+    wired, lazy = twins(latency=wan)
     for group in (wired, lazy):
         for i in range(50):
             group.sim.schedule_at(i * 0.03, group.members["a"].gmcast, "g", i)
@@ -248,8 +249,8 @@ def _crash_c(net):
 
 
 def _partition_c(net):
-    net.partition({"a", "b"}, {"c"})
-    return net.heal_partitions
+    cut = net.partition({"a", "b"}, {"c"})
+    return lambda: net.heal_partition(cut)
 
 
 def _lose_a_third(net):
@@ -268,14 +269,14 @@ def _churn(net):
     return net.clear_churn
 
 
-def _degrade_a_to_b(net):
-    net.degrade_link("a", "b", factor=40.0)  # 80 ms one way: outside rto
-    return lambda: net.restore_link("a", "b")
+def _degrade_b(net):
+    net.degrade_node("b", factor=40.0)  # 80 ms a -> b: outside rto
+    return lambda: net.restore_node("b")
 
 
 FAULTS = {
     f.__name__.lstrip("_"): f
-    for f in (_crash_c, _partition_c, _lose_a_third, _churn, _degrade_a_to_b)
+    for f in (_crash_c, _partition_c, _lose_a_third, _churn, _degrade_b)
 }
 
 millis = st.integers(min_value=0, max_value=2000)
@@ -408,7 +409,7 @@ def _assert_every_member_is_handed_every_message(wired, lazy):
 # had counted it at delivery.
 @example(sends=[(100, "a", "c")], fault="partition_c", fault_ms=104)
 @example(sends=[(0, "b", None)] * 5, fault="lose_a_third", fault_ms=1)
-@example(sends=[(10 * i, "a", "b") for i in range(20)], fault="degrade_a_to_b", fault_ms=95)
+@example(sends=[(10 * i, "a", "b") for i in range(20)], fault="degrade_b", fault_ms=95)
 @example(sends=[(7 * i, "c", None) for i in range(20)], fault="churn", fault_ms=30)
 # A beat tick at the fault's instant, a -> b landing then: exact where the
 # fault draws no shared stream (FIRST_FAULT_TIES below where it does).

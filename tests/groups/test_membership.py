@@ -16,7 +16,6 @@ from repro.groups.membership import (
 def test_view_leader_is_rank_zero():
     view = View("g", 1, ("a", "b", "c"))
     assert view.leader == "a"
-    assert view.rank_of("b") == 1
 
 
 def test_empty_view_has_no_leader():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
+from repro.groups.membership import MembershipConfig
 from repro.net.latency import FixedLatency, LanLatency
 from repro.sim.process import Process, Timeout
 from repro.sim.rng import Constant, Normal
@@ -16,8 +17,7 @@ def make_testbed(**kwargs):
         num_secondaries=2,
         lazy_update_interval=0.5,
         read_service_time=Constant(0.010),
-        heartbeat_interval=0.1,
-        suspect_timeout=0.35,
+        membership=MembershipConfig(heartbeat_interval=0.1, suspect_timeout=0.35),
     )
     defaults.update(kwargs)
     return build_testbed(

@@ -167,9 +167,9 @@ def test_paper_cell_is_the_same_cell_with_the_prediction_cache_off(paper_scenari
         # each of them has new windows since it was last evaluated: the
         # cache is consulted and misses, and changes nothing.
         assert shipped.handler.predictor.cache_misses.value > 0
-        assert recomputed.handler.predictor.cache_stats == {
-            "hits": 0, "misses": 0, "invalidations": 0
-        }
+        predictor = recomputed.handler.predictor
+        assert predictor.cache_hits.value == predictor.cache_misses.value == 0
+        assert predictor.cache_invalidations.value == 0
         assert shipped.read_outcomes == recomputed.read_outcomes
         assert shipped.update_outcomes == recomputed.update_outcomes
         assert (

@@ -89,16 +89,6 @@ def test_per_link_latency_override(sim, network, pair):
     assert a.received[0][0] == pytest.approx(0.001)
 
 
-def test_symmetric_link_override(sim, network, pair):
-    a, b = pair
-    network.set_symmetric_link("a", "b", FixedLatency(0.25))
-    a.send("b", 1)
-    b.send("a", 2)
-    sim.run()
-    assert b.received[0][0] == pytest.approx(0.25)
-    assert a.received[0][0] == pytest.approx(0.25)
-
-
 def test_fifo_on_deterministic_link(sim, pair):
     a, b = pair
     for i in range(10):
@@ -232,8 +222,8 @@ def test_partition_cuts_in_flight_messages(sim, network, pair):
 
 def test_heal_restores_traffic(sim, network, pair):
     a, b = pair
-    network.partition({"a"}, {"b"})
-    network.heal_partitions()
+    cut = network.partition({"a"}, {"b"})
+    assert network.heal_partition(cut)
     a.send("b", 1)
     sim.run()
     assert len(b.received) == 1
@@ -284,8 +274,6 @@ _FIRST_FAULTS = {
     "drop-probability": lambda net: setattr(net, "drop_probability", 0.1),
     "churn": lambda net: net.set_churn("a", "b", LinkChurn(reorder_probability=0.5)),
     "degrade-node": lambda net: net.degrade_node("a", factor=2.0),
-    "degrade-link": lambda net: net.degrade_link("a", "b", factor=2.0),
-    "detach": lambda net: net.detach("b"),
     "expect-faults": lambda net: net.expect_faults(),
     "failure-injector": lambda net: FailureInjector(net),
     "chaos-engine": lambda net: ChaosEngine(net, ChaosTargets(primaries=("a", "b"))),
@@ -305,9 +293,9 @@ def test_first_fault_is_announced_once_and_before_it_applies(network, pair, faul
                 network.fault_free,
                 network.is_up("a"),
                 network.endpoints(),
-                network.active_partitions(),
+                sorted(network._partitions),
                 network.drop_probability,
-                network.is_degraded("a"),
+                "a" in network._degraded_nodes,
                 network.latency_for("a", "b") is network.default_latency,
             )
         )
@@ -329,8 +317,8 @@ def test_setup_and_healthy_operation_keep_the_fabric_fault_free(sim, network, pa
     network.set_link("a", "b", FixedLatency(0.5))  # nobody relies on it yet
     network.drop_probability = 0.0
     network.clear_churn()
-    network.clear_degradations()
-    network.heal_partitions()
+    network.restore_node("a")
+    network.heal_partition("none")
     a.send("b", "x")
     sim.run()
     assert len(b.received) == 1
@@ -350,7 +338,7 @@ def test_named_cuts_coexist_and_heal_individually(sim, network, pair):
     network.attach(c)
     network.partition(["a"], ["b"], name="ab")
     network.partition(["a"], ["c"], name="ac")
-    assert network.active_partitions() == ["ab", "ac"]
+    assert sorted(network._partitions) == ["ab", "ac"]
     assert network.heal_partition("ab")
     a.send("b", 1)
     a.send("c", 2)
@@ -387,7 +375,6 @@ def test_degrade_node_slows_both_directions(sim, network, pair):
     sim.run()
     assert b.received[0][0] == pytest.approx(0.1)
     assert a.received[0][0] == pytest.approx(0.1)
-    assert network.is_degraded("b")
 
 
 def test_restore_node_returns_to_base_latency(sim, network, pair):
@@ -398,16 +385,6 @@ def test_restore_node_returns_to_base_latency(sim, network, pair):
     a.send("b", 1)
     sim.run()
     assert b.received[0][0] == pytest.approx(0.001)
-
-
-def test_degrade_link_is_directed(sim, network, pair):
-    a, b = pair
-    network.degrade_link("a", "b", factor=50.0)
-    a.send("b", "slow")
-    b.send("a", "fast")
-    sim.run()
-    assert b.received[0][0] == pytest.approx(0.05)
-    assert a.received[0][0] == pytest.approx(0.001)
 
 
 def test_degradations_stack_multiplicatively(sim, network, pair):
@@ -423,20 +400,9 @@ def test_degrade_rejects_bad_severity(network, pair):
     with pytest.raises(ValueError):
         network.degrade_node("a", factor=0.5)
     with pytest.raises(ValueError):
-        network.degrade_link("a", "b", factor=1.0, jitter_s=-0.1)
+        network.degrade_node("a", factor=1.0, jitter_s=-0.1)
     with pytest.raises(NetworkError):
         network.degrade_node("ghost", factor=2.0)
-
-
-def test_clear_degradations_restores_everything(sim, network, pair):
-    a, b = pair
-    network.degrade_node("a", factor=10.0)
-    network.degrade_link("a", "b", factor=10.0)
-    network.clear_degradations()
-    assert not network.is_degraded("a")
-    a.send("b", 1)
-    sim.run()
-    assert b.received[0][0] == pytest.approx(0.001)
 
 
 # ---------------------------------------------------------------------------
@@ -580,19 +546,10 @@ _ROUTE_FAULTS = {
         lambda net, b: net.restore_node("a"),
         1, 1, lambda drawn: 3.0 * drawn,
     ),
-    "degrade-link": (
-        lambda net, b: net.degrade_link("a", "b", factor=3.0),
-        lambda net, b: net.clear_degradations(),
-        1, 1, lambda drawn: 3.0 * drawn,
-    ),
     "set-link": (  # a constant model draws nothing
         lambda net, b: net.set_link("a", "b", FixedLatency(0.5)),
         lambda net, b: net.set_link("a", "b", net.default_latency),
         1, 0, lambda drawn: 0.5,
-    ),
-    "detach": (
-        lambda net, b: net.detach("b"), lambda net, b: net.attach(b),
-        0, 0, None,
     ),
 }
 

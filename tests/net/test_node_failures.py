@@ -38,10 +38,8 @@ def test_overload_multiplies_base_factor():
     host = Host("h", speed_factor=2.0)
     host.begin_overload(3.0)
     assert host.speed_factor == pytest.approx(6.0)
-    assert host.overloaded
     host.end_overload()
     assert host.speed_factor == pytest.approx(2.0)
-    assert not host.overloaded
 
 
 def test_overload_factor_below_one_rejected():
@@ -73,49 +71,6 @@ def net(sim, rng):
     return network, a, b
 
 
-def test_crash_at_takes_effect_at_time(sim, net):
-    network, a, b = net
-    injector = FailureInjector(network)
-    injector.crash_at(1.0, "b")
-
-    sim.schedule(0.5, a.send, "b", "before")
-    sim.schedule(1.5, a.send, "b", "after")
-    sim.run()
-    assert [m.payload for m in b.received] == ["before"]
-
-
-def test_crash_with_recovery(sim, net):
-    network, a, b = net
-    FailureInjector(network).crash_at(1.0, "b", recover_at=2.0)
-    sim.schedule(1.5, a.send, "b", "during")
-    sim.schedule(2.5, a.send, "b", "after")
-    sim.run()
-    assert [m.payload for m in b.received] == ["after"]
-
-
-def test_on_crash_hook_runs(sim, net, recorder):
-    network, _, _ = net
-    FailureInjector(network).crash_at(1.0, "b", on_crash=lambda: recorder("crashed"))
-    sim.run()
-    assert recorder.calls == ["crashed"]
-
-
-def test_invalid_recovery_time_rejected(net):
-    network, _, _ = net
-    with pytest.raises(ValueError):
-        FailureInjector(network).crash_at(2.0, "b", recover_at=1.0)
-
-
-def test_partition_at_with_heal(sim, net):
-    network, a, b = net
-    FailureInjector(network).partition_at(1.0, ["a"], ["b"], heal_at=2.0)
-    sim.schedule(0.5, a.send, "b", "pre")
-    sim.schedule(1.5, a.send, "b", "cut")
-    sim.schedule(2.5, a.send, "b", "healed")
-    sim.run()
-    assert [m.payload for m in b.received] == ["pre", "healed"]
-
-
 def test_overload_injection_window(sim, net):
     network, _, _ = net
     host = Host("h")
@@ -132,8 +87,8 @@ def test_overload_injection_window(sim, net):
 def test_injector_log(sim, net):
     network, _, _ = net
     injector = FailureInjector(network)
-    injector.crash_at(1.0, "b")
-    assert any("crash b" in line for line in injector.injected)
+    injector.overload(Host("h"), OverloadWindow(start=1.0, end=2.0, factor=4.0))
+    assert any("overload h" in line for line in injector.injected)
 
 
 # ---------------------------------------------------------------------------
@@ -171,39 +126,3 @@ def test_crash_recover_unknown_endpoint_raises(traced_net):
         network.crash("ghost")
     with pytest.raises(NetworkError):
         network.recover("ghost")
-
-
-def test_crash_at_rejects_unknown_endpoint(traced_net):
-    network, _ = traced_net
-    with pytest.raises(ValueError):
-        FailureInjector(network).crash_at(1.0, "ghost")
-
-
-def test_overlapping_injections_fire_hooks_once(sim, traced_net, recorder):
-    """Two overlapping crash windows against the same endpoint: hooks and
-    traces follow the real state transitions, not the injection count."""
-    network, trace = traced_net
-    injector = FailureInjector(network)
-    injector.crash_at(
-        1.0, "b", recover_at=3.0,
-        on_crash=lambda: recorder("crash1"), on_recover=lambda: recorder("up1"),
-    )
-    injector.crash_at(
-        2.0, "b", recover_at=4.0,
-        on_crash=lambda: recorder("crash2"), on_recover=lambda: recorder("up2"),
-    )
-    sim.run()
-    # b goes down once (at 1.0) and comes back once (at 3.0); the second
-    # crash and the second recovery are no-ops.
-    assert recorder.calls == ["crash1", "up1"]
-    assert trace.count("net.crash", "b") == 1
-    assert trace.count("net.recover", "b") == 1
-
-
-def test_on_recover_hook_runs(sim, traced_net, recorder):
-    network, _ = traced_net
-    FailureInjector(network).crash_at(
-        1.0, "b", recover_at=2.0, on_recover=lambda: recorder("up")
-    )
-    sim.run()
-    assert recorder.calls == ["up"]

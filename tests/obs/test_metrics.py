@@ -34,7 +34,7 @@ def test_counter_and_gauge_basics():
     assert counter.value == 4
     gauge = registry.gauge("depth")
     gauge.set(7.0)
-    gauge.dec(2.0)
+    gauge.inc(-2.0)
     assert gauge.value == 5.0
 
 

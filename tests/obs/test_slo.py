@@ -84,8 +84,8 @@ def _spec(**overrides):
 def test_compliance_and_budget_consumed_are_cumulative():
     report = SloEngine([_spec()]).evaluate(_timeliness_timeline())["timeliness:a"]
     assert report.times == [float(i + 1) for i in range(10)]
-    assert report.total_good == 96
-    assert report.total_bad == 4
+    assert sum(report.good) == 96
+    assert sum(report.bad) == 4
     assert report.compliance[2] == pytest.approx(1.0)
     assert report.compliance[3] == pytest.approx(38 / 40)
     assert report.compliance[-1] == pytest.approx(96 / 100)
@@ -125,7 +125,7 @@ def test_slow_burn_ticket_requires_short_window_confirmation():
 def test_selector_mismatch_sees_no_events():
     engine = SloEngine([_spec(name="timeliness:b", client="b")])
     report = engine.evaluate(_timeliness_timeline())["timeliness:b"]
-    assert report.total_good == 0 and report.total_bad == 0
+    assert sum(report.good) == 0 and sum(report.bad) == 0
     assert all(c == 1.0 for c in report.compliance)
     assert report.alerts == []
     assert report.met()
@@ -159,7 +159,7 @@ def test_spec_registered_mid_run_sees_only_the_suffix():
     )
     report = SloEngine([_spec()]).evaluate(timeline)["timeliness:a"]
     assert report.times == [6.0, 7.0, 8.0, 9.0, 10.0]
-    assert report.total_good == 48 and report.total_bad == 2
+    assert sum(report.good) == 48 and sum(report.bad) == 2
     signals = SloEngine([_spec()]).signals(timeline)["timeliness:a"]
     assert signals["time"] == 10.0
     assert signals["compliance"] == pytest.approx(48 / 50)
@@ -265,7 +265,7 @@ def test_staleness_spec_counts_buckets_above_bound_as_bad():
     )
     report = SloEngine([spec]).evaluate(_staleness_timeline())["stale:a"]
     # Buckets with upper edge 1.0 and +inf exceed the 0.5 s bound: 5 bad.
-    assert report.total_bad == 5
+    assert sum(report.bad) == 5
     assert report.compliance[-1] == pytest.approx(0.5)
 
 
@@ -278,7 +278,7 @@ def test_staleness_spec_with_loose_bound_is_clean():
     )
     report = SloEngine([spec]).evaluate(_staleness_timeline())["stale:a"]
     # Only the +inf overflow bucket exceeds a 2.0 s bound.
-    assert report.total_bad == 2
+    assert sum(report.bad) == 2
 
 
 # ---------------------------------------------------------------------------

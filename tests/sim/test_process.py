@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.kernel import SimulationError, Simulator
-from repro.sim.process import Interrupt, Process, Signal, Timeout, all_of
+from repro.sim.process import Process, Signal, Timeout
 
 
 def test_timeout_advances_virtual_time(sim):
@@ -140,60 +140,6 @@ def test_join_already_finished_process(sim):
     assert results == ["instant"]
 
 
-def test_interrupt_raises_inside_process(sim):
-    log = []
-
-    def proc():
-        try:
-            yield Timeout(10.0)
-        except Interrupt as interrupt:
-            log.append((interrupt.cause, sim.now))
-
-    p = Process(sim, proc())
-    sim.schedule(1.0, p.interrupt, "cancelled")
-    sim.run()
-    assert log == [("cancelled", 1.0)]
-    assert not p.alive
-
-
-def test_interrupt_cancels_pending_timeout(sim):
-    log = []
-
-    def proc():
-        try:
-            yield Timeout(10.0)
-            log.append("timeout-completed")
-        except Interrupt:
-            yield Timeout(1.0)
-            log.append(f"resumed-{sim.now}")
-
-    p = Process(sim, proc())
-    sim.schedule(2.0, p.interrupt)
-    sim.run()
-    assert log == ["resumed-3.0"]
-
-
-def test_uncaught_interrupt_terminates_quietly(sim):
-    def proc():
-        yield Timeout(10.0)
-
-    p = Process(sim, proc())
-    sim.schedule(1.0, p.interrupt)
-    sim.run()
-    assert not p.alive
-    assert p.result is None
-
-
-def test_interrupt_dead_process_is_noop(sim):
-    def proc():
-        yield Timeout(1.0)
-
-    p = Process(sim, proc())
-    sim.run()
-    p.interrupt()  # must not raise
-    assert not p.alive
-
-
 def test_unsupported_yield_raises(sim):
     def proc():
         yield "nonsense"
@@ -201,35 +147,6 @@ def test_unsupported_yield_raises(sim):
     Process(sim, proc())
     with pytest.raises(SimulationError):
         sim.run()
-
-
-def test_done_signal_fires_with_result(sim, recorder):
-    def proc():
-        yield Timeout(1.0)
-        return 99
-
-    p = Process(sim, proc())
-    waiter_log = []
-
-    def waiter():
-        value = yield p.done_signal
-        waiter_log.append(value)
-
-    Process(sim, waiter())
-    sim.run()
-    assert waiter_log == [99]
-
-
-def test_all_of_waits_for_every_process(sim):
-    def child(delay, value):
-        yield Timeout(delay)
-        return value
-
-    children = [Process(sim, child(d, d)) for d in (3.0, 1.0, 2.0)]
-    gathered = all_of(sim, children)
-    sim.run()
-    assert gathered.result == [3.0, 1.0, 2.0]
-    assert sim.now == 3.0
 
 
 def test_process_names_unique_by_default(sim):

@@ -8,13 +8,9 @@ from hypothesis import strategies as st
 
 from repro.sim.rng import (
     Constant,
-    Empirical,
-    Exponential,
     LogNormal,
-    Mixture,
     Normal,
     RngRegistry,
-    Uniform,
 )
 
 
@@ -84,20 +80,6 @@ def test_constant_rejects_negative():
         Constant(-1.0)
 
 
-def test_uniform_within_bounds(stream):
-    d = Uniform(0.2, 0.8)
-    samples = [d.sample(stream) for _ in range(200)]
-    assert all(0.2 <= s <= 0.8 for s in samples)
-    assert abs(sum(samples) / len(samples) - d.mean()) < 0.05
-
-
-def test_uniform_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        Uniform(0.5, 0.1)
-    with pytest.raises(ValueError):
-        Uniform(-0.1, 0.5)
-
-
 def test_normal_respects_floor(stream):
     d = Normal(0.0, 1.0, floor=0.01)
     assert all(d.sample(stream) >= 0.01 for _ in range(500))
@@ -114,59 +96,12 @@ def test_normal_rejects_negative_sigma():
         Normal(0.1, -0.1)
 
 
-def test_exponential_mean(stream):
-    d = Exponential(mean=0.05)
-    samples = [d.sample(stream) for _ in range(5000)]
-    assert abs(sum(samples) / len(samples) - 0.05) < 0.005
-    assert d.mean() == 0.05
-
-
-def test_exponential_offset_shifts_support(stream):
-    d = Exponential(mean=0.05, offset=0.1)
-    assert all(d.sample(stream) >= 0.1 for _ in range(100))
-    assert d.mean() == pytest.approx(0.15)
-
-
-def test_exponential_rejects_nonpositive_mean():
-    with pytest.raises(ValueError):
-        Exponential(0.0)
-
-
 def test_lognormal_mean(stream):
     d = LogNormal(math.log(0.1), 0.25)
     expected = math.exp(math.log(0.1) + 0.25**2 / 2)
     samples = [d.sample(stream) for _ in range(5000)]
     assert abs(sum(samples) / len(samples) - expected) < 0.01
     assert d.mean() == pytest.approx(expected)
-
-
-def test_empirical_samples_from_values(stream):
-    d = Empirical([0.1, 0.2, 0.3])
-    assert all(d.sample(stream) in (0.1, 0.2, 0.3) for _ in range(50))
-    assert d.mean() == pytest.approx(0.2)
-
-
-def test_empirical_rejects_empty_and_negative():
-    with pytest.raises(ValueError):
-        Empirical([])
-    with pytest.raises(ValueError):
-        Empirical([0.1, -0.2])
-
-
-def test_mixture_mean_is_weighted(stream):
-    d = Mixture([Constant(0.1), Constant(0.5)], weights=[3.0, 1.0])
-    assert d.mean() == pytest.approx(0.2)
-    samples = [d.sample(stream) for _ in range(4000)]
-    assert abs(sum(samples) / len(samples) - 0.2) < 0.01
-
-
-def test_mixture_validation():
-    with pytest.raises(ValueError):
-        Mixture([])
-    with pytest.raises(ValueError):
-        Mixture([Constant(1.0)], weights=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        Mixture([Constant(1.0)], weights=[0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +128,3 @@ def test_normal_samples_never_below_floor(mu, sigma, floor):
     stream = RngRegistry(0).stream("prop")
     d = Normal(mu, sigma, floor=floor)
     assert all(d.sample(stream) >= floor for _ in range(20))
-
-
-@given(low=st.floats(min_value=0, max_value=5), span=st.floats(min_value=0, max_value=5))
-@settings(max_examples=50)
-def test_uniform_sample_in_range_property(low, span):
-    stream = RngRegistry(1).stream("prop")
-    d = Uniform(low, low + span)
-    for _ in range(20):
-        s = d.sample(stream)
-        assert low <= s <= low + span

@@ -57,32 +57,12 @@ def test_capacity_drops_overflow():
     assert trace.dropped == 3
 
 
-def test_subscribers_see_live_records():
-    trace = Trace()
-    seen = []
-    trace.subscribe(seen.append)
-    trace.emit(1.0, "x", "a")
-    assert len(seen) == 1 and seen[0].category == "x"
-
-
 def test_clear_resets():
     trace = Trace(capacity=1)
     trace.emit(1.0, "x", "a")
     trace.emit(2.0, "x", "a")
     trace.clear()
     assert trace.records == [] and trace.dropped == 0
-
-
-def test_overflow_reaching_subscriber_is_not_dropped():
-    """A record past capacity that a subscriber observed was not lost."""
-    trace = Trace(capacity=1)
-    seen = []
-    trace.subscribe(seen.append)
-    trace.emit(1.0, "x", "a")
-    trace.emit(2.0, "x", "a")
-    assert len(trace.records) == 1
-    assert len(seen) == 2
-    assert trace.dropped == 0
 
 
 def test_to_jsonl_round_trips():

@@ -93,10 +93,9 @@ def test_cdf_bounds():
     assert pmf.cdf(1.0) == 1.0
 
 
-def test_mean_and_variance():
+def test_mean():
     pmf = DiscretePmf.from_samples([0.010, 0.030], Q)
     assert pmf.mean() == pytest.approx(0.020)
-    assert pmf.variance() == pytest.approx(0.0001, rel=1e-6)
 
 
 def test_quantile():
@@ -174,16 +173,6 @@ def test_convolution_quantum_mismatch_rejected():
     b = DiscretePmf.degenerate(0.01, 1e-4)
     with pytest.raises(ValueError):
         a.convolve(b)
-
-
-def test_shift_moves_support():
-    pmf = DiscretePmf.from_samples([0.010], Q).shift(0.007)
-    assert pmf.mean() == pytest.approx(0.017)
-
-
-def test_shift_negative_beyond_support_rejected():
-    with pytest.raises(ValueError):
-        DiscretePmf.degenerate(0.001, Q).shift(-0.005)
 
 
 def test_mixture_weights():

@@ -1,56 +1,10 @@
-"""Unit tests for running summaries and percentiles."""
-
-import statistics
+"""Unit tests for the percentile helper."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.summary import RunningSummary, percentile
-
-
-def test_mean_and_variance_match_statistics_module():
-    values = [1.0, 4.0, 2.5, 9.0, -3.0]
-    summary = RunningSummary()
-    summary.extend(values)
-    assert summary.mean == pytest.approx(statistics.mean(values))
-    assert summary.variance == pytest.approx(statistics.variance(values))
-    assert summary.stddev == pytest.approx(statistics.stdev(values))
-    assert summary.minimum == -3.0
-    assert summary.maximum == 9.0
-    assert summary.count == 5
-
-
-def test_empty_summary_mean_raises():
-    with pytest.raises(ValueError):
-        RunningSummary().mean
-
-
-def test_single_sample_variance_zero():
-    summary = RunningSummary()
-    summary.record(5.0)
-    assert summary.variance == 0.0
-
-
-def test_merge_equals_combined():
-    a_values = [1.0, 2.0, 3.0]
-    b_values = [10.0, 20.0]
-    a, b = RunningSummary(), RunningSummary()
-    a.extend(a_values)
-    b.extend(b_values)
-    merged = a.merge(b)
-    combined = a_values + b_values
-    assert merged.count == 5
-    assert merged.mean == pytest.approx(statistics.mean(combined))
-    assert merged.variance == pytest.approx(statistics.variance(combined))
-    assert merged.minimum == 1.0 and merged.maximum == 20.0
-
-
-def test_merge_with_empty():
-    a = RunningSummary()
-    a.record(2.0)
-    merged = a.merge(RunningSummary())
-    assert merged.count == 1 and merged.mean == 2.0
+from repro.stats.summary import percentile
 
 
 def test_percentile_basic():
@@ -74,21 +28,6 @@ def test_percentile_validation():
         percentile([], 50)
     with pytest.raises(ValueError):
         percentile([1.0], 101)
-
-
-@given(
-    values=st.lists(
-        st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=200
-    )
-)
-@settings(max_examples=60)
-def test_welford_matches_two_pass_property(values):
-    summary = RunningSummary()
-    summary.extend(values)
-    assert summary.mean == pytest.approx(statistics.mean(values), rel=1e-9, abs=1e-6)
-    assert summary.variance == pytest.approx(
-        statistics.variance(values), rel=1e-6, abs=1e-6
-    )
 
 
 @given(

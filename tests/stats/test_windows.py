@@ -18,7 +18,6 @@ def test_records_in_order():
     window = SlidingWindow(5)
     window.extend([1.0, 2.0, 3.0])
     assert window.samples() == [1.0, 2.0, 3.0]
-    assert window.latest == 3.0
 
 
 def test_evicts_oldest_when_full():
@@ -42,10 +41,6 @@ def test_mean():
     assert window.mean() == 2.0
     with pytest.raises(ValueError):
         SlidingWindow(2).mean()
-
-
-def test_latest_none_when_empty():
-    assert SlidingWindow(2).latest is None
 
 
 def test_clear():

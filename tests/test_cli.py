@@ -23,9 +23,9 @@ def test_figure3_command_runs(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "Figure 3" in out
     assert "total_us" in out
-    from repro.experiments.report import load_results
+    import json
 
-    document = load_results(save_path)
+    document = json.loads(Path(save_path).read_text())
     assert document["meta"]["experiment"] == "figure3"
     assert len(document["results"]) == 18  # 9 replica counts x 2 windows
 

@@ -1,5 +1,6 @@
 """Documents that describe what is: DESIGN.md's module map against the tree."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -56,6 +57,46 @@ TEST_FILE_REF = re.compile(r"(?<![\w/{},*-])(test_\w+\.py)")
 COMMAND_REF = re.compile(r"(?:`|-m )repro ([a-z][a-z0-9-]*)")
 #: ``test_{overload,gray}.py`` is checked as the glob ``test_*.py``.
 BRACES = re.compile(r"\{[^{}]*\}")
+#: Backticked ``Class.attr`` and snake_case names (a trailing ``()`` allowed)
+#: in the three documents a reader starts from.
+NAMED_IN = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+BACKTICKED = re.compile(r"`([^`\n]+)`")
+CLASS_ATTR = re.compile(r"([A-Z]\w*)\.(\w+)(?:\(\))?")
+SNAKE_CASE = re.compile(r"(_?[a-z][a-z0-9]*(?:_[a-z0-9]+)+)(?:\(\))?")
+FILE_SUFFIXES = {"md", "json", "jsonl", "py", "txt", "yml", "toml", "html", "prom"}
+
+
+def _defined_names():
+    """Class names, and every name bound under ``src/``, ``benchmarks/`` or
+    ``tests/``: definitions, parameters, assignment targets, imports,
+    keyword arguments, and the words of string constants (metric, series
+    and workload names)."""
+    classes, names = set(), set()
+    word = re.compile(r"[A-Za-z_]\w*")
+    for tree in ("src", "benchmarks", "tests"):
+        for path in (ROOT / tree).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    classes.add(node.name)
+                    names.add(node.name)
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(node.name)
+                    arguments = node.args
+                    names.update(
+                        a.arg
+                        for a in arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+                    )
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add((node.asname or node.name).rpartition(".")[2])
+                elif isinstance(node, ast.keyword) and node.arg:
+                    names.add(node.arg)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.update(word.findall(node.value))
+    return classes, names
 
 
 def test_documents_name_only_paths_and_commands_that_exist():
@@ -64,6 +105,7 @@ def test_documents_name_only_paths_and_commands_that_exist():
         for tree in ("tests", "benchmarks")
         for path in (ROOT / tree).rglob("test_*.py")
     }
+    classes, names = _defined_names()
     dangling = []
     for document in DOCUMENTS:
         text = (ROOT / document).read_text()
@@ -81,7 +123,24 @@ def test_documents_name_only_paths_and_commands_that_exist():
             f"{document}: repro {command}"
             for command in set(COMMAND_REF.findall(text)) - set(COMMANDS)
         ]
+        if document in NAMED_IN:
+            dangling += [
+                f"{document}: {span}"
+                for span in set(BACKTICKED.findall(text))
+                if not _names_resolve(span, classes, names)
+            ]
     assert not dangling, f"documents name what does not exist: {sorted(dangling)}"
+
+
+def _names_resolve(span, classes, names):
+    """Whether a backticked ``Class.attr`` or snake_case name is defined;
+    any other span is not checked."""
+    dotted = CLASS_ATTR.fullmatch(span)
+    if dotted is not None:
+        cls, attr = dotted.groups()
+        return attr in FILE_SUFFIXES or (cls in classes and attr in names)
+    snake = SNAKE_CASE.fullmatch(span)
+    return snake is None or snake.group(1) in names
 
 
 def test_experiments_figure4b_sums_to_the_pinned_failure_counts():

@@ -1,5 +1,6 @@
 """The public API surface: everything a README user would import."""
 
+import functools
 import importlib
 import importlib.util
 from pathlib import Path
@@ -113,8 +114,8 @@ CONFIG_SURFACE = {
     "repro.core.config.ServiceConfig": (
         "name num_primaries num_secondaries ordering lazy_update_interval "
         "adaptive_lazy_target window_size read_service_time "
-        "update_service_time heartbeat_interval suspect_timeout "
-        "gsn_wait_timeout gc_timeout overload detector controller"
+        "update_service_time membership gsn_wait_timeout gc_timeout overload "
+        "detector controller"
     ),
     "repro.core.overload.OverloadConfig": "queue_capacity defer_capacity",
     "repro.core.detector.DetectorConfig": (
@@ -231,3 +232,178 @@ def test_no_property_spells_a_registry_counter():
             ):
                 hits.append(f"{path.relative_to(root)}:{node.lineno} {node.name}")
     assert not hits, f"properties that re-spell a registry counter: {hits}"
+
+
+#: Definitions under ``src/`` that nothing outside ``tests/`` calls, each
+#: with the reason it stays.  A "test seam" names the test that needs it;
+#: anything else with no caller is deleted, with its tests.
+UNCALLED_DEFINITIONS = {
+    "repro.groups.group:GroupEndpoint.fifo_receiver": (
+        "test seam: tests/groups/test_lazy_acks.py"
+        "::test_ack_in_flight_at_the_first_fault_is_already_counted"
+    ),
+    "repro.groups.group:GroupEndpoint.fifo_sender": (
+        "test seam: tests/groups/test_lazy_acks.py"
+        "::test_message_to_a_name_nobody_answers_to_keeps_its_deadline"
+    ),
+    "repro.groups.multicast:FifoReceiver.pending_for": (
+        "test seam: tests/groups/test_multicast.py::test_receiver_buffers_out_of_order"
+    ),
+    "repro.net.latency:FixedLatency": (
+        "test seam: tests/net/test_latency.py::test_fixed_latency_is_deterministic"
+    ),
+    "repro.net.network:Network.set_link": (
+        "test seam: tests/net/test_network.py::test_per_link_latency_override"
+    ),
+    "repro.obs.spans:Span.find": (
+        "test seam: tests/obs/test_span_integration.py"
+        "::test_hedged_read_is_one_tree_with_two_dispatches"
+    ),
+    "repro.sim.kernel:Simulator.heap_size": (
+        "test seam: tests/sim/test_kernel.py"
+        "::test_mass_cancel_does_not_grow_heap_unboundedly"
+    ),
+    "repro.sim.kernel:Simulator.tombstones": (
+        "test seam: tests/sim/test_kernel.py"
+        "::test_mass_cancel_interleaved_with_live_timers"
+    ),
+    "repro.stats.pmf:DiscretePmf.degenerate": (
+        "test seam: tests/stats/test_pmf.py::test_degenerate_point_mass"
+    ),
+}
+
+
+@functools.cache
+def _definitions_and_uses():
+    """Every ``def``/``class`` under ``src/`` (nested ones included, dunders
+    not) as ``module:qualname -> (path, name, first line, last line)``,
+    and every use under ``src/``, ``benchmarks/`` and ``examples/`` as
+    ``name -> [(path, line)]``.
+
+    A use is an ``ast.Name``, an ``ast.Attribute``, an imported name, or a
+    word of a string constant that is not a docstring (``getattr``
+    dispatch, the ledger tracer's ``ENTRY_POINTS``).  A package
+    ``__init__.py``'s imports and ``__all__`` re-export; they use nothing.
+    """
+    import ast
+    import re
+
+    root = Path(__file__).resolve().parents[1]
+    word = re.compile(r"[A-Za-z_]\w*")
+    definitions: dict[str, tuple[Path, str, int, int]] = {}
+    uses: dict[str, list[tuple[Path, int]]] = {}
+
+    def define(node, path, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualname = prefix + child.name
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    definitions[f"{module}:{qualname}"] = (
+                        path, child.name, first, child.end_lineno,
+                    )
+                define(child, path, module, qualname + ".")
+            else:
+                define(child, path, module, prefix)
+
+    for tree in ("src", "benchmarks", "examples"):
+        for path in sorted((root / tree).rglob("*.py")):
+            module_ast = ast.parse(path.read_text())
+            if tree == "src":
+                module = ".".join(path.relative_to(root / tree).with_suffix("").parts)
+                define(module_ast, path, module, "")
+            reexports = path.name == "__init__.py"
+            skipped = {
+                id(node.value)
+                for node in ast.walk(module_ast)
+                if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            }
+            if reexports:
+                skipped |= {
+                    id(sub)
+                    for node in ast.walk(module_ast)
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for sub in ast.walk(node)
+                }
+            for node in ast.walk(module_ast):
+                if id(node) in skipped:
+                    continue
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [] if reexports else [
+                        alias.name.rpartition(".")[2] for alias in node.names
+                    ]
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names = word.findall(node.value)
+                else:
+                    continue
+                for name in names:
+                    uses.setdefault(name, []).append((path, node.lineno))
+    return definitions, uses
+
+
+def _uncalled(kept):
+    """The definitions with no use outside their own span.  A use inside
+    an uncalled definition does not count either, iterated to a fixpoint:
+    a helper whose only callers are uncalled goes with them.  The ``kept``
+    definitions count as called."""
+    definitions, uses = _definitions_and_uses()
+
+    def inside(span, path, line):
+        span_path, _, first, last = span
+        return span_path == path and first <= line <= last
+
+    uncalled: set[str] = set()
+    while True:
+        dead = [definitions[key] for key in uncalled]
+        found = {
+            key
+            for key, span in definitions.items()
+            if key not in uncalled and key not in kept
+            and not any(
+                not inside(span, path, line)
+                and not any(inside(other, path, line) for other in dead)
+                for path, line in uses.get(span[1], ())
+            )
+        }
+        if not found:
+            return uncalled
+        uncalled |= found
+
+
+def test_every_definition_has_a_caller():
+    """Every function, method and class under ``src/`` is used from
+    ``src/``, ``benchmarks/`` or ``examples/``, or is a listed test seam."""
+    uncalled = _uncalled(set(UNCALLED_DEFINITIONS))
+    assert not uncalled, f"definitions only tests call: {sorted(uncalled)}"
+
+
+def test_uncalled_definitions_are_uncalled_and_name_their_test():
+    """Each allow-list entry still has no caller, and a test seam names a
+    test that exists."""
+    import ast
+
+    root = Path(__file__).resolve().parents[1]
+    definitions, _ = _definitions_and_uses()
+    uncalled = _uncalled(set())
+    problems = []
+    for key, reason in UNCALLED_DEFINITIONS.items():
+        if key not in definitions:
+            problems.append(f"{key}: no such definition")
+        elif key not in uncalled:
+            problems.append(f"{key}: has a caller now; drop the entry")
+        if reason.startswith("test seam"):
+            path, _, test = reason.partition(": ")[2].partition("::")
+            file = root / path
+            tests = {
+                node.name
+                for node in ast.parse(file.read_text()).body
+                if isinstance(node, ast.FunctionDef)
+            } if file.is_file() else set()
+            if test not in tests:
+                problems.append(f"{key}: {reason} names no test")
+    assert not problems, problems

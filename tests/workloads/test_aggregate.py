@@ -267,7 +267,6 @@ def test_stats_empty_is_all_zeros():
     assert stats.deferred_fraction == 0.0
     assert stats.avg_replicas_selected == 0.0
     assert stats.mean_response_time == 0.0
-    assert np.all(stats.response_cdf([0.1, 1.0]) == 0.0)
     assert np.all(stats.modeled_response_cdf([0.1, 1.0]) == 0.0)
 
 
@@ -280,26 +279,8 @@ def test_stats_combined_and_modeled_views_differ():
     stats.probe_failures = 12
     assert stats.reads == 100
     assert stats.failure_probability == pytest.approx(0.20)
-    assert stats.modeled_failure_probability == pytest.approx(0.10)
+    assert stats.failures_modeled / stats.reads_modeled == pytest.approx(0.10)
     assert stats.deferred_fraction == pytest.approx(0.04)
-    assert stats.modeled_deferred_fraction == pytest.approx(0.05)
-
-
-def test_stats_response_cdf_mixes_grid_and_probe_times():
-    stats = _stats(quantum=0.01)
-    # 6 modeled responses at 20 ms, 4 at 50 ms.
-    stats.response_hist[2] = 6
-    stats.response_hist[5] = 4
-    stats.reads_modeled = 10
-    # 2 probe responses straddling the 30 ms evaluation point.
-    stats.probe_reads = 2
-    stats.probe_response_times = [0.025, 0.060]
-    cdf = stats.response_cdf([0.030, 0.100])
-    assert cdf[0] == pytest.approx((6 + 1) / 12)
-    assert cdf[1] == pytest.approx(1.0)
-    modeled = stats.modeled_response_cdf([0.030, 0.100])
-    assert modeled[0] == pytest.approx(6 / 10)
-    assert modeled[1] == pytest.approx(1.0)
 
 
 def test_stats_cdf_counts_unresolved_in_denominator():
