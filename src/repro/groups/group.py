@@ -21,8 +21,7 @@ The middleware's gateway handlers (:mod:`repro.core`) all inherit from it.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Callable, Collection, Optional
+from typing import Any, Collection, Optional
 
 from repro.groups.membership import (
     HeartbeatMsg,
@@ -73,8 +72,9 @@ class GroupEndpoint(Endpoint):
         # The first tick of the beats that are evaluated at the sweep and not
         # sent; None while this endpoint beats for real.
         self._lazy_since: Optional[float] = None
-        # Recipient -> _ack_draw's verdict on the channel to it.
-        self._ack_draws: dict[str, Optional[Callable[[], float]]] = {}
+        # Recipient -> _judge_acks' verdict: whether a message to it is
+        # settled at delivery while the fabric is fault-free.
+        self._lazy_acks: dict[str, bool] = {}
         self._sender: Optional[FifoSender] = None
         self._receiver: Optional[FifoReceiver] = None
 
@@ -100,36 +100,30 @@ class GroupEndpoint(Endpoint):
         network.send(self.name, recipient, payload, size_bytes)
         if not network.fault_free:
             return False
-        draws = self._ack_draws
-        if recipient in draws:
-            return draws[recipient] is not None
-        return self._ack_draw(recipient) is not None
+        lazy = self._lazy_acks.get(recipient)
+        return self._judge_acks(recipient) if lazy is None else lazy
 
-    def _ack_draw(self, recipient: str) -> Optional[Callable[[], float]]:
+    def _judge_acks(self, recipient: str) -> bool:
         """Judge, once, how a message to ``recipient`` is acked while the
-        fabric is fault-free: on the wire (None), or settled at delivery —
-        by a call that draws the unsent ack's delay all the same, because
-        its link stream is shared with the data flowing the other way.
+        fabric is fault-free: on the wire (False), or settled at delivery
+        (True), its unsent ack kept (:meth:`Network.keep`) because that
+        link's stream also times the data flowing the other way.
 
         Judged at the first transmit, not in :meth:`attached`, so every link
         and fault injector set up before the clock starts is seen;
         ``set_link`` after that ends the fault-free state.
         """
         network, sender = self.network, self._sender
-        if not self._ack_draws:
+        if not self._lazy_acks:
             network.on_first_fault(sender.expect_loss)
         out = network.latency_for(self.name, recipient)
         back = network.latency_for(recipient, self.name)
         round_trip = out.mean_delay() + back.mean_delay(64)
-        draw = None
-        if network.is_up(recipient) and (
+        lazy = network.is_up(recipient) and (
             ACK_ROUND_TRIP_MARGIN * round_trip < sender.rto
-        ):
-            ack = Message(recipient, self.name, None, self.now, 64)
-            stream = network.rng.stream(f"net.link.{recipient}->{self.name}")
-            draw = partial(back.delay, ack, stream)
-        self._ack_draws[recipient] = draw
-        return draw
+        )
+        self._lazy_acks[recipient] = lazy
+        return lazy
 
     def _fifo_ack(self, origin: str, data: GroupDataMsg) -> None:
         network = self.network
@@ -137,9 +131,8 @@ class GroupEndpoint(Endpoint):
             # No ack can go missing: where the origin vouched for the
             # channel, settle the message there, now.
             peer = network.endpoint(origin)
-            draw = peer._ack_draws.get(self.name)
-            if draw is not None:
-                draw()
+            if peer._lazy_acks.get(self.name):
+                network.keep(self.name, origin)
                 peer._sender.on_ack(data, self.name)
                 return
         ack = GroupAckMsg(data.group, origin, data.seq, data.epoch)
@@ -290,34 +283,24 @@ class GroupEndpoint(Endpoint):
             raise RuntimeError(f"{self.name} not attached")
         members = self.view_of(group).members
         if only is not None:
-            members = self._named(members, only, size_bytes)
+            members = self._named(members, only)
         return self._sender.send_to_all(group, members, payload, size_bytes)
 
     def _named(
-        self, members: tuple[str, ...], only: Collection[str], size_bytes: int
+        self, members: tuple[str, ...], only: Collection[str]
     ) -> list[str]:
         """The members that ``only`` names, in view order.
 
         Any other member is sent nothing and takes no sequence number, but
-        the delay of the message it is not sent is drawn all the same, and
-        discarded: that link's stream also times what *is* sent there (its
-        ack's is not: nothing else draws from that direction).  Looked up in
-        the route table per call, so ``set_link`` and ``degrade_*`` are seen.
+        the message it is not sent is kept (:meth:`Network.keep_all`): that
+        link's stream also times what *is* sent there (its ack's is not:
+        nothing else draws from that direction).
         """
-        network, name = self.network, self.name
-        routes = network._routes
-        # One stand-in for all of them: a delay model reads only the size.
-        unsent = Message(name, "", None, self.now, size_bytes)
-        named = []
-        for member in members:
-            if member in only:
-                named.append(member)
-            elif member != name:
-                rng, latency = routes.get((name, member)) or network._route(
-                    name, member
-                )
-                latency.delay(unsent, rng)
-        return named
+        name = self.name
+        self.network.keep_all(
+            name, [m for m in members if m not in only and m != name]
+        )
+        return [member for member in members if member in only]
 
     def gsend(
         self, group: str, member: str, payload: Any, size_bytes: int = 256

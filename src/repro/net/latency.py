@@ -33,6 +33,10 @@ class LatencyModel:
             base += message.size_bytes / self.bandwidth_bytes_per_s
         return max(0.0, base)
 
+    def skip(self, rng: random.Random, n: int) -> None:
+        """Advance ``rng`` exactly as ``n`` calls of :meth:`delay` would."""
+        self.propagation.skip(rng, n)
+
     def mean_delay(self, size_bytes: int = 256) -> float:
         base = self.propagation.mean()
         if self.bandwidth_bytes_per_s > 0:
@@ -74,6 +78,14 @@ class DegradedLatency(LatencyModel):
         if self.jitter_s > 0.0:
             delayed += rng.uniform(0.0, self.jitter_s)
         return delayed
+
+    def skip(self, rng: random.Random, n: int) -> None:
+        if self.jitter_s <= 0.0:
+            self.base.skip(rng, n)
+        else:
+            for _ in range(n):  # the jitter's random() sits between base draws
+                self.base.skip(rng, 1)
+                rng.random()
 
     def mean_delay(self, size_bytes: int = 256) -> float:
         return self.base.mean_delay(size_bytes) * self.factor + self.jitter_s / 2.0

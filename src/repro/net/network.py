@@ -25,7 +25,9 @@ The per-message path is kept short: a directed link is resolved once into
 its ``(rng stream, latency model)`` *route* and reused until the topology or
 a degradation changes, and the crash, cut, loss and churn checks are skipped
 while the fabric's own state says none is configured.  None of this may
-change which RNG stream is drawn from, or in which order.
+change which RNG stream is drawn from, or in which order: a message not
+sent is *kept*, and its link's next real draw pays for it
+(:meth:`Network.keep`).
 
 The fabric also knows whether it has ever been anything but perfect:
 :attr:`Network.fault_free` holds until the first fault is configured or a
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from typing import Any, Callable, Iterable, Optional
@@ -191,6 +194,8 @@ class Network:
         self.request_ids = itertools.count(1)
         # Resolved directed links; see _route for what invalidates them.
         self._routes: dict[tuple[str, str], tuple[random.Random, LatencyModel]] = {}
+        # Directed link -> draws owed by messages kept rather than sent.
+        self._owed: Counter[tuple[str, str]] = Counter()
         self.messages_sent = self.metrics.counter("net_messages_sent")
         self.messages_delivered = self.metrics.counter("net_messages_delivered")
         self.messages_dropped = self.metrics.counter("net_messages_dropped")
@@ -276,6 +281,7 @@ class Network:
         """
         if self._on_first_fault:
             self.expect_faults()
+        self.settle_draws()
         self._links[(sender, recipient)] = latency
         self._routes.clear()
 
@@ -311,6 +317,27 @@ class Network:
         self._routes[(sender, recipient)] = route
         return route
 
+    def keep(self, sender: str, recipient: str) -> None:
+        """Owe ``sender -> recipient`` one latency draw: the delay of a
+        message not sent, which eager drawing would have taken from the
+        stream that also times what *is* sent there.  Costs a count."""
+        link, owed = (sender, recipient), self._owed
+        owed[link] = owed.get(link, 0) + 1
+
+    def keep_all(self, sender: str, recipients: Iterable[str]) -> None:
+        """:meth:`keep` for each of ``recipients``, in one C-level count."""
+        self._owed.update(zip(itertools.repeat(sender), recipients))
+
+    def settle_draws(self) -> None:
+        """Pay every owed draw with the latency model in force, so that each
+        link stream sits where eager drawing would have left it.  Called
+        before a route changes; a reader of a stream's state calls it too."""
+        for (sender, recipient), n in self._owed.items():
+            self.latency_for(sender, recipient).skip(
+                self.rng.stream(f"net.link.{sender}->{recipient}"), n
+            )
+        self._owed.clear()
+
     # ------------------------------------------------------------------
     # Gray degradation: alive but slow (timing failures, not crashes)
     # ------------------------------------------------------------------
@@ -330,6 +357,7 @@ class Network:
                 f"invalid degradation factor={factor!r} jitter={jitter_s!r}"
             )
         self.expect_faults()
+        self.settle_draws()
         self._degraded_nodes[name] = (factor, jitter_s)
         self._routes.clear()
         self.trace.emit(
@@ -339,6 +367,7 @@ class Network:
 
     def restore_node(self, name: str) -> bool:
         """Undo :meth:`degrade_node`; returns False if it was not degraded."""
+        self.settle_draws()
         if self._degraded_nodes.pop(name, None) is None:
             return False
         self._routes.clear()
@@ -365,7 +394,9 @@ class Network:
         if sender is None and recipient is None:
             self._churn.clear()
             return
-        self._churn.pop((sender, recipient), None)  # type: ignore[arg-type]
+        if sender is None or recipient is None:
+            raise ValueError("clear_churn takes both sides of a pair, or neither")
+        self._churn.pop((sender, recipient), None)
 
     def _churn_for(self, sender: str, recipient: str) -> Optional[LinkChurn]:
         for key in (
@@ -469,7 +500,8 @@ class Network:
     def send(
         self, sender: str, recipient: str, payload: Any, size_bytes: int = 256
     ) -> Message:
-        route = self._routes.get((sender, recipient))
+        link = (sender, recipient)
+        route = self._routes.get(link)
         if route is None and sender not in self._endpoints:
             raise NetworkError(f"unknown sender {sender!r}")
         sim = self.sim
@@ -494,6 +526,9 @@ class Network:
                 self._drop(message, "random-loss")
                 return message
         link_rng, latency = route
+        owed = self._owed.pop(link, 0)
+        if owed:
+            latency.skip(link_rng, owed)
         delay = latency.delay(message, link_rng)
         if self._churn:
             churn = self._churn_for(sender, recipient)

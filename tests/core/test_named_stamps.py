@@ -14,6 +14,8 @@ which, except where a message used to wait behind a stamp that is no longer
 sent (the FIFO-slot tests).
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +82,7 @@ def replica_names(testbed):
 
 
 def link_states(testbed, pairs):
+    testbed.network.settle_draws()
     stream = testbed.rng.stream
     return {(a, b): stream(f"net.link.{a}->{b}").getstate() for a, b in pairs}
 
@@ -171,26 +174,50 @@ def test_one_read_puts_k_stamps_on_the_wire_and_draws_every_link(
 
 
 def test_the_unsent_stamp_is_drawn_from_the_link_as_it_is_now():
-    """``set_link`` mid-run is seen: the draw goes through the route table."""
+    """``set_link`` and ``degrade_node``/``restore_node`` mid-run are seen:
+    a kept draw is paid with the latency model it was kept under."""
 
     class CountingLatency(FixedLatency):
-        draws = 0
+        skipped = 0
 
-        def delay(self, message, rng):
-            CountingLatency.draws += 1
-            return super().delay(message, rng)
+        def skip(self, rng, n):
+            CountingLatency.skipped += n
+            super().skip(rng, n)
 
     testbed = make_testbed(2, 2, latency=FixedLatency(0.001))
+    network = testbed.network
     client = testbed.service.create_client(
         "c", read_only_methods={"get"}, strategy=Pick("svc-p1")
     )
     client.invoke("get", qos=QOS)
     testbed.sim.run(until=1.0)
-    assert CountingLatency.draws == 0
-    testbed.network.set_link(SEQ, "svc-s2", CountingLatency(0.002))
+    network.settle_draws()
+    assert CountingLatency.skipped == 0
+    network.set_link(SEQ, "svc-s2", CountingLatency(0.002))
     client.invoke("get", qos=QOS)
     testbed.sim.run(until=2.0)
-    assert CountingLatency.draws == 1
+    network.settle_draws()
+    assert CountingLatency.skipped == 1
+
+    # Kept while the sequencer is degraded, paid by restore_node through the
+    # degraded model: the base's draw and the jitter's one random().
+    stream = testbed.rng.stream(f"net.link.{SEQ}->svc-s2")
+    network.degrade_node(SEQ, factor=2.0, jitter_s=0.001)
+    eager = random.Random()
+    eager.setstate(stream.getstate())
+    client.invoke("get", qos=QOS)
+    testbed.sim.run(until=3.0)
+    assert network.restore_node(SEQ)
+    assert CountingLatency.skipped == 2
+    eager.random()
+    assert stream.getstate() == eager.getstate()
+
+    # Kept once restored: the fixed link's draw consumes nothing.
+    client.invoke("get", qos=QOS)
+    testbed.sim.run(until=4.0)
+    network.settle_draws()
+    assert CountingLatency.skipped == 3
+    assert stream.getstate() == eager.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,7 @@ def test_fault_free_fabric_sends_no_ack_arms_no_timer_and_keeps_every_draw():
     assert len(lazy.members["a"].settled_at_delivery) == 1000
     # One variate per message from the data's link stream and one from the
     # ack's, sent or not: the streams are where the wired twin left them.
+    lazy.network.settle_draws()
     for link in ("net.link.a->b", "net.link.b->a"):
         assert lazy.rng.stream(link).getstate() == wired.rng.stream(link).getstate()
     assert (

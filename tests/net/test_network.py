@@ -446,6 +446,19 @@ def test_churn_reorders_messages(sim, network, pair):
     assert [m.payload for _, m in b.received] == ["second-sent", "first-sent"]
 
 
+@pytest.mark.parametrize(
+    "sides", [("a", None), (None, "b")], ids=["sender-only", "recipient-only"]
+)
+def test_clear_churn_refuses_one_side(network, pair, sides):
+    from repro.net.network import LinkChurn
+
+    churn = LinkChurn(duplicate_probability=1.0)
+    network.set_churn("a", "b", churn)
+    with pytest.raises(ValueError):
+        network.clear_churn(*sides)
+    assert network._churn_for("a", "b") is churn
+
+
 def test_churn_wildcard_precedence(sim, network, pair):
     from repro.net.network import LinkChurn
 
