@@ -81,8 +81,8 @@ OutcomeCallback = Callable[[Any], None]
 #: every seeded-outcome comparison drops it, by this name.
 WALL_CLOCK_SERIES = "client_selection_overhead_seconds"
 
-#: The pmf grid (§5.2): 1 ms bins, shared by the repository's windows and
-#: the predictor so the windows' incremental histograms feed it directly.
+#: The pmf grid (§5.2): 1 ms bins.  The repository's windows bin every
+#: sample on it, and the predictor counts on the repository's grid.
 QUANTUM = 1e-3
 
 #: Retry policy shape (DESIGN.md §9): a retry needs at least
@@ -211,7 +211,6 @@ class ClientHandler(GroupEndpoint):
         self.predictor = ResponseTimePredictor(
             self.repository,
             config.lazy_update_interval,
-            quantum=QUANTUM,
             staleness_model=staleness_model,
             metrics=self.metrics,
             metrics_labels={"client": name},

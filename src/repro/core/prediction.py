@@ -21,28 +21,22 @@ Prediction quality notes:
   Uniform(0, T_L) pmf — exactly the distribution of the residual time to
   the next lazy update seen by a request arriving at a random phase.
 
-Exact counts instead of pmfs (beyond the paper, see DESIGN.md
-"Prediction-cache architecture"): selection needs two numbers per replica,
-not two distributions, and every term is an integer histogram of window
-samples.  ``F^I(d)`` is therefore the *count* of ``(s, w)`` sample pairs
-with ``s + w + g <= d`` over ``n_S * n_W``, and ``F^D(d)`` the count of
-``(s, w, u)`` triples over ``n_S * n_W * n_U`` — integer arithmetic on the
-grid and one correctly rounded division, so the values are the floats
-nearest the exact rationals and do not depend on summation order.  Per
-replica the counts of ``S ⊛ W`` (and their running sum) are cached, keyed
-on the two windows' versions only: ``G`` is an integer bin offset applied
-at evaluation time, so a reply invalidates nothing.  A read evaluates
-only the candidates Algorithm 1 visits (:meth:`ResponseTimePredictor
-.cdfs_at`); behind :meth:`ResponseTimePredictor.candidate_cdfs`, which
-evaluates every candidate, the two *values* are memoised per replica,
-keyed on everything an evaluation reads.  A
-:class:`~repro.stats.pmf.DiscretePmf` is materialized from the same counts
-only by :meth:`ResponseTimePredictor.response_pmfs`, for sampling.
+Exact counts instead of pmfs (beyond the paper, see DESIGN.md §7):
+selection needs two numbers per replica, not two distributions.  Every
+window sample is an integer bin, so ``F^I(d)`` is the *count* of ``(s, w)``
+pairs with ``s + w + g <= d`` over ``n_S * n_W`` (``F^D(d)`` adds ``u``),
+counted with a few ``bisect`` calls off the windows' sorted bins and
+divided once, correctly rounded.  Nothing is built or cached per read; the
+values behind :meth:`ResponseTimePredictor.candidate_cdfs` and the pmfs of
+:meth:`ResponseTimePredictor.response_pmfs` — the one place a
+:class:`~repro.stats.pmf.DiscretePmf` is built — are memoised.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -50,34 +44,19 @@ import numpy as np
 
 from repro.core.repository import ClientInfoRepository, ReplicaStats
 from repro.obs.metrics import MetricsRegistry
-from repro.stats.pmf import (
-    DEFAULT_QUANTUM,
-    CountHistogram,
-    DiscretePmf,
-    quantize_bins,
-)
+from repro.stats.pmf import CountHistogram, DiscretePmf
 from repro.stats.sliding_window import SlidingWindow
 
 
 @dataclass
-class _ReplicaCounts:
-    """Cached exact counts for one replica, tagged with their version key.
+class _SamplingPmfs:
+    """One replica's ``(immediate, deferred)`` pmfs, valid while ``key``
+    (``ts``/``tq`` versions, gateway bins, ``tb`` version, uniform bins)
+    holds; ``base``, the counts of ``S ⊛ W``, while ``key[:2]`` does."""
 
-    ``key`` is ``(ts_version, tq_version)`` — the complete set of inputs
-    to ``base``, the counts of ``S ⊛ W``; a mismatch means a measurement
-    landed and the entry is stale.  ``wait_bins`` are the sorted grid bins
-    of the ``t_b`` samples as of ``waits_version``.  ``pmfs`` is the
-    ``(immediate, deferred)`` pair materialized for sampling, valid while
-    ``pmfs_key`` (gateway bins and lazy-wait term) still describes the
-    repository.
-    """
-
-    key: tuple[int, int]
+    key: tuple[int, int, int, int, int]
     base: CountHistogram
-    waits_version: int = -1
-    wait_bins: Optional[np.ndarray] = None
-    pmfs_key: Optional[tuple[int, int, int]] = None
-    pmfs: Optional[tuple[DiscretePmf, DiscretePmf]] = None
+    pmfs: tuple[DiscretePmf, DiscretePmf]
 
 
 class ResponseTimePredictor:
@@ -87,11 +66,9 @@ class ResponseTimePredictor:
         self,
         repository: ClientInfoRepository,
         lazy_update_interval: float,
-        quantum: float = DEFAULT_QUANTUM,
         default_gateway_delay: float = 0.001,
         bootstrap_cdf: float = 1.0,
         staleness_model: Optional["StalenessModel"] = None,
-        use_cache: bool = True,
         metrics: Optional["MetricsRegistry"] = None,
         metrics_labels: Optional[dict] = None,
     ) -> None:
@@ -99,15 +76,14 @@ class ResponseTimePredictor:
             raise ValueError(
                 f"lazy interval must be positive, got {lazy_update_interval!r}"
             )
-        if quantum <= 0:
-            raise ValueError(f"quantum must be positive, got {quantum!r}")
         if not 0.0 <= bootstrap_cdf <= 1.0:
             raise ValueError(f"bootstrap cdf {bootstrap_cdf!r} outside [0, 1]")
         from repro.core.staleness import PoissonStalenessModel
 
         self.repository = repository
         self.lazy_update_interval = lazy_update_interval
-        self.quantum = quantum
+        # The one grid: the repository's windows bin their samples on it.
+        self.quantum = repository.quantum
         self.default_gateway_delay = default_gateway_delay
         self.bootstrap_cdf = bootstrap_cdf
         self.staleness_model = staleness_model or PoissonStalenessModel()
@@ -119,19 +95,18 @@ class ResponseTimePredictor:
         labels = metrics_labels or {}
         # evaluations: number of distribution computations (Fig. 3).
         self.evaluations = metrics.counter("predictor_evaluations", **labels)
-        # Versioned count cache, one lookup per evaluation: a hit reuses
-        # the S ⊛ W counts, a miss rebuilds them, an invalidation is a miss
-        # that found a stale entry to replace.
-        self.use_cache = use_cache
+        # Lookups of the two memos below: a hit or a miss each, and an
+        # invalidation when a miss replaces a stale slot.
         self.cache_hits = metrics.counter("predictor_cache_hits", **labels)
         self.cache_misses = metrics.counter("predictor_cache_misses", **labels)
         self.cache_invalidations = metrics.counter(
             "predictor_cache_invalidations", **labels
         )
-        self._cache: dict[str, _ReplicaCounts] = {}
         # Value memo behind candidate_cdfs: replica -> (key, (F^I, F^D)),
         # the key being every input _evaluate read to produce the pair.
         self._memo: dict[str, tuple[tuple, tuple[float, float]]] = {}
+        # Sampling pmfs behind response_pmfs, per replica.
+        self._pmfs: dict[str, _SamplingPmfs] = {}
 
     # ------------------------------------------------------------------
     # Response-time distributions (§5.2)
@@ -139,8 +114,8 @@ class ResponseTimePredictor:
     def response_cdfs(self, replica: str, deadline: float) -> tuple[float, float]:
         """``(F^I_{R_i}(d), F^D_{R_i}(d))`` for one replica.
 
-        Both read the same cached ``S ⊛ W`` counts; the deferred value
-        additionally counts against the lazy-wait term.
+        Both count over the same windows; the deferred value additionally
+        counts against the lazy-wait term.
         """
         return self._evaluate(replica, deadline, self._deadline_bin(deadline), True)
 
@@ -164,21 +139,22 @@ class ResponseTimePredictor:
         strategy that takes the whole list (the baselines, the no-``ert``
         ablation, the aggregated client tier): :meth:`cdfs_at`'s values.
 
-        With the cache on, a candidate none of whose inputs moved since the
-        previous call is answered from the value memo (one dict lookup, one
-        tuple compare) and credited, after the loop, as the evaluation and
-        count-cache hit it stands for: its key pins both window versions.
-        The scalar methods and :meth:`cdfs_at` neither read nor write the
-        memo, so a question at another deadline cannot evict a slot.
+        A candidate none of whose inputs moved since the previous call is
+        answered from the value memo (one dict lookup, one tuple compare)
+        and credited, after the loop, as the evaluation it stands for.  A
+        candidate with no history yet gets the bootstrap value and makes no
+        lookup.  The scalar methods and :meth:`cdfs_at` neither read nor
+        write the memo, so a question at another deadline cannot evict a
+        slot.
         """
         k = self._deadline_bin(deadline)
         n_wait = self._uniform_bins()
         evaluate = self._evaluate
         stats_for = self.repository.stats_for
-        memo = self._memo if self.use_cache else {}  # off: no slot survives
+        memo = self._memo
         primary_pairs: list[tuple[float, float]] = []
         secondary_pairs: list[tuple[float, float]] = []
-        hits = 0
+        hits = misses = stale = 0
         for names, deferred, pairs in (
             (primaries, False, primary_pairs),
             (secondaries, True, secondary_pairs),
@@ -201,10 +177,14 @@ class ResponseTimePredictor:
                     continue
                 pair = evaluate(name, deadline, k, deferred, n_wait)
                 if stats.has_history:  # bootstrap values are not evaluations
+                    misses += 1
+                    stale += slot is not None
                     memo[name] = (key, pair)
                 pairs.append(pair)
         self.evaluations.inc(hits)
         self.cache_hits.inc(hits)
+        self.cache_misses.inc(misses)
+        self.cache_invalidations.inc(stale)
         return [pair[0] for pair in primary_pairs], secondary_pairs
 
     def response_pmfs(
@@ -213,35 +193,48 @@ class ResponseTimePredictor:
         """The full ``(immediate, deferred)`` response-time pmfs of a replica.
 
         ``(None, None)`` before any history exists (the cdf methods'
-        ``bootstrap_cdf`` regime).  Materialized from the cached counts the
-        cdf methods read, and kept with them until the counts, the gateway
-        delay or the lazy-wait term change.  This is what the aggregated
-        client tier resolves a batch from — one pmf pair per selected
-        replica, folded into the law of the batch's first reply — and the
-        only place the predictor builds a :class:`DiscretePmf`.
+        ``bootstrap_cdf`` regime).  Built from the exact counts of
+        ``S ⊛ W`` and kept until the windows, the gateway delay or the
+        lazy-wait term change.  This is what the aggregated client tier
+        resolves a batch from — one pmf pair per selected replica, folded
+        into the law of the batch's first reply — and the only place the
+        predictor builds a :class:`DiscretePmf`.
         """
         stats = self.repository.stats_for(replica)
         if not stats.has_history:
             return (None, None)
         self.evaluations.inc()
-        entry = self._counts(replica, stats)
-        gateway = self._gateway_bins(stats)
         waits = stats.tb_window
-        n_wait = 0 if waits else self._uniform_bins()
-        key = (gateway, waits.version, n_wait)
-        if entry.pmfs_key != key:
-            quantum = self.quantum
+        key = (
+            stats.ts_window.version,
+            stats.tq_window.version,
+            self._gateway_bins(stats),
+            waits.version,
+            0 if waits else self._uniform_bins(),
+        )
+        entry = self._pmfs.get(replica)
+        if entry is not None and entry.key == key:
+            self.cache_hits.inc()
+            return entry.pmfs
+        self.cache_misses.inc()
+        if entry is not None:
+            self.cache_invalidations.inc()
+        if entry is not None and entry.key[:2] == key[:2]:
             base = entry.base
-            immediate = DiscretePmf.from_histogram(
-                quantum, base.offset + gateway, base.counts
-            )
-            if waits:
-                lazy_wait = DiscretePmf.from_samples(waits.samples(), quantum)
-            else:
-                lazy_wait = DiscretePmf(quantum, 0, np.ones(n_wait))
-            entry.pmfs_key = key
-            entry.pmfs = (immediate, immediate.convolve(lazy_wait))
-        return entry.pmfs
+        else:
+            base = _counts(stats.ts_window).convolve(_counts(stats.tq_window))
+        quantum = self.quantum
+        _, _, gateway, _, n_wait = key
+        immediate = DiscretePmf.from_histogram(
+            quantum, base.offset + gateway, base.counts
+        )
+        if waits:
+            lazy_wait = DiscretePmf.from_samples(waits.samples(), quantum)
+        else:
+            lazy_wait = DiscretePmf(quantum, 0, np.ones(n_wait))
+        pmfs = (immediate, immediate.convolve(lazy_wait))
+        self._pmfs[replica] = _SamplingPmfs(key, base, pmfs)
+        return pmfs
 
     # ------------------------------------------------------------------
     # Exact evaluation from window counts
@@ -277,70 +270,61 @@ class ResponseTimePredictor:
         ``F^D`` is only computed when ``deferred`` is set (primaries never
         defer); otherwise the immediate value stands in for it.  ``n_wait``
         is :meth:`_uniform_bins` when the caller has already resolved it.
+        With ``S`` the ``t_s`` window's sorted bins, ``c_W`` the ``t_q``
+        window's bin counts and ``room`` what ``G`` leaves of ``k``:
+
+        * ``F^I`` counts ``Σ_w c_W(w) · #{s ≤ room − w}``;
+        * ``F^D`` with ``t_b`` bins ``c_U``, ``Σ_{w,u} c_W(w) · c_U(u) ·
+          #{s ≤ room − w − u}``;
+        * ``F^D`` with Uniform(0, ``T_L``) on ``n`` bins: each ``s`` meets
+          ``clip(room − w − s + 1, 0, n)`` of them, two ``bisect`` per ``w``.
         """
         stats = self.repository.stats_for(replica)
         if not stats.has_history:
             return (self.bootstrap_cdf, self.bootstrap_cdf)
         self.evaluations.inc()
-        entry = self._counts(replica, stats)
-        base = entry.base
+        service = stats.ts_window.sorted_bins
+        queuing = stats.tq_window
         gateway = self._gateway_bins(stats)
-        floor = base.offset + gateway  # first bin S + W + G can land in
+        floor = service[0] + queuing.sorted_bins[0] + gateway  # R's first bin
         if deadline < floor * self.quantum:
             return (0.0, 0.0)
         room = k - gateway  # bins left for S + W (+ U)
-        immediate = base.count_le(room) / base.total
+        pairs = len(service) * len(queuing)
+        met = 0
+        for w, count in queuing.bin_counts.items():
+            met += count * bisect_right(service, room - w)
+        immediate = met / pairs
         if not deferred:
             return (immediate, immediate)
         waits = stats.tb_window
         if waits:
             # U is the recorded t_b history: one count per window sample.
-            if entry.waits_version != waits.version:
-                entry.waits_version = waits.version
-                entry.wait_bins = np.sort(
-                    quantize_bins(waits.samples(), self.quantum)
-                )
-            wait_bins = entry.wait_bins
-            if deadline < (floor + int(wait_bins[0])) * self.quantum:
+            if deadline < (floor + waits.sorted_bins[0]) * self.quantum:
                 return (immediate, 0.0)
-            met = base.count_sum_le(room, wait_bins)
-            return (immediate, met / (base.total * wait_bins.size))
+            w_bins, w_counts = _bins_and_counts(queuing)
+            u_bins, u_counts = _bins_and_counts(waits)
+            fits = np.array(service).searchsorted(
+                np.subtract.outer(room - w_bins, u_bins), side="right"
+            )
+            met = int(w_counts @ fits @ u_counts)
+            return (immediate, met / (pairs * len(waits)))
         # No deferred read observed yet: the residual time to the next lazy
         # update for a uniformly random arrival phase is Uniform(0, T_L).
         if n_wait is None:
             n_wait = self._uniform_bins()
-        met = base.count_sum_le_uniform(room, n_wait)
-        return (immediate, met / (base.total * n_wait))
-
-    # ------------------------------------------------------------------
-    # Versioned count cache
-    # ------------------------------------------------------------------
-    def _counts(self, replica: str, stats: ReplicaStats) -> _ReplicaCounts:
-        key = (stats.ts_window.version, stats.tq_window.version)
-        if self.use_cache:
-            entry = self._cache.get(replica)
-            if entry is not None:
-                if entry.key == key:
-                    self.cache_hits.inc()
-                    return entry
-                self.cache_invalidations.inc()
-            self.cache_misses.inc()
-        entry = _ReplicaCounts(
-            key,
-            self._window_counts(stats.ts_window).convolve(
-                self._window_counts(stats.tq_window)
-            ),
-        )
-        if self.use_cache:
-            self._cache[replica] = entry
-        return entry
-
-    def _window_counts(self, window: SlidingWindow) -> CountHistogram:
-        histogram = window.histogram(self.quantum)
-        if histogram is not None:
-            return CountHistogram(*histogram, len(window))
-        # Quantum mismatch between window and predictor: bin raw samples.
-        return CountHistogram.from_samples(window.samples(), self.quantum)
+        prefix = [0, *accumulate(service)]  # prefix[i] = sum(S[:i])
+        met = 0
+        for w, count in queuing.bin_counts.items():
+            top = room - w
+            whole = bisect_right(service, top + 1 - n_wait)  # meet all n bins
+            some = bisect_right(service, top)
+            met += count * (
+                whole * n_wait
+                + (some - whole) * (top + 1)
+                - (prefix[some] - prefix[whole])
+            )
+        return (immediate, met / (pairs * n_wait))
 
     # ------------------------------------------------------------------
     # Staleness factor (§5.1.3, Eq. 4)
@@ -359,3 +343,18 @@ class ResponseTimePredictor:
             now,
             self.lazy_update_interval,
         )
+
+
+def _counts(window: SlidingWindow) -> CountHistogram:
+    """A window's bins as a :class:`CountHistogram`."""
+    return CountHistogram(*window.histogram(), len(window))
+
+
+def _bins_and_counts(window: SlidingWindow) -> tuple[np.ndarray, np.ndarray]:
+    """A window's distinct bins and their counts, as two ``int64`` arrays."""
+    bin_counts = window.bin_counts
+    size = len(bin_counts)
+    return (
+        np.fromiter(bin_counts.keys(), np.int64, size),
+        np.fromiter(bin_counts.values(), np.int64, size),
+    )

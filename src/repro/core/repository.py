@@ -71,9 +71,8 @@ class ClientInfoRepository:
         if quantum <= 0:
             raise ValueError(f"quantum must be positive, got {quantum!r}")
         self.window_size = window_size
-        # The windows maintain incremental histograms on this grid; the
-        # predictor reuses them when its quantum matches (it falls back to
-        # raw samples otherwise, so a mismatch costs speed, not accuracy).
+        # The one grid: the windows bin their samples on it, and the
+        # predictor counts on it.
         self.quantum = float(quantum)
         self._stats: dict[str, ReplicaStats] = {}
         # Replicas with a read reply, oldest last reply first: decreasing

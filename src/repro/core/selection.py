@@ -88,6 +88,14 @@ class _PkAccumulator:
     §5a for when the correlated variant matters.
     """
 
+    __slots__ = (
+        "stale_factor",
+        "correlated_deferral",
+        "prim_cdf",
+        "sec_immed_cdf",
+        "sec_delayed_cdf",
+    )
+
     def __init__(self, stale_factor: float, correlated_deferral: bool = False) -> None:
         if not 0.0 <= stale_factor <= 1.0:
             raise ValueError(f"stale factor {stale_factor!r} outside [0, 1]")
@@ -223,12 +231,12 @@ class StateBasedSelection(SelectionStrategy):
             if probability >= target:
                 # Line 13: an acceptable set (sequencer appended upstream).
                 return SelectionResult(
-                    tuple(r.name for r in selected), probability, satisfied=True
+                    tuple([r.name for r in selected]), probability, satisfied=True
                 )
         # Line 16: not satisfiable — return every replica.
         probability = acc.probability()
         return SelectionResult(
-            tuple(r.name for r in selected),
+            tuple([r.name for r in selected]),
             probability,
             satisfied=probability >= target,
         )

@@ -101,9 +101,8 @@ def measure_selection_overhead(
 ) -> SelectionOverheadResult:
     """Time one client-side prediction + selection pass (Figure 3).
 
-    The predictor's per-replica cache is off, so every repetition pays the
-    paper's Figure 3 semantics: the full per-read distribution
-    recomputation.
+    The scalar cdf methods cache nothing, so every repetition pays the
+    paper's Figure 3 semantics: every candidate evaluated from its windows.
     """
     if num_replicas < 1:
         raise ValueError("need at least one replica")
@@ -111,7 +110,7 @@ def measure_selection_overhead(
         num_replicas, window_size, seed, num_primaries=4,
         lazy_update_interval=lazy_update_interval,
     )
-    predictor = ResponseTimePredictor(repo, lazy_update_interval, use_cache=False)
+    predictor = ResponseTimePredictor(repo, lazy_update_interval)
     qos = QoSSpec(staleness_threshold, deadline, min_probability)
     strategy = strategy or StateBasedSelection()
     now = 11.0

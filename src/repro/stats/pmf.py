@@ -14,13 +14,12 @@ overhead measurement depends on.
 
 :class:`CountHistogram` is the same grid with *integer counts* instead of
 normalized mass.  The §5.2 selection loop needs only two numbers per
-replica, ``F^I(d)`` and ``F^D(d)``, and window samples are integers on the
-grid already: counting the sample combinations that meet the deadline is
-exact, independent of summation order, and O(bins) — no pmf is built.  A
-:class:`DiscretePmf` is materialized from counts only where a whole
-distribution is really needed: the aggregated client tier resolves a batch
-of arrivals from :func:`first_reply_law`, the joint law of the earliest of
-the selected replicas' replies.
+replica, ``F^I(d)`` and ``F^D(d)``, which the predictor counts straight
+off the sliding windows' bins — no pmf is built.  A :class:`DiscretePmf`
+is materialized from counts only where a whole distribution is really
+needed: the aggregated client tier resolves a batch of arrivals from
+:func:`first_reply_law`, the joint law of the earliest of the selected
+replicas' replies.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ import numpy as np
 
 DEFAULT_QUANTUM = 1e-3  # 1 ms bins
 
-# Count arithmetic runs in int64; every product of totals is checked
-# against this before it is formed, so nothing can wrap silently.
+# Count arithmetic runs in int64; a product of totals is checked against
+# this before it is formed, so nothing can wrap silently.
 _COUNT_LIMIT = 2**63
 
 
@@ -41,8 +40,8 @@ def quantize_bins(samples: Iterable[float], quantum: float) -> np.ndarray:
     """Grid bin of each duration sample: ``rint(max(0, value) / quantum)``.
 
     Round-half-even, negative samples clamped to zero — the one binning
-    rule shared by pmfs, count histograms and the sliding windows'
-    incremental histograms (``quantize_bin`` is its scalar twin).
+    rule shared by pmfs, count histograms and the sliding windows' bins
+    (``quantize_bin`` is its scalar twin).
     """
     values = np.asarray(
         samples if isinstance(samples, np.ndarray) else list(samples), dtype=float
@@ -56,20 +55,16 @@ class CountHistogram:
     """Exact sample counts on the grid: ``counts[i]`` samples in bin ``offset + i``.
 
     Sums of independent window variables stay integer histograms
-    (:meth:`convolve` multiplies totals), so a CDF value is a ratio of two
-    integers: :meth:`count_le` and friends return the numerator, the caller
-    divides by the product of the totals once.  Python's ``int / int`` is
-    correctly rounded, which makes the result the float nearest the exact
-    rational — ``90 / 100`` is ``0.9``, not ``0.8999999999999999``.
+    (:meth:`convolve` multiplies totals): the aggregated client tier's
+    sampling pmfs are normalized from them once.
     """
 
-    __slots__ = ("offset", "counts", "total", "_cum")
+    __slots__ = ("offset", "counts", "total")
 
     def __init__(self, offset: int, counts: np.ndarray, total: int) -> None:
         self.offset = int(offset)
         self.counts = counts
         self.total = total
-        self._cum: Optional[np.ndarray] = None
 
     @classmethod
     def from_samples(
@@ -90,51 +85,6 @@ class CountHistogram:
             np.convolve(self.counts, other.counts),
             total,
         )
-
-    def _cumulative(self) -> np.ndarray:
-        """``cum[i]`` = samples in the first ``i`` bins (leading 0), cached."""
-        cum = self._cum
-        if cum is None:
-            cum = np.zeros(self.counts.size + 1, dtype=np.int64)
-            np.cumsum(self.counts, out=cum[1:])
-            self._cum = cum
-        return cum
-
-    def count_le(self, k: int) -> int:
-        """Number of samples in bins ``<= k``."""
-        upto = k - self.offset + 1
-        if upto <= 0:
-            return 0
-        if upto >= self.counts.size:
-            return self.total
-        return int(self._cumulative()[upto])
-
-    def count_le_many(self, ks: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`count_le` over an integer array of bins."""
-        upto = np.minimum(np.maximum(ks - (self.offset - 1), 0), self.counts.size)
-        return self._cumulative()[upto]
-
-    def count_sum_le(self, k: int, bins: np.ndarray) -> int:
-        """``#{(x, u) : x + u <= k}`` for ``u`` over the sample bins ``bins``
-        (int64, one entry per sample): a gather of ``bins.size`` cumulative
-        counts, however wide the samples are spread."""
-        if self.total * bins.size >= _COUNT_LIMIT:
-            raise OverflowError(
-                f"{self.total} x {bins.size} sample pairs overflow int64"
-            )
-        return int(self.count_le_many(k - bins).sum())
-
-    def count_sum_le_uniform(self, k: int, n: int) -> int:
-        """``#{(x, u) : x + u <= k}`` for ``u`` one sample in each bin ``0..n-1``.
-
-        The cumulative counts of that uniform term are the closed-form
-        ramp ``clip(m + 1, 0, n)``, so the count is one dot product with
-        :attr:`counts` and the ``n``-bin term is never laid out.
-        """
-        if self.total * n >= _COUNT_LIMIT:
-            raise OverflowError(f"{self.total} x {n} sample pairs overflow int64")
-        room = (k - self.offset + 1) - np.arange(self.counts.size)
-        return int(self.counts @ np.minimum(np.maximum(room, 0), n))
 
 
 class DiscretePmf:

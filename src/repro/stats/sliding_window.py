@@ -10,16 +10,18 @@ Beyond the paper, each window carries two pieces of bookkeeping that make
 the §5.2 prediction loop incremental instead of per-read:
 
 * a monotonically increasing **version** (bumped on every record/clear),
-  which the prediction cache uses as an invalidation key — "has anything
-  changed since the pmf was last built?" becomes one integer comparison;
-* an incrementally maintained **quantized histogram** (integer bin counts
-  updated on record and evict), which is the form the predictor's exact
-  count arithmetic (:class:`~repro.stats.pmf.CountHistogram`) consumes —
-  no pass over the raw samples, no normalization.
+  which the predictor's memos use as an invalidation key — "has anything
+  changed since this value was computed?" becomes one integer comparison;
+* the samples' grid bins, maintained on record and evict both as counts
+  per bin and as a sorted multiset (:attr:`SlidingWindow.sorted_bins`):
+  the predictor counts ``F^I(d)`` and ``F^D(d)`` straight off them with a
+  few ``bisect`` calls — no pass over the raw samples, no histogram built,
+  no normalization.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Iterator, Optional
 
@@ -39,7 +41,12 @@ def quantize_bin(value: float, quantum: float) -> int:
 
 
 class SlidingWindow:
-    """Keeps the most recent ``size`` float samples in arrival order."""
+    """Keeps the most recent ``size`` float samples in arrival order.
+
+    ``sorted_bins`` holds the samples' grid bins in ascending order (one
+    entry per sample) and ``bin_counts`` the same multiset as counts per
+    bin; both follow every record, eviction and :meth:`clear`.
+    """
 
     def __init__(self, size: int, quantum: float = DEFAULT_QUANTUM) -> None:
         if size <= 0:
@@ -49,7 +56,8 @@ class SlidingWindow:
         self.size = int(size)
         self.quantum = float(quantum)
         self._samples: deque[float] = deque(maxlen=self.size)
-        self._bin_counts: dict[int, int] = {}
+        self.bin_counts: dict[int, int] = {}
+        self.sorted_bins: list[int] = []
         self.total_recorded = 0
         self.version = 0
 
@@ -58,14 +66,16 @@ class SlidingWindow:
         value = float(value)
         if len(self._samples) == self.size:
             evicted_bin = quantize_bin(self._samples[0], self.quantum)
-            remaining = self._bin_counts[evicted_bin] - 1
+            remaining = self.bin_counts[evicted_bin] - 1
             if remaining:
-                self._bin_counts[evicted_bin] = remaining
+                self.bin_counts[evicted_bin] = remaining
             else:
-                del self._bin_counts[evicted_bin]
+                del self.bin_counts[evicted_bin]
+            del self.sorted_bins[bisect_left(self.sorted_bins, evicted_bin)]
         self._samples.append(value)
         new_bin = quantize_bin(value, self.quantum)
-        self._bin_counts[new_bin] = self._bin_counts.get(new_bin, 0) + 1
+        self.bin_counts[new_bin] = self.bin_counts.get(new_bin, 0) + 1
+        insort(self.sorted_bins, new_bin)
         self.total_recorded += 1
         self.version += 1
 
@@ -77,22 +87,17 @@ class SlidingWindow:
         """Snapshot of the window contents, oldest first."""
         return list(self._samples)
 
-    def histogram(self, quantum: float) -> Optional[tuple[int, np.ndarray]]:
-        """``(offset, counts)`` of the maintained histogram, or ``None``.
+    def histogram(self) -> Optional[tuple[int, np.ndarray]]:
+        """``(offset, counts)`` of the maintained bins, ``None`` when empty.
 
-        ``None`` means the caller's quantum does not match this window's
-        grid (or the window is empty) and it must fall back to binning the
-        raw samples itself.  The counts are exact ``int64`` (they sum to
-        ``len(self)``) in a freshly allocated array the caller may keep.
+        The counts are exact ``int64`` (they sum to ``len(self)``) in a
+        freshly allocated array the caller may keep.
         """
-        if not self._bin_counts or abs(quantum - self.quantum) > 1e-15:
+        if not self.sorted_bins:
             return None
-        low = min(self._bin_counts)
-        high = max(self._bin_counts)
-        counts = np.zeros(high - low + 1, dtype=np.int64)
-        for bin_index, count in self._bin_counts.items():
-            counts[bin_index - low] = count
-        return low, counts
+        low = self.sorted_bins[0]
+        bins = np.array(self.sorted_bins, dtype=np.int64)
+        return low, np.bincount(bins - low)
 
     @property
     def full(self) -> bool:
@@ -105,7 +110,8 @@ class SlidingWindow:
 
     def clear(self) -> None:
         self._samples.clear()
-        self._bin_counts.clear()
+        self.bin_counts.clear()
+        self.sorted_bins.clear()
         self.version += 1
 
     def __len__(self) -> int:

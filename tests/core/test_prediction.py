@@ -213,5 +213,5 @@ def test_constructor_validation():
     repo = ClientInfoRepository(10)
     with pytest.raises(ValueError):
         ResponseTimePredictor(repo, lazy_update_interval=0.0)
-    with pytest.raises(ValueError):
-        ResponseTimePredictor(repo, 2.0, quantum=0.0)
+    with pytest.raises(ValueError):  # the predictor's grid is the repository's
+        ClientInfoRepository(10, quantum=0.0)

@@ -1,11 +1,11 @@
-"""Tests for the versioned count cache (§5.2 hot path).
+"""Tests for the predictor's two memos (§5.2 hot path).
 
-The predictor caches, per replica, the exact counts of ``S ⊛ W`` keyed on
-``(ts_window.version, tq_window.version)`` — nothing else.  The gateway
-delay is a bin offset and the lazy-wait term is counted against at
-evaluation time, so neither a reply nor a ``t_b`` sample rebuilds anything.
-Because the arithmetic is exact, a cached predictor and an uncached one
-observing the same repository return *equal* values across arbitrary
+An evaluation counts straight off the windows and caches nothing.  Two
+memos sit above it, each keyed on everything it depends on: the per-replica
+values behind ``candidate_cdfs`` and the sampling pmfs behind
+``response_pmfs``.  Every lookup of either counts one hit or one miss, and
+a miss that replaces a stale slot one invalidation.  Because the arithmetic
+is exact, the memoised values *equal* the scalar methods' across arbitrary
 interleavings of measurements and queries.
 """
 
@@ -41,16 +41,9 @@ def _fill(repo, replica="r", n=5, tb=True):
     repo.record_reply(replica, tg=0.001, now=1.0)
 
 
-def _paired_predictors(**kwargs):
-    repo = ClientInfoRepository(window_size=8)
-    cached = ResponseTimePredictor(repo, 2.0, use_cache=True, **kwargs)
-    fresh = ResponseTimePredictor(repo, 2.0, use_cache=False, **kwargs)
-    return repo, cached, fresh
-
-
 @pytest.fixture
 def convolutions(monkeypatch):
-    """Counts every ``S ⊛ W`` rebuild, whoever asks for it."""
+    """Counts every ``S ⊛ W`` build, whoever asks for it."""
     calls = []
     convolve = CountHistogram.convolve
 
@@ -63,34 +56,39 @@ def convolutions(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Hit / miss / invalidation accounting: one lookup per evaluation
+# Hit / miss / invalidation accounting: one count per memo lookup
 # ---------------------------------------------------------------------------
 def test_steady_state_reads_hit_the_cache(convolutions):
     repo = ClientInfoRepository(8)
     _fill(repo)
     predictor = ResponseTimePredictor(repo, 2.0)
-    predictor.response_cdfs("r", 0.150)
+    first = predictor.candidate_cdfs([], ["r"], 0.150)
     assert _cache(predictor) == (0, 1, 0)
-    predictor.response_cdfs("r", 0.200)  # different deadline, same counts
-    predictor.immediate_cdf("r", 0.200)  # F^I and F^D share the one entry
-    assert _cache(predictor) == (2, 1, 0)
-    assert len(convolutions) == 1
+    assert predictor.candidate_cdfs([], ["r"], 0.150) == first
+    predictor.response_pmfs("r")
+    predictor.response_pmfs("r")
+    predictor.response_cdfs("r", 0.200)  # the scalar methods look nothing up
+    predictor.immediate_cdf("r", 0.200)
+    assert _cache(predictor) == (2, 2, 0)
+    assert len(convolutions) == 1  # the sampling pmfs' S ⊛ W, once
 
 
 def test_new_measurement_invalidates(convolutions):
     repo = ClientInfoRepository(8)
     _fill(repo)
     predictor = ResponseTimePredictor(repo, 2.0)
-    predictor.response_cdfs("r", 0.150)
+    predictor.candidate_cdfs([], ["r"], 0.150)
+    predictor.response_pmfs("r")
     repo.record_broadcast(PerfBroadcast(replica="r", ts=0.02, tq=0.001, tb=0.2))
-    predictor.response_cdfs("r", 0.150)
-    # The ts/tq versions moved: the entry is stale and is replaced.
-    assert _cache(predictor) == (0, 2, 1)
+    predictor.candidate_cdfs([], ["r"], 0.150)
+    predictor.response_pmfs("r")
+    # The window versions moved: both slots are stale and are replaced.
+    assert _cache(predictor) == (0, 4, 2)
     assert len(convolutions) == 2
 
 
 def test_gateway_delay_changes_the_value_without_rebuilding(convolutions):
-    """G is a bin offset applied at evaluation time, not part of the key."""
+    """G is a bin offset applied at evaluation time: nothing is built."""
     repo = ClientInfoRepository(8)
     _fill(repo)
     predictor = ResponseTimePredictor(repo, 2.0)
@@ -99,16 +97,16 @@ def test_gateway_delay_changes_the_value_without_rebuilding(convolutions):
     after = predictor.response_cdfs("r", 0.120)
     assert after[0] <= before[0] and after[1] < before[1]  # shifted right
     assert predictor.immediate_cdf("r", 0.020) == 0.0  # 10 + 2 + 50 ms > 20 ms
-    assert _cache(predictor) == (2, 1, 0)
-    assert len(convolutions) == 1
-    fresh = ResponseTimePredictor(repo, 2.0, use_cache=False)
+    assert _cache(predictor) == (0, 0, 0)
+    assert convolutions == []
+    fresh = ResponseTimePredictor(repo, 2.0)
     assert fresh.response_cdfs("r", 0.120) == after
 
 
 def test_lazy_wait_sample_changes_the_value_without_rebuilding(convolutions):
     """A t_b sample that leaves t_s/t_q alone cannot exist on the wire (a
     broadcast carries all three), so move the window directly: F^D follows
-    the new history, the S ⊛ W entry stays."""
+    the new history at once."""
     repo = ClientInfoRepository(8)
     _fill(repo)
     predictor = ResponseTimePredictor(repo, 2.0)
@@ -116,17 +114,16 @@ def test_lazy_wait_sample_changes_the_value_without_rebuilding(convolutions):
     repo.stats_for("r").tb_window.record(1.5)
     _, after = predictor.response_cdfs("r", 0.150)
     assert after < before
-    assert _cache(predictor) == (1, 1, 0)
-    assert len(convolutions) == 1
+    assert convolutions == []
 
 
 def test_unchanged_gateway_delay_does_not_invalidate():
     repo = ClientInfoRepository(8)
     _fill(repo)
     predictor = ResponseTimePredictor(repo, 2.0)
-    predictor.immediate_cdf("r", 0.150)
+    predictor.candidate_cdfs(["r"], [], 0.150)
     repo.record_reply("r", tg=0.001, now=2.0)  # identical latest_tg
-    predictor.immediate_cdf("r", 0.150)
+    predictor.candidate_cdfs(["r"], [], 0.150)
     assert predictor.cache_hits.value == 1
     assert predictor.cache_invalidations.value == 0
 
@@ -135,22 +132,16 @@ def test_bootstrap_path_bypasses_cache():
     repo = ClientInfoRepository(8)
     predictor = ResponseTimePredictor(repo, 2.0)
     assert predictor.response_cdfs("unknown", 0.1) == (1.0, 1.0)
+    assert predictor.candidate_cdfs(["u"], ["v"], 0.1) == ([1.0], [(1.0, 1.0)])
+    assert predictor.response_pmfs("unknown") == (None, None)
     assert _cache(predictor) == (0, 0, 0)
-
-
-def test_disabled_cache_keeps_counters_at_zero():
-    repo = ClientInfoRepository(8)
-    _fill(repo)
-    predictor = ResponseTimePredictor(repo, 2.0, use_cache=False)
-    predictor.response_cdfs("r", 0.150)
-    predictor.response_cdfs("r", 0.150)
-    assert _cache(predictor) == (0, 0, 0)
+    assert predictor.evaluations.value == 0
 
 
 def test_lazy_interval_change_invalidates_deferred_pmf():
     """The Uniform(0, T_L) term follows the T_L in force: retuning it moves
-    F^D at once (the ramp is laid out per evaluation, S ⊛ W is not rebuilt)
-    and must not reuse a sampling pmf built for the old interval."""
+    F^D at once and must not reuse a sampling pmf built for the old
+    interval."""
     repo = ClientInfoRepository(8)
     _fill(repo, tb=False)  # no t_b history -> Uniform(0, T_L) fallback
     predictor = ResponseTimePredictor(repo, 2.0)
@@ -162,7 +153,7 @@ def test_lazy_interval_change_invalidates_deferred_pmf():
     assert after > before  # shorter interval -> much tighter lazy wait
     assert narrow.mass.size == wide.mass.size - 1600
     assert narrow.cdf(0.5) == pytest.approx(after, abs=1e-12)
-    assert _cache(predictor) == (3, 1, 0)
+    assert _cache(predictor) == (0, 2, 1)
 
 
 def test_per_replica_isolation():
@@ -170,17 +161,18 @@ def test_per_replica_isolation():
     _fill(repo, "a")
     _fill(repo, "b")
     predictor = ResponseTimePredictor(repo, 2.0)
-    predictor.response_cdfs("a", 0.15)
-    predictor.response_cdfs("b", 0.15)
+    predictor.response_pmfs("a")
+    predictor.response_pmfs("b")
     repo.record_broadcast(PerfBroadcast(replica="a", ts=0.02, tq=0.001, tb=0.1))
-    predictor.response_cdfs("a", 0.15)
-    predictor.response_cdfs("b", 0.15)  # b untouched: still a hit
+    predictor.response_pmfs("a")
+    predictor.response_pmfs("b")  # b untouched: still a hit
     assert _cache(predictor) == (1, 3, 1)
 
 
 def test_response_pmfs_ride_the_same_entry(convolutions):
-    """The sampling pmfs are materialized from the cached counts and kept
-    until the counts, the gateway bins or the lazy-wait term change."""
+    """The sampling pmfs are materialized from the counts of S ⊛ W and
+    kept until the windows, the gateway bins or the lazy-wait term
+    change; a new G re-shifts the kept counts."""
     repo = ClientInfoRepository(8)
     _fill(repo)
     predictor = ResponseTimePredictor(repo, 2.0)
@@ -208,22 +200,22 @@ _SECONDARIES = [f"s{i}" for i in range(28)]
 
 @pytest.fixture
 def arithmetic(monkeypatch):
-    """Records every count lookup and every ``T_L`` resolution as
-    ``(method name, receiver)``."""
+    """Records every evaluation as ``("_evaluate", replica)`` and every
+    ``T_L`` resolution as ``("lazy_interval", repository)``."""
     calls = []
+    evaluate = ResponseTimePredictor._evaluate
+    lazy_interval = ClientInfoRepository.lazy_interval
 
-    def spy(owner, name):
-        original = getattr(owner, name)
+    def evaluating(self, replica, *args):
+        calls.append(("_evaluate", replica))
+        return evaluate(self, replica, *args)
 
-        def recording(self, *args):
-            calls.append((name, self))
-            return original(self, *args)
+    def resolving(self, *args):
+        calls.append(("lazy_interval", self))
+        return lazy_interval(self, *args)
 
-        monkeypatch.setattr(owner, name, recording)
-
-    for name in ("count_le", "count_sum_le", "count_sum_le_uniform"):
-        spy(CountHistogram, name)
-    spy(ClientInfoRepository, "lazy_interval")
+    monkeypatch.setattr(ResponseTimePredictor, "_evaluate", evaluating)
+    monkeypatch.setattr(ClientInfoRepository, "lazy_interval", resolving)
     return calls
 
 
@@ -240,9 +232,9 @@ def _wide_read():
 
 def test_unchanged_candidates_cost_no_arithmetic(arithmetic):
     repo, predictor, first = _wide_read()
-    assert {name for name, _ in arithmetic} == {
-        "count_le", "count_sum_le", "count_sum_le_uniform", "lazy_interval"
-    }
+    assert [name for kind, name in arithmetic if kind == "_evaluate"] == (
+        _PRIMARIES + _SECONDARIES
+    )
     del arithmetic[:]
     assert predictor.candidate_cdfs(_PRIMARIES, _SECONDARIES, 0.150) == first
     assert arithmetic == [("lazy_interval", repo)]  # T_L resolved once per read
@@ -255,11 +247,7 @@ def test_one_broadcast_recomputes_one_candidate(arithmetic):
     repo.record_broadcast(PerfBroadcast(replica="s3", ts=0.2, tq=0.001, tb=None))
     del arithmetic[:]
     second = predictor.candidate_cdfs(_PRIMARIES, _SECONDARIES, 0.150)
-    rebuilt = predictor._cache["s3"].base
-    assert [receiver for name, receiver in arithmetic if name != "lazy_interval"] == [
-        rebuilt,  # count_le for F^I
-        rebuilt,  # count_sum_le_uniform for F^D: s3 has no t_b history
-    ]
+    assert arithmetic == [("lazy_interval", repo), ("_evaluate", "s3")]
     changed = [i for i in range(28) if second[1][i] != first[1][i]]
     assert second[0] == first[0] and changed == [3]
     assert _cache(predictor) == (31, 33, 1)
@@ -275,28 +263,20 @@ def test_scalar_query_does_not_evict_the_read_slot(arithmetic):
 
 
 # ---------------------------------------------------------------------------
-# Exact equivalence with fresh recomputation
+# Exact equivalence with the scalar methods
 # ---------------------------------------------------------------------------
 def test_cached_results_equal_uncached_exactly():
-    repo, cached, fresh = _paired_predictors()
-    _fill(repo)
-    for deadline in (0.05, 0.113, 0.150, 0.8):
-        assert cached.response_cdfs("r", deadline) == fresh.response_cdfs(
-            "r", deadline
+    repo = ClientInfoRepository(window_size=8)
+    _fill(repo, "p")
+    _fill(repo, "r")
+    memoised = ResponseTimePredictor(repo, 2.0)
+    scalar = ResponseTimePredictor(repo, 2.0)
+    for deadline in (0.05, 0.113, 0.113, 0.150, 0.8):  # repeat -> memo hits
+        assert memoised.candidate_cdfs(["p"], ["r"], deadline) == (
+            [scalar.immediate_cdf("p", deadline)],
+            [scalar.response_cdfs("r", deadline)],
         )
-        assert cached.immediate_cdf("r", deadline) == fresh.immediate_cdf(
-            "r", deadline
-        )
-
-
-def test_quantum_mismatch_falls_back_to_samples():
-    """A predictor on a different grid than the repository's windows must
-    still agree with uncached recomputation (via the raw-sample path)."""
-    repo = ClientInfoRepository(window_size=8, quantum=1e-3)
-    _fill(repo)
-    cached = ResponseTimePredictor(repo, 2.0, quantum=5e-4, use_cache=True)
-    fresh = ResponseTimePredictor(repo, 2.0, quantum=5e-4, use_cache=False)
-    assert cached.response_cdfs("r", 0.15) == fresh.response_cdfs("r", 0.15)
+    assert memoised.cache_hits.value == 2
 
 
 _NAMES = ("a", "b", "c")
@@ -332,7 +312,6 @@ _write = st.one_of(
     st.tuples(st.just("tb"), _name, _tb),
     st.tuples(st.just("announce"), st.one_of(st.none(), _interval)),
     st.tuples(st.just("configure"), _interval),
-    st.tuples(st.just("flip")),
     st.tuples(st.just("query"), _name, st.floats(min_value=0.0, max_value=2.0)),
 )
 # Some history first, then rounds of up to two writes and a read: a stale
@@ -346,10 +325,6 @@ _ops = st.builds(
         max_size=25,
     ),
 )
-
-
-def _counters(predictor):
-    return (predictor.evaluations.value, _cache(predictor))
 
 
 def _stale_slot_examples(test):
@@ -367,11 +342,6 @@ def _stale_slot_examples(test):
         (("read", 0.9, as_primary), [], ("read", 0.9, as_secondary)),
         (("read", 0.150, as_secondary), [], ("read", 0.9, as_secondary)),
         (("read", 0.150, as_secondary), [("query", "a", 0.050)], ("read", 0.150, as_secondary)),
-        (
-            ("read", 0.150, as_primary),
-            [("flip",), ("reply", "a", 0.004), ("read", 0.150, as_primary), ("flip",)],
-            ("read", 0.150, as_primary),
-        ),
     ):
         test = example(ops=[history, first, *writes, second])(test)
     return test
@@ -383,15 +353,13 @@ def _stale_slot_examples(test):
 def test_cache_equivalence_property(ops):
     """Across arbitrary interleavings of everything an evaluation reads —
     measurements, replies, ``t_b`` samples, announced and configured
-    ``T_L`` and runtime ``use_cache`` flips, role changes —
-    with scalar queries and repeated fused reads in between: the memoised
-    predictor's values are *exactly* a ``use_cache=False`` predictor's, and
-    its counters are those of a cached predictor that only ever went
-    through the scalar methods."""
+    ``T_L``, role changes — with scalar queries and repeated fused reads in
+    between: ``candidate_cdfs``' values are *exactly* the scalar
+    ``immediate_cdf``/``response_cdfs`` values on the same repository, and
+    it counts the evaluations the scalar loop makes."""
     repo = ClientInfoRepository(window_size=8)
     memoised = ResponseTimePredictor(repo, 2.0)
     scalar = ResponseTimePredictor(repo, 2.0)
-    fresh = ResponseTimePredictor(repo, 2.0, use_cache=False)
     now = 1.0
     for op in ops:
         kind = op[0]
@@ -410,28 +378,23 @@ def test_cache_equivalence_property(ops):
                 now,
             )
         elif kind == "configure":
-            for predictor in (memoised, scalar, fresh):
+            for predictor in (memoised, scalar):
                 predictor.lazy_update_interval = op[1]
-        elif kind == "flip":
-            memoised.use_cache = scalar.use_cache = not memoised.use_cache
         elif kind == "query":
             _, name, deadline = op
-            expected = fresh.response_cdfs(name, deadline)
+            expected = scalar.response_cdfs(name, deadline)
             assert memoised.response_cdfs(name, deadline) == expected
             assert memoised.immediate_cdf(name, deadline) == expected[0]
-            scalar.response_cdfs(name, deadline)
             scalar.immediate_cdf(name, deadline)
         else:
             _, deadline, roles = op
             primaries = [n for n, role in zip(_NAMES, roles) if role == "p"]
             secondaries = [n for n, role in zip(_NAMES, roles) if role == "s"]
-            expected = fresh.candidate_cdfs(primaries, secondaries, deadline)
-            assert memoised.candidate_cdfs(primaries, secondaries, deadline) == expected
-            assert expected == (
+            assert memoised.candidate_cdfs(primaries, secondaries, deadline) == (
                 [scalar.immediate_cdf(n, deadline) for n in primaries],
                 [scalar.response_cdfs(n, deadline) for n in secondaries],
             )
-        assert _counters(memoised) == _counters(scalar)
+        assert memoised.evaluations.value == scalar.evaluations.value
 
 
 # ---------------------------------------------------------------------------

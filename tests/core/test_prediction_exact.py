@@ -1,7 +1,7 @@
-"""The predictor's CDFs are exact counts (ISSUE 15).
+"""The predictor's CDFs are exact counts.
 
-``F^I(d)`` and ``F^D(d)`` are evaluated from integer window histograms,
-so each must *equal* the float nearest ``#{s + w + g (+ u) <= k} / (n_S *
+``F^I(d)`` and ``F^D(d)`` are counted from the windows' integer bins, so
+each must *equal* the float nearest ``#{s + w + g (+ u) <= k} / (n_S *
 n_W (* n_U))`` counted by brute force over the quantised samples.  The
 pmf chain the predictor used to build per read (``from_histogram ->
 convolve -> shift -> convolve -> cdf``) stays here as the reference: it
@@ -50,12 +50,12 @@ def _brute_force(stats, tg, lazy_interval, deadline):
 
 
 def _pmf_chain(stats, tg, lazy_interval, deadline):
-    """The retained reference: what the predictor built before ISSUE 15."""
-    service = DiscretePmf.from_histogram(Q, *stats.ts_window.histogram(Q))
-    queuing = DiscretePmf.from_histogram(Q, *stats.tq_window.histogram(Q))
+    """The retained reference: the per-read pmf chain of §5.2."""
+    service = DiscretePmf.from_histogram(Q, *stats.ts_window.histogram())
+    queuing = DiscretePmf.from_histogram(Q, *stats.tq_window.histogram())
     base = service.convolve(queuing).convolve(DiscretePmf.degenerate(tg, Q))
     if stats.tb_window:
-        lazy_wait = DiscretePmf.from_histogram(Q, *stats.tb_window.histogram(Q))
+        lazy_wait = DiscretePmf.from_histogram(Q, *stats.tb_window.histogram())
     else:
         bins = max(1, int(round(lazy_interval / Q)))
         lazy_wait = DiscretePmf(Q, 0, np.full(bins, 1.0 / bins))
@@ -78,10 +78,11 @@ _deadlines = st.one_of(
     tg=st.floats(min_value=0.0, max_value=0.02),
     lazy_interval=st.sampled_from([0.0004, 0.05, 0.4, 2.0]),
     deadlines=st.lists(_deadlines, min_size=1, max_size=8),
+    refill=st.lists(_durations, min_size=1, max_size=20),
 )
 @settings(max_examples=120, deadline=None)
 def test_cdfs_equal_the_brute_force_count(
-    size, ts, tq, tb, tg, lazy_interval, deadlines
+    size, ts, tq, tb, tg, lazy_interval, deadlines, refill
 ):
     repo = ClientInfoRepository(window_size=size)
     stats = repo.stats_for("r")
@@ -89,18 +90,27 @@ def test_cdfs_equal_the_brute_force_count(
     stats.tq_window.extend(tq)
     stats.tb_window.extend(tb)  # empty -> the Uniform(0, T_L) fallback
     repo.record_reply("r", tg=tg, now=1.0)
-    cached = ResponseTimePredictor(repo, lazy_interval)
-    fresh = ResponseTimePredictor(repo, lazy_interval, use_cache=False)
+    predictor = ResponseTimePredictor(repo, lazy_interval)
     # Below the support, inside it, and above it whatever was drawn.
     deadlines = deadlines + [0.0, 0.3 + 0.05 + 0.02 + 2.0 + Q]
-    for deadline in deadlines:
-        exact = _brute_force(stats, tg, lazy_interval, deadline)
-        assert cached.response_cdfs("r", deadline) == exact
-        assert cached.immediate_cdf("r", deadline) == exact[0]
-        assert fresh.response_cdfs("r", deadline) == exact
-        chain = _pmf_chain(stats, tg, lazy_interval, deadline)
-        assert exact == pytest.approx(chain, abs=1e-12)
-    assert cached.response_cdfs("r", deadlines[-1]) == (1.0, 1.0)
+
+    def check():
+        for deadline in deadlines:
+            exact = _brute_force(stats, tg, lazy_interval, deadline)
+            assert predictor.response_cdfs("r", deadline) == exact
+            assert predictor.immediate_cdf("r", deadline) == exact[0]
+            chain = _pmf_chain(stats, tg, lazy_interval, deadline)
+            assert exact == pytest.approx(chain, abs=1e-12)
+        assert predictor.response_cdfs("r", deadlines[-1]) == (1.0, 1.0)
+
+    check()
+    # Cleared and refilled windows count only what came after the clear.
+    for window in (stats.ts_window, stats.tq_window, stats.tb_window):
+        window.clear()
+    stats.ts_window.extend(refill)
+    stats.tq_window.extend(tq[::-1])
+    stats.tb_window.extend(tb[: len(tb) // 2])
+    check()
 
 
 def test_ninety_of_a_hundred_pairs_is_exactly_point_nine():
@@ -122,10 +132,10 @@ def test_ninety_of_a_hundred_pairs_is_exactly_point_nine():
     assert predictor.response_cdfs("r", 0.075) == (0.9, 610 / 200_000)
 
 
-def test_quantum_mismatch_bins_raw_samples_into_the_same_counts():
-    """A predictor on another grid than the repository's windows counts the
-    raw samples on its own grid and takes the same route."""
-    repo = ClientInfoRepository(window_size=10, quantum=Q)
+def test_the_predictor_counts_on_the_repository_grid():
+    """The predictor has no grid of its own: on a repository binning at
+    2 ms it counts the 2 ms bins the windows keep."""
+    repo = ClientInfoRepository(window_size=10, quantum=2e-3)
     for i in range(10):
         repo.record_broadcast(
             PerfBroadcast(
@@ -133,7 +143,8 @@ def test_quantum_mismatch_bins_raw_samples_into_the_same_counts():
             )
         )
     repo.record_reply("r", tg=0.001, now=1.0)
-    coarse = ResponseTimePredictor(repo, 2.0, quantum=2e-3)
+    coarse = ResponseTimePredictor(repo, 2.0)
+    assert coarse.quantum == 2e-3
     # The oracle bins each raw sample on the 2 ms grid (round-half-even).
     s = [round((0.050 + 0.001 * i) / 2e-3) for i in range(10)]
     w = [round((0.010 + 0.001 * i) / 2e-3) for i in range(10)]

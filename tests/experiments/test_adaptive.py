@@ -236,8 +236,12 @@ def controller_cell():
 #: visits, so the ``predictor_*`` series count fewer evaluations; the
 #: ``GOLDEN_CONTROLLER_CELL_WORK_FREE`` digest, recorded at the commit
 #: before, holds.
+#: Re-recorded when an evaluation came to count straight off the windows
+#: with no ``S ⊛ W`` count cache: only the ``predictor_cache_*`` series
+#: moved (they count lookups of the two memos, which this cell's walks
+#: never make); the ``GOLDEN_CONTROLLER_CELL_WORK_FREE`` digest holds.
 GOLDEN_CONTROLLER_CELL = (
-    "dba36853fc7cb8b87c73db0bb0e540ffbc25ebefc999204fd388d93e679f9b90"
+    "d812bbc1abde6e9cd48bf94880b4efb2221b5963b038f665b88652b50ffebe4e"
 )
 
 

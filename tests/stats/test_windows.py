@@ -67,7 +67,7 @@ def test_window_keeps_most_recent_property(size, values):
 
 
 # ---------------------------------------------------------------------------
-# Versioning + incremental histogram (prediction-cache substrate)
+# Versioning + incremental bins (the predictor's counting substrate)
 # ---------------------------------------------------------------------------
 def test_version_increments_on_record_and_clear():
     window = SlidingWindow(2)
@@ -83,7 +83,7 @@ def test_version_increments_on_record_and_clear():
 def test_histogram_tracks_contents_incrementally():
     window = SlidingWindow(3, quantum=Q)
     window.extend([0.001, 0.001, 0.002, 0.003])  # first 1 ms sample evicted
-    offset, counts = window.histogram(Q)
+    offset, counts = window.histogram()
     assert offset == 1
     assert counts.tolist() == [1.0, 1.0, 1.0]
 
@@ -91,23 +91,24 @@ def test_histogram_tracks_contents_incrementally():
 def test_histogram_collapses_bins_on_eviction():
     window = SlidingWindow(2, quantum=Q)
     window.extend([0.005, 0.001, 0.001])  # the 5 ms bin must disappear
-    offset, counts = window.histogram(Q)
+    offset, counts = window.histogram()
     assert offset == 1
     assert counts.tolist() == [2.0]
 
 
-def test_histogram_empty_or_mismatched_quantum_returns_none():
+def test_histogram_of_an_empty_window_is_none():
     window = SlidingWindow(3, quantum=Q)
-    assert window.histogram(Q) is None  # empty
+    assert window.histogram() is None
     window.record(0.001)
-    assert window.histogram(Q) is not None
-    assert window.histogram(1e-4) is None  # different grid
+    assert window.histogram() is not None
+    window.clear()
+    assert window.histogram() is None
 
 
 def test_histogram_clamps_negative_samples():
     window = SlidingWindow(3, quantum=Q)
     window.extend([-0.5, 0.001])
-    offset, counts = window.histogram(Q)
+    offset, counts = window.histogram()
     assert offset == 0
     assert counts.tolist() == [1.0, 1.0]
 
@@ -130,11 +131,44 @@ def test_histogram_pmf_identical_to_from_samples(size, values):
     pmf bit for bit across arbitrary record/evict interleavings."""
     window = SlidingWindow(size, quantum=Q)
     window.extend(values)
-    offset, counts = window.histogram(Q)
+    offset, counts = window.histogram()
     incremental = DiscretePmf.from_histogram(Q, offset, counts)
     fresh = DiscretePmf.from_samples(window.samples(), Q)
     assert incremental.offset == fresh.offset
     assert np.array_equal(incremental.mass, fresh.mass)
+
+
+_window_ops = st.lists(
+    st.one_of(
+        st.floats(min_value=-0.01, max_value=0.2),  # record (evicts once full)
+        st.just("clear"),
+    ),
+    max_size=80,
+)
+
+
+@given(size=st.integers(min_value=1, max_value=12), ops=_window_ops)
+@settings(max_examples=150)
+def test_sorted_bins_follow_record_evict_and_clear(size, ops):
+    """``sorted_bins`` is the window's bin multiset in ascending order after
+    every record, eviction and clear, and agrees with ``histogram()``."""
+    window = SlidingWindow(size, quantum=Q)
+    for op in ops:
+        if op == "clear":
+            window.clear()
+        else:
+            window.record(op)
+        expected = sorted(quantize_bin(v, Q) for v in window)
+        assert window.sorted_bins == expected
+        histogram = window.histogram()
+        if not expected:
+            assert histogram is None and window.bin_counts == {}
+            continue
+        offset, counts = histogram
+        assert np.repeat(np.arange(offset, offset + counts.size), counts).tolist() == (
+            expected
+        )
+        assert sum(window.bin_counts.values()) == len(expected)
 
 
 # ---------------------------------------------------------------------------
