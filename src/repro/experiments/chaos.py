@@ -8,11 +8,16 @@ guarantees the protocol claims (§3, §4.1, DESIGN.md §9):
   pair of application histories is prefix-consistent, and after the drain
   window the serving primaries have converged to the same CSN;
 * **staleness** — a non-deferred read never reflects state staler than its
-  QoS threshold, judged conservatively against the sequencer's stamp
-  (``sequencer.stamp`` trace records) and the serving replica's CSN;
+  QoS threshold, judged against the highest sequencer stamp
+  (``sequencer.stamp`` trace records) issued no later than the read's
+  first reply (``client.reply``) — a re-stamp after a failover that came
+  later is not a write the read could have seen;
 * **durability** — an update acknowledged to a client is never lost: its
-  GSN is unique and at or below the final CSN of every live serving
-  primary, even across sequencer failovers and primary rejoins;
+  GSN is unique, some serving primary holds it, and it is at or below the
+  final CSN of every live serving primary, even across sequencer
+  failovers and primary rejoins;
+* **recovery** — every primary up and in the view at the end of the drain
+  has finished its state transfer;
 * **liveness** — once all faults heal, the system drains: probe reads
   issued after the grace window all resolve with a value.
 
@@ -226,15 +231,26 @@ def _check_invariants(
     membership = testbed.membership
 
     primary_view = membership.view_of(service.groups.primary)
+    in_view = [
+        h
+        for h in service.primaries
+        if network.is_up(h.name) and h.name in primary_view
+    ]
+    # Recovery: every primary up and in the view has finished its state
+    # transfer by the end of the drain.
+    for handler in in_view:
+        if getattr(handler, "_recovering", False):
+            violations.append(
+                f"recovery: {handler.name} csn={handler.my_csn} still "
+                f"recovering after the drain"
+            )
     # The current sequencer (post-failover this is a promoted ex-serving
     # primary) stops committing by design — its frozen history is still
     # prefix-checked below, but it is exempt from convergence/durability.
     live_primaries = [
         h
-        for h in service.primaries
-        if network.is_up(h.name)
-        and h.name in primary_view
-        and h.name != primary_view.leader
+        for h in in_view
+        if h.name != primary_view.leader
         and not getattr(h, "_recovering", False)
     ]
     live_secondaries = [
@@ -267,11 +283,19 @@ def _check_invariants(
                     f"converged to {reference.name} csn={reference.my_csn}"
                 )
 
-    # Staleness: judged against the sequencer's (re-)stamp, which is the
-    # latest GSN the read could have been ordered after — conservative.
+    # Staleness: judged against the highest stamp issued no later than the
+    # read's first reply — the latest GSN the answer could have been
+    # ordered after.  A re-stamp after a failover that came later is not a
+    # write the read could have seen.
+    answered = {
+        record.detail["request_id"]: record.time
+        for record in trace.filter("client.reply")
+    }
     stamps: dict[int, int] = {}
     for record in trace.filter("sequencer.stamp"):
-        stamps[record.detail["request_id"]] = record.detail["gsn"]
+        rid = record.detail["request_id"]
+        if record.time <= answered.get(rid, record.time):
+            stamps[rid] = max(stamps.get(rid, 0), record.detail["gsn"])
     for outcome in read_outcomes:
         if outcome.value is None or outcome.deferred or outcome.gsn < 0:
             continue
@@ -304,6 +328,12 @@ def _check_invariants(
             )
         seen_gsn[outcome.gsn] = outcome.request_id
         max_acked = max(max_acked, outcome.gsn)
+    frontier = max((h.my_csn for h in live_primaries), default=0)
+    if frontier < max_acked:
+        violations.append(
+            f"durability: no serving primary holds acked GSN {max_acked} "
+            f"(highest csn {frontier})"
+        )
     for handler in live_primaries:
         if handler.my_csn < max_acked:
             violations.append(

@@ -111,6 +111,41 @@ def test_checker_flags_diverged_history():
     assert any("history diverges" in v for v in violations)
 
 
+def stamped_read(stamp_at, stamp_gsn):
+    """A read answered at t = 1.5 s with GSN 2, stamped 3 at t = 1.0 s and
+    ``stamp_gsn`` at ``stamp_at``; returns the staleness violations."""
+    from repro.core.service import build_testbed
+
+    testbed = build_testbed()
+    trace = Trace(enabled=True)
+    trace.emit(1.0, "sequencer.stamp", "svc-seq", request_id=5, gsn=3)
+    trace.emit(stamp_at, "sequencer.stamp", "svc-p1", request_id=5, gsn=stamp_gsn)
+    trace.emit(1.5, "client.reply", "reader", request_id=5, replica="svc-s1")
+    read = ReadOutcome(
+        request_id=5,
+        value=2,
+        response_time=0.5,
+        timing_failure=False,
+        replicas_selected=1,
+        first_replica="svc-s1",
+        deferred=False,
+        gsn=2,
+    )
+    violations = chaos._check_invariants(testbed, [read], [], [], trace)
+    return [v for v in violations if v.startswith("staleness:")]
+
+
+def test_checker_ignores_a_stamp_issued_after_the_reply():
+    # A failover re-stamp at t = 2.0 s came after the answer: not judged.
+    assert stamped_read(stamp_at=2.0, stamp_gsn=20) == []
+
+
+def test_checker_flags_a_stamp_issued_before_the_reply():
+    assert stamped_read(stamp_at=1.2, stamp_gsn=20) == [
+        "staleness: read 5 served 18 versions stale (threshold 10)"
+    ]
+
+
 def test_checker_flags_unresolved_probe():
     from repro.core.service import build_testbed
 
