@@ -7,6 +7,10 @@ actually service the client's request".  Secondary replicas never execute
 updates; a designated primary, the *lazy publisher*, multicasts its state
 to the secondary group every ``lazy_update_interval`` (T_L) seconds.
 
+The sequencer services no request, but it applies each update it
+sequences to its own copy, in GSN order and outside the service queue:
+that copy is the one state-transfer donor (DESIGN.md §9).
+
 Reads are stamped with the current GSN (not advanced) by the sequencer.  A
 replica serves a read once its staleness ``GSN_read − my_CSN`` is within
 the client's threshold; a too-stale secondary performs a *deferred read* —
@@ -16,12 +20,12 @@ recording the buffering time ``t_b`` the client-side model uses for
 
 Failure handling (the paper omits the details "due to the space
 constraint"; DESIGN.md documents our completion): on sequencer crash, the
-new primary-group leader collects GSN state from survivors, adopts the
-maximum, re-broadcasts assignments others missed, declares unfillable GSNs
-as no-op skips, and assigns fresh GSNs to updates that never got one.  The
-lazy-publisher role follows view rank automatically, and replicas whose
-buffered reads never received a GSN re-request it from the current
-sequencer.
+new primary-group leader collects state from survivors, adopts the furthest
+committed state and the maximum GSN, re-broadcasts assignments others
+missed, declares unfillable GSNs as no-op skips, and assigns fresh GSNs to
+updates that never got one.  The lazy-publisher role follows view rank
+automatically, and replicas whose buffered reads never received a GSN
+re-request it from the current sequencer.
 """
 
 from __future__ import annotations
@@ -39,10 +43,8 @@ from repro.core.requests import (
     PublisherSuspicion,
     Request,
     RequestKind,
-    SequencerSyncReply,
     SequencerSyncRequest,
     StalenessInfo,
-    StateTransferRelay,
     StateTransferRequest,
     StateTransferSnapshot,
 )
@@ -112,7 +114,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         self._sequencer_active = False
         self._syncing = False
         self._sync_id = 0
-        self._sync_replies: dict[str, SequencerSyncReply] = {}
+        self._sync_replies: dict[str, StateTransferSnapshot] = {}
         self._sync_buffer: list[Request] = []
         self.gsn_queries_sent = self._counter("replica_gsn_queries_sent")
         self._m_reassignments = self._counter("replica_reassignments")
@@ -120,7 +122,6 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         # Primary recovery (state transfer; DESIGN.md §9).
         self._recovering = False
         self._xfer_id = 0
-        self._xfer_rotation = 0
         self.state_transfers_started = self._counter(
             "replica_state_transfers_started"
         )
@@ -313,14 +314,15 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
             self._on_gsn_query(payload)
         elif isinstance(payload, SequencerSyncRequest):
             self._on_sync_request(payload)
-        elif isinstance(payload, SequencerSyncReply):
-            self._on_sync_reply(payload)
         elif isinstance(payload, StateTransferRequest):
             self._on_state_transfer_request(payload)
-        elif isinstance(payload, StateTransferRelay):
-            self._on_state_transfer_relay(payload)
         elif isinstance(payload, StateTransferSnapshot):
-            self._on_state_transfer_snapshot(payload)
+            # A member's state answers a sync round while one runs, and a
+            # state-transfer request otherwise.
+            if self._syncing:
+                self._on_sync_reply(payload)
+            else:
+                self._on_state_transfer_snapshot(payload)
         elif isinstance(payload, GsnSkip):
             self._on_skip(payload)
         elif isinstance(payload, PublisherSuspicion):
@@ -355,7 +357,8 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
                 self._buffer_for_gsn(request)
 
     def _sequence_update(self, request: Request) -> None:
-        """Sequencer role: advance the GSN and broadcast the assignment."""
+        """Sequencer role: advance the GSN, broadcast the assignment, and
+        bind the update into the sequencer's own committed copy."""
         if self._syncing:
             self._sync_buffer.append(request)
             return
@@ -373,6 +376,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
                 self.now, "sequencer.assign", self.name,
                 request_id=request.request_id, gsn=self.my_gsn,
             )
+        self._bind(PendingRequest(request=request, arrived_at=self.now), self.my_gsn)
 
     def _sequence_read(self, request: Request) -> None:
         """Sequencer role: stamp the read with the current GSN, unadvanced,
@@ -520,7 +524,9 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
     # Commit ordering
     # ------------------------------------------------------------------
     def _drain_commit_queue(self) -> None:
-        while self._update_in_flight is None:
+        # A recovering replica commits nothing: the snapshot it awaits
+        # supersedes its state, and would land under an update in service.
+        while self._update_in_flight is None and not self._recovering:
             nxt = self.my_csn + 1
             if nxt in self._skips:
                 self._skips.discard(nxt)
@@ -529,21 +535,32 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
             pending = self._commit_wait.pop(nxt, None)
             if pending is None:
                 return
+            if self.is_sequencer:
+                # The sequencer's committed copy: applied outside the
+                # service queue, so it sends no reply and draws nothing.
+                self._commit(pending)
+                self._drain_stale_waiters()
+                continue
             self._update_in_flight = nxt
             self.enqueue_ready(pending)
             return
 
-    def execute(self, pending: PendingRequest) -> Any:
-        value = super().execute(pending)
-        if pending.request.kind is RequestKind.UPDATE:
-            assert pending.gsn is not None
-            self.my_csn = pending.gsn
-            self.my_gsn = max(self.my_gsn, self.my_csn)
-            self.updates_committed.inc()
-            self._recent_commits[pending.request.request_id] = pending.gsn
-            while len(self._recent_commits) > _RECENT_COMMITS:
-                self._recent_commits.popitem(last=False)
+    def _commit(self, pending: PendingRequest) -> Any:
+        """Apply an update at its GSN and advance the commit frontier."""
+        assert pending.gsn is not None
+        value = self.app.invoke(pending.request.method, pending.request.args)
+        self.my_csn = pending.gsn
+        self.my_gsn = max(self.my_gsn, self.my_csn)
+        self._recent_commits[pending.request.request_id] = pending.gsn
+        while len(self._recent_commits) > _RECENT_COMMITS:
+            self._recent_commits.popitem(last=False)
         return value
+
+    def execute(self, pending: PendingRequest) -> Any:
+        if pending.request.kind is RequestKind.UPDATE:
+            self.updates_committed.inc()
+            return self._commit(pending)
+        return super().execute(pending)
 
     def after_complete(self, pending: PendingRequest) -> None:
         if pending.request.kind is RequestKind.UPDATE:
@@ -703,8 +720,10 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         self._rearm_controller()
         if view.leader == self.name and not self._sequencer_active:
             self._sequencer_active = True
-            if previous is not None and len(previous) > len(view):
-                # We inherited the role from a crashed leader: recover GSNs.
+            if previous is not None and previous.leader not in (None, self.name):
+                # We inherited the role from a departed leader: recover
+                # GSNs.  The view may have grown in the same change (a
+                # rejoin), so its size says nothing.
                 self._start_sync()
         elif view.leader != self.name:
             self._sequencer_active = False
@@ -712,7 +731,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
     def _start_sync(self) -> None:
         self._syncing = True
         self._sync_id += 1
-        self._sync_replies = {self.name: self._local_sync_reply(self._sync_id)}
+        self._sync_replies = {self.name: self._state_snapshot(self._sync_id)}
         self.gmcast(
             self.groups.primary,
             SequencerSyncRequest(self.name, self._sync_id),
@@ -721,29 +740,36 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         self.sim.schedule(_SYNC_TIMEOUT, self._finish_sync, self._sync_id)
         self.trace.emit(self.now, "sequencer.sync-start", self.name, sync_id=self._sync_id)
 
-    def _local_sync_reply(self, sync_id: int) -> SequencerSyncReply:
+    def _state_snapshot(self, xfer_id: int) -> StateTransferSnapshot:
+        """This member's committed state and sequencing facts, answering
+        sync round or transfer attempt ``xfer_id``."""
         assignments = dict(self._update_assignments)
         assignments.update(self._recent_commits)
-        unassigned = sorted(
-            rid
-            for rid, pending in self._awaiting_gsn.items()
-            if pending.request.kind is RequestKind.UPDATE
-        )
-        return SequencerSyncReply(
+        return StateTransferSnapshot(
             member=self.name,
-            sync_id=sync_id,
-            max_gsn=max(self.my_gsn, self.my_csn),
+            xfer_id=xfer_id,
             csn=self.my_csn,
+            max_gsn=max(self.my_gsn, self.my_csn),
+            snapshot=self.app.snapshot(),
+            commit_wait=tuple(
+                (gsn, pending.request)
+                for gsn, pending in sorted(self._commit_wait.items())
+            ),
+            unassigned=tuple(
+                pending.request
+                for _, pending in sorted(self._awaiting_gsn.items())
+                if pending.request.kind is RequestKind.UPDATE
+            ),
             assignments=tuple(sorted(assignments.items(), key=lambda kv: kv[1])),
-            unassigned=tuple(unassigned),
+            skips=tuple(sorted(g for g in self._skips if g > self.my_csn)),
         )
 
     def _on_sync_request(self, request: SequencerSyncRequest) -> None:
-        reply = self._local_sync_reply(request.sync_id)
-        self.gsend(self.groups.primary, request.new_sequencer, reply, size_bytes=512)
+        reply = self._state_snapshot(request.sync_id)
+        self.gsend(self.groups.primary, request.new_sequencer, reply, size_bytes=2048)
 
-    def _on_sync_reply(self, reply: SequencerSyncReply) -> None:
-        if not self._syncing or reply.sync_id != self._sync_id:
+    def _on_sync_reply(self, reply: StateTransferSnapshot) -> None:
+        if reply.xfer_id != self._sync_id:
             return
         self._sync_replies[reply.member] = reply
         expected = set(self.primary_view.members)
@@ -755,6 +781,15 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
             return
         self._syncing = False
         replies = list(self._sync_replies.values())
+        # Adopt the furthest member's committed state, unless an update is
+        # still in service here (a frozen frontier gathers again), then
+        # every suffix body above it.
+        furthest = max(replies, key=lambda r: r.csn)
+        if furthest.csn > self.my_csn and self._update_in_flight is None:
+            self.app.restore(furthest.snapshot)
+            self.my_csn = furthest.csn
+        for reply in replies:
+            self._adopt_suffix(reply.commit_wait)
         union: dict[int, int] = {}
         for reply in replies:
             union.update(dict(reply.assignments))
@@ -768,6 +803,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
                     self.groups.primary, GsnAssign(rid, gsn, advances=True),
                     size_bytes=64,
                 )
+                self._bind_awaiting(rid, gsn)
         # GSNs nobody can attribute to a request become no-op skips.
         known = set(union.values())
         holes = tuple(
@@ -779,7 +815,8 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         # Updates that never received a GSN get fresh ones, deterministically.
         assigned = set(union)
         fresh = sorted(
-            {rid for reply in replies for rid in reply.unassigned} - assigned
+            {req.request_id for reply in replies for req in reply.unassigned}
+            - assigned
         )
         for rid in fresh:
             self.my_gsn += 1
@@ -788,14 +825,34 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
                 self.groups.primary, GsnAssign(rid, self.my_gsn, advances=True),
                 size_bytes=64,
             )
+            self._bind_awaiting(rid, self.my_gsn)
         self.trace.emit(
             self.now, "sequencer.sync-done", self.name,
             max_gsn=self.my_gsn, holes=list(holes), fresh=fresh,
         )
+        self._drain_commit_queue()
+        self._drain_stale_waiters()
         # Serve anything that arrived mid-sync.
         buffered, self._sync_buffer = self._sync_buffer, []
         for request in buffered:
             self._sequence_update(request)
+
+    def _adopt_suffix(self, suffix: tuple[tuple[int, Request], ...]) -> None:
+        """Bind the uncommitted ``(gsn, Request)`` log suffix above our CSN
+        (updates whose client multicast we missed), replayed in GSN order
+        once the queue drains."""
+        for gsn, request in suffix:
+            if gsn > self.my_csn and gsn not in self._commit_wait:
+                self._commit_wait[gsn] = PendingRequest(
+                    request=request, arrived_at=self.now, gsn=gsn
+                )
+
+    def _bind_awaiting(self, request_id: int, gsn: int) -> None:
+        """Bind a buffered update to the GSN this sequencer just gave it:
+        its own broadcast does not reach it."""
+        pending = self._awaiting_gsn.pop(request_id, None)
+        if pending is not None:
+            self._bind(pending, gsn)
 
     def _on_skip(self, skip: GsnSkip) -> None:
         for gsn in skip.gsns:
@@ -807,15 +864,15 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
     # Primary recovery via state transfer (DESIGN.md §9)
     # ------------------------------------------------------------------
     def begin_state_transfer(self) -> None:
-        """Start (or restart) snapshot catch-up from the primary group.
+        """Start (or restart) snapshot catch-up from the sequencer.
 
         Called by the service when a crashed primary rejoins, and by the
         commit-gap watchdog when this primary holds a GSN assignment whose
         Request it never received (a client with a stale view multicast the
         update while we were out of the group).  Every local ordering
-        buffer is flushed: the donor snapshot supersedes anything buffered
-        here, and clients learn outcomes from the surviving primaries'
-        replies.
+        buffer is flushed: the sequencer's snapshot supersedes anything
+        buffered here, and clients learn outcomes from the surviving
+        primaries' replies.
         """
         self._recovering = True
         self._xfer_id += 1
@@ -855,80 +912,26 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
             size_bytes=64,
         )
         # Retry until a snapshot lands: the sequencer ignores requests from
-        # members it does not (yet) see in its primary view, the chosen
-        # donor may itself be recovering, and the sequencer can fail over
-        # mid-transfer (retries re-resolve the current leader).
+        # members it does not (yet) see in its primary view, and it can fail
+        # over mid-transfer (retries re-resolve the current leader).
         self.sim.schedule(_SYNC_TIMEOUT, self._request_state_transfer, xfer_id)
 
     def _on_state_transfer_request(self, request: StateTransferRequest) -> None:
         if not self.is_sequencer:
             return
-        members = self.primary_view.members
-        if request.requester not in members:
+        if request.requester not in self.primary_view.members:
             # The rejoin view change has not reached us yet.  Answering now
             # would let assignments made after the snapshot race past the
             # requester; it retries until we see it in the view.
             return
-        donors = [m for m in members if m not in (self.name, request.requester)]
-        max_gsn = max(self.my_gsn, self.my_csn)
-        if not donors:
-            # The requester is the only serving primary: no peer holds
-            # newer committed state.  Ship our sequencing facts so it at
-            # least adopts the authoritative GSN and assignment bindings.
-            reply = StateTransferSnapshot(
-                member=self.name,
-                xfer_id=request.xfer_id,
-                csn=-1,
-                max_gsn=max_gsn,
-                snapshot=None,
-                assignments=tuple(
-                    sorted(self._update_assignments.items(), key=lambda kv: kv[1])
-                ),
-            )
-            self.gsend(self.groups.primary, request.requester, reply, size_bytes=512)
-            return
-        # Rotate donors across retries so a donor that is itself mid-
-        # recovery (and therefore stays silent) does not wedge the
-        # transfer.
-        self._xfer_rotation += 1
-        donor = donors[self._xfer_rotation % len(donors)]
-        self.gsend(
-            self.groups.primary,
-            donor,
-            StateTransferRelay(request.requester, request.xfer_id, max_gsn),
-            size_bytes=64,
-        )
-
-    def _on_state_transfer_relay(self, relay: StateTransferRelay) -> None:
-        if not self.up or self._recovering or relay.requester == self.name:
-            return
-        assignments = dict(self._update_assignments)
-        assignments.update(self._recent_commits)
-        commit_wait = tuple(
-            (gsn, pending.request)
-            for gsn, pending in sorted(self._commit_wait.items())
-        )
-        unassigned = tuple(
-            pending.request
-            for _, pending in sorted(self._awaiting_gsn.items())
-            if pending.request.kind is RequestKind.UPDATE
-        )
-        reply = StateTransferSnapshot(
-            member=self.name,
-            xfer_id=relay.xfer_id,
-            csn=self.my_csn,
-            max_gsn=max(self.my_gsn, self.my_csn, relay.max_gsn),
-            snapshot=self.app.snapshot(),
-            commit_wait=commit_wait,
-            unassigned=unassigned,
-            assignments=tuple(sorted(assignments.items(), key=lambda kv: kv[1])),
-            skips=tuple(sorted(g for g in self._skips if g > self.my_csn)),
-        )
+        # The sequencer holds every update it sequenced, so its own copy
+        # serves every rejoiner.
+        reply = self._state_snapshot(request.xfer_id)
         self.state_transfers_served.inc()
-        self.gsend(self.groups.primary, relay.requester, reply, size_bytes=2048)
+        self.gsend(self.groups.primary, request.requester, reply, size_bytes=2048)
         self.trace.emit(
             self.now, "replica.state-transfer-serve", self.name,
-            requester=relay.requester, csn=self.my_csn,
+            requester=request.requester, csn=self.my_csn,
         )
 
     def _on_state_transfer_snapshot(self, snap: StateTransferSnapshot) -> None:
@@ -936,7 +939,9 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
             return
         self._recovering = False
         self.state_transfers_completed.inc()
-        if snap.snapshot is not None:
+        if snap.csn >= self.my_csn:
+            # Never roll back: a sequencer behind us (promoted while it
+            # lagged) still ships the suffix and the bindings.
             self.app.restore(snap.snapshot)
             self.my_csn = snap.csn
         self.my_gsn = max(self.my_gsn, self.my_csn, snap.max_gsn)
@@ -945,18 +950,10 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         for gsn in snap.skips:
             if gsn > self.my_csn:
                 self._skips.add(gsn)
-        # The uncommitted log suffix: bound updates we missed the client
-        # multicasts for, replayed in GSN order once the queue drains.
-        for gsn, request in snap.commit_wait:
-            if gsn <= self.my_csn or gsn in self._commit_wait:
-                continue
-            pending = PendingRequest(request=request, arrived_at=self.now)
-            pending.gsn = gsn
-            self._commit_wait[gsn] = pending
-        # Updates the donor has buffered but the sequencer has not yet
-        # assigned: buffer them here too, so the upcoming GsnAssign (which
-        # will include us — we are back in the sequencer's view) binds on
-        # both replicas.
+        self._adopt_suffix(snap.commit_wait)
+        # Updates the sequencer has buffered but not yet assigned: buffer
+        # them here too, so the upcoming GsnAssign (which will include us —
+        # we are back in the sequencer's view) binds on both replicas.
         for request in snap.unassigned:
             if request.request_id not in self._awaiting_gsn:
                 self._buffer_for_gsn(request)
@@ -980,8 +977,10 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         the GSN assignment to everyone.  We then hold an assignment for
         ``my_csn + 1`` with no Request to execute — a hole no local action
         can fill.  Two consecutive checks with zero progress trigger a
-        fresh state transfer (the donor received the multicast, so its
-        snapshot commits past the hole).
+        fresh state transfer (the sequencer bound the update when it
+        assigned it, so its snapshot commits past the hole).  A sequencer
+        whose own frontier freezes — promoted with a hole in its log —
+        re-runs the sync instead.
         """
         self._disarm_gap_watchdog()
         self._gap_stuck_csn = None
@@ -1019,7 +1018,6 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         blocked = (
             self.up
             and self.is_primary
-            and not self.is_sequencer  # the sequencer never commits
             and self.my_gsn > self.my_csn
             and self._update_in_flight is None
             and hole not in self._commit_wait
@@ -1028,11 +1026,15 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         if blocked and self._gap_stuck_csn == self.my_csn:
             # Two consecutive checks with a frozen commit frontier: the
             # Request (or its assignment) for the hole is lost — no
-            # retransmission is coming, only a donor snapshot (which
-            # committed past the hole) can unblock us.
+            # retransmission is coming.  A primary fetches the sequencer's
+            # snapshot, which committed past the hole; the sequencer itself
+            # gathers its members' state again.
             self.trace.emit(self.now, "replica.commit-gap", self.name, gsn=hole)
-            self.begin_state_transfer()
-            return
+            if not self.is_sequencer:
+                self.begin_state_transfer()
+                return
+            self._start_sync()
+            blocked = False
         if not blocked and self._holes_close_in_time():
             # Nothing can open a hole that outlives a period until the
             # first fault: stop here and resume on this grid then.

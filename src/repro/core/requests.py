@@ -255,34 +255,13 @@ class SequencerSyncRequest:
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class SequencerSyncReply:
-    """A primary's view of sequencing state, for GSN recovery.
-
-    ``max_gsn`` is the highest GSN the member has seen (assigned or
-    committed); ``assignments`` maps request id → GSN for every assignment
-    the member knows about (uncommitted plus a bounded tail of recent
-    commits, so members that missed a broadcast can be caught up);
-    ``unassigned`` lists update requests it has buffered that never
-    received a GSN assignment, so the new sequencer can (re)assign them
-    deterministically.
-    """
-
-    member: str
-    sync_id: int
-    max_gsn: int
-    csn: int
-    assignments: tuple[tuple[int, int], ...]  # (request_id, gsn), sorted by gsn
-    unassigned: tuple[int, ...]  # request ids, sorted
-
-
-@dataclass(slots=True, unsafe_hash=True)
 class StateTransferRequest:
     """A rejoining primary asks the current sequencer for a state transfer.
 
     Not in the paper (§4.1's failure handling was omitted); our completion
-    is documented in DESIGN.md §9.  The sequencer answers with its own
-    sequencing state and relays the request to a *donor* — a live serving
-    primary — which ships the committed application state.
+    is documented in DESIGN.md §9.  The sequencer holds a committed copy of
+    every update it sequenced and answers with its own
+    :class:`StateTransferSnapshot`.
     """
 
     requester: str
@@ -290,40 +269,32 @@ class StateTransferRequest:
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class StateTransferRelay:
-    """Sequencer-to-donor forwarding of a :class:`StateTransferRequest`.
-
-    ``max_gsn`` carries the sequencer's authoritative GSN so the donor's
-    snapshot reply also brings the requester's ``my_gsn`` current even if
-    the donor itself lags.
-    """
-
-    requester: str
-    xfer_id: int
-    max_gsn: int
-
-
-@dataclass(slots=True, unsafe_hash=True)
 class StateTransferSnapshot:
-    """The donor's reply to a rejoining primary: everything needed to
-    re-enter the primary group at full strength.
+    """One member's committed state and sequencing facts.
+
+    The sequencer sends it to a rejoining primary (the answer to a
+    :class:`StateTransferRequest`), and every primary sends it to a new
+    sequencer (the answer to a :class:`SequencerSyncRequest`); ``xfer_id``
+    names the transfer attempt or sync round it answers.
 
     * ``snapshot``/``csn`` — the committed application state and its commit
       sequence number (a consistent cut: the simulation is single-threaded
-      and the donor captures both in one step);
-    * ``max_gsn`` — the highest GSN known (donor's, joined with the
-      sequencer's via the relay);
-    * ``commit_wait`` — the *uncommitted log suffix*: updates the donor has
-      buffered with an assigned GSN above ``csn``, shipped as full
-      ``(gsn, Request)`` pairs so the requester can commit them in order
-      (it missed the client multicasts while crashed);
-    * ``assignments`` — request id → GSN bindings (dedup across failover
-      re-broadcasts);
+      and the member captures both in one step);
+    * ``max_gsn`` — the highest GSN the member has seen (assigned or
+      committed);
+    * ``commit_wait`` — the *uncommitted log suffix*: updates the member
+      has bound to a GSN above ``csn``, shipped as full ``(gsn, Request)``
+      pairs so the receiver can commit them in order (it may have missed
+      the client multicasts);
+    * ``unassigned`` — update requests the member has buffered that never
+      received a GSN, so a new sequencer can (re)assign them
+      deterministically;
+    * ``assignments`` — request id → GSN bindings, uncommitted plus a
+      bounded tail of recent commits (dedup across failover re-broadcasts);
     * ``skips`` — no-op GSNs declared by past failovers, still above
       ``csn``.
 
-    ``snapshot`` is ``None`` when no donor existed (the requester was the
-    only serving primary); the requester then keeps its retained state.
+    A rejoiner restores ``snapshot`` only when ``csn`` is at least its own.
     """
 
     member: str

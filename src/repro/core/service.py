@@ -191,8 +191,8 @@ class ReplicatedService:
         The replica rejoins the primary and QoS groups at the *tail* of the
         view (rank order is join order, so it never usurps the current
         sequencer or lazy publisher), then runs the state-transfer protocol
-        (DESIGN.md §9): it requests a snapshot via the current sequencer, a
-        donor primary ships committed state + CSN/GSN + the uncommitted log
+        (DESIGN.md §9): it requests a snapshot from the current sequencer,
+        which ships its committed state + CSN/GSN + the uncommitted log
         suffix, and the replica replays it to re-enter at full strength.
         """
         handler = self.replica_by_name(name)

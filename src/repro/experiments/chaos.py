@@ -4,9 +4,9 @@ Runs the full middleware stack under randomized-but-reproducible fault
 schedules (:mod:`repro.net.chaos`) and then audits the run against the
 guarantees the protocol claims (§3, §4.1, DESIGN.md §9):
 
-* **order** — live serving primaries and secondaries never diverge: every
-  pair of application histories is prefix-consistent, and after the drain
-  window the serving primaries have converged to the same CSN;
+* **order** — live primaries (the sequencer among them) and secondaries
+  never diverge: every pair of application histories is prefix-consistent,
+  and after the drain window the primaries have converged to the same CSN;
 * **staleness** — a non-deferred read never reflects state staler than its
   QoS threshold, judged against the highest sequencer stamp
   (``sequencer.stamp`` trace records) issued no later than the read's
@@ -231,28 +231,20 @@ def _check_invariants(
     membership = testbed.membership
 
     primary_view = membership.view_of(service.groups.primary)
-    in_view = [
-        h
-        for h in service.primaries
-        if network.is_up(h.name) and h.name in primary_view
-    ]
-    # Recovery: every primary up and in the view has finished its state
-    # transfer by the end of the drain.
-    for handler in in_view:
+    # Recovery: every primary up and in the view — the sequencer, which
+    # commits too, among them — has finished its state transfer by the
+    # end of the drain.
+    live_primaries = []
+    for handler in service.all_replicas():
+        if not network.is_up(handler.name) or handler.name not in primary_view:
+            continue
         if getattr(handler, "_recovering", False):
             violations.append(
                 f"recovery: {handler.name} csn={handler.my_csn} still "
                 f"recovering after the drain"
             )
-    # The current sequencer (post-failover this is a promoted ex-serving
-    # primary) stops committing by design — its frozen history is still
-    # prefix-checked below, but it is exempt from convergence/durability.
-    live_primaries = [
-        h
-        for h in in_view
-        if h.name != primary_view.leader
-        and not getattr(h, "_recovering", False)
-    ]
+        else:
+            live_primaries.append(handler)
     live_secondaries = [
         h
         for h in service.secondaries
@@ -260,17 +252,11 @@ def _check_invariants(
         and h.name in membership.view_of(service.groups.secondary)
     ]
 
-    promoted = [
-        h
-        for h in service.primaries
-        if network.is_up(h.name) and h.name == primary_view.leader
-    ]
-
     # Order: live replicas never diverge, and the serving primaries have
     # converged by the end of the drain window.
     reference = max(live_primaries, key=lambda h: h.my_csn, default=None)
     if reference is not None:
-        for handler in live_primaries + live_secondaries + promoted:
+        for handler in live_primaries + live_secondaries:
             if not _prefix_consistent(handler.app.history, reference.app.history):
                 violations.append(
                     f"order: {handler.name} history diverges from "

@@ -40,7 +40,7 @@ RECOVERY_COUNTERS: tuple[tuple[str, str], ...] = (
     ("reads_salvaged", "late value delivered after a timing failure"),
     ("state_transfers_started", "primary rejoins that requested a snapshot"),
     ("state_transfers_completed", "snapshots installed by rejoining primaries"),
-    ("state_transfers_served", "snapshots shipped by donor primaries"),
+    ("state_transfers_served", "snapshots shipped by the sequencer"),
     ("overload_replies", "reads bounced by a shedding replica"),
     ("reads_shed", "reads the degradation ladder refused to dispatch"),
     ("degradation_steps_down", "ladder transitions toward weaker consistency"),

@@ -1,7 +1,7 @@
 """Primary crash -> evict -> rejoin round trips via state transfer.
 
 DESIGN.md §9: a rejoining primary asks the current sequencer for a state
-transfer; a donor serving primary ships committed state, CSN/GSN, and the
+transfer; the sequencer ships its own committed copy, CSN/GSN, and the
 uncommitted log suffix; the requester replays it and re-enters the primary
 group at full strength.
 """
@@ -9,6 +9,7 @@ group at full strength.
 import pytest
 
 from repro.core.qos import QoSSpec
+from repro.core.requests import Request, RequestKind, StateTransferSnapshot
 from repro.core.service import ServiceConfig, build_testbed
 from repro.groups.membership import MembershipConfig
 from repro.net.latency import FixedLatency
@@ -243,3 +244,79 @@ def test_flush_pending_invalidates_inflight_completions():
     testbed.sim.run(until=testbed.sim.now + 0.5)
     # The stale completion fired but was discarded by the guard.
     assert victim.updates_committed.value + victim.reads_served.value == served_before
+
+
+# ---------------------------------------------------------------------------
+# The two corners no chaos seed reaches
+# ---------------------------------------------------------------------------
+def test_snapshot_behind_the_requester_keeps_its_state_and_adopts_the_suffix():
+    """The guard: a sequencer promoted while it lagged can ship a snapshot
+    older than the requester's own state.  It must not roll the requester
+    back, and the suffix it ships still lands."""
+    testbed = make_testbed()
+    service = testbed.service
+    client = service.create_client("c1")
+    replica = service.primaries[1]
+
+    updates(testbed, client, 5)
+    testbed.sim.run(until=0.25)
+    stale, stale_csn = replica.app.snapshot(), replica.my_csn
+    testbed.sim.run(until=1.0)
+    csn, history = replica.my_csn, list(replica.app.history)
+    assert stale_csn < csn == 5
+
+    replica.begin_state_transfer()
+    suffix = Request(
+        10_000, "c1", "increment", (), RequestKind.UPDATE, None, testbed.sim.now
+    )
+    replica.on_group_message(
+        service.groups.primary,
+        service.sequencer.name,
+        StateTransferSnapshot(
+            member=service.sequencer.name,
+            xfer_id=replica._xfer_id,
+            csn=stale_csn,
+            max_gsn=csn + 1,
+            snapshot=stale,
+            commit_wait=((csn + 1, suffix),),
+        ),
+    )
+    assert not replica._recovering
+    assert replica.my_csn == csn and replica.app.history == history
+
+    testbed.sim.run(until=2.0)
+    assert replica.my_csn == csn + 1
+    assert replica.app.history == history + [csn + 1]
+
+
+def test_promoted_sequencer_missing_a_body_catches_up_through_the_sync():
+    """The next sequencer never received one update's Request, which the
+    other primaries committed.  At promotion it adopts the furthest
+    member's state, so its own copy has no hole."""
+    testbed = make_testbed()
+    service = testbed.service
+    client = service.create_client("c1")
+    heir, other = service.primaries[0], service.primaries[1]
+
+    seen = []
+    on_request = heir._on_request
+
+    def lossy(request):
+        if request.kind is RequestKind.UPDATE:
+            seen.append(request.request_id)
+            if len(seen) == 3:
+                return  # the client multicast to the heir is lost
+        on_request(request)
+
+    heir._on_request = lossy
+    updates(testbed, client, 8)
+    testbed.sim.run(until=0.5)
+    assert heir.my_csn == 2 < other.my_csn  # stuck behind the missing body
+
+    testbed.network.crash(service.sequencer.name)
+    testbed.sim.run(until=4.0)
+
+    assert testbed.membership.view_of(service.groups.primary).leader == heir.name
+    assert heir.is_sequencer
+    assert heir.my_csn == other.my_csn == 8
+    assert heir.app.history == other.app.history

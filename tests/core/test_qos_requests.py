@@ -22,10 +22,8 @@ from repro.core.requests import (
     Reply,
     Request,
     RequestKind,
-    SequencerSyncReply,
     SequencerSyncRequest,
     StalenessInfo,
-    StateTransferRelay,
     StateTransferRequest,
     StateTransferSnapshot,
     UpdateOutcome,
@@ -131,7 +129,7 @@ _READ = Request(
 _UPDATE = Request(8, "c", "put", ("k", 1), RequestKind.UPDATE, None, sent_at=1.5)
 _STALENESS = StalenessInfo(n_u=4, t_u=1.0, n_l=2, t_l=0.5, lazy_interval=2.0)
 
-#: One instance of every record: the 17 payloads of ``core/requests.py``,
+#: One instance of every record: the 15 payloads of ``core/requests.py``,
 #: Algorithm 1's records, the client's lazy observation, the trace record
 #: and the fabric's and the group layer's wire records.
 RECORDS = [
@@ -145,11 +143,7 @@ RECORDS = [
     _STALENESS,
     PerfBroadcast("r1", ts=0.01, tq=0.002, tb=None, staleness=_STALENESS),
     SequencerSyncRequest("p2", sync_id=1),
-    SequencerSyncReply(
-        "p3", sync_id=1, max_gsn=5, csn=4, assignments=((7, 5),), unassigned=(8,)
-    ),
     StateTransferRequest("p3", xfer_id=1),
-    StateTransferRelay("p3", xfer_id=1, max_gsn=5),
     StateTransferSnapshot(
         "p1", xfer_id=1, csn=4, max_gsn=5, snapshot=4,
         commit_wait=((5, _UPDATE),), assignments=((8, 5),), skips=(6,),
@@ -200,12 +194,7 @@ PINNED_REPRS = {
         f"staleness={_STALENESS_REPR})"
     ),
     SequencerSyncRequest: "SequencerSyncRequest(new_sequencer='p2', sync_id=1)",
-    SequencerSyncReply: (
-        "SequencerSyncReply(member='p3', sync_id=1, max_gsn=5, csn=4, "
-        "assignments=((7, 5),), unassigned=(8,))"
-    ),
     StateTransferRequest: "StateTransferRequest(requester='p3', xfer_id=1)",
-    StateTransferRelay: "StateTransferRelay(requester='p3', xfer_id=1, max_gsn=5)",
     StateTransferSnapshot: (
         "StateTransferSnapshot(member='p1', xfer_id=1, csn=4, max_gsn=5, "
         "snapshot=4, commit_wait=((5, Request(request_id=8, client='c', "
@@ -266,7 +255,7 @@ def test_every_record_and_validation_is_covered():
         for obj in vars(requests).values()
         if dataclasses.is_dataclass(obj) and obj.__module__ == requests.__name__
     }
-    assert len(payloads) == 17
+    assert len(payloads) == 15
     assert payloads <= set(classes)
     assert {cls for cls in classes if "__post_init__" in vars(cls)} == set(INVALID)
 

@@ -9,6 +9,7 @@ reads, and lazy propagation.
 import pytest
 
 from repro.core.qos import QoSSpec
+from repro.core.requests import Reply
 from repro.core.service import ServiceConfig, build_testbed
 from repro.net.latency import FixedLatency
 from repro.sim.process import Process, Timeout
@@ -92,12 +93,23 @@ def test_updates_get_consecutive_gsns():
         assert primary.app.value == 5
 
 
-def test_sequencer_does_not_execute_updates():
+def test_sequencer_commits_a_copy_but_services_nothing():
+    """The sequencer applies every update it sequences (its committed copy
+    serves state transfers) but services no request: no queue, no reply."""
     testbed = make_testbed()
+    sequencer = testbed.service.sequencer
+    sent = []
+    gsend = sequencer.gsend
+    sequencer.gsend = lambda group, member, payload, size_bytes=256: (
+        sent.append(payload), gsend(group, member, payload, size_bytes)
+    )
     client = testbed.service.create_client("c", read_only_methods={"get"})
     drive(testbed, client, steps=3)
-    assert testbed.service.sequencer.app.value == 0
-    assert testbed.service.sequencer.updates_committed.value == 0
+    assert sequencer.app.value == 3
+    assert sequencer.my_csn == sequencer.my_gsn == 3
+    assert sequencer.updates_committed.value == 0
+    assert sequencer.reads_served.value == 0
+    assert not any(isinstance(payload, Reply) for payload in sent)
 
 
 def test_all_primaries_commit_same_order_under_concurrency():

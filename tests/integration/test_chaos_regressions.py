@@ -12,9 +12,15 @@ audit clean.  The seeds:
 * 291 broke a fix that put a never-committing sequencer in the donor
   rotation;
 * 640 and 967 stuck behind a hole in a promoted sequencer's log;
+* 1348 served reads from a CSN that went backwards: a recovering primary
+  put an update in service, and the snapshot landed under it;
+* 1874 gave one GSN to two requests: a primary was promoted in the same
+  view change that re-admitted another, and never gathered the GSNs the
+  old sequencer had assigned;
 * 1187 was a false staleness report: the read was judged against a
   failover re-stamp issued after it was answered;
-* ``membership_outage`` seed 45 lost updates across a membership outage.
+* ``membership_outage`` seed 45 was judged the same way: the outage held
+  the stamp broadcast back until after the reads it stamped were answered.
 """
 
 import pytest
@@ -25,6 +31,7 @@ SEEDS = (
     74, 75, 110, 128, 146, 226, 258, 286, 292,
     30, 57, 133, 259, 282, 289,
     291, 640, 967, 1187,
+    1348, 1874,
 )
 
 

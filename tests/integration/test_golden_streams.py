@@ -71,6 +71,15 @@ before, holds.  Neither fault-free stream moved at all.
 the two memos that remain (``candidate_cdfs``' values, ``response_pmfs``'
 pmfs), which this campaign's walk never makes.  Its ``work_free`` digest
 and both fault-free streams held.
+
+``campaign_5s`` and its ``work_free`` digest were re-recorded (both
+checked at the commit before) when the sequencer came to keep a committed
+copy and serve every state transfer itself.  The sequencer used to relay
+each request to a donor primary; the 16 relay messages are gone
+(``net_messages_sent`` 5,461 → 5,445), and with them the timing of what
+followed: who served the transfers, which reads ``svc-p3`` and ``svc-s3``
+served, and the delivery-delay and response-time histograms.  Neither
+fault-free stream moved.
 """
 
 import hashlib
@@ -91,8 +100,8 @@ GOLDEN = {
     "paper_cell.cost": "events=1890 sent=1313",
     "open_loop_4_28.outcomes": "e805fe6fca85c0f3e34a643f437e80d0db5c2f17811fb9d9b1a60b70c601464b",
     "open_loop_4_28.cost": "events=2382 sent=1942",
-    "campaign_5s": "52b890458cf56d6ecaa0fec6a3a92cc6eeed531cf15d6566745f10d6c60c32b8",
-    "campaign_5s.work_free": "fd7527c359d2396af2f519cec7dd2ac148505f30c446bc61fcfd3c6345901124",
+    "campaign_5s": "99aca8b36604e8b25eb500d79d7c4a67b404bdafc172128f84d68704705b5a7c",
+    "campaign_5s.work_free": "b5e9056263be1151d88716620234ee1fdc40804c43542855dbc4dc949e0a9010",
 }
 
 
