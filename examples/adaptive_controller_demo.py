@@ -65,7 +65,7 @@ def main() -> None:
     print()
     print(
         f"{controller.relaxes.value} relaxes, {controller.rollbacks.value} rollbacks; "
-        f"final T_L={controller.current_interval():.2f}s"
+        f"final T_L={controller.decisions[-1].t_l:.2f}s"
     )
     signals = scenario.engine.signals(scenario.recorder.timeline())
     for name, s in sorted(signals.items()):

@@ -58,7 +58,7 @@ def main() -> None:
         hits[1] += 1
         print(
             f"[{sim.now:5.0f}s] T_L={publisher.lazy_update_interval:6.2f}s  "
-            f"rate~{publisher.lazy_controller.estimated_rate:5.2f}/s  "
+            f"rate~{publisher.tuner.open_loop.estimated_rate:5.2f}/s  "
             f"staleness={staleness:2d}  "
             f"lazy msgs so far={publisher.lazy_updates_sent.value}"
         )

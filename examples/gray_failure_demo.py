@@ -22,7 +22,7 @@ lands after the heal.
 Run: ``python examples/gray_failure_demo.py``
 """
 
-from repro.core.client import RetryPolicy
+from repro.core.retry import RetryPolicy
 from repro.core.detector import DetectorConfig
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed

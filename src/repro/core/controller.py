@@ -308,11 +308,9 @@ class ConsistencyController:
     :meth:`register_class` per consistency class, optionally
     :meth:`register_ladder` per degradation-capable client, then
     :meth:`start`.  The epoch tick is a central, self-rescheduling sim
-    event, so it survives any replica crash by construction; recovering
-    primaries re-adopt the current interval through
-    ``handler._rearm_controller()`` (the same pattern as the commit-gap
-    watchdog), and every epoch re-actuates all *live* primaries
-    idempotently as a second safety net.
+    event, so it survives any replica crash by construction, and every
+    epoch re-actuates all *live* primaries idempotently: one that was down
+    or out of the view when ``T_L`` moved adopts it at the next epoch.
     """
 
     def __init__(
@@ -350,7 +348,7 @@ class ConsistencyController:
         self._t_l_targets: List[object] = []
         self._base_t_l: Optional[float] = None
         self._classes: Dict[str, _ActuatedClass] = {}
-        self._ladder_clients: List[object] = []
+        self._ladders: List[object] = []
         self._current_t_l: Optional[float] = None
         self._ladder_level = 0
 
@@ -367,16 +365,13 @@ class ConsistencyController:
     # ------------------------------------------------------------------
     def register_service(self, service) -> None:
         """Adopt a service's primaries (sequencer included) as the T_L
-        actuator, and hook their failover re-arm path back to us."""
+        actuator."""
         handlers: List[object] = []
         if service.sequencer is not None:
             handlers.append(service.sequencer)
         handlers.extend(service.primaries)
         self._t_l_targets = handlers
         self._base_t_l = service.config.lazy_update_interval
-        if not self.config.dry_run:
-            for handler in handlers:
-                handler.controller = self
 
     def register_class(
         self,
@@ -405,9 +400,9 @@ class ConsistencyController:
             clients=list(clients), bounds=bounds, base_qos=base_qos
         )
 
-    def register_ladder(self, client) -> None:
-        """Register a degradation-capable client for ladder actuation."""
-        self._ladder_clients.append(client)
+    def register_ladder(self, ladder) -> None:
+        """Register a client's degradation ladder for actuation."""
+        self._ladders.append(ladder)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -421,10 +416,6 @@ class ConsistencyController:
         if self._tick_event is not None:
             self._tick_event.cancel()
             self._tick_event = None
-
-    def current_interval(self) -> Optional[float]:
-        """The T_L in force, for handler re-arm after failover/recovery."""
-        return self._current_t_l
 
     # ------------------------------------------------------------------
     # Sensing
@@ -602,9 +593,8 @@ class ConsistencyController:
         """Push the knobs for the current index to every actuator.
 
         Runs every epoch, idempotently: a primary that missed an
-        actuation while crashed converges within one epoch of rejoining
-        even if its re-arm hook were lost.  Returns the absolute knob
-        values per class for the decision record.
+        actuation while crashed converges within one epoch of rejoining.
+        Returns the absolute knob values per class for the decision record.
         """
         cfg = self.config
         # The emergency knob: hold registered ladders up while any SLO
@@ -638,14 +628,14 @@ class ConsistencyController:
                 self._current_t_l = t_l
                 for handler in self._t_l_targets:
                     if handler.up:
-                        handler.set_controller_interval(t_l)
+                        handler.tuner.set_controller_interval(t_l)
             if regression_level != self._ladder_level:
                 actions.append(
                     f"ladder:{self._ladder_level}->{regression_level}"
                 )
             self._ladder_level = regression_level
-            for client in self._ladder_clients:
-                client.force_degradation(regression_level)
+            for ladder in self._ladders:
+                ladder.force_degradation(regression_level)
         else:
             self._current_t_l = t_l
             self._ladder_level = regression_level

@@ -20,9 +20,12 @@ does not make φ explode on microscopic delays).  φ ≈ 1 means "this gap
 would happen one time in ten"; φ ≥ 8 is a one-in-10⁸ gap.  Because φ is
 continuous, one detector serves several policies at different
 thresholds: candidate *ejection* before Algorithm-1 at
-:data:`PHI_SUSPECT`, earlier *hedging* at the client's
-:data:`~repro.core.client.PHI_HEDGE`, and an adaptive timeout
-(``mean + k·σ``) for the commit-gap watchdog.
+:data:`PHI_SUSPECT`, earlier *hedging* at :data:`PHI_HEDGE`, and an
+adaptive timeout (``mean + k·σ``) for the commit-gap watchdog.  Each
+handler that runs a detector owns one subclass holding its policies:
+:class:`ClientDetector` (ejection, probes, suspicion hedges) and
+:class:`ReplicaDetector` (the adaptive watchdog period and the
+gray-publisher watch).
 
 Suspicion is not eviction: a suspected peer is only *deprioritized*,
 and :meth:`should_probe` meters occasional probe traffic at it so the
@@ -39,10 +42,15 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
+from repro.core.requests import PublisherSuspicion
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.sim.tracing import NULL_TRACE, Trace
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.core.client import ClientHandler
+    from repro.core.handlers.sequential import SequentialReplicaHandler
 
 # φ is capped so exporters and comparisons never meet inf (a gap many
 # sigmas out underflows the erfc tail to exactly 0.0).
@@ -52,6 +60,13 @@ PHI_CAP = 40.0
 #: Suspicion threshold: a peer whose φ reaches it is latched as suspected
 #: (and ejected from Algorithm-1 candidacy by the client).
 PHI_SUSPECT = 8.0
+
+#: Client policies: a single-replica read whose target's φ has reached
+#: ``PHI_HEDGE`` (below ``PHI_SUSPECT``) is hedged, and ejecting suspects
+#: always leaves ``MIN_EJECT_KEEP`` candidates — if suspicion is that
+#: widespread the detector stands aside.
+PHI_HEDGE = 4.0
+MIN_EJECT_KEEP = 1
 
 #: Absolute floor (seconds) on the fitted σ; the effective floor is
 #: ``max(MIN_STD, 0.1 × mean)`` so regular traffic does not produce a
@@ -164,17 +179,25 @@ class PhiAccrualDetector:
     # ------------------------------------------------------------------
     # Suspicion
     # ------------------------------------------------------------------
-    def phi(self, peer: str, now: float) -> float:
-        """Current suspicion level; 0.0 for unknown or cold peers."""
+    def _fit(self, peer: str) -> Optional[tuple[float, float]]:
+        """``(mean, σ)`` of the peer's inter-arrival window, σ floored;
+        None for unknown or cold peers."""
         window = self._windows.get(peer)
         if window is None or len(window) < self.config.min_samples:
+            return None
+        mean = sum(window) / len(window)
+        var = sum((x - mean) ** 2 for x in window) / len(window)
+        return mean, max(math.sqrt(var), MIN_STD, 0.1 * mean)
+
+    def phi(self, peer: str, now: float) -> float:
+        """Current suspicion level; 0.0 for unknown or cold peers."""
+        fit = self._fit(peer)
+        if fit is None:
             return 0.0
         elapsed = now - self._last[peer]
         if elapsed <= 0.0:
             return 0.0
-        mean = sum(window) / len(window)
-        var = sum((x - mean) ** 2 for x in window) / len(window)
-        std = max(math.sqrt(var), MIN_STD, 0.1 * mean)
+        mean, std = fit
         # P(next arrival later than elapsed) under Normal(mean, std).
         p_later = 0.5 * math.erfc((elapsed - mean) / (std * math.sqrt(2.0)))
         if p_later <= 0.0:
@@ -263,12 +286,10 @@ class PhiAccrualDetector:
         clamped to ``[fallback / 2, 10 × fallback]`` so a pathological
         history cannot disable the watchdog entirely.
         """
-        window = self._windows.get(peer)
-        if window is None or len(window) < self.config.min_samples:
+        fit = self._fit(peer)
+        if fit is None:
             return fallback
-        mean = sum(window) / len(window)
-        var = sum((x - mean) ** 2 for x in window) / len(window)
-        std = max(math.sqrt(var), MIN_STD, 0.1 * mean)
+        mean, std = fit
         timeout = mean + WATCHDOG_MULTIPLIER * std
         return min(max(timeout, fallback / 2.0), 10.0 * fallback)
 
@@ -280,3 +301,150 @@ class PhiAccrualDetector:
             "clears_total": self._m_clears.value,
             "transitions": len(self.transitions),
         }
+
+
+class ClientDetector(PhiAccrualDetector):
+    """A client's detector over its replicas — fed every reply, bounce and
+    performance broadcast — and the read path's policies (DESIGN.md §14)."""
+
+    def __init__(self, config: DetectorConfig, client: "ClientHandler") -> None:
+        super().__init__(
+            config, owner=client.name, metrics=client.metrics, trace=client.trace
+        )
+        self.client = client
+
+    def eject(self, names: dict[str, bool]) -> dict[str, bool]:
+        """Drop φ-suspected candidates before Algorithm 1 runs — unless
+        fewer than :data:`MIN_EJECT_KEEP` would survive: a panicking
+        detector must not starve selection.  Ejected replicas keep getting
+        :meth:`probes`, so one on-time reply re-admits them."""
+        now = self.client.now
+        healthy: dict[str, bool] = {}
+        ejected: list[str] = []
+        for name, primary in names.items():
+            self.suspicion_check(name, now)
+            # is_suspected covers both the latched state (threshold may
+            # have been crossed on an earlier check) and the flap-damping
+            # quarantine, which outlives the clearing arrival.
+            if self.is_suspected(name, now):
+                ejected.append(name)
+            else:
+                healthy[name] = primary
+        if not ejected or len(healthy) < MIN_EJECT_KEEP:
+            return names
+        self.client.detector_ejections.inc(len(ejected))
+        self.trace.emit(now, "client.eject", self.owner, ejected=ejected)
+        return healthy
+
+    def probes(self, targets: list[str]) -> list[str]:
+        """Suspects a read also goes to, rate-limited: without arrivals an
+        ejected peer would stay ejected after its gray fault healed."""
+        now = self.client.now
+        return [
+            peer
+            for peer in self.suspected()
+            if peer not in targets and self.should_probe(peer, now)
+        ]
+
+    def alarmed(self, peer: str) -> bool:
+        """φ has reached :data:`PHI_HEDGE`: worth a hedge, not yet an
+        ejection."""
+        return self.phi(peer, self.client.now) >= PHI_HEDGE
+
+    def troubled(self, peers: set[str]) -> bool:
+        """Some peer is suspected, quarantined or alarmed."""
+        now = self.client.now
+        return any(self.is_suspected(p, now) or self.alarmed(p) for p in peers)
+
+
+class ReplicaDetector(PhiAccrualDetector):
+    """A sequential replica's detector over two pseudo-peers:
+    ``"gsn-assign"``, sequencer progress, which sizes the commit-gap
+    watchdog (:meth:`~repro.core.handlers.catchup.CatchUp.gap_delay`); and
+    ``"lazy-publisher"``, the lazy propagation cadence a secondary watches
+    for a *gray* publisher — alive in the view, but so slow that every
+    deferred read stalls (a crashed one is handled by view changes).
+    """
+
+    def __init__(
+        self, config: DetectorConfig, handler: "SequentialReplicaHandler"
+    ) -> None:
+        super().__init__(
+            config, owner=handler.name, metrics=handler.metrics, trace=handler.trace
+        )
+        self.handler = handler
+        # The slow-publisher reassignment in force until the next primary
+        # view change, and the publisher this secondary last reported.
+        self.publisher_override: Optional[str] = None
+        self._suspected_publisher: Optional[str] = None
+
+    def start(self) -> None:
+        self.handler.sim.schedule(self._check_interval(), self._publisher_check)
+
+    def heard_publisher(self) -> None:
+        """A lazy update arrived: fresh evidence, and the episode is over."""
+        self.record("lazy-publisher", self.handler.now)
+        self._suspected_publisher = None
+
+    def publisher(self, members: tuple[str, ...]) -> Optional[str]:
+        """The reassigned publisher while it is still a member, else None."""
+        if self.publisher_override is not None:
+            if self.publisher_override in members:
+                return self.publisher_override
+            self.publisher_override = None
+        return None
+
+    def _check_interval(self) -> float:
+        # Check a few times per expected lazy interval so a gray
+        # publisher is reported within one or two missed propagations.
+        return max(self.handler.lazy_update_interval / 2, 0.05)
+
+    def _publisher_check(self) -> None:
+        """Secondary-side watch over the lazy publisher's cadence; each
+        secondary reports once per suspicion episode."""
+        handler = self.handler
+        if handler.network is None or not handler.has_joined(handler.groups.secondary):
+            return  # a primary never watches the publisher: the chain ends
+        if handler.up and handler.is_secondary:
+            publisher = handler.lazy_publisher_name
+            self.suspicion_check("lazy-publisher", handler.now)
+            if publisher is not None and self.is_suspected("lazy-publisher"):
+                if self._suspected_publisher != publisher:
+                    self._suspected_publisher = publisher
+                    handler.publisher_suspicions.inc()
+                    self.trace.emit(
+                        handler.now, "replica.publisher-suspect", handler.name,
+                        publisher=publisher,
+                    )
+                    handler.gmcast(
+                        handler.groups.primary,
+                        PublisherSuspicion(suspect=publisher, reporter=handler.name),
+                        size_bytes=64,
+                    )
+            elif not self.is_suspected("lazy-publisher"):
+                self._suspected_publisher = None
+        handler.sim.schedule(self._check_interval(), self._publisher_check)
+
+    def on_publisher_suspicion(self, sus: PublisherSuspicion) -> None:
+        """Primary-side handling of a secondary's gray-publisher report.
+
+        Every primary picks the first member that is neither the sequencer
+        nor the suspect, so the group agrees on the new publisher without a
+        coordination round; the override lasts until the next primary view
+        change.
+        """
+        handler = self.handler
+        if not handler.is_primary or sus.suspect != handler.lazy_publisher_name:
+            return  # not ours to move, or a stale report: the role moved
+        view = handler.primary_view
+        replacement = next(
+            (m for m in view.members if m != view.leader and m != sus.suspect), None
+        )
+        if replacement is None or replacement == handler.lazy_publisher_name:
+            return
+        self.publisher_override = replacement
+        handler.publisher_reassignments.inc()
+        self.trace.emit(
+            handler.now, "replica.publisher-reassign", handler.name,
+            suspect=sus.suspect, publisher=replacement, reporter=sus.reporter,
+        )

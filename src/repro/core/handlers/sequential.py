@@ -18,13 +18,12 @@ it buffers the request and answers right after the next lazy update,
 recording the buffering time ``t_b`` the client-side model uses for
 ``F^D_R`` (§5.2.2).
 
-Failure handling (the paper omits the details "due to the space
-constraint"; DESIGN.md documents our completion): on sequencer crash, the
-new primary-group leader collects state from survivors, adopts the furthest
-committed state and the maximum GSN, re-broadcasts assignments others
-missed, declares unfillable GSNs as no-op skips, and assigns fresh GSNs to
-updates that never got one.  The lazy-publisher role follows view rank
-automatically, and replicas whose buffered reads never received a GSN
+The handler keeps this pipeline; collaborators own the rest.  Failover and
+recovery — sequencer sync, state transfer, the commit-gap watchdog — are
+:class:`~repro.core.handlers.catchup.CatchUp`'s; ``T_L`` is written by
+:class:`~repro.core.tuning.LazyIntervalTuner` alone; and a configured
+φ-detector (:class:`~repro.core.detector.ReplicaDetector`) watches for a
+gray publisher.  Replicas whose buffered reads never received a GSN
 re-request it from the current sequencer.
 """
 
@@ -33,7 +32,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Optional
 
-from repro.core.detector import PhiAccrualDetector
+from repro.core.detector import ReplicaDetector
+from repro.core.handlers.catchup import CatchUp
 from repro.core.replica import PendingRequest, ReplicaHandlerBase
 from repro.core.requests import (
     GsnAssign,
@@ -48,17 +48,12 @@ from repro.core.requests import (
     StateTransferRequest,
     StateTransferSnapshot,
 )
-from repro.core.tuning import AdaptiveLazyController
-from repro.groups.group import ACK_ROUND_TRIP_MARGIN
-from repro.groups.membership import View, walk_grid
+from repro.core.tuning import LazyIntervalTuner
+from repro.groups.membership import View
 from repro.obs.spans import emit_span, span_root
 
 _ASSIGNMENT_CACHE = 8192  # bounded memory for request-id -> GSN bindings
 _RECENT_COMMITS = 2048  # bounded tail used for failover catch-up
-# How long a new sequencer waits for survivors' GSN state, and the retry
-# period of a state-transfer request; twice this is the fixed commit-gap
-# watchdog period.
-_SYNC_TIMEOUT = 0.3
 
 
 class SequentialReplicaHandler(ReplicaHandlerBase):
@@ -67,23 +62,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         config = self.config
-        self.lazy_controller: Optional[AdaptiveLazyController] = (
-            None
-            if config.adaptive_lazy_target is None
-            else AdaptiveLazyController(config.adaptive_lazy_target)
-        )
         self.gsn_wait_timeout = config.gsn_wait_timeout
-
-        # T_L actuation precedence (DESIGN.md §16): the configured base,
-        # an optional open-loop recommendation (lazy_controller), and an
-        # optional closed-loop override set by the ConsistencyController.
-        # _apply_lazy_interval() is the *single* writer resolving them;
-        # nothing else assigns lazy_update_interval after construction.
-        self._base_lazy_interval = self.lazy_update_interval
-        self._controller_interval: Optional[float] = None
-        # Back-reference installed by ConsistencyController.register_service
-        # so view changes and recovery can re-adopt the interval in force.
-        self.controller: Optional[Any] = None
 
         # §4.1: the pair of protocol variables every gateway handler keeps.
         self.my_gsn = 0
@@ -102,63 +81,19 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         # Staleness accounting (§5.4.1).
         self._updates_since_lazy = 0
         self._updates_since_perf = 0
-        self._updates_since_tune = 0
-        self._last_tune_at = 0.0
         self._perf_anchor = 0.0
-        self._g_lazy_interval = self.metrics.gauge(
-            "replica_lazy_interval_seconds", replica=self.name
-        )
-        self._g_lazy_interval.set(self.lazy_update_interval)
+        self.tuner = LazyIntervalTuner(self, config.adaptive_lazy_target)
 
-        # Sequencer failover state.
-        self._sequencer_active = False
-        self._syncing = False
-        self._sync_id = 0
-        self._sync_replies: dict[str, StateTransferSnapshot] = {}
-        self._sync_buffer: list[Request] = []
         self.gsn_queries_sent = self._counter("replica_gsn_queries_sent")
         self._m_reassignments = self._counter("replica_reassignments")
-
-        # Primary recovery (state transfer; DESIGN.md §9).
-        self._recovering = False
-        self._xfer_id = 0
-        self.state_transfers_started = self._counter(
-            "replica_state_transfers_started"
+        self.catchup = CatchUp(self)
+        # Gray-failure detection (DESIGN.md §14), default-off.  Both
+        # publisher series are registered whether or not it runs.
+        self.detector: Optional[ReplicaDetector] = (
+            None if config.detector is None else ReplicaDetector(config.detector, self)
         )
-        self.state_transfers_completed = self._counter(
-            "replica_state_transfers_completed"
-        )
-        self.state_transfers_served = self._counter(
-            "replica_state_transfers_served"
-        )
-        self._gap_stuck_csn: Optional[int] = None
-        self._gap_watch_event = None
-        # The check that found no hole and stopped the chain, while the
-        # fabric is fault-free; None while the chain runs.
-        self._gap_idle_since: Optional[float] = None
-
-        # Gray-failure detection (DESIGN.md §14), default-off.  Two
-        # pseudo-peers are tracked: "gsn-assign" (sequencer progress, for
-        # the adaptive commit-gap watchdog) and "lazy-publisher" (lazy
-        # propagation cadence, for slow-publisher reassignment).
-        self.detector: Optional[PhiAccrualDetector] = (
-            None
-            if config.detector is None
-            else PhiAccrualDetector(
-                config.detector,
-                owner=self.name,
-                metrics=self.metrics,
-                trace=self.trace,
-            )
-        )
-        self._publisher_override: Optional[str] = None
-        self._suspected_publisher: Optional[str] = None
-        self._m_publisher_suspicions = self._counter(
-            "replica_publisher_suspicions"
-        )
-        self._m_publisher_reassignments = self._counter(
-            "replica_publisher_reassignments"
-        )
+        self.publisher_suspicions = self._counter("replica_publisher_suspicions")
+        self.publisher_reassignments = self._counter("replica_publisher_reassignments")
 
     # ------------------------------------------------------------------
     # Roles
@@ -174,10 +109,10 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         designation until the next primary view change.
         """
         members = self.primary_view.members
-        if self._publisher_override is not None:
-            if self._publisher_override in members:
-                return self._publisher_override
-            self._publisher_override = None
+        if self.detector is not None:
+            reassigned = self.detector.publisher(members)
+            if reassigned is not None:
+                return reassigned
         if len(members) >= 2:
             return members[1]
         return members[0] if members else None
@@ -197,108 +132,19 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         # links or a partition can exhaust a sender's retry budget).  Armed
         # on every replica: roles are registered after attach, so the first
         # check is where a secondary's chain ends.
-        self._arm_gap_watchdog()
+        self.catchup.arm_gap_watchdog()
         if self.detector is not None:
-            self.sim.schedule(self._publisher_check_interval(), self._publisher_check)
-        if self.lazy_controller is not None:
-            # The tuning loop runs on its own (faster) cadence so the
-            # controller reacts to load changes even while the publish
-            # interval is long.
-            self._updates_since_tune = 0
-            self._last_tune_at = self.now
-            self.sim.schedule(self._tune_interval(), self._tune_tick)
+            self.detector.start()
+        self.tuner.start()
 
-    def _tune_interval(self) -> float:
-        # One-second observation windows: fast enough to catch an update
-        # storm within a few EWMA steps, long enough that low-rate traffic
-        # does not whipsaw the estimate.
-        assert self.lazy_controller is not None
-        return max(1.0, self.lazy_controller.min_interval)
-
-    def _tune_tick(self) -> None:
-        """Fixed-cadence observation + retuning of T_L (adaptive mode).
-
-        Only a primary counts updates: a replica that never joined the
-        primary group ends the chain at its first tick.
-        """
-        if (
-            self.network is None
-            or self.lazy_controller is None
-            or self.groups.primary not in self._joined
-        ):
+    def on_view_change(self, view: View, previous: Optional[View]) -> None:
+        if view.group != self.groups.primary:
             return
-        if self.up and self.is_primary:
-            elapsed = self.now - self._last_tune_at
-            self.lazy_controller.observe(self._updates_since_tune, elapsed)
-            self._updates_since_tune = 0
-            self._last_tune_at = self.now
-            self._apply_lazy_interval()
-        self.sim.schedule(self._tune_interval(), self._tune_tick)
-
-    # ------------------------------------------------------------------
-    # T_L precedence (DESIGN.md §16)
-    # ------------------------------------------------------------------
-    def set_controller_interval(self, interval: Optional[float]) -> None:
-        """Closed-loop actuation of T_L by the ConsistencyController.
-
-        The closed-loop value takes precedence over the open-loop
-        recommendation but stays *bounded* by it: the open-loop tuner
-        computes the longest interval still meeting its staleness target,
-        so exceeding it would violate a declared consistency bound.
-        ``None`` clears the override.
-        """
-        if interval is not None and interval <= 0:
-            raise ValueError(
-                f"controller interval must be positive, got {interval!r}"
-            )
-        self._controller_interval = interval
-        self._apply_lazy_interval()
-
-    def _effective_lazy_interval(self) -> float:
-        """Resolve the three T_L writers into the interval in force.
-
-        Precedence: closed-loop override, clamped from above by the
-        open-loop consistency bound when both are configured; otherwise
-        the open-loop recommendation; otherwise the configured base.
-        """
-        bound = (
-            self.lazy_controller.recommended_interval()
-            if self.lazy_controller is not None
-            else None
-        )
-        if self._controller_interval is not None:
-            if bound is not None:
-                return min(self._controller_interval, bound)
-            return self._controller_interval
-        if bound is not None:
-            return bound
-        return self._base_lazy_interval
-
-    def _apply_lazy_interval(self) -> None:
-        """Single writer for ``lazy_update_interval`` after construction."""
-        effective = self._effective_lazy_interval()
-        if abs(effective - self.lazy_update_interval) <= 1e-9:
-            return
-        self.lazy_update_interval = effective
-        self._g_lazy_interval.set(effective)
-        if self.network is not None:
-            self._schedule_lazy_tick()
-
-    def _rearm_controller(self) -> None:
-        """Re-adopt the closed-loop T_L after a view change or recovery.
-
-        Mirrors the commit-gap watchdog's re-arm sites: a primary that
-        was down (or out of the view) while the controller actuated
-        missed the ``set_controller_interval`` call, so it asks the
-        controller for the interval currently in force instead of
-        resuming with its stale pre-crash value.
-        """
-        if self.controller is None:
-            return
-        interval = self.controller.current_interval()
-        if interval != self._controller_interval:
-            self._controller_interval = interval
-            self._apply_lazy_interval()
+        if self.detector is not None:
+            # Membership changed: drop any gray-publisher override and
+            # fall back to the rank designation of the new view.
+            self.detector.publisher_override = None
+        self.catchup.on_primary_view(view, previous)
 
     # ------------------------------------------------------------------
     # Inbound dispatch
@@ -313,20 +159,17 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         elif isinstance(payload, GsnQuery):
             self._on_gsn_query(payload)
         elif isinstance(payload, SequencerSyncRequest):
-            self._on_sync_request(payload)
+            self.catchup.on_sync_request(payload)
         elif isinstance(payload, StateTransferRequest):
-            self._on_state_transfer_request(payload)
+            self.catchup.on_state_transfer_request(payload)
         elif isinstance(payload, StateTransferSnapshot):
-            # A member's state answers a sync round while one runs, and a
-            # state-transfer request otherwise.
-            if self._syncing:
-                self._on_sync_reply(payload)
-            else:
-                self._on_state_transfer_snapshot(payload)
+            self.catchup.on_snapshot(payload)
         elif isinstance(payload, GsnSkip):
             self._on_skip(payload)
         elif isinstance(payload, PublisherSuspicion):
-            self._on_publisher_suspicion(payload)
+            # Only a secondary with a detector reports, and the detector
+            # is configured service-wide.
+            self.detector.on_publisher_suspicion(payload)
         else:
             self.trace.emit(
                 self.now, "replica.unknown-payload", self.name, kind=type(payload).__name__
@@ -340,7 +183,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
             if self.is_primary:
                 self._updates_since_lazy += 1
                 self._updates_since_perf += 1
-                self._updates_since_tune += 1
+                self.tuner.updates += 1
             if self.is_sequencer:
                 self._sequence_update(request)
             elif self.is_primary:
@@ -359,23 +202,14 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
     def _sequence_update(self, request: Request) -> None:
         """Sequencer role: advance the GSN, broadcast the assignment, and
         bind the update into the sequencer's own committed copy."""
-        if self._syncing:
-            self._sync_buffer.append(request)
+        if self.catchup.syncing:
+            self.catchup.held.append(request)
             return
         self.my_gsn += 1
         assign = GsnAssign(request.request_id, self.my_gsn, advances=True)
         self._remember_assignment(request.request_id, self.my_gsn, update=True)
         self.gmcast(self.groups.primary, assign, size_bytes=64)
-        if self.trace.enabled:
-            emit_span(
-                self.trace, self.now, self.name,
-                f"{span_root(request.request_id)}/q", "sequence",
-                gsn=self.my_gsn, advances=True,
-            )
-            self.trace.emit(
-                self.now, "sequencer.assign", self.name,
-                request_id=request.request_id, gsn=self.my_gsn,
-            )
+        self._trace_sequenced(request, "sequencer.assign", advances=True)
         self._bind(PendingRequest(request=request, arrived_at=self.now), self.my_gsn)
 
     def _sequence_read(self, request: Request) -> None:
@@ -387,16 +221,16 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         only = request.targets
         self.gmcast(self.groups.primary, assign, size_bytes=64, only=only)
         self.gmcast(self.groups.secondary, assign, size_bytes=64, only=only)
+        self._trace_sequenced(request, "sequencer.stamp", advances=False)
+
+    def _trace_sequenced(self, request: Request, category: str, advances: bool) -> None:
         if self.trace.enabled:
+            rid = request.request_id
             emit_span(
-                self.trace, self.now, self.name,
-                f"{span_root(request.request_id)}/q", "sequence",
-                gsn=self.my_gsn, advances=False,
+                self.trace, self.now, self.name, f"{span_root(rid)}/q",
+                "sequence", gsn=self.my_gsn, advances=advances,
             )
-            self.trace.emit(
-                self.now, "sequencer.stamp", self.name,
-                request_id=request.request_id, gsn=self.my_gsn,
-            )
+            self.trace.emit(self.now, category, self.name, request_id=rid, gsn=self.my_gsn)
 
     def _buffer_for_gsn(self, request: Request) -> None:
         pending = PendingRequest(request=request, arrived_at=self.now)
@@ -444,9 +278,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
 
     def _on_assign(self, assign: GsnAssign) -> None:
         if self.detector is not None:
-            # Sequencer progress signal: GSN broadcasts arrive at the
-            # request rate, so their inter-arrival statistics size the
-            # commit-gap watchdog (see _gap_delay).
+            # Sequencer progress: sizes the commit-gap watchdog.
             self.detector.record("gsn-assign", self.now)
         if assign.advances and assign.request_id in self._recent_commits:
             return  # already committed; a failover re-broadcast
@@ -465,6 +297,12 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         pending = self._awaiting_gsn.pop(assign.request_id, None)
         if pending is not None:
             self._bind(pending, assign.gsn)
+
+    def _on_skip(self, skip: GsnSkip) -> None:
+        for gsn in skip.gsns:
+            if gsn > self.my_csn:
+                self._skips.add(gsn)
+        self._drain_commit_queue()
 
     def _bind(self, pending: PendingRequest, gsn: int) -> None:
         """Apply a GSN to a buffered request and route it onward."""
@@ -526,7 +364,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
     def _drain_commit_queue(self) -> None:
         # A recovering replica commits nothing: the snapshot it awaits
         # supersedes its state, and would land under an update in service.
-        while self._update_in_flight is None and not self._recovering:
+        while self._update_in_flight is None and not self.catchup.recovering:
             nxt = self.my_csn + 1
             if nxt in self._skips:
                 self._skips.discard(nxt)
@@ -600,8 +438,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         if not self.is_secondary:
             return
         if self.detector is not None:
-            self.detector.record("lazy-publisher", self.now)
-            self._suspected_publisher = None
+            self.detector.heard_publisher()
         if update.csn > self.my_csn:
             self.app.restore(update.snapshot)
             self.my_csn = update.csn
@@ -647,30 +484,16 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
                 self._shed(pending, "defer-expired")
                 return
 
-    def _fail_deferred(self, reason: str) -> None:
-        """Bounce every buffered deferred read with an explicit reply.
-
-        Replaces the silent ``_deferred.clear()`` on view change/recovery:
-        a dropped deferred read now produces an
-        :class:`~repro.core.requests.OverloadReply`, so the client's retry
-        accounting stays honest instead of waiting out a timing failure —
-        or worse, receiving a zombie reply after the next lazy update for
-        a request it has long since written off.
-        """
+    def flush_pending(self) -> None:
+        """Crash-recovery flush also bounces every deferred read with an
+        explicit :class:`~repro.core.requests.OverloadReply`, so a client
+        neither waits out a timing failure nor, after the next lazy update,
+        gets a zombie reply to a request it has long since written off."""
+        super().flush_pending()
         dropped, self._deferred = self._deferred, []
         for pending in dropped:
             if self.up and self.network is not None:
-                self._shed(pending, reason)
-
-    def flush_pending(self) -> None:
-        """Crash-recovery flush also empties the deferred-read buffer.
-
-        Without this, a crashed-and-recovered secondary retained its
-        pre-crash ``_deferred`` entries and served them after the next
-        lazy update — replies to requests whose clients gave up long ago.
-        """
-        super().flush_pending()
-        self._fail_deferred("defer-dropped-recovery")
+                self._shed(pending, "defer-dropped-recovery")
 
     # ------------------------------------------------------------------
     # Staleness broadcast fields (§5.4.1)
@@ -687,471 +510,10 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
             t_u=self.now - self._perf_anchor,
             n_l=self._updates_since_lazy,
             t_l=self.now - self._last_lazy_at,
-            # Announce the live interval whenever *any* tuner moves it
-            # (open- or closed-loop): clients need T_L for the t_l modulo
-            # of §5.4.1, and the configured default they were built with
-            # no longer describes reality.
-            lazy_interval=(
-                self.lazy_update_interval
-                if (
-                    self.lazy_controller is not None
-                    or self._controller_interval is not None
-                )
-                else None
-            ),
+            # Clients need T_L for the t_l modulo of §5.4.1.
+            lazy_interval=self.tuner.announced(),
         )
         self._updates_since_perf = 0
         self._perf_anchor = self.now
         return info
 
-    # ------------------------------------------------------------------
-    # Sequencer failover
-    # ------------------------------------------------------------------
-    def on_view_change(self, view: View, previous: Optional[View]) -> None:
-        if view.group != self.groups.primary:
-            return
-        # Membership changed: drop any gray-publisher override and fall
-        # back to the rank designation of the new view.
-        self._publisher_override = None
-        # A view change can promote this replica to lazy publisher (or
-        # bring it back into the group after the controller moved T_L):
-        # re-adopt the closed-loop interval the same way the commit-gap
-        # watchdog re-arms.
-        self._rearm_controller()
-        if view.leader == self.name and not self._sequencer_active:
-            self._sequencer_active = True
-            if previous is not None and previous.leader not in (None, self.name):
-                # We inherited the role from a departed leader: recover
-                # GSNs.  The view may have grown in the same change (a
-                # rejoin), so its size says nothing.
-                self._start_sync()
-        elif view.leader != self.name:
-            self._sequencer_active = False
-
-    def _start_sync(self) -> None:
-        self._syncing = True
-        self._sync_id += 1
-        self._sync_replies = {self.name: self._state_snapshot(self._sync_id)}
-        self.gmcast(
-            self.groups.primary,
-            SequencerSyncRequest(self.name, self._sync_id),
-            size_bytes=64,
-        )
-        self.sim.schedule(_SYNC_TIMEOUT, self._finish_sync, self._sync_id)
-        self.trace.emit(self.now, "sequencer.sync-start", self.name, sync_id=self._sync_id)
-
-    def _state_snapshot(self, xfer_id: int) -> StateTransferSnapshot:
-        """This member's committed state and sequencing facts, answering
-        sync round or transfer attempt ``xfer_id``."""
-        assignments = dict(self._update_assignments)
-        assignments.update(self._recent_commits)
-        return StateTransferSnapshot(
-            member=self.name,
-            xfer_id=xfer_id,
-            csn=self.my_csn,
-            max_gsn=max(self.my_gsn, self.my_csn),
-            snapshot=self.app.snapshot(),
-            commit_wait=tuple(
-                (gsn, pending.request)
-                for gsn, pending in sorted(self._commit_wait.items())
-            ),
-            unassigned=tuple(
-                pending.request
-                for _, pending in sorted(self._awaiting_gsn.items())
-                if pending.request.kind is RequestKind.UPDATE
-            ),
-            assignments=tuple(sorted(assignments.items(), key=lambda kv: kv[1])),
-            skips=tuple(sorted(g for g in self._skips if g > self.my_csn)),
-        )
-
-    def _on_sync_request(self, request: SequencerSyncRequest) -> None:
-        reply = self._state_snapshot(request.sync_id)
-        self.gsend(self.groups.primary, request.new_sequencer, reply, size_bytes=2048)
-
-    def _on_sync_reply(self, reply: StateTransferSnapshot) -> None:
-        if reply.xfer_id != self._sync_id:
-            return
-        self._sync_replies[reply.member] = reply
-        expected = set(self.primary_view.members)
-        if expected.issubset(self._sync_replies):
-            self._finish_sync(self._sync_id)
-
-    def _finish_sync(self, sync_id: int) -> None:
-        if not self._syncing or sync_id != self._sync_id:
-            return
-        self._syncing = False
-        replies = list(self._sync_replies.values())
-        # Adopt the furthest member's committed state, unless an update is
-        # still in service here (a frozen frontier gathers again), then
-        # every suffix body above it.
-        furthest = max(replies, key=lambda r: r.csn)
-        if furthest.csn > self.my_csn and self._update_in_flight is None:
-            self.app.restore(furthest.snapshot)
-            self.my_csn = furthest.csn
-        for reply in replies:
-            self._adopt_suffix(reply.commit_wait)
-        union: dict[int, int] = {}
-        for reply in replies:
-            union.update(dict(reply.assignments))
-        max_gsn = max([r.max_gsn for r in replies] + [self.my_gsn, self.my_csn])
-        min_csn = min(r.csn for r in replies)
-        self.my_gsn = max(self.my_gsn, max_gsn)
-        # Re-broadcast assignments members may have missed.
-        for rid, gsn in sorted(union.items(), key=lambda kv: kv[1]):
-            if gsn > min_csn:
-                self.gmcast(
-                    self.groups.primary, GsnAssign(rid, gsn, advances=True),
-                    size_bytes=64,
-                )
-                self._bind_awaiting(rid, gsn)
-        # GSNs nobody can attribute to a request become no-op skips.
-        known = set(union.values())
-        holes = tuple(
-            g for g in range(min_csn + 1, self.my_gsn + 1) if g not in known
-        )
-        if holes:
-            self.gmcast(self.groups.primary, GsnSkip(holes), size_bytes=64)
-            self._on_skip(GsnSkip(holes))
-        # Updates that never received a GSN get fresh ones, deterministically.
-        assigned = set(union)
-        fresh = sorted(
-            {req.request_id for reply in replies for req in reply.unassigned}
-            - assigned
-        )
-        for rid in fresh:
-            self.my_gsn += 1
-            self._remember_assignment(rid, self.my_gsn, update=True)
-            self.gmcast(
-                self.groups.primary, GsnAssign(rid, self.my_gsn, advances=True),
-                size_bytes=64,
-            )
-            self._bind_awaiting(rid, self.my_gsn)
-        self.trace.emit(
-            self.now, "sequencer.sync-done", self.name,
-            max_gsn=self.my_gsn, holes=list(holes), fresh=fresh,
-        )
-        self._drain_commit_queue()
-        self._drain_stale_waiters()
-        # Serve anything that arrived mid-sync.
-        buffered, self._sync_buffer = self._sync_buffer, []
-        for request in buffered:
-            self._sequence_update(request)
-
-    def _adopt_suffix(self, suffix: tuple[tuple[int, Request], ...]) -> None:
-        """Bind the uncommitted ``(gsn, Request)`` log suffix above our CSN
-        (updates whose client multicast we missed), replayed in GSN order
-        once the queue drains."""
-        for gsn, request in suffix:
-            if gsn > self.my_csn and gsn not in self._commit_wait:
-                self._commit_wait[gsn] = PendingRequest(
-                    request=request, arrived_at=self.now, gsn=gsn
-                )
-
-    def _bind_awaiting(self, request_id: int, gsn: int) -> None:
-        """Bind a buffered update to the GSN this sequencer just gave it:
-        its own broadcast does not reach it."""
-        pending = self._awaiting_gsn.pop(request_id, None)
-        if pending is not None:
-            self._bind(pending, gsn)
-
-    def _on_skip(self, skip: GsnSkip) -> None:
-        for gsn in skip.gsns:
-            if gsn > self.my_csn:
-                self._skips.add(gsn)
-        self._drain_commit_queue()
-
-    # ------------------------------------------------------------------
-    # Primary recovery via state transfer (DESIGN.md §9)
-    # ------------------------------------------------------------------
-    def begin_state_transfer(self) -> None:
-        """Start (or restart) snapshot catch-up from the sequencer.
-
-        Called by the service when a crashed primary rejoins, and by the
-        commit-gap watchdog when this primary holds a GSN assignment whose
-        Request it never received (a client with a stale view multicast the
-        update while we were out of the group).  Every local ordering
-        buffer is flushed: the sequencer's snapshot supersedes anything
-        buffered here, and clients learn outcomes from the surviving
-        primaries' replies.
-        """
-        self._recovering = True
-        self._xfer_id += 1
-        self.state_transfers_started.inc()
-        self._disarm_gap_watchdog()
-        self.flush_pending()  # also bounces deferred reads explicitly
-        self._awaiting_gsn.clear()
-        self._commit_wait.clear()
-        self._stale_wait.clear()
-        self._update_in_flight = None
-        self.trace.emit(
-            self.now, "replica.state-transfer-start", self.name,
-            xfer_id=self._xfer_id,
-        )
-        self._request_state_transfer(self._xfer_id)
-
-    def _request_state_transfer(self, xfer_id: int) -> None:
-        if not self._recovering or xfer_id != self._xfer_id or not self.up:
-            return
-        sequencer = self.sequencer_name
-        if sequencer is None or sequencer == self.name:
-            # Nobody to ask: we lead (or the view is empty), so no peer
-            # holds newer committed state.  Keep the retained state.
-            self._recovering = False
-            self.state_transfers_completed.inc()
-            self.trace.emit(
-                self.now, "replica.state-transfer-done", self.name,
-                donor=None, csn=self.my_csn, gsn=self.my_gsn,
-            )
-            self._arm_gap_watchdog()
-            self._rearm_controller()
-            return
-        self.gsend(
-            self.groups.primary,
-            sequencer,
-            StateTransferRequest(self.name, xfer_id),
-            size_bytes=64,
-        )
-        # Retry until a snapshot lands: the sequencer ignores requests from
-        # members it does not (yet) see in its primary view, and it can fail
-        # over mid-transfer (retries re-resolve the current leader).
-        self.sim.schedule(_SYNC_TIMEOUT, self._request_state_transfer, xfer_id)
-
-    def _on_state_transfer_request(self, request: StateTransferRequest) -> None:
-        if not self.is_sequencer:
-            return
-        if request.requester not in self.primary_view.members:
-            # The rejoin view change has not reached us yet.  Answering now
-            # would let assignments made after the snapshot race past the
-            # requester; it retries until we see it in the view.
-            return
-        # The sequencer holds every update it sequenced, so its own copy
-        # serves every rejoiner.
-        reply = self._state_snapshot(request.xfer_id)
-        self.state_transfers_served.inc()
-        self.gsend(self.groups.primary, request.requester, reply, size_bytes=2048)
-        self.trace.emit(
-            self.now, "replica.state-transfer-serve", self.name,
-            requester=request.requester, csn=self.my_csn,
-        )
-
-    def _on_state_transfer_snapshot(self, snap: StateTransferSnapshot) -> None:
-        if not self._recovering or snap.xfer_id != self._xfer_id:
-            return
-        self._recovering = False
-        self.state_transfers_completed.inc()
-        if snap.csn >= self.my_csn:
-            # Never roll back: a sequencer behind us (promoted while it
-            # lagged) still ships the suffix and the bindings.
-            self.app.restore(snap.snapshot)
-            self.my_csn = snap.csn
-        self.my_gsn = max(self.my_gsn, self.my_csn, snap.max_gsn)
-        for rid, gsn in snap.assignments:
-            self._remember_assignment(rid, gsn, update=True)
-        for gsn in snap.skips:
-            if gsn > self.my_csn:
-                self._skips.add(gsn)
-        self._adopt_suffix(snap.commit_wait)
-        # Updates the sequencer has buffered but not yet assigned: buffer
-        # them here too, so the upcoming GsnAssign (which will include us —
-        # we are back in the sequencer's view) binds on both replicas.
-        for request in snap.unassigned:
-            if request.request_id not in self._awaiting_gsn:
-                self._buffer_for_gsn(request)
-        self.trace.emit(
-            self.now, "replica.state-transfer-done", self.name,
-            donor=snap.member, csn=self.my_csn, gsn=self.my_gsn,
-        )
-        self._drain_commit_queue()
-        self._drain_stale_waiters()
-        self._arm_gap_watchdog()
-        self._rearm_controller()
-
-    # ------------------------------------------------------------------
-    # Commit-gap watchdog
-    # ------------------------------------------------------------------
-    def _arm_gap_watchdog(self) -> None:
-        """Monitor the commit frontier of a recovered primary.
-
-        A client whose primary view predated our rejoin multicasts its
-        updates without us; the sequencer (which does see us) broadcasts
-        the GSN assignment to everyone.  We then hold an assignment for
-        ``my_csn + 1`` with no Request to execute — a hole no local action
-        can fill.  Two consecutive checks with zero progress trigger a
-        fresh state transfer (the sequencer bound the update when it
-        assigned it, so its snapshot commits past the hole).  A sequencer
-        whose own frontier freezes — promoted with a hole in its log —
-        re-runs the sync instead.
-        """
-        self._disarm_gap_watchdog()
-        self._gap_stuck_csn = None
-        self._gap_watch_event = self.sim.schedule(
-            self._gap_delay(), self._gap_check
-        )
-
-    def _disarm_gap_watchdog(self) -> None:
-        if self._gap_watch_event is not None:
-            self._gap_watch_event.cancel()
-            self._gap_watch_event = None
-        self._gap_idle_since = None
-
-    def _gap_delay(self) -> float:
-        """Watchdog period: fixed ``2·_SYNC_TIMEOUT``, or adaptive.
-
-        With the detector enabled the period follows the observed
-        GSN-broadcast cadence (mean + k·σ of inter-arrival times,
-        clamped around the fixed fallback), so a busy system notices a
-        frozen commit frontier in a fraction of the fixed window while
-        an idle one does not cry wolf between sparse updates.
-        """
-        fallback = 2 * _SYNC_TIMEOUT
-        if self.detector is None:
-            return fallback
-        return self.detector.adaptive_timeout("gsn-assign", fallback)
-
-    def _gap_check(self) -> None:
-        self._gap_watch_event = None
-        if self.network is None or self._recovering:
-            return  # a state-transfer completion re-arms the watchdog
-        if self.groups.primary not in self._joined:
-            return  # only a primary commits: the chain ends at its first check
-        hole = self.my_csn + 1
-        blocked = (
-            self.up
-            and self.is_primary
-            and self.my_gsn > self.my_csn
-            and self._update_in_flight is None
-            and hole not in self._commit_wait
-            and hole not in self._skips
-        )
-        if blocked and self._gap_stuck_csn == self.my_csn:
-            # Two consecutive checks with a frozen commit frontier: the
-            # Request (or its assignment) for the hole is lost — no
-            # retransmission is coming.  A primary fetches the sequencer's
-            # snapshot, which committed past the hole; the sequencer itself
-            # gathers its members' state again.
-            self.trace.emit(self.now, "replica.commit-gap", self.name, gsn=hole)
-            if not self.is_sequencer:
-                self.begin_state_transfer()
-                return
-            self._start_sync()
-            blocked = False
-        if not blocked and self._holes_close_in_time():
-            # Nothing can open a hole that outlives a period until the
-            # first fault: stop here and resume on this grid then.
-            self._gap_idle_since = self.now
-            self.network.on_first_fault(self._resume_gap_watchdog)
-            return
-        self._gap_stuck_csn = self.my_csn if blocked else None
-        self._gap_watch_event = self.sim.schedule(
-            self._gap_delay(), self._gap_check
-        )
-
-    def _holes_close_in_time(self) -> bool:
-        """Whether a hole can be taken to close inside one watchdog period,
-        faults aside.
-
-        While the fabric is fault-free no payload is abandoned (DESIGN §9),
-        so a hole lasts only until the request in flight to this replica
-        lands.  The guard is the one *Lazy acks* uses, and like it rests on
-        the mean: every link into the replica has ``ACK_ROUND_TRIP_MARGIN``
-        × its mean delay within the fixed period.  A link whose delay can
-        exceed the period while its mean passes (an ``Exponential`` or
-        ``LogNormal`` tail) can hold a request back across two checks; the
-        chain would then have fetched a snapshot that the idle watchdog does
-        not.  A replica with a φ-detector sizes its period from traffic and
-        always keeps its chain.
-        """
-        network = self.network
-        if self.detector is not None or not network.fault_free:
-            return False
-        period, me = self._gap_delay(), self.name
-        return all(
-            ACK_ROUND_TRIP_MARGIN * network.latency_for(sender, me).mean_delay()
-            < period
-            for sender in network.endpoints()
-        )
-
-    def _resume_gap_watchdog(self) -> None:
-        """A fault is about to apply: re-arm the check on the grid the chain
-        would have walked (:func:`~repro.groups.membership.walk_grid`).  A
-        check due at this very instant still runs, after the fault."""
-        if self._gap_idle_since is None:
-            return  # re-armed meanwhile by a state transfer
-        period = self._gap_delay()
-        _, last = walk_grid(self._gap_idle_since, period, self.now)
-        self._gap_idle_since = None
-        self._gap_stuck_csn = None
-        self._gap_watch_event = self.sim.schedule_at(last + period, self._gap_check)
-
-    # ------------------------------------------------------------------
-    # Slow-publisher detection and reassignment (DESIGN.md §14)
-    # ------------------------------------------------------------------
-    def _publisher_check_interval(self) -> float:
-        # Check a few times per expected lazy interval so a gray
-        # publisher is reported within one or two missed propagations.
-        return max(self.lazy_update_interval / 2, 0.05)
-
-    def _publisher_check(self) -> None:
-        """Secondary-side watchdog over the lazy publisher's cadence.
-
-        A crashed publisher is handled by view changes; this catches the
-        *gray* one — alive in the view but propagating so slowly that
-        every deferred read on the secondary tier stalls.  Each secondary
-        reports once per suspicion episode; the primaries converge on the
-        same replacement deterministically, so no coordination round is
-        needed.
-        """
-        if (
-            self.network is None
-            or self.detector is None
-            or self.groups.secondary not in self._joined
-        ):
-            return  # a primary never watches the publisher: the chain ends
-        if self.up and self.is_secondary:
-            publisher = self.lazy_publisher_name
-            self.detector.suspicion_check("lazy-publisher", self.now)
-            if publisher is not None and self.detector.is_suspected(
-                "lazy-publisher"
-            ):
-                if self._suspected_publisher != publisher:
-                    self._suspected_publisher = publisher
-                    self._m_publisher_suspicions.inc()
-                    self.trace.emit(
-                        self.now, "replica.publisher-suspect", self.name,
-                        publisher=publisher,
-                    )
-                    self.gmcast(
-                        self.groups.primary,
-                        PublisherSuspicion(suspect=publisher, reporter=self.name),
-                        size_bytes=64,
-                    )
-            elif not self.detector.is_suspected("lazy-publisher"):
-                self._suspected_publisher = None
-        self.sim.schedule(self._publisher_check_interval(), self._publisher_check)
-
-    def _on_publisher_suspicion(self, sus: PublisherSuspicion) -> None:
-        """Primary-side handling of a secondary's gray-publisher report.
-
-        Every primary applies the same pure function of (current view,
-        suspect) — the first serving member that is neither the sequencer
-        nor the suspect — so the group agrees on the new publisher
-        without a coordination round.  The override lasts until the next
-        primary view change re-derives the rank designation.
-        """
-        if not self.is_primary:
-            return
-        if sus.suspect != self.lazy_publisher_name:
-            return  # stale report; the role already moved
-        members = self.primary_view.members
-        leader = self.primary_view.leader
-        replacement = next(
-            (m for m in members if m != leader and m != sus.suspect), None
-        )
-        if replacement is None or replacement == self.lazy_publisher_name:
-            return
-        self._publisher_override = replacement
-        self._m_publisher_reassignments.inc()
-        self.trace.emit(
-            self.now, "replica.publisher-reassign", self.name,
-            suspect=sus.suspect, publisher=replacement, reporter=sus.reporter,
-        )

@@ -33,10 +33,15 @@ behaves bit-identically to it (property-tested in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.core.priority import PriorityMapper
 from repro.core.qos import QoSSpec
+from repro.core.requests import ReadOutcome
+from repro.obs.spans import emit_span
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.core.client import ClientHandler
 
 #: Discrete pressure levels exported by :class:`PressureMonitor` and
 #: mirrored by the degradation ladder.  Plain ints keep them trivially
@@ -217,8 +222,11 @@ class DegradationPolicy:
     once :data:`RECOVERY_WINDOW` seconds pass with no trigger — one level
     at a time, so recovery is as gradual as degradation.
 
-    The policy is pure bookkeeping: it owns no sockets and schedules no
-    events.  The client consults :meth:`admit` before issuing each read.
+    The ladder itself is pure: :meth:`note_overload`, :meth:`note_ok`
+    and :meth:`force_level` return the step they take.  The client built
+    with the policy binds itself as :attr:`client`; :meth:`record_step`
+    accounts a step in that client's telemetry, and the client consults
+    :meth:`admit` before issuing each read.
     """
 
     def __init__(
@@ -235,6 +243,7 @@ class DegradationPolicy:
         self.steps: list[DegradationStep] = []
         self._last_trigger = float("-inf")
         self._last_change = float("-inf")
+        self.client: Optional["ClientHandler"] = None
 
     # -- evidence -------------------------------------------------------
     def note_overload(self, now: float) -> Optional[DegradationStep]:
@@ -309,3 +318,48 @@ class DegradationPolicy:
     @property
     def prefer_secondaries(self) -> bool:
         return self.level >= PREFER_SECONDARIES_LEVEL
+
+    # -- the bound client's bookkeeping ---------------------------------
+    def shed_read(self, callback: Optional[Callable[[Any], None]]) -> int:
+        """Refuse a read before dispatch; returns its request id.  The
+        application gets a failed :class:`ReadOutcome` on the next step,
+        and ``reads_shed``, not the timing statistics, counts it."""
+        client = self.client
+        request_id = next(client.network.request_ids)
+        client.reads_shed.inc()
+        client.trace.emit(
+            client.now, "client.shed", client.name,
+            request_id=request_id, level=self.level,
+        )
+        if callback is not None:
+            client.sim.schedule(0.0, callback, ReadOutcome.unanswered(request_id, 0))
+        return request_id
+
+    def force_degradation(self, level: int, trigger: str = "controller") -> None:
+        """Controller-driven ladder actuation (DESIGN.md §16): pin the
+        ladder at ``level``, audited like any evidence-driven step."""
+        self.record_step(self.force_level(self.client.now, level, trigger))
+
+    def record_step(self, step: Optional[DegradationStep]) -> None:
+        """Account one ladder transition (counters, gauge, trace, span)."""
+        if step is None:
+            return
+        client = self.client
+        if step.down:
+            client.degradation_steps_down.inc()
+        else:
+            client.degradation_steps_up.inc()
+        client.degradation_level.set(step.to_level)
+        client.trace.emit(
+            client.now, "client.degradation", client.name,
+            from_level=step.from_level, to_level=step.to_level,
+            trigger=step.trigger,
+        )
+        if client.trace.enabled:
+            emit_span(
+                client.trace, client.now, client.name,
+                f"degrade/{client.name}/{len(self.steps)}",
+                "degrade",
+                from_level=step.from_level, to_level=step.to_level,
+                trigger=step.trigger,
+            )

@@ -465,9 +465,7 @@ class ReplicaHandlerBase(GroupEndpoint):
         roles are registered after attach; a replica that never joined the
         primary group — every secondary — ends the chain at its first tick.
         """
-        if self.network is None:
-            return
-        if self.groups.primary not in self._joined:
+        if self.network is None or not self.has_joined(self.groups.primary):
             return
         if self.up and self.is_primary:
             if self.is_lazy_publisher:

@@ -338,6 +338,12 @@ class ReadOutcome:
     deferred: bool
     gsn: int  # version of the delivered response (-1 if none)
 
+    @classmethod
+    def unanswered(cls, request_id: int, replicas_selected: int) -> "ReadOutcome":
+        """The failed outcome of a read no replica answered: shed before
+        dispatch, or abandoned by the client's garbage collector."""
+        return cls(request_id, None, None, True, replicas_selected, None, False, -1)
+
 
 @dataclass(slots=True, unsafe_hash=True)
 class UpdateOutcome:

@@ -129,7 +129,7 @@ def sort_candidates(candidates: Sequence[ReplicaView]) -> list[ReplicaView]:
     """Line 2 of Algorithm 1: decreasing ``ert``; ties by decreasing CDF.
 
     A final name tie-break keeps runs reproducible.  The client's read path
-    produces the same order without this sort (``ClientHandler._walk``).
+    produces the same order without this sort (``Candidates.walk``).
     """
     return sorted(candidates, key=lambda r: (-r.ert, -r.immediate_cdf, r.name))
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.core.client import ClientHandler, RetryPolicy
+from repro.core.client import ClientHandler
+from repro.core.retry import RetryPolicy
 # Re-exported: callers import the config from here.
 from repro.core.config import ServiceConfig, default_service_time
 from repro.core.controller import ConsistencyController
@@ -198,7 +199,8 @@ class ReplicatedService:
         handler = self.replica_by_name(name)
         if handler not in self.primaries and handler is not self.sequencer:
             raise ValueError(f"{name!r} is not a primary")
-        if not hasattr(handler, "begin_state_transfer"):
+        catchup = getattr(handler, "catchup", None)
+        if catchup is None:
             raise ValueError(
                 f"primary recovery needs a state-transfer capable handler; "
                 f"{type(handler).__name__} does not implement one"
@@ -209,7 +211,7 @@ class ReplicatedService:
         handler.assume_membership(self.groups.primary)
         handler.assume_membership(self.groups.qos)
         self._push_views()
-        handler.begin_state_transfer()
+        catchup.begin_state_transfer()
         return handler
 
     def recover_replica(self, name: str) -> ReplicaHandlerBase:

@@ -16,24 +16,29 @@ an EWMA over per-interval counts, so the interval tightens during update
 storms and relaxes when traffic quiets down.
 
 Wire-up: pass ``adaptive_lazy_target`` in
-:class:`~repro.core.service.ServiceConfig`; the lazy publisher re-tunes on
-every tick and announces the interval in effect through its staleness
-broadcasts (clients need ``T_L`` for the ``t_l`` modulo of §5.4.1).
+:class:`~repro.core.service.ServiceConfig`; every primary re-tunes on its
+own cadence, and the lazy publisher announces the interval in effect
+through its staleness broadcasts (clients need ``T_L`` for the ``t_l``
+modulo of §5.4.1).
 
 Precedence (DESIGN.md §16): when the closed-loop
 :class:`~repro.core.controller.ConsistencyController` is configured as
 well, its interval wins — but is clamped from above by
 :meth:`AdaptiveLazyController.recommended_interval`, because that value
 is the *longest* interval still meeting the declared staleness target,
-i.e. a consistency bound no tuner may exceed.  The handler's
-``_apply_lazy_interval`` is the single writer resolving both.
+i.e. a consistency bound no tuner may exceed.  Each sequential replica's
+:class:`LazyIntervalTuner` is the single writer resolving both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from repro.stats.poisson import poisson_cdf
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.core.handlers.sequential import SequentialReplicaHandler
 
 
 @dataclass(frozen=True)
@@ -134,3 +139,92 @@ class AdaptiveLazyController:
             return self.max_interval  # no updates: propagate rarely
         raw = self.mean_budget / self._rate
         return min(self.max_interval, max(self.min_interval, raw))
+
+
+class LazyIntervalTuner:
+    """The one writer of a sequential replica's ``T_L`` after construction:
+    the configured base, the open-loop recommendation of an
+    :class:`AdaptiveLazyController` (built when the service declares
+    ``adaptive_lazy_target``), and the closed-loop interval the
+    :class:`~repro.core.controller.ConsistencyController` pushes to every
+    up primary each epoch — a replica down when it moved adopts it at the
+    next one.
+    """
+
+    def __init__(
+        self, handler: "SequentialReplicaHandler", target: Optional[StalenessTarget]
+    ) -> None:
+        self.handler = handler
+        self.open_loop: Optional[AdaptiveLazyController] = (
+            None if target is None else AdaptiveLazyController(target)
+        )
+        self.base = handler.lazy_update_interval
+        self.closed_loop: Optional[float] = None
+        # Updates this primary saw since the last tuning tick.
+        self.updates = 0
+        self._last_tune_at = 0.0
+        self._gauge = handler.metrics.gauge(
+            "replica_lazy_interval_seconds", replica=handler.name
+        )
+        self._gauge.set(self.base)
+
+    def start(self) -> None:
+        """Arm the open-loop tuning loop, if any.  Its one-second windows
+        catch an update storm within a few EWMA steps, without low-rate
+        traffic whipsawing the estimate, however long ``T_L`` is."""
+        if self.open_loop is None:
+            return
+        self.updates = 0
+        self._last_tune_at = self.handler.now
+        self.handler.sim.schedule(self._tune_interval(), self._tune_tick)
+
+    def _tune_interval(self) -> float:
+        return max(1.0, self.open_loop.min_interval)
+
+    def _tune_tick(self) -> None:
+        """Observe the update rate and re-tune ``T_L``.  Only a primary
+        counts updates: a replica that never joined the primary group ends
+        the chain at its first tick."""
+        handler = self.handler
+        if handler.network is None or not handler.has_joined(handler.groups.primary):
+            return
+        if handler.up and handler.is_primary:
+            self.open_loop.observe(self.updates, handler.now - self._last_tune_at)
+            self.updates = 0
+            self._last_tune_at = handler.now
+            self._apply()
+        handler.sim.schedule(self._tune_interval(), self._tune_tick)
+
+    def set_controller_interval(self, interval: float) -> None:
+        """Closed-loop actuation of ``T_L`` (see :meth:`effective`)."""
+        if interval <= 0:
+            raise ValueError(f"controller interval must be positive, got {interval!r}")
+        self.closed_loop = interval
+        self._apply()
+
+    def effective(self) -> float:
+        """The interval in force: the closed-loop override, clamped from
+        above by the open-loop bound — the longest interval still meeting
+        the declared staleness target — when both are configured;
+        otherwise the open-loop recommendation; otherwise the base."""
+        bound = None if self.open_loop is None else self.open_loop.recommended_interval()
+        if self.closed_loop is not None:
+            return self.closed_loop if bound is None else min(self.closed_loop, bound)
+        return self.base if bound is None else bound
+
+    def announced(self) -> Optional[float]:
+        """The ``T_L`` a publisher announces (§5.4.1): the live interval
+        once a tuner can move it off the default clients were built with."""
+        if self.open_loop is None and self.closed_loop is None:
+            return None
+        return self.handler.lazy_update_interval
+
+    def _apply(self) -> None:
+        handler = self.handler
+        effective = self.effective()
+        if abs(effective - handler.lazy_update_interval) <= 1e-9:
+            return
+        handler.lazy_update_interval = effective
+        self._gauge.set(effective)
+        if handler.network is not None:
+            handler._schedule_lazy_tick()

@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.client import RetryPolicy
+from repro.core.retry import RetryPolicy
 from repro.core.qos import QoSSpec
 from repro.core.requests import ReadOutcome, UpdateOutcome
 from repro.experiments.campaign import (
@@ -188,7 +188,7 @@ def run_campaign(
         "state_transfers_served",
     ):
         recovery[key] = sum(
-            getattr(handler, key).value for handler in service.all_replicas()
+            getattr(handler.catchup, key).value for handler in service.all_replicas()
         )
 
     result = CampaignResult(
@@ -238,7 +238,7 @@ def _check_invariants(
     for handler in service.all_replicas():
         if not network.is_up(handler.name) or handler.name not in primary_view:
             continue
-        if getattr(handler, "_recovering", False):
+        if handler.catchup.recovering:
             violations.append(
                 f"recovery: {handler.name} csn={handler.my_csn} still "
                 f"recovering after the drain"

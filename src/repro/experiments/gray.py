@@ -43,7 +43,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.client import RetryPolicy
+from repro.core.retry import RetryPolicy
 from repro.core.detector import DetectorConfig
 from repro.core.qos import QoSSpec
 from repro.experiments.campaign import (

@@ -39,7 +39,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.client import RetryPolicy
+from repro.core.retry import RetryPolicy
 from repro.core.overload import STEP_COOLDOWN, DegradationPolicy, OverloadConfig
 from repro.core.priority import PriorityMapper
 from repro.core.qos import QoSSpec

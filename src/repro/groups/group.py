@@ -162,6 +162,11 @@ class GroupEndpoint(Endpoint):
         self._joined.add(group)
         self._heartbeat_msg = None
 
+    def has_joined(self, group: str) -> bool:
+        """Whether this endpoint is a member of ``group`` (joined or assumed,
+        and not left)."""
+        return group in self._joined
+
     def leave(self, group: str) -> None:
         self._joined.discard(group)
         self._heartbeat_msg = None

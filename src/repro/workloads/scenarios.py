@@ -410,7 +410,7 @@ def build_operation_mix_scenario(
                 cls.name, [clients[cls.name]], cls.bounds, cls.qos
             )
             if cls.name in ladders:
-                controller.register_ladder(clients[cls.name])
+                controller.register_ladder(ladders[cls.name])
         controller.start()
 
     return OperationMixScenario(

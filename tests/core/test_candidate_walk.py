@@ -1,6 +1,6 @@
 """The read path's candidate walk is Algorithm 1's line-2 sort, evaluated lazily.
 
-``ClientHandler._walk`` produces the candidates in decreasing ``ert`` order
+``Candidates.walk`` produces the candidates in decreasing ``ert`` order
 from the repository's reply order, and builds a ``V`` tuple only when
 Algorithm 1 asks for the next one.  These tests hold it to the sort it
 replaces — the same visiting order, the same :class:`SelectionResult` and
@@ -11,7 +11,7 @@ and check that a read evaluates only the replicas it visits.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.client import MIN_EJECT_KEEP
+from repro.core.detector import MIN_EJECT_KEEP
 from repro.core.detector import DetectorConfig
 from repro.core.qos import QoSSpec
 from repro.core.requests import PerfBroadcast
@@ -164,11 +164,11 @@ def _sorted_selection(client, qos, suspects, prefer_secondaries):
 def test_the_walk_is_the_sort(scene):
     client = _build(scene)
     qos = scene["qos"]
-    assert "svc-seq" not in client._roles  # the sequencer is no candidate
+    assert "svc-seq" not in client.candidates.roles  # the sequencer is no candidate
 
     # Every candidate, exhausted: the walk's order is the sort's.
     every = client.candidate_views(qos)
-    walked = list(client._walk(client._roles, qos.deadline, {}))
+    walked = list(client.candidates.walk(client.candidates.roles, qos.deadline, {}))
     assert walked == sort_candidates(every)
 
     # Algorithm 1 over the walk returns the same result as over the sort.
@@ -176,7 +176,7 @@ def test_the_walk_is_the_sort(scene):
         qos.staleness_threshold, client.now
     )
     strategy = StateBasedSelection()
-    walk = client._walk(client._roles, qos.deadline, {})
+    walk = client.candidates.walk(client.candidates.roles, qos.deadline, {})
     lazy = strategy.select(walk, qos, stale_factor)
     assert lazy == strategy.select(sort_candidates(every), qos, stale_factor)
 
@@ -184,7 +184,7 @@ def test_the_walk_is_the_sort(scene):
     expected, predicted = _sorted_selection(
         client, qos, scene["suspects"], scene["prefer_secondaries"]
     )
-    replicas, forecast = client._select_replicas(qos)
+    replicas, forecast = client.candidates.select(qos)
     assert replicas == expected.replicas
     assert forecast == predicted
 
@@ -192,7 +192,7 @@ def test_the_walk_is_the_sort(scene):
 def _wide_client(reply_times):
     """4 + 28 candidates with equal history, heard at ``reply_times``."""
     testbed, client = _client(4, 28)
-    names = list(client._roles)
+    names = list(client.candidates.roles)
     for name in names:
         for _ in range(5):
             _broadcast(client, name, 0.010, 0.002, 0.1)
@@ -210,7 +210,7 @@ def test_a_read_evaluates_only_the_replicas_it_visits():
     client = _wide_client([float(i) for i in range(32)])
     evaluations = client.predictor.evaluations
     before = evaluations.value
-    replicas, _ = client._select_replicas(_TWO_MEET)
+    replicas, _ = client.candidates.select(_TWO_MEET)
     assert len(replicas) == 2
     assert evaluations.value - before == 2
 
@@ -222,6 +222,6 @@ def test_a_tie_group_at_the_frontier_is_evaluated_whole():
     client = _wide_client(times)
     evaluations = client.predictor.evaluations
     before = evaluations.value
-    replicas, _ = client._select_replicas(_TWO_MEET)
+    replicas, _ = client.candidates.select(_TWO_MEET)
     assert len(replicas) == 2
     assert evaluations.value - before == 4

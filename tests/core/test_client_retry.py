@@ -9,7 +9,7 @@ through the separate :meth:`ClientHandler.recovery_stats` counters.
 
 import pytest
 
-from repro.core.client import RetryPolicy
+from repro.core.retry import RetryPolicy
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
 from repro.groups.membership import MembershipConfig
@@ -136,7 +136,7 @@ def crashed_replica_scenario(retry_policy, seed=21, qos=QOS):
     # dispatched in the window before the membership eviction are
     # stranded on dead replicas.
     def crash_favourites():
-        for name in sorted(set(client._select_replicas(QOS)[0])):
+        for name in sorted(set(client.candidates.select(QOS)[0])):
             testbed.network.crash(name)
 
     testbed.sim.schedule_at(2.5, crash_favourites)
@@ -212,7 +212,7 @@ def test_eviction_of_all_live_targets_triggers_redispatch():
 
     def run():
         request_id = client.invoke("get", (), long_qos, callback=outcomes.append)
-        pending = client._pending[request_id]
+        pending = client.judge.calls[request_id]
         # Kill every replica the read was dispatched to: the deadline is
         # long, so the membership eviction (~0.35 s) arrives first and
         # must re-dispatch immediately rather than wait for the checkpoint.

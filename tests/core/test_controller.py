@@ -71,12 +71,12 @@ class NullRecorder:
 
 
 class FakeHandler:
-    """Records set_controller_interval calls; always up."""
+    """Records the intervals pushed to its tuner; always up."""
 
     def __init__(self):
         self.up = True
         self.intervals = []
-        self.controller = None
+        self.tuner = self
 
     def set_controller_interval(self, interval):
         self.intervals.append(interval)
@@ -434,33 +434,31 @@ def _precedence_testbed(adaptive=False):
 def test_controller_interval_overrides_base():
     testbed = _precedence_testbed(adaptive=False)
     handler = testbed.service.primaries[0]
-    assert handler._effective_lazy_interval() == pytest.approx(0.5)
-    handler.set_controller_interval(1.2)
+    assert handler.tuner.effective() == pytest.approx(0.5)
+    handler.tuner.set_controller_interval(1.2)
     assert handler.lazy_update_interval == pytest.approx(1.2)
-    handler.set_controller_interval(None)
-    assert handler.lazy_update_interval == pytest.approx(0.5)
 
 
 def test_controller_interval_clamped_by_open_loop_bound():
     testbed = _precedence_testbed(adaptive=True)
     handler = testbed.service.primaries[0]
-    assert handler.lazy_controller is not None
-    bound = handler.lazy_controller.recommended_interval()
+    assert handler.tuner.open_loop is not None
+    bound = handler.tuner.open_loop.recommended_interval()
     # Closed loop below the bound: taken verbatim.
-    handler.set_controller_interval(bound / 2)
-    assert handler._effective_lazy_interval() == pytest.approx(bound / 2)
+    handler.tuner.set_controller_interval(bound / 2)
+    assert handler.tuner.effective() == pytest.approx(bound / 2)
     # Closed loop above the bound: the open-loop consistency bound wins.
-    handler.set_controller_interval(bound * 4)
-    assert handler._effective_lazy_interval() == pytest.approx(bound)
+    handler.tuner.set_controller_interval(bound * 4)
+    assert handler.tuner.effective() == pytest.approx(bound)
 
 
 def test_controller_interval_rejects_nonpositive():
     testbed = _precedence_testbed()
     handler = testbed.service.primaries[0]
     with pytest.raises(ValueError):
-        handler.set_controller_interval(0.0)
+        handler.tuner.set_controller_interval(0.0)
     with pytest.raises(ValueError):
-        handler.set_controller_interval(-1.0)
+        handler.tuner.set_controller_interval(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -502,18 +500,20 @@ def test_epoch_tick_survives_publisher_crash_mid_epoch():
         if p.up and p.is_lazy_publisher
     )
     assert new_publisher.name != publisher.name
-    assert controller.current_interval() is not None
+    t_l = controller.decisions[-1].t_l
+    assert t_l is not None
     assert new_publisher.lazy_update_interval == pytest.approx(
-        min(controller.current_interval(), new_publisher.lazy_update_interval)
-        if new_publisher.lazy_controller is not None
-        else controller.current_interval()
+        min(t_l, new_publisher.lazy_update_interval)
+        if new_publisher.tuner.open_loop is not None
+        else t_l
     )
 
-    # The crashed publisher recovers and re-adopts the live interval
-    # through the re-arm path instead of its stale pre-crash value.
+    # The crashed publisher recovers and re-adopts the live interval at
+    # the next epoch's actuation instead of keeping its stale pre-crash
+    # value.
     scenario.testbed.network.recover(publisher.name)
     sim.run(until=12.0)
     assert publisher.up
     assert publisher.lazy_update_interval == pytest.approx(
-        controller.current_interval()
+        controller.decisions[-1].t_l
     )

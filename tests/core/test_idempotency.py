@@ -159,7 +159,7 @@ def test_unsolicited_state_transfer_snapshot_is_ignored(xfer_id, csn, max_gsn):
     )
     # The primary never requested a transfer, so whatever the ids say,
     # this must not touch its state.
-    primary._on_state_transfer_snapshot(snap)
+    primary.catchup._on_state_transfer_snapshot(snap)
     testbed.sim.run(until=testbed.sim.now + 1.0)
 
     assert replica_fingerprint(primary) == before

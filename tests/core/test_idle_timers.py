@@ -72,13 +72,15 @@ def make_testbed(seed=1, trace=None, link=LINK, **config):
 
 
 def rescheduled(testbed):
-    """``(owner, callback) -> count`` of every timer armed from now on."""
+    """``(owner, callback) -> count`` of every timer armed from now on; a
+    replica's collaborators (catch-up, tuner, detector) count as it."""
     counts = Counter()
     sim = testbed.sim
     schedule_at = sim.schedule_at
 
     def spy(time, callback, *args, priority=0):
         owner = getattr(callback, "__self__", None)
+        owner = getattr(owner, "handler", owner)
         counts[getattr(owner, "name", None), callback.__name__] += 1
         return schedule_at(time, callback, *args, priority=priority)
 
@@ -172,19 +174,19 @@ def run_twin(
     # a resumed chain is scheduled at the fault, a running one before it.)
     firings = []
 
-    def watch(owner, chain):
+    def watch(owner, chain, name):
         fire = getattr(owner, chain)
 
         def spy():
             if fault_at is not None and sim.now >= fault_at:
-                firings.append((sim.now, owner.name, chain))
+                firings.append((sim.now, name, chain))
             fire()
 
         setattr(owner, chain, spy)
 
     for replica in (service.sequencer, *service.primaries, *service.secondaries):
-        watch(replica, "_gap_check")
-    watch(testbed.membership, "_sweep")
+        watch(replica.catchup, "_gap_check", replica.name)
+    watch(testbed.membership, "_sweep", testbed.membership.name)
 
     if fault is not None:
         sim.schedule_at(fault_at, inject)
@@ -219,10 +221,11 @@ def test_fault_free_primaries_and_sweep_go_idle_unless_a_hole_can_outlive_a_peri
     assert gaps and {r[2] for r in gaps} == {"svc-p2"}
     assert not [r for r in records if r[1] == "membership.evict"]
     p2 = service.replica_by_name("svc-p2")
-    assert p2._gap_idle_since is None and p2._gap_watch_event is not None
+    assert p2.catchup.gap_idle_since is None
+    assert p2.catchup.gap_watch_event is not None
     for replica in (service.sequencer, service.primaries[0], service.primaries[2]):
-        assert replica._gap_watch_event is None
-        assert replica._gap_idle_since is not None
+        assert replica.catchup.gap_watch_event is None
+        assert replica.catchup.gap_idle_since is not None
     assert lazy.membership._idle_since is not None
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.client import RetryPolicy
+from repro.core.retry import RetryPolicy
 from repro.core.detector import DetectorConfig
 from repro.core.qos import QoSSpec
 from repro.core.requests import GsnAssign, Request, RequestKind

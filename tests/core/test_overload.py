@@ -228,6 +228,20 @@ def test_prefer_secondaries_at_configured_level():
     assert policy.prefer_secondaries
 
 
+def test_a_ladder_keeps_the_books_of_one_client():
+    """The client a policy is built into records its steps; a second
+    client cannot take the same policy over."""
+    service = make_testbed().service
+    policy = DegradationPolicy(step_cooldown=0.0)
+    client = service.create_client("c", read_only_methods={"get"}, degradation=policy)
+    assert policy.client is client
+    policy.force_degradation(2)
+    assert client.degradation_steps_down.value == 1
+    assert client.degradation_level.value == 2
+    with pytest.raises(ValueError):
+        service.create_client("d", read_only_methods={"get"}, degradation=policy)
+
+
 # ---------------------------------------------------------------------------
 # Replica-side shedding
 # ---------------------------------------------------------------------------

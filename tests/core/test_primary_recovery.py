@@ -87,12 +87,12 @@ def test_primary_rejoin_restores_full_strength():
     donor = next(
         h for h in serving_primaries(service, testbed.membership) if h is not victim
     )
-    assert not victim._recovering
+    assert not victim.catchup.recovering
     assert victim.my_csn == donor.my_csn
     assert victim.my_gsn >= donor.my_csn
     assert victim.app.history == donor.app.history
     assert victim.app.value == donor.app.value
-    assert victim.state_transfers_completed.value >= 1
+    assert victim.catchup.state_transfers_completed.value >= 1
     assert donor.my_csn >= 16  # nothing was lost while the victim was out
     assert len(committed_before) == 8
     done = [r for r in trace.filter("replica.state-transfer-done", victim.name)]
@@ -160,8 +160,8 @@ def test_rejoin_survives_sequencer_failover_mid_transfer():
     assert old_sequencer.name not in view
     assert view.leader == service.primaries[0].name  # promoted by rank
     assert victim.name in view
-    assert not victim._recovering
-    assert victim.state_transfers_completed.value >= 1
+    assert not victim.catchup.recovering
+    assert victim.catchup.state_transfers_completed.value >= 1
     donor = service.primaries[2]
     assert victim.my_csn == donor.my_csn
     assert victim.app.history == donor.app.history
@@ -187,7 +187,7 @@ def test_lone_rejoiner_keeps_retained_state():
     service.recover_primary(victim.name)
     testbed.sim.run(until=4.0)
 
-    assert not victim._recovering
+    assert not victim.catchup.recovering
     assert victim.my_csn == committed
     done = [r for r in trace.filter("replica.state-transfer-done", victim.name)]
     assert done and done[-1].detail["donor"] is None
@@ -208,9 +208,9 @@ def test_recover_replica_dispatches_on_role():
 
     assert service.recover_replica(secondary.name) is secondary
     assert service.recover_replica(primary.name) is primary
-    assert primary._recovering  # the transfer protocol was started
+    assert primary.catchup.recovering  # the transfer protocol was started
     testbed.sim.run(until=3.0)
-    assert not primary._recovering
+    assert not primary.catchup.recovering
 
 
 def test_recover_primary_rejects_secondary():
@@ -265,7 +265,7 @@ def test_snapshot_behind_the_requester_keeps_its_state_and_adopts_the_suffix():
     csn, history = replica.my_csn, list(replica.app.history)
     assert stale_csn < csn == 5
 
-    replica.begin_state_transfer()
+    replica.catchup.begin_state_transfer()
     suffix = Request(
         10_000, "c1", "increment", (), RequestKind.UPDATE, None, testbed.sim.now
     )
@@ -274,14 +274,14 @@ def test_snapshot_behind_the_requester_keeps_its_state_and_adopts_the_suffix():
         service.sequencer.name,
         StateTransferSnapshot(
             member=service.sequencer.name,
-            xfer_id=replica._xfer_id,
+            xfer_id=replica.catchup.xfer_id,
             csn=stale_csn,
             max_gsn=csn + 1,
             snapshot=stale,
             commit_wait=((csn + 1, suffix),),
         ),
     )
-    assert not replica._recovering
+    assert not replica.catchup.recovering
     assert replica.my_csn == csn and replica.app.history == history
 
     testbed.sim.run(until=2.0)

@@ -135,6 +135,6 @@ def test_sequencer_failover_reads_the_new_role_in_on_view_change():
     [(view, cached, derived)] = seen
     assert cached == derived
     assert cached["is_sequencer"] and cached["sequencer_name"] == "svc-p1"
-    assert handler._sequencer_active and handler._syncing
+    assert handler.catchup.sequencer_active and handler.catchup.syncing
     assert handler.replica_names() == {"svc-p1", "svc-p2", "svc-s1", "svc-s2"}
     assert "svc-seq" in handler.client_names()  # still in the QoS view

@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.handlers.catchup import CatchUp
 from repro.core.handlers.sequential import SequentialReplicaHandler
 from repro.core.requests import RequestKind
 from repro.experiments.chaos import run_campaign
@@ -19,7 +20,7 @@ from repro.experiments.chaos import run_campaign
 def snapshot_never_lands(monkeypatch):
     """A rejoining primary never installs the sequencer's snapshot."""
     monkeypatch.setattr(
-        SequentialReplicaHandler, "_on_state_transfer_snapshot", lambda self, snap: None
+        CatchUp, "_on_state_transfer_snapshot", lambda self, snap: None
     )
 
 

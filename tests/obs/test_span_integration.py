@@ -6,7 +6,7 @@ and the hedge), each with the serve/reply activity stitched underneath.
 """
 
 from repro.baselines.strategies import RoundRobinSelection
-from repro.core.client import RetryPolicy
+from repro.core.retry import RetryPolicy
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
 from repro.net.latency import FixedLatency

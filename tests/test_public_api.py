@@ -407,3 +407,20 @@ def test_uncalled_definitions_are_uncalled_and_name_their_test():
             if test not in tests:
                 problems.append(f"{key}: {reason} names no test")
     assert not problems, problems
+
+
+#: The two gateway handlers keep the paper's pipeline; each optional policy
+#: lives with the collaborator that owns its decision (DESIGN.md §3).
+HANDLER_LINE_LIMIT = 550
+
+
+@pytest.mark.parametrize(
+    "module", ["core/client.py", "core/handlers/sequential.py"]
+)
+def test_gateway_handlers_stay_small(module):
+    path = Path(__file__).resolve().parents[1] / "src" / "repro" / module
+    lines = len(path.read_text().splitlines())
+    assert lines <= HANDLER_LINE_LIMIT, (
+        f"{module} has {lines} lines; a policy that grew it belongs in the "
+        f"module that owns its decision"
+    )
