@@ -235,6 +235,9 @@ class CatchUp:
         self._disarm_gap_watchdog()
         handler.flush_pending()  # also bounces deferred reads explicitly
         handler._awaiting_gsn.clear()
+        for retry in handler._gsn_retries.values():
+            retry.cancel()
+        handler._gsn_retries.clear()
         handler._commit_wait.clear()
         handler._stale_wait.clear()
         handler._update_in_flight = None

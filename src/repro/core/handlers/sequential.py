@@ -51,6 +51,7 @@ from repro.core.requests import (
 from repro.core.tuning import LazyIntervalTuner
 from repro.groups.membership import View
 from repro.obs.spans import emit_span, span_root
+from repro.sim.kernel import Event
 
 _ASSIGNMENT_CACHE = 8192  # bounded memory for request-id -> GSN bindings
 _RECENT_COMMITS = 2048  # bounded tail used for failover catch-up
@@ -72,6 +73,8 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         self._update_assignments: OrderedDict[int, int] = OrderedDict()
         self._recent_commits: OrderedDict[int, int] = OrderedDict()
         self._awaiting_gsn: dict[int, PendingRequest] = {}
+        # Request id -> the armed _gsn_retry of a read in _awaiting_gsn.
+        self._gsn_retries: dict[int, Event] = {}
         self._commit_wait: dict[int, PendingRequest] = {}
         self._update_in_flight: Optional[int] = None
         self._stale_wait: list[tuple[int, PendingRequest]] = []
@@ -240,14 +243,16 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         else:
             self._awaiting_gsn[request.request_id] = pending
             if request.kind is RequestKind.READ:
-                self.sim.schedule(
+                self._gsn_retries[request.request_id] = self.sim.schedule(
                     self.gsn_wait_timeout, self._gsn_retry, request.request_id
                 )
 
     def _gsn_retry(self, request_id: int) -> None:
-        """Re-request a read's GSN if the stamp never arrived (failover)."""
+        """Re-request a read's GSN if the stamp never arrived (failover).
+        The stamp that binds the read cancels this (:meth:`_on_assign`)."""
         pending = self._awaiting_gsn.get(request_id)
         if pending is None or not self.up:
+            self._gsn_retries.pop(request_id, None)
             return
         sequencer = self.sequencer_name
         if sequencer is not None and sequencer != self.name:
@@ -256,7 +261,9 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
                 size_bytes=64,
             )
             self.gsn_queries_sent.inc()
-        self.sim.schedule(self.gsn_wait_timeout, self._gsn_retry, request_id)
+        self._gsn_retries[request_id] = self.sim.schedule(
+            self.gsn_wait_timeout, self._gsn_retry, request_id
+        )
 
     def _on_gsn_query(self, query: GsnQuery) -> None:
         if not self.is_sequencer:
@@ -296,6 +303,9 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         self._remember_assignment(assign.request_id, assign.gsn, update=assign.advances)
         pending = self._awaiting_gsn.pop(assign.request_id, None)
         if pending is not None:
+            retry = self._gsn_retries.pop(assign.request_id, None)
+            if retry is not None:
+                retry.cancel()
             self._bind(pending, assign.gsn)
 
     def _on_skip(self, skip: GsnSkip) -> None:

@@ -21,7 +21,7 @@ The middleware's gateway handlers (:mod:`repro.core`) all inherit from it.
 
 from __future__ import annotations
 
-from typing import Any, Collection, Optional
+from typing import Any, Callable, Collection, Optional, Union
 
 from repro.groups.membership import (
     HeartbeatMsg,
@@ -49,6 +49,9 @@ from repro.net.node import Host
 #: against 50 ms is; a WAN's ~100 ms genuinely retransmits and is not.
 ACK_ROUND_TRIP_MARGIN = 4.0
 
+#: ``FifoSender.on_ack``'s signature: what settles a message at delivery.
+_Settle = Callable[[GroupDataMsg, str], None]
+
 
 class GroupEndpoint(Endpoint):
     """A network endpoint that participates in membership-managed groups."""
@@ -75,6 +78,9 @@ class GroupEndpoint(Endpoint):
         # Recipient -> _judge_acks' verdict: whether a message to it is
         # settled at delivery while the fabric is fault-free.
         self._lazy_acks: dict[str, bool] = {}
+        # Origin -> _settler's resolution: the on_ack that settles the
+        # origin's data at delivery here, or False where it is acked.
+        self._settlers: dict[str, Union[_Settle, bool]] = {}
         self._sender: Optional[FifoSender] = None
         self._receiver: Optional[FifoReceiver] = None
 
@@ -130,13 +136,33 @@ class GroupEndpoint(Endpoint):
         if network.fault_free:
             # No ack can go missing: where the origin vouched for the
             # channel, settle the message there, now.
-            peer = network.endpoint(origin)
-            if peer._lazy_acks.get(self.name):
+            settle = self._settlers.get(origin)
+            if settle is None:
+                settle = self._settler(origin)
+            if settle:
                 network.keep(self.name, origin)
-                peer._sender.on_ack(data, self.name)
+                settle(data, self.name)
                 return
         ack = GroupAckMsg(data.group, origin, data.seq, data.epoch)
         network.send(self.name, origin, ack, 64)
+
+    def _settler(self, origin: str) -> Optional[Union[_Settle, bool]]:
+        """Resolve, once, how ``origin``'s data to this endpoint is acked
+        while the fabric is fault-free: the ``on_ack`` of the origin's
+        sender, which settles it at delivery, or False — acked on the wire.
+
+        The origin's verdict on this channel is fixed at its first transmit
+        here (:meth:`_judge_acks`), before any of its data can arrive, so
+        it is cached once it exists.  ``on_ack`` is looked up on the
+        instance, so whatever replaced it there is what settles.
+        """
+        peer = self.network.endpoint(origin)
+        lazy = peer._lazy_acks.get(self.name)
+        if lazy is None:
+            return None  # data that no judged transmit sent: acked
+        settle = peer._sender.on_ack if lazy else False
+        self._settlers[origin] = settle
+        return settle
 
     @property
     def up(self) -> bool:

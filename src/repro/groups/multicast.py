@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from repro.sim.kernel import Event, Simulator
@@ -55,6 +55,25 @@ class GroupAckMsg:
     origin: str
     seq: int
     epoch: int = 0
+
+
+@dataclass(slots=True)
+class _Outbound:
+    """The sender's record of one channel: the last sequence number sent
+    on it and the epoch that number belongs to."""
+
+    seq: int = 0
+    epoch: int = 0
+
+
+@dataclass(slots=True)
+class _Inbound:
+    """The receiver's record of one channel: its epoch, the next sequence
+    number to hand over, and what arrived ahead of it."""
+
+    epoch: int
+    expected: int = 1
+    buffer: dict[int, Any] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -103,8 +122,9 @@ class FifoSender:
         self.rto = rto
         self.max_retries = max_retries
         self.backoff = backoff
-        self._next_seq: dict[tuple[str, str], int] = {}
-        self._epochs: dict[tuple[str, str], int] = {}
+        self._channels: dict[tuple[str, str], _Outbound] = {}
+        # One dict in transmit order, across channels: expect_loss numbers
+        # its entries in that order, and _due breaks ties on that number.
         self._outstanding: dict[tuple[str, str, int], _Outstanding] = {}
         # Invariant between calls: the head of _due is unsettled, and
         # _timer is armed for its deadline (None when _due is empty).
@@ -118,15 +138,22 @@ class FifoSender:
         self, group: str, recipient: str, payload: Any, size_bytes: int = 256
     ) -> GroupDataMsg:
         """Reliably send ``payload`` to one group member."""
-        key = (group, recipient)
-        seq = self._next_seq.get(key, 0) + 1
-        self._next_seq[key] = seq
-        message = GroupDataMsg(
-            group, self.owner, seq, payload, self._epochs.get(key, 0)
-        )
+        channel = self._channels.get((group, recipient))
+        if channel is None:
+            channel = self._channels[group, recipient] = _Outbound()
+        seq = channel.seq = channel.seq + 1
+        message = GroupDataMsg(group, self.owner, seq, payload, channel.epoch)
         entry = _Outstanding(recipient, message, size_bytes)
         self._outstanding[(group, recipient, seq)] = entry
-        self._transmit(entry)
+        # The first transmission, inline (_transmit serves the retries).
+        if self._send_raw(recipient, message, size_bytes):
+            entry.sent_at = self.sim._now
+            return message
+        heapq.heappush(
+            self._due, (self.sim._now + self.rto, next(self._transmits), entry)
+        )
+        if self._due[0][2] is entry:
+            self._arm()
         return message
 
     def send_to_all(
@@ -153,7 +180,11 @@ class FifoSender:
         # An ack of an earlier epoch names another message with this seq.
         if entry is not None and entry.message.epoch == ack.epoch:
             del self._outstanding[key]
-            self._settle(entry)
+            # _settle, inline: this runs once per channel message.
+            entry.settled = True
+            due = self._due
+            if due and due[0][2] is entry:
+                self._arm()
 
     def expect_loss(self) -> None:
         """The fabric stops guaranteeing delivery: every message still
@@ -175,9 +206,11 @@ class FifoSender:
         the receiver's fresh-epoch state lines up.
         """
         self.forget_recipient(group, recipient)
-        key = (group, recipient)
-        self._epochs[key] = self._epochs.get(key, 0) + 1
-        self._next_seq[key] = 0
+        channel = self._channels.get((group, recipient))
+        if channel is None:
+            channel = self._channels[group, recipient] = _Outbound()
+        channel.seq = 0
+        channel.epoch += 1
 
     def forget_recipient(self, group: str, recipient: str) -> None:
         """Drop outstanding traffic to an evicted member."""
@@ -253,9 +286,7 @@ class FifoReceiver:
     ) -> None:
         self._deliver = deliver
         self._ack = ack
-        self._epoch: dict[tuple[str, str], int] = {}
-        self._expected: dict[tuple[str, str], int] = {}
-        self._buffer: dict[tuple[str, str], dict[int, Any]] = {}
+        self._channels: dict[tuple[str, str], _Inbound] = {}
         self.duplicates = 0
         self.reordered = 0
         self.stale_epoch_drops = 0
@@ -265,34 +296,33 @@ class FifoReceiver:
         # lost, and re-acking is what stops the sender's retransmissions.
         # How — a GroupAckMsg on the wire or a call — is the endpoint's.
         self._ack(data.origin, data)
-        key = (data.group, data.origin)
-        epoch = self._epoch.get(key)
-        if epoch is None or data.epoch > epoch:
+        channel = self._channels.get((data.group, data.origin))
+        if channel is None or data.epoch > channel.epoch:
             # First contact, or the sender opened a fresh channel epoch
             # (we rejoined after a crash): start over from seq 1.
-            self._epoch[key] = data.epoch
-            self._expected[key] = 1
-            self._buffer[key] = {}
-        elif data.epoch < epoch:
+            channel = self._channels[data.group, data.origin] = _Inbound(data.epoch)
+        elif data.epoch < channel.epoch:
             self.stale_epoch_drops += 1
             return
-        expected = self._expected.get(key, 1)
-        if data.seq < expected:
+        seq, expected, buffer = data.seq, channel.expected, channel.buffer
+        if seq == expected and not buffer:
+            # In order with nothing held back: hand it straight over.
+            channel.expected = seq + 1
+            self._deliver(data.group, data.origin, data.payload)
+            return
+        if seq < expected or seq in buffer:
             self.duplicates += 1
             return
-        buffer = self._buffer.setdefault(key, {})
-        if data.seq in buffer:
-            self.duplicates += 1
-            return
-        buffer[data.seq] = data.payload
-        if data.seq != expected:
+        buffer[seq] = data.payload
+        if seq != expected:
             self.reordered += 1
         while expected in buffer:
             payload = buffer.pop(expected)
             expected += 1
-            self._expected[key] = expected
+            channel.expected = expected
             self._deliver(data.group, data.origin, payload)
 
     def pending_for(self, group: str, sender: str) -> int:
         """Buffered-but-undeliverable message count (tests/diagnostics)."""
-        return len(self._buffer.get((group, sender), {}))
+        channel = self._channels.get((group, sender))
+        return 0 if channel is None else len(channel.buffer)

@@ -175,7 +175,15 @@ class Network:
         self.rng = rng
         self.default_latency = default_latency
         self.trace = trace
-        self._fault_free = True
+        # The fault-free fact: true until the first :meth:`crash`,
+        # :meth:`partition`, non-zero :attr:`drop_probability`,
+        # :meth:`set_churn` or :meth:`degrade_node`, or until a fault
+        # injector is built on this fabric.  While it holds, every message
+        # sent between attached endpoints is delivered, once, after its
+        # link's undisturbed latency.  It never becomes true again: healing
+        # the last fault does not restore it.  Read per group message, so a
+        # plain attribute; only :meth:`expect_faults` writes it.
+        self.fault_free = True
         self._on_first_fault: list[Callable[[], None]] = []
         self.drop_probability = drop_probability
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -208,30 +216,18 @@ class Network:
     # ------------------------------------------------------------------
     # The fault-free fact
     # ------------------------------------------------------------------
-    @property
-    def fault_free(self) -> bool:
-        """True until the first :meth:`crash`, :meth:`partition`, non-zero
-        :attr:`drop_probability`, :meth:`set_churn` or :meth:`degrade_node`,
-        or until a fault injector is built on this fabric.
-
-        While it holds, every message sent between attached endpoints is
-        delivered, once, after its link's undisturbed latency.  It never
-        becomes true again: healing the last fault does not restore it.
-        """
-        return self._fault_free
-
     def on_first_fault(self, callback: Callable[[], None]) -> None:
         """Run ``callback()`` once, right before the first fault applies."""
-        if not self._fault_free:
+        if not self.fault_free:
             raise NetworkError("the fabric is no longer fault-free")
         self._on_first_fault.append(callback)
 
     def expect_faults(self) -> None:
         """End the fault-free state (idempotent); fault injectors call this
         when they are built, every fault entry point before it acts."""
-        if not self._fault_free:
+        if not self.fault_free:
             return
-        self._fault_free = False
+        self.fault_free = False
         callbacks, self._on_first_fault = self._on_first_fault, []
         for callback in callbacks:
             callback()

@@ -113,6 +113,46 @@ def test_a_replica_ends_every_chain_its_role_does_not_serve(expect_faults):
         assert counts[replica.name, "_publisher_check"] > 1
 
 
+def test_a_stamp_cancels_its_reads_gsn_retry():
+    """A read that reaches a replica before its stamp arms a GSN retry; the
+    stamp that binds it cancels that retry.  In a fault-free cell every
+    stamp lands well inside ``gsn_wait_timeout``, so retries are armed and
+    none fires."""
+    testbed = make_testbed()
+    service, sim = testbed.service, testbed.sim
+    feed = service.create_client("feed")
+    reader = service.create_client(
+        "reader", read_only_methods={"get"}, strategy=Pick("svc-p2", "svc-s1")
+    )
+    fired = Counter()
+    retries = set()
+    for replica in (service.sequencer, *service.primaries, *service.secondaries):
+
+        def spy(request_id, retry=replica._gsn_retry, name=replica.name):
+            fired[name] += 1
+            retry(request_id)
+
+        replica._gsn_retry = spy
+        retries.add(spy)
+    armed = Counter()
+    schedule_at = sim.schedule_at
+
+    def count(time, callback, *args, priority=0):
+        armed[callback in retries] += 1
+        return schedule_at(time, callback, *args, priority=priority)
+
+    sim.schedule_at = count
+    outcomes = []
+    for at in range(40):
+        sim.schedule_at(0.013 + at * 0.0937, feed.invoke, "increment", (), None)
+        sim.schedule_at(0.0647 + at * 0.0937, reader.invoke, "get", (), QOS, outcomes.append)
+    sim.run(until=5.0)
+    assert testbed.network.fault_free
+    assert len(outcomes) == 40
+    assert armed[True] > 0
+    assert not fired
+
+
 # ---------------------------------------------------------------------------
 # Idle in a fault-free fabric, re-armed on the first fault
 # ---------------------------------------------------------------------------
