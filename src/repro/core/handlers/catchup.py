@@ -27,7 +27,7 @@ from repro.core.requests import (
     StateTransferSnapshot,
 )
 from repro.groups.group import ACK_ROUND_TRIP_MARGIN
-from repro.groups.membership import View, walk_grid
+from repro.groups.membership import View
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.handlers.sequential import SequentialReplicaHandler
@@ -57,11 +57,10 @@ class CatchUp:
         self.state_transfers_started = counter("replica_state_transfers_started")
         self.state_transfers_completed = counter("replica_state_transfers_completed")
         self.state_transfers_served = counter("replica_state_transfers_served")
-        # Commit-gap watchdog: the frontier the last check saw blocked, the
-        # next check, and the idle chain's last check (fault-free fabric).
+        # Commit-gap watchdog: the frontier the last check saw blocked and
+        # the next check.
         self._gap_stuck_csn: Optional[int] = None
         self.gap_watch_event = None
-        self.gap_idle_since: Optional[float] = None
 
     def snapshot(self, xfer_id: int) -> StateTransferSnapshot:
         """This member's committed state and sequencing facts, answering
@@ -333,7 +332,6 @@ class CatchUp:
         if self.gap_watch_event is not None:
             self.gap_watch_event.cancel()
             self.gap_watch_event = None
-        self.gap_idle_since = None
 
     def gap_delay(self) -> float:
         """Watchdog period: fixed ``2·SYNC_TIMEOUT``, or with a detector
@@ -369,10 +367,8 @@ class CatchUp:
             self._start_sync()
             blocked = False
         if not blocked and self._holes_close_in_time():
-            # Nothing can open a hole that outlives a period until the
-            # first fault: stop here and resume on this grid then.
-            self.gap_idle_since = handler.now
-            handler.network.on_first_fault(self._resume_gap_watchdog)
+            # Nothing can open a hole that outlives a period: stop here (a
+            # state transfer re-arms the chain).
             return
         self._gap_stuck_csn = handler.my_csn if blocked else None
         self.gap_watch_event = handler.sim.schedule(self.gap_delay(), self._gap_check)
@@ -392,18 +388,4 @@ class CatchUp:
             ACK_ROUND_TRIP_MARGIN * network.latency_for(sender, me).mean_delay()
             < period
             for sender in network.endpoints()
-        )
-
-    def _resume_gap_watchdog(self) -> None:
-        """A fault is about to apply: re-arm the check on the grid the chain
-        would have walked (:func:`~repro.groups.membership.walk_grid`).  A
-        check due at this very instant still runs, after the fault."""
-        if self.gap_idle_since is None:
-            return  # re-armed meanwhile by a state transfer
-        period = self.gap_delay()
-        _, last = walk_grid(self.gap_idle_since, period, self.handler.now)
-        self.gap_idle_since = None
-        self._gap_stuck_csn = None
-        self.gap_watch_event = self.handler.sim.schedule_at(
-            last + period, self._gap_check
         )

@@ -402,8 +402,8 @@ class ReplicaHandlerBase(GroupEndpoint):
                 )
             self._publish_performance(ts, tq, pending)
         if self.trace.enabled:
-            # Serve span: stitched under the dispatch edge that carried the
-            # request here by obs.spans.build_span_trees (parent=None).
+            # Serve span, parentless: a reader stitches it under the
+            # dispatch edge that carried the request here (obs.spans).
             rid = pending.request.request_id
             emit_span(
                 self.trace, self.now, self.name,

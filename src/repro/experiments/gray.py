@@ -83,12 +83,10 @@ MODES = ("detector", "baseline")
 
 
 def gray_chaos_config(duration: float) -> ChaosConfig:
-    """A gray-only fault mix: no crashes, no symmetric partitions.
-
-    ``slow_jitter`` is pushed well above the defaults so a slow node
-    actually blows the 0.25 s read deadline (per-message jitter up to
-    0.25 s on both the request and the reply leg).
-    """
+    """A gray-only fault mix: no crashes, no symmetric partitions.  The
+    faults' shapes are :mod:`repro.net.chaos`'s constants: a slow node
+    there actually blows the 0.25 s read deadline (per-message jitter up
+    to 0.25 s on both the request and the reply leg)."""
     return ChaosConfig(
         duration=duration,
         mean_interval=0.8,
@@ -100,13 +98,6 @@ def gray_chaos_config(duration: float) -> ChaosConfig:
         flapping_link_weight=1.5,
         oneway_partition_weight=1.0,
         dup_storm_weight=1.0,
-        slow_window=(1.5, 3.5),
-        slow_factor=(3.0, 8.0),
-        slow_jitter=(0.08, 0.25),
-        flap_window=(1.0, 2.5),
-        flap_period=(0.1, 0.3),
-        dup_window=(0.5, 2.0),
-        dup_probability=(0.1, 0.35),
     )
 
 

@@ -5,9 +5,9 @@ A :class:`GroupEndpoint` is a network endpoint that
 * maintains local copies of the views of every group it belongs to or
   watches, updated by :class:`~repro.groups.membership.ViewChangeMsg`;
 * sends periodic heartbeats to the membership service so crashes are
-  detected and evicted — for real once the fabric expects faults, and
-  evaluated at the service's sweep without being sent while it is
-  fault-free (no beat can go missing there, so none is put on the wire);
+  detected and evicted — for real on a fabric that expects faults, and
+  evaluated at the service's sweep without being sent on a fault-free one
+  (no beat can go missing there, so none is put on the wire);
 * offers reliable FIFO group messaging (``gmcast`` / ``gsend``) built on
   :mod:`repro.groups.multicast` — settled at the sender the instant it is
   delivered while the fabric is fault-free and the channel fast (no ack
@@ -30,7 +30,6 @@ from repro.groups.membership import (
     MembershipService,
     View,
     ViewChangeMsg,
-    walk_grid,
 )
 from repro.groups.multicast import (
     FifoReceiver,
@@ -72,9 +71,9 @@ class GroupEndpoint(Endpoint):
         # The frozen heartbeat payload for the current ``_joined``; built on
         # the first beat after a membership change, then reused.
         self._heartbeat_msg: Optional[HeartbeatMsg] = None
-        # The first tick of the beats that are evaluated at the sweep and not
-        # sent; None while this endpoint beats for real.
-        self._lazy_since: Optional[float] = None
+        # Whether this endpoint's beats are evaluated at the sweep and not
+        # sent (decided at its first tick, for the whole run).
+        self._lazy_beats = False
         # Recipient -> _judge_acks' verdict: whether a message to it is
         # settled at delivery while the fabric is fault-free.
         self._lazy_acks: dict[str, bool] = {}
@@ -99,8 +98,8 @@ class GroupEndpoint(Endpoint):
         """Transmit; true when the message will be settled at delivery.
 
         Runs for every group message, so it reads what is already resolved:
-        the fabric's fault-free fact (false from the instant
-        ``expect_faults`` flips it) and the cached verdict on the channel.
+        the fabric's fault-free fact (fixed before the clock starts) and the
+        cached verdict on the channel.
         """
         network = self.network
         network.send(self.name, recipient, payload, size_bytes)
@@ -116,12 +115,10 @@ class GroupEndpoint(Endpoint):
         link's stream also times the data flowing the other way.
 
         Judged at the first transmit, not in :meth:`attached`, so every link
-        and fault injector set up before the clock starts is seen;
-        ``set_link`` after that ends the fault-free state.
+        and fault injector set up before the clock starts is seen; the
+        fabric refuses to change either on a fault-free run after that.
         """
         network, sender = self.network, self._sender
-        if not self._lazy_acks:
-            network.on_first_fault(sender.expect_loss)
         out = network.latency_for(self.name, recipient)
         back = network.latency_for(recipient, self.name)
         round_trip = out.mean_delay() + back.mean_delay(64)
@@ -233,17 +230,16 @@ class GroupEndpoint(Endpoint):
     def beats_lazily(self) -> bool:
         """True while this endpoint's beats are due but not sent: the
         membership sweep counts the member as heard from instead."""
-        return self._lazy_since is not None and bool(self._joined)
+        return self._lazy_beats and bool(self._joined)
 
     def _first_heartbeat(self) -> None:
         """The first tick: beat, unless no beat of this endpoint can go missing.
 
-        That is the case while the fabric is fault-free and the service
+        That is the case when the fabric is fault-free and the service
         vouches that the link to it is fast enough.  The endpoint then
-        arms no timer and sends nothing until the fabric says a fault is
-        coming (:meth:`_resume_heartbeats`).  Decided here and not in
-        :meth:`attached`, so every link and fault injector set up before
-        the clock starts is seen.
+        arms no timer and sends nothing for the rest of the run.  Decided
+        here and not in :meth:`attached`, so every link and fault injector
+        set up before the clock starts is seen.
         """
         network = self.network
         assert network is not None
@@ -255,33 +251,9 @@ class GroupEndpoint(Endpoint):
         if isinstance(service, MembershipService) and service.beats_land_in_time(
             self.name, self.heartbeat_interval
         ):
-            self._lazy_since = self.now
-            network.on_first_fault(self._resume_heartbeats)
+            self._lazy_beats = True
         else:
             self._heartbeat()
-
-    def _resume_heartbeats(self) -> None:
-        """A fault is about to apply: account for the beats not sent, then
-        beat for real on the tick grid the timer chain would have walked.
-
-        The service is credited with the arrival of the latest tick (one
-        modelled link delay after it), or of the tick before while that one
-        would still be in flight.  A tick due at this very instant counts as
-        past (:func:`~repro.groups.membership.walk_grid`).
-        """
-        assert self.network is not None and self._lazy_since is not None
-        now = self.now
-        interval = self.heartbeat_interval
-        landed, tick = walk_grid(self._lazy_since, interval, now, due_now_ran=True)
-        self._lazy_since = None
-        if self._joined:
-            service = self.network.endpoint(self.membership_name)
-            delay = service.beat_delay(self.name)
-            if tick + delay <= now:
-                landed = tick
-            if landed is not None:
-                service.heard_from(self.name, landed + delay)
-        self.sim.schedule_at(tick + interval, self._heartbeat)
 
     def _heartbeat(self) -> None:
         if self.network is None:

@@ -9,12 +9,11 @@ members of the group (plus any observers).
 Crash detection: members periodically send heartbeats (scheduled by
 :class:`~repro.groups.group.GroupEndpoint`); the service sweeps for members
 whose last heartbeat is older than ``suspect_timeout`` and evicts them.
-While the fabric is fault-free (:attr:`~repro.net.network.Network.fault_free`)
-no beat can go missing, so none is sent: the sweep counts a member as heard
-from when its endpoint would have beaten, and on the first fault every
-endpoint is credited with its latest tick and beats for real from then on.
-Once every tracked member beats that way a sweep has nothing left to do, so
-the chain stops until the first fault or the next admission or eviction.
+On a fault-free fabric (:attr:`~repro.net.network.Network.fault_free`, fixed
+before the clock starts) no beat can go missing, so none is sent: the sweep
+counts a member as heard from when its endpoint would have beaten.  Once
+every tracked member beats that way a sweep has nothing left to do, so the
+chain stops until the next admission or eviction.
 Rank order (= join order) is preserved across views, which makes leader
 election deterministic (:attr:`View.leader`).
 """
@@ -59,24 +58,19 @@ class View:
         return len(self.members)
 
 
-def walk_grid(
-    since: float, period: float, now: float, *, due_now_ran: bool = False
-) -> tuple[Optional[float], float]:
+def walk_grid(since: float, period: float, now: float) -> float:
     """Where a periodic chain that went idle at ``since`` stands at ``now``.
 
     The chain would have fired at ``since + k·period``, by repeated addition:
     the floats its own ``schedule(period)`` calls produce.  Returns the last
-    two of those firings that are past, ``(previous, last)`` — ``previous``
-    is None when ``last`` is ``since`` — and the chain resumes at
-    ``last + period``.  A firing due at ``now`` itself is still to come, so it
-    runs after whatever is happening now, unless ``due_now_ran`` counts it
-    as past.  Every lazy chain (heartbeats, sweep, commit-gap watchdog)
-    resumes on its grid through this one walk.
+    of those firings that is past, and the chain resumes one ``period``
+    after it.  A firing due at ``now`` itself is still to come, so it runs
+    after whatever is happening now.
     """
-    previous, last = None, since
-    while last + period < now or (due_now_ran and last + period == now):
-        previous, last = last, last + period
-    return previous, last
+    last = since
+    while last + period < now:
+        last += period
+    return last
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +142,8 @@ class MembershipService(Endpoint):
         # after it recovers grants heartbeat amnesty instead of
         # mass-evicting every member whose heartbeats it slept through.
         self._amnesty_pending = False
-        # The sweep that found nothing left to do and stopped the chain,
-        # while the fabric is fault-free; None while the chain runs.
+        # The sweep that found nothing left to do and stopped the chain, on
+        # a fault-free fabric; None while the chain runs.
         self._idle_since: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -157,7 +151,7 @@ class MembershipService(Endpoint):
     # ------------------------------------------------------------------
     def attached(self, network: Network, host) -> None:
         super().attached(network, host)
-        self.sim.schedule(self.config.heartbeat_interval, self._first_sweep)
+        self._schedule_sweep()
 
     def _schedule_sweep(self) -> None:
         self.sim.schedule(self.config.heartbeat_interval, self._sweep)
@@ -208,23 +202,14 @@ class MembershipService(Endpoint):
             self._last_heartbeat[payload.member] = self.now
         # Unknown payloads are ignored: the service is deaf to app traffic.
 
-    def heard_from(self, member: str, at: float) -> None:
-        """What a heartbeat arriving at ``at`` would have recorded (the
-        endpoint's account of beats it did not send, on the first fault)."""
-        self._last_heartbeat[member] = at
-
-    def beat_delay(self, member: str) -> float:
-        """The delay an unsent beat of ``member`` is taken to have had: the
-        mean of its link to the service for a heartbeat-sized message."""
-        assert self.network is not None
-        return self.network.latency_for(member, self.name).mean_delay(64)
-
     def beats_land_in_time(self, member: str, interval: float) -> bool:
         """Whether beats sent every ``interval`` over ``member``'s link can
-        be taken as received, faults aside: a beat's delay must leave it
-        ``interval`` to spare inside ``suspect_timeout``, or the very first
-        one could arrive after the member was suspected."""
-        return self.beat_delay(member) < self.config.suspect_timeout - interval
+        be taken as received, faults aside: a beat's mean delay must leave
+        it ``interval`` to spare inside ``suspect_timeout``, or the very
+        first one could arrive after the member was suspected."""
+        assert self.network is not None
+        delay = self.network.latency_for(member, self.name).mean_delay(64)
+        return delay < self.config.suspect_timeout - interval
 
     def _admit(self, group: str, member: str) -> View:
         self._resume_sweeps()
@@ -274,16 +259,6 @@ class MembershipService(Endpoint):
     # ------------------------------------------------------------------
     # Failure detection
     # ------------------------------------------------------------------
-    def _first_sweep(self) -> None:
-        """The first sweep subscribes to the first fault, so that the sweep
-        it re-arms then is scheduled ahead of every endpoint's re-armed beat
-        due at the same instant — as in the chain, where the sweep's event
-        was scheduled one sweep earlier.  (``build_testbed`` attaches the
-        service first, so this fires ahead of the endpoints' first ticks.)"""
-        if self.network.fault_free:
-            self.network.on_first_fault(self._resume_sweeps)
-        self._sweep()
-
     def _sweep(self) -> None:
         if self.network is not None and self.network.is_up(self.name):
             if self._amnesty_pending:
@@ -321,21 +296,20 @@ class MembershipService(Endpoint):
         if self.network.fault_free and all(
             map(self._beats_lazily, self._last_heartbeat)
         ):
-            # All a sweep could do now is credit lazy beats, and every
-            # endpoint overwrites its credit at the first fault: stop here.
+            # All a sweep could do now is credit lazy beats, and no fault can
+            # come to make one of them go missing: stop here.
             self._idle_since = self.now
         else:
             self._schedule_sweep()
 
     def _resume_sweeps(self) -> None:
         """Re-arm an idle sweep on the grid its chain would have walked
-        (:func:`walk_grid`): at the first fault, or when a member is
-        admitted or evicted.  A sweep due at this very instant still runs,
-        after it."""
+        (:func:`walk_grid`) when a member is admitted or evicted.  A sweep
+        due at this very instant still runs, after it."""
         if self._idle_since is None:
             return
         interval = self.config.heartbeat_interval
-        _, last = walk_grid(self._idle_since, interval, self.now)
+        last = walk_grid(self._idle_since, interval, self.now)
         self._idle_since = None
         self.sim.schedule_at(last + interval, self._sweep)
 

@@ -6,7 +6,7 @@ Guarantees (matching what the paper assumes from Maestro-Ensemble):
   retransmitted with backoff until acked or the retry budget is exhausted
   (the membership layer will have evicted a dead receiver well before
   that).  A message the fabric guarantees is settled when it is delivered:
-  no ack travels and no deadline is kept (:meth:`FifoSender.expect_loss`).
+  no ack travels and no deadline is kept.
 * **FIFO** — between each (sender, receiver) pair within a group, messages
   are delivered in send order; out-of-order arrivals are buffered,
   duplicates suppressed (and re-acked, so lost acks recover).
@@ -83,8 +83,6 @@ class _Outstanding:
     size_bytes: int
     retries: int = 0
     settled: bool = False  # acked, forgotten or abandoned
-    # When it was transmitted, while no deadline for it is in ``_due``.
-    sent_at: Optional[float] = None
 
 
 class FifoSender:
@@ -99,8 +97,9 @@ class FifoSender:
     give.
 
     ``send_raw`` returns true for a message the fabric guarantees, ack and
-    all, well inside ``rto``: that one keeps no deadline and arms no timer
-    until :meth:`expect_loss`.
+    all, well inside ``rto``: that one keeps no deadline and arms no timer.
+    The verdict is the channel's for the whole run, so a message that was
+    given a deadline is retransmitted with one.
     """
 
     def __init__(
@@ -123,8 +122,8 @@ class FifoSender:
         self.max_retries = max_retries
         self.backoff = backoff
         self._channels: dict[tuple[str, str], _Outbound] = {}
-        # One dict in transmit order, across channels: expect_loss numbers
-        # its entries in that order, and _due breaks ties on that number.
+        # Every message not yet settled, across channels; _due breaks
+        # deadline ties on the transmit number.
         self._outstanding: dict[tuple[str, str, int], _Outstanding] = {}
         # Invariant between calls: the head of _due is unsettled, and
         # _timer is armed for its deadline (None when _due is empty).
@@ -145,9 +144,8 @@ class FifoSender:
         message = GroupDataMsg(group, self.owner, seq, payload, channel.epoch)
         entry = _Outstanding(recipient, message, size_bytes)
         self._outstanding[(group, recipient, seq)] = entry
-        # The first transmission, inline (_transmit serves the retries).
+        # The first transmission; _retransmit sends the others.
         if self._send_raw(recipient, message, size_bytes):
-            entry.sent_at = self.sim._now
             return message
         heapq.heappush(
             self._due, (self.sim._now + self.rto, next(self._transmits), entry)
@@ -186,19 +184,6 @@ class FifoSender:
             if due and due[0][2] is entry:
                 self._arm()
 
-    def expect_loss(self) -> None:
-        """The fabric stops guaranteeing delivery: every message still
-        outstanding without a deadline — exactly the data in flight — gets
-        the one its transmission would have armed (there was no earlier
-        one, so no backoff), or fires now if that is already past."""
-        now = self.sim.now
-        for entry in self._outstanding.values():
-            if entry.sent_at is not None:
-                deadline = max(entry.sent_at + self.rto, now)
-                heapq.heappush(self._due, (deadline, next(self._transmits), entry))
-                entry.sent_at = None
-        self._arm()
-
     def reset_channel(self, group: str, recipient: str) -> None:
         """Open a fresh channel epoch to a (re)joined member.
 
@@ -226,15 +211,6 @@ class FifoSender:
     def unacked(self) -> int:
         return len(self._outstanding)
 
-    def _transmit(self, entry: _Outstanding) -> None:
-        if self._send_raw(entry.recipient, entry.message, entry.size_bytes):
-            entry.sent_at = self.sim.now
-            return
-        deadline = self.sim.now + self.rto * (self.backoff**entry.retries)
-        heapq.heappush(self._due, (deadline, next(self._transmits), entry))
-        if self._due[0][2] is entry:
-            self._arm()
-
     def _settle(self, entry: _Outstanding) -> None:
         entry.settled = True
         if self._due and self._due[0][2] is entry:
@@ -259,7 +235,7 @@ class FifoSender:
         # same instant re-arm for "now" and fire as consecutive events.
         self._timer = None
         self._retransmit(heapq.heappop(self._due)[2])
-        self._arm()
+        self._arm()  # for the retransmission's deadline too
 
     def _retransmit(self, entry: _Outstanding) -> None:
         if entry.retries >= self.max_retries:
@@ -273,7 +249,9 @@ class FifoSender:
             return
         entry.retries += 1
         self.retransmissions += 1
-        self._transmit(entry)
+        self._send_raw(entry.recipient, entry.message, entry.size_bytes)
+        deadline = self.sim.now + self.rto * (self.backoff**entry.retries)
+        heapq.heappush(self._due, (deadline, next(self._transmits), entry))
 
 
 class FifoReceiver:

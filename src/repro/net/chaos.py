@@ -70,6 +70,18 @@ PARTITION_WINDOW = (0.5, 2.0)
 OVERLOAD_FACTOR = (2.0, 8.0)
 LOSS_WINDOW = (0.5, 2.0)
 LOSS_PROBABILITY = (0.02, 0.15)
+#: The gray faults' shapes, likewise: a slow node's window, latency factor
+#: (at least 1: it slows, never speeds up) and added jitter — high enough
+#: that a slow node blows a 0.25 s read deadline on both legs — a flapping
+#: link's window and cut/restore period, and a dup storm's window and
+#: duplication probability.
+SLOW_WINDOW = (1.5, 3.5)
+SLOW_FACTOR = (3.0, 8.0)
+SLOW_JITTER = (0.08, 0.25)
+FLAP_WINDOW = (1.0, 2.5)
+FLAP_PERIOD = (0.1, 0.3)
+DUP_WINDOW = (0.5, 2.0)
+DUP_PROBABILITY = (0.1, 0.35)
 
 
 @dataclass(frozen=True)
@@ -121,13 +133,6 @@ class ChaosConfig:
     overload_window: tuple[float, float] = (0.5, 2.0)
     storm_window: tuple[float, float] = (1.0, 3.0)
     storm_factor: tuple[float, float] = (3.0, 10.0)
-    slow_window: tuple[float, float] = (1.0, 3.0)
-    slow_factor: tuple[float, float] = (2.0, 6.0)
-    slow_jitter: tuple[float, float] = (0.01, 0.05)
-    flap_window: tuple[float, float] = (1.0, 2.5)
-    flap_period: tuple[float, float] = (0.08, 0.3)
-    dup_window: tuple[float, float] = (0.5, 2.0)
-    dup_probability: tuple[float, float] = (0.1, 0.4)
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -148,30 +153,10 @@ class ChaosConfig:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in (
-            "overload_window",
-            "storm_window",
-            "storm_factor",
-            "slow_window",
-            "slow_factor",
-            "slow_jitter",
-            "flap_window",
-            "flap_period",
-            "dup_window",
-            "dup_probability",
-        ):
+        for name in ("overload_window", "storm_window", "storm_factor"):
             low, high = getattr(self, name)
             if low <= 0 or high < low:
                 raise ValueError(f"invalid {name} range [{low}, {high}]")
-        low, high = self.dup_probability
-        if high > 1.0:
-            raise ValueError(f"dup_probability upper bound {high} exceeds 1")
-        if self.slow_factor[0] < 1.0:
-            # A factor below 1 would *speed up* the victim; degrade_node
-            # rejects it, so fail at config time instead of mid-campaign.
-            raise ValueError(
-                f"slow_factor lower bound {self.slow_factor[0]} below 1"
-            )
 
 
 @dataclass
@@ -576,9 +561,9 @@ class ChaosEngine:
         if not pool:
             return False
         victim = self.rng.choice(pool)
-        factor = self.rng.uniform(*self.config.slow_factor)
-        jitter = self.rng.uniform(*self.config.slow_jitter)
-        window = self.rng.uniform(*self.config.slow_window)
+        factor = self.rng.uniform(*SLOW_FACTOR)
+        jitter = self.rng.uniform(*SLOW_JITTER)
+        window = self.rng.uniform(*SLOW_WINDOW)
         self._degraded.add(victim)
         self.network.degrade_node(victim, factor, jitter)
         self._gray_fault("slow_node", victim, window, factor)
@@ -604,8 +589,8 @@ class ChaosEngine:
         if not pool:
             return False
         victim = self.rng.choice(pool)
-        window = self.rng.uniform(*self.config.flap_window)
-        period = self.rng.uniform(*self.config.flap_period)
+        window = self.rng.uniform(*FLAP_WINDOW)
+        period = self.rng.uniform(*FLAP_PERIOD)
         self._flapping[victim] = self.sim.now + window
         self._gray_fault("flapping_link", victim, window, period)
         self._record(
@@ -686,8 +671,8 @@ class ChaosEngine:
         if not pool:
             return False
         victim = self.rng.choice(pool)
-        probability = self.rng.uniform(*self.config.dup_probability)
-        window = self.rng.uniform(*self.config.dup_window)
+        probability = self.rng.uniform(*DUP_PROBABILITY)
+        window = self.rng.uniform(*DUP_WINDOW)
         churn = LinkChurn(
             duplicate_probability=probability,
             reorder_probability=probability,

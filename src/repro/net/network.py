@@ -29,10 +29,12 @@ change which RNG stream is drawn from, or in which order: a message not
 sent is *kept*, and its link's next real draw pays for it
 (:meth:`Network.keep`).
 
-The fabric also knows whether it has ever been anything but perfect:
-:attr:`Network.fault_free` holds until the first fault is configured or a
-fault injector is built on it, and :meth:`Network.on_first_fault` tells a
-layer that skipped work on the strength of it, before that fault applies.
+The fabric also knows whether it can be anything but perfect:
+:attr:`Network.fault_free` is fixed for the whole run before the clock
+starts.  A fault configured then, or a fault injector built on the fabric,
+ends it; once the simulator has fired an event, a fault on a fabric that is
+still fault-free is refused, so the layers that skip work on the strength
+of it never see it change.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.net.latency import DegradedLatency, LatencyModel
 from repro.net.message import Message
@@ -175,16 +177,16 @@ class Network:
         self.rng = rng
         self.default_latency = default_latency
         self.trace = trace
-        # The fault-free fact: true until the first :meth:`crash`,
-        # :meth:`partition`, non-zero :attr:`drop_probability`,
-        # :meth:`set_churn` or :meth:`degrade_node`, or until a fault
-        # injector is built on this fabric.  While it holds, every message
-        # sent between attached endpoints is delivered, once, after its
-        # link's undisturbed latency.  It never becomes true again: healing
-        # the last fault does not restore it.  Read per group message, so a
-        # plain attribute; only :meth:`expect_faults` writes it.
+        # The fault-free fact, fixed before the first event fires: false
+        # once a :meth:`crash`, :meth:`partition`, non-zero
+        # :attr:`drop_probability`, :meth:`set_churn` or
+        # :meth:`degrade_node` comes before the clock starts, or a fault
+        # injector is built on this fabric then.  While it holds, every
+        # message sent between attached endpoints is delivered, once, after
+        # its link's undisturbed latency.  It never becomes true again:
+        # healing the last fault does not restore it.  Read per group
+        # message, so a plain attribute; only :meth:`expect_faults` writes it.
         self.fault_free = True
-        self._on_first_fault: list[Callable[[], None]] = []
         self.drop_probability = drop_probability
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._endpoints: dict[str, Endpoint] = {}
@@ -216,21 +218,21 @@ class Network:
     # ------------------------------------------------------------------
     # The fault-free fact
     # ------------------------------------------------------------------
-    def on_first_fault(self, callback: Callable[[], None]) -> None:
-        """Run ``callback()`` once, right before the first fault applies."""
-        if not self.fault_free:
-            raise NetworkError("the fabric is no longer fault-free")
-        self._on_first_fault.append(callback)
-
     def expect_faults(self) -> None:
         """End the fault-free state (idempotent); fault injectors call this
         when they are built, every fault entry point before it acts."""
-        if not self.fault_free:
-            return
-        self.fault_free = False
-        callbacks, self._on_first_fault = self._on_first_fault, []
-        for callback in callbacks:
-            callback()
+        if self.fault_free:
+            self._refuse_once_running("a fault")
+            self.fault_free = False
+
+    def _refuse_once_running(self, what: str) -> None:
+        """Raise if the clock has started on a fabric that is fault-free:
+        the layers above have judged it so for the rest of the run."""
+        if self.fault_free and self.sim.events_processed:
+            raise NetworkError(
+                f"{what} after the first event on a fault-free fabric: "
+                f"call network.expect_faults() before the clock starts"
+            )
 
     @property
     def drop_probability(self) -> float:
@@ -271,12 +273,10 @@ class Network:
     def set_link(self, sender: str, recipient: str, latency: LatencyModel) -> None:
         """Override latency for the directed pair ``sender -> recipient``.
 
-        Re-wiring a link that someone already judged (a registered
-        :meth:`on_first_fault` callback) ends the fault-free state: what
-        they skipped was skipped on the strength of the old latency.
+        On a fault-free fabric only before the clock starts: what the layers
+        above skip, they skip on the strength of the latency they judged.
         """
-        if self._on_first_fault:
-            self.expect_faults()
+        self._refuse_once_running("set_link")
         self.settle_draws()
         self._links[(sender, recipient)] = latency
         self._routes.clear()
@@ -459,12 +459,12 @@ class Network:
         gray partition: replies and heartbeats still flow back).  Each cut
         is healed by :meth:`heal_partition`.
         """
+        self.expect_faults()
         if name is None:
             name = f"cut-{next(self._cut_ids)}"
         if name in self._partitions:
             raise NetworkError(f"partition {name!r} already active")
         cut = PartitionCut(name, frozenset(side_a), frozenset(side_b), symmetric)
-        self.expect_faults()
         self._partitions[name] = cut
         self.trace.emit(
             self.sim.now,

@@ -7,8 +7,9 @@ doing:
   labels, a cheap no-op mode, and snapshot/diff/merge for multi-process
   experiment runs;
 * :mod:`repro.obs.spans` — request-span tracing on top of
-  :mod:`repro.sim.tracing`, reconstructing each read/update's life
-  (selection, sequencing, deferral, retries, hedges) as one tree;
+  :mod:`repro.sim.tracing`: each read/update's life (selection,
+  sequencing, deferral, retries, hedges) as spans that stitch into one
+  tree;
 * :mod:`repro.obs.calibration` — reliability diagrams and Brier scores for
   predicted ``P_c(d)`` vs. observed deadline outcomes, per strategy;
 * :mod:`repro.obs.export` — JSONL event streams and Prometheus-style text;
@@ -52,14 +53,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_METRICS,
 )
-from repro.obs.spans import (
-    SPAN_CATEGORY,
-    Span,
-    build_span_trees,
-    emit_span,
-    request_id_of,
-    span_root,
-)
+from repro.obs.spans import SPAN_CATEGORY, emit_span, span_root
 
 __all__ = [
     "ATTRIBUTION_COMPONENTS",
@@ -78,17 +72,14 @@ __all__ = [
     "SloEngine",
     "SloReport",
     "SloSpec",
-    "Span",
     "Timeline",
     "TimeseriesRecorder",
     "attribution_summary",
-    "build_span_trees",
     "emit_span",
     "metrics_event",
     "parse_series",
     "prometheus_text",
     "prometheus_timeseries_text",
-    "request_id_of",
     "span_root",
     "score_detection",
     "summarize_histogram",

@@ -52,6 +52,7 @@ def steady_workload(testbed, client, stop_at, gap=0.15):
 # ---------------------------------------------------------------------------
 def test_new_leader_becomes_sequencer_after_crash():
     testbed = make_testbed()
+    testbed.network.expect_faults()
     service = testbed.service
     testbed.sim.schedule_at(2.0, testbed.network.crash, "svc-seq")
     testbed.sim.run(until=5.0)
@@ -62,6 +63,7 @@ def test_new_leader_becomes_sequencer_after_crash():
 
 def test_updates_continue_after_sequencer_crash():
     testbed = make_testbed()
+    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
     reads = steady_workload(testbed, client, stop_at=12.0)
@@ -80,6 +82,7 @@ def test_updates_continue_after_sequencer_crash():
 
 def test_gsn_strictly_monotonic_across_failover():
     testbed = make_testbed()
+    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
     update_gsns = []
@@ -101,6 +104,7 @@ def test_gsn_strictly_monotonic_across_failover():
 def test_reads_restamped_after_sequencer_crash():
     """A read whose GSN stamp is lost re-requests it (GsnQuery path)."""
     testbed = make_testbed()
+    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
     outcomes = []
@@ -129,6 +133,7 @@ def test_reads_restamped_after_sequencer_crash():
 # ---------------------------------------------------------------------------
 def test_publisher_role_moves_on_crash():
     testbed = make_testbed()
+    testbed.network.expect_faults()
     service = testbed.service
     assert service.primaries[0].is_lazy_publisher
     testbed.sim.schedule_at(2.0, testbed.network.crash, "svc-p1")
@@ -138,6 +143,7 @@ def test_publisher_role_moves_on_crash():
 
 def test_lazy_propagation_continues_after_publisher_crash():
     testbed = make_testbed(lui=0.4)
+    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
     steady_workload(testbed, client, stop_at=10.0)
@@ -191,6 +197,7 @@ def test_client_survives_loss_of_selected_replica():
     """Algorithm 1 selects sets that tolerate one crash; killing one
     selected replica mid-request must not make the client hang."""
     testbed = make_testbed(num_primaries=3, num_secondaries=3)
+    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
     reads = steady_workload(testbed, client, stop_at=15.0)
@@ -205,6 +212,7 @@ def test_client_survives_loss_of_selected_replica():
 
 def test_membership_view_shrinks_after_crash():
     testbed = make_testbed()
+    testbed.network.expect_faults()
     testbed.sim.schedule_at(1.0, testbed.network.crash, "svc-p2")
     testbed.sim.run(until=5.0)
     view = testbed.membership.view_of("svc.primary")

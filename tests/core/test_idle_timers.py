@@ -3,35 +3,32 @@
 A replica arms the commit-gap watchdog, the lazy tick, the open-loop tuning
 tick and (with a φ-detector) the publisher check when it is attached, before
 its role is registered.  A replica that never joined the group a chain
-serves ends that chain at its first firing.  While the fabric is fault-free,
-a primary's watchdog and the membership sweep stop at the first check that
-finds nothing to do, and re-arm on the grid their chain would have walked at
-the first fault.
+serves ends that chain at its first firing.  On a fault-free fabric a
+primary's watchdog and the membership sweep stop at the first check that
+finds nothing to do; an admission or eviction re-arms the sweep on the grid
+its chain would have walked.
 
-The twin tests run a service that is fault-free until a crash or partition
-against the same service told to expect faults at t = 0, which runs every
-chain throughout: both must observe the same operations and record the same
-commit gaps, state transfers and evictions, at the same instants.
+The twin test runs a fault-free service against the same service told to
+expect faults at t = 0, which runs every chain throughout: both must observe
+the same operations and record the same commit gaps, state transfers and
+evictions, at the same instants.
 """
 
 from collections import Counter
 
 import pytest
-from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
 
 from repro.core.detector import DetectorConfig
 from repro.core.qos import QoSSpec
 from repro.core.selection import SelectionResult, SelectionStrategy
 from repro.core.service import ServiceConfig, build_testbed
 from repro.core.tuning import StalenessTarget
-from repro.groups.membership import MembershipConfig, walk_grid
-from repro.net.latency import FixedLatency, LatencyModel
-from repro.sim.rng import Distribution, Normal
+from repro.groups.membership import MembershipConfig, MembershipService, walk_grid
+from repro.net.latency import FixedLatency
+from repro.sim.rng import Normal
 from repro.sim.tracing import Trace
 
 HEARTBEAT = 0.1
-LINK = FixedLatency(0.0011)
 RECORDS = (
     "replica.commit-gap",
     "replica.state-transfer-start",
@@ -54,7 +51,7 @@ class Pick(SelectionStrategy):
         return SelectionResult(self.names, 1.0, True)
 
 
-def make_testbed(seed=1, trace=None, link=LINK, **config):
+def make_testbed(trace=None, **config):
     config.setdefault("read_service_time", Normal(0.012, 0.004, floor=0.002))
     return build_testbed(
         ServiceConfig(
@@ -65,8 +62,8 @@ def make_testbed(seed=1, trace=None, link=LINK, **config):
             membership=MembershipConfig(heartbeat_interval=HEARTBEAT, suspect_timeout=0.35),
             **config,
         ),
-        seed=seed,
-        latency=link,
+        seed=1,
+        latency=FixedLatency(0.0011),
         trace=trace,
     )
 
@@ -154,36 +151,21 @@ def test_a_stamp_cancels_its_reads_gsn_retry():
 
 
 # ---------------------------------------------------------------------------
-# Idle in a fault-free fabric, re-armed on the first fault
+# Idle in a fault-free fabric
 # ---------------------------------------------------------------------------
-def run_twin(
-    expect_faults,
-    fault=None,
-    fault_at=None,
-    slow=None,
-    seed=1,
-    update_every=0.0937,
-    link=LINK,
-):
-    """A feed of updates and a reader pinned to ``svc-p2`` and ``svc-s1``,
-    reading every 94 ms, for 5 s plus 1 s to drain, over ``link``.
-
-    ``slow`` puts ``svc-p2`` behind a ``feed -> svc-p2`` link of that many
-    seconds, before the clock starts.  The fault, at ``fault_at``: ``crash``
-    ``svc-p2`` and recover it a second later; ``cut`` ``feed -> svc-p2``
-    one way for 1.5 s (a commit gap: the reader's stamps run ahead of the
-    updates that cannot land); ``isolate`` ``svc-p2`` from everyone for
-    0.8 s (evicted).
-    """
+def run_twin(expect_faults, slow, update_every):
+    """A feed of updates every ``update_every`` seconds and a reader pinned
+    to ``svc-p2`` and ``svc-s1``, reading every 94 ms, for 5 s plus 1 s to
+    drain.  ``slow`` puts ``svc-p2`` behind a ``feed -> svc-p2`` link of that
+    many seconds, before the clock starts."""
     trace = Trace()
-    testbed = make_testbed(seed=seed, trace=trace, link=link)
+    testbed = make_testbed(trace=trace)
     service, network, sim = testbed.service, testbed.network, testbed.sim
     feed = service.create_client("feed")
     reader = service.create_client(
         "reader", read_only_methods={"get"}, strategy=Pick("svc-p2", "svc-s1")
     )
-    if slow is not None:
-        network.set_link("feed", "svc-p2", FixedLatency(slow))
+    network.set_link("feed", "svc-p2", FixedLatency(slow))
     if expect_faults:
         network.expect_faults()
     outcomes = {"feed": [], "reader": []}
@@ -196,56 +178,13 @@ def run_twin(
             sim.schedule_at(at, client.invoke, *args, outcomes[name].append)
             at += every
 
-    def inject():
-        if fault == "crash":
-            network.crash("svc-p2")
-            sim.schedule(1.0, service.recover_primary, "svc-p2")
-        elif fault == "cut":
-            cut = network.partition({"feed"}, {"svc-p2"}, symmetric=False)
-            sim.schedule(1.5, network.heal_partition, cut)
-        else:
-            everyone = set(network.endpoints()) - {"svc-p2"}
-            cut = network.partition({"svc-p2"}, everyone)
-            sim.schedule(0.8, network.heal_partition, cut)
-
-    # Every watchdog check and sweep from the fault on: the grid the lazy
-    # twin resumes on must be the one the wired twin never left.  (Checks
-    # of different replicas due at one instant may fire in another order:
-    # a resumed chain is scheduled at the fault, a running one before it.)
-    firings = []
-
-    def watch(owner, chain, name):
-        fire = getattr(owner, chain)
-
-        def spy():
-            if fault_at is not None and sim.now >= fault_at:
-                firings.append((sim.now, name, chain))
-            fire()
-
-        setattr(owner, chain, spy)
-
-    for replica in (service.sequencer, *service.primaries, *service.secondaries):
-        watch(replica.catchup, "_gap_check", replica.name)
-    watch(testbed.membership, "_sweep", testbed.membership.name)
-
-    if fault is not None:
-        sim.schedule_at(fault_at, inject)
     sim.run(until=6.0)
     records = [
         (r.time, r.category, r.actor, sorted(r.detail.items()))
         for r in trace.records
         if r.category in RECORDS
     ]
-    return outcomes, records, sorted(firings), testbed
-
-
-def assert_twins_agree(**scenario):
-    wired_ops, wired_records, wired_firings, _ = run_twin(True, **scenario)
-    lazy_ops, lazy_records, lazy_firings, lazy = run_twin(False, **scenario)
-    assert lazy_ops == wired_ops
-    assert lazy_records == wired_records
-    assert lazy_firings == wired_firings
-    return lazy_records, lazy
+    return outcomes, records, testbed
 
 
 def test_fault_free_primaries_and_sweep_go_idle_unless_a_hole_can_outlive_a_period():
@@ -254,27 +193,30 @@ def test_fault_free_primaries_and_sweep_go_idle_unless_a_hole_can_outlive_a_peri
     so a hole stays open across two checks and the watchdog fetches a
     snapshot — in a fault-free fabric, as it always did.  That primary keeps
     its chain; the others, and the membership sweep, are idle."""
-    records, lazy = assert_twins_agree(slow=1.3, update_every=1.9)
+    wired_ops, wired_records, _ = run_twin(True, slow=1.3, update_every=1.9)
+    ops, records, lazy = run_twin(False, slow=1.3, update_every=1.9)
+    assert ops == wired_ops
+    assert records == wired_records
     network, service = lazy.network, lazy.service
     assert network.fault_free
     gaps = [r for r in records if r[1] == "replica.commit-gap"]
     assert gaps and {r[2] for r in gaps} == {"svc-p2"}
     assert not [r for r in records if r[1] == "membership.evict"]
     p2 = service.replica_by_name("svc-p2")
-    assert p2.catchup.gap_idle_since is None
     assert p2.catchup.gap_watch_event is not None
     for replica in (service.sequencer, service.primaries[0], service.primaries[2]):
         assert replica.catchup.gap_watch_event is None
-        assert replica.catchup.gap_idle_since is not None
     assert lazy.membership._idle_since is not None
 
 
-def test_an_idle_sweep_resumes_on_its_grid_when_a_member_is_admitted():
+def test_an_idle_sweep_resumes_on_its_grid_when_a_member_is_admitted(monkeypatch):
+    sweeps = []
+    sweep = MembershipService._sweep
+    monkeypatch.setattr(
+        MembershipService, "_sweep", lambda self: (sweeps.append(self.now), sweep(self))
+    )
     testbed = make_testbed()
     membership, sim = testbed.membership, testbed.sim
-    sweeps = []
-    sweep = membership._sweep
-    membership._sweep = lambda: (sweeps.append(sim.now), sweep())
     sim.run(until=1.0)
     # The first sweep runs before the members' first ticks make them lazy;
     # the second finds every one of them lazy and stops the chain.
@@ -289,100 +231,11 @@ def test_an_idle_sweep_resumes_on_its_grid_when_a_member_is_admitted():
     assert testbed.network.fault_free
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    fault=st.sampled_from(["crash", "cut", "isolate"]),
-    fault_at=st.floats(min_value=0.05, max_value=3.0),
-    slow=st.sampled_from([None, 0.7]),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-@example(fault="cut", fault_at=0.7321, slow=None, seed=1)  # a commit gap
-@example(fault="crash", fault_at=1.5013, slow=None, seed=1)  # state transfer
-@example(fault="isolate", fault_at=1.2, slow=0.7, seed=1)  # on a check and a sweep
-@example(fault="cut", fault_at=0.7999999999999999, slow=None, seed=1)  # on a sweep
-def test_first_fault_mid_run_records_what_the_wired_twin_records(
-    fault, fault_at, slow, seed
-):
-    """The fault-free twin re-arms the watchdog and the sweep on their grid
-    at the fault; it must then match, line for line and instant for instant,
-    the twin whose chains never stopped, and fire every check and sweep
-    from the fault on at the instants that twin does.
-
-    Excluded: a crash within a link delay of a beat tick, where the wired
-    twin's last beat is still in flight and lands, while the lazy one
-    credits the tick before (*Lazy liveness*, DESIGN §8) — one sweep's
-    difference in the eviction, not an idle timer's.
-    """
-    since_tick = fault_at % HEARTBEAT
-    assume(fault != "crash" or min(since_tick, HEARTBEAT - since_tick) > 0.002)
-    assert_twins_agree(fault=fault, fault_at=fault_at, slow=slow, seed=seed)
-
-
-class _ShiftedExponential(Distribution):
-    """``offset`` plus an exponential delay of mean ``scale``."""
-
-    def __init__(self, scale: float, offset: float) -> None:
-        self.scale, self.offset = scale, offset
-
-    def sample(self, rng):
-        return self.offset + rng.expovariate(1.0 / self.scale)
-
-    def mean(self) -> float:
-        return self.offset + self.scale
-
-
-#: A link with an unbounded tail whose mean (1.1 ms, as ``LINK``) passes the
-#: watchdog's guard.  Its delays reorder requests, so holes open and close
-#: at random; one beyond 35 ms has probability e^-43.
-EXPONENTIAL = LatencyModel(_ShiftedExponential(0.0008, offset=0.0003))
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    fault=st.sampled_from(["crash", "cut", "isolate"]),
-    tick=st.integers(min_value=1, max_value=29),
-    offset=st.floats(min_value=0.035, max_value=0.065),
-    slow=st.sampled_from([None, 0.7]),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_first_fault_over_an_exponential_link_records_what_the_wired_twin_records(
-    fault, tick, offset, slow, seed
-):
-    """The idle watchdog's guard rests on the mean delay (DESIGN §9): over
-    a link with an unbounded tail the twins record the same commit gaps,
-    state transfers and evictions, and fire the same checks and sweeps, as
-    long as no delay outlives a period.
-
-    The fault falls mid-way between two beat ticks: near one, the lazy twin
-    credits the beat at the link's mean delay while the wired one's lands
-    at the drawn delay (*Lazy liveness*, DESIGN §8).  Per-operation outcomes
-    are not compared: after a crash or cut the wired twin retransmits data
-    whose ack was lost, which the lazy twin settled at delivery (*Lazy
-    acks*, DESIGN §8), and over a random link those extra draws move every
-    later delay on it.
-    """
-    scenario = dict(
-        fault=fault,
-        fault_at=tick * HEARTBEAT + offset,
-        slow=slow,
-        seed=seed,
-        link=EXPONENTIAL,
-    )
-    _, wired_records, wired_firings, _ = run_twin(True, **scenario)
-    _, lazy_records, lazy_firings, _ = run_twin(False, **scenario)
-    assert lazy_records == wired_records
-    assert lazy_firings == wired_firings
-
-
 def test_a_chain_resumes_on_the_grid_it_would_have_walked():
     """The floats are the repeated sums a running chain produces (0.2 + 0.1
     is not 0.3), and a firing due at the very instant of the resume is
-    still to come unless the caller counts it as past."""
-    assert walk_grid(0.2, 0.1, 0.2) == (None, 0.2)
-    assert walk_grid(0.2, 0.1, 0.35) == (0.2, 0.30000000000000004)
+    still to come."""
+    assert walk_grid(0.2, 0.1, 0.2) == 0.2
+    assert walk_grid(0.2, 0.1, 0.35) == 0.30000000000000004
     # 0.30000000000000004 + 0.1 == 0.4: due now.
-    assert walk_grid(0.2, 0.1, 0.4) == (0.2, 0.30000000000000004)
-    assert walk_grid(0.2, 0.1, 0.4, due_now_ran=True) == (
-        0.30000000000000004,
-        0.4,
-    )
+    assert walk_grid(0.2, 0.1, 0.4) == 0.30000000000000004

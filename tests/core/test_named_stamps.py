@@ -186,6 +186,7 @@ def test_the_unsent_stamp_is_drawn_from_the_link_as_it_is_now():
 
     testbed = make_testbed(2, 2, latency=FixedLatency(0.001))
     network = testbed.network
+    network.expect_faults()
     client = testbed.service.create_client(
         "c", read_only_methods={"get"}, strategy=Pick("svc-p1")
     )
@@ -293,6 +294,7 @@ def test_a_sequencer_crash_around_a_named_stamp_still_resolves_the_read(
         3, 2, latency=FixedLatency(0.001),
         membership=MembershipConfig(heartbeat_interval=0.1, suspect_timeout=0.35),
     )
+    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client(
         "c", read_only_methods={"get"}, strategy=Pick("svc-p3")
@@ -385,6 +387,7 @@ def test_an_assignment_waits_only_behind_a_stamp_that_was_sent(
     """The stamp of a read crawls to ``svc-p2`` (5 ms); the link then speeds
     up and an update's assignment, sent 2 ms later, gets there first."""
     testbed = make_testbed(2, 2, latency=FixedLatency(0.001))
+    testbed.network.expect_faults()
     service, network, sim = testbed.service, testbed.network, testbed.sim
     reader = service.create_client(
         "reader", read_only_methods={"get"}, strategy=Pick(*selected)

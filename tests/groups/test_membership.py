@@ -125,6 +125,7 @@ def test_watcher_receives_views_without_membership(sim, stack):
 
 def test_silent_member_is_evicted(sim, network, stack):
     service, members = stack
+    network.expect_faults()
     for name in ("a", "b"):
         members[name].join("g")
     sim.run(until=1.0)
@@ -137,6 +138,7 @@ def test_silent_member_is_evicted(sim, network, stack):
 
 def test_eviction_promotes_next_rank_to_leader(sim, network, stack):
     service, members = stack
+    network.expect_faults()
     service.register("g", "a")
     service.register("g", "b")
     service.register("g", "c")
@@ -202,6 +204,7 @@ def test_service_outage_does_not_mass_evict(sim, network, trace, traced_stack):
     """While the membership service itself is down it hears no heartbeats;
     its first sweep back up must grant amnesty, not evict everyone."""
     service, members = traced_stack
+    network.expect_faults()
     for name in ("a", "b"):
         members[name].join("g")
     sim.run(until=1.0)
@@ -222,6 +225,7 @@ def test_amnesty_does_not_resurrect_dead_members(sim, network, traced_stack):
     """Amnesty only resets the clock; a member that stays silent after the
     outage is still evicted one suspect window later."""
     service, members = traced_stack
+    network.expect_faults()
     for name in ("a", "b"):
         members[name].join("g")
     sim.run(until=1.0)

@@ -256,27 +256,3 @@ def test_sender_keeps_no_deadline_for_a_message_the_fabric_guarantees(sim):
     sender.forget_recipient("g", "b")
     sender.reset_channel("g", "c")
     assert sender.unacked == 0
-
-
-def test_expect_loss_gives_the_data_in_flight_its_deadline(sim):
-    sent = []
-    trusted = [True]
-
-    def send_raw(recipient, message, size):
-        sent.append((sim.now, recipient))
-        return trusted[0]
-
-    sender = FifoSender(sim, "me", send_raw, rto=0.1, backoff=2.0)
-    sim.schedule_at(1.00, sender.send, "g", "a", "early")  # deadline 1.10: past
-    sim.schedule_at(1.20, sender.send, "g", "b", "acked")
-    sim.schedule_at(1.25, sender.send, "g", "c", "late")  # deadline 1.35
-    sim.run(until=1.3)
-    sender.on_ack(GroupAckMsg("g", "me", 1), "b")
-    trusted[0] = False
-    sender.expect_loss()
-    sender.expect_loss()  # idempotent
-    sim.run(until=1.5)
-    # The overdue one fires at once (clamped to now), then backs off from
-    # there; the other on its own transmission's grid; the acked one never.
-    assert sent[3:] == [(1.3, "a"), (1.35, "c"), (1.5, "a")]
-    assert sender.retransmissions == 3 and sender.unacked == 2

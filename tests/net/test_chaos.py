@@ -359,25 +359,37 @@ GRAY_CONFIG_KWARGS = dict(
     flapping_link_weight=2.0,
     oneway_partition_weight=2.0,
     dup_storm_weight=2.0,
-    slow_window=(0.5, 1.5),
-    flap_window=(0.5, 1.5),
-    dup_window=(0.5, 1.5),
 )
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"slow_factor": (0.5, 2.0)},
-        {"slow_window": (2.0, 1.0)},
-        {"flap_period": (0.0, 0.1)},
-        {"dup_probability": (0.1, 1.5)},
-        {"slow_jitter": (-0.01, 0.05)},
+        {"slow_node_weight": -1.0},
+        {"flapping_link_weight": -0.5},
+        {"oneway_partition_weight": -2.0},
+        {"dup_storm_weight": -1e-9},
+        {"slow_node_weight": 4.0, "dup_storm_weight": -1.0},
     ],
 )
 def test_chaos_config_rejects_bad_gray_values(kwargs):
     with pytest.raises(ValueError):
         ChaosConfig(**kwargs)
+
+
+def test_gray_fault_shapes_are_valid_ranges():
+    """The gray shapes are module constants, checked here once: every range
+    is positive and ordered, a duplication probability is a probability,
+    and a slow node's factor slows it (``degrade_node`` rejects below 1)."""
+    shapes = (
+        chaos.SLOW_WINDOW, chaos.SLOW_FACTOR, chaos.SLOW_JITTER,
+        chaos.FLAP_WINDOW, chaos.FLAP_PERIOD,
+        chaos.DUP_WINDOW, chaos.DUP_PROBABILITY,
+    )
+    for low, high in shapes:
+        assert 0 < low <= high
+    assert chaos.DUP_PROBABILITY[1] <= 1.0
+    assert chaos.SLOW_FACTOR[0] >= 1.0
 
 
 def run_gray_campaign(seed=5):
@@ -456,6 +468,4 @@ def test_zero_gray_weights_keep_existing_schedules():
         flapping_link_weight=0.0,
         oneway_partition_weight=0.0,
         dup_storm_weight=0.0,
-        slow_factor=(4.0, 9.0),  # shape knobs alone must not perturb
-        flap_period=(0.05, 0.2),
     )

@@ -167,6 +167,7 @@ def test_crashed_recipient_drops_messages(sim, network, pair):
 
 def test_crash_loses_in_flight_messages(sim, network, pair):
     a, b = pair
+    network.expect_faults()
     a.send("b", "in-flight")
     # Crash strictly before the 1 ms delivery completes.
     sim.schedule(0.0005, network.crash, "b")
@@ -214,6 +215,7 @@ def test_partition_does_not_block_same_side(sim, network, pair):
 
 def test_partition_cuts_in_flight_messages(sim, network, pair):
     a, b = pair
+    network.expect_faults()
     a.send("b", 1)
     sim.schedule(0.0005, network.partition, {"a"}, {"b"})
     sim.run()
@@ -268,7 +270,7 @@ def test_drop_probability_is_checked_on_every_write(network, bad):
 # ---------------------------------------------------------------------------
 # The fault-free fact
 # ---------------------------------------------------------------------------
-_FIRST_FAULTS = {
+_FAULTS = {
     "crash": lambda net: net.crash("a"),
     "partition": lambda net: net.partition({"a"}, {"b"}),
     "drop-probability": lambda net: setattr(net, "drop_probability", 0.1),
@@ -277,39 +279,64 @@ _FIRST_FAULTS = {
     "expect-faults": lambda net: net.expect_faults(),
     "failure-injector": lambda net: FailureInjector(net),
     "chaos-engine": lambda net: ChaosEngine(net, ChaosTargets(primaries=("a", "b"))),
-    # Re-wiring counts once someone has judged the links as they were.
+    # Not a fault, but what the layers above judged the fabric by.
     "set-link": lambda net: net.set_link("a", "b", FixedLatency(0.5)),
 }
 
 
-@pytest.mark.parametrize("fault", sorted(_FIRST_FAULTS))
-def test_first_fault_is_announced_once_and_before_it_applies(network, pair, fault):
-    seen = []
+def _fabric_state(net):
+    return (
+        net.fault_free,
+        sorted(net._crashed),
+        dict(net._partitions),
+        repr(net._cut_ids),
+        net.drop_probability,
+        dict(net._degraded_nodes),
+        dict(net._churn),
+        dict(net._links),
+        dict(net._routes),
+        dict(net._owed),
+        net.rng.stream("net.link.a->b").getstate(),
+        net.sim.pending(),
+    )
 
-    def on_first_fault():
-        # Nothing has been applied yet: the world is still whole.
-        seen.append(
-            (
-                network.fault_free,
-                network.is_up("a"),
-                network.endpoints(),
-                sorted(network._partitions),
-                network.drop_probability,
-                "a" in network._degraded_nodes,
-                network.latency_for("a", "b") is network.default_latency,
-            )
-        )
 
-    assert network.fault_free
-    network.on_first_fault(on_first_fault)
-    _FIRST_FAULTS[fault](network)
-    assert seen == [(False, True, ["a", "b"], [], 0.0, False, True)]
-    assert not network.fault_free
-    network.crash("a")  # a later fault: nothing more to announce
-    network.recover("a")
-    assert len(seen) == 1 and not network.fault_free
-    with pytest.raises(NetworkError):
-        network.on_first_fault(on_first_fault)
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_a_fault_is_declared_before_the_clock_starts(fault):
+    """Each fault entry point is accepted before the first event fires, and
+    at any time on a fabric already declared faulty; on a fault-free fabric
+    whose clock has started it raises and changes nothing, so the layers
+    that judged the fabric fault-free are never proved wrong.
+
+    Mutant this kills: an entry point that proceeds instead of raising."""
+
+    def fabric(expect_faults):
+        net = Network(Simulator(), RngRegistry(3), FixedLatency(0.001))
+        a, b = Sink("a"), Sink("b")
+        net.attach(a)
+        net.attach(b)
+        if expect_faults:
+            net.expect_faults()
+        return net, a
+
+    net, _ = fabric(expect_faults=False)
+    _FAULTS[fault](net)  # before the first event
+    assert net.fault_free == (fault == "set-link")
+
+    net, a = fabric(expect_faults=False)
+    a.send("b", "tick")
+    net.sim.run()
+    net.keep("a", "b")  # an owed draw, which set_link would pay
+    before = _fabric_state(net)
+    with pytest.raises(NetworkError, match=r"network\.expect_faults\(\)"):
+        _FAULTS[fault](net)
+    assert _fabric_state(net) == before
+
+    net, a = fabric(expect_faults=True)
+    a.send("b", "tick")
+    net.sim.run()
+    _FAULTS[fault](net)  # already faulty: accepted mid-run
+    assert not net.fault_free
 
 
 def test_setup_and_healthy_operation_keep_the_fabric_fault_free(sim, network, pair):
@@ -577,6 +604,7 @@ def test_fault_after_traffic_bites_next_message_and_undo_restores_stream(fault):
     assert len(set(undisturbed)) == len(undisturbed)  # the link does jitter
 
     sim, net, a, b = _jittery_pair()
+    net.expect_faults()
     for i in range(warm):
         assert _delays_of_next_send(sim, a, b) == [pytest.approx(undisturbed[i], abs=1e-12)]
 
@@ -593,6 +621,7 @@ def test_fault_after_traffic_bites_next_message_and_undo_restores_stream(fault):
 
 def test_one_way_cut_leaves_the_reverse_route_flowing(sim, network, pair):
     a, b = pair
+    network.expect_faults()
     a.send("b", "warm")
     b.send("a", "warm")
     sim.run()

@@ -10,10 +10,11 @@ from repro.core.retry import RetryPolicy
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
 from repro.net.latency import FixedLatency
-from repro.obs.spans import build_span_trees
 from repro.sim.process import Process, Timeout
 from repro.sim.rng import Constant
 from repro.sim.tracing import Trace
+
+from .span_trees import build_span_trees
 
 QOS = QoSSpec(staleness_threshold=10, deadline=1.0, min_probability=0.95)
 

@@ -1,13 +1,9 @@
 """Request-span tracing: emission, tree reconstruction, stitching rules."""
 
-from repro.obs.spans import (
-    SPAN_CATEGORY,
-    build_span_trees,
-    emit_span,
-    request_id_of,
-    span_root,
-)
+from repro.obs.spans import SPAN_CATEGORY, emit_span, span_root
 from repro.sim.tracing import NULL_TRACE, Trace
+
+from .span_trees import build_span_trees, request_id_of
 
 
 def test_span_ids():

@@ -133,9 +133,7 @@ CONFIG_SURFACE = {
         "duration mean_interval crash_weight partition_weight overload_weight "
         "loss_weight membership_outage_weight load_storm_weight "
         "slow_node_weight flapping_link_weight oneway_partition_weight "
-        "dup_storm_weight overload_window storm_window storm_factor "
-        "slow_window slow_factor slow_jitter flap_window flap_period "
-        "dup_window dup_probability"
+        "dup_storm_weight overload_window storm_window storm_factor"
     ),
 }
 
@@ -143,8 +141,8 @@ CONFIG_SURFACE = {
 #: stays a field anyway.
 UNCALLED_FIELDS = {
     # The paper's §2 dial (sequential, FIFO, causal).  No campaign or
-    # benchmark runs a FIFO or causal service until ROADMAP item 1(d)
-    # audits every ordering from the client's side.
+    # benchmark runs a FIFO or causal service until ROADMAP items 16(d)
+    # and 18(a) audit every ordering from the client's side.
     "repro.core.config.ServiceConfig": {"ordering"},
     # Set through ``run_campaign(chaos_overrides=...)``, whose dict keys
     # (``repro chaos --membership-outage-weight``/``--overload-window``)
@@ -239,8 +237,8 @@ def test_no_property_spells_a_registry_counter():
 #: anything else with no caller is deleted, with its tests.
 UNCALLED_DEFINITIONS = {
     "repro.groups.group:GroupEndpoint.fifo_receiver": (
-        "test seam: tests/groups/test_lazy_acks.py"
-        "::test_ack_in_flight_at_the_first_fault_is_already_counted"
+        "test seam: tests/core/test_named_stamps.py"
+        "::test_an_assignment_waits_only_behind_a_stamp_that_was_sent"
     ),
     "repro.groups.group:GroupEndpoint.fifo_sender": (
         "test seam: tests/groups/test_lazy_acks.py"
@@ -254,10 +252,6 @@ UNCALLED_DEFINITIONS = {
     ),
     "repro.net.network:Network.set_link": (
         "test seam: tests/net/test_network.py::test_per_link_latency_override"
-    ),
-    "repro.obs.spans:Span.find": (
-        "test seam: tests/obs/test_span_integration.py"
-        "::test_hedged_read_is_one_tree_with_two_dispatches"
     ),
     "repro.sim.kernel:Simulator.heap_size": (
         "test seam: tests/sim/test_kernel.py"
@@ -283,7 +277,8 @@ def _definitions_and_uses():
     A use is an ``ast.Name``, an ``ast.Attribute``, an imported name, or a
     word of a string constant that is not a docstring (``getattr``
     dispatch, the ledger tracer's ``ENTRY_POINTS``).  A package
-    ``__init__.py``'s imports and ``__all__`` re-export; they use nothing.
+    ``__init__.py``'s imports re-export, and any module's ``__all__``
+    exports; they use nothing.
     """
     import ast
     import re
@@ -318,14 +313,14 @@ def _definitions_and_uses():
                 for node in ast.walk(module_ast)
                 if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
             }
-            if reexports:
-                skipped |= {
-                    id(sub)
-                    for node in ast.walk(module_ast)
-                    if isinstance(node, ast.Assign)
-                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-                    for sub in ast.walk(node)
-                }
+            # A module's ``__all__`` exports a name; it uses nothing.
+            skipped |= {
+                id(sub)
+                for node in ast.walk(module_ast)
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for sub in ast.walk(node)
+            }
             for node in ast.walk(module_ast):
                 if id(node) in skipped:
                     continue
