@@ -8,7 +8,7 @@ read-only set with :data:`KVStore.READ_ONLY_METHODS` (§2's request model
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.core.state import ReplicatedObject
 

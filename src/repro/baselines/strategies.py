@@ -10,7 +10,7 @@ predicted for their choice.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.qos import QoSSpec
 from repro.core.selection import (

@@ -25,14 +25,16 @@ plus a load model for the extra requests the new client would add:
    past a configurable bound (queueing would then invalidate the very
    distributions the guarantee rests on).
 
-The controller is advisory — it owns no sockets and mutates nothing; the
-service layer consults it in :meth:`ReplicatedService.create_client` when
-an instance is installed (see ``admission_controller`` on the service).
+The controller is advisory — it owns no sockets and mutates nothing, and
+the service does not consult it: ``ReplicatedService.create_client`` admits
+every client.  A caller asks it before creating one, through
+:func:`evaluate_against_client`, as ``examples/admission_and_priority.py``
+does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.prediction import ResponseTimePredictor

@@ -10,7 +10,7 @@ a banking service, exactly the configuration the figure depicts.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.core.client import ClientHandler, OutcomeCallback
 from repro.core.qos import QoSSpec

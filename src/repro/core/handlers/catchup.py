@@ -26,7 +26,6 @@ from repro.core.requests import (
     StateTransferRequest,
     StateTransferSnapshot,
 )
-from repro.groups.group import ACK_ROUND_TRIP_MARGIN
 from repro.groups.membership import View
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -374,18 +373,15 @@ class CatchUp:
         self.gap_watch_event = handler.sim.schedule(self.gap_delay(), self._gap_check)
 
     def _holes_close_in_time(self) -> bool:
-        """Whether a hole can be taken to close inside one watchdog period,
-        faults aside (DESIGN.md §9): the fabric is fault-free, so no payload
-        is abandoned, and every link into the replica passes the *Lazy acks*
-        guard — ``ACK_ROUND_TRIP_MARGIN`` × its *mean* delay within the
-        fixed period.  A replica with a φ-detector always keeps its chain."""
+        """Whether a hole can be taken to close inside one watchdog period
+        (DESIGN.md §9): the fabric trusts every link into the replica within
+        the fixed period (:meth:`~repro.net.network.Network.trusted`), so no
+        payload is abandoned and none is held back past it.  A replica with
+        a φ-detector always keeps its chain."""
         handler = self.handler
-        network = handler.network
-        if handler.detector is not None or not network.fault_free:
+        if handler.detector is not None:
             return False
-        period, me = self.gap_delay(), handler.name
+        network, period, me = handler.network, self.gap_delay(), handler.name
         return all(
-            ACK_ROUND_TRIP_MARGIN * network.latency_for(sender, me).mean_delay()
-            < period
-            for sender in network.endpoints()
+            network.trusted(sender, me, period) for sender in network.endpoints()
         )

@@ -24,7 +24,7 @@ as the paper predicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from repro.core.qos import QoSSpec
 

@@ -20,7 +20,7 @@ most recent ``<n_L, t_L>`` with its local receipt time (so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.requests import PerfBroadcast

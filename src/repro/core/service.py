@@ -26,7 +26,7 @@ from typing import Callable, Optional
 from repro.core.client import ClientHandler
 from repro.core.retry import RetryPolicy
 # Re-exported: callers import the config from here.
-from repro.core.config import ServiceConfig, default_service_time
+from repro.core.config import ServiceConfig
 from repro.core.controller import ConsistencyController
 from repro.core.handlers import client_handler_for, replica_handler_for
 from repro.core.overload import DegradationPolicy

@@ -70,10 +70,7 @@ from repro.experiments.campaign import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.tracing import Trace
-from repro.workloads.scenarios import (
-    OPERATION_CLASSES,
-    build_operation_mix_scenario,
-)
+from repro.workloads.scenarios import build_operation_mix_scenario
 
 WARMUP = 2.0
 DRAIN_GRACE = 5.0

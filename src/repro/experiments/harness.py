@@ -30,6 +30,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeseriesRecorder
 from repro.sim.rng import RngRegistry
 from repro.stats.confidence import binomial_confidence_interval
+from repro.stats.summary import percentile
 from repro.workloads.scenarios import build_paper_scenario
 
 
@@ -38,20 +39,18 @@ from repro.workloads.scenarios import build_paper_scenario
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class SelectionOverheadResult:
-    """Per-read selection cost, microseconds (Figure 3)."""
+    """Per-read selection cost, microseconds (Figure 3): means over the
+    repetitions, and the median share of one repetition spent computing
+    distributions (paper: ~90 %).  A median, so that one repetition the
+    host preempted cannot move it."""
 
     num_replicas: int
     window_size: int
     total_us: float
-    distribution_us: float  # distribution computation share (paper: ~90 %)
-    selection_us: float  # Algorithm 1 share (paper: ~10 %)
+    distribution_us: float  # distribution computation
+    selection_us: float  # Algorithm 1
     repetitions: int
-
-    @property
-    def distribution_share(self) -> float:
-        if self.total_us == 0:
-            return 0.0
-        return self.distribution_us / self.total_us
+    distribution_share: float = 0.0
 
 
 def _synthetic_repository(
@@ -117,6 +116,7 @@ def measure_selection_overhead(
 
     dist_time = 0.0
     select_time = 0.0
+    shares = []
     for rep in range(repetitions):
         t0 = time.perf_counter()
         candidates = []
@@ -138,6 +138,7 @@ def measure_selection_overhead(
         t2 = time.perf_counter()
         dist_time += t1 - t0
         select_time += t2 - t1
+        shares.append((t1 - t0) / (t2 - t0) if t2 > t0 else 0.0)
 
     total = dist_time + select_time
     return SelectionOverheadResult(
@@ -147,6 +148,7 @@ def measure_selection_overhead(
         distribution_us=1e6 * dist_time / repetitions,
         selection_us=1e6 * select_time / repetitions,
         repetitions=repetitions,
+        distribution_share=percentile(shares, 50),
     )
 
 

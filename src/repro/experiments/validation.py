@@ -33,7 +33,6 @@ from repro.core.qos import QoSSpec
 from repro.core.selection import StateBasedSelection
 from repro.core.service import ServiceConfig, build_testbed
 from repro.core.staleness import (
-    PoissonStalenessModel,
     RateMixtureStalenessModel,
     StalenessModel,
 )

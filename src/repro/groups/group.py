@@ -9,9 +9,9 @@ A :class:`GroupEndpoint` is a network endpoint that
   evaluated at the service's sweep without being sent on a fault-free one
   (no beat can go missing there, so none is put on the wire);
 * offers reliable FIFO group messaging (``gmcast`` / ``gsend``) built on
-  :mod:`repro.groups.multicast` — settled at the sender the instant it is
-  delivered while the fabric is fault-free and the channel fast (no ack
-  can go missing there, so none is sent), acked on the wire otherwise;
+  :mod:`repro.groups.multicast` — on a channel the fabric trusts
+  (:meth:`~repro.net.network.Network.trusted`) no ack can go missing, so
+  none is sent and the sender keeps no books; acked on the wire otherwise;
 * dispatches inbound traffic to overridable hooks:
   :meth:`on_group_message` (reliable FIFO payloads),
   :meth:`on_view_change`, and :meth:`on_message` (plain unicasts).
@@ -21,7 +21,7 @@ The middleware's gateway handlers (:mod:`repro.core`) all inherit from it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Collection, Optional, Union
+from typing import Any, Collection, Optional
 
 from repro.groups.membership import (
     HeartbeatMsg,
@@ -32,6 +32,7 @@ from repro.groups.membership import (
     ViewChangeMsg,
 )
 from repro.groups.multicast import (
+    RTO,
     FifoReceiver,
     FifoSender,
     GroupAckMsg,
@@ -42,16 +43,6 @@ from repro.net.network import Endpoint, Network
 from repro.net.node import Host
 
 
-#: A message is settled at delivery only while its channel's modelled round
-#: trip (mean delay of the data out plus the ack back) times this margin is
-#: inside ``rto``, so that no ack could have come back late.  A LAN's ~0.6 ms
-#: against 50 ms is; a WAN's ~100 ms genuinely retransmits and is not.
-ACK_ROUND_TRIP_MARGIN = 4.0
-
-#: ``FifoSender.on_ack``'s signature: what settles a message at delivery.
-_Settle = Callable[[GroupDataMsg, str], None]
-
-
 class GroupEndpoint(Endpoint):
     """A network endpoint that participates in membership-managed groups."""
 
@@ -60,12 +51,10 @@ class GroupEndpoint(Endpoint):
         name: str,
         membership: str = MembershipService.DEFAULT_NAME,
         heartbeat_interval: float = 0.25,
-        rto: float = 0.05,
     ) -> None:
         super().__init__(name)
         self.membership_name = membership
         self.heartbeat_interval = heartbeat_interval
-        self._rto = rto
         self.views: dict[str, View] = {}
         self._joined: set[str] = set()
         # The frozen heartbeat payload for the current ``_joined``; built on
@@ -74,12 +63,6 @@ class GroupEndpoint(Endpoint):
         # Whether this endpoint's beats are evaluated at the sweep and not
         # sent (decided at its first tick, for the whole run).
         self._lazy_beats = False
-        # Recipient -> _judge_acks' verdict: whether a message to it is
-        # settled at delivery while the fabric is fault-free.
-        self._lazy_acks: dict[str, bool] = {}
-        # Origin -> _settler's resolution: the on_ack that settles the
-        # origin's data at delivery here, or False where it is acked.
-        self._settlers: dict[str, Union[_Settle, bool]] = {}
         self._sender: Optional[FifoSender] = None
         self._receiver: Optional[FifoReceiver] = None
 
@@ -88,78 +71,30 @@ class GroupEndpoint(Endpoint):
     # ------------------------------------------------------------------
     def attached(self, network: Network, host: Optional[Host]) -> None:
         super().attached(network, host)
-        self._sender = FifoSender(
-            self.sim, self.name, self._raw_send, rto=self._rto
-        )
+        self._sender = FifoSender(self.sim, self.name, self._raw_send)
         self._receiver = FifoReceiver(self._fifo_deliver, self._fifo_ack)
         self.sim.schedule(self.heartbeat_interval, self._first_heartbeat)
 
     def _raw_send(self, recipient: str, payload: Any, size_bytes: int) -> bool:
-        """Transmit; true when the message will be settled at delivery.
+        """Transmit; true when the channel is trusted with the message and
+        its ack (the *ack guard*), so the sender keeps no books on it.
 
-        Runs for every group message, so it reads what is already resolved:
-        the fabric's fault-free fact (fixed before the clock starts) and the
-        cached verdict on the channel.
+        The verdict is a function of the link alone, so ``_fifo_ack`` at
+        the other end reaches the same one.
         """
         network = self.network
         network.send(self.name, recipient, payload, size_bytes)
-        if not network.fault_free:
-            return False
-        lazy = self._lazy_acks.get(recipient)
-        return self._judge_acks(recipient) if lazy is None else lazy
-
-    def _judge_acks(self, recipient: str) -> bool:
-        """Judge, once, how a message to ``recipient`` is acked while the
-        fabric is fault-free: on the wire (False), or settled at delivery
-        (True), its unsent ack kept (:meth:`Network.keep`) because that
-        link's stream also times the data flowing the other way.
-
-        Judged at the first transmit, not in :meth:`attached`, so every link
-        and fault injector set up before the clock starts is seen; the
-        fabric refuses to change either on a fault-free run after that.
-        """
-        network, sender = self.network, self._sender
-        out = network.latency_for(self.name, recipient)
-        back = network.latency_for(recipient, self.name)
-        round_trip = out.mean_delay() + back.mean_delay(64)
-        lazy = network.is_up(recipient) and (
-            ACK_ROUND_TRIP_MARGIN * round_trip < sender.rto
-        )
-        self._lazy_acks[recipient] = lazy
-        return lazy
+        return network.trusted(self.name, recipient, RTO, reply_bytes=64)
 
     def _fifo_ack(self, origin: str, data: GroupDataMsg) -> None:
         network = self.network
-        if network.fault_free:
-            # No ack can go missing: where the origin vouched for the
-            # channel, settle the message there, now.
-            settle = self._settlers.get(origin)
-            if settle is None:
-                settle = self._settler(origin)
-            if settle:
-                network.keep(self.name, origin)
-                settle(data, self.name)
-                return
+        if network.trusted(origin, self.name, RTO, reply_bytes=64):
+            # The origin kept no books on it: no ack, but its draw is kept,
+            # because that link's stream also times data flowing back.
+            network.keep(self.name, origin)
+            return
         ack = GroupAckMsg(data.group, origin, data.seq, data.epoch)
         network.send(self.name, origin, ack, 64)
-
-    def _settler(self, origin: str) -> Optional[Union[_Settle, bool]]:
-        """Resolve, once, how ``origin``'s data to this endpoint is acked
-        while the fabric is fault-free: the ``on_ack`` of the origin's
-        sender, which settles it at delivery, or False — acked on the wire.
-
-        The origin's verdict on this channel is fixed at its first transmit
-        here (:meth:`_judge_acks`), before any of its data can arrive, so
-        it is cached once it exists.  ``on_ack`` is looked up on the
-        instance, so whatever replaced it there is what settles.
-        """
-        peer = self.network.endpoint(origin)
-        lazy = peer._lazy_acks.get(self.name)
-        if lazy is None:
-            return None  # data that no judged transmit sent: acked
-        settle = peer._sender.on_ack if lazy else False
-        self._settlers[origin] = settle
-        return settle
 
     @property
     def up(self) -> bool:
@@ -235,17 +170,17 @@ class GroupEndpoint(Endpoint):
     def _first_heartbeat(self) -> None:
         """The first tick: beat, unless no beat of this endpoint can go missing.
 
-        That is the case when the fabric is fault-free and the service
-        vouches that the link to it is fast enough.  The endpoint then
-        arms no timer and sends nothing for the rest of the run.  Decided
-        here and not in :meth:`attached`, so every link and fault injector
-        set up before the clock starts is seen.
+        That is the case when the service vouches that the fabric trusts
+        the link to it (:meth:`MembershipService.beats_land_in_time`).  The
+        endpoint then arms no timer and sends nothing for the rest of the
+        run.  Decided here and not in :meth:`attached`, so every link and
+        fault injector set up before the clock starts is seen.
         """
         network = self.network
         assert network is not None
         service = (
             network.endpoint(self.membership_name)
-            if network.fault_free and network.is_up(self.membership_name)
+            if network.is_up(self.membership_name)
             else None
         )
         if isinstance(service, MembershipService) and service.beats_land_in_time(

@@ -20,7 +20,7 @@ election deterministic (:attr:`View.leader`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.net.message import Message
@@ -204,12 +204,18 @@ class MembershipService(Endpoint):
 
     def beats_land_in_time(self, member: str, interval: float) -> bool:
         """Whether beats sent every ``interval`` over ``member``'s link can
-        be taken as received, faults aside: a beat's mean delay must leave
-        it ``interval`` to spare inside ``suspect_timeout``, or the very
-        first one could arrive after the member was suspected."""
+        be taken as received: the fabric trusts the link, with a beat's
+        mean delay leaving it ``interval`` to spare inside
+        ``suspect_timeout``, or the very first one could arrive after the
+        member was suspected."""
         assert self.network is not None
-        delay = self.network.latency_for(member, self.name).mean_delay(64)
-        return delay < self.config.suspect_timeout - interval
+        return self.network.trusted(
+            member,
+            self.name,
+            self.config.suspect_timeout - interval,
+            size_bytes=64,
+            margin=1.0,
+        )
 
     def _admit(self, group: str, member: str) -> View:
         self._resume_sweeps()

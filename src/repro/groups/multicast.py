@@ -5,8 +5,8 @@ Guarantees (matching what the paper assumes from Maestro-Ensemble):
 * **Reliable** — every message is acknowledged; unacknowledged messages are
   retransmitted with backoff until acked or the retry budget is exhausted
   (the membership layer will have evicted a dead receiver well before
-  that).  A message the fabric guarantees is settled when it is delivered:
-  no ack travels and no deadline is kept.
+  that).  A message on a link the fabric trusts keeps no books: no record,
+  no deadline, and no ack travels.
 * **FIFO** — between each (sender, receiver) pair within a group, messages
   are delivered in send order; out-of-order arrivals are buffered,
   duplicates suppressed (and re-acked, so lost acks recover).
@@ -24,6 +24,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from repro.sim.kernel import Event, Simulator
+
+#: A group endpoint's retransmit timeout: a message's first deadline, and
+#: the budget within which its channel must be trusted to need no ack.
+RTO = 0.05
 
 
 # Neither wire record is frozen: one is built per channel message, and a
@@ -97,9 +101,9 @@ class FifoSender:
     give.
 
     ``send_raw`` returns true for a message the fabric guarantees, ack and
-    all, well inside ``rto``: that one keeps no deadline and arms no timer.
-    The verdict is the channel's for the whole run, so a message that was
-    given a deadline is retransmitted with one.
+    all, well inside ``rto``: that one keeps no record, no deadline and no
+    timer.  The verdict is the channel's for the whole run, so a message
+    that was given a deadline is retransmitted with one.
     """
 
     def __init__(
@@ -107,7 +111,7 @@ class FifoSender:
         sim: Simulator,
         owner: str,
         send_raw: Callable[[str, Any, int], Optional[bool]],
-        rto: float = 0.05,
+        rto: float = RTO,
         max_retries: int = 20,
         backoff: float = 1.5,
     ) -> None:
@@ -142,11 +146,11 @@ class FifoSender:
             channel = self._channels[group, recipient] = _Outbound()
         seq = channel.seq = channel.seq + 1
         message = GroupDataMsg(group, self.owner, seq, payload, channel.epoch)
-        entry = _Outstanding(recipient, message, size_bytes)
-        self._outstanding[(group, recipient, seq)] = entry
         # The first transmission; _retransmit sends the others.
         if self._send_raw(recipient, message, size_bytes):
             return message
+        entry = _Outstanding(recipient, message, size_bytes)
+        self._outstanding[(group, recipient, seq)] = entry
         heapq.heappush(
             self._due, (self.sim._now + self.rto, next(self._transmits), entry)
         )
@@ -170,9 +174,8 @@ class FifoSender:
                 sent += 1
         return sent
 
-    def on_ack(self, ack: GroupAckMsg | GroupDataMsg, from_member: str) -> None:
-        """Settle what ``ack`` names: the ack that travelled, or the data
-        message itself when it is settled at delivery."""
+    def on_ack(self, ack: GroupAckMsg, from_member: str) -> None:
+        """Settle the message ``ack`` names."""
         key = (ack.group, from_member, ack.seq)
         entry = self._outstanding.get(key)
         # An ack of an earlier epoch names another message with this seq.
@@ -272,7 +275,7 @@ class FifoReceiver:
     def on_data(self, data: GroupDataMsg) -> None:
         # Always ack, including duplicates: the original ack may have been
         # lost, and re-acking is what stops the sender's retransmissions.
-        # How — a GroupAckMsg on the wire or a call — is the endpoint's.
+        # Whether a GroupAckMsg travels is the endpoint's call.
         self._ack(data.origin, data)
         channel = self._channels.get((data.group, data.origin))
         if channel is None or data.epoch > channel.epoch:

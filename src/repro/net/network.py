@@ -33,8 +33,9 @@ The fabric also knows whether it can be anything but perfect:
 :attr:`Network.fault_free` is fixed for the whole run before the clock
 starts.  A fault configured then, or a fault injector built on the fabric,
 ends it; once the simulator has fired an event, a fault on a fabric that is
-still fault-free is refused, so the layers that skip work on the strength
-of it never see it change.
+still fault-free is refused.  The layers above skip work only on a link the
+fabric trusts (:meth:`Network.trusted`), so they never see a verdict change
+under them.
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import NULL_TRACE, Trace
+
+
+#: A link is trusted within a budget only while this margin times its
+#: modelled mean delay is inside the budget, so that no message could have
+#: come late.  A LAN's ~0.6 ms ack round trip against a 50 ms retransmit
+#: timeout is; a WAN's ~100 ms genuinely retransmits and is not.
+ACK_ROUND_TRIP_MARGIN = 4.0
 
 
 class NetworkError(RuntimeError):
@@ -184,9 +192,11 @@ class Network:
         # injector is built on this fabric then.  While it holds, every
         # message sent between attached endpoints is delivered, once, after
         # its link's undisturbed latency.  It never becomes true again:
-        # healing the last fault does not restore it.  Read per group
-        # message, so a plain attribute; only :meth:`expect_faults` writes it.
+        # healing the last fault does not restore it.  Only
+        # :meth:`expect_faults` writes it.
         self.fault_free = True
+        # :meth:`trusted`'s verdicts, by question; cleared with fault_free.
+        self._trusted: dict[tuple, bool] = {}
         self.drop_probability = drop_probability
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._endpoints: dict[str, Endpoint] = {}
@@ -224,6 +234,7 @@ class Network:
         if self.fault_free:
             self._refuse_once_running("a fault")
             self.fault_free = False
+            self._trusted.clear()
 
     def _refuse_once_running(self, what: str) -> None:
         """Raise if the clock has started on a fabric that is fault-free:
@@ -233,6 +244,41 @@ class Network:
                 f"{what} after the first event on a fault-free fabric: "
                 f"call network.expect_faults() before the clock starts"
             )
+
+    def trusted(
+        self,
+        sender: str,
+        recipient: str,
+        budget: float,
+        size_bytes: int = 256,
+        reply_bytes: Optional[int] = None,
+        margin: float = ACK_ROUND_TRIP_MARGIN,
+    ) -> bool:
+        """Whether ``sender -> recipient`` is trusted within ``budget``
+        seconds: the fabric is fault-free, ``recipient`` is up, and
+        ``margin`` times the modelled mean delay of a ``size_bytes``
+        message — plus that of a ``reply_bytes`` reply back, when one is
+        named — is inside ``budget``.  On a trusted link nothing can go
+        missing or come late, so a layer may skip what guards against it.
+
+        Asked per message, so each verdict is cached until
+        :meth:`expect_faults`.  A :meth:`set_link` before the clock starts
+        does not revisit one: both ends of a channel must keep the verdict
+        its first message was sent under.
+        """
+        key = (sender, recipient, budget, size_bytes, reply_bytes, margin)
+        verdict = self._trusted.get(key)
+        if verdict is None:
+            verdict = self.fault_free and self.is_up(recipient)
+            if verdict:
+                delay = self.latency_for(sender, recipient).mean_delay(size_bytes)
+                if reply_bytes is not None:
+                    delay += self.latency_for(recipient, sender).mean_delay(
+                        reply_bytes
+                    )
+                verdict = margin * delay < budget
+            self._trusted[key] = verdict
+        return verdict
 
     @property
     def drop_probability(self) -> float:

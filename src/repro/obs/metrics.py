@@ -23,7 +23,7 @@ count (``client.reads_judged.value``): no property repeats it as an int.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 

@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -35,7 +34,7 @@ from repro.obs.calibration import CalibrationTracker
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloEngine, SloSpec
 from repro.obs.timeseries import TimeseriesRecorder
-from repro.sim.rng import Distribution, LogNormal, Normal
+from repro.sim.rng import Distribution, Normal
 from repro.sim.tracing import Trace
 from repro.workloads.clients import AlternatingClient, ClientWorkloadConfig
 from repro.workloads.generators import (

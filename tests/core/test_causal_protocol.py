@@ -240,7 +240,6 @@ def test_non_causal_client_update_rejected_by_replica():
     the replica surfaces loudly."""
     testbed = make_testbed(num_primaries=1, num_secondaries=0)
     primary = testbed.service.primaries[0]
-    from repro.core.replica import PendingRequest
     from repro.core.requests import Request, RequestKind
 
     request = Request(1, "c", "put", ("k", 1), RequestKind.UPDATE, None, 0.0)

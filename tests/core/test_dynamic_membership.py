@@ -98,7 +98,7 @@ def test_recover_primary_rejected():
 # Channel epochs (the mechanism underneath recovery)
 # ---------------------------------------------------------------------------
 def test_channel_epoch_reset_restarts_sequencing(sim):
-    from repro.groups.multicast import FifoReceiver, FifoSender, GroupDataMsg
+    from repro.groups.multicast import FifoReceiver, FifoSender
 
     sent = []
     sender = FifoSender(sim, "a", lambda r, m, s: sent.append(m))

@@ -2,8 +2,6 @@
 recovery, skips, and read re-stamping (our completion of §4.1's omitted
 failure handling; see DESIGN.md)."""
 
-import pytest
-
 from repro.core.qos import QoSSpec
 from repro.core.requests import GsnSkip
 from repro.core.service import ServiceConfig, build_testbed

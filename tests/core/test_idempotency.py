@@ -14,7 +14,6 @@ replica state captured before the replay:
   (wrong ``xfer_id``, or not recovering at all) is ignored outright.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -4,20 +4,16 @@ facade (Figure 2)."""
 import pytest
 
 from repro.apps.kvstore import KVStore
+from repro.core.config import default_service_time
 from repro.core.gateway import Gateway
 from repro.core.qos import OrderingGuarantee, QoSSpec
 from repro.core.replica import ServiceGroups
-from repro.core.service import (
-    ReplicatedService,
-    ServiceConfig,
-    build_testbed,
-    default_service_time,
-)
+from repro.core.service import ReplicatedService, ServiceConfig, build_testbed
 from repro.groups.membership import MembershipService
 from repro.net.latency import FixedLatency
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
-from repro.sim.process import Process, Timeout
+from repro.sim.process import Process
 from repro.sim.rng import Constant, RngRegistry
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.apps.document import SharedDocument
 from repro.apps.kvstore import KVStore
 from repro.apps.stock import StockTicker
-from repro.core.state import CounterObject, ReplicatedObject
+from repro.core.state import CounterObject
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,6 @@ def test_main_quick_check_passes(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 def run_calm_cell(detector_config):
     """A fault-free service run; returns the full trace for comparison."""
-    from repro.sim.tracing import Trace
 
     config = ServiceConfig(
         name="svc",

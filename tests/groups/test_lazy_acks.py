@@ -1,5 +1,5 @@
-"""Lazy acks: in a fault-free fabric a group message is settled at its sender
-the instant it is delivered and no ack travels.
+"""Lazy acks: on a channel the fault-free fabric trusts, a group message keeps
+no books at its sender and no ack travels.
 
 Every scenario runs twice where it matters: on a fabric told to expect
 faults at t = 0, which acks every message with a message and arms a
@@ -17,7 +17,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import Normal, RngRegistry
 
 MEMBERS = ("a", "b", "c")
-RTO = 0.05
 
 
 class SpySimulator(Simulator):
@@ -51,26 +50,21 @@ class SpyNetwork(Network):
 
 class Member(GroupEndpoint):
     def __init__(self, name):
-        super().__init__(name, rto=RTO)
+        super().__init__(name)
         self.got = []  # (group, sender, payload), as handed over
-        self.settled_at_delivery = set()  # (self, recipient, epoch, seq)
+        self.unacked_after_send = []  # fifo_sender.unacked right after each send
 
     def on_group_message(self, group, sender, payload):
         self.got.append((group, sender, payload))
 
-    def attached(self, network, host):
-        super().attached(network, host)
-        on_ack = self.fifo_sender.on_ack
+    def gsend(self, group, member, payload, size_bytes=256):
+        super().gsend(group, member, payload, size_bytes)
+        self.unacked_after_send.append(self.fifo_sender.unacked)
 
-        def spy(ack, from_member):
-            # Settled at delivery: the receiver hands over the data itself.
-            if isinstance(ack, GroupDataMsg):
-                self.settled_at_delivery.add(
-                    (self.name, from_member, ack.epoch, ack.seq)
-                )
-            on_ack(ack, from_member)
-
-        self.fifo_sender.on_ack = spy
+    def gmcast(self, group, payload, size_bytes=256, only=None):
+        sent = super().gmcast(group, payload, size_bytes, only)
+        self.unacked_after_send.append(self.fifo_sender.unacked)
+        return sent
 
 
 class Group:
@@ -124,7 +118,9 @@ def test_fault_free_fabric_sends_no_ack_arms_no_timer_and_keeps_every_draw():
     assert lazy.network.acks == []
     assert lazy.sim.retransmit_timers == 0
     assert lazy.network.fault_free
-    assert len(lazy.members["a"].settled_at_delivery) == 1000
+    # The wired twin keeps each message until its ack; the lazy one keeps none.
+    assert wired.members["a"].unacked_after_send == [1] * 1000
+    assert lazy.members["a"].unacked_after_send == [0] * 1000
     # One variate per message from the data's link stream and one from the
     # ack's, sent or not: the streams are where the wired twin left them.
     lazy.network.settle_draws()
@@ -151,7 +147,11 @@ def test_channel_whose_round_trip_is_not_inside_rto_acks_on_the_wire():
     assert lazy.retransmissions() == wired.retransmissions() > 0
     assert lazy.network.acks == wired.network.acks
     assert lazy.network.data == wired.network.data
-    assert lazy.members["a"].settled_at_delivery == set()
+    assert (
+        lazy.members["a"].unacked_after_send
+        == wired.members["a"].unacked_after_send
+    )
+    assert min(lazy.members["a"].unacked_after_send) >= 2
     for name in MEMBERS:
         assert lazy.members[name].got == wired.members[name].got
 
@@ -189,3 +189,22 @@ def test_fabric_that_expects_faults_before_the_first_transmit_is_never_trusted()
     group.sim.run(until=1.0)
     assert len(group.network.acks) == 2 and group.sim.retransmit_timers == 1
     assert group.unacked() == 0
+
+
+def test_a_verdict_does_not_outlive_expect_faults():
+    """A message sent while the fabric is still fault-free rides on trust;
+    once the fabric expects faults the next one is acked on the wire and
+    keeps a deadline.  Kills a verdict cached across ``expect_faults()``,
+    which would send the second message on the first one's trust."""
+    group = Group(expect_faults=False)
+    a = group.members["a"]
+    a.gsend("g", "b", "before")
+    assert a.fifo_sender.unacked == 0 and group.sim.retransmit_timers == 0
+    group.network.expect_faults()
+    a.gsend("g", "b", "after")
+    assert a.unacked_after_send == [0, 1] and group.sim.retransmit_timers == 1
+    group.sim.run(until=1.0)
+    # Both arrive once the fabric expects faults, so both are acked.
+    assert [(s, r) for _, s, r in group.network.acks] == [("b", "a")] * 2
+    assert group.members["b"].got == [("g", "a", "before"), ("g", "a", "after")]
+    assert group.unacked() == 0 and group.retransmissions() == 0

@@ -13,8 +13,6 @@ guarantees §4.1 promises:
   ceases").
 """
 
-import pytest
-
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
 from repro.net.latency import FixedLatency, LanLatency

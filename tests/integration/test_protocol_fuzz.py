@@ -14,7 +14,6 @@ protocol's invariants:
 Runs are kept small (tens of requests) so the whole battery stays fast.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import SimulationError, Simulator
+from repro.sim.kernel import SimulationError
 from repro.sim.process import Process, Signal, Timeout
 
 

@@ -253,6 +253,11 @@ UNCALLED_DEFINITIONS = {
     "repro.net.network:Network.set_link": (
         "test seam: tests/net/test_network.py::test_per_link_latency_override"
     ),
+    # The one distribution that skips through Distribution.skip's own loop.
+    "repro.sim.rng:LogNormal": (
+        "test seam: tests/sim/test_rng.py"
+        "::test_skip_leaves_the_stream_where_n_draws_would"
+    ),
     "repro.sim.kernel:Simulator.heap_size": (
         "test seam: tests/sim/test_kernel.py"
         "::test_mass_cancel_does_not_grow_heap_unboundedly"
