@@ -60,7 +60,8 @@ class Figure3Result:
         """Overhead should grow with replica count.
 
         Wall-clock timings are noisy — a single CPU-scheduling spike can
-        make one point jump 50 % — so this is a *trend* check, robust to
+        make one point jump 50 % — so this is a *trend* check on each
+        point's median repetition, robust to preempted repetitions and to
         individual outliers: the endpoints must rise clearly and the
         Spearman rank correlation between replica count and cost must be
         strongly positive.
@@ -68,17 +69,20 @@ class Figure3Result:
         series = self.series(window_size)
         if len(series) < 3:
             return True
-        endpoints_rise = series[-1].total_us > 1.3 * series[0].total_us
+        endpoints_rise = (
+            series[-1].median_total_us > 1.3 * series[0].median_total_us
+        )
         return endpoints_rise and (
-            _rank_correlation([p.total_us for p in series])
+            _rank_correlation([p.median_total_us for p in series])
             >= min_rank_correlation
         )
 
     def window20_above_window10(self, tolerance: float = 0.1) -> bool:
         """The larger window costs more — compared across the whole sweep
-        (sum over replica counts) so one noisy point cannot flip it."""
-        total_10 = sum(p.total_us for p in self.series(10))
-        total_20 = sum(p.total_us for p in self.series(20))
+        (sum of the median repetitions over replica counts) so one noisy
+        point cannot flip it."""
+        total_10 = sum(p.median_total_us for p in self.series(10))
+        total_20 = sum(p.median_total_us for p in self.series(20))
         if total_10 == 0 or total_20 == 0:
             return True
         return total_20 >= total_10 * (1.0 - tolerance)

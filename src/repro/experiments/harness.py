@@ -40,9 +40,10 @@ from repro.workloads.scenarios import build_paper_scenario
 @dataclass(frozen=True)
 class SelectionOverheadResult:
     """Per-read selection cost, microseconds (Figure 3): means over the
-    repetitions, and the median share of one repetition spent computing
-    distributions (paper: ~90 %).  A median, so that one repetition the
-    host preempted cannot move it."""
+    repetitions, the median total of one repetition, and the median share
+    of one repetition spent computing distributions (paper: ~90 %).  The
+    shape checks read medians, so that the few repetitions the host
+    preempted cannot move them."""
 
     num_replicas: int
     window_size: int
@@ -50,6 +51,7 @@ class SelectionOverheadResult:
     distribution_us: float  # distribution computation
     selection_us: float  # Algorithm 1
     repetitions: int
+    median_total_us: float
     distribution_share: float = 0.0
 
 
@@ -116,6 +118,7 @@ def measure_selection_overhead(
 
     dist_time = 0.0
     select_time = 0.0
+    totals = []
     shares = []
     for rep in range(repetitions):
         t0 = time.perf_counter()
@@ -138,6 +141,7 @@ def measure_selection_overhead(
         t2 = time.perf_counter()
         dist_time += t1 - t0
         select_time += t2 - t1
+        totals.append(t2 - t0)
         shares.append((t1 - t0) / (t2 - t0) if t2 > t0 else 0.0)
 
     total = dist_time + select_time
@@ -148,6 +152,7 @@ def measure_selection_overhead(
         distribution_us=1e6 * dist_time / repetitions,
         selection_us=1e6 * select_time / repetitions,
         repetitions=repetitions,
+        median_total_us=1e6 * percentile(totals, 50),
         distribution_share=percentile(shares, 50),
     )
 

@@ -11,7 +11,9 @@ A :class:`GroupEndpoint` is a network endpoint that
 * offers reliable FIFO group messaging (``gmcast`` / ``gsend``) built on
   :mod:`repro.groups.multicast` — on a channel the fabric trusts
   (:meth:`~repro.net.network.Network.trusted`) no ack can go missing, so
-  none is sent and the sender keeps no books; acked on the wire otherwise;
+  none is sent and the sender keeps no books; acked on the wire otherwise.
+  The endpoint holds the fabric's :class:`~repro.net.network.Link` record
+  of each peer and caches that verdict on it;
 * dispatches inbound traffic to overridable hooks:
   :meth:`on_group_message` (reliable FIFO payloads),
   :meth:`on_view_change`, and :meth:`on_message` (plain unicasts).
@@ -39,7 +41,7 @@ from repro.groups.multicast import (
     GroupDataMsg,
 )
 from repro.net.message import Message
-from repro.net.network import Endpoint, Network
+from repro.net.network import Endpoint, Link, Network
 from repro.net.node import Host
 
 
@@ -65,6 +67,8 @@ class GroupEndpoint(Endpoint):
         self._lazy_beats = False
         self._sender: Optional[FifoSender] = None
         self._receiver: Optional[FifoReceiver] = None
+        # The fabric's record of the link to each peer, by peer name.
+        self._links: dict[str, Link] = {}
 
     # ------------------------------------------------------------------
     # Wiring
@@ -75,26 +79,44 @@ class GroupEndpoint(Endpoint):
         self._receiver = FifoReceiver(self._fifo_deliver, self._fifo_ack)
         self.sim.schedule(self.heartbeat_interval, self._first_heartbeat)
 
+    def _link(self, peer: str) -> Link:
+        """The record of ``self -> peer``, asked of the fabric once."""
+        link = self._links[peer] = self.network.link(self.name, peer)
+        return link
+
+    def _judge(self, link: Link) -> bool:
+        """The ack guard's verdict on ``link``, cached on it until the
+        fabric expects faults: trusted with a message and its ack."""
+        verdict = link.verdict = self.network.trusted(
+            link.sender, link.recipient, RTO, reply_bytes=64
+        )
+        return verdict
+
     def _raw_send(self, recipient: str, payload: Any, size_bytes: int) -> bool:
         """Transmit; true when the channel is trusted with the message and
         its ack (the *ack guard*), so the sender keeps no books on it.
 
-        The verdict is a function of the link alone, so ``_fifo_ack`` at
-        the other end reaches the same one.
+        The verdict is the link's, so ``_fifo_ack`` at the other end reads
+        the same one.
         """
-        network = self.network
-        network.send(self.name, recipient, payload, size_bytes)
-        return network.trusted(self.name, recipient, RTO, reply_bytes=64)
+        self.network.send(self.name, recipient, payload, size_bytes)
+        link = self._links.get(recipient) or self._link(recipient)
+        verdict = link.verdict
+        return self._judge(link) if verdict is None else verdict
 
     def _fifo_ack(self, origin: str, data: GroupDataMsg) -> None:
-        network = self.network
-        if network.trusted(origin, self.name, RTO, reply_bytes=64):
+        link = self._links.get(origin) or self._link(origin)
+        inbound = link.reverse
+        verdict = inbound.verdict
+        if verdict is None:
+            verdict = self._judge(inbound)
+        if verdict:
             # The origin kept no books on it: no ack, but its draw is kept,
             # because that link's stream also times data flowing back.
-            network.keep(self.name, origin)
+            link.owed += 1
             return
         ack = GroupAckMsg(data.group, origin, data.seq, data.epoch)
-        network.send(self.name, origin, ack, 64)
+        self.network.send(self.name, origin, ack, 64)
 
     @property
     def up(self) -> bool:
@@ -230,15 +252,17 @@ class GroupEndpoint(Endpoint):
         """The members that ``only`` names, in view order.
 
         Any other member is sent nothing and takes no sequence number, but
-        the message it is not sent is kept (:meth:`Network.keep_all`): that
-        link's stream also times what *is* sent there (its ack's is not:
-        nothing else draws from that direction).
+        the message it is not sent is kept (``Link.owed``): that link's
+        stream also times what *is* sent there (its ack's is not: nothing
+        else draws from that direction).
         """
-        name = self.name
-        self.network.keep_all(
-            name, [m for m in members if m not in only and m != name]
-        )
-        return [member for member in members if member in only]
+        name, links, named = self.name, self._links, []
+        for member in members:
+            if member in only:
+                named.append(member)
+            elif member != name:
+                (links.get(member) or self._link(member)).owed += 1
+        return named
 
     def gsend(
         self, group: str, member: str, payload: Any, size_bytes: int = 256

@@ -21,13 +21,18 @@ layers need:
 Per-pair latency overrides allow heterogeneous topologies (slow hosts/links,
 as the paper's 300 MHz–1 GHz testbed had).
 
-The per-message path is kept short: a directed link is resolved once into
-its ``(rng stream, latency model)`` *route* and reused until the topology or
-a degradation changes, and the crash, cut, loss and churn checks are skipped
-while the fabric's own state says none is configured.  None of this may
-change which RNG stream is drawn from, or in which order: a message not
-sent is *kept*, and its link's next real draw pays for it
-(:meth:`Network.keep`).
+The per-message path is kept short.  Each directed link is one persistent
+:class:`Link` record (:meth:`Network.link`): its RNG stream, its latency
+model, the draws it owes and a trust verdict the layers above cache on it.
+The group layer holds the records of its peers, so a group message looks
+nothing up by name but the one :meth:`Network.send` does.  A record is never
+replaced, only brought up to date: ``set_link``, ``degrade_node`` and
+``restore_node`` re-resolve every record's latency in place, and
+:meth:`Network.expect_faults` clears every verdict.  The crash, cut, loss
+and churn checks are skipped while the fabric's own state says none is
+configured.  None of this may change which RNG stream is drawn from, or in
+which order: a message not sent is *kept* (``link.owed += 1``), and its
+link's next real draw pays for it.
 
 The fabric also knows whether it can be anything but perfect:
 :attr:`Network.fault_free` is fixed for the whole run before the clock
@@ -42,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 
 from typing import Any, Iterable, Optional
@@ -110,6 +114,38 @@ class LinkChurn:
         low, high = self.extra_delay
         if low < 0 or high < low:
             raise ValueError(f"invalid extra_delay range [{low}, {high}]")
+
+
+class Link:
+    """One directed link ``sender -> recipient``, resolved once and held.
+
+    ``stream`` and ``latency`` time its messages; ``latency`` is re-resolved
+    in place whenever the model in force changes.  ``owed`` counts the
+    draws of messages kept rather than sent, paid in bulk just before the
+    link's next real draw.  ``verdict`` is the layer above's cached trust
+    judgement of the link (the group layer's ack guard), ``None`` until it
+    is first asked and again after :meth:`Network.expect_faults`.
+    ``reverse`` is the record of the link back.
+    """
+
+    __slots__ = (
+        "sender", "recipient", "stream", "latency", "owed", "verdict", "reverse",
+    )
+
+    def __init__(
+        self, sender: str, recipient: str, stream: random.Random,
+        latency: LatencyModel,
+    ) -> None:
+        self.sender = sender
+        self.recipient = recipient
+        self.stream = stream
+        self.latency = latency
+        self.owed = 0
+        self.verdict: Optional[bool] = None
+        self.reverse: Link = self
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<Link {self.sender}->{self.recipient} owed={self.owed}>"
 
 
 class Endpoint:
@@ -197,6 +233,11 @@ class Network:
         self.fault_free = True
         # :meth:`trusted`'s verdicts, by question; cleared with fault_free.
         self._trusted: dict[tuple, bool] = {}
+        # Every link record, by (sender, recipient).  A record in _records
+        # vouches that both ends are attached; one made before that stays in
+        # _dangling, where send's slow path finds it.
+        self._records: dict[tuple[str, str], Link] = {}
+        self._dangling: dict[tuple[str, str], Link] = {}
         self.drop_probability = drop_probability
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._endpoints: dict[str, Endpoint] = {}
@@ -212,10 +253,6 @@ class Network:
         # per fabric like ``msg_id``, so a seeded run replays its ids (and
         # ``req-<rid>`` span names) in any process.
         self.request_ids = itertools.count(1)
-        # Resolved directed links; see _route for what invalidates them.
-        self._routes: dict[tuple[str, str], tuple[random.Random, LatencyModel]] = {}
-        # Directed link -> draws owed by messages kept rather than sent.
-        self._owed: Counter[tuple[str, str]] = Counter()
         self.messages_sent = self.metrics.counter("net_messages_sent")
         self.messages_delivered = self.metrics.counter("net_messages_delivered")
         self.messages_dropped = self.metrics.counter("net_messages_dropped")
@@ -235,6 +272,8 @@ class Network:
             self._refuse_once_running("a fault")
             self.fault_free = False
             self._trusted.clear()
+            for link in self._every_link():
+                link.verdict = None
 
     def _refuse_once_running(self, what: str) -> None:
         """Raise if the clock has started on a fabric that is fault-free:
@@ -261,10 +300,11 @@ class Network:
         named — is inside ``budget``.  On a trusted link nothing can go
         missing or come late, so a layer may skip what guards against it.
 
-        Asked per message, so each verdict is cached until
-        :meth:`expect_faults`.  A :meth:`set_link` before the clock starts
-        does not revisit one: both ends of a channel must keep the verdict
-        its first message was sent under.
+        Each verdict is cached until :meth:`expect_faults`.  A
+        :meth:`set_link` before the clock starts does not revisit one: both
+        ends of a channel must keep the verdict its first message was sent
+        under.  A question asked per message is cached on the
+        :class:`Link` instead (``Link.verdict``), by the layer that asks it.
         """
         key = (sender, recipient, budget, size_bytes, reply_bytes, margin)
         verdict = self._trusted.get(key)
@@ -325,7 +365,7 @@ class Network:
         self._refuse_once_running("set_link")
         self.settle_draws()
         self._links[(sender, recipient)] = latency
-        self._routes.clear()
+        self._resolve_latencies()
 
     def latency_for(self, sender: str, recipient: str) -> LatencyModel:
         base = self._links.get((sender, recipient), self.default_latency)
@@ -343,42 +383,48 @@ class Network:
             return base
         return DegradedLatency(base, factor, jitter)
 
-    def _route(
-        self, sender: str, recipient: str
-    ) -> tuple[random.Random, LatencyModel]:
-        """Resolve ``sender -> recipient`` once: its RNG stream and latency.
+    def link(self, sender: str, recipient: str) -> Link:
+        """The one record of ``sender -> recipient``, made on first ask
+        together with the record of the link back.  Hold it: it stays
+        current for the whole run."""
+        key = (sender, recipient)
+        link = self._records.get(key) or self._dangling.get(key)
+        if link is None:
+            link = self._new_link(sender, recipient)
+            if recipient != sender:
+                back = self._new_link(recipient, sender)
+                link.reverse, back.reverse = back, link
+        return link
 
-        A cached route also vouches that both ends are attached.  Whatever
-        changes an input — ``set_link``, ``degrade_node``/``restore_node`` —
-        clears the table.
-        """
-        route = (
+    def _new_link(self, sender: str, recipient: str) -> Link:
+        link = Link(
+            sender,
+            recipient,
             self.rng.stream(f"net.link.{sender}->{recipient}"),
             self.latency_for(sender, recipient),
         )
-        self._routes[(sender, recipient)] = route
-        return route
+        endpoints = self._endpoints
+        wired = sender in endpoints and recipient in endpoints
+        (self._records if wired else self._dangling)[(sender, recipient)] = link
+        return link
 
-    def keep(self, sender: str, recipient: str) -> None:
-        """Owe ``sender -> recipient`` one latency draw: the delay of a
-        message not sent, which eager drawing would have taken from the
-        stream that also times what *is* sent there.  Costs a count."""
-        link, owed = (sender, recipient), self._owed
-        owed[link] = owed.get(link, 0) + 1
+    def _every_link(self) -> Iterable[Link]:
+        return itertools.chain(self._records.values(), self._dangling.values())
 
-    def keep_all(self, sender: str, recipients: Iterable[str]) -> None:
-        """:meth:`keep` for each of ``recipients``, in one C-level count."""
-        self._owed.update(zip(itertools.repeat(sender), recipients))
+    def _resolve_latencies(self) -> None:
+        """Bring every record's latency up to the model now in force."""
+        for link in self._every_link():
+            link.latency = self.latency_for(link.sender, link.recipient)
 
     def settle_draws(self) -> None:
         """Pay every owed draw with the latency model in force, so that each
         link stream sits where eager drawing would have left it.  Called
-        before a route changes; a reader of a stream's state calls it too."""
-        for (sender, recipient), n in self._owed.items():
-            self.latency_for(sender, recipient).skip(
-                self.rng.stream(f"net.link.{sender}->{recipient}"), n
-            )
-        self._owed.clear()
+        before a link's latency changes; a reader of a stream's state calls
+        it too."""
+        for link in self._every_link():
+            if link.owed:
+                link.latency.skip(link.stream, link.owed)
+                link.owed = 0
 
     # ------------------------------------------------------------------
     # Gray degradation: alive but slow (timing failures, not crashes)
@@ -401,7 +447,7 @@ class Network:
         self.expect_faults()
         self.settle_draws()
         self._degraded_nodes[name] = (factor, jitter_s)
-        self._routes.clear()
+        self._resolve_latencies()
         self.trace.emit(
             self.sim.now, "net.degrade", name,
             factor=round(factor, 3), jitter=round(jitter_s, 5),
@@ -412,7 +458,7 @@ class Network:
         self.settle_draws()
         if self._degraded_nodes.pop(name, None) is None:
             return False
-        self._routes.clear()
+        self._resolve_latencies()
         self.trace.emit(self.sim.now, "net.restore", name)
         return True
 
@@ -542,12 +588,11 @@ class Network:
     def send(
         self, sender: str, recipient: str, payload: Any, size_bytes: int = 256
     ) -> Message:
-        link = (sender, recipient)
-        route = self._routes.get(link)
-        if route is None and sender not in self._endpoints:
+        link = self._records.get((sender, recipient))
+        if link is None and sender not in self._endpoints:
             raise NetworkError(f"unknown sender {sender!r}")
         sim = self.sim
-        now = sim.now
+        now = sim._now
         message = Message(
             sender, recipient, payload, now, size_bytes, next(self._msg_ids)
         )
@@ -555,11 +600,11 @@ class Network:
         if self._crashed and sender in self._crashed:
             self._drop(message, "sender-crashed")
             return message
-        if route is None:
+        if link is None:
             if recipient not in self._endpoints:
                 self._drop(message, "unknown-recipient")
                 return message
-            route = self._route(sender, recipient)
+            link = self.link(sender, recipient)
         if self._partitions and self._cut(sender, recipient):
             self._drop(message, "partitioned")
             return message
@@ -567,10 +612,10 @@ class Network:
             if self.rng.stream("net.loss").random() < self._drop_probability:
                 self._drop(message, "random-loss")
                 return message
-        link_rng, latency = route
-        owed = self._owed.pop(link, 0)
-        if owed:
-            latency.skip(link_rng, owed)
+        link_rng, latency = link.stream, link.latency
+        if link.owed:
+            latency.skip(link_rng, link.owed)
+            link.owed = 0
         delay = latency.delay(message, link_rng)
         if self._churn:
             churn = self._churn_for(sender, recipient)
@@ -618,7 +663,7 @@ class Network:
         if self._partitions and self._cut(message.sender, name):
             self._drop(message, "partitioned-in-flight")
             return
-        now = self.sim.now
+        now = self.sim._now
         self.messages_delivered.inc()
         self._h_delivery_delay.observe(now - message.sent_at)
         if self.trace.enabled:

@@ -71,6 +71,7 @@ def test_overhead_measurement_fields():
         result.distribution_us + result.selection_us
     )
     assert result.repetitions == 20
+    assert result.median_total_us > 0
     assert 0.0 <= result.distribution_share <= 1.0
 
 
@@ -110,7 +111,9 @@ def test_figure3_shape_checks():
     def shaped(cost):
         return Figure3Result(
             {
-                (w, n): SelectionOverheadResult(n, w, cost(w, n), 0.0, 0.0, 1)
+                (w, n): SelectionOverheadResult(
+                    n, w, cost(w, n), 0.0, 0.0, 1, median_total_us=cost(w, n)
+                )
                 for w in windows
                 for n in counts
             }

@@ -294,8 +294,7 @@ def _fabric_state(net):
         dict(net._degraded_nodes),
         dict(net._churn),
         dict(net._links),
-        dict(net._routes),
-        dict(net._owed),
+        {key: (link.latency, link.owed) for key, link in net._records.items()},
         net.rng.stream("net.link.a->b").getstate(),
         net.sim.pending(),
     )
@@ -326,7 +325,7 @@ def test_a_fault_is_declared_before_the_clock_starts(fault):
     net, a = fabric(expect_faults=False)
     a.send("b", "tick")
     net.sim.run()
-    net.keep("a", "b")  # an owed draw, which set_link would pay
+    net.link("a", "b").owed += 1  # an owed draw, which set_link would pay
     before = _fabric_state(net)
     with pytest.raises(NetworkError, match=r"network\.expect_faults\(\)"):
         _FAULTS[fault](net)
@@ -530,8 +529,9 @@ def test_churn_off_leaves_rng_schedule_untouched(trace):
 
 
 # ---------------------------------------------------------------------------
-# Route cache: every fault bites the very next message, and undoing it
-# hands the link back its original delay stream
+# Held link records: every fault bites the very next message, undoing it
+# hands the link back its original delay stream, and the record held
+# throughout is never stale
 # ---------------------------------------------------------------------------
 def _jittery_pair():
     sim = Simulator()
@@ -596,8 +596,14 @@ _ROUTE_FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(_ROUTE_FAULTS))
 def test_fault_after_traffic_bites_next_message_and_undo_restores_stream(fault):
+    """On a fabric that expects faults, a channel already in use — its
+    record made and held — is timed by each fault from its very next
+    message, and by its undisturbed stream once the fault is undone.
+
+    Mutant this kills (``degrade-node``, ``set-link``): a record that keeps
+    the latency it was resolved with."""
     inject, undo, copies, draws, faulted_delay = _ROUTE_FAULTS[fault]
-    warm = 5  # traffic has flowed: the a -> b route is resolved and cached
+    warm = 5  # traffic has flowed: the a -> b record is made and held
 
     sim, _, a, b = _jittery_pair()
     undisturbed = [_delays_of_next_send(sim, a, b)[0] for _ in range(warm + 3)]
@@ -605,6 +611,7 @@ def test_fault_after_traffic_bites_next_message_and_undo_restores_stream(fault):
 
     sim, net, a, b = _jittery_pair()
     net.expect_faults()
+    held = net.link("a", "b")
     for i in range(warm):
         assert _delays_of_next_send(sim, a, b) == [pytest.approx(undisturbed[i], abs=1e-12)]
 
@@ -617,6 +624,59 @@ def test_fault_after_traffic_bites_next_message_and_undo_restores_stream(fault):
     undo(net, b)
     for i in (warm + draws, warm + draws + 1):
         assert _delays_of_next_send(sim, a, b) == [pytest.approx(undisturbed[i], abs=1e-12)]
+    assert net.link("a", "b") is held
+
+
+def test_a_record_made_before_its_recipient_attaches_times_its_messages(sim, network):
+    """A peer's record can be asked for before the peer is attached (a
+    group message to a name nobody answers to yet): the fabric drops what
+    is sent to it then, and once the peer attaches, that same record —
+    and the draw kept on it — times the link.
+
+    Mutant this kills: a ``send`` that makes a second record for a link
+    whose first was made before both ends were attached (the kept draw
+    would never be paid)."""
+    a = Sink("a")
+    network.attach(a)
+    early = network.link("a", "b")
+    early.owed += 1
+    a.send("b", "lost")
+    b = Sink("b")
+    network.attach(b)
+    a.send("b", "found")
+    sim.run()
+    assert [m.payload for _, m in b.received] == ["found"]
+    assert network.link("a", "b") is early and early.owed == 0
+    assert network.messages_dropped.value == 1
+
+
+def test_set_link_before_the_clock_pays_a_kept_draw_under_the_old_model():
+    """Before the clock starts, after a first send and a kept draw, a
+    ``set_link`` pays the kept draw under the model it was kept under, and
+    the next message is timed by the new model.
+
+    Mutants this kills: a ``set_link`` that re-resolves the record before
+    paying what it owes (the constant model draws nothing, so the stream
+    would be left a variate short), and a record that keeps the latency
+    it was resolved with (the second message would take the jittery
+    delay, not 0.5 s)."""
+    sim, net, a, b = _jittery_pair()
+    old = net.default_latency
+    a.send("b", "first")
+    net.link("a", "b").owed += 1  # a message kept rather than sent
+    net.set_link("a", "b", FixedLatency(0.5))
+    a.send("b", "second")
+    sim.run()
+    assert net.fault_free
+
+    reference = RngRegistry(99).stream("net.link.a->b")
+    first = old.delay(Message("a", "b", None, 0.0), reference)
+    old.skip(reference, 1)  # the kept draw, under the old model
+    assert [t - m.sent_at for t, m in b.received] == [
+        pytest.approx(first, abs=1e-12), pytest.approx(0.5),
+    ]
+    net.settle_draws()
+    assert net.rng.stream("net.link.a->b").getstate() == reference.getstate()
 
 
 def test_one_way_cut_leaves_the_reverse_route_flowing(sim, network, pair):
