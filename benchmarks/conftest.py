@@ -6,8 +6,8 @@ perf ledger (``benchmarks/ledger/``, ``BENCHMARK.json``).  Two fixtures:
 
 * ``report`` — prints a bench's table and appends it to ``results.txt``,
   the generated transcript of the latest bench session;
-* ``pin`` — asserts a seeded result equal to its committed value in
-  ``seeded_results.json``.
+* ``pin`` — asserts a seeded result equal to its entry in the ``seeded``
+  section of ``pins.json`` (``pins.py``).
 
 The "feature off means free" budgets and the kernel-event cost they are
 measured against live in ``test_bench_guards.py``.
@@ -15,14 +15,14 @@ measured against live in ``test_bench_guards.py``.
 
 from __future__ import annotations
 
-import json
-import math
+import functools
 from pathlib import Path
 
 import pytest
 
+import pins
+
 RESULTS_FILE = Path(__file__).parent / "results.txt"
-SEEDED_RESULTS = Path(__file__).parent / "seeded_results.json"
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -51,27 +51,11 @@ def report(capfd):
 
 @pytest.fixture(scope="session")
 def pin():
-    """Assert a seeded result equals its committed value.
+    """Assert a seeded result equals its pinned value.
 
     A seeded run repeats exactly, so its outcome is pinned, not tracked:
     ints compare ``==``, floats to ``rel_tol=1e-9``, and a key missing from
-    ``seeded_results.json`` fails.  Refreshing a pin is editing the file to
-    the number the failure prints, in the change that moved it.
+    ``pins.json`` fails.  A change that moves one re-records every pin with
+    ``python3 benchmarks/repin.py`` and says why it moved.
     """
-    pins = json.loads(SEEDED_RESULTS.read_text())
-
-    def _pin(key: str, measured: float) -> None:
-        assert key in pins, (
-            f"{key} = {measured!r} has no entry in {SEEDED_RESULTS.name}"
-        )
-        pinned = pins[key]
-        if isinstance(pinned, int):
-            same = measured == pinned
-        else:
-            same = math.isclose(measured, pinned, rel_tol=1e-9)
-        assert same, (
-            f"{key}: measured {measured!r}, pinned {pinned!r} "
-            f"in benchmarks/{SEEDED_RESULTS.name}"
-        )
-
-    return _pin
+    return functools.partial(pins.check, "seeded")

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +17,27 @@ from repro.sim.rng import RngRegistry
 from repro.sim.tracing import Trace
 
 
+def _load_pins():
+    """``benchmarks/pins.py``, loaded by path like the ledger tracer."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "pins.py"
+    spec = importlib.util.spec_from_file_location("pins", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def pin():
+    """``pin(key, measured)`` asserts a seeded digest equal to its entry in
+    the ``golden`` section of ``benchmarks/pins.json``; ``python3
+    benchmarks/repin.py`` re-records every entry."""
+    return functools.partial(_load_pins().check, "golden")
+
+
 #: Registry series that count work rather than record what happened: how
 #: often the predictor evaluated and looked up its count cache.  A change
 #: that only evaluates less moves these and nothing else, so each pinned
-#: campaign cell also pins its digest without them (``work_free`` goldens),
-#: recorded at the commit before the last such change.
+#: campaign cell also pins its digest without them (``work_free`` goldens).
 WORK_SERIES = frozenset({
     "predictor_evaluations",
     "predictor_cache_hits",

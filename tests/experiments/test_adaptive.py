@@ -201,64 +201,13 @@ def controller_cell():
     return run_adaptive_cell(31, "controller", duration=5.0)
 
 
-#: See tests/integration/test_golden_streams.py for when (and how) to
-#: re-record.  Re-recorded by PR 15, which was meant to move it twice over:
-#: the ``predictor_cache_*`` series count differently under the new cache
-#: key, and — the only thing that moves outcomes in this cell — the
-#: Uniform(0, T_L) lazy-wait fallback now uses the T_L the publisher
-#: announces while the controller tunes it, not the constructor's constant.
-#: Re-recorded by PR 17: this cell injects load surges but no fault, so its
-#: fabric stays fault-free and its heartbeats are evaluated at the sweep, not
-#: sent.  Of the 618 digest lines only ``net_messages_sent``,
-#: ``net_messages_delivered`` and ``net_delivery_delay_seconds`` moved (in the
-#: snapshot and in the timeline: 29,498 sends became 27,818); every result
-#: field, decision and client series stayed equal.
-#: Re-recorded by PR 20 for the same reason one layer up: in the fault-free
-#: fabric a group message is settled at delivery and its ack is not sent.  The
-#: same three series moved and no other of the 618 lines (27,818 sends became
-#: 16,810).
-#: Re-recorded by PR 21: this cell's clients neither retry nor detect, so
-#: their reads name their targets and the sequencer stamps them there alone.
-#: 44 of the 618 lines moved (22 series, snapshot and timeline): the same
-#: three ``net_*`` series (16,810 sends became 12,042), and the ``sum`` — never
-#: a bucket count — of ``client_response_time_seconds`` for the three classes
-#: (``browse`` 14.41212 s -> 14.41043 s over 379 reads, ``cart`` 14.19412 ->
-#: 14.19299, ``login`` 9.50481 -> 9.50471) and of ``replica_staleness_wait_
-#: seconds`` / ``replica_staleness_wait_component_seconds`` for the two
-#: serving primaries and six secondaries (each up by 0.03-0.4 ms): under the
-#: load surges a stamp or assignment sometimes overtook an earlier stamp to a
-#: replica that was not serving that read and was held back for it; the
-#: unsent stamp holds no FIFO slot, so the later message is handed over on
-#: arrival — a read that must wait for state starts waiting that much sooner,
-#: one that need not is answered that much sooner.  Every result field,
-#: bucket count and controller decision stayed equal.
-#: Re-recorded when a read came to evaluate only the candidates Algorithm 1
-#: visits, so the ``predictor_*`` series count fewer evaluations; the
-#: ``GOLDEN_CONTROLLER_CELL_WORK_FREE`` digest, recorded at the commit
-#: before, holds.
-#: Re-recorded when an evaluation came to count straight off the windows
-#: with no ``S ⊛ W`` count cache: only the ``predictor_cache_*`` series
-#: moved (they count lookups of the two memos, which this cell's walks
-#: never make); the ``GOLDEN_CONTROLLER_CELL_WORK_FREE`` digest holds.
-GOLDEN_CONTROLLER_CELL = (
-    "d812bbc1abde6e9cd48bf94880b4efb2221b5963b038f665b88652b50ffebe4e"
-)
-
-
-#: The same cell without the work series (``tests/conftest.py``).
-GOLDEN_CONTROLLER_CELL_WORK_FREE = (
-    "236a3d003f2c2703a1fde9c2eebaf65c5b5903ef5247f0ebed07b8a67047c43e"
-)
-
-
 @pytest.mark.slow
-def test_controller_cell_is_pinned(controller_cell, cell_digest, work_series):
-    got = cell_digest(controller_cell)
-    assert got == GOLDEN_CONTROLLER_CELL, f"the seeded cell moved (got {got})"
-    work_free = cell_digest(controller_cell, work_series)
-    assert work_free == GOLDEN_CONTROLLER_CELL_WORK_FREE, (
-        f"more than work moved (got {work_free})"
-    )
+def test_controller_cell_is_pinned(controller_cell, cell_digest, work_series, pin):
+    """The controller cell's digest (``tests/experiments/conftest.py``), and
+    the same without the work series (``work_free``): a change that only
+    evaluates less moves the first and not the second."""
+    pin("adaptive.controller", cell_digest(controller_cell))
+    pin("adaptive.controller.work_free", cell_digest(controller_cell, work_series))
 
 
 @pytest.mark.slow

@@ -29,42 +29,13 @@ def short_pair():
     return detector, baseline
 
 
-#: See tests/integration/test_golden_streams.py for when (and how) to
-#: re-record.  Re-recorded by PR 15, which was meant to move them: the
-#: predictor's CDFs are exact counts, cached on ``(ts.version, tq.version)``
-#: alone.  ``detector`` moved through the ``predictor_cache_*`` series only;
-#: in ``baseline`` the exact values also resolve selection ties the old
-#: rounding noise used to decide (839 -> 835 replicas selected, 36 fewer
-#: messages), which is the intended effect.
-#: Re-recorded when a read came to evaluate only the candidates Algorithm 1
-#: visits, so the ``predictor_*`` series count fewer evaluations; the
-#: ``GOLDEN_WORK_FREE`` digests, recorded at the commit before, hold.
-#: Re-recorded when an evaluation came to count straight off the windows
-#: with no ``S ⊛ W`` count cache: only the ``predictor_cache_*`` series
-#: moved (they count lookups of the two memos, which these cells' walks
-#: never make); the ``GOLDEN_WORK_FREE`` digests hold.
-GOLDEN = {
-    "detector": "d6d7f071769922a0ad1298f6f4ad4257bcb9b486a7ff432648a4e4a32b10bbc7",
-    "baseline": "0a39f380c9ebd52bee59f16245d0122879ea87d57c364520e47db6b7e5e9fc2e",
-}
-
-
-#: The same cells without the work series (``tests/conftest.py``).
-GOLDEN_WORK_FREE = {
-    "detector": "daa780cf546f0ad3076f19ff25dda2490a4d6a2cea520722132a255335a61574",
-    "baseline": "737098c4c7ea29cfaab0c195f277bfdc5cf90c60a425cca78f29386d54873204",
-}
-
-
-def test_short_pair_cells_are_pinned(short_pair, cell_digest, work_series):
+def test_short_pair_cells_are_pinned(short_pair, cell_digest, work_series, pin):
+    """Each mode's cell digest (``tests/experiments/conftest.py``), and the
+    same without the work series (``work_free``): a change that only
+    evaluates less moves the first and not the second."""
     for cell in short_pair:
-        assert cell_digest(cell) == GOLDEN[cell.mode], (
-            f"{cell.mode}: the seeded cell moved (got {cell_digest(cell)})"
-        )
-        work_free = cell_digest(cell, work_series)
-        assert work_free == GOLDEN_WORK_FREE[cell.mode], (
-            f"{cell.mode}: more than work moved (got {work_free})"
-        )
+        pin(f"gray.{cell.mode}", cell_digest(cell))
+        pin(f"gray.{cell.mode}.work_free", cell_digest(cell, work_series))
 
 
 def test_detector_cell_is_clean_and_actually_stormed(short_pair):

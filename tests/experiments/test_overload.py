@@ -29,40 +29,13 @@ def short_pair():
     return shed, unbounded
 
 
-#: See tests/integration/test_golden_streams.py for when (and how) to
-#: re-record.  Re-recorded by PR 15, which was meant to move them: the
-#: predictor's cache is keyed on ``(ts.version, tq.version)`` alone and looked
-#: up once per evaluation, so the ``predictor_cache_*`` series count
-#: differently; nothing else in either cell moved.
-#: Re-recorded when a read came to evaluate only the candidates Algorithm 1
-#: visits, so the ``predictor_*`` series count fewer evaluations; the
-#: ``GOLDEN_WORK_FREE`` digests, recorded at the commit before, hold.
-#: Re-recorded when an evaluation came to count straight off the windows
-#: with no ``S ⊛ W`` count cache: only the ``predictor_cache_*`` series
-#: moved (they count lookups of the two memos, which these cells' walks
-#: never make); the ``GOLDEN_WORK_FREE`` digests hold.
-GOLDEN = {
-    "shed": "849b4a1eed3f914746dc61fa3cb0f4e7a9d908ea6c786ce7595d3f93b41ff55e",
-    "unbounded": "38974cedac401cf9991f2eada3d3608a3f7f5c4c244b6271e4966e71c9724d7b",
-}
-
-
-#: The same cells without the work series (``tests/conftest.py``).
-GOLDEN_WORK_FREE = {
-    "shed": "371299588557b1d59c3979ecc8666407cfd2d427832ba8da4f28c5e464fcc40b",
-    "unbounded": "45248aec24c5b2728043bfec1e5b52eb1a7b519669539da745b3b9ddcd2b8393",
-}
-
-
-def test_short_pair_cells_are_pinned(short_pair, cell_digest, work_series):
+def test_short_pair_cells_are_pinned(short_pair, cell_digest, work_series, pin):
+    """Each mode's cell digest (``tests/experiments/conftest.py``), and the
+    same without the work series (``work_free``): a change that only
+    evaluates less moves the first and not the second."""
     for cell in short_pair:
-        assert cell_digest(cell) == GOLDEN[cell.mode], (
-            f"{cell.mode}: the seeded cell moved (got {cell_digest(cell)})"
-        )
-        work_free = cell_digest(cell, work_series)
-        assert work_free == GOLDEN_WORK_FREE[cell.mode], (
-            f"{cell.mode}: more than work moved (got {work_free})"
-        )
+        pin(f"overload.{cell.mode}", cell_digest(cell))
+        pin(f"overload.{cell.mode}.work_free", cell_digest(cell, work_series))
 
 
 def test_shed_cell_is_clean_and_actually_stormed(short_pair):

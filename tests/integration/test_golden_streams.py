@@ -1,92 +1,18 @@
 """Golden outcome streams: a pure speed-up must not move a simulated outcome.
 
 Each test runs one short seeded simulation through the public API, reduces
-what the clients observed to ordered text lines and compares their sha256
-with a recorded digest.  A change that reorders events, draws from an RNG
-stream in a different order or records a registry sample differently fails
-here, in tier-1, and not only in the perf ledger.
+what the clients observed to ordered text lines and checks their sha256
+against its pin in ``benchmarks/pins.json`` (the ``pin`` fixture).  A
+change that reorders events, draws from an RNG stream in a different order
+or records a registry sample differently fails here, in tier-1, and not
+only in the perf ledger.  A change meant to move them runs the equivalence
+gate and re-records with ``python3 benchmarks/repin.py``; CHANGES.md and
+git hold the history of each re-recording.
 
-If a change is *meant* to move simulated outcomes, re-record the digests
-(run the test, copy the ``got`` value) and say so in the PR.
-
-The two fault-free streams are pinned in two parts: ``outcomes`` hashes the
-per-operation lines (what the clients observed) and ``cost`` keeps the
-kernel's fired events and the fabric's sent messages.  A change to the
-substrate may move ``cost`` — and says why here — while ``outcomes`` stays.
-
-``paper_cell`` and ``open_loop_4_28`` date from the commit *before* the
-message-fabric fast path (PR 12) touched ``src/`` (split in two by PR 17 at
-its parent commit: the joined lines still hash to the PR 12 digests).  PR 17
-then re-recorded their ``cost`` and only that — ``events=8930 sent=5109`` and
-``events=9729 sent=7729`` before it: while the fabric is fault-free a group
-endpoint's heartbeats are evaluated at the membership sweep and not sent, so
-each endpoint costs one timer event per run where it cost a timer, a send and
-an arrival four times a simulated second.  ``campaign_5s`` builds its fault
-engine at t = 0, beats for real throughout, and did not move.  ``campaign_5s`` was
-re-recorded by PR 15, which was meant to move it: the predictor evaluates
-``F^I(d)``/``F^D(d)`` from exact window counts cached on ``(ts.version,
-tq.version)`` alone, one lookup per evaluation, so the ``predictor_cache_*``
-counters this digest hashes count differently (555/264 hits/misses became
-372/177); every other line — events, outcomes, recovery, the rest of the
-registry — stayed equal, as did the two older digests.
-
-PR 20 re-recorded the two ``cost`` lines again, and only those —
-``events=4523 sent=2899`` and ``events=7559 sent=6609`` before it: while the
-fabric is fault-free and a channel's round trip is far inside ``rto``, a
-``GroupDataMsg`` is settled at its sender the instant it is delivered, so no
-``GroupAckMsg`` is sent (every second message was one) and no retransmit
-timer is armed.  The ack's latency draw is kept, so no variate moved and both
-``outcomes`` digests held; ``campaign_5s`` expects faults from t = 0, acks on
-the wire throughout, and did not move.
-
-PR 21 re-recorded the two ``cost`` lines once more, and only those —
-``events=3237 sent=1613`` and ``events=4931 sent=3981`` before it: a read
-names the replicas it was dispatched to and the sequencer stamps it there
-alone, where it used to broadcast the stamp to every primary and secondary
-(300 of the §6 cell's sends and 2,039 of the 4 + 28 cell's were stamps for a
-replica that did not hold the read).  The delay of each stamp not sent is
-still drawn from its link's stream, so no variate moved and both ``outcomes``
-digests held; ``campaign_5s`` runs a retrying client, which keeps the
-broadcast, and did not move.
-
-The two ``cost`` lines were then re-recorded once more, and only their
-``events`` — ``events=2937`` and ``events=2892`` before: no timer fires that
-cannot act.  A secondary ends its commit-gap watchdog and lazy tick at
-their first firing (only a primary commits or publishes), and while the
-fabric is fault-free a primary's watchdog and the membership sweep stop at
-the first check that finds nothing to do and resume on their grid at the
-first fault.  Nothing is sent or drawn differently, so ``sent`` and both
-``outcomes`` digests held; ``campaign_5s``
-expects faults from t = 0, loses only its secondaries' idle chains, and did
-not move.
-
-``campaign_5s`` was re-recorded once more when a read came to evaluate only
-the candidates Algorithm 1 visits.  Only its ``predictor_*`` series moved:
-its ``work_free`` digest (``tests/conftest.py``), recorded at the commit
-before, holds.  Neither fault-free stream moved at all.
-
-``campaign_5s`` was re-recorded again when an evaluation came to count
-``F^I(d)``/``F^D(d)`` straight off the windows' sorted bins, with no
-``S ⊛ W`` count cache: the ``predictor_cache_*`` series now count lookups of
-the two memos that remain (``candidate_cdfs``' values, ``response_pmfs``'
-pmfs), which this campaign's walk never makes.  Its ``work_free`` digest
-and both fault-free streams held.
-
-``campaign_5s`` and its ``work_free`` digest were re-recorded (both
-checked at the commit before) when the sequencer came to keep a committed
-copy and serve every state transfer itself.  The sequencer used to relay
-each request to a donor primary; the 16 relay messages are gone
-(``net_messages_sent`` 5,461 → 5,445), and with them the timing of what
-followed: who served the transfers, which reads ``svc-p3`` and ``svc-s3``
-served, and the delivery-delay and response-time histograms.  Neither
-fault-free stream moved.
-
-The two ``cost`` lines were re-recorded once more, and only their
-``events`` — ``events=1890`` and ``events=2382`` before: a read's GSN retry
-is cancelled when the stamp that binds it arrives, where it used to fire
-once after ``gsn_wait_timeout`` and find nothing to re-request.  Nothing is
-sent or drawn differently, so ``sent``, both ``outcomes`` digests and
-``campaign_5s`` held.
+The two fault-free streams are pinned in two parts, so a substrate change
+can move what a run cost without moving what the clients saw: ``outcomes``
+hashes the per-operation lines, and ``cost`` keeps, in clear, the kernel's
+fired events and the fabric's sent messages.
 """
 
 import hashlib
@@ -101,15 +27,6 @@ from repro.obs.slo import parse_series
 from repro.sim.rng import Normal
 from repro.workloads.generators import OpenLoopUpdater, PoissonReader
 from repro.workloads.scenarios import build_paper_scenario
-
-GOLDEN = {
-    "paper_cell.outcomes": "6ad39aba8bdce39f40055e1e27f3aec6ea006bc89bab372ea9c4d36504ef68fd",
-    "paper_cell.cost": "events=1793 sent=1313",
-    "open_loop_4_28.outcomes": "e805fe6fca85c0f3e34a643f437e80d0db5c2f17811fb9d9b1a60b70c601464b",
-    "open_loop_4_28.cost": "events=2249 sent=1942",
-    "campaign_5s": "99aca8b36604e8b25eb500d79d7c4a67b404bdafc172128f84d68704705b5a7c",
-    "campaign_5s.work_free": "b5e9056263be1151d88716620234ee1fdc40804c43542855dbc4dc949e0a9010",
-}
 
 
 def _digest(lines):
@@ -130,23 +47,15 @@ def _op_lines(reads, updates):
     return lines
 
 
-def _check(name, lines):
-    got = _digest(lines)
-    assert got == GOLDEN[name], (
-        f"{name}: the seeded outcome stream moved (got {got}); a change "
-        f"meant only to make the simulator faster must leave it identical"
-    )
-
-
-def _check_stream(name, op_lines, testbed):
+def _check_stream(pin, name, op_lines, testbed):
     """``outcomes`` is what the clients saw; ``cost`` is what it took, kept
     in clear so a re-recording shows which count moved and by how much."""
-    _check(f"{name}.outcomes", op_lines)
-    cost = (
+    pin(f"{name}.outcomes", _digest(op_lines))
+    pin(
+        f"{name}.cost",
         f"events={testbed.sim.events_processed} "
-        f"sent={testbed.network.messages_sent.value}"
+        f"sent={testbed.network.messages_sent.value}",
     )
-    assert cost == GOLDEN[f"{name}.cost"], f"{name}: kernel/fabric cost moved"
 
 
 PAPER_CELL = dict(
@@ -166,12 +75,12 @@ def paper_scenario():
     return scenario
 
 
-def test_paper_cell_outcome_stream_is_pinned(paper_scenario):
+def test_paper_cell_outcome_stream_is_pinned(paper_scenario, pin):
     scenario = paper_scenario
     lines = []
     for client in (scenario.client1, scenario.client2):
         lines.extend(_op_lines(client.read_outcomes, client.update_outcomes))
-    _check_stream("paper_cell", lines, scenario.testbed)
+    _check_stream(pin, "paper_cell", lines, scenario.testbed)
 
 
 def test_paper_cell_is_the_same_cell_with_acks_and_beats_on_the_wire(paper_scenario):
@@ -236,7 +145,7 @@ def test_paper_cell_tombstones_are_the_cancelled_entries_in_the_heap(paper_scena
     assert sim.pending() == sim.heap_size() - in_heap
 
 
-def test_open_loop_4_28_outcome_stream_is_pinned():
+def test_open_loop_4_28_outcome_stream_is_pinned(pin):
     testbed = build_testbed(
         ServiceConfig(
             num_primaries=4,
@@ -264,10 +173,13 @@ def test_open_loop_4_28_outcome_stream_is_pinned():
     )
     testbed.sim.run(until=8.0)
     lines = _op_lines([o for _, o in reader.records], updater.outcomes)
-    _check_stream("open_loop_4_28", lines, testbed)
+    _check_stream(pin, "open_loop_4_28", lines, testbed)
 
 
-def test_chaos_campaign_events_and_registry_are_pinned(work_series):
+def test_chaos_campaign_events_and_registry_are_pinned(work_series, pin):
+    """The 5 s campaign's counts, recovery, fault events and registry (minus
+    the wall-clock series); ``work_free`` also drops the work series, so a
+    change that only evaluates less moves the first digest and not it."""
     result = run_campaign(21, duration=5.0)
     lines = [
         f"faults={result.faults_injected}/{result.faults_skipped} "
@@ -282,8 +194,8 @@ def test_chaos_campaign_events_and_registry_are_pinned(work_series):
         for name, entry in sorted(result.metrics.items())
         if parse_series(name)[0] != WALL_CLOCK_SERIES
     ]
-    _check("campaign_5s", lines + [line for _, line in series])
-    _check(
+    pin("campaign_5s", _digest(lines + [line for _, line in series]))
+    pin(
         "campaign_5s.work_free",
-        lines + [line for name, line in series if name not in work_series],
+        _digest(lines + [line for name, line in series if name not in work_series]),
     )

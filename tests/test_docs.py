@@ -144,11 +144,11 @@ def _names_resolve(span, classes, names):
 
 
 def test_experiments_figure4b_sums_to_the_pinned_failure_counts():
-    """EXPERIMENTS.md's Figure 4(b) table and ``benchmarks/seeded_results.json``
-    are one seeded sweep: each column's probabilities x 500 reads add up to
+    """EXPERIMENTS.md's Figure 4(b) table and the ``seeded`` pins of
+    ``benchmarks/pins.json`` are one seeded sweep: each column's probabilities x 500 reads add up to
     the failure count the Figure 4 bench asserts."""
     reads = 500
-    pins = json.loads((ROOT / "benchmarks" / "seeded_results.json").read_text())
+    pins = json.loads((ROOT / "benchmarks" / "pins.json").read_text())["seeded"]
     section = (ROOT / "EXPERIMENTS.md").read_text().split("## Figure 4(b)", 1)[1]
     section = section.split("\n## ", 1)[0]
     rows = [
