@@ -117,14 +117,14 @@ class ReplicatedService:
         primary_members.extend(self.primaries)
 
         for handler in primary_members:
-            self.membership.register(self.groups.primary, handler.name)
             handler.assume_membership(self.groups.primary)
+            self.membership.register(self.groups.primary, handler.name)
         for handler in self.secondaries:
-            self.membership.register(self.groups.secondary, handler.name)
             handler.assume_membership(self.groups.secondary)
+            self.membership.register(self.groups.secondary, handler.name)
         for handler in self.all_replicas():
-            self.membership.register(self.groups.qos, handler.name)
             handler.assume_membership(self.groups.qos)
+            self.membership.register(self.groups.qos, handler.name)
 
         # Every replica needs all three views (roles, publisher targets,
         # client lists); watch the groups it is not a member of and install
@@ -291,8 +291,8 @@ class ReplicatedService:
             calibration=self.calibration,
         )
         self.network.attach(handler, host or Host(f"host-{name}"))
-        self.membership.register(self.groups.qos, name)
         handler.assume_membership(self.groups.qos)
+        self.membership.register(self.groups.qos, name)
         self.membership.watch(self.groups.primary, name)
         self.membership.watch(self.groups.secondary, name)
         self.clients[name] = handler

@@ -271,9 +271,11 @@ def run_suite(
     duration: float,
     jobs: int = 1,
     trace_dir: Optional[str] = None,
+    progress: bool = False,
     **cell_kwargs: Any,
 ) -> list:
-    """Every mode for every seed; results ordered seed-major."""
+    """Every mode for every seed; results ordered seed-major.  With
+    ``progress``, one line per finished cell goes to stderr."""
     specs = [
         CellSpec(
             (seed, mode),
@@ -289,7 +291,7 @@ def run_suite(
         for seed in seeds
         for mode in campaign.modes or (None,)
     ]
-    return run_cells(specs, jobs=jobs, progress=True, label=campaign.name)
+    return run_cells(specs, jobs=jobs, progress=progress, label=campaign.name)
 
 
 def suite_violations(campaign: Campaign, results: list) -> list[str]:
@@ -445,6 +447,7 @@ def main(
         duration,
         jobs=args.jobs if campaign.check_flag else 1,
         trace_dir=args.trace_dir,
+        progress=True,
         **(campaign.cell_kwargs(args) if campaign.cell_kwargs else {}),
     )
     print(summarize(campaign, results))

@@ -8,9 +8,11 @@ simulated network:
 
 * :mod:`repro.groups.membership` — views (whose rank-0 member is the
   group's leader) and a membership service that installs new views on
-  join/leave/crash (detected via heartbeats);
-* :mod:`repro.groups.multicast` — reliable (ack + retransmit), per-sender
-  FIFO group multicast with duplicate suppression;
+  join/leave/crash (a crash evicted when a heartbeat detector would have,
+  from the fabric's fault transitions; no beat is sent);
+* :mod:`repro.groups.multicast` — reliable (the fabric's drop reports,
+  each resent at its deadline), per-sender FIFO group multicast with
+  duplicate suppression;
 * :mod:`repro.groups.group` — :class:`GroupEndpoint`, the base class
   protocol handlers inherit to participate in groups.
 """

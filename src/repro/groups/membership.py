@@ -1,4 +1,4 @@
-"""Group membership: views, joins/leaves, heartbeat-based crash eviction.
+"""Group membership: views, joins/leaves, crash eviction.
 
 Members join named groups through a :class:`MembershipService` endpoint
 (the stand-in for the Ensemble stack).  The service installs a new
@@ -6,16 +6,18 @@ Members join named groups through a :class:`MembershipService` endpoint
 increasing view id — whenever membership changes, and multicasts it to all
 members of the group (plus any observers).
 
-Crash detection: members periodically send heartbeats (scheduled by
-:class:`~repro.groups.group.GroupEndpoint`); the service sweeps for members
-whose last heartbeat is older than ``suspect_timeout`` and evicts them.
-On a fault-free fabric (:attr:`~repro.net.network.Network.fault_free`, fixed
-before the clock starts) no beat can go missing, so none is sent: the sweep
-counts a member as heard from when its endpoint would have beaten.  Once
-every tracked member beats that way a sweep has nothing left to do, so the
-chain stops until the next admission or eviction.
-Rank order (= join order) is preserved across views, which makes leader
-election deterministic (:attr:`View.leader`).
+Crash detection models a heartbeat detector rather than running one.  Each
+member would beat every ``heartbeat_interval`` from its attach time, and
+the service would sweep on its own grid, evicting a member whose last beat
+landed more than ``suspect_timeout`` ago.  No beat is sent and no sweep
+runs: the fabric tells the service of every fault transition
+(:meth:`~repro.net.network.Network.watch_faults`), and for each member it
+can no longer hear — crashed, cut off from it, slowed past ``suspect_timeout
+- heartbeat_interval``, or in no group — the service schedules one check at
+the sweep instant the beat detector would have evicted it at.  A member
+heard again before that instant is not evicted.  Random loss never evicts
+(DESIGN.md §8.4).  Rank order (= join order) is preserved across views,
+which makes leader election deterministic (:attr:`View.leader`).
 """
 
 from __future__ import annotations
@@ -58,19 +60,34 @@ class View:
         return len(self.members)
 
 
-def walk_grid(since: float, period: float, now: float) -> float:
-    """Where a periodic chain that went idle at ``since`` stands at ``now``.
+class Grid:
+    """The instants of a timer armed at ``origin`` and re-armed every
+    ``period``: ``origin + period``, then ``period`` later each time, by
+    repeated addition — the floats its ``schedule(period)`` calls produce."""
 
-    The chain would have fired at ``since + k·period``, by repeated addition:
-    the floats its own ``schedule(period)`` calls produce.  Returns the last
-    of those firings that is past, and the chain resumes one ``period``
-    after it.  A firing due at ``now`` itself is still to come, so it runs
-    after whatever is happening now.
-    """
-    last = since
-    while last + period < now:
-        last += period
-    return last
+    __slots__ = ("period", "_first", "_at")
+
+    def __init__(self, origin: float, period: float) -> None:
+        self.period = period
+        self._first = self._at = origin + period
+
+    def last_by(self, time: float) -> Optional[float]:
+        """The last instant at or before ``time`` (None: there is none)."""
+        at = self._at
+        if at > time:
+            at = self._first
+            if at > time:
+                return None
+        period = self.period
+        while at + period <= time:
+            at += period
+        self._at = at
+        return at
+
+    def first_after(self, time: float) -> float:
+        """The first instant after ``time``."""
+        last = self.last_by(time)
+        return self._first if last is None else last + self.period
 
 
 # ---------------------------------------------------------------------------
@@ -89,20 +106,14 @@ class LeaveMsg:
 
 
 @dataclass(frozen=True)
-class HeartbeatMsg:
-    member: str
-    groups: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class ViewChangeMsg:
     view: View
 
 
 @dataclass
 class MembershipConfig:
-    """Tuning knobs for the failure detector, which sweeps once per
-    heartbeat."""
+    """Tuning knobs for the failure detector: the beat and sweep period and
+    how long a member may go unheard."""
 
     heartbeat_interval: float = 0.25
     suspect_timeout: float = 1.0
@@ -117,8 +128,8 @@ class MembershipConfig:
 class MembershipService(Endpoint):
     """Central membership coordinator (the Ensemble-stack stand-in).
 
-    It is an ordinary network endpoint: joins, leaves, and heartbeats reach
-    it as messages, and views are installed by multicasting
+    It is an ordinary network endpoint: joins and leaves reach it as
+    messages, and views are installed by multicasting
     :class:`ViewChangeMsg` to members.  It can itself be crashed by the
     fault injector to study membership-service outages.
     """
@@ -135,26 +146,31 @@ class MembershipService(Endpoint):
         self.config = config or MembershipConfig()
         self.trace = trace
         self._views: dict[str, View] = {}
-        self._last_heartbeat: dict[str, float] = {}
         self._observers: list[Callable[[View], None]] = []
         self._watchers: dict[str, set[str]] = {}
-        # Set while the service itself is crashed, so the first sweep
-        # after it recovers grants heartbeat amnesty instead of
-        # mass-evicting every member whose heartbeats it slept through.
+        # Every member the detector watches, in admission order, with when
+        # it was last heard from: kept current only while the service
+        # cannot hear it (one it can hear is heard from now).
+        self._heard: dict[str, float] = {}
+        # The members the service can hear: since when, and a beat's mean
+        # delay from each then.
+        self._audible: dict[str, tuple[float, float]] = {}
+        self._checks: set[float] = set()  # instants with a check scheduled
+        self._sweeps: Optional[Grid] = None
+        # Set by a check that found the service itself crashed, so the first
+        # check after it recovers grants amnesty instead of mass-evicting
+        # every member it could not hear while it was down.
         self._amnesty_pending = False
-        # The sweep that found nothing left to do and stopped the chain, on
-        # a fault-free fabric; None while the chain runs.
-        self._idle_since: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def attached(self, network: Network, host) -> None:
         super().attached(network, host)
-        self._schedule_sweep()
-
-    def _schedule_sweep(self) -> None:
-        self.sim.schedule(self.config.heartbeat_interval, self._sweep)
+        self._sweeps = Grid(network.sim.now, self.config.heartbeat_interval)
+        network.watch_faults(self._reassess)
+        for member in self._heard:
+            self._assess(member, admitted=True)
 
     # ------------------------------------------------------------------
     # Queries
@@ -198,40 +214,22 @@ class MembershipService(Endpoint):
             self._admit(payload.group, payload.member)
         elif isinstance(payload, LeaveMsg):
             self._evict(payload.group, payload.member, reason="leave")
-        elif isinstance(payload, HeartbeatMsg):
-            self._last_heartbeat[payload.member] = self.now
         # Unknown payloads are ignored: the service is deaf to app traffic.
 
-    def beats_land_in_time(self, member: str, interval: float) -> bool:
-        """Whether beats sent every ``interval`` over ``member``'s link can
-        be taken as received: the fabric trusts the link, with a beat's
-        mean delay leaving it ``interval`` to spare inside
-        ``suspect_timeout``, or the very first one could arrive after the
-        member was suspected."""
-        assert self.network is not None
-        return self.network.trusted(
-            member,
-            self.name,
-            self.config.suspect_timeout - interval,
-            size_bytes=64,
-            margin=1.0,
-        )
-
     def _admit(self, group: str, member: str) -> View:
-        self._resume_sweeps()
         view = self.view_of(group)
         if member in view:
             return view
         new_view = View(group, view.view_id + 1, view.members + (member,))
         self._install(new_view)
-        # A fresh member gets heartbeat credit so it is not evicted before
-        # its first heartbeat fires.
-        now = self.now if self.network is not None else 0.0
-        self._last_heartbeat.setdefault(member, now)
+        if member not in self._heard:
+            # A fresh member is credited as heard from now.
+            self._heard[member] = self.now if self.network is not None else 0.0
+            if self.network is not None:
+                self._assess(member, admitted=True)
         return new_view
 
     def _evict(self, group: str, member: str, reason: str) -> None:
-        self._resume_sweeps()
         view = self.view_of(group)
         if member not in view:
             return
@@ -265,72 +263,105 @@ class MembershipService(Endpoint):
     # ------------------------------------------------------------------
     # Failure detection
     # ------------------------------------------------------------------
-    def _sweep(self) -> None:
-        if self.network is not None and self.network.is_up(self.name):
-            if self._amnesty_pending:
-                # The service just recovered from an outage during which
-                # no heartbeat could reach it.  Members are only as stale
-                # as their *delivery* gap, not their liveness: reset the
-                # clock for everyone and let the next sweeps re-detect the
-                # genuinely dead (they stay silent; the live re-heartbeat
-                # within one heartbeat interval).
-                self._amnesty_pending = False
-                for member in self._last_heartbeat:
-                    self._last_heartbeat[member] = max(
-                        self._last_heartbeat[member], self.now
-                    )
-                self.trace.emit(
-                    self.now,
-                    "membership.amnesty",
-                    self.name,
-                    members=sorted(self._last_heartbeat),
-                )
-            deadline = self.now - self.config.suspect_timeout
-            suspects = [
-                member
-                for member, seen in self._last_heartbeat.items()
-                if seen < deadline
-            ]
-            if suspects and self.network.fault_free:
-                suspects = [m for m in suspects if not self._heard_lazily(m)]
-            for member in suspects:
-                del self._last_heartbeat[member]
-                for group in list(self._views):
-                    self._evict(group, member, reason="suspected")
-        elif self.network is not None:
-            self._amnesty_pending = True
-        if self.network.fault_free and all(
-            map(self._beats_lazily, self._last_heartbeat)
+    def _beat_delay(self, member: str) -> Optional[float]:
+        """A beat's mean delay from ``member``, or None if the service
+        cannot hear it now: either end is down, ``member`` is in no group,
+        a cut blocks ``member -> service``, or a beat would come too late
+        to be counted before the next sweep."""
+        network, config = self.network, self.config
+        if not (
+            network.is_up(self.name)
+            and network.is_up(member)
+            and getattr(network.endpoint(member), "joined_any", False)
+            and not network.is_cut(member, self.name)
         ):
-            # All a sweep could do now is credit lazy beats, and no fault can
-            # come to make one of them go missing: stop here.
-            self._idle_since = self.now
-        else:
-            self._schedule_sweep()
+            return None
+        delay = network.latency_for(member, self.name).mean_delay(64)
+        return delay if delay <= config.suspect_timeout - config.heartbeat_interval else None
 
-    def _resume_sweeps(self) -> None:
-        """Re-arm an idle sweep on the grid its chain would have walked
-        (:func:`walk_grid`) when a member is admitted or evicted.  A sweep
-        due at this very instant still runs, after it."""
-        if self._idle_since is None:
+    def _reassess(self) -> None:
+        """A fault transition: find whom the service can no longer hear."""
+        for member in self._heard:
+            self._assess(member)
+        if self._amnesty_pending or not self.network.is_up(self.name):
+            # Come to the next sweep, which finds the service down or grants
+            # the amnesty its outage earned.
+            self._check_at(self._sweeps.first_after(self.now))
+
+    def _assess(self, member: str, admitted: bool = False) -> None:
+        """Whether the service can hear ``member`` now; when it can no longer
+        (or cannot from its admission), schedule the check for it."""
+        now = self.now
+        delay = self._beat_delay(member)
+        was = self._audible.get(member)
+        if delay is not None:
+            self._audible[member] = (now if was is None else was[0], delay)
             return
-        interval = self.config.heartbeat_interval
-        last = walk_grid(self._idle_since, interval, self.now)
-        self._idle_since = None
-        self.sim.schedule_at(last + interval, self._sweep)
-
-    def _beats_lazily(self, member: str) -> bool:
-        """Whether ``member``'s endpoint is up, due to beat and not sending
-        (``GroupEndpoint.beats_lazily``)."""
+        if was is None:
+            if admitted:
+                self._check_for(member)
+            return  # still unheard
+        del self._audible[member]
+        since, delay = was
+        # Its last beat to land: one sent while it was heard.  One still in
+        # flight lands unless a cut or a crashed service drops it.
         network = self.network
-        return network.is_up(member) and getattr(
-            network.endpoint(member), "beats_lazily", False
+        lost_in_flight = not network.is_up(self.name) or network.is_cut(
+            member, self.name
         )
+        endpoint = network.endpoint(member)
+        last = endpoint.beat_grid.last_by(now - delay if lost_in_flight else now)
+        if last is not None and last >= since:
+            self._heard[member] = last + delay
+        self._check_for(member)
 
-    def _heard_lazily(self, member: str) -> bool:
-        """Fault-free fabric: a member whose endpoint beats lazily is
-        heard from now."""
-        if self._beats_lazily(member):
-            self._last_heartbeat[member] = self.now
-            return True
-        return False
+    def _check_for(self, member: str) -> None:
+        """Schedule the check at the first sweep that finds ``member``
+        unheard for longer than ``suspect_timeout`` (or the next one)."""
+        heard, timeout = self._heard[member], self.config.suspect_timeout
+        sweeps = self._sweeps
+        at = sweeps.first_after(max(heard + timeout, self.now))
+        while not heard < at - timeout:
+            at += sweeps.period
+        self._check_at(at)
+
+    def _check_at(self, at: float) -> None:
+        if at not in self._checks:
+            self._checks.add(at)
+            self.sim.schedule_at(at, self._check)
+
+    def _check(self) -> None:
+        """One sweep: evict every member unheard for ``suspect_timeout``."""
+        now = self.now
+        self._checks.discard(now)
+        if not self.network.is_up(self.name):
+            self._amnesty_pending = True
+            return
+        heard = self._heard
+        if self._amnesty_pending:
+            # The service just recovered from an outage during which no
+            # member could reach it.  Members are only as stale as their
+            # *delivery* gap, not their liveness: reset the clock for
+            # everyone and let later sweeps re-detect the genuinely dead.
+            self._amnesty_pending = False
+            for member in heard:
+                heard[member] = max(heard[member], now)
+                if member not in self._audible:
+                    self._check_for(member)
+            self.trace.emit(
+                now, "membership.amnesty", self.name, members=sorted(heard)
+            )
+            return
+        deadline = now - self.config.suspect_timeout
+        suspects = [
+            member
+            for member, seen in heard.items()
+            if seen < deadline and member not in self._audible
+        ]
+        for member in suspects:
+            self._assess(member)  # joined a group since it was admitted?
+            if member in self._audible:
+                continue
+            del heard[member]
+            for group in list(self._views):
+                self._evict(group, member, reason="suspected")

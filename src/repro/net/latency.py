@@ -33,10 +33,6 @@ class LatencyModel:
             base += message.size_bytes / self.bandwidth_bytes_per_s
         return max(0.0, base)
 
-    def skip(self, rng: random.Random, n: int) -> None:
-        """Advance ``rng`` exactly as ``n`` calls of :meth:`delay` would."""
-        self.propagation.skip(rng, n)
-
     def mean_delay(self, size_bytes: int = 256) -> float:
         base = self.propagation.mean()
         if self.bandwidth_bytes_per_s > 0:
@@ -55,7 +51,7 @@ class DegradedLatency(LatencyModel):
 
     The fabric composes one of these on the fly when a node is degraded
     (:meth:`~repro.net.network.Network.degrade_node`), so the endpoint
-    stays *alive* — heartbeats and replies still flow — but every
+    stays *alive* — what it sends still arrives — but every
     message through it is late by a multiplicative slowdown plus an
     additive jitter sampled from the same per-link stream the base
     model uses (no extra RNG draws happen anywhere else).
@@ -78,14 +74,6 @@ class DegradedLatency(LatencyModel):
         if self.jitter_s > 0.0:
             delayed += rng.uniform(0.0, self.jitter_s)
         return delayed
-
-    def skip(self, rng: random.Random, n: int) -> None:
-        if self.jitter_s <= 0.0:
-            self.base.skip(rng, n)
-        else:
-            for _ in range(n):  # the jitter's random() sits between base draws
-                self.base.skip(rng, 1)
-                rng.random()
 
     def mean_delay(self, size_bytes: int = 256) -> float:
         return self.base.mean_delay(size_bytes) * self.factor + self.jitter_s / 2.0

@@ -10,7 +10,8 @@ layers need:
   asymmetric (one-way: traffic ``side_a -> side_b`` blocked while the
   reverse direction flows) — messages across an active cut are dropped;
 * an optional uniform **drop probability** models lossy links (the group
-  layer adds reliability on top, as Ensemble does);
+  layer adds reliability on top, as Ensemble does: the fabric hands each
+  message it drops back to its sender, :meth:`Endpoint.dropped`);
 * **gray degradation**: a node or directed link can be degraded — latency
   multiplied and jitter added via :meth:`Network.latency_for` — so the
   target stays alive but slow, the paper's timing-failure regime;
@@ -22,25 +23,23 @@ Per-pair latency overrides allow heterogeneous topologies (slow hosts/links,
 as the paper's 300 MHz–1 GHz testbed had).
 
 The per-message path is kept short.  Each directed link is one persistent
-:class:`Link` record (:meth:`Network.link`): its RNG stream, its latency
-model, the draws it owes and a trust verdict the layers above cache on it.
-The group layer holds the records of its peers, so a group message looks
-nothing up by name but the one :meth:`Network.send` does.  A record is never
-replaced, only brought up to date: ``set_link``, ``degrade_node`` and
-``restore_node`` re-resolve every record's latency in place, and
-:meth:`Network.expect_faults` clears every verdict.  The crash, cut, loss
-and churn checks are skipped while the fabric's own state says none is
-configured.  None of this may change which RNG stream is drawn from, or in
-which order: a message not sent is *kept* (``link.owed += 1``), and its
-link's next real draw pays for it.
+:class:`Link` record (:meth:`Network.link`): its RNG stream and its latency
+model.  A record is never replaced, only brought up to date: ``set_link``,
+``degrade_node`` and ``restore_node`` re-resolve every record's latency in
+place.  The crash, cut, loss and churn checks are skipped while the
+fabric's own state says none is configured.
+
+Every fault transition — crash, recovery, cut, heal, degradation,
+restoration, a latency override — is told to the callbacks registered with
+:meth:`Network.watch_faults`; the membership service learns that way whom
+it can no longer hear (:mod:`repro.groups.membership`).
 
 The fabric also knows whether it can be anything but perfect:
 :attr:`Network.fault_free` is fixed for the whole run before the clock
 starts.  A fault configured then, or a fault injector built on the fabric,
 ends it; once the simulator has fired an event, a fault on a fabric that is
-still fault-free is refused.  The layers above skip work only on a link the
-fabric trusts (:meth:`Network.trusted`), so they never see a verdict change
-under them.
+still fault-free is refused.  A layer skips work only on a link the fabric
+trusts (:meth:`Network.trusted`), so it never sees a verdict change under it.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.net.latency import DegradedLatency, LatencyModel
 from repro.net.message import Message
@@ -62,9 +61,8 @@ from repro.sim.tracing import NULL_TRACE, Trace
 
 #: A link is trusted within a budget only while this margin times its
 #: modelled mean delay is inside the budget, so that no message could have
-#: come late.  A LAN's ~0.6 ms ack round trip against a 50 ms retransmit
-#: timeout is; a WAN's ~100 ms genuinely retransmits and is not.
-ACK_ROUND_TRIP_MARGIN = 4.0
+#: come late.
+TRUST_MARGIN = 4.0
 
 
 class NetworkError(RuntimeError):
@@ -120,17 +118,10 @@ class Link:
     """One directed link ``sender -> recipient``, resolved once and held.
 
     ``stream`` and ``latency`` time its messages; ``latency`` is re-resolved
-    in place whenever the model in force changes.  ``owed`` counts the
-    draws of messages kept rather than sent, paid in bulk just before the
-    link's next real draw.  ``verdict`` is the layer above's cached trust
-    judgement of the link (the group layer's ack guard), ``None`` until it
-    is first asked and again after :meth:`Network.expect_faults`.
-    ``reverse`` is the record of the link back.
+    in place whenever the model in force changes.
     """
 
-    __slots__ = (
-        "sender", "recipient", "stream", "latency", "owed", "verdict", "reverse",
-    )
+    __slots__ = ("sender", "recipient", "stream", "latency")
 
     def __init__(
         self, sender: str, recipient: str, stream: random.Random,
@@ -140,12 +131,9 @@ class Link:
         self.recipient = recipient
         self.stream = stream
         self.latency = latency
-        self.owed = 0
-        self.verdict: Optional[bool] = None
-        self.reverse: Link = self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Link {self.sender}->{self.recipient} owed={self.owed}>"
+        return f"<Link {self.sender}->{self.recipient}>"
 
 
 class Endpoint:
@@ -201,6 +189,10 @@ class Endpoint:
         """Handle an arriving message.  Subclasses must override."""
         raise NotImplementedError
 
+    def dropped(self, message: Message) -> None:
+        """The fabric lost ``message``, which this endpoint sent.  Override
+        to act on it."""
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"
 
@@ -233,6 +225,7 @@ class Network:
         self.fault_free = True
         # :meth:`trusted`'s verdicts, by question; cleared with fault_free.
         self._trusted: dict[tuple, bool] = {}
+        self._fault_watchers: list[Callable[[], None]] = []
         # Every link record, by (sender, recipient).  A record in _records
         # vouches that both ends are attached; one made before that stays in
         # _dangling, where send's slow path finds it.
@@ -272,8 +265,6 @@ class Network:
             self._refuse_once_running("a fault")
             self.fault_free = False
             self._trusted.clear()
-            for link in self._every_link():
-                link.verdict = None
 
     def _refuse_once_running(self, what: str) -> None:
         """Raise if the clock has started on a fabric that is fault-free:
@@ -284,41 +275,37 @@ class Network:
                 f"call network.expect_faults() before the clock starts"
             )
 
-    def trusted(
-        self,
-        sender: str,
-        recipient: str,
-        budget: float,
-        size_bytes: int = 256,
-        reply_bytes: Optional[int] = None,
-        margin: float = ACK_ROUND_TRIP_MARGIN,
-    ) -> bool:
+    def trusted(self, sender: str, recipient: str, budget: float) -> bool:
         """Whether ``sender -> recipient`` is trusted within ``budget``
         seconds: the fabric is fault-free, ``recipient`` is up, and
-        ``margin`` times the modelled mean delay of a ``size_bytes``
-        message — plus that of a ``reply_bytes`` reply back, when one is
-        named — is inside ``budget``.  On a trusted link nothing can go
-        missing or come late, so a layer may skip what guards against it.
+        :data:`TRUST_MARGIN` times the link's modelled mean delay is inside
+        ``budget``.  On a trusted link nothing can go missing or come late,
+        so a layer may skip what guards against it.
 
         Each verdict is cached until :meth:`expect_faults`.  A
-        :meth:`set_link` before the clock starts does not revisit one: both
-        ends of a channel must keep the verdict its first message was sent
-        under.  A question asked per message is cached on the
-        :class:`Link` instead (``Link.verdict``), by the layer that asks it.
+        :meth:`set_link` before the clock starts does not revisit one.
         """
-        key = (sender, recipient, budget, size_bytes, reply_bytes, margin)
+        key = (sender, recipient, budget)
         verdict = self._trusted.get(key)
         if verdict is None:
-            verdict = self.fault_free and self.is_up(recipient)
-            if verdict:
-                delay = self.latency_for(sender, recipient).mean_delay(size_bytes)
-                if reply_bytes is not None:
-                    delay += self.latency_for(recipient, sender).mean_delay(
-                        reply_bytes
-                    )
-                verdict = margin * delay < budget
+            verdict = (
+                self.fault_free
+                and self.is_up(recipient)
+                and TRUST_MARGIN * self.latency_for(sender, recipient).mean_delay()
+                < budget
+            )
             self._trusted[key] = verdict
         return verdict
+
+    def watch_faults(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` after every fault transition: a crash or
+        recovery, a cut or its heal, a node degraded or restored, a link's
+        latency overridden."""
+        self._fault_watchers.append(callback)
+
+    def _faults_changed(self) -> None:
+        for callback in self._fault_watchers:
+            callback()
 
     @property
     def drop_probability(self) -> float:
@@ -363,9 +350,9 @@ class Network:
         above skip, they skip on the strength of the latency they judged.
         """
         self._refuse_once_running("set_link")
-        self.settle_draws()
         self._links[(sender, recipient)] = latency
         self._resolve_latencies()
+        self._faults_changed()
 
     def latency_for(self, sender: str, recipient: str) -> LatencyModel:
         base = self._links.get((sender, recipient), self.default_latency)
@@ -384,47 +371,26 @@ class Network:
         return DegradedLatency(base, factor, jitter)
 
     def link(self, sender: str, recipient: str) -> Link:
-        """The one record of ``sender -> recipient``, made on first ask
-        together with the record of the link back.  Hold it: it stays
-        current for the whole run."""
+        """The one record of ``sender -> recipient``, made on first ask.
+        Hold it: it stays current for the whole run."""
         key = (sender, recipient)
         link = self._records.get(key) or self._dangling.get(key)
         if link is None:
-            link = self._new_link(sender, recipient)
-            if recipient != sender:
-                back = self._new_link(recipient, sender)
-                link.reverse, back.reverse = back, link
+            link = Link(
+                sender,
+                recipient,
+                self.rng.stream(f"net.link.{sender}->{recipient}"),
+                self.latency_for(sender, recipient),
+            )
+            endpoints = self._endpoints
+            wired = sender in endpoints and recipient in endpoints
+            (self._records if wired else self._dangling)[key] = link
         return link
-
-    def _new_link(self, sender: str, recipient: str) -> Link:
-        link = Link(
-            sender,
-            recipient,
-            self.rng.stream(f"net.link.{sender}->{recipient}"),
-            self.latency_for(sender, recipient),
-        )
-        endpoints = self._endpoints
-        wired = sender in endpoints and recipient in endpoints
-        (self._records if wired else self._dangling)[(sender, recipient)] = link
-        return link
-
-    def _every_link(self) -> Iterable[Link]:
-        return itertools.chain(self._records.values(), self._dangling.values())
 
     def _resolve_latencies(self) -> None:
         """Bring every record's latency up to the model now in force."""
-        for link in self._every_link():
+        for link in itertools.chain(self._records.values(), self._dangling.values()):
             link.latency = self.latency_for(link.sender, link.recipient)
-
-    def settle_draws(self) -> None:
-        """Pay every owed draw with the latency model in force, so that each
-        link stream sits where eager drawing would have left it.  Called
-        before a link's latency changes; a reader of a stream's state calls
-        it too."""
-        for link in self._every_link():
-            if link.owed:
-                link.latency.skip(link.stream, link.owed)
-                link.owed = 0
 
     # ------------------------------------------------------------------
     # Gray degradation: alive but slow (timing failures, not crashes)
@@ -436,7 +402,7 @@ class Network:
 
         Degrading a node that is already degraded replaces the previous
         severity.  The endpoint keeps sending and receiving — this is a
-        *gray* failure: membership heartbeats still flow, only late.
+        *gray* failure: everything it sends still arrives, only late.
         """
         if name not in self._endpoints:
             raise NetworkError(f"unknown endpoint {name!r}")
@@ -445,21 +411,21 @@ class Network:
                 f"invalid degradation factor={factor!r} jitter={jitter_s!r}"
             )
         self.expect_faults()
-        self.settle_draws()
         self._degraded_nodes[name] = (factor, jitter_s)
         self._resolve_latencies()
         self.trace.emit(
             self.sim.now, "net.degrade", name,
             factor=round(factor, 3), jitter=round(jitter_s, 5),
         )
+        self._faults_changed()
 
     def restore_node(self, name: str) -> bool:
         """Undo :meth:`degrade_node`; returns False if it was not degraded."""
-        self.settle_draws()
         if self._degraded_nodes.pop(name, None) is None:
             return False
         self._resolve_latencies()
         self.trace.emit(self.sim.now, "net.restore", name)
+        self._faults_changed()
         return True
 
     # ------------------------------------------------------------------
@@ -515,6 +481,7 @@ class Network:
         self.expect_faults()
         self._crashed.add(name)
         self.trace.emit(self.sim.now, "net.crash", name)
+        self._faults_changed()
         return True
 
     def recover(self, name: str) -> bool:
@@ -532,6 +499,7 @@ class Network:
             return False
         self._crashed.discard(name)
         self.trace.emit(self.sim.now, "net.recover", name)
+        self._faults_changed()
         return True
 
     def is_up(self, name: str) -> bool:
@@ -548,7 +516,7 @@ class Network:
 
         ``symmetric=True`` blocks all traffic between the two sets;
         ``symmetric=False`` blocks only ``side_a -> side_b`` (a one-way
-        gray partition: replies and heartbeats still flow back).  Each cut
+        gray partition: replies still flow back).  Each cut
         is healed by :meth:`heal_partition`.
         """
         self.expect_faults()
@@ -567,6 +535,7 @@ class Network:
             side_a=sorted(cut.side_a),
             side_b=sorted(cut.side_b),
         )
+        self._faults_changed()
         return name
 
     def heal_partition(self, name: str) -> bool:
@@ -574,9 +543,11 @@ class Network:
         if self._partitions.pop(name, None) is None:
             return False
         self.trace.emit(self.sim.now, "net.heal", "network", name=name)
+        self._faults_changed()
         return True
 
-    def _cut(self, sender: str, recipient: str) -> bool:
+    def is_cut(self, sender: str, recipient: str) -> bool:
+        """Whether an active cut blocks ``sender -> recipient``."""
         for cut in self._partitions.values():
             if cut.blocks(sender, recipient):
                 return True
@@ -605,18 +576,14 @@ class Network:
                 self._drop(message, "unknown-recipient")
                 return message
             link = self.link(sender, recipient)
-        if self._partitions and self._cut(sender, recipient):
+        if self._partitions and self.is_cut(sender, recipient):
             self._drop(message, "partitioned")
             return message
         if self._drop_probability > 0.0:
             if self.rng.stream("net.loss").random() < self._drop_probability:
                 self._drop(message, "random-loss")
                 return message
-        link_rng, latency = link.stream, link.latency
-        if link.owed:
-            latency.skip(link_rng, link.owed)
-            link.owed = 0
-        delay = latency.delay(message, link_rng)
+        delay = link.latency.delay(message, link.stream)
         if self._churn:
             churn = self._churn_for(sender, recipient)
             if churn is not None:
@@ -660,7 +627,7 @@ class Network:
         if recipient is None or (self._crashed and name in self._crashed):
             self._drop(message, "recipient-down")
             return
-        if self._partitions and self._cut(message.sender, name):
+        if self._partitions and self.is_cut(message.sender, name):
             self._drop(message, "partitioned-in-flight")
             return
         now = self.sim._now
@@ -690,3 +657,6 @@ class Network:
                 reason=reason,
                 msg_id=message.msg_id,
             )
+        sender = self._endpoints.get(message.sender)
+        if sender is not None:
+            sender.dropped(message)

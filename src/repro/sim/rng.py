@@ -60,11 +60,6 @@ class Distribution:
     def sample(self, rng: random.Random) -> float:
         raise NotImplementedError
 
-    def skip(self, rng: random.Random, n: int) -> None:
-        """Advance ``rng`` exactly as ``n`` calls of :meth:`sample` would."""
-        for _ in range(n):
-            self.sample(rng)
-
     def mean(self) -> float:
         """Analytic mean where available (used by tests and capacity checks)."""
         raise NotImplementedError
@@ -80,9 +75,6 @@ class Constant(Distribution):
 
     def sample(self, rng: random.Random) -> float:
         return self.value
-
-    def skip(self, rng: random.Random, n: int) -> None:
-        pass
 
     def mean(self) -> float:
         return self.value
@@ -109,18 +101,6 @@ class Normal(Distribution):
 
     def sample(self, rng: random.Random) -> float:
         return max(self.floor, rng.gauss(self.mu, self.sigma))
-
-    def skip(self, rng: random.Random, n: int) -> None:
-        """``n`` variates in bulk: ``gauss`` makes them in pairs, from two
-        ``random()`` of two words each, and caches the second in
-        ``gauss_next``; so whole pairs pass as one ``getrandbits``."""
-        if n and rng.gauss_next is not None:
-            rng.gauss_next = None
-            n -= 1
-        if n > 1:
-            rng.getrandbits(128 * (n // 2))
-        if n % 2:
-            rng.gauss()
 
     def mean(self) -> float:
         # Approximate: exact only when truncation mass is negligible.

@@ -110,9 +110,7 @@ def test_channel_epoch_reset_restarts_sequencing(sim):
     assert sent[-1].epoch == 1
 
     delivered = []
-    receiver = FifoReceiver(
-        lambda g, s, p: delivered.append(p), lambda o, a: None
-    )
+    receiver = FifoReceiver(lambda g, s, p: delivered.append(p))
     receiver.on_data(sent[0])  # epoch 0, seq 1
     receiver.on_data(sent[2])  # epoch 1, seq 1 -> resets
     assert delivered == ["one", "three"]
@@ -125,11 +123,15 @@ def test_channel_epoch_reset_restarts_sequencing(sim):
 def test_abandoned_messages_open_fresh_epoch(sim):
     from repro.groups.multicast import FifoSender
 
+    from repro.net.message import Message
+
     sent = []
-    sender = FifoSender(
-        sim, "a", lambda r, m, s: sent.append(m),
-        rto=0.01, max_retries=1, backoff=1.0,
-    )
+
+    def lose(recipient, message, size):  # the fabric drops every transmission
+        sent.append(message)
+        sender.on_ack(Message("a", recipient, message, sim.now, size))
+
+    sender = FifoSender(sim, "a", lose, rto=0.01, max_retries=1, backoff=1.0)
     sender.send("g", "b", "lost")
     sim.run(until=1.0)
     assert sender.abandoned == 1

@@ -4,14 +4,15 @@ A replica arms the commit-gap watchdog, the lazy tick, the open-loop tuning
 tick and (with a φ-detector) the publisher check when it is attached, before
 its role is registered.  A replica that never joined the group a chain
 serves ends that chain at its first firing.  On a fault-free fabric a
-primary's watchdog and the membership sweep stop at the first check that
-finds nothing to do; an admission or eviction re-arms the sweep on the grid
-its chain would have walked.
+primary's watchdog stops at the first check that finds nothing to do.  The
+membership service runs no sweep chain at all: it checks a member only when
+it cannot hear it, at an instant on the grid the sweep chain would have
+walked.
 
 The twin test runs a fault-free service against the same service told to
-expect faults at t = 0, which runs every chain throughout: both must observe
-the same operations and record the same commit gaps, state transfers and
-evictions, at the same instants.
+expect faults at t = 0, which runs every watchdog throughout: both must
+observe the same operations and record the same commit gaps, state
+transfers and evictions, at the same instants.
 """
 
 from collections import Counter
@@ -23,7 +24,7 @@ from repro.core.qos import QoSSpec
 from repro.core.selection import SelectionResult, SelectionStrategy
 from repro.core.service import ServiceConfig, build_testbed
 from repro.core.tuning import StalenessTarget
-from repro.groups.membership import MembershipConfig, MembershipService, walk_grid
+from repro.groups.membership import Grid, MembershipConfig
 from repro.net.latency import FixedLatency
 from repro.sim.rng import Normal
 from repro.sim.tracing import Trace
@@ -192,7 +193,8 @@ def test_fault_free_primaries_and_sweep_go_idle_unless_a_hole_can_outlive_a_peri
     update lands there 1.3 s after the reader's stamps have run ahead of it,
     so a hole stays open across two checks and the watchdog fetches a
     snapshot — in a fault-free fabric, as it always did.  That primary keeps
-    its chain; the others, and the membership sweep, are idle."""
+    its chain; the others are idle, and the membership service never arms
+    a timer."""
     wired_ops, wired_records, _ = run_twin(True, slow=1.3, update_every=1.9)
     ops, records, lazy = run_twin(False, slow=1.3, update_every=1.9)
     assert ops == wired_ops
@@ -206,36 +208,43 @@ def test_fault_free_primaries_and_sweep_go_idle_unless_a_hole_can_outlive_a_peri
     assert p2.catchup.gap_watch_event is not None
     for replica in (service.sequencer, service.primaries[0], service.primaries[2]):
         assert replica.catchup.gap_watch_event is None
-    assert lazy.membership._idle_since is not None
+    assert not lazy.membership._checks
+    assert not [
+        r for r in lazy.membership.trace.records if r.category == "membership.amnesty"
+    ]
 
 
-def test_an_idle_sweep_resumes_on_its_grid_when_a_member_is_admitted(monkeypatch):
-    sweeps = []
-    sweep = MembershipService._sweep
-    monkeypatch.setattr(
-        MembershipService, "_sweep", lambda self: (sweeps.append(self.now), sweep(self))
-    )
+def test_an_idle_sweep_resumes_on_its_grid_when_a_member_is_admitted():
+    """A member admitted at 1.23 s that nobody can hear (no endpoint answers
+    to its name) is checked at the sweep instant the chain started at t = 0
+    would have evicted it at: the first past 1.23 + 0.35 on the 0.1 s grid.
+    A member that can be heard arms nothing."""
+    checks = []
     testbed = make_testbed()
     membership, sim = testbed.membership, testbed.sim
-    sim.run(until=1.0)
-    # The first sweep runs before the members' first ticks make them lazy;
-    # the second finds every one of them lazy and stops the chain.
-    assert sweeps == pytest.approx([0.1, 0.2])
-    assert membership._idle_since == sweeps[-1]
-    sim.schedule_at(1.23, testbed.service.create_client, "late")
+    schedule_at = sim.schedule_at
+
+    def spy(time, callback, *args, priority=0):
+        if callback == membership._check:
+            checks.append(time)
+        return schedule_at(time, callback, *args, priority=priority)
+
+    sim.schedule_at = spy
+    sim.schedule_at(1.0, testbed.service.create_client, "heard")
+    sim.schedule_at(1.23, membership.register, "svc-qos", "ghost")
     sim.run(until=3.0)
-    # Back on the old grid from the admission until the newcomer's first
-    # tick (1.33) makes it lazy, then idle again.
-    assert sweeps[2:] == pytest.approx([1.3, 1.4])
-    assert membership._idle_since == pytest.approx(1.4)
+    assert checks == [1.6000000000000003]
+    assert "ghost" not in membership.view_of("svc-qos")
     assert testbed.network.fault_free
 
 
 def test_a_chain_resumes_on_the_grid_it_would_have_walked():
-    """The floats are the repeated sums a running chain produces (0.2 + 0.1
-    is not 0.3), and a firing due at the very instant of the resume is
-    still to come."""
-    assert walk_grid(0.2, 0.1, 0.2) == 0.2
-    assert walk_grid(0.2, 0.1, 0.35) == 0.30000000000000004
-    # 0.30000000000000004 + 0.1 == 0.4: due now.
-    assert walk_grid(0.2, 0.1, 0.4) == 0.30000000000000004
+    """The detector's grid holds the floats a running chain produces, the
+    repeated sums (0.2 + 0.1 is not 0.3), whichever way it is asked."""
+    grid = Grid(0.1, 0.1)
+    assert grid.last_by(0.1) is None
+    assert grid.last_by(0.35) == 0.30000000000000004
+    assert grid.first_after(0.3) == 0.30000000000000004
+    # 0.30000000000000004 + 0.1 == 0.4: an instant itself is "by" it.
+    assert grid.last_by(0.4) == 0.4
+    assert grid.last_by(0.2) == 0.2  # asked backwards, walked again

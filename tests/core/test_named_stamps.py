@@ -2,8 +2,8 @@
 was dispatched to.
 
 A read names its targets (selection, issue-time hedge, probes); the sequencer
-sends the ``GsnAssign(advances=False)`` there and draws — and discards — the
-delay of every stamp it does not send, so no other variate moves.  A client
+sends the ``GsnAssign(advances=False)`` there, and a stamp it does not send
+draws nothing from its link.  A client
 that may re-dispatch the read (``retry_policy`` with retries) or runs a
 φ-detector names nothing and gets the paper's broadcast.
 
@@ -11,10 +11,10 @@ Where it matters a scenario runs twice: as built, and with the client's reads
 forced to ``targets = None`` (the ``broadcast_stamps`` fixture) — the code
 before named stamps existed.  What the clients observe must not depend on
 which, except where a message used to wait behind a stamp that is no longer
-sent (the FIFO-slot tests).
+sent (the FIFO-slot tests), and for the jitter of a link whose stream the
+broadcast's extra stamps moved on.
 """
 
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -82,7 +82,6 @@ def replica_names(testbed):
 
 
 def link_states(testbed, pairs):
-    testbed.network.settle_draws()
     stream = testbed.rng.stream
     return {(a, b): stream(f"net.link.{a}->{b}").getstate() for a, b in pairs}
 
@@ -128,7 +127,7 @@ def test_an_update_names_no_targets():
     [("svc-p2",), ("svc-p1", "svc-s7"), ("svc-s1", "svc-s14", "svc-s28")],
     ids=["K=1", "K=2", "K=3"],
 )
-def test_one_read_puts_k_stamps_on_the_wire_and_draws_every_link(
+def test_one_read_puts_k_stamps_on_the_wire_and_draws_only_their_links(
     selected, broadcast_stamps
 ):
     def run(broadcast):
@@ -159,66 +158,14 @@ def test_one_read_puts_k_stamps_on_the_wire_and_draws_every_link(
     assert {sender for _, sender, _ in stamps} == {SEQ}
     assert outcome == twin_outcome
 
-    # The stamp not sent still costs its link one variate, and only one.
-    out = [(SEQ, r) for r in replicas]
-    assert link_states(named, out) == link_states(twin, out)
+    # A stamp not sent draws nothing from its link; a sent one draws once.
     fresh = make_testbed()
-    assert all(
-        state != link_states(fresh, [pair])[pair]
-        for pair, state in link_states(named, out).items()
-    )
-    # Its ack's does not: an unnamed replica has sent the sequencer nothing.
+    out = [(SEQ, r) for r in replicas]
+    for pair, state in link_states(named, out).items():
+        assert (state != link_states(fresh, [pair])[pair]) == (pair[1] in selected)
+    # An unnamed replica has sent the sequencer nothing.
     unnamed = [(r, SEQ) for r in replicas if r not in selected]
     assert link_states(named, unnamed) == {pair: before[pair] for pair in unnamed}
-    assert link_states(twin, unnamed) != link_states(named, unnamed)
-
-
-def test_the_unsent_stamp_is_drawn_from_the_link_as_it_is_now():
-    """``set_link`` and ``degrade_node``/``restore_node`` mid-run are seen:
-    a kept draw is paid with the latency model it was kept under."""
-
-    class CountingLatency(FixedLatency):
-        skipped = 0
-
-        def skip(self, rng, n):
-            CountingLatency.skipped += n
-            super().skip(rng, n)
-
-    testbed = make_testbed(2, 2, latency=FixedLatency(0.001))
-    network = testbed.network
-    network.expect_faults()
-    client = testbed.service.create_client(
-        "c", read_only_methods={"get"}, strategy=Pick("svc-p1")
-    )
-    client.invoke("get", qos=QOS)
-    testbed.sim.run(until=1.0)
-    network.settle_draws()
-    assert CountingLatency.skipped == 0
-    network.set_link(SEQ, "svc-s2", CountingLatency(0.002))
-    client.invoke("get", qos=QOS)
-    testbed.sim.run(until=2.0)
-    network.settle_draws()
-    assert CountingLatency.skipped == 1
-
-    # Kept while the sequencer is degraded, paid by restore_node through the
-    # degraded model: the base's draw and the jitter's one random().
-    stream = testbed.rng.stream(f"net.link.{SEQ}->svc-s2")
-    network.degrade_node(SEQ, factor=2.0, jitter_s=0.001)
-    eager = random.Random()
-    eager.setstate(stream.getstate())
-    client.invoke("get", qos=QOS)
-    testbed.sim.run(until=3.0)
-    assert network.restore_node(SEQ)
-    assert CountingLatency.skipped == 2
-    eager.random()
-    assert stream.getstate() == eager.getstate()
-
-    # Kept once restored: the fixed link's draw consumes nothing.
-    client.invoke("get", qos=QOS)
-    testbed.sim.run(until=4.0)
-    network.settle_draws()
-    assert CountingLatency.skipped == 3
-    assert stream.getstate() == eager.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -471,5 +418,12 @@ def test_named_and_broadcast_twins_observe_the_same_operations(
 
     named, named_sent = run(broadcast=False)
     twin, twin_sent = run(broadcast=True)
-    assert named == twin
+    # The same operations; each at most a few LAN jitters (0.1 ms) apart,
+    # for the broadcast's extra stamps moved their links' streams on.
+    assert [(o.request_id, o.value, o.gsn) for o in named] == [
+        (o.request_id, o.value, o.gsn) for o in twin
+    ]
+    assert [o.response_time for o in named] == pytest.approx(
+        [o.response_time for o in twin], abs=1e-3
+    )
     assert named_sent <= twin_sent

@@ -29,7 +29,7 @@ from repro.core.requests import (
     UpdateOutcome,
 )
 from repro.core.selection import ReplicaView, SelectionResult
-from repro.groups.multicast import GroupAckMsg, GroupDataMsg
+from repro.groups.multicast import GroupDataMsg
 from repro.net.message import Message
 from repro.sim.tracing import TraceRecord
 
@@ -160,7 +160,6 @@ RECORDS = [
     TraceRecord(1.5, "net.deliver", "r1", {"sender": "c", "kind": "Request", "msg_id": 3}),
     Message("c", "r1", _READ, sent_at=1.5, msg_id=3),
     GroupDataMsg("svc-qos", "c", seq=4, payload=_READ, epoch=1),
-    GroupAckMsg("svc-qos", "c", seq=4, epoch=1),
 ]
 
 _READ_REPR = (
@@ -224,7 +223,6 @@ PINNED_REPRS = {
     TraceRecord: "<1.500000 net.deliver r1 {'sender': 'c', 'kind': 'Request', 'msg_id': 3}>",
     Message: "<Message #3 c->r1 Request @1.500000>",
     GroupDataMsg: f"GroupDataMsg(group='svc-qos', origin='c', seq=4, payload={_READ_REPR}, epoch=1)",
-    GroupAckMsg: "GroupAckMsg(group='svc-qos', origin='c', seq=4, epoch=1)",
 }
 
 #: Field overrides each ``__post_init__`` must reject with ``ValueError``.

@@ -187,6 +187,15 @@ def test_suite_writes_nothing_when_clean(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_a_library_call_of_a_suite_writes_nothing_to_stderr(capsys):
+    """Progress lines are the CLI's: ``run_suite`` prints them only when
+    asked (``repro chaos`` asks)."""
+    run_suite(CAMPAIGN, [101], duration=1.0)
+    assert capsys.readouterr().err == ""
+    run_suite(CAMPAIGN, [101], duration=1.0, progress=True)
+    assert "[chaos] 1/1 cells" in capsys.readouterr().err
+
+
 def test_summarize_renders_counters():
     result = CampaignResult(
         seed=1,

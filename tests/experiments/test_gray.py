@@ -140,8 +140,9 @@ def test_main_quick_check_passes(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # Bit-identical when disabled
 # ---------------------------------------------------------------------------
-def run_calm_cell(detector_config):
-    """A fault-free service run; returns the full trace for comparison."""
+def run_calm_cell(detector_config, broadcast_stamps):
+    """A fault-free service run; returns the full trace for comparison.
+    Its reads' stamps are broadcast, as a detector's client's are."""
 
     config = ServiceConfig(
         name="svc",
@@ -155,6 +156,7 @@ def run_calm_cell(detector_config):
         config, seed=31, latency=LanLatency(mean_s=0.001, jitter_s=0.001)
     )
     client = testbed.service.create_client("c", read_only_methods={"get"})
+    broadcast_stamps(client)
     qos = QoSSpec(staleness_threshold=10, deadline=0.5, min_probability=0.9)
     outcomes = []
 
@@ -175,7 +177,9 @@ def run_calm_cell(detector_config):
     ]
 
 
-def test_detector_is_bit_identical_on_a_calm_network():
+def test_detector_is_bit_identical_on_a_calm_network(broadcast_stamps):
     """With no faults the detector must be a pure observer: same replies
     from the same replicas at the same instants as a detector-free run."""
-    assert run_calm_cell(None) == run_calm_cell(DETECTOR_CONFIG)
+    assert run_calm_cell(None, broadcast_stamps) == run_calm_cell(
+        DETECTOR_CONFIG, broadcast_stamps
+    )

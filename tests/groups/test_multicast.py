@@ -4,8 +4,9 @@ import pytest
 
 from repro.groups.group import GroupEndpoint
 from repro.groups.membership import MembershipService
-from repro.groups.multicast import FifoReceiver, FifoSender, GroupAckMsg, GroupDataMsg
+from repro.groups.multicast import FifoReceiver, FifoSender, GroupDataMsg
 from repro.net.latency import FixedLatency
+from repro.net.message import Message
 from repro.net.network import Network
 
 
@@ -15,13 +16,9 @@ from repro.net.network import Network
 class _Collector:
     def __init__(self):
         self.delivered = []
-        self.acked = []
 
     def deliver(self, group, sender, payload):
         self.delivered.append((group, sender, payload))
-
-    def ack(self, origin, ack):
-        self.acked.append((origin, ack))
 
 
 def _data(seq, payload=None, group="g", origin="s"):
@@ -30,7 +27,7 @@ def _data(seq, payload=None, group="g", origin="s"):
 
 def test_receiver_delivers_in_order():
     col = _Collector()
-    receiver = FifoReceiver(col.deliver, col.ack)
+    receiver = FifoReceiver(col.deliver)
     for seq in (1, 2, 3):
         receiver.on_data(_data(seq))
     assert [p for _, _, p in col.delivered] == [1, 2, 3]
@@ -38,7 +35,7 @@ def test_receiver_delivers_in_order():
 
 def test_receiver_buffers_out_of_order():
     col = _Collector()
-    receiver = FifoReceiver(col.deliver, col.ack)
+    receiver = FifoReceiver(col.deliver)
     receiver.on_data(_data(2))
     assert col.delivered == []
     assert receiver.pending_for("g", "s") == 1
@@ -47,19 +44,18 @@ def test_receiver_buffers_out_of_order():
     assert receiver.reordered == 1
 
 
-def test_receiver_suppresses_duplicates_but_reacks():
+def test_receiver_suppresses_duplicates():
     col = _Collector()
-    receiver = FifoReceiver(col.deliver, col.ack)
+    receiver = FifoReceiver(col.deliver)
     receiver.on_data(_data(1))
     receiver.on_data(_data(1))
     assert len(col.delivered) == 1
-    assert len(col.acked) == 2  # duplicate still acked (ack may have been lost)
     assert receiver.duplicates == 1
 
 
 def test_receiver_separates_senders():
     col = _Collector()
-    receiver = FifoReceiver(col.deliver, col.ack)
+    receiver = FifoReceiver(col.deliver)
     receiver.on_data(_data(1, "x", origin="s1"))
     receiver.on_data(_data(1, "y", origin="s2"))
     assert len(col.delivered) == 2
@@ -67,7 +63,7 @@ def test_receiver_separates_senders():
 
 def test_receiver_duplicate_in_buffer():
     col = _Collector()
-    receiver = FifoReceiver(col.deliver, col.ack)
+    receiver = FifoReceiver(col.deliver)
     receiver.on_data(_data(3))
     receiver.on_data(_data(3))
     assert receiver.duplicates == 1
@@ -86,40 +82,58 @@ def test_sender_sequences_per_recipient(sim):
     assert seqs == [("a", 1), ("a", 2), ("b", 1)]
 
 
-def test_sender_retransmits_until_acked(sim):
-    sent = []
-    sender = FifoSender(
-        sim, "me", lambda r, m, s: sent.append(m), rto=0.1, max_retries=3
-    )
+class LossyLink:
+    """A ``send_raw`` that drops the transmissions it is told to and hands
+    each back to the sender as the fabric does."""
+
+    def __init__(self, sim, drop=lambda message: True):
+        self.sim, self.drop, self.sent = sim, drop, []
+        self.sender = None
+
+    def __call__(self, recipient, message, size):
+        wire = Message("me", recipient, message, self.sim.now, size)
+        self.sent.append(wire)
+        if self.drop(wire):
+            self.sender.on_ack(wire)
+        return wire
+
+
+def lossy_sender(sim, drop=lambda message: True, **kwargs):
+    link = LossyLink(sim, drop)
+    link.sender = FifoSender(sim, "me", link, **kwargs)
+    return link.sender, link.sent
+
+
+def test_sender_resends_a_dropped_message_at_its_deadline(sim):
+    """The k-th resend goes out ``rto · backoff**k`` after the transmission
+    before it was sent, as the retransmission timer used to fire."""
+    sender, sent = lossy_sender(sim, lambda wire: len(sent) <= 3, rto=0.1)
     sender.send("g", "a", "x")
-    sim.run(until=0.15)
-    assert len(sent) == 2  # original + one retransmission
-    sender.on_ack(GroupAckMsg("g", "me", 1), "a")
     sim.run(until=10.0)
-    assert len(sent) == 2  # ack stopped the retransmissions
-    assert sender.unacked == 0
+    assert [wire.sent_at for wire in sent] == pytest.approx([0.0, 0.1, 0.25, 0.475])
+    assert [wire.payload.attempt for wire in sent] == [0, 1, 2, 3]
+    assert {(wire.payload.seq, wire.payload.epoch) for wire in sent} == {(1, 0)}
+    assert sender.retransmissions == 3
 
 
 def test_sender_abandons_after_max_retries(sim):
-    sent = []
-    sender = FifoSender(
-        sim, "me", lambda r, m, s: sent.append(m), rto=0.05, max_retries=2, backoff=1.0
-    )
+    sender, sent = lossy_sender(sim, rto=0.05, max_retries=2, backoff=1.0)
     sender.send("g", "a", "x")
     sim.run(until=10.0)
     assert len(sent) == 3  # original + 2 retries
     assert sender.abandoned == 1
-    assert sender.unacked == 0
+    # Giving up opened a fresh epoch: the next message starts it at seq 1.
+    assert (sender.send("g", "a", "y").epoch, sent[-1].payload.seq) == (1, 1)
 
 
-def test_sender_forget_recipient_cancels_retransmits(sim):
-    sent = []
-    sender = FifoSender(sim, "me", lambda r, m, s: sent.append(m), rto=0.05)
+def test_sender_skips_resends_into_a_closed_epoch(sim):
+    """A member evicted (or rejoined) while its message waited to be resent
+    gets no resend of it."""
+    sender, sent = lossy_sender(sim, rto=0.05)
     sender.send("g", "a", "x")
-    sender.forget_recipient("g", "a")
+    sender.reset_channel("g", "a")
     sim.run(until=5.0)
-    assert len(sent) == 1
-    assert sender.unacked == 0
+    assert len(sent) == 1 and sender.retransmissions == 0
 
 
 def test_send_to_all_skips_self(sim):
@@ -210,48 +224,14 @@ def test_two_senders_interleaved_fifo(sim, rng):
 
 
 # ---------------------------------------------------------------------------
-# Acks name their epoch; deadlines held off until the fabric can lose
+# A delivered message leaves nothing behind
 # ---------------------------------------------------------------------------
-def test_ack_of_an_earlier_epoch_does_not_settle_the_same_seq(sim):
-    """``reset_channel`` restarts ``seq`` at 1: an ack still in flight for
-    (epoch 0, seq 1) must not count for the unrelated (epoch 1, seq 1)."""
-    sent = []
-    sender = FifoSender(sim, "me", lambda r, m, s: sent.append(m), rto=0.1)
-    sender.send("g", "a", "old")
-    sender.reset_channel("g", "a")
-    sender.send("g", "a", "new")
-    assert (sent[-1].epoch, sent[-1].seq) == (1, 1)
-    sender.on_ack(GroupAckMsg("g", "me", 1, epoch=0), "a")
-    assert sender.unacked == 1
-    sim.run(until=0.15)
-    assert [m.payload for m in sent] == ["old", "new", "new"]  # still retransmitted
-    sender.on_ack(GroupAckMsg("g", "me", 1, epoch=1), "a")
-    assert sender.unacked == 0
-
-
-def test_receiver_acks_with_the_data_it_was_handed():
-    col = _Collector()
-    receiver = FifoReceiver(col.deliver, col.ack)
-    data = GroupDataMsg("g", "s", 1, "x", epoch=3)
-    receiver.on_data(data)
-    assert col.acked == [("s", data)]
-
-
 def test_sender_keeps_no_deadline_for_a_message_the_fabric_guarantees(sim):
     sent = []
-
-    def send_raw(recipient, message, size):
-        sent.append(message)
-        return True  # it and its ack cannot go missing
-
-    sender = FifoSender(sim, "me", send_raw, rto=0.1)
-    first = sender.send("g", "a", "x")
+    sender = FifoSender(sim, "me", lambda r, m, s: sent.append(m), rto=0.1)
+    sender.send("g", "a", "x")
     sender.send("g", "b", "y")
-    assert sender.unacked == 0
     sim.run(until=5.0)
-    assert len(sent) == 2 and sim.events_processed == 0
-    # An ack, an eviction or a fresh epoch finds nothing to settle.
-    sender.on_ack(GroupAckMsg("g", "me", first.seq, first.epoch), "a")
-    sender.forget_recipient("g", "b")
+    assert len(sent) == 2 and sim.events_processed == 0 and not sim.pending()
     sender.reset_channel("g", "a")
-    assert sender.unacked == 0 and sender.send("g", "a", "z").epoch == 1
+    assert sender.send("g", "a", "z").epoch == 1

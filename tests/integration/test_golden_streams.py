@@ -24,6 +24,7 @@ from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
 from repro.experiments.chaos import run_campaign
 from repro.obs.slo import parse_series
+from repro.net.latency import FixedLatency
 from repro.sim.rng import Normal
 from repro.workloads.generators import OpenLoopUpdater, PoissonReader
 from repro.workloads.scenarios import build_paper_scenario
@@ -83,11 +84,10 @@ def test_paper_cell_outcome_stream_is_pinned(paper_scenario, pin):
     _check_stream(pin, "paper_cell", lines, scenario.testbed)
 
 
-def test_paper_cell_is_the_same_cell_with_acks_and_beats_on_the_wire(paper_scenario):
-    """No client waits on a group-layer ack or on a heartbeat: a cell whose
-    fabric expects faults from t = 0 — every ``GroupDataMsg`` acked with a
-    message and guarded by a retransmit timer, every beat sent — observes
-    what the fault-free cell observes, at nearly twice the messages."""
+def test_paper_cell_is_the_same_cell_on_a_fabric_that_expects_faults(paper_scenario):
+    """No ack and no heartbeat travels on either kind of fabric: a cell whose
+    fabric expects faults from t = 0 — every watchdog running — observes
+    what the fault-free cell observes, with the very same messages."""
     wired = build_paper_scenario(**PAPER_CELL)
     wired.testbed.network.expect_faults()
     wired.run()
@@ -100,23 +100,34 @@ def test_paper_cell_is_the_same_cell_with_acks_and_beats_on_the_wire(paper_scena
     assert paper_scenario.testbed.network.fault_free
     assert (
         wired.testbed.network.messages_sent.value
-        > 1.5 * paper_scenario.testbed.network.messages_sent.value
+        == paper_scenario.testbed.network.messages_sent.value
     )
 
 
-def test_paper_cell_is_the_same_cell_with_the_stamp_broadcast(
-    paper_scenario, broadcast_stamps
-):
+def test_paper_cell_is_the_same_cell_with_the_stamp_broadcast(broadcast_stamps):
     """Nobody outside the read's targets does anything with its stamp: a cell
     whose clients name no targets — the sequencer broadcasts every stamp, as
-    in the paper — observes what the shipped cell observes, at more messages."""
-    paper = build_paper_scenario(**PAPER_CELL)
-    for client in (paper.client1, paper.client2):
-        broadcast_stamps(client.handler)
-    paper.run()
+    in the paper — observes what the shipped cell observes, at more messages.
+    Both run on jitter-free links: a stamp not sent draws nothing, so on a
+    LAN the broadcast's extra stamps would move their links' streams on."""
+
+    def jitter_free(broadcast):
+        scenario = build_paper_scenario(**PAPER_CELL)
+        network = scenario.testbed.network
+        for sender in network.endpoints():
+            for recipient in network.endpoints():
+                if sender != recipient:
+                    network.set_link(sender, recipient, FixedLatency(0.0003))
+        if broadcast:
+            for client in (scenario.client1, scenario.client2):
+                broadcast_stamps(client.handler)
+        scenario.run()
+        return scenario
+
+    shipped, paper = jitter_free(False), jitter_free(True)
     for named, broadcast in (
-        (paper_scenario.client1, paper.client1),
-        (paper_scenario.client2, paper.client2),
+        (shipped.client1, paper.client1),
+        (shipped.client2, paper.client2),
     ):
         assert named.read_outcomes == broadcast.read_outcomes
         assert named.update_outcomes == broadcast.update_outcomes
@@ -131,7 +142,7 @@ def test_paper_cell_is_the_same_cell_with_the_stamp_broadcast(
     replicas = len(paper.testbed.service.all_replicas()) - 1
     assert (
         paper.testbed.network.messages_sent.value
-        - paper_scenario.testbed.network.messages_sent.value
+        - shipped.testbed.network.messages_sent.value
         == reads * replicas - selected
     )
 

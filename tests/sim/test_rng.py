@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.latency import DegradedLatency, LanLatency, LatencyModel
-from repro.net.message import Message
 from repro.sim.rng import (
     Constant,
     LogNormal,
@@ -130,45 +128,3 @@ def test_normal_samples_never_below_floor(mu, sigma, floor):
     stream = RngRegistry(0).stream("prop")
     d = Normal(mu, sigma, floor=floor)
     assert all(d.sample(stream) >= floor for _ in range(20))
-
-
-_SKIPPED_MODELS = {
-    "normal": Normal(0.0003, 0.0001, floor=0.00003),
-    "constant": Constant(0.002),
-    "lognormal": LogNormal(math.log(0.1), 0.25),
-    "latency": LanLatency(),
-    "degraded": DegradedLatency(LanLatency(), factor=3.0, jitter_s=0.001),
-}
-
-
-@given(
-    model=st.sampled_from(sorted(_SKIPPED_MODELS)),
-    n=st.integers(min_value=0, max_value=9),
-    spare_pending=st.booleans(),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-@settings(max_examples=200)
-def test_skip_leaves_the_stream_where_n_draws_would(model, n, spare_pending, seed):
-    """``skip(rng, n)`` leaves ``getstate()`` exactly where ``n`` calls of
-    ``sample`` (a distribution) or ``delay`` (a latency model) leave it.
-
-    ``Normal.skip`` relies on three details of CPython's ``random``:
-    ``gauss`` draws its variates in pairs and caches the second in
-    ``gauss_next`` (part of ``getstate()``); ``random()`` consumes two
-    Mersenne-Twister words; and ``getrandbits(32 * k)`` consumes ``k``.
-    """
-    dist = _SKIPPED_MODELS[model]
-    drawn, skipped = RngRegistry(seed).stream("x"), RngRegistry(seed).stream("x")
-    if spare_pending:
-        drawn.gauss()
-        skipped.gauss()
-    assert (drawn.gauss_next is not None) == spare_pending
-    if isinstance(dist, LatencyModel):
-        message = Message("a", "b", None, 0.0, 256)
-        for _ in range(n):
-            dist.delay(message, drawn)
-    else:
-        for _ in range(n):
-            dist.sample(drawn)
-    dist.skip(skipped, n)
-    assert skipped.getstate() == drawn.getstate()

@@ -241,8 +241,8 @@ UNCALLED_DEFINITIONS = {
         "::test_an_assignment_waits_only_behind_a_stamp_that_was_sent"
     ),
     "repro.groups.group:GroupEndpoint.fifo_sender": (
-        "test seam: tests/groups/test_lazy_acks.py"
-        "::test_message_to_a_name_nobody_answers_to_keeps_its_deadline"
+        "test seam: tests/groups/test_multicast.py"
+        "::test_reliable_delivery_under_heavy_loss"
     ),
     "repro.groups.multicast:FifoReceiver.pending_for": (
         "test seam: tests/groups/test_multicast.py::test_receiver_buffers_out_of_order"
@@ -253,10 +253,8 @@ UNCALLED_DEFINITIONS = {
     "repro.net.network:Network.set_link": (
         "test seam: tests/net/test_network.py::test_per_link_latency_override"
     ),
-    # The one distribution that skips through Distribution.skip's own loop.
     "repro.sim.rng:LogNormal": (
-        "test seam: tests/sim/test_rng.py"
-        "::test_skip_leaves_the_stream_where_n_draws_would"
+        "test seam: tests/sim/test_rng.py::test_lognormal_mean"
     ),
     "repro.sim.kernel:Simulator.heap_size": (
         "test seam: tests/sim/test_kernel.py"
