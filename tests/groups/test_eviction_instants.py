@@ -65,6 +65,15 @@ def crash_at_phase(config, phase):
     return group.run()
 
 
+def crash_and_recover(config):
+    """``c`` is down 2.05–2.25 s, recovered well before the sweep that would
+    evict it: no eviction."""
+    group = Group(config)
+    group.at(2.05, group.network.crash, "c")
+    group.at(2.25, group.network.recover, "c")
+    return group.run()
+
+
 def symmetric_cut(config, at=3.03):
     group = Group(config)
     group.at(at, group.network.partition, ["c"], ["a", "b", "membership"])
@@ -99,6 +108,7 @@ CASES = {
     "crash-before-beat": lambda config: crash_at_phase(config, -0.1),
     "crash-beat-in-flight": lambda config: crash_at_phase(config, 0.001),
     "crash-mid-interval": lambda config: crash_at_phase(config, 0.5),
+    "crash-and-recover": crash_and_recover,
     "symmetric-cut": symmetric_cut,
     # The beat sent at 3 s is still in flight, and the cut drops it.
     "symmetric-cut-beat-in-flight": lambda config: symmetric_cut(config, 3.00005),
@@ -116,6 +126,8 @@ GOLDEN = {
     ("crash-beat-in-flight", "campaign"): {"c": 2.400000000000001},
     ("crash-mid-interval", "default"): {"c": 3.25},
     ("crash-mid-interval", "campaign"): {"c": 2.400000000000001},
+    ("crash-and-recover", "default"): {},
+    ("crash-and-recover", "campaign"): {},
     ("symmetric-cut", "default"): {"c": 4.25},
     ("symmetric-cut", "campaign"): {"c": 3.4000000000000017},
     ("symmetric-cut-beat-in-flight", "default"): {"c": 4.0},

@@ -173,8 +173,39 @@ def test_member_in_multiple_groups(sim, stack):
 def test_heartbeats_keep_member_alive(sim, stack):
     service, members = stack
     members["a"].join("g")
-    sim.run(until=10.0)  # many suspect windows; heartbeats keep it in
+    sim.run(until=10.0)  # many suspect windows; it is heard throughout
     assert "a" in service.view_of("g")
+
+
+@pytest.mark.parametrize(
+    "jitter, restore_at, evicted_at",
+    [
+        (1.4, None, None),  # a beat's mean delay 0.701 s: still heard
+        (1.6, None, 3.25),  # 0.801 s, past suspect_timeout - heartbeat_interval
+        (1.6, 3.2, None),  # restored before the sweep that would evict it
+    ],
+)
+def test_a_member_slowed_past_the_suspect_window_is_evicted(
+    sim, network, stack, jitter, restore_at, evicted_at
+):
+    """A degradation that pushes a beat's mean delay past ``suspect_timeout
+    - heartbeat_interval`` (0.75 s) leaves the member unheard: evicted at
+    the first sweep 1 s after its last beat landed (sent at 2.0 s), unless
+    it is restored before."""
+    service, members = stack
+    network.expect_faults()
+    for member in members.values():
+        member.join("g")
+    evictions = []
+    service.observe(
+        lambda view: "c" not in view and view.view_id > 3 and evictions.append(sim.now)
+    )
+    sim.run(until=2.1)
+    network.degrade_node("c", factor=1.0, jitter_s=jitter)
+    if restore_at is not None:
+        sim.schedule_at(restore_at, network.restore_node, "c")
+    sim.run(until=6.0)
+    assert evictions == ([] if evicted_at is None else [evicted_at])
 
 
 def test_stale_view_not_adopted(stack):

@@ -231,6 +231,29 @@ def test_heal_restores_traffic(sim, network, pair):
     assert len(b.received) == 1
 
 
+def test_every_fault_transition_is_told_to_the_watchers(network, pair):
+    """The membership service learns whom it can hear from these calls
+    alone, so each transition — and no call that changes nothing — tells
+    every watcher once.
+
+    Mutant this kills: a transition that does not tell its watchers (the
+    service would never schedule the eviction it causes)."""
+    told = []
+    network.watch_faults(lambda: told.append("first"))
+    network.watch_faults(lambda: told.append("second"))
+    network.crash("a")
+    network.recover("a")
+    cut = network.partition({"a"}, {"b"})
+    network.heal_partition(cut)
+    network.degrade_node("a", factor=2.0)
+    network.restore_node("a")
+    network.set_link("a", "b", FixedLatency(0.5))
+    assert told == ["first", "second"] * 7
+    network.recover("a")
+    network.heal_partition(cut)
+    network.restore_node("a")
+    assert len(told) == 14
+
 # ---------------------------------------------------------------------------
 # Random loss
 # ---------------------------------------------------------------------------
