@@ -419,7 +419,11 @@ def test_named_and_broadcast_twins_observe_the_same_operations(
     named, named_sent = run(broadcast=False)
     twin, twin_sent = run(broadcast=True)
     # The same operations; each at most a few LAN jitters (0.1 ms) apart,
-    # for the broadcast's extra stamps moved their links' streams on.
+    # for the broadcast's extra stamps moved their links' streams on.  Two
+    # operations that finish within a jitter of each other may finish in
+    # either order, so they are compared by request id, not completion order.
+    named.sort(key=lambda o: o.request_id)
+    twin.sort(key=lambda o: o.request_id)
     assert [(o.request_id, o.value, o.gsn) for o in named] == [
         (o.request_id, o.value, o.gsn) for o in twin
     ]
