@@ -23,7 +23,9 @@ The ``full`` panel (``small`` is the tier-1 self-test's cut of it):
 * the seeded results that are not a Figure 4 row: A1's shortest and longest
   LUI, the three staleness-model errors and the hot-spot imbalance;
 * the four fault campaigns at their default cell length: whether each
-  seed's suite is clean, and each mode's rates;
+  seed's cells are clean (their invariants: a claim is judged over seeds,
+  not in one), each claim's paired difference on that seed, and each
+  mode's rates;
 * read latency (p50, p95) on the five ledger workloads, through each
   tree's own, unedited ``benchmarks/ledger/cells.py``.
 
@@ -147,15 +149,22 @@ def _campaign_rates(name: str, r) -> dict:
 def campaign_rows(seed: int, campaigns=CAMPAIGNS) -> dict:
     import importlib
 
-    from repro.experiments.campaign import run_suite, suite_violations
+    from repro.experiments.campaign import run_suite
 
     rows = {}
     for name in campaigns:
         campaign = importlib.import_module(f"repro.experiments.{name}").CAMPAIGN
         results = run_suite(campaign, [seed], campaign.default[1])
-        rows[f"{name} campaign: verdict clean"] = float(
-            not suite_violations(campaign, results)
+        rows[f"{name} campaign: cells clean"] = float(
+            not any(r.violations for r in results)
         )
+        for claim in getattr(campaign, "claims", ()):  # a tree before claims has none
+            treatment, baseline = (
+                getattr(next(r for r in results if r.mode == mode), claim.field)
+                for mode in (claim.treatment, claim.baseline)
+            )
+            rows[f"{name} campaign: {claim.treatment} - {claim.baseline}: "
+                 f"{claim.field}"] = treatment - baseline
         for result in results:
             mode = f" [{result.mode}]" if campaign.modes else ""
             for rate, value in _campaign_rates(name, result).items():
@@ -254,18 +263,10 @@ def student_t(a: list, b: list) -> tuple[float, float]:
     return t, float(2 * t_law.sf(abs(t), df))
 
 
-def holm(pvalues: list) -> list:
-    """Holm step-down adjusted p-values, in the input's order."""
-    order = sorted(range(len(pvalues)), key=pvalues.__getitem__)
-    adjusted, running = [0.0] * len(pvalues), 0.0
-    for rank, i in enumerate(order):
-        running = max(running, min(1.0, (len(pvalues) - rank) * pvalues[i]))
-        adjusted[i] = running
-    return adjusted
-
-
 def judge(parent: dict, change: dict) -> list[dict]:
     """One verdict per row of either side; a row only one side has disagrees."""
+    from repro.stats.confidence import holm  # the gate's own tree (main)
+
     names = list(parent) + [name for name in change if name not in parent]
     tests = [
         student_t(parent[n], change[n]) if n in parent and n in change else (math.nan, 0.0)
@@ -387,6 +388,7 @@ def main(argv=None) -> int:
         return 0
     if not (args.parent and args.change):
         parser.error("--parent and --change are required")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     args.parent, args.change = args.parent.resolve(), args.change.resolve()
     for root in (args.parent, args.change):
         if not (root / "src" / "repro").is_dir():

@@ -29,9 +29,10 @@ gray-publisher watch).
 
 Suspicion is not eviction: a suspected peer is only *deprioritized*,
 and :meth:`should_probe` meters occasional probe traffic at it so the
-detector keeps observing — one on-time arrival resets φ and re-admits
-the peer (gray failures heal; crash-style eviction stays with the
-membership service).  Every suspect/clear edge is appended to
+detector keeps observing — one on-time arrival resets φ, re-admits
+the peer and starts its inter-arrival history afresh (gray failures
+heal; crash-style eviction stays with the membership service).  Every
+suspect/clear edge is appended to
 :attr:`PhiAccrualDetector.transitions` so the detection-quality scorer
 (:mod:`repro.obs.detection`) can join them against the chaos engine's
 ground-truth :class:`~repro.net.chaos.GrayFault` schedule.
@@ -162,10 +163,18 @@ class PhiAccrualDetector:
         interval = now - last
         if interval <= 0.0:
             return  # same-instant duplicates carry no timing information
+        if peer in self._suspected:
+            # Re-admission starts the peer's history over (cold again until
+            # ``min_samples`` arrive).  The window was fitted to traffic
+            # from before the heal — often a burst of replies the fault
+            # held back — and a re-admitted peer the client no longer reads
+            # from is heard from far less often: judged by the old fit,
+            # that quiet reads as a fresh failure, again and again.
+            self._windows[peer].clear()
+            self._clear(peer, now)
+            return
         self._windows[peer].append(interval)
         self._m_samples.inc()
-        if peer in self._suspected:
-            self._clear(peer, now)
 
     def forget(self, peer: str) -> None:
         """Drop all state for a peer (it left the replica set for good)."""

@@ -30,10 +30,10 @@ Controller invariants audited on every decision log (DESIGN.md §16):
 * **guardrails exercised** — across the chaos cells at least one
   rollback fired (otherwise the audit is vacuous).
 
-Acceptance comparison: pooled over the comparison cells, the
-controller's *SLA-satisfaction-per-cost* score must be at least that of
-every static setting, where satisfaction is the mean over per-class SLOs
-of ``min(1, compliance / objective)`` and cost is replication messages
+Claims (judged by the campaign skeleton, paired by seed): the
+controller's *SLA-satisfaction-per-cost* score beats every static
+setting's, where satisfaction is the mean over per-class SLOs of
+``min(1, compliance / objective)`` and cost is replication messages
 (replica selections + lazy-update fan-out) per judged read.
 
 A **bit-identity** gate runs alongside: a ``dry_run`` controller — one
@@ -60,6 +60,7 @@ from repro.core.controller import (
 )
 from repro.experiments.campaign import (
     Campaign,
+    Claim,
     chaos_engine,
     counter_sum,
     dump_violation_trace,
@@ -78,8 +79,8 @@ DRAIN_GRACE = 5.0
 #: Static grid: the same knob-ladder indices the controller walks.
 STATIC_GRID = (0, 1, 2, 3)
 
-#: The modes the controller's pooled score is compared across, and the
-#: suite's cells per seed (the chaos cell audits guardrails, not score).
+#: The modes the controller's score is compared across, and the suite's
+#: cells per seed (the chaos cell audits guardrails, not score).
 SCORED_MODES = ("controller",) + tuple(f"static-{i}" for i in STATIC_GRID)
 MODES = SCORED_MODES + ("chaos",)
 
@@ -448,33 +449,13 @@ def check_bit_identity(seed: int = 0, duration: float = 4.0) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Acceptance rule, campaign declaration + CLI
+# Suite-wide checks, campaign declaration + CLI
 # ---------------------------------------------------------------------------
-def pooled_score(results: list[AdaptiveCellResult], mode: str) -> float:
-    """Mean satisfaction over mean cost for one mode's cells."""
-    cells = [r for r in results if r.mode == mode]
-    if not cells:
-        return 0.0
-    mean_sat = sum(r.satisfaction for r in cells) / len(cells)
-    mean_cost = sum(r.cost_per_read for r in cells) / len(cells)
-    if mean_cost <= 0.0:
-        return 0.0
-    return mean_sat / mean_cost
-
-
 def acceptance(results: list[AdaptiveCellResult]) -> list[str]:
-    """The cross-mode checks: the controller's pooled score at least every
-    static setting's, the chaos cells' guardrails actually exercised, and
-    the dry-run controller invisible (on the suite's first seed)."""
+    """The suite-wide checks that are not a paired claim: the chaos
+    cells' guardrails actually exercised, and the dry-run controller
+    invisible (on the suite's first seed)."""
     violations = []
-    controller_score = pooled_score(results, "controller")
-    for mode in SCORED_MODES[1:]:
-        static_score = pooled_score(results, mode)
-        if controller_score + 1e-9 < static_score:
-            violations.append(
-                f"score: controller {controller_score:.4f} below "
-                f"{mode} {static_score:.4f}"
-            )
     chaos_cells = [r for r in results if r.mode == "chaos"]
     if chaos_cells and not any(r.rollbacks > 0 for r in chaos_cells):
         violations.append(
@@ -483,20 +464,6 @@ def acceptance(results: list[AdaptiveCellResult]) -> list[str]:
     if results:
         violations.extend(check_bit_identity(seed=results[0].seed))
     return violations
-
-
-def _scoreboard(results: list[AdaptiveCellResult]) -> str:
-    lines = ["pooled scores (satisfaction / cost-per-read):"]
-    for mode in SCORED_MODES:
-        lines.append(f"  {mode:<12} {pooled_score(results, mode):.4f}")
-    return "\n".join(lines)
-
-
-def _pooled_stats(results: list[AdaptiveCellResult], mode: str) -> dict:
-    return {
-        "score": pooled_score(results, mode),
-        "cells": sum(1 for r in results if r.mode == mode),
-    }
 
 
 def _decision_logs(results: list[AdaptiveCellResult]) -> list[dict]:
@@ -517,8 +484,8 @@ CAMPAIGN = Campaign(
     doc=__doc__,
     run_cell=run_adaptive_cell,
     modes=MODES,
-    default=(3, 12.0),
-    quick=(2, 8.0),
+    default=(40, 12.0),
+    quick=(20, 12.0),
     title="adaptive campaign (controller vs. static grid)",
     columns=(
         ("storms", lambda r: r.storms),
@@ -535,11 +502,12 @@ CAMPAIGN = Campaign(
     ),
     telemetry_title="closed-loop cell telemetry",
     telemetry_modes=("controller", "chaos"),
+    claims=tuple(
+        Claim("controller", mode, "score", better="higher")
+        for mode in SCORED_MODES[1:]
+    ),
     acceptance=acceptance,
-    pooled_stats=_pooled_stats,
-    compared_modes=SCORED_MODES,
     extra_records=_decision_logs,
-    scoreboard=_scoreboard,
 )
 
 

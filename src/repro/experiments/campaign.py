@@ -3,19 +3,22 @@
 A campaign is a seeds x modes grid of seeded *cells*.  Each cell builds a
 testbed, wires a fault engine to it, runs recorder-start -> warm-up ->
 faults -> drain, audits its own *invariants* and dumps its trace if one
-broke; across the grid an *acceptance rule* compares the modes, one table
-and telemetry report is printed, one JSONL artifact written, one exit gate
-applied (DESIGN.md §9a).  Those steps live here as plain functions; a
-campaign module keeps its scenario, invariants, acceptance rule and result
-fields, and declares the rest in one :class:`Campaign` record.
+broke; across the grid each declared *claim* (a treatment mode against a
+baseline mode on one result field) is judged by a paired sign test under
+Holm, one table and telemetry report is printed, one JSONL artifact
+written, one exit gate applied (DESIGN.md §9a).  Those steps live here as
+plain functions; a campaign module keeps its scenario, invariants and
+result fields, and declares the rest — its claims too — in one
+:class:`Campaign` record.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import statistics
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -33,6 +36,54 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import Timeline, TimeseriesRecorder
 from repro.sim.rng import Normal, seed_for
 from repro.sim.tracing import Trace
+from repro.stats.confidence import holm, sign_test
+
+#: Family-wise level at which a campaign's claims are judged, together.
+ALPHA = 0.05
+
+#: The two kinds of claim: the treatment must beat the baseline, or must
+#: not lose to it.
+WINS = "wins"
+NO_WORSE = "no worse"
+
+
+@dataclass(frozen=True)
+class Claim:
+    """``treatment`` against ``baseline`` on one per-cell result field,
+    paired by seed; ``better`` says which direction of the field wins."""
+
+    treatment: str
+    baseline: str
+    field: str
+    better: str  # "lower" | "higher"
+    kind: str = WINS
+
+    @property
+    def label(self) -> str:
+        verb = "beats" if self.kind == WINS else "no worse than"
+        return f"{self.treatment} {verb} {self.baseline} on {self.field}"
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """One claim judged over a suite: seeds won, lost and tied by the
+    treatment, the median paired difference (treatment - baseline; None
+    when no seed has both cells), the raw and Holm-adjusted sign-test p."""
+
+    claim: Claim
+    wins: int
+    losses: int
+    ties: int
+    median: float | None
+    p: float
+    holm_p: float
+
+    @property
+    def passed(self) -> bool:
+        """A *wins* claim passes when its test rejects "no better"; a *no
+        worse* claim fails when its test rejects "no worse"."""
+        rejected = self.holm_p < ALPHA
+        return rejected if self.claim.kind == WINS else not rejected
 
 
 @dataclass(frozen=True)
@@ -62,18 +113,15 @@ class Campaign:
     #: counters it merges (``()``: every cell).
     telemetry_title: str
     telemetry_modes: tuple[str, ...] = ()
-    #: Cross-mode rule over the suite.  (Cell invariants are the cell
-    #: function's business and arrive as ``result.violations``.)
+    #: What the campaign promises across modes, judged together by
+    #: :func:`judge_claims`.  (Cell invariants are the cell function's
+    #: business and arrive as ``result.violations``.)
+    claims: tuple[Claim, ...] = ()
+    #: Suite-wide checks that are not a paired claim (adaptive's
+    #: guardrails and bit-identity).
     acceptance: Optional[Callable[[list], list[str]]] = None
-    #: ``pooled_stats(results, mode)``: what the rule compares, written as
-    #: one ``pooled`` record per compared mode (default: every mode).
-    pooled_stats: Optional[Callable[[list, str], dict]] = None
-    compared_modes: tuple[str, ...] = ()
-    #: Campaign-specific artifact records, after the pooled ones.
+    #: Campaign-specific artifact records, after the claim ones.
     extra_records: Optional[Callable[[list], list[dict]]] = None
-    #: Text between table and telemetry report; a line after the report.
-    scoreboard: Optional[Callable[[list], str]] = None
-    footer: Optional[Callable[[list], str]] = None
     #: ``False``: no ``--check``/``--jobs``, the exit gate is always on.
     check_flag: bool = True
     #: Extra flags: declared by ``add_flags(parser)``, turned into extra
@@ -257,9 +305,33 @@ def counter_sum(snapshot: dict, name: str) -> int:
     return int(total)
 
 
-def pooled(results: list, mode: str, field: str) -> list:
-    """One mode's per-cell sample lists, concatenated across seeds."""
-    return [x for r in results if r.mode == mode for x in getattr(r, field)]
+def judge_claims(claims: Sequence[Claim], results: list) -> list[Verdict]:
+    """Judge every claim over the suite, one family.
+
+    Each seed that ran both modes is one pair: the treatment wins it, loses
+    it, or ties.  A claim's p is the exact one-sided sign test of its null
+    ("no better" for *wins*, "no worse" for *no worse*), and the claims'
+    p-values are Holm-adjusted together at :data:`ALPHA`.  With no seed
+    that differs, p is 1: a *wins* claim fails, a *no worse* one passes.
+    """
+    counted = []
+    for claim in claims:
+        baseline = {
+            r.seed: getattr(r, claim.field) for r in results if r.mode == claim.baseline
+        }
+        diffs = [
+            getattr(r, claim.field) - baseline[r.seed]
+            for r in results
+            if r.mode == claim.treatment and r.seed in baseline
+        ]
+        sign = 1 if claim.better == "higher" else -1
+        wins = sum(1 for d in diffs if sign * d > 0)
+        losses = sum(1 for d in diffs if sign * d < 0)
+        p = sign_test(wins, losses) if claim.kind == WINS else sign_test(losses, wins)
+        median = statistics.median(diffs) if diffs else None
+        counted.append((claim, wins, losses, len(diffs) - wins - losses, median, p))
+    adjusted = holm([row[-1] for row in counted])
+    return [Verdict(*row, holm_p) for row, holm_p in zip(counted, adjusted)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +367,28 @@ def run_suite(
 
 
 def suite_violations(campaign: Campaign, results: list) -> list[str]:
-    """Cell-level invariant violations, labelled by cell, plus whatever
-    the campaign's cross-mode acceptance rule objects to."""
+    """Cell-level invariant violations, labelled by cell, then every claim
+    that did not pass, then whatever the campaign's suite-wide checks
+    object to."""
     violations = [
         f"seed {r.seed} [{r.mode}]: {v}" if campaign.modes
         else f"seed {r.seed}: {v}"
         for r in results
         for v in r.violations
     ]
+    violations.extend(
+        f"{v.claim.field}: claim '{v.claim.label}' fails ({v.wins} won, "
+        f"{v.losses} lost, {v.ties} tied; Holm p = {v.holm_p:.3g})"
+        for v in judge_claims(campaign.claims, results)
+        if not v.passed
+    )
     if campaign.acceptance is not None:
         violations.extend(campaign.acceptance(results))
     return violations
 
 
 def summarize(campaign: Campaign, results: list) -> str:
-    """Result table, optional scoreboard, merged telemetry report."""
+    """Result table, claims table, merged telemetry report."""
     columns = [
         ("seed", lambda r: r.seed),
         *([("mode", lambda r: r.mode)] if campaign.modes else []),
@@ -326,8 +405,19 @@ def summarize(campaign: Campaign, results: list) -> str:
             title=campaign.title,
         )
     ]
-    if campaign.scoreboard is not None:
-        blocks.append(campaign.scoreboard(results))
+    if campaign.claims:
+        blocks.append(format_table(
+            ["claim", "won", "lost", "tied", "median diff", "p", "Holm p", "verdict"],
+            [
+                [
+                    v.claim.label, v.wins, v.losses, v.ties,
+                    "-" if v.median is None else f"{v.median:+.4g}",
+                    f"{v.p:.3g}", f"{v.holm_p:.3g}", "PASS" if v.passed else "FAIL",
+                ]
+                for v in judge_claims(campaign.claims, results)
+            ],
+            title=f"claims (paired by seed: sign test, Holm at alpha = {ALPHA})",
+        ))
     observed = [
         r
         for r in results
@@ -344,10 +434,7 @@ def summarize(campaign: Campaign, results: list) -> str:
             title=campaign.telemetry_title,
         )
     )
-    text = "\n\n".join(blocks)
-    if campaign.footer is not None:
-        text += "\n" + campaign.footer(results)
-    return text
+    return "\n\n".join(blocks)
 
 
 def timeline_records(campaign: Campaign, results: list) -> list[dict]:
@@ -376,8 +463,8 @@ def write_metrics_artifact(
     campaign: Campaign, path: str, results: list, seeds: Sequence[int]
 ) -> None:
     """JSONL artifact: the unified ``meta`` line, one ``cell`` record per
-    cell, one ``pooled`` record per compared mode, the campaign's own
-    records, then the per-mode merged timelines."""
+    cell, one ``claim`` record per claim, the campaign's own records, then
+    the per-mode merged timelines."""
     records: list[dict] = []
     for r in results:
         record = {"event": "cell", "seed": r.seed}
@@ -385,12 +472,10 @@ def write_metrics_artifact(
             record["mode"] = r.mode
         record.update({name: getattr(r, name) for name in campaign.cell_fields})
         records.append(record)
-    if campaign.pooled_stats is not None:
-        for mode in campaign.compared_modes or campaign.modes:
-            records.append(
-                {"event": "pooled", "mode": mode}
-                | campaign.pooled_stats(results, mode)
-            )
+    records.extend(
+        {"event": "claim", **asdict(v), "passed": v.passed}
+        for v in judge_claims(campaign.claims, results)
+    )
     if campaign.extra_records is not None:
         records.extend(campaign.extra_records(results))
     records.extend(timeline_records(campaign, results))
@@ -422,7 +507,7 @@ def main(
     if campaign.check_flag:
         parser.add_argument(
             "--check", action="store_true",
-            help="exit non-zero on any invariant or acceptance violation",
+            help="exit non-zero on any invariant violation or failed claim",
         )
         add_jobs_argument(parser)
     if campaign.add_flags is not None:

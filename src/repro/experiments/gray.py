@@ -23,15 +23,15 @@ Each detector cell is audited against the gray invariants (DESIGN.md §14):
   (:func:`repro.obs.detection.score_detection`), at most half of all
   suspect edges may lack a covering fault window;
 * **the detector actually fired** — at least one gray fault hit a
-  serving replica and at least one suspicion was raised (otherwise the
-  comparison below is vacuous);
+  serving replica, and if a one-way partition silenced one, at least one
+  suspicion was raised (otherwise the comparison below is vacuous);
 * **accounting** — every issued read was judged; nothing is silently
   dropped.
 
-Across the suite, the acceptance comparison: pooled read p99 effective
-latency must be strictly better with the detector than without, and the
-SLA satisfaction rate (reads meeting their deadline) must be no worse —
-routing around an alive-but-slow replica is the whole point.
+Across the suite, two claims paired by seed (the campaign skeleton judges
+them): the detector beats the baseline on read p99 effective latency,
+and is no worse on the SLA satisfaction rate (reads meeting their
+deadline) — routing around an alive-but-slow replica is the whole point.
 
 ``python -m repro.experiments.gray --check`` (or ``repro gray``) exits
 non-zero on any violation.
@@ -47,7 +47,9 @@ from repro.core.retry import RetryPolicy
 from repro.core.detector import DetectorConfig
 from repro.core.qos import QoSSpec
 from repro.experiments.campaign import (
+    NO_WORSE,
     Campaign,
+    Claim,
     build_campaign_testbed,
     chaos_engine,
     dump_violation_trace,
@@ -55,7 +57,6 @@ from repro.experiments.campaign import (
     engine_events,
     main as campaign_main,
     percentile,
-    pooled,
     run_phases,
 )
 from repro.net.chaos import ChaosConfig, ChaosEngine
@@ -248,13 +249,15 @@ def _check_gray_invariants(
     detector = client.detector
     assert detector is not None and detection is not None
 
-    # The storm must be real: gray faults on serving replicas, and the
-    # detector must have reacted to at least one of them.
-    observable = [f for f in engine.gray_schedule if f.target in serving]
+    # The storm must be real, and φ reads silence: a one-way partition
+    # silences its replica for the whole window, whichever way it cuts, so
+    # it must raise a suspicion.  (A slow node still answers at the read
+    # cadence; a dup storm or a short flap may not cost one deadline.)
+    observable = {f.kind for f in engine.gray_schedule if f.target in serving}
     if not observable:
         violations.append("storm: no gray fault hit a serving replica")
-    elif detector.stats()["suspects_total"] == 0:
-        violations.append("detector-idle: gray faults injected, zero suspicions")
+    elif "oneway_partition" in observable and detector.stats()["suspects_total"] == 0:
+        violations.append("detector-idle: a one-way partition, zero suspicions")
 
     # No permanent ejection: the campaign healed everything, the drain
     # window passed, so probes must have re-admitted every suspect.
@@ -280,53 +283,12 @@ def _check_gray_invariants(
 
 
 # ---------------------------------------------------------------------------
-# Acceptance rule, campaign declaration + CLI
+# Campaign declaration + CLI
 # ---------------------------------------------------------------------------
-def pooled_stats(results: list[GrayCellResult], mode: str) -> dict:
-    """One mode's read p99 and SLA rate, pooled across seeds."""
-    cells = [r for r in results if r.mode == mode]
-    latencies = pooled(results, mode, "latencies")
-    issued = sum(r.reads_issued for r in cells)
-    late = sum(r.timing_failures for r in cells)
-    return {
-        "p99": percentile(latencies, 0.99),
-        "sla_rate": 1.0 - late / issued if issued else 1.0,
-        "samples": len(latencies),
-    }
-
-
-def acceptance(results: list[GrayCellResult]) -> list[str]:
-    """The cross-mode checks: with the detector, pooled read p99 strictly
-    better and SLA satisfaction no worse than the baseline's."""
-    violations = []
-    det, base = (pooled_stats(results, mode) for mode in MODES)
-    if det["samples"] and base["samples"]:
-        if not det["p99"] < base["p99"]:
-            violations.append(
-                f"p99: read effective latency with the detector "
-                f"({det['p99']:.4f}s) is not better than baseline "
-                f"({base['p99']:.4f}s)"
-            )
-        if det["sla_rate"] < base["sla_rate"]:
-            violations.append(
-                f"sla: satisfaction with the detector ({det['sla_rate']:.2%}) "
-                f"is worse than baseline ({base['sla_rate']:.2%})"
-            )
-    return violations
-
-
 def _detection(r: GrayCellResult, key: str, spec: str) -> str:
     """A detection-report number for the table; ``-`` where none applies."""
     value = None if r.detection is None else r.detection[key]
     return "-" if value is None else format(value, spec)
-
-
-def _pooled_line(results: list[GrayCellResult]) -> str:
-    det, base = (pooled_stats(results, mode) for mode in MODES)
-    return (
-        f"pooled: detector p99={det['p99']:.4f}s sla={det['sla_rate']:.2%} | "
-        f"baseline p99={base['p99']:.4f}s sla={base['sla_rate']:.2%}"
-    )
 
 
 CAMPAIGN = Campaign(
@@ -334,8 +296,8 @@ CAMPAIGN = Campaign(
     doc=__doc__,
     run_cell=run_gray_cell,
     modes=MODES,
-    default=(5, 14.0),
-    quick=(2, 8.0),
+    default=(40, 14.0),
+    quick=(20, 14.0),
     title="gray-failure campaign (detector vs. baseline)",
     columns=(
         ("faults", lambda r: r.gray_faults),
@@ -358,9 +320,10 @@ CAMPAIGN = Campaign(
     ),
     telemetry_title="detector-cell telemetry",
     telemetry_modes=("detector",),
-    acceptance=acceptance,
-    pooled_stats=pooled_stats,
-    footer=_pooled_line,
+    claims=(
+        Claim("detector", "baseline", "p99", better="lower"),
+        Claim("detector", "baseline", "sla_rate", better="higher", kind=NO_WORSE),
+    ),
 )
 
 

@@ -1,8 +1,9 @@
 """Declarative SLOs over timelines: compliance, burn rates, attribution.
 
-The controller the ROADMAP plans (OptCon-style SLA-aware tuning) needs
-three continuous sensors, and this module computes all of them from the
-:class:`~repro.obs.timeseries.Timeline` a recorder produces:
+The closed-loop controller (:mod:`repro.core.controller`, OptCon-style
+SLA-aware tuning) reads three continuous sensors, and this module
+computes all of them from the :class:`~repro.obs.timeseries.Timeline` a
+recorder produces:
 
 * **Rolling compliance** — per :class:`SloSpec`, the fraction of good
   events so far against the declared objective (timeliness ``P_c(d)`` or a
@@ -16,8 +17,8 @@ three continuous sensors, and this module computes all of them from the
   record (lazy-publisher lag vs. commit-queue wait vs. network delay,
   see DESIGN.md §15) aggregated into component seconds and fractions.
 
-:meth:`SloEngine.signals` is the stable API the future controller plugs
-into: one flat dict per spec with documented keys, computed from whatever
+:meth:`SloEngine.signals` is the API the controller reads every epoch:
+one flat dict per spec with documented keys, computed from whatever
 timeline prefix exists at call time.
 """
 

@@ -1,4 +1,5 @@
-"""Binomial proportion confidence intervals.
+"""Binomial proportion confidence intervals, and the paired tests the
+campaigns judge their claims with.
 
 §6: "All confidence intervals for the results presented are at a 95 % level,
 and have been computed under the assumption that the number of timing
@@ -6,6 +7,10 @@ failures follows a binomial distribution."  The experiment harness reports
 the same intervals.  We provide both the textbook normal approximation the
 paper's citation (Johnson/Kotz/Kemp) describes and the better-behaved
 Wilson score interval for small failure counts.
+
+:func:`sign_test` and :func:`holm` are exact and need no scipy: a campaign
+claim counts the seeds its treatment won and lost, and a campaign's claims
+are one family.
 """
 
 from __future__ import annotations
@@ -94,3 +99,23 @@ def proportions_agree(
         wilson_interval(successes_a, trials_a, level),
         wilson_interval(successes_b, trials_b, level),
     )
+
+
+def sign_test(wins: int, losses: int) -> float:
+    """Exact one-sided sign test: the chance of at least ``wins`` wins in
+    ``wins + losses`` fair coin flips (ties are dropped before calling).
+    1.0 when nothing differed: no evidence either way."""
+    trials = wins + losses
+    tail = sum(math.comb(trials, k) for k in range(wins, trials + 1))
+    return tail / 2**trials
+
+
+def holm(pvalues: list[float]) -> list[float]:
+    """Holm step-down adjusted p-values, in the input's order: the k-th
+    smallest is scaled by ``n - k`` and none falls below its predecessor."""
+    order = sorted(range(len(pvalues)), key=pvalues.__getitem__)
+    adjusted, running = [0.0] * len(pvalues), 0.0
+    for rank, i in enumerate(order):
+        running = max(running, min(1.0, (len(pvalues) - rank) * pvalues[i]))
+        adjusted[i] = running
+    return adjusted

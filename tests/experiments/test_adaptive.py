@@ -1,12 +1,14 @@
-"""Adaptive campaign: decision audits, cells, scoring, bit-identity."""
+"""Adaptive campaign: decision audits, cells, scoring, claims, bit-identity."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.core.controller import ControllerConfig
+from repro.experiments import adaptive
 from repro.experiments.adaptive import (
     ADAPTIVE_CONFIG,
     CAMPAIGN,
@@ -14,11 +16,10 @@ from repro.experiments.adaptive import (
     AdaptiveCellResult,
     audit_decisions,
     check_bit_identity,
-    pooled_score,
     run_adaptive_cell,
     satisfaction_from_signals,
 )
-from repro.experiments.campaign import write_metrics_artifact
+from repro.experiments.campaign import judge_claims, write_metrics_artifact
 from repro.workloads.scenarios import OPERATION_CLASSES
 
 
@@ -174,17 +175,6 @@ def _cell(mode, satisfaction, cost):
     )
 
 
-def test_pooled_score_is_mean_satisfaction_over_mean_cost():
-    results = [
-        _cell("controller", 0.9, 2.0),
-        _cell("controller", 1.0, 3.0),
-        _cell("static-0", 0.5, 2.0),
-    ]
-    assert pooled_score(results, "controller") == pytest.approx(0.95 / 2.5)
-    assert pooled_score(results, "static-0") == pytest.approx(0.25)
-    assert pooled_score(results, "static-1") == 0.0
-
-
 def test_cell_score_and_clean():
     cell = _cell("controller", 0.8, 2.0)
     assert cell.score == pytest.approx(0.4)
@@ -234,9 +224,12 @@ def test_metrics_artifact_leads_with_meta_and_carries_the_decision_log(
     assert records[0]["experiment"] == "adaptive"
     (cell,) = [r for r in records if r["event"] == "cell"]
     assert cell["mode"] == "controller" and cell["violations"] == []
-    pooled = {r["mode"]: r for r in records if r["event"] == "pooled"}
-    assert set(pooled) == {"controller"} | {f"static-{i}" for i in STATIC_GRID}
-    assert pooled["controller"]["score"] == pytest.approx(controller_cell.score)
+    claims = [r for r in records if r["event"] == "claim"]
+    assert [c["claim"]["baseline"] for c in claims] == [
+        f"static-{i}" for i in STATIC_GRID
+    ]
+    # No static cell ran: no pair, no median, no claim won.
+    assert all(c["median"] is None and not c["passed"] for c in claims)
     (log,) = [r for r in records if r["event"] == "controller"]
     assert log["decisions"] == controller_cell.decisions
     (timeline,) = [r for r in records if r["event"] == "timeline"]
@@ -250,6 +243,24 @@ def test_static_cell_pins_knobs_open_loop():
     assert result.rollbacks == 0 and result.relaxes == 0
     assert result.final_relax_index == 1
     assert not result.decisions
+
+
+@pytest.mark.slow
+def test_a_dry_run_controller_fails_the_claim_on_static_0(monkeypatch):
+    """A ``dry_run`` controller observes and never actuates, so its cells
+    are bit-identical to ``static-0``'s: every seed ties, and zero
+    differences must not pass "controller beats static-0"."""
+    dry = dataclasses.replace(ADAPTIVE_CONFIG, dry_run=True)
+    monkeypatch.setattr(adaptive, "ADAPTIVE_CONFIG", dry)
+    results = [
+        run_adaptive_cell(seed, mode, duration=4.0)
+        for seed in (1, 2, 3)
+        for mode in ("controller", "static-0")
+    ]
+    static_0 = judge_claims(CAMPAIGN.claims, results)[0]
+    assert static_0.claim.baseline == "static-0"
+    assert (static_0.wins, static_0.losses, static_0.ties) == (0, 0, 3)
+    assert not static_0.passed
 
 
 def test_static_grid_covers_the_ladder():

@@ -1,15 +1,21 @@
-"""Gray-failure campaign harness: cells, acceptance checks, CLI plumbing,
-and the two reproducibility properties the PR guarantees — detector-off
-runs are bit-identical, and the suite is identical at any ``--jobs``."""
+"""Gray-failure campaign harness: cells, claims, CLI plumbing, and the two
+reproducibility properties the campaign guarantees — detector-off runs are
+bit-identical, and the suite is identical at any ``--jobs``."""
 
+import contextlib
+import dataclasses
+import io
 import json
+import math
 
 import pytest
 
+from repro.core import detector as detector_module
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
-from repro.experiments import gray
+from repro.experiments import campaign, gray
 from repro.experiments.campaign import (
+    judge_claims,
     run_suite,
     suite_violations,
     summarize,
@@ -18,7 +24,7 @@ from repro.experiments.campaign import (
 from repro.experiments.gray import CAMPAIGN, DETECTOR_CONFIG, run_gray_cell
 from repro.net.latency import LanLatency
 from repro.sim.process import Process, Timeout
-from repro.sim.rng import Constant
+from repro.sim.rng import Constant, seed_for
 
 
 @pytest.fixture(scope="module")
@@ -115,26 +121,114 @@ def test_metrics_artifact_round_trips(short_pair, tmp_path):
     events = [r["event"] for r in records]
     assert events[0] == "meta"
     assert events.count("cell") == 2
-    assert events.count("pooled") == 2
-    pooled = [r for r in records if r["event"] == "pooled"]
-    assert {r["mode"] for r in pooled} == {"detector", "baseline"}
-    for record in pooled:
-        assert record["samples"] > 0
+    claims = [r for r in records if r["event"] == "claim"]
+    assert [(c["claim"]["field"], c["claim"]["kind"]) for c in claims] == [
+        ("p99", "wins"), ("sla_rate", "no worse"),
+    ]
+    # One seed is one pair: no claim can be won from it.
+    assert sum(claims[0][k] for k in ("wins", "losses", "ties")) == 1
+    assert not claims[0]["passed"]
     # Detector cells carry their ground-truth detection score.
     cells = {r["mode"]: r for r in records if r["event"] == "cell"}
     assert cells["detector"]["detection"] is not None
     assert cells["baseline"]["detection"] is None
 
 
-def test_main_quick_check_passes(tmp_path, capsys):
-    out = tmp_path / "gray.jsonl"
-    code = gray.main(
-        ["--quick", "--check", "--jobs", "2", "--metrics-out", str(out)]
-    )
-    assert code == 0
+@pytest.fixture(scope="module")
+def quick_run(tmp_path_factory):
+    """``repro gray --quick --check`` at base seed 0: its exit code, its
+    stdout, and the cells its suite ran."""
+    out = tmp_path_factory.mktemp("gray-quick") / "gray.jsonl"
+    suites = []
+
+    def run_and_keep(*args, **kwargs):
+        suites.append(run_suite(*args, **kwargs))
+        return suites[-1]
+
+    capture = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(capture):
+        patch.setattr(campaign, "run_suite", run_and_keep)
+        code = gray.main(
+            ["--quick", "--check", "--jobs", "2", "--metrics-out", str(out)]
+        )
     assert out.exists()
-    captured = capsys.readouterr()
-    assert "pooled:" in captured.out
+    (results,) = suites
+    return code, capture.getvalue(), results
+
+
+def test_main_quick_check_passes(quick_run):
+    """Every quick cell is clean and both claims pass."""
+    code, out, results = quick_run
+    assert code == 0
+    assert "claims (paired by seed" in out
+    assert all(r.clean for r in results)
+    assert all(v.passed for v in judge_claims(CAMPAIGN.claims, results))
+
+
+def test_a_detector_that_never_trips_fails_the_p99_claim(quick_run, monkeypatch):
+    """The quick shape's p99 claim kills a detector whose thresholds are
+    never reached: it neither ejects nor hedges, ties the baseline on
+    every seed, and wins nothing.  (The cells run in forked workers,
+    which inherit the patch.)"""
+    _, _, results = quick_run
+    monkeypatch.setattr(detector_module, "PHI_SUSPECT", math.inf)
+    monkeypatch.setattr(detector_module, "PHI_HEDGE", math.inf)
+    baseline = [r for r in results if r.mode == "baseline"]
+    null = run_suite(
+        dataclasses.replace(CAMPAIGN, modes=("detector",)),
+        [r.seed for r in baseline], CAMPAIGN.quick[1], jobs=2,
+    )
+    p99, sla = judge_claims(CAMPAIGN.claims, null + baseline)
+    assert not p99.passed and p99.wins == 0
+    assert sla.passed
+
+
+def test_the_baseline_on_a_fresh_stream_is_not_a_win(quick_run):
+    """The baseline against itself on other seeds (base seed 1), paired by
+    index under the detector's name, must not be declared a win."""
+    _, _, results = quick_run
+    baseline = [r for r in results if r.mode == "baseline"]
+    n, duration = CAMPAIGN.quick
+    fresh = run_suite(
+        dataclasses.replace(CAMPAIGN, modes=("baseline",)),
+        [seed_for(1, "gray", i) for i in range(n)], duration, jobs=2,
+    )
+    relabelled = [
+        dataclasses.replace(f, mode="detector", seed=b.seed)
+        for f, b in zip(fresh, baseline)
+    ]
+    p99, _ = judge_claims(CAMPAIGN.claims, relabelled + baseline)
+    assert not p99.passed
+    assert p99.wins + p99.losses > 0  # the streams really differ
+
+
+@pytest.mark.parametrize("index", [10, 45])
+def test_every_suspect_is_readmitted_after_the_heal(index):
+    """Regression: at the default cell length these two cells kept a
+    healed replica suspected to the end — re-admitted, it went quiet
+    (the client no longer read from it) and the pre-heal fit read the
+    quiet as a fresh failure until the reader, and its probes, stopped."""
+    result = run_gray_cell(seed_for(0, "gray", index), "detector", 14.0)
+    assert result.still_suspected == []
+    assert result.clean, result.violations
+
+
+@pytest.mark.parametrize("index", [6, 9])
+def test_a_storm_of_slow_nodes_may_leave_the_detector_idle(index):
+    """Regression: these 8 s cells' slow nodes still answered at the read
+    cadence and cost no deadline; zero suspicions is the right answer."""
+    result = run_gray_cell(seed_for(0, "gray", index), "detector", 8.0)
+    assert result.suspects_total == 0 and result.timing_failures == 0
+    assert result.clean, result.violations
+
+
+def test_detector_idle_kills_a_detector_that_never_trips(monkeypatch):
+    """The cell check still fails a detector whose threshold is never
+    reached, on a cell where a one-way partition cut a serving replica."""
+    monkeypatch.setattr(detector_module, "PHI_SUSPECT", math.inf)
+    result = run_gray_cell(seed_for(0, "gray", 0), "detector", 14.0)
+    assert any(f.startswith("oneway") for f in result.faults_by_kind)
+    assert any(v.startswith("detector-idle") for v in result.violations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,19 @@
 """Full-stack overload campaigns: seeded storms through the shed and
 unbounded configurations, the invariant audit, and the CLI plumbing."""
 
+import contextlib
+import dataclasses
+import io
 import json
 
 import pytest
 
+from repro.core.overload import DegradationPolicy
+from repro.core.replica import ReplicaHandlerBase
 from repro.experiments import overload
 from repro.experiments.campaign import (
     effective_latency,
+    judge_claims,
     percentile,
     run_suite,
     suite_violations,
@@ -69,8 +75,11 @@ def test_queue_peaks_bounded_only_under_shedding(short_pair):
 
 
 def test_suite_p99_acceptance_holds(short_pair):
+    """The seed is one pair, and shedding wins it (one pair alone cannot
+    pass the claim: the quick shape's eight can)."""
     shed, unbounded = short_pair
-    assert suite_violations(CAMPAIGN, [shed, unbounded]) == []
+    (verdict,) = judge_claims(CAMPAIGN.claims, [shed, unbounded])
+    assert (verdict.wins, verdict.losses, verdict.ties) == (1, 0, 0)
     assert shed.vip_p99 < unbounded.vip_p99
 
 
@@ -119,7 +128,8 @@ def test_suite_flags_p99_regression():
     )
     flagged = suite_violations(CAMPAIGN, [good, bad])
     assert len(flagged) == 1
-    assert flagged[0].startswith("p99:")
+    assert flagged[0].startswith("vip_p99:")
+    assert "(0 won, 1 lost, 0 tied" in flagged[0]
 
 
 def test_suite_dumps_trace_artifact_on_violation(tmp_path, monkeypatch):
@@ -159,31 +169,67 @@ def test_metrics_artifact_round_trips(short_pair, tmp_path):
     assert meta["experiment"] == "overload"
     assert meta["seeds"] == [202]
     cells = [r for r in records if r["event"] == "cell"]
-    pooled = [r for r in records if r["event"] == "pooled"]
+    (claim,) = [r for r in records if r["event"] == "claim"]
     assert {c["mode"] for c in cells} == {"shed", "unbounded"}
-    assert {p["mode"] for p in pooled} == {"shed", "unbounded"}
-    by_mode = {p["mode"]: p["vip_p99"] for p in pooled}
-    assert by_mode["shed"] < by_mode["unbounded"]
-
-
-def test_main_runs_checks_and_saves(tmp_path, capsys):
-    save = tmp_path / "overload.json"
-    metrics_out = tmp_path / "overload-metrics.jsonl"
-    code = overload.main(
-        [
-            "--seeds", "1", "--duration", "5", "--check",
-            "--save", str(save), "--metrics-out", str(metrics_out),
-        ]
+    assert claim["claim"] == {
+        "treatment": "shed", "baseline": "unbounded", "field": "vip_p99",
+        "better": "lower", "kind": "wins",
+    }
+    assert (claim["wins"], claim["losses"]) == (1, 0)
+    assert claim["median"] == pytest.approx(
+        short_pair[0].vip_p99 - short_pair[1].vip_p99
     )
-    out = capsys.readouterr().out
+
+
+#: A shape that powers the claim and costs less than ``--quick``: six
+#: seeds won of six is p = 1/64.
+SEEDS, DURATION = 6, 4.0
+
+
+@pytest.fixture(scope="module")
+def checked_run(tmp_path_factory):
+    """``repro overload --check`` at base seed 0: exit code, stdout, the
+    saved document and the metrics artifact's path."""
+    tmp = tmp_path_factory.mktemp("overload-check")
+    save, metrics_out = tmp / "overload.json", tmp / "overload-metrics.jsonl"
+    capture = io.StringIO()
+    with contextlib.redirect_stdout(capture):
+        code = overload.main([
+            "--seeds", str(SEEDS), "--duration", str(DURATION), "--check",
+            "--jobs", "2", "--save", str(save), "--metrics-out", str(metrics_out),
+        ])
+    return code, capture.getvalue(), json.loads(save.read_text()), metrics_out
+
+
+def test_main_runs_checks_and_saves(checked_run):
+    code, out, document, metrics_out = checked_run
     assert code == 0
     assert "overload campaign" in out
     assert metrics_out.exists()
-
-    document = json.loads(save.read_text())
     assert document["meta"]["experiment"] == "overload"
     assert document["meta"]["violations"] == []
-    assert len(document["results"]) == 2  # one seed x two modes
+    assert len(document["results"]) == 2 * SEEDS  # seeds x modes
+
+
+def test_a_ladder_that_never_sheds_or_steps_fails_the_claim(checked_run, monkeypatch):
+    """At the shape where shedding passes its claim, an ``OverloadConfig``
+    whose replicas never shed and whose clients' ladders never step fails
+    it: its cells tie the unbounded ones on every seed.  (The cells run in
+    forked workers, which inherit the patches.)"""
+    _, _, document, _ = checked_run
+    monkeypatch.setattr(ReplicaHandlerBase, "_shed_reason", lambda self, pending: None)
+    monkeypatch.setattr(DegradationPolicy, "note_overload", lambda self, now: None)
+    unbounded = [
+        OverloadCellResult(**r) for r in document["results"]
+        if r["mode"] == "unbounded"
+    ]
+    null = run_suite(
+        dataclasses.replace(CAMPAIGN, modes=("shed",)),
+        [r.seed for r in unbounded], DURATION, jobs=2,
+    )
+    assert all(r.replica_reads_shed == 0 == r.degradation_steps_down for r in null)
+    (verdict,) = judge_claims(CAMPAIGN.claims, null + unbounded)
+    assert not verdict.passed and verdict.wins == 0
 
 
 def test_suite_runs_both_modes_seed_major():

@@ -120,9 +120,9 @@ FLAG_SURFACE = {
         "--membership-outage-weight": None, "--overload-window": None,
         "--load-storm-weight": None,
     },
-    "overload": {**_GATED_FLAGS, "--seeds": 5, "--duration": 12.0},
-    "adaptive": {**_GATED_FLAGS, "--seeds": 3, "--duration": 12.0},
-    "gray": {**_GATED_FLAGS, "--seeds": 5, "--duration": 14.0},
+    "overload": {**_GATED_FLAGS, "--seeds": 16, "--duration": 12.0},
+    "adaptive": {**_GATED_FLAGS, "--seeds": 40, "--duration": 12.0},
+    "gray": {**_GATED_FLAGS, "--seeds": 40, "--duration": 14.0},
     "metrics": {
         "--deadline-ms": 200, "--pc": 0.9, "--lui": 2.0, "--requests": 400,
         "--seed": 0, "--staleness": 2, "--quick": False, "--watch": None,

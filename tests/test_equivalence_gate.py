@@ -9,8 +9,6 @@ import importlib.util
 import math
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location(
     "equivalence", ROOT / "benchmarks" / "equivalence.py"
@@ -42,12 +40,6 @@ def test_gate_passes_a_pure_reseed_and_fails_the_a9_mutant(tmp_path):
     failing = [line for line in text.splitlines() if line.endswith("| **no** |")]
     assert any(line.startswith("| A9 Eq. 3 independent: P(fail) |") for line in failing)
     assert not any("correlation-aware" in line for line in failing)
-
-
-def test_holm_adjusts_step_down_and_keeps_the_order():
-    """Kills a Bonferroni (or unadjusted) family-wise step."""
-    adjusted = gate.holm([0.01, 0.04, 0.03, 0.5])
-    assert adjusted == pytest.approx([0.04, 0.09, 0.09, 0.5])
 
 
 def test_student_t_agrees_only_on_equal_constant_rows():
