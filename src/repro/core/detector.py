@@ -382,9 +382,9 @@ class ReplicaDetector(PhiAccrualDetector):
             config, owner=handler.name, metrics=handler.metrics, trace=handler.trace
         )
         self.handler = handler
-        # The slow-publisher reassignment in force until the next primary
-        # view change, and the publisher this secondary last reported.
-        self.publisher_override: Optional[str] = None
+        # Every publisher reported slow since the last primary view change,
+        # and the publisher this secondary last reported.
+        self.publisher_suspects: set[str] = set()
         self._suspected_publisher: Optional[str] = None
 
     def start(self) -> None:
@@ -396,12 +396,13 @@ class ReplicaDetector(PhiAccrualDetector):
         self._suspected_publisher = None
 
     def publisher(self, members: tuple[str, ...]) -> Optional[str]:
-        """The reassigned publisher while it is still a member, else None."""
-        if self.publisher_override is not None:
-            if self.publisher_override in members:
-                return self.publisher_override
-            self.publisher_override = None
-        return None
+        """The reassigned publisher: the first member after the leader that
+        no report suspects.  None while no report is in, or every such
+        member is suspected."""
+        if not self.publisher_suspects:
+            return None
+        suspects = self.publisher_suspects
+        return next((m for m in members[1:] if m not in suspects), None)
 
     def _check_interval(self) -> float:
         # Check a few times per expected lazy interval so a gray
@@ -437,21 +438,20 @@ class ReplicaDetector(PhiAccrualDetector):
     def on_publisher_suspicion(self, sus: PublisherSuspicion) -> None:
         """Primary-side handling of a secondary's gray-publisher report.
 
-        Every primary picks the first member that is neither the sequencer
-        nor the suspect, so the group agrees on the new publisher without a
-        coordination round; the override lasts until the next primary view
-        change.
+        Every primary moves the role to the first member after the leader
+        that no report since the last primary view change suspects.  The
+        choice depends on the set of reports, not on the order they came
+        in, so the group agrees on the new publisher without a coordination
+        round; the reassignment lasts until the next primary view change.
         """
         handler = self.handler
-        if not handler.is_primary or sus.suspect != handler.lazy_publisher_name:
-            return  # not ours to move, or a stale report: the role moved
-        view = handler.primary_view
-        replacement = next(
-            (m for m in view.members if m != view.leader and m != sus.suspect), None
-        )
-        if replacement is None or replacement == handler.lazy_publisher_name:
+        if not handler.is_primary or sus.suspect in self.publisher_suspects:
             return
-        self.publisher_override = replacement
+        before = handler.lazy_publisher_name
+        self.publisher_suspects.add(sus.suspect)
+        replacement = handler.lazy_publisher_name
+        if replacement == before:
+            return
         handler.publisher_reassignments.inc()
         self.trace.emit(
             handler.now, "replica.publisher-reassign", handler.name,

@@ -146,7 +146,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         if self.detector is not None:
             # Membership changed: drop any gray-publisher override and
             # fall back to the rank designation of the new view.
-            self.detector.publisher_override = None
+            self.detector.publisher_suspects.clear()
         self.catchup.on_primary_view(view, previous)
 
     # ------------------------------------------------------------------

@@ -46,7 +46,7 @@ from repro.groups.group import GroupEndpoint
 from repro.groups.membership import View
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.spans import emit_span, span_root
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import BlockCursor, RngRegistry
 from repro.sim.tracing import NULL_TRACE, Trace
 
 #: Floor (seconds) of the back-pressure hint an :class:`OverloadReply`
@@ -116,10 +116,12 @@ class ReplicaHandlerBase(GroupEndpoint):
         self.groups = groups
         self._refresh_roles()  # none yet: no view is installed
         self.app = app
-        self.rng = rng
-        self.read_service_time = config.read_service_time
-        self.update_service_time = (
-            config.update_service_time or config.read_service_time
+        # One block cursor per service-time model: a read's service time is
+        # the next value of the first, an update's of the second.
+        read_time = config.read_service_time
+        self._read_times = BlockCursor(rng, f"service.{name}.read", read_time)
+        self._update_times = BlockCursor(
+            rng, f"service.{name}.update", config.update_service_time or read_time
         )
         self.trace = trace
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -323,12 +325,12 @@ class ReplicaHandlerBase(GroupEndpoint):
         pending = self._ready.popleft()
         self._busy = True
         pending.started_at = self.now
-        model = (
-            self.read_service_time
+        times = (
+            self._read_times
             if pending.request.kind is RequestKind.READ
-            else self.update_service_time
+            else self._update_times
         )
-        duration = model.sample(self.rng.stream(f"service.{self.name}"))
+        duration = times.next()
         if self.host is not None:
             duration = self.host.scale(duration)
         self.sim.schedule(duration, self._complete, pending, duration, self._incarnation)

@@ -248,5 +248,5 @@ def save_results(path: str | Path, payload: Any, meta: dict | None = None) -> Pa
     """
     path = Path(path)
     document = {"meta": meta or {}, "results": _jsonable(payload)}
-    path.write_text(json.dumps(document, indent=2, sort_keys=True))
+    path.write_text(json.dumps(document, separators=(",", ":"), sort_keys=True))
     return path

@@ -161,6 +161,10 @@ class MembershipService(Endpoint):
         # check after it recovers grants amnesty instead of mass-evicting
         # every member it could not hear while it was down.
         self._amnesty_pending = False
+        # The views the fabric lost on their way, by (recipient, group):
+        # each is sent again once the recipient can be reached, while it is
+        # still its group's view (:meth:`_resend_lost_views`).
+        self._lost_views: dict[tuple[str, str], View] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -202,8 +206,10 @@ class MembershipService(Endpoint):
     # Local API (used for initial wiring before the simulation starts)
     # ------------------------------------------------------------------
     def register(self, group: str, member: str) -> View:
-        """Synchronously add a member (initial topology construction)."""
-        return self._admit(group, member)
+        """Synchronously add a member (initial topology construction and
+        recovery).  The view is installed but not multicast: each caller
+        hands the new views to the endpoints that hold them itself."""
+        return self._admit(group, member, announce=False)
 
     # ------------------------------------------------------------------
     # Message handling
@@ -216,12 +222,43 @@ class MembershipService(Endpoint):
             self._evict(payload.group, payload.member, reason="leave")
         # Unknown payloads are ignored: the service is deaf to app traffic.
 
-    def _admit(self, group: str, member: str) -> View:
+    def dropped(self, message: Message) -> None:
+        """A view the fabric lost is kept for :meth:`_resend_lost_views`:
+        a member that missed one would act on a stale view (name an
+        evicted lazy publisher, say) until the group's next view change."""
+        payload = message.payload
+        if not isinstance(payload, ViewChangeMsg):
+            return
+        self._lost_views[(message.recipient, payload.view.group)] = payload.view
+        if self._reachable(message.recipient):
+            # Lost at random: no fault transition will come to resend it.
+            self.sim.schedule(self.config.heartbeat_interval, self._resend_lost_views)
+
+    def _reachable(self, member: str) -> bool:
+        network = self.network
+        return (
+            network.is_up(self.name)
+            and network.is_up(member)
+            and not network.is_cut(self.name, member)
+        )
+
+    def _resend_lost_views(self) -> None:
+        """Send each lost view that is still its group's view to its
+        recipient, if it can be reached now; forget the superseded ones."""
+        for key, view in list(self._lost_views.items()):
+            recipient, group = key
+            if self._views.get(group) is not view:
+                del self._lost_views[key]
+            elif self._reachable(recipient):
+                del self._lost_views[key]
+                self.send(recipient, ViewChangeMsg(view))
+
+    def _admit(self, group: str, member: str, announce: bool = True) -> View:
         view = self.view_of(group)
         if member in view:
             return view
         new_view = View(group, view.view_id + 1, view.members + (member,))
-        self._install(new_view)
+        self._install(new_view, announce)
         if member not in self._heard:
             # A fresh member is credited as heard from now.
             self._heard[member] = self.now if self.network is not None else 0.0
@@ -244,7 +281,7 @@ class MembershipService(Endpoint):
         )
         self._install(new_view)
 
-    def _install(self, view: View) -> None:
+    def _install(self, view: View, announce: bool = True) -> None:
         self._views[view.group] = view
         for observer in self._observers:
             observer(view)
@@ -257,8 +294,9 @@ class MembershipService(Endpoint):
             view_id=view.view_id,
             members=list(view.members),
         )
-        recipients = set(view.members) | self._watchers.get(view.group, set())
-        self.multicast(sorted(recipients), ViewChangeMsg(view))
+        if announce:
+            recipients = set(view.members) | self._watchers.get(view.group, set())
+            self.multicast(sorted(recipients), ViewChangeMsg(view))
 
     # ------------------------------------------------------------------
     # Failure detection
@@ -280,7 +318,10 @@ class MembershipService(Endpoint):
         return delay if delay <= config.suspect_timeout - config.heartbeat_interval else None
 
     def _reassess(self) -> None:
-        """A fault transition: find whom the service can no longer hear."""
+        """A fault transition: find whom the service can no longer hear,
+        and resend the views lost on the way to whom it can reach again."""
+        if self._lost_views:
+            self._resend_lost_views()
         for member in self._heard:
             self._assess(member)
         if self._amnesty_pending or not self.network.is_up(self.name):

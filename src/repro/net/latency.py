@@ -1,7 +1,8 @@
 """Link latency models.
 
-A latency model turns ``(message, rng)`` into a one-way delay.  The base
-model combines a propagation-delay distribution with a per-byte
+A latency model says how a link times one message: a propagation delay
+drawn from its :class:`~repro.sim.rng.Distribution` (one value of the
+link's block stream, :class:`~repro.net.network.Link`) plus a per-byte
 transmission term, which is enough to model both the paper's LAN and a
 slower WAN for sensitivity studies.
 """
@@ -10,12 +11,14 @@ from __future__ import annotations
 
 import random
 
-from repro.net.message import Message
 from repro.sim.rng import Constant, Distribution, Normal
 
 
 class LatencyModel:
-    """One-way delay = propagation sample + size / bandwidth."""
+    """One-way delay = propagation draw + size / bandwidth."""
+
+    #: Whether :meth:`DegradedLatency.slow` applies to a drawn delay.
+    degraded = False
 
     def __init__(
         self,
@@ -26,18 +29,13 @@ class LatencyModel:
             raise ValueError(f"negative bandwidth {bandwidth_bytes_per_s!r}")
         self.propagation = propagation
         self.bandwidth_bytes_per_s = float(bandwidth_bytes_per_s)
-
-    def delay(self, message: Message, rng: random.Random) -> float:
-        base = self.propagation.sample(rng)
-        if self.bandwidth_bytes_per_s > 0:
-            base += message.size_bytes / self.bandwidth_bytes_per_s
-        return max(0.0, base)
+        # Seconds per byte sent: the transmission term's slope.
+        self.per_byte = (
+            1.0 / self.bandwidth_bytes_per_s if self.bandwidth_bytes_per_s > 0 else 0.0
+        )
 
     def mean_delay(self, size_bytes: int = 256) -> float:
-        base = self.propagation.mean()
-        if self.bandwidth_bytes_per_s > 0:
-            base += size_bytes / self.bandwidth_bytes_per_s
-        return base
+        return self.propagation.mean() + size_bytes * self.per_byte
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -51,11 +49,13 @@ class DegradedLatency(LatencyModel):
 
     The fabric composes one of these on the fly when a node is degraded
     (:meth:`~repro.net.network.Network.degrade_node`), so the endpoint
-    stays *alive* — what it sends still arrives — but every
-    message through it is late by a multiplicative slowdown plus an
-    additive jitter sampled from the same per-link stream the base
-    model uses (no extra RNG draws happen anywhere else).
+    stays *alive* — what it sends still arrives — but every message
+    through it is late by a multiplicative slowdown of the delay its link
+    drew plus an additive jitter.  The jitter is drawn from the link's own
+    ``net.jitter`` stream, consumed only while the link is degraded.
     """
+
+    degraded = True
 
     def __init__(
         self, base: LatencyModel, factor: float = 1.0, jitter_s: float = 0.0
@@ -65,18 +65,18 @@ class DegradedLatency(LatencyModel):
         if jitter_s < 0.0:
             raise ValueError(f"negative degradation jitter {jitter_s!r}")
         super().__init__(base.propagation, base.bandwidth_bytes_per_s)
-        self.base = base
         self.factor = factor
         self.jitter_s = jitter_s
 
-    def delay(self, message: Message, rng: random.Random) -> float:
-        delayed = self.base.delay(message, rng) * self.factor
+    def slow(self, delay: float, jitter: random.Random) -> float:
+        """The degraded delay of a message its link timed at ``delay``."""
+        delay *= self.factor
         if self.jitter_s > 0.0:
-            delayed += rng.uniform(0.0, self.jitter_s)
-        return delayed
+            delay += jitter.uniform(0.0, self.jitter_s)
+        return delay
 
     def mean_delay(self, size_bytes: int = 256) -> float:
-        return self.base.mean_delay(size_bytes) * self.factor + self.jitter_s / 2.0
+        return super().mean_delay(size_bytes) * self.factor + self.jitter_s / 2.0
 
 
 class LanLatency(LatencyModel):

@@ -23,10 +23,10 @@ Per-pair latency overrides allow heterogeneous topologies (slow hosts/links,
 as the paper's 300 MHz–1 GHz testbed had).
 
 The per-message path is kept short.  Each directed link is one persistent
-:class:`Link` record (:meth:`Network.link`): its RNG stream and its latency
-model.  A record is never replaced, only brought up to date: ``set_link``,
-``degrade_node`` and ``restore_node`` re-resolve every record's latency in
-place.  The crash, cut, loss and churn checks are skipped while the
+:class:`Link` record (:meth:`Network.link`): the cursor of its block stream
+of delays, and its latency model.  A record is never replaced, only
+brought up to date: ``set_link``, ``degrade_node`` and ``restore_node``
+re-resolve every record's latency in place.  The crash, cut, loss and churn checks are skipped while the
 fabric's own state says none is configured.
 
 Every fault transition — crash, recovery, cut, heal, degradation,
@@ -45,7 +45,6 @@ trusts (:meth:`Network.trusted`), so it never sees a verdict change under it.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from typing import Any, Callable, Iterable, Optional
@@ -55,7 +54,7 @@ from repro.net.message import Message
 from repro.net.node import Host
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import BlockCursor, RngRegistry
 from repro.sim.tracing import NULL_TRACE, Trace
 
 
@@ -114,22 +113,24 @@ class LinkChurn:
             raise ValueError(f"invalid extra_delay range [{low}, {high}]")
 
 
-class Link:
+class Link(BlockCursor):
     """One directed link ``sender -> recipient``, resolved once and held.
 
-    ``stream`` and ``latency`` time its messages; ``latency`` is re-resolved
-    in place whenever the model in force changes.
+    It is the cursor of the link's block stream
+    ``net.link.<sender>-><recipient>``, read as values of its propagation
+    law, one per message sent; ``latency`` is re-resolved in place whenever
+    the model in force changes, and a new propagation law takes effect at
+    the link's next value.
     """
 
-    __slots__ = ("sender", "recipient", "stream", "latency")
+    __slots__ = ("sender", "recipient", "latency")
 
     def __init__(
-        self, sender: str, recipient: str, stream: random.Random,
-        latency: LatencyModel,
+        self, sender: str, recipient: str, rng: RngRegistry, latency: LatencyModel
     ) -> None:
+        super().__init__(rng, f"net.link.{sender}->{recipient}", latency.propagation)
         self.sender = sender
         self.recipient = recipient
-        self.stream = stream
         self.latency = latency
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -376,12 +377,7 @@ class Network:
         key = (sender, recipient)
         link = self._records.get(key) or self._dangling.get(key)
         if link is None:
-            link = Link(
-                sender,
-                recipient,
-                self.rng.stream(f"net.link.{sender}->{recipient}"),
-                self.latency_for(sender, recipient),
-            )
+            link = Link(sender, recipient, self.rng, self.latency_for(sender, recipient))
             endpoints = self._endpoints
             wired = sender in endpoints and recipient in endpoints
             (self._records if wired else self._dangling)[key] = link
@@ -390,7 +386,8 @@ class Network:
     def _resolve_latencies(self) -> None:
         """Bring every record's latency up to the model now in force."""
         for link in itertools.chain(self._records.values(), self._dangling.values()):
-            link.latency = self.latency_for(link.sender, link.recipient)
+            link.latency = latency = self.latency_for(link.sender, link.recipient)
+            link.relaw(latency.propagation)
 
     # ------------------------------------------------------------------
     # Gray degradation: alive but slow (timing failures, not crashes)
@@ -583,7 +580,11 @@ class Network:
             if self.rng.stream("net.loss").random() < self._drop_probability:
                 self._drop(message, "random-loss")
                 return message
-        delay = link.latency.delay(message, link.stream)
+        values = link.values
+        latency = link.latency
+        delay = (values.pop() if values else link.refill()) + size_bytes * latency.per_byte
+        if latency.degraded:
+            delay = latency.slow(delay, self.rng.stream(f"net.jitter.{sender}->{recipient}"))
         if self._churn:
             churn = self._churn_for(sender, recipient)
             if churn is not None:

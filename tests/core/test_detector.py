@@ -268,3 +268,33 @@ def test_stats_shape():
     assert stats["suspects_total"] == 1
     assert stats["clears_total"] == 0
     assert stats["transitions"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Slow-publisher reassignment
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("order", [("svc-p1", "svc-p2"), ("svc-p2", "svc-p1")])
+def test_primaries_agree_on_the_publisher_whatever_order_reports_arrive_in(order):
+    """Two reports that reach the primaries in different orders leave every
+    primary on the same publisher: the first member after the leader that
+    no report since the last primary view change suspects.  A view change
+    forgets the reports."""
+    from repro.core.config import DetectorConfig
+    from repro.core.requests import PublisherSuspicion
+    from repro.core.service import ServiceConfig, build_testbed
+
+    testbed = build_testbed(
+        ServiceConfig(num_primaries=3, num_secondaries=1, detector=DetectorConfig()),
+        seed=1,
+    )
+    primaries = [testbed.service.sequencer, *testbed.service.primaries]
+    for suspect in order:
+        for primary in primaries:
+            primary.detector.on_publisher_suspicion(
+                PublisherSuspicion(suspect=suspect, reporter="svc-s1")
+            )
+    assert {p.lazy_publisher_name for p in primaries} == {"svc-p3"}
+    first = primaries[0]
+    assert first.publisher_reassignments.value == (2 if order[0] == "svc-p1" else 1)
+    first.on_view_change(first.primary_view, None)
+    assert first.lazy_publisher_name == "svc-p1"

@@ -82,8 +82,9 @@ def replica_names(testbed):
 
 
 def link_states(testbed, pairs):
-    stream = testbed.rng.stream
-    return {(a, b): stream(f"net.link.{a}->{b}").getstate() for a, b in pairs}
+    """Each link's cursor: the next block it draws and its unread values."""
+    link = testbed.network.link
+    return {pair: (link(*pair).block, len(link(*pair).values)) for pair in pairs}
 
 
 # ---------------------------------------------------------------------------

@@ -214,11 +214,31 @@ def test_every_suspect_is_readmitted_after_the_heal(index):
 
 
 @pytest.mark.parametrize("index", [6, 9])
-def test_a_storm_of_slow_nodes_may_leave_the_detector_idle(index):
-    """Regression: these 8 s cells' slow nodes still answered at the read
-    cadence and cost no deadline; zero suspicions is the right answer."""
+def test_a_storm_of_slow_nodes_may_leave_the_detector_idle(index, monkeypatch):
+    """Regression: these 8 s cells' storms put no one-way partition on a
+    serving replica (slow nodes, and in cell 6 one flapping link), and the
+    slow nodes still answered at the read cadence and cost no deadline.
+    The cell check asks for no suspicion there, so a detector that never
+    trips is not called idle on them."""
     result = run_gray_cell(seed_for(0, "gray", index), "detector", 8.0)
-    assert result.suspects_total == 0 and result.timing_failures == 0
+    assert "oneway_partition" not in result.faults_by_kind
+    assert result.timing_failures == 0
+    assert result.clean, result.violations
+    monkeypatch.setattr(detector_module, "PHI_SUSPECT", math.inf)
+    idle = run_gray_cell(seed_for(0, "gray", index), "detector", 8.0)
+    assert idle.suspects_total == 0
+    assert idle.clean, idle.violations
+
+
+def test_a_primary_that_missed_a_view_change_gets_it_after_the_heal():
+    """Regression: in this cell a flap cut svc-p3 off while the primary
+    view that evicts svc-p2 was multicast.  svc-p3 kept the old view, so on
+    the next slow-publisher report it moved the publisher role to the
+    evicted svc-p2 while the other primaries moved it to svc-p3; nobody
+    published again and the stalled secondaries stayed suspected to the end
+    (``permanent-ejection``).  The membership service now resends a lost
+    view once its recipient can be reached."""
+    result = run_gray_cell(seed_for(0, "gray", 177), "detector", 14.0)
     assert result.clean, result.violations
 
 

@@ -152,6 +152,49 @@ def test_eviction_promotes_next_rank_to_leader(sim, network, stack):
     assert members["b"].view_of("g").leader == "b"
 
 
+def test_register_installs_a_view_without_sending_it(sim, network, stack):
+    """``register`` callers hand the views out themselves: nothing is sent."""
+    service, members = stack
+    for name in ("a", "b", "c"):
+        service.register("g", name)
+    sim.run(until=1.0)
+    assert service.view_of("g").members == ("a", "b", "c")
+    assert network.messages_sent.value == 0
+    assert all(len(m.view_of("g")) == 0 for m in members.values())
+
+
+@pytest.mark.parametrize("fault", ["partition", "crash"])
+def test_a_view_lost_on_the_way_is_resent_once_its_recipient_is_reachable(
+    sim, network, stack, fault
+):
+    """A member cut off (or down) while a view change was multicast gets
+    that view when the cut heals (or it recovers); no timer retries it
+    before then."""
+    service, members = stack
+    network.expect_faults()
+    for name in ("a", "b", "c"):
+        members[name].join("g")
+    sim.run(until=1.0)
+    if fault == "partition":
+        network.partition({"membership"}, {"c"}, name="cut")
+    else:
+        network.crash("c")
+    members["b"].leave("g")
+    sim.run(until=1.05)
+    assert service.view_of("g").members == ("a", "c")
+    assert members["c"].view_of("g").members == ("a", "b", "c")
+    sent = network.messages_sent.value
+    sim.run(until=1.1)
+    assert network.messages_sent.value == sent  # no timer retries a cut
+    if fault == "partition":
+        network.heal_partition("cut")
+    else:
+        network.recover("c")
+    sim.run(until=1.2)
+    assert members["c"].view_of("g") == service.view_of("g")
+    assert not service._lost_views
+
+
 def test_observer_callback_sees_installs(stack, recorder):
     service, _ = stack
     service.observe(recorder)

@@ -72,8 +72,11 @@ def lazy_update_drop_ignored(monkeypatch):
 
 #: (mutant, the checks meant to catch it, seeds where they do).  Caught on
 #: 20/20 of seeds 0–19 (the audit before the recovery check: 0/20), on
-#: every regression seed (21/21), on 18/50 of seeds 0–49, and on 23/30 of
-#: seeds 0–29.
+#: every regression seed (21/21), on 14/50 of seeds 0–49, and on 43/50 of
+#: seeds 0–49.  The last two rows were 16/50 and 40/50 while link delays
+#: were drawn one ``random.gauss`` per message; the block-drawn delays
+#: moved four of the third row's seeds (4, 17, 26, 36) out of its catch
+#: set, and it now pins the first ten seeds that catch it.
 ROWS = [
     (snapshot_never_lands, ("recovery",), range(10)),
     (
@@ -84,7 +87,7 @@ ROWS = [
     (
         secondary_serves_past_threshold,
         ("staleness",),
-        (0, 4, 10, 15, 17, 21, 26, 27, 28, 36),
+        (0, 10, 15, 20, 21, 27, 28, 30, 33, 38),
     ),
     (
         sender_ignores_drop_reports,

@@ -1,34 +1,25 @@
-"""A message that is not sent draws nothing.
+"""Each message sent takes one value of its link's delay stream.
 
-A lazy ack and a stamp for a replica the read does not name are *kept*, not
-sent: their link owes the draw eager drawing would have taken, and pays it
-in bulk (``skip``) just before its next real one.  So over a seeded
-fault-free cell ``LatencyModel.delay`` runs once per message sent, where it
-used to run for every kept message too: 2,599 times for 1,313 sends on the
-§6 cell below and 2,972 for 1,532 on the 4 + 28 open-loop cell.
+A link's delays are a block stream (``repro.sim.rng``): its cursor says how
+many blocks it has drawn and how many of the last block's values are still
+unread, so the values a link has taken are read off the cursor.  Over a
+seeded fault-free cell every message sent takes exactly one — a lazy ack
+or a stamp for a replica the read does not name is never sent, and takes
+none.
 """
 
 import pytest
 
 from repro.core.qos import QoSSpec
 from repro.core.service import ServiceConfig, build_testbed
-from repro.net.latency import LatencyModel
-from repro.sim.rng import Normal
+from repro.sim.rng import Normal, block_size
 from repro.workloads.generators import OpenLoopUpdater, PoissonReader
 from repro.workloads.scenarios import build_paper_scenario
 
 
-@pytest.fixture
-def delay_calls(monkeypatch):
-    calls = []
-    delay = LatencyModel.delay
-
-    def counting(self, message, rng):
-        calls.append(None)
-        return delay(self, message, rng)
-
-    monkeypatch.setattr(LatencyModel, "delay", counting)
-    return calls
+def values_taken(link):
+    """The delays ``link`` has handed out so far."""
+    return sum(block_size(k) for k in range(link.block)) - len(link.values)
 
 
 def paper_cell():
@@ -75,9 +66,11 @@ def open_loop_4_28():
 
 
 @pytest.mark.parametrize("cell", [paper_cell, open_loop_4_28], ids=["paper_cell", "open_loop_4_28"])
-def test_one_latency_draw_per_message_sent(cell, delay_calls):
+def test_one_latency_draw_per_message_sent(cell):
     network = cell().network
     assert network.fault_free
     assert network.messages_dropped.value == 0
-    assert network.messages_sent.value > 500
-    assert len(delay_calls) == network.messages_sent.value
+    assert network.messages_sent.value > 400
+    links = list(network._records.values())
+    assert sum(values_taken(link) for link in links) == network.messages_sent.value
+    assert all(values_taken(link) > 0 for link in links)

@@ -318,7 +318,7 @@ def _fabric_state(net):
         dict(net._churn),
         dict(net._links),
         {key: link.latency for key, link in net._records.items()},
-        net.rng.stream("net.link.a->b").getstate(),
+        (net.link("a", "b").block, len(net.link("a", "b").values)),
         net.sim.pending(),
     )
 
@@ -608,10 +608,10 @@ _ROUTE_FAULTS = {
         lambda net, b: net.restore_node("a"),
         1, 1, lambda drawn: 3.0 * drawn,
     ),
-    "set-link": (  # a constant model draws nothing
+    "set-link": (  # a constant model takes its message's value like any law
         lambda net, b: net.set_link("a", "b", FixedLatency(0.5)),
         lambda net, b: net.set_link("a", "b", net.default_latency),
-        1, 0, lambda drawn: 0.5,
+        1, 1, lambda drawn: 0.5,
     ),
 }
 
@@ -681,3 +681,27 @@ def test_one_way_cut_leaves_the_reverse_route_flowing(sim, network, pair):
     sim.run()
     assert [m.payload for _, m in b.received] == ["warm"]
     assert [m.payload for _, m in a.received] == ["warm", "flows"]
+
+
+def _a_to_b_delays(other_traffic):
+    sim = Simulator()
+    net = Network(sim, RngRegistry(8), LanLatency(0.002, 0.001))
+    a, b, c = Sink("a"), Sink("b"), Sink("c")
+    for endpoint in (a, b, c):
+        net.attach(endpoint)
+    for i in range(60):
+        a.send("b", i)
+        for _ in range(other_traffic):
+            a.send("c", "noise")
+            c.send("b", "noise")
+    sim.run()
+    return sorted((m.payload, t - m.sent_at) for t, m in b.received if m.sender == "a")
+
+
+@pytest.mark.parametrize("other_traffic", [1, 37])
+def test_a_links_delays_do_not_depend_on_other_links_traffic(other_traffic):
+    """Each link reads its own block stream: the delays of ``a -> b`` are
+    the same however many messages other links carry between them."""
+    quiet = _a_to_b_delays(0)
+    assert len(quiet) == 60 and len({d for _, d in quiet}) > 50  # it jitters
+    assert _a_to_b_delays(other_traffic) == quiet
