@@ -13,6 +13,7 @@ Run: ``pytest benchmarks/test_bench_ablations.py --benchmark-only``
 
 import pytest
 
+from equivalence import DEFAULT_SEED, PANELS, a9_rows
 from repro.experiments.ablations import (
     _render_rows,
     adaptive_lui_study,
@@ -26,8 +27,12 @@ from repro.experiments.ablations import (
     window_sweep,
 )
 from repro.experiments.report import format_table
+from repro.stats.confidence import sign_test
 
 REQUESTS = 400
+
+#: The seeds the equivalence gate runs A9's cell on.
+A9_SEEDS = range(DEFAULT_SEED, DEFAULT_SEED + dict(PANELS["full"])[a9_rows])
 
 
 @pytest.mark.benchmark(group="ablations")
@@ -153,16 +158,37 @@ def test_ablation_overload(benchmark, report):
 def test_ablation_deferral_model(benchmark, report):
     """A9: outside the paper's regime, Eq. 3's independent deferred term
     is over-confident (correlated deferrals); the correlation-aware
-    variant restores the QoS guarantee.  DESIGN.md §5a."""
+    variant restores the QoS guarantee.  DESIGN.md §5a.
+
+    The table is seed 0's.  Each claim is judged over A9_SEEDS: the
+    correlation-aware term fails less and selects more, each by a one-sided
+    sign test on the per-seed pairs at 0.05, and its mean P(fail) is within
+    1 − P_c (one cell has 90 judged reads, too few to settle either alone).
+    """
     rows = benchmark.pedantic(deferral_model_study, rounds=1)
     report("")
     report(_render_rows(
         "A9 — deferred-read correlation (out-of-regime)", rows
     ))
-    paper, aware = rows
-    assert aware.timing_failure_probability < paper.timing_failure_probability
-    assert aware.meets_qos
-    assert aware.avg_replicas_selected > paper.avg_replicas_selected
+    pairs = [deferral_model_study(seed=seed) for seed in A9_SEEDS]
+
+    def sign_p(score) -> float:
+        """One-sided sign test that the correlation-aware term scores higher."""
+        diffs = [score(aware) - score(paper) for paper, aware in pairs]
+        return sign_test(sum(d > 0 for d in diffs), sum(d < 0 for d in diffs))
+
+    fails_less = sign_p(lambda row: -row.timing_failure_probability)
+    selects_more = sign_p(lambda row: row.avg_replicas_selected)
+    aware_mean = sum(aware.timing_failure_probability for _, aware in pairs) / len(pairs)
+    report(
+        f"over seeds {A9_SEEDS.start}..{A9_SEEDS.stop - 1}: correlation-aware "
+        f"mean P(fail) {aware_mean:.3f}; sign test p: fails less {fails_less:.2g}, "
+        f"selects more {selects_more:.2g}"
+    )
+    assert fails_less <= 0.05
+    assert selects_more <= 0.05
+    # deferral_model_study's P_c is 0.8.
+    assert aware_mean <= 1.0 - 0.8 + 1e-9
 
 
 @pytest.mark.benchmark(group="ablations")

@@ -144,8 +144,8 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         if view.group != self.groups.primary:
             return
         if self.detector is not None:
-            # Membership changed: drop any gray-publisher override and
-            # fall back to the rank designation of the new view.
+            # Membership changed: forget the slow-publisher reports; the
+            # new view's rank designation holds until the next one.
             self.detector.publisher_suspects.clear()
         self.catchup.on_primary_view(view, previous)
 

@@ -73,10 +73,6 @@ class Figure4Result:
         )
         return monotone_ends and no_big_bumps
 
-    def qos_met_everywhere(self, probability: float, lui: float) -> bool:
-        """Panel (b): observed failure probability within 1 − P_c."""
-        return all(cell.meets_qos() for cell in self.series(probability, lui))
-
 
 def run_figure4(
     deadlines_ms: Sequence[int] = DEADLINES_MS,

@@ -195,6 +195,33 @@ def test_a_view_lost_on_the_way_is_resent_once_its_recipient_is_reachable(
     assert not service._lost_views
 
 
+def test_a_view_lost_at_random_is_resent_after_a_heartbeat_interval(
+    sim, network, stack
+):
+    """A view the fabric drops at random, with its recipient reachable, is
+    resent one ``heartbeat_interval`` later: no fault transition comes to
+    resend it."""
+    service, members = stack
+    network.expect_faults()
+    for name in ("a", "b", "c"):
+        members[name].join("g")
+    sim.run(until=1.0)
+    members["b"].leave("g")  # sent before the loss starts
+    network.drop_probability = 0.999999
+    sim.run(until=1.05)
+    network.drop_probability = 0.0
+    assert service.view_of("g").members == ("a", "c")
+    assert members["c"].view_of("g").members == ("a", "b", "c")
+    assert set(service._lost_views) == {("a", "g"), ("c", "g")}
+    resend_at = 1.0 + 0.001 + service.config.heartbeat_interval
+    sim.run(until=resend_at - 1e-6)
+    assert members["c"].view_of("g").members == ("a", "b", "c")
+    sim.run(until=resend_at + 0.002)
+    assert members["a"].view_of("g") == service.view_of("g")
+    assert members["c"].view_of("g") == service.view_of("g")
+    assert not service._lost_views
+
+
 def test_observer_callback_sees_installs(stack, recorder):
     service, _ = stack
     service.observe(recorder)
