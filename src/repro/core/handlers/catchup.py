@@ -6,8 +6,9 @@ departed leader *syncs*: it collects every primary's state, adopts the
 furthest, re-broadcasts assignments others missed, declares unfillable
 GSNs as no-op skips, and assigns fresh GSNs to updates that never got one.
 A rejoining primary fetches the sequencer's committed copy by *state
-transfer*.  A *commit-gap watchdog* starts one of the two when a commit
-frontier freezes behind a hole.  Both rounds install members'
+transfer*.  A *commit-gap watchdog*, running only while the GSN is past
+the CSN, starts one of the two when a commit frontier freezes behind a
+hole.  Both rounds install members'
 :class:`~repro.core.requests.StateTransferSnapshot` through one routine,
 :meth:`CatchUp._adopt`.
 """
@@ -26,15 +27,16 @@ from repro.core.requests import (
     StateTransferRequest,
     StateTransferSnapshot,
 )
-from repro.groups.membership import View
+from repro.groups.membership import Grid, View
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.handlers.sequential import SequentialReplicaHandler
 
 # How long a new sequencer waits for survivors' GSN state, and the retry
-# period of a state-transfer request; twice this is the fixed commit-gap
-# watchdog period.
+# period of a state-transfer request.
 SYNC_TIMEOUT = 0.3
+# The commit-gap watchdog's period without a φ-detector.
+GAP_PERIOD = 2 * SYNC_TIMEOUT
 
 
 class CatchUp:
@@ -56,8 +58,10 @@ class CatchUp:
         self.state_transfers_started = counter("replica_state_transfers_started")
         self.state_transfers_completed = counter("replica_state_transfers_completed")
         self.state_transfers_served = counter("replica_state_transfers_served")
-        # Commit-gap watchdog: the frontier the last check saw blocked and
-        # the next check.
+        # Commit-gap watchdog: the instants its chain walks without a
+        # detector, the frontier the last check saw blocked, and the next
+        # check (None while the watchdog idles).
+        self._gap_grid: Optional[Grid] = None
         self._gap_stuck_csn: Optional[int] = None
         self.gap_watch_event = None
 
@@ -107,6 +111,7 @@ class CatchUp:
         handler.my_gsn = max(
             [handler.my_gsn, handler.my_csn] + [m.max_gsn for m in members]
         )
+        self.watch_gap()
 
     # ------------------------------------------------------------------
     # Sequencer sync
@@ -197,6 +202,7 @@ class CatchUp:
             assign = GsnAssign(rid, handler.my_gsn, advances=True)
             handler.gmcast(primary, assign, size_bytes=64)
             self._bind_awaiting(rid, handler.my_gsn)
+        self.watch_gap()
         handler.trace.emit(
             handler.now, "sequencer.sync-done", handler.name,
             max_gsn=handler.my_gsn, holes=list(holes), fresh=fresh,
@@ -253,13 +259,12 @@ class CatchUp:
         if sequencer is None or sequencer == handler.name:
             # Nobody to ask: we lead (or the view is empty), so no peer
             # holds newer committed state.  Keep the retained state.
-            self.recovering = False
-            self.state_transfers_completed.inc()
+            self._recovered()
             handler.trace.emit(
                 handler.now, "replica.state-transfer-done", handler.name,
                 donor=None, csn=handler.my_csn, gsn=handler.my_gsn,
             )
-            self.arm_gap_watchdog()
+            self.watch_gap()
             return
         request = StateTransferRequest(handler.name, xfer_id)
         handler.gsend(handler.groups.primary, sequencer, request, size_bytes=64)
@@ -267,6 +272,11 @@ class CatchUp:
         # members it does not (yet) see in its primary view, and it can fail
         # over mid-transfer (retries re-resolve the current leader).
         handler.sim.schedule(SYNC_TIMEOUT, self._request_state_transfer, xfer_id)
+
+    def _recovered(self) -> None:
+        self.recovering = False
+        self.state_transfers_completed.inc()
+        self.start_gap_grid()
 
     def on_state_transfer_request(self, request: StateTransferRequest) -> None:
         """The sequencer holds every update it sequenced, so its own copy
@@ -290,8 +300,7 @@ class CatchUp:
         if not self.recovering or snap.xfer_id != self.xfer_id:
             return
         handler = self.handler
-        self.recovering = False
-        self.state_transfers_completed.inc()
+        self._recovered()
         self._adopt([snap])
         for rid, gsn in snap.assignments:
             handler._remember_assignment(rid, gsn, update=True)
@@ -310,22 +319,44 @@ class CatchUp:
         )
         handler._drain_commit_queue()
         handler._drain_stale_waiters()
-        self.arm_gap_watchdog()
 
     # ------------------------------------------------------------------
     # Commit-gap watchdog
     # ------------------------------------------------------------------
-    def arm_gap_watchdog(self) -> None:
-        """Monitor the commit frontier for a hole no local action can fill:
-        an assignment for ``my_csn + 1`` whose Request never arrived (say,
-        multicast by a client whose view predated our rejoin).  Two checks
-        without progress fetch the sequencer's snapshot, which commits past
-        the hole; a sequencer promoted with a hole in its log re-syncs."""
-        self._disarm_gap_watchdog()
-        self._gap_stuck_csn = None
-        self.gap_watch_event = self.handler.sim.schedule(
-            self.gap_delay(), self._gap_check
-        )
+    def start_gap_grid(self) -> None:
+        """Start the watchdog's instants afresh: a period apart from now,
+        on attach and at the end of each state transfer."""
+        self._gap_grid = Grid(self.handler.now, GAP_PERIOD)
+
+    def watch_gap(self) -> None:
+        """Resume the idle watchdog if this primary's GSN is past its CSN:
+        every site that raises the GSN calls this.  Without a detector it
+        resumes at the next instant of its grid, the check a chain that
+        never idled would make; with one, a period from now.
+
+        The watchdog monitors the commit frontier for a hole no local
+        action can fill: an assignment for ``my_csn + 1`` whose Request
+        never arrived (say, multicast by a client whose view predated our
+        rejoin).  Two checks without progress fetch the sequencer's
+        snapshot, which commits past the hole; a sequencer promoted with a
+        hole in its log re-syncs.  Every one of those acts needs
+        ``my_gsn > my_csn``, so a check that finds the replica caught up
+        ends the chain, and a state transfer in flight holds it."""
+        handler = self.handler
+        if (
+            self.gap_watch_event is None
+            and handler.my_gsn > handler.my_csn
+            and not self.recovering
+            and handler.has_joined(handler.groups.primary)
+        ):
+            self._gap_stuck_csn = None
+            now = handler.now
+            at = (
+                self._gap_grid.first_after(now)
+                if handler.detector is None
+                else now + self.gap_delay()
+            )
+            self.gap_watch_event = handler.sim.schedule_at(at, self._gap_check)
 
     def _disarm_gap_watchdog(self) -> None:
         if self.gap_watch_event is not None:
@@ -333,26 +364,26 @@ class CatchUp:
             self.gap_watch_event = None
 
     def gap_delay(self) -> float:
-        """Watchdog period: fixed ``2·SYNC_TIMEOUT``, or with a detector
+        """Watchdog period: fixed :data:`GAP_PERIOD`, or with a detector
         the observed GSN-broadcast cadence (DESIGN.md §14)."""
-        fallback = 2 * SYNC_TIMEOUT
         detector = self.handler.detector
         if detector is None:
-            return fallback
-        return detector.adaptive_timeout("gsn-assign", fallback)
+            return GAP_PERIOD
+        return detector.adaptive_timeout("gsn-assign", GAP_PERIOD)
 
     def _gap_check(self) -> None:
         handler = self.handler
         self.gap_watch_event = None
         if handler.network is None or self.recovering:
-            return  # a state-transfer completion re-arms the watchdog
+            return  # a state-transfer completion resumes the watchdog
         if not handler.has_joined(handler.groups.primary):
-            return  # only a primary commits: the chain ends at its first check
+            return  # only a primary commits
+        if handler.my_gsn <= handler.my_csn:
+            return  # caught up: the next GSN past the CSN resumes the chain
         hole = handler.my_csn + 1
         blocked = (
             handler.up
             and handler.is_primary
-            and handler.my_gsn > handler.my_csn
             and handler._update_in_flight is None
             and hole not in handler._commit_wait
             and hole not in handler._skips
@@ -365,23 +396,5 @@ class CatchUp:
                 return
             self._start_sync()
             blocked = False
-        if not blocked and self._holes_close_in_time():
-            # Nothing can open a hole that outlives a period: stop here (a
-            # state transfer re-arms the chain).
-            return
         self._gap_stuck_csn = handler.my_csn if blocked else None
         self.gap_watch_event = handler.sim.schedule(self.gap_delay(), self._gap_check)
-
-    def _holes_close_in_time(self) -> bool:
-        """Whether a hole can be taken to close inside one watchdog period
-        (DESIGN.md §9): the fabric trusts every link into the replica within
-        the fixed period (:meth:`~repro.net.network.Network.trusted`), so no
-        payload is abandoned and none is held back past it.  A replica with
-        a φ-detector always keeps its chain."""
-        handler = self.handler
-        if handler.detector is not None:
-            return False
-        network, period, me = handler.network, self.gap_delay(), handler.name
-        return all(
-            network.trusted(sender, me, period) for sender in network.endpoints()
-        )

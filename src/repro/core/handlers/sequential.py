@@ -130,12 +130,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
     def attached(self, network, host) -> None:
         super().attached(network, host)  # arms the lazy tick
         self._perf_anchor = self.now
-        # Every primary watches its own commit frontier from the start: a
-        # commit hole can open without a crash on *this* replica (lossy
-        # links or a partition can exhaust a sender's retry budget).  Armed
-        # on every replica: roles are registered after attach, so the first
-        # check is where a secondary's chain ends.
-        self.catchup.arm_gap_watchdog()
+        self.catchup.start_gap_grid()
         if self.detector is not None:
             self.detector.start()
         self.tuner.start()
@@ -214,6 +209,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
         self.gmcast(self.groups.primary, assign, size_bytes=64)
         self._trace_sequenced(request, "sequencer.assign", advances=True)
         self._bind(PendingRequest(request=request, arrived_at=self.now), self.my_gsn)
+        self.catchup.watch_gap()
 
     def _sequence_read(self, request: Request) -> None:
         """Sequencer role: stamp the read with the current GSN, unadvanced,
@@ -323,6 +319,7 @@ class SequentialReplicaHandler(ReplicaHandlerBase):
             return
         # Read: measure staleness against the stamped GSN (§4.1.2).
         self.my_gsn = max(self.my_gsn, gsn)
+        self.catchup.watch_gap()
         staleness = max(0, gsn - self.my_csn)
         threshold = pending.request.staleness_threshold
         if staleness <= threshold:

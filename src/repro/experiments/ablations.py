@@ -294,7 +294,6 @@ def failover_study(
     else:
         raise ValueError(f"unknown crash target {crash!r}")
     assert victim is not None
-    testbed.network.expect_faults()  # the crash comes after the clock starts
     testbed.sim.schedule_at(crash_after, testbed.network.crash, victim)
     scenario.run()
 

@@ -166,8 +166,20 @@ def format_series(name: str, xs: Sequence[float], ys: Sequence[float]) -> str:
     return f"{name}: {pairs}"
 
 
+#: Values JSON takes as they are: a snapshot or timeline is mostly these,
+#: so they are passed through without a call each.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _jsonable(value: Any) -> Any:
     """Recursively convert dataclasses/tuples/dict keys for JSON."""
+    if isinstance(value, dict):
+        return {
+            str(key): item if type(item) in _SCALARS else _jsonable(item)
+            for key, item in value.items()
+        }
+    if isinstance(value, (list, tuple)):
+        return [item if type(item) in _SCALARS else _jsonable(item) for item in value]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             "__dataclass__": type(value).__name__,
@@ -176,10 +188,6 @@ def _jsonable(value: Any) -> Any:
                 for field in dataclasses.fields(value)
             },
         }
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
     return value
 
 

@@ -213,9 +213,6 @@ class ChaosEngine:
         rate_controller: Optional[object] = None,
     ) -> None:
         self.network = network
-        # Said when the engine is built, not at the first injection, so a
-        # campaign's fault-free warm-up runs the code its faulty part runs.
-        network.expect_faults()
         self.sim = network.sim
         self.targets = targets
         self.config = config or ChaosConfig()

@@ -34,7 +34,6 @@ class FailureInjector:
 
     def __init__(self, network: Network) -> None:
         self.network = network
-        network.expect_faults()
         self.sim = network.sim
         self.injected: list[str] = []
 

@@ -32,14 +32,8 @@ fabric's own state says none is configured.
 Every fault transition — crash, recovery, cut, heal, degradation,
 restoration, a latency override — is told to the callbacks registered with
 :meth:`Network.watch_faults`; the membership service learns that way whom
-it can no longer hear (:mod:`repro.groups.membership`).
-
-The fabric also knows whether it can be anything but perfect:
-:attr:`Network.fault_free` is fixed for the whole run before the clock
-starts.  A fault configured then, or a fault injector built on the fabric,
-ends it; once the simulator has fired an event, a fault on a fabric that is
-still fault-free is refused.  A layer skips work only on a link the fabric
-trusts (:meth:`Network.trusted`), so it never sees a verdict change under it.
+it can no longer hear (:mod:`repro.groups.membership`).  Any fault may
+come at any instant of a run: no layer above judges the fabric in advance.
 """
 
 from __future__ import annotations
@@ -56,12 +50,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim.kernel import Simulator
 from repro.sim.rng import BlockCursor, RngRegistry
 from repro.sim.tracing import NULL_TRACE, Trace
-
-
-#: A link is trusted within a budget only while this margin times its
-#: modelled mean delay is inside the budget, so that no message could have
-#: come late.
-TRUST_MARGIN = 4.0
 
 
 class NetworkError(RuntimeError):
@@ -214,18 +202,6 @@ class Network:
         self.rng = rng
         self.default_latency = default_latency
         self.trace = trace
-        # The fault-free fact, fixed before the first event fires: false
-        # once a :meth:`crash`, :meth:`partition`, non-zero
-        # :attr:`drop_probability`, :meth:`set_churn` or
-        # :meth:`degrade_node` comes before the clock starts, or a fault
-        # injector is built on this fabric then.  While it holds, every
-        # message sent between attached endpoints is delivered, once, after
-        # its link's undisturbed latency.  It never becomes true again:
-        # healing the last fault does not restore it.  Only
-        # :meth:`expect_faults` writes it.
-        self.fault_free = True
-        # :meth:`trusted`'s verdicts, by question; cleared with fault_free.
-        self._trusted: dict[tuple, bool] = {}
         self._fault_watchers: list[Callable[[], None]] = []
         # Every link record, by (sender, recipient).  A record in _records
         # vouches that both ends are attached; one made before that stays in
@@ -257,47 +233,8 @@ class Network:
         )
 
     # ------------------------------------------------------------------
-    # The fault-free fact
+    # Fault watchers
     # ------------------------------------------------------------------
-    def expect_faults(self) -> None:
-        """End the fault-free state (idempotent); fault injectors call this
-        when they are built, every fault entry point before it acts."""
-        if self.fault_free:
-            self._refuse_once_running("a fault")
-            self.fault_free = False
-            self._trusted.clear()
-
-    def _refuse_once_running(self, what: str) -> None:
-        """Raise if the clock has started on a fabric that is fault-free:
-        the layers above have judged it so for the rest of the run."""
-        if self.fault_free and self.sim.events_processed:
-            raise NetworkError(
-                f"{what} after the first event on a fault-free fabric: "
-                f"call network.expect_faults() before the clock starts"
-            )
-
-    def trusted(self, sender: str, recipient: str, budget: float) -> bool:
-        """Whether ``sender -> recipient`` is trusted within ``budget``
-        seconds: the fabric is fault-free, ``recipient`` is up, and
-        :data:`TRUST_MARGIN` times the link's modelled mean delay is inside
-        ``budget``.  On a trusted link nothing can go missing or come late,
-        so a layer may skip what guards against it.
-
-        Each verdict is cached until :meth:`expect_faults`.  A
-        :meth:`set_link` before the clock starts does not revisit one.
-        """
-        key = (sender, recipient, budget)
-        verdict = self._trusted.get(key)
-        if verdict is None:
-            verdict = (
-                self.fault_free
-                and self.is_up(recipient)
-                and TRUST_MARGIN * self.latency_for(sender, recipient).mean_delay()
-                < budget
-            )
-            self._trusted[key] = verdict
-        return verdict
-
     def watch_faults(self, callback: Callable[[], None]) -> None:
         """Call ``callback()`` after every fault transition: a crash or
         recovery, a cut or its heal, a node degraded or restored, a link's
@@ -317,8 +254,6 @@ class Network:
     def drop_probability(self, value: float) -> None:
         if not 0.0 <= value < 1.0:
             raise ValueError(f"drop probability {value!r} outside [0, 1)")
-        if value > 0.0:
-            self.expect_faults()
         self._drop_probability = value
 
     # ------------------------------------------------------------------
@@ -345,12 +280,7 @@ class Network:
         return sorted(self._endpoints)
 
     def set_link(self, sender: str, recipient: str, latency: LatencyModel) -> None:
-        """Override latency for the directed pair ``sender -> recipient``.
-
-        On a fault-free fabric only before the clock starts: what the layers
-        above skip, they skip on the strength of the latency they judged.
-        """
-        self._refuse_once_running("set_link")
+        """Override latency for the directed pair ``sender -> recipient``."""
         self._links[(sender, recipient)] = latency
         self._resolve_latencies()
         self._faults_changed()
@@ -407,7 +337,6 @@ class Network:
             raise ValueError(
                 f"invalid degradation factor={factor!r} jitter={jitter_s!r}"
             )
-        self.expect_faults()
         self._degraded_nodes[name] = (factor, jitter_s)
         self._resolve_latencies()
         self.trace.emit(
@@ -435,7 +364,6 @@ class Network:
         over ``(sender, "*")``, which wins over ``("*", recipient)``,
         which wins over ``("*", "*")``.
         """
-        self.expect_faults()
         self._churn[(sender, recipient)] = churn
 
     def clear_churn(
@@ -475,7 +403,6 @@ class Network:
             raise NetworkError(f"unknown endpoint {name!r}")
         if name in self._crashed:
             return False
-        self.expect_faults()
         self._crashed.add(name)
         self.trace.emit(self.sim.now, "net.crash", name)
         self._faults_changed()
@@ -516,7 +443,6 @@ class Network:
         gray partition: replies still flow back).  Each cut
         is healed by :meth:`heal_partition`.
         """
-        self.expect_faults()
         if name is None:
             name = f"cut-{next(self._cut_ids)}"
         if name in self._partitions:

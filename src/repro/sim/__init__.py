@@ -4,7 +4,7 @@ The paper evaluated its middleware on a LAN of Linux hosts; this package is
 the stand-in testbed.  It provides a deterministic event-driven simulator
 (:mod:`repro.sim.kernel`), generator-based processes
 (:mod:`repro.sim.process`), reproducible named random streams and delay
-distributions (:mod:`repro.sim.rng`), vector clocks and version stamps
+distributions (:mod:`repro.sim.rng`), vector clocks
 (:mod:`repro.sim.clock`), and structured tracing
 (:mod:`repro.sim.tracing`).
 """
@@ -18,7 +18,6 @@ from repro.sim.rng import (
     Normal,
     RngRegistry,
 )
-from repro.sim.clock import Version, ZERO_VERSION
 from repro.sim.tracing import NULL_TRACE, Trace, TraceRecord
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "LogNormal",
     "Normal",
     "RngRegistry",
-    "Version",
-    "ZERO_VERSION",
     "NULL_TRACE",
     "Trace",
     "TraceRecord",

@@ -4,13 +4,10 @@ The paper measures staleness in *versions* using timestamps "based on
 logical clocks" (Lamport [7]) so that no clock synchronization is needed
 across replicas.  The GSN counter in the sequencer is one such logical
 clock; this module provides the vector clock the causal handler stamps
-updates with and the totally ordered version stamp of the replicated
-object state.
+updates with.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class VectorClock:
@@ -72,26 +69,3 @@ class VectorClock:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{k}:{v}" for k, v in sorted(self._counts.items()))
         return f"VectorClock({{{inner}}})"
-
-
-@dataclass(frozen=True, order=True)
-class Version:
-    """A totally ordered version stamp ``(sequence, author)``.
-
-    In the sequential-consistency protocol the sequence component is the
-    GSN, so comparing versions compares commit order; the author breaks
-    ties for diagnostics only (GSNs are unique by construction).
-    """
-
-    sequence: int
-    author: str = ""
-
-    def __post_init__(self) -> None:
-        if self.sequence < 0:
-            raise ValueError(f"negative version sequence {self.sequence!r}")
-
-    def next(self, author: str = "") -> "Version":
-        return Version(self.sequence + 1, author)
-
-
-ZERO_VERSION = Version(0, "")

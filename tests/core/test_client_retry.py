@@ -125,7 +125,6 @@ def crashed_replica_scenario(retry_policy, seed=21, qos=QOS):
     the dead replica — exactly what retries exist to salvage.
     """
     testbed = make_testbed(seed=seed)
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client(
         "c", read_only_methods={"get"}, retry_policy=retry_policy
@@ -200,7 +199,6 @@ def test_max_retries_bounds_redispatches():
 # ---------------------------------------------------------------------------
 def test_eviction_of_all_live_targets_triggers_redispatch():
     testbed = make_testbed()
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client(
         "c",

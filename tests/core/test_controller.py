@@ -474,7 +474,6 @@ def test_epoch_tick_survives_publisher_crash_mid_epoch():
         num_primaries=3,
         num_secondaries=2,
     )
-    scenario.testbed.network.expect_faults()
     sim = scenario.sim
     service = scenario.service
     controller = scenario.controller

@@ -43,7 +43,6 @@ def updates(testbed, client, count, gap=0.1):
 # ---------------------------------------------------------------------------
 def test_recover_secondary_rejoins_and_resyncs():
     testbed = make_testbed(lui=0.5)
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
     victim = service.secondaries[0]
@@ -64,7 +63,6 @@ def test_recover_secondary_rejoins_and_resyncs():
 
 def test_recovered_secondary_serves_deferred_and_fresh_reads():
     testbed = make_testbed(lui=0.5)
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
     victim = service.secondaries[0]
@@ -145,7 +143,6 @@ def test_recover_secondary_under_concurrent_lazy_updates():
     flowing during the rejoin and the fresh channel epoch must not let the
     secondary double-apply or miss one."""
     testbed = make_testbed(lui=0.2)
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
     victim = service.secondaries[0]
@@ -167,7 +164,6 @@ def test_recover_secondary_across_sequencer_failover():
     """The sequencer dies while the secondary is still catching up; the
     promoted leader's lazy publisher must finish the resync."""
     testbed = make_testbed(lui=0.5)
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
     victim = service.secondaries[0]

@@ -50,7 +50,6 @@ def steady_workload(testbed, client, stop_at, gap=0.15):
 # ---------------------------------------------------------------------------
 def test_new_leader_becomes_sequencer_after_crash():
     testbed = make_testbed()
-    testbed.network.expect_faults()
     service = testbed.service
     testbed.sim.schedule_at(2.0, testbed.network.crash, "svc-seq")
     testbed.sim.run(until=5.0)
@@ -61,7 +60,6 @@ def test_new_leader_becomes_sequencer_after_crash():
 
 def test_updates_continue_after_sequencer_crash():
     testbed = make_testbed()
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
     reads = steady_workload(testbed, client, stop_at=12.0)
@@ -80,7 +78,6 @@ def test_updates_continue_after_sequencer_crash():
 
 def test_gsn_strictly_monotonic_across_failover():
     testbed = make_testbed()
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
     update_gsns = []
@@ -102,7 +99,6 @@ def test_gsn_strictly_monotonic_across_failover():
 def test_reads_restamped_after_sequencer_crash():
     """A read whose GSN stamp is lost re-requests it (GsnQuery path)."""
     testbed = make_testbed()
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
     outcomes = []
@@ -131,7 +127,6 @@ def test_reads_restamped_after_sequencer_crash():
 # ---------------------------------------------------------------------------
 def test_publisher_role_moves_on_crash():
     testbed = make_testbed()
-    testbed.network.expect_faults()
     service = testbed.service
     assert service.primaries[0].is_lazy_publisher
     testbed.sim.schedule_at(2.0, testbed.network.crash, "svc-p1")
@@ -141,7 +136,6 @@ def test_publisher_role_moves_on_crash():
 
 def test_lazy_propagation_continues_after_publisher_crash():
     testbed = make_testbed(lui=0.4)
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
     steady_workload(testbed, client, stop_at=10.0)
@@ -195,7 +189,6 @@ def test_client_survives_loss_of_selected_replica():
     """Algorithm 1 selects sets that tolerate one crash; killing one
     selected replica mid-request must not make the client hang."""
     testbed = make_testbed(num_primaries=3, num_secondaries=3)
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
     reads = steady_workload(testbed, client, stop_at=15.0)
@@ -210,7 +203,6 @@ def test_client_survives_loss_of_selected_replica():
 
 def test_membership_view_shrinks_after_crash():
     testbed = make_testbed()
-    testbed.network.expect_faults()
     testbed.sim.schedule_at(1.0, testbed.network.crash, "svc-p2")
     testbed.sim.run(until=5.0)
     view = testbed.membership.view_of("svc.primary")

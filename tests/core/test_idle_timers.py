@@ -1,18 +1,16 @@
 """Idle timers: no timer fires that cannot act.
 
-A replica arms the commit-gap watchdog, the lazy tick, the open-loop tuning
-tick and (with a φ-detector) the publisher check when it is attached, before
-its role is registered.  A replica that never joined the group a chain
-serves ends that chain at its first firing.  On a fault-free fabric a
-primary's watchdog stops at the first check that finds nothing to do.  The
-membership service runs no sweep chain at all: it checks a member only when
-it cannot hear it, at an instant on the grid the sweep chain would have
-walked.
+A replica arms the lazy tick, the open-loop tuning tick and (with a
+φ-detector) the publisher check when it is attached, before its role is
+registered.  A replica that never joined the group a chain serves ends that
+chain at its first firing.  A primary's commit-gap watchdog runs only while
+its GSN is past its CSN: a check that finds it caught up ends the chain,
+and the next GSN past the CSN resumes it a period later.  The membership
+service runs no sweep chain at all: it checks a member only when it cannot
+hear it, at an instant on the grid the sweep chain would have walked.
 
-The twin test runs a fault-free service against the same service told to
-expect faults at t = 0, which runs every watchdog throughout: both must
-observe the same operations and record the same commit gaps, state
-transfers and evictions, at the same instants.
+The twin tests run the idling watchdog against a twin whose watchdog runs
+from attach and never idles: both must observe the same operations.
 """
 
 from collections import Counter
@@ -20,13 +18,16 @@ from collections import Counter
 import pytest
 
 from repro.core.detector import DetectorConfig
+from repro.core.handlers.catchup import CatchUp
+from repro.core.handlers.sequential import SequentialReplicaHandler
 from repro.core.qos import QoSSpec
 from repro.core.selection import SelectionResult, SelectionStrategy
 from repro.core.service import ServiceConfig, build_testbed
 from repro.core.tuning import StalenessTarget
+from repro.experiments.chaos import run_campaign
 from repro.groups.membership import Grid, MembershipConfig
 from repro.net.latency import FixedLatency
-from repro.sim.rng import Normal
+from repro.sim.rng import Normal, seed_for
 from repro.sim.tracing import Trace
 
 HEARTBEAT = 0.1
@@ -86,34 +87,78 @@ def rescheduled(testbed):
     return counts
 
 
-# ---------------------------------------------------------------------------
-# Per-role timers, in every fabric
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("expect_faults", [True, False])
-def test_a_replica_ends_every_chain_its_role_does_not_serve(expect_faults):
+def watchdogs_never_idle(monkeypatch):
+    """The twin: every replica arms the commit-gap watchdog on attach, and a
+    primary's chain runs from then on, caught up or not; a state transfer
+    still holds it."""
+
+    def watch(self):
+        handler = self.handler
+        if (
+            self.gap_watch_event is None
+            and not self.recovering
+            and handler.has_joined(handler.groups.primary)
+        ):
+            self._gap_stuck_csn = None
+            self.gap_watch_event = handler.sim.schedule(self.gap_delay(), self._gap_check)
+
+    check = CatchUp._gap_check
+
+    def check_and_go_on(self):
+        check(self)
+        watch(self)
+
+    attached = SequentialReplicaHandler.attached
+
+    def arm_on_attach(self, network, host):
+        attached(self, network, host)
+        catchup = self.catchup
+        catchup.gap_watch_event = self.sim.schedule(
+            catchup.gap_delay(), catchup._gap_check
+        )
+
+    monkeypatch.setattr(CatchUp, "watch_gap", watch)
+    monkeypatch.setattr(CatchUp, "_gap_check", check_and_go_on)
+    monkeypatch.setattr(SequentialReplicaHandler, "attached", arm_on_attach)
+
+
+@pytest.mark.parametrize("never_idle", [False, True])
+def test_a_replica_ends_every_chain_its_role_does_not_serve(never_idle, monkeypatch):
     """Only a primary commits, publishes and tunes T_L; only a secondary
-    watches the publisher.  Every other chain fires once and is not re-armed."""
+    watches the publisher.  Every other chain fires once and is not
+    re-armed.  With no GSN assigned no replica re-arms the idling commit-gap
+    watchdog: each first check finds its replica caught up.  The never-idle
+    twin runs it on every primary throughout and still ends it on every
+    secondary."""
+    if never_idle:
+        watchdogs_never_idle(monkeypatch)
     testbed = make_testbed(
         detector=DetectorConfig(), adaptive_lazy_target=StalenessTarget(2, 0.9)
     )
-    if expect_faults:
-        testbed.network.expect_faults()
     service = testbed.service
     counts = rescheduled(testbed)
     testbed.sim.run(until=3.0)
 
-    primary_chains = ("_lazy_tick", "_gap_check", "_tune_tick")
+    gap_check = CatchUp._gap_check.__name__
+    primary_chains = ("_lazy_tick", "_tune_tick")
     for replica in [service.sequencer, *service.primaries]:
         assert all(counts[replica.name, chain] > 1 for chain in primary_chains)
         assert counts[replica.name, "_publisher_check"] == 0
+        if never_idle:
+            assert counts[replica.name, gap_check] > 1
+            assert replica.catchup.gap_watch_event is not None
     for replica in service.secondaries:
         assert all(counts[replica.name, chain] == 0 for chain in primary_chains)
         assert counts[replica.name, "_publisher_check"] > 1
+    idle = service.secondaries if never_idle else service.all_replicas()
+    for replica in idle:
+        assert counts[replica.name, gap_check] == 0
+        assert replica.catchup.gap_watch_event is None
 
 
 def test_a_stamp_cancels_its_reads_gsn_retry():
     """A read that reaches a replica before its stamp arms a GSN retry; the
-    stamp that binds it cancels that retry.  In a fault-free cell every
+    stamp that binds it cancels that retry.  In a cell without faults every
     stamp lands well inside ``gsn_wait_timeout``, so retries are armed and
     none fires."""
     testbed = make_testbed()
@@ -145,20 +190,19 @@ def test_a_stamp_cancels_its_reads_gsn_retry():
         sim.schedule_at(0.013 + at * 0.0937, feed.invoke, "increment", (), None)
         sim.schedule_at(0.0647 + at * 0.0937, reader.invoke, "get", (), QOS, outcomes.append)
     sim.run(until=5.0)
-    assert testbed.network.fault_free
     assert len(outcomes) == 40
     assert armed[True] > 0
     assert not fired
 
 
 # ---------------------------------------------------------------------------
-# Idle in a fault-free fabric
+# The idling watchdog and its twin
 # ---------------------------------------------------------------------------
-def run_twin(expect_faults, slow, update_every):
+def run_slow_link(slow=1.3, update_every=1.9):
     """A feed of updates every ``update_every`` seconds and a reader pinned
     to ``svc-p2`` and ``svc-s1``, reading every 94 ms, for 5 s plus 1 s to
-    drain.  ``slow`` puts ``svc-p2`` behind a ``feed -> svc-p2`` link of that
-    many seconds, before the clock starts."""
+    drain.  ``svc-p2`` sits behind a ``feed -> svc-p2`` link of ``slow``
+    seconds."""
     trace = Trace()
     testbed = make_testbed(trace=trace)
     service, network, sim = testbed.service, testbed.network, testbed.sim
@@ -167,8 +211,6 @@ def run_twin(expect_faults, slow, update_every):
         "reader", read_only_methods={"get"}, strategy=Pick("svc-p2", "svc-s1")
     )
     network.set_link("feed", "svc-p2", FixedLatency(slow))
-    if expect_faults:
-        network.expect_faults()
     outcomes = {"feed": [], "reader": []}
     for name, client, start, every, args in (
         ("feed", feed, 0.013, update_every, ("increment", (), None)),
@@ -188,30 +230,56 @@ def run_twin(expect_faults, slow, update_every):
     return outcomes, records, testbed
 
 
-def test_fault_free_primaries_and_sweep_go_idle_unless_a_hole_can_outlive_a_period():
+def test_the_idling_watchdog_fetches_the_snapshot_its_twin_fetches(monkeypatch):
     """``svc-p2`` sits behind a link slower than the watchdog period: an
     update lands there 1.3 s after the reader's stamps have run ahead of it,
     so a hole stays open across two checks and the watchdog fetches a
-    snapshot — in a fault-free fabric, as it always did.  That primary keeps
-    its chain; the others are idle, and the membership service never arms
-    a timer."""
-    wired_ops, wired_records, _ = run_twin(True, slow=1.3, update_every=1.9)
-    ops, records, lazy = run_twin(False, slow=1.3, update_every=1.9)
-    assert ops == wired_ops
-    assert records == wired_records
-    network, service = lazy.network, lazy.service
-    assert network.fault_free
+    snapshot, at the instant the never-idle twin does.  The other replicas'
+    watchdogs are idle at the end, and the membership service never arms a
+    timer."""
+    ops, records, testbed = run_slow_link()
+    with monkeypatch.context() as twin:
+        watchdogs_never_idle(twin)
+        twin_ops, twin_records, _ = run_slow_link()
+    assert ops == twin_ops
+    assert records == twin_records
     gaps = [r for r in records if r[1] == "replica.commit-gap"]
     assert gaps and {r[2] for r in gaps} == {"svc-p2"}
     assert not [r for r in records if r[1] == "membership.evict"]
-    p2 = service.replica_by_name("svc-p2")
-    assert p2.catchup.gap_watch_event is not None
+    service = testbed.service
     for replica in (service.sequencer, service.primaries[0], service.primaries[2]):
         assert replica.catchup.gap_watch_event is None
-    assert not lazy.membership._checks
+    assert not testbed.membership._checks
     assert not [
-        r for r in lazy.membership.trace.records if r.category == "membership.amnesty"
+        r for r in testbed.membership.trace.records if r.category == "membership.amnesty"
     ]
+
+
+CHAOS_35 = seed_for(0, "chaos", 35)
+
+
+def _campaign_outcome(seed):
+    result = run_campaign(seed)
+    return (
+        result.reads_issued,
+        result.reads_resolved,
+        result.timing_failures,
+        result.updates_acked,
+        result.recovery["retries_sent"],
+    )
+
+
+def test_the_idling_watchdog_serves_a_chaos_campaign_as_its_twin_does(monkeypatch):
+    """On a campaign that promotes a sequencer with a hole in its log, the
+    idling watchdog leaves the clients' reads, late reads, acks and retries
+    where the never-idle twin leaves them.  The watchdog must resume at the
+    sequencer's own assignments, not only at read stamps: a sequencer sees
+    no stamp, and a watchdog that waits for one leaves the promoted
+    sequencer unsynced (147 late reads, 9 acks of 99), a run the chaos
+    audit calls clean (``test_checks_catch_mutants.py``)."""
+    idle = _campaign_outcome(CHAOS_35)
+    watchdogs_never_idle(monkeypatch)
+    assert _campaign_outcome(CHAOS_35) == idle
 
 
 def test_an_idle_sweep_resumes_on_its_grid_when_a_member_is_admitted():
@@ -235,7 +303,6 @@ def test_an_idle_sweep_resumes_on_its_grid_when_a_member_is_admitted():
     sim.run(until=3.0)
     assert checks == [1.6000000000000003]
     assert "ghost" not in membership.view_of("svc-qos")
-    assert testbed.network.fault_free
 
 
 def test_a_chain_resumes_on_the_grid_it_would_have_walked():

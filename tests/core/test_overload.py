@@ -303,13 +303,11 @@ def test_unbounded_service_never_sheds():
 # ---------------------------------------------------------------------------
 # Deferred-read expiry and recovery cleanup
 # ---------------------------------------------------------------------------
-def deferral_testbed(overload, expect_faults=False):
+def deferral_testbed(overload):
     """One primary + one stale secondary whose lazy update is far away."""
     testbed = make_testbed(
         overload=overload, num_primaries=1, num_secondaries=1, lui=30.0
     )
-    if expect_faults:
-        testbed.network.expect_faults()
     client = testbed.service.create_client(
         "c", read_only_methods={"get"}, strategy=SecondariesOnly()
     )
@@ -345,7 +343,7 @@ def test_recovery_bounces_deferred_reads_even_without_overload_config():
     """The silent-drop bugfix: a view change that clears the deferral
     buffer must send explicit failure replies — with or without overload
     protection configured."""
-    testbed, client = deferral_testbed(None, expect_faults=True)
+    testbed, client = deferral_testbed(None)
     service = testbed.service
     secondary = service.secondaries[0]
     tight = QoSSpec(staleness_threshold=0, deadline=5.0, min_probability=0.9)

@@ -64,7 +64,6 @@ def serving_primaries(service, membership):
 def test_primary_rejoin_restores_full_strength():
     trace = Trace()
     testbed = make_testbed(trace=trace)
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c1")
     victim = service.primaries[1]
@@ -102,7 +101,6 @@ def test_primary_rejoin_restores_full_strength():
 
 def test_rejoined_primary_commits_new_updates():
     testbed = make_testbed()
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c1")
     victim = service.primaries[2]
@@ -122,7 +120,6 @@ def test_rejoined_primary_commits_new_updates():
 
 def test_primary_rejoin_under_continuous_load():
     testbed = make_testbed(seed=11)
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c1")
     victim = service.primaries[1]
@@ -143,7 +140,6 @@ def test_primary_rejoin_under_continuous_load():
 
 def test_rejoin_survives_sequencer_failover_mid_transfer():
     testbed = make_testbed(seed=3)
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c1")
     victim = service.primaries[1]
@@ -174,7 +170,6 @@ def test_rejoin_survives_sequencer_failover_mid_transfer():
 def test_lone_rejoiner_keeps_retained_state():
     trace = Trace()
     testbed = make_testbed(num_primaries=1, num_secondaries=0, trace=trace)
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c1")
     victim = service.primaries[0]
@@ -203,7 +198,6 @@ def test_lone_rejoiner_keeps_retained_state():
 # ---------------------------------------------------------------------------
 def test_recover_replica_dispatches_on_role():
     testbed = make_testbed()
-    testbed.network.expect_faults()
     service = testbed.service
     primary = service.primaries[0]
     secondary = service.secondaries[0]
@@ -230,7 +224,6 @@ def test_flush_pending_invalidates_inflight_completions():
     """A completion scheduled before a crash must not commit stale work
     after recovery (the incarnation guard in ReplicaHandlerBase)."""
     testbed = make_testbed()
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c1")
     victim = service.primaries[1]
@@ -301,7 +294,6 @@ def test_promoted_sequencer_missing_a_body_catches_up_through_the_sync():
     other primaries committed.  At promotion it adopts the furthest
     member's state, so its own copy has no hole."""
     testbed = make_testbed()
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c1")
     heir, other = service.primaries[0], service.primaries[1]

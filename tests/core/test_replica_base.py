@@ -116,7 +116,6 @@ def test_client_names_excludes_replicas():
 def test_crashed_replica_drops_in_service_work():
     """A crash mid-service loses the request (no reply, no commit)."""
     testbed = _testbed(read_service_time=Constant(0.100))
-    testbed.network.expect_faults()
     primary = testbed.service.primaries[0]
     request = Request(200, "c", "get", (), RequestKind.READ, QOS, 0.0)
     primary.enqueue_ready(PendingRequest(request=request, arrived_at=0.0))

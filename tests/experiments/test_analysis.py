@@ -29,7 +29,6 @@ def run():
     )
     testbed = build_testbed(config, seed=41, latency=FixedLatency(0.001),
                             trace=trace)
-    testbed.network.expect_faults()
     client = testbed.service.create_client("c", read_only_methods={"get"})
     qos = QoSSpec(staleness_threshold=5, deadline=0.5, min_probability=0.5)
     outcomes = []

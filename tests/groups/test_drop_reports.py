@@ -61,7 +61,6 @@ class Group:
     def __init__(self, n=40):
         self.sim = Simulator()
         self.network = SpyNetwork(self.sim, RngRegistry(5), FixedLatency(DELAY))
-        self.network.expect_faults()
         self.service = MembershipService()
         self.network.attach(self.service)
         self.members = {}

@@ -31,7 +31,6 @@ class Group:
     def __init__(self, config):
         self.sim = Simulator()
         self.network = Network(self.sim, RngRegistry(11), LanLatency())
-        self.network.expect_faults()
         self.service = MembershipService(config=config)
         self.network.attach(self.service)
         self.evicted = {}

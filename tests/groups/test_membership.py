@@ -125,7 +125,6 @@ def test_watcher_receives_views_without_membership(sim, stack):
 
 def test_silent_member_is_evicted(sim, network, stack):
     service, members = stack
-    network.expect_faults()
     for name in ("a", "b"):
         members[name].join("g")
     sim.run(until=1.0)
@@ -138,7 +137,6 @@ def test_silent_member_is_evicted(sim, network, stack):
 
 def test_eviction_promotes_next_rank_to_leader(sim, network, stack):
     service, members = stack
-    network.expect_faults()
     service.register("g", "a")
     service.register("g", "b")
     service.register("g", "c")
@@ -171,7 +169,6 @@ def test_a_view_lost_on_the_way_is_resent_once_its_recipient_is_reachable(
     that view when the cut heals (or it recovers); no timer retries it
     before then."""
     service, members = stack
-    network.expect_faults()
     for name in ("a", "b", "c"):
         members[name].join("g")
     sim.run(until=1.0)
@@ -202,7 +199,6 @@ def test_a_view_lost_at_random_is_resent_after_a_heartbeat_interval(
     resent one ``heartbeat_interval`` later: no fault transition comes to
     resend it."""
     service, members = stack
-    network.expect_faults()
     for name in ("a", "b", "c"):
         members[name].join("g")
     sim.run(until=1.0)
@@ -263,7 +259,6 @@ def test_a_member_slowed_past_the_suspect_window_is_evicted(
     the first sweep 1 s after its last beat landed (sent at 2.0 s), unless
     it is restored before."""
     service, members = stack
-    network.expect_faults()
     for member in members.values():
         member.join("g")
     evictions = []
@@ -305,7 +300,6 @@ def test_service_outage_does_not_mass_evict(sim, network, trace, traced_stack):
     """While the membership service itself is down it hears no heartbeats;
     its first sweep back up must grant amnesty, not evict everyone."""
     service, members = traced_stack
-    network.expect_faults()
     for name in ("a", "b"):
         members[name].join("g")
     sim.run(until=1.0)
@@ -326,7 +320,6 @@ def test_amnesty_does_not_resurrect_dead_members(sim, network, traced_stack):
     """Amnesty only resets the clock; a member that stays silent after the
     outage is still evicted one suspect window later."""
     service, members = traced_stack
-    network.expect_faults()
     for name in ("a", "b"):
         members[name].join("g")
     sim.run(until=1.0)

@@ -35,7 +35,6 @@ def test_sequencer_crash_with_unassigned_update_burst():
     assignments never leave it.  Failover must re-assign; every update
     commits exactly once, in identical order, everywhere."""
     testbed = make_testbed()
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
     acks = []
@@ -62,7 +61,6 @@ def test_sequencer_crash_with_unassigned_update_burst():
 def test_two_successive_sequencer_crashes():
     """Crash the original sequencer, then its successor, mid-workload."""
     testbed = make_testbed(num_primaries=4)
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
 
@@ -111,7 +109,6 @@ def test_membership_service_outage_does_not_stop_traffic():
 def test_update_during_view_change_window():
     """Updates issued while eviction is being detected must not be lost."""
     testbed = make_testbed()
-    testbed.network.expect_faults()
     service = testbed.service
     client = service.create_client("c", read_only_methods={"get"})
 

@@ -17,6 +17,7 @@ from repro.core.handlers.sequential import SequentialReplicaHandler
 from repro.core.requests import LazyUpdate, RequestKind
 from repro.experiments.chaos import run_campaign
 from repro.groups.multicast import FifoSender
+from repro.sim.rng import seed_for
 
 
 def snapshot_never_lands(monkeypatch):
@@ -68,6 +69,21 @@ def lazy_update_drop_ignored(monkeypatch):
             on_ack(self, dropped)
 
     monkeypatch.setattr(FifoSender, "on_ack", mutant)
+
+
+def watchdog_resumes_on_read_stamps_alone(monkeypatch):
+    """Only a read stamp resumes an idle commit-gap watchdog, so a
+    sequencer's, which sees no stamp, never runs again."""
+    watch = CatchUp.watch_gap
+    monkeypatch.setattr(CatchUp, "watch_gap", lambda self: None)
+    bind = SequentialReplicaHandler._bind
+
+    def mutant(self, pending, gsn):
+        bind(self, pending, gsn)
+        if pending.request.kind is RequestKind.READ:
+            watch(self.catchup)
+
+    monkeypatch.setattr(SequentialReplicaHandler, "_bind", mutant)
 
 
 #: (mutant, the checks meant to catch it, seeds where they do).  Caught on
@@ -123,3 +139,18 @@ def test_audit_catches_a_dropped_lazy_update(monkeypatch):
     lazy_update_drop_ignored(monkeypatch)
     caught = [seed for seed in range(10) if run_campaign(seed, duration=20.0).violations]
     assert caught
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 13: the audit misses a sequencer left unsynced; its "
+    "reads come late and its updates go unacked, and no check counts either",
+)
+def test_audit_catches_a_watchdog_that_resumes_only_on_read_stamps(monkeypatch):
+    """The open row: on ``repro chaos`` seed 35 the mutant leaves the promoted
+    sequencer unsynced — 147 of 255 reads late and 9 of 99 updates acked,
+    against 0 and 99 — yet every check passes.  On the other 149 seeds of
+    ``repro chaos --seeds 150`` it changes nothing."""
+    watchdog_resumes_on_read_stamps_alone(monkeypatch)
+    result = run_campaign(seed_for(0, "chaos", 35), duration=20.0)
+    assert result.violations

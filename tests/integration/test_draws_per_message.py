@@ -68,7 +68,6 @@ def open_loop_4_28():
 @pytest.mark.parametrize("cell", [paper_cell, open_loop_4_28], ids=["paper_cell", "open_loop_4_28"])
 def test_one_latency_draw_per_message_sent(cell):
     network = cell().network
-    assert network.fault_free
     assert network.messages_dropped.value == 0
     assert network.messages_sent.value > 400
     links = list(network._records.values())

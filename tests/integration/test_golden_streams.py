@@ -84,26 +84,6 @@ def test_paper_cell_outcome_stream_is_pinned(paper_scenario, pin):
     _check_stream(pin, "paper_cell", lines, scenario.testbed)
 
 
-def test_paper_cell_is_the_same_cell_on_a_fabric_that_expects_faults(paper_scenario):
-    """No ack and no heartbeat travels on either kind of fabric: a cell whose
-    fabric expects faults from t = 0 — every watchdog running — observes
-    what the fault-free cell observes, with the very same messages."""
-    wired = build_paper_scenario(**PAPER_CELL)
-    wired.testbed.network.expect_faults()
-    wired.run()
-    for lazy, on_the_wire in (
-        (paper_scenario.client1, wired.client1),
-        (paper_scenario.client2, wired.client2),
-    ):
-        assert lazy.read_outcomes == on_the_wire.read_outcomes
-        assert lazy.update_outcomes == on_the_wire.update_outcomes
-    assert paper_scenario.testbed.network.fault_free
-    assert (
-        wired.testbed.network.messages_sent.value
-        == paper_scenario.testbed.network.messages_sent.value
-    )
-
-
 def test_paper_cell_is_the_same_cell_with_the_stamp_broadcast(broadcast_stamps):
     """Nobody outside the read's targets does anything with its stamp: a cell
     whose clients name no targets — the sequencer broadcasts every stamp, as

@@ -45,8 +45,6 @@ def _run_sequential_scenario(
         seed=seed,
         latency=LanLatency(mean_s=0.001, jitter_s=0.001),
     )
-    if crash_p2:
-        testbed.network.expect_faults()
     service = testbed.service
     qos = QoSSpec(staleness_threshold=4, deadline=2.0, min_probability=0.5)
     reads = []

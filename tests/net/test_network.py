@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.net.chaos import ChaosEngine, ChaosTargets
-from repro.net.failures import FailureInjector
 from repro.net.latency import FixedLatency, LanLatency
 from repro.net.message import Message
 from repro.net.network import Endpoint, LinkChurn, Network, NetworkError
@@ -167,7 +165,6 @@ def test_crashed_recipient_drops_messages(sim, network, pair):
 
 def test_crash_loses_in_flight_messages(sim, network, pair):
     a, b = pair
-    network.expect_faults()
     a.send("b", "in-flight")
     # Crash strictly before the 1 ms delivery completes.
     sim.schedule(0.0005, network.crash, "b")
@@ -215,7 +212,6 @@ def test_partition_does_not_block_same_side(sim, network, pair):
 
 def test_partition_cuts_in_flight_messages(sim, network, pair):
     a, b = pair
-    network.expect_faults()
     a.send("b", 1)
     sim.schedule(0.0005, network.partition, {"a"}, {"b"})
     sim.run()
@@ -291,90 +287,56 @@ def test_drop_probability_is_checked_on_every_write(network, bad):
 
 
 # ---------------------------------------------------------------------------
-# The fault-free fact
+# Faults at any instant
 # ---------------------------------------------------------------------------
+#: Each fault entry point, and whether it tells the fault watchers: loss and
+#: churn change no one's reachability, so the membership service is not told.
 _FAULTS = {
-    "crash": lambda net: net.crash("a"),
-    "partition": lambda net: net.partition({"a"}, {"b"}),
-    "drop-probability": lambda net: setattr(net, "drop_probability", 0.1),
-    "churn": lambda net: net.set_churn("a", "b", LinkChurn(reorder_probability=0.5)),
-    "degrade-node": lambda net: net.degrade_node("a", factor=2.0),
-    "expect-faults": lambda net: net.expect_faults(),
-    "failure-injector": lambda net: FailureInjector(net),
-    "chaos-engine": lambda net: ChaosEngine(net, ChaosTargets(primaries=("a", "b"))),
-    # Not a fault, but what the layers above judged the fabric by.
-    "set-link": lambda net: net.set_link("a", "b", FixedLatency(0.5)),
+    "crash": (lambda net: net.crash("a"), True),
+    "partition": (lambda net: net.partition({"a"}, {"b"}), True),
+    "drop-probability": (lambda net: setattr(net, "drop_probability", 0.1), False),
+    "churn": (
+        lambda net: net.set_churn("a", "b", LinkChurn(reorder_probability=0.5)),
+        False,
+    ),
+    "degrade-node": (lambda net: net.degrade_node("a", factor=2.0), True),
+    "set-link": (lambda net: net.set_link("a", "b", FixedLatency(0.5)), True),
 }
 
 
 def _fabric_state(net):
     return (
-        net.fault_free,
         sorted(net._crashed),
         dict(net._partitions),
-        repr(net._cut_ids),
         net.drop_probability,
         dict(net._degraded_nodes),
         dict(net._churn),
         dict(net._links),
         {key: link.latency for key, link in net._records.items()},
-        (net.link("a", "b").block, len(net.link("a", "b").values)),
-        net.sim.pending(),
     )
 
 
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
-def test_a_fault_is_declared_before_the_clock_starts(fault):
-    """Each fault entry point is accepted before the first event fires, and
-    at any time on a fabric already declared faulty; on a fault-free fabric
-    whose clock has started it raises and changes nothing, so the layers
-    that judged the fabric fault-free are never proved wrong.
+def test_a_fault_acts_after_the_clock_starts(fault):
+    """Nothing is declared up front: each fault entry point, called after
+    the first event has fired, changes the fabric, and a fault that changes
+    whom a member can hear, or how late, is told to every watcher.
 
-    Mutant this kills: an entry point that proceeds instead of raising."""
-
-    def fabric(expect_faults):
-        net = Network(Simulator(), RngRegistry(3), FixedLatency(0.001))
-        a, b = Sink("a"), Sink("b")
-        net.attach(a)
-        net.attach(b)
-        if expect_faults:
-            net.expect_faults()
-        return net, a
-
-    net, _ = fabric(expect_faults=False)
-    _FAULTS[fault](net)  # before the first event
-    assert net.fault_free == (fault == "set-link")
-
-    net, a = fabric(expect_faults=False)
+    Mutant this kills: an entry point that refuses a fault mid-run."""
+    net = Network(Simulator(), RngRegistry(3), FixedLatency(0.001))
+    a, b = Sink("a"), Sink("b")
+    net.attach(a)
+    net.attach(b)
+    told = []
+    net.watch_faults(lambda: told.append(net.sim.now))
     a.send("b", "tick")
     net.sim.run()
+    assert net.sim.events_processed and b.received
     before = _fabric_state(net)
-    with pytest.raises(NetworkError, match=r"network\.expect_faults\(\)"):
-        _FAULTS[fault](net)
-    assert _fabric_state(net) == before
-
-    net, a = fabric(expect_faults=True)
-    a.send("b", "tick")
-    net.sim.run()
-    _FAULTS[fault](net)  # already faulty: accepted mid-run
-    assert not net.fault_free
-
-
-def test_setup_and_healthy_operation_keep_the_fabric_fault_free(sim, network, pair):
-    a, b = pair
-    network.set_link("a", "b", FixedLatency(0.5))  # nobody relies on it yet
-    network.drop_probability = 0.0
-    network.clear_churn()
-    network.restore_node("a")
-    network.heal_partition("none")
-    a.send("b", "x")
-    sim.run()
-    assert len(b.received) == 1
-    assert network.fault_free
-
-
-def test_fabric_built_lossy_never_was_fault_free(sim, rng):
-    assert not Network(sim, rng, FixedLatency(0.001), drop_probability=0.1).fault_free
+    inject, watched = _FAULTS[fault]
+    inject(net)
+    assert _fabric_state(net) != before
+    assert told == ([0.001] if watched else [])
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +580,9 @@ _ROUTE_FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(_ROUTE_FAULTS))
 def test_fault_after_traffic_bites_next_message_and_undo_restores_stream(fault):
-    """On a fabric that expects faults, a channel already in use — its
-    record made and held — is timed by each fault from its very next
-    message, and by its undisturbed stream once the fault is undone.
+    """A channel already in use — its record made and held — is timed by
+    each fault from its very next message, and by its undisturbed stream
+    once the fault is undone.
 
     Mutant this kills (``degrade-node``, ``set-link``): a record that keeps
     the latency it was resolved with."""
@@ -632,7 +594,6 @@ def test_fault_after_traffic_bites_next_message_and_undo_restores_stream(fault):
     assert len(set(undisturbed)) == len(undisturbed)  # the link does jitter
 
     sim, net, a, b = _jittery_pair()
-    net.expect_faults()
     held = net.link("a", "b")
     for i in range(warm):
         assert _delays_of_next_send(sim, a, b) == [pytest.approx(undisturbed[i], abs=1e-12)]
@@ -671,7 +632,6 @@ def test_a_record_made_before_its_recipient_attaches_times_its_messages(sim, net
 
 def test_one_way_cut_leaves_the_reverse_route_flowing(sim, network, pair):
     a, b = pair
-    network.expect_faults()
     a.send("b", "warm")
     b.send("a", "warm")
     sim.run()

@@ -2,7 +2,9 @@
 
 import functools
 import importlib
-import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,15 +63,20 @@ def test_dunder_all_resolves(module):
         assert getattr(mod, name, None) is not None, f"{module}.{name} missing"
 
 
-EXAMPLES = sorted((Path(__file__).resolve().parents[1] / "examples").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
 def test_example_imports_resolve(path):
-    """Every example is ``__main__``-guarded, so importing it runs nothing
-    but catches a name it imports having moved or gone."""
-    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
-    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    """Every example runs to the end as ``__main__``, in its own process:
+    that catches a name it imports having moved or gone, and a call to a
+    method that no longer exists (an import alone runs nothing)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(path)], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_core_public_classes_have_docstrings():
@@ -273,7 +280,8 @@ UNCALLED_DEFINITIONS = {
 @functools.cache
 def _definitions_and_uses():
     """Every ``def``/``class`` under ``src/`` (nested ones included, dunders
-    not) as ``module:qualname -> (path, name, first line, last line)``,
+    not), and every name a module-level assignment binds, as
+    ``module:qualname -> (path, name, first line, last line)``,
     and every use under ``src/``, ``benchmarks/`` and ``examples/`` as
     ``name -> [(path, line)]``.
 
@@ -310,6 +318,14 @@ def _definitions_and_uses():
             if tree == "src":
                 module = ".".join(path.relative_to(root / tree).with_suffix("").parts)
                 define(module_ast, path, module, "")
+                for node in module_ast.body:
+                    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                        for target in targets:
+                            if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                                definitions[f"{module}:{target.id}"] = (
+                                    path, target.id, node.lineno, node.end_lineno,
+                                )
             reexports = path.name == "__init__.py"
             skipped = {
                 id(node.value)
